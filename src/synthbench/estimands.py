@@ -72,14 +72,16 @@ def combine(estimates: EstimateSet, rule: str = "Ts") -> CombinedEstimate:
     """Average the estimates and compute the requested total variance.
 
     Exactly-summed (math.fsum), so the result is invariant under permutation
-    of the datasets, and b is exactly zero when all q_i coincide.
+    of the datasets, and b is exactly zero when all q_i coincide. The final
+    division can round q_bar one ulp outside [min q_i, max q_i] (three
+    copies of 699050.9144240941 average one ulp low); it is clamped back.
     """
     if rule not in RULES:
         raise EstimandError(f"unknown combining rule {rule!r}")
     m = estimates.m
     if rule == "Tp" and m < 2:
         raise EstimandError("rule Tp needs at least two datasets")
-    q_bar = math.fsum(estimates.q) / m
+    q_bar = min(max(math.fsum(estimates.q) / m, min(estimates.q)), max(estimates.q))
     v_bar = math.fsum(estimates.v) / m
     if m == 1:
         b = None

@@ -337,6 +337,93 @@ def _pmm_pick(
     k: int,
     u: np.ndarray,
 ) -> np.ndarray:
+    """For each query, rank the fitting rows by (|prediction - query|, row id),
+    keep the first ``k`` and return the observed value of the one chosen by
+    ``u`` (uniform on [0, 1)): index ``min(floor(u * k), k - 1)``.
+
+    The predictions are sorted once, ascending by value with ties by row id
+    ascending (the rows at or above a query, nearest first) and with ties by
+    row id descending (the rows below it, walked back nearest first).
+    Rounded distance is monotone in the prediction on each side, so the
+    first ``k`` rows of each side hold that side's ``k`` nearest, and the
+    2k candidates hold the overall ``k`` nearest, unless rows with different
+    predictions round to one distance across the k-th place. A query is
+    redone by ``_pmm_pick_exhaustive`` when, on either side, the distinct
+    prediction just beyond the k-th row's rounds to the k-th distance, or the
+    one just before it does while the (k+1)-th row ties the k-th. Equal
+    predictions alone never cause this. Calls with non-finite values or
+    fewer than ``k`` fitting rows go to it whole; the result always equals
+    it bit for bit.
+    Cost is O((n + q) log n + q k log k) for n fitting rows and q queries.
+    """
+    nf = fit_preds.shape[0]
+    nq = query_preds.shape[0]
+    if nf < k or not (np.isfinite(fit_preds).all() and np.isfinite(query_preds).all()):
+        return _pmm_pick_exhaustive(fit_preds, fitting_y, query_preds, k, u)
+
+    up = np.argsort(fit_preds, kind="stable")
+    down = nf - 1 - np.argsort(fit_preds[::-1], kind="stable")
+    sv = fit_preds[up]
+    q = query_preds[:, None]
+    pos = np.searchsorted(sv, q)
+
+    # Sorted place i is looked up at i + pad. Places off either end read a
+    # NaN prediction, which equals no distance and sorts after every real
+    # one, and row id nf.
+    pad = k + 1
+    nan_pad = np.full(pad, np.nan)
+    id_pad = np.full(pad, nf)
+    svp = np.concatenate([nan_pad, sv, nan_pad])
+    upp = np.concatenate([id_pad, up, id_pad])
+    downp = np.concatenate([id_pad, down, id_pad])
+
+    # The window: places pos .. pos+k-1 above the query (rows in `up` order)
+    # and pos-k .. pos-1 below it (rows in `down` order).
+    step = np.arange(-k, k)
+    at = pos + step + pad
+    cand = np.where(step >= 0, upp[at], downp[at])
+    order = np.lexsort((cand, np.abs(svp[at] - q)), axis=1)
+    choice = np.minimum(np.floor(u * k).astype(np.int64), k - 1)
+    rows = np.arange(nq)
+    out = fitting_y[cand[rows, order[rows, choice]]].astype(np.float64)
+
+    # Column 0 is the side above the query, column 1 the side below. A k-th
+    # place off the end has a NaN distance, which ties nothing.
+    above = np.array([True, False])
+    away = np.where(above, 1, -1)
+    kth = pos + np.array([k - 1, -k])
+    vk = svp[kth + pad]
+    dk = np.abs(vk - q)
+
+    def ties_kth(i):
+        return np.abs(svp[i + pad] - q) == dk
+
+    # The distinct prediction values next to the k-th one.
+    before = np.searchsorted(sv, vk, side="left") - 1
+    after = np.searchsorted(sv, vk, side="right")
+    farther = np.where(above, after, before)
+    nearer = np.where(above, before, after)
+    redo = (
+        ties_kth(farther)
+        | (ties_kth(kth + away) & ((nearer >= pos) == above) & ties_kth(nearer))
+    ).any(axis=1)
+    if redo.any():
+        out[redo] = _pmm_pick_exhaustive(
+            fit_preds, fitting_y, query_preds[redo], k, u[redo]
+        )
+    return out
+
+
+def _pmm_pick_exhaustive(
+    fit_preds: np.ndarray,
+    fitting_y: np.ndarray,
+    query_preds: np.ndarray,
+    k: int,
+    u: np.ndarray,
+) -> np.ndarray:
+    """Reference donor search: lexsort every (query, fitting row) distance.
+    Quadratic in the row count; ``_pmm_pick`` uses it only where its window
+    could be wrong."""
     nf = fit_preds.shape[0]
     nq = query_preds.shape[0]
     out = np.empty(nq, dtype=np.float64)

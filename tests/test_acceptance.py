@@ -378,7 +378,8 @@ def test_criterion_10_end_to_end_determinism(tmp_path, fixture_a, battery, capsy
                 "fitspecs": "fits.json",
                 "grid": {
                     "synthesizers": [
-                        {"base": "S"}, {"base": "P"}, {"base": "D"}, {"base": "CC"}
+                        {"base": "S"}, {"base": "P"}, {"base": "D"}, {"base": "CP"},
+                        {"base": "CC"},
                     ],
                     "m": [1, 5],
                 },

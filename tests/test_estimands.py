@@ -5,7 +5,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from synthbench.dataset import Column, ColumnKind, Dataset, Schema
@@ -75,6 +75,7 @@ def test_permutation_invariance_is_exact():
     qs=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50),
     seed=st.integers(0, 99999),
 )
+@example(qs=[699050.9144240941] * 3, seed=0)
 def test_ts_identity_and_mean_bounds(qs, seed):
     rng = random.Random(seed)
     v = tuple(rng.uniform(0.0, 10.0) for _ in qs)
