@@ -354,6 +354,7 @@ def _pmm_pick(
     predictions alone never cause this. Calls with non-finite values or
     fewer than ``k`` fitting rows go to it whole; the result always equals
     it bit for bit.
+
     Cost is O((n + q) log n + q k log k) for n fitting rows and q queries.
     """
     nf = fit_preds.shape[0]
@@ -390,7 +391,7 @@ def _pmm_pick(
     # Column 0 is the side above the query, column 1 the side below. A k-th
     # place off the end has a NaN distance, which ties nothing.
     above = np.array([True, False])
-    away = np.where(above, 1, -1)
+    away = np.array([1, -1])
     kth = pos + np.array([k - 1, -k])
     vk = svp[kth + pad]
     dk = np.abs(vk - q)
