@@ -42,7 +42,7 @@ class ClassificationResult:
 
 
 def _fit_predict(
-    train: Dataset, evaluate: Dataset, target: str, min_leaf: int | None, seed: int | None
+    train: Dataset, evaluate: Dataset, target: str, min_leaf: int | None
 ) -> np.ndarray:
     names = [n for n in train.schema.names if n != target]
     X = Predictors.from_dataset(train, names)
@@ -54,7 +54,7 @@ def _fit_predict(
         # noise-trained trees close to a majority vote while leaving real
         # structure easy to pick up.
         min_leaf = max(5, math.isqrt(train.n_rows))
-    tree = fit_cart(X, train.column(target), train.schema.kind(target), min_leaf=min_leaf, seed=seed)
+    tree = fit_cart(X, train.column(target), train.schema.kind(target), min_leaf=min_leaf)
     cols = [evaluate.column(n) for n in names]
     return tree.predict_class(cols, train.column(target))
 
@@ -104,14 +104,14 @@ def classify_compare(
         eval_ds = original.take(test_rows)
 
     y_true = eval_ds.column(target)
-    pred_orig = _fit_predict(train_orig, eval_ds, target, min_leaf, seed)
+    pred_orig = _fit_predict(train_orig, eval_ds, target, min_leaf)
     correct_orig = pred_orig == y_true
     baseline = float(correct_orig.mean())
 
     accuracies = []
     agreements = []
     for ds in synthetic.datasets:
-        pred = _fit_predict(ds, eval_ds, target, min_leaf, seed)
+        pred = _fit_predict(ds, eval_ds, target, min_leaf)
         correct = pred == y_true
         accuracies.append(float(correct.mean()))
         agreements.append(float((correct == correct_orig).mean()))

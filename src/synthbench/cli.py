@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .analysis import load_adhoc
-from .errors import ConfigError, SynthbenchError
+from .errors import SynthbenchError
 from .estimands import load_fitspecs
 from .harness import (
     benchmark_generation,
@@ -21,9 +21,10 @@ from .harness import (
     metric_rows,
     read_report,
     run_experiment,
+    spec_for_label,
 )
 from .metrics import UtilityReport
-from .synthesis import build_spec, load_synthetic_set, save_synthetic_set, synthesize
+from .synthesis import load_synthetic_set, save_synthetic_set, synthesize
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -63,28 +64,10 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _find_entry(cfg, label: str):
-    for entry, proper, lbl in cfg.labels():
-        if lbl == label:
-            return entry, proper
-    raise ConfigError(f"label {label!r} is not in the configured grid")
-
-
 def _cmd_generate(args) -> int:
     cfg = load_config(args.config, seed=args.seed)
-    entry, proper = _find_entry(cfg, args.spec)
     original = load_original(cfg)
-    spec = build_spec(
-        original.schema,
-        entry.base,
-        order=entry.order,
-        own_order=entry.own_order,
-        proper=proper,
-        m=args.m,
-        seed=cfg.seed,
-        pmm_k=cfg.pmm_k,
-        min_leaf=cfg.min_leaf,
-    )
+    spec = spec_for_label(cfg, original.schema, args.spec, m=args.m, seed=cfg.seed)
     sset = synthesize(original, spec)
     out = Path(args.out) if args.out else cfg.out / "synth" / f"{args.spec}_m{args.m}"
     save_synthetic_set(sset, out)

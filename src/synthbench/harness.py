@@ -55,6 +55,7 @@ from .estimands import (
 )
 from .metrics import Overlap, UtilityReport, apo, cio, kl_divergence
 from .synthesis import (
+    SynthesizerSpec,
     SyntheticSet,
     build_spec,
     save_synthetic_set,
@@ -344,28 +345,33 @@ def _selective_indices(
     return out
 
 
-def _build_cell_spec(
+def spec_for_label(
     cfg: ExperimentConfig,
     schema: Schema,
-    entry: SynthesizerEntry,
-    proper: bool,
-    mode: str,
-    m: int,
-    rep: int,
     label: str,
-):
-    return build_spec(
-        schema,
-        entry.base,
-        order=entry.order,
-        own_order=entry.own_order,
-        proper=proper,
-        m=m,
-        seed=_cell_seed(cfg.seed, label, mode, m, rep),
-        selective=_selective_indices(schema, cfg.selective) if mode == "selective" else None,
-        pmm_k=cfg.pmm_k,
-        min_leaf=cfg.min_leaf,
-    )
+    *,
+    m: int,
+    seed: int,
+    mode: str = "simple",
+) -> SynthesizerSpec:
+    """Build the spec of the grid's synthesizer ``label`` (base, order and
+    proper flag from its grid entry; ``pmm_k`` and ``min_leaf`` from the
+    config) for ``m`` datasets under ``seed`` in predictor ``mode``."""
+    for entry, proper, lbl in cfg.labels():
+        if lbl == label:
+            return build_spec(
+                schema,
+                entry.base,
+                order=entry.order,
+                own_order=entry.own_order,
+                proper=proper,
+                m=m,
+                seed=seed,
+                selective=_selective_indices(schema, cfg.selective) if mode == "selective" else None,
+                pmm_k=cfg.pmm_k,
+                min_leaf=cfg.min_leaf,
+            )
+    raise ConfigError(f"label {label!r} is not in the configured grid")
 
 
 def metric_rows(
@@ -488,20 +494,24 @@ def metric_rows(
 
 
 def _run_cell(args) -> dict:
-    (cfg, original, entry, proper, label, mode, m, rep, fits, predicates) = args
+    """Run one grid cell and save its cell file. Any exception becomes the
+    cell's error row, so one failing cell never aborts the grid."""
+    (cfg, original, label, mode, m, rep, fits, predicates) = args
     key = _cell_key(label, mode, m, rep)
     result = {"key": key, "label": label, "mode": mode, "m": m, "rep": rep}
     try:
-        spec = _build_cell_spec(cfg, original.schema, entry, proper, mode, m, rep, label)
+        seed = _cell_seed(cfg.seed, label, mode, m, rep)
+        spec = spec_for_label(cfg, original.schema, label, m=m, seed=seed, mode=mode)
         sset = synthesize(original, spec)
         seconds = save_synthetic_set(sset, cfg.out / "synth" / key)
         rows, errors = metric_rows(original, sset, cfg.metrics, fits, predicates)
         result["rows"] = [[mtr, scope, val] for mtr, scope, val in rows]
         result["errors"] = [[stage, msg] for stage, msg in errors]
         result["seconds"] = seconds
-    except SynthbenchError as err:
+    except Exception as err:
+        message = str(err) if isinstance(err, SynthbenchError) else f"{type(err).__name__}: {err}"
         result["rows"] = []
-        result["errors"] = [["cell", str(err)]]
+        result["errors"] = [["cell", message]]
         result["seconds"] = []
     cell_path = cfg.out / "cells" / f"{key}.json"
     cell_path.parent.mkdir(parents=True, exist_ok=True)
@@ -524,13 +534,13 @@ def run_experiment(
     fits = load_fitspecs(cfg.fitspecs) if (cfg.metrics.regression and cfg.fitspecs) else ()
     predicates = load_adhoc(cfg.adhoc) if (cfg.metrics.adhoc and cfg.adhoc) else ()
 
-    cells = []
-    for entry, proper, label in cfg.labels():
-        for mode in cfg.predictor_modes:
-            for m in cfg.m_list:
-                for rep in range(cfg.k):
-                    cells.append((entry, proper, label, mode, m, rep))
-    cells.sort(key=lambda c: (c[2], c[3], c[4], c[5]))
+    cells = sorted(
+        (label, mode, m, rep)
+        for _, _, label in cfg.labels()
+        for mode in cfg.predictor_modes
+        for m in cfg.m_list
+        for rep in range(cfg.k)
+    )
 
     out = cfg.out
     out.mkdir(parents=True, exist_ok=True)
@@ -550,8 +560,8 @@ def run_experiment(
                 done[key] = json.loads(cell_path.read_text())
 
     pending = [
-        (cfg, original, entry, proper, label, mode, m, rep, fits, predicates)
-        for entry, proper, label, mode, m, rep in cells
+        (cfg, original, label, mode, m, rep, fits, predicates)
+        for label, mode, m, rep in cells
         if _cell_key(label, mode, m, rep) not in done
     ]
     if jobs > 1 and len(pending) > 1:
@@ -567,7 +577,7 @@ def run_experiment(
 
     report = UtilityReport()
     timings: list[TimingRecord] = []
-    for entry, proper, label, mode, m, rep in cells:
+    for label, mode, m, rep in cells:
         r = results[_cell_key(label, mode, m, rep)]
         for mtr, scope, val in r["rows"]:
             report.add(label, mode, m, rep, mtr, scope, val)
@@ -586,12 +596,12 @@ def run_experiment(
         "fingerprint": fingerprint,
         "cells": {
             _cell_key(label, mode, m, rep): {"m": m}
-            for _, _, label, mode, m, rep in cells
+            for label, mode, m, rep in cells
             if results[_cell_key(label, mode, m, rep)]["seconds"]
         },
         "datasets_generated": sum(
             m
-            for _, _, label, mode, m, rep in cells
+            for label, mode, m, rep in cells
             if results[_cell_key(label, mode, m, rep)]["seconds"]
         ),
         "generated_last_run": generated_now,
@@ -602,8 +612,7 @@ def run_experiment(
 
 def _add_normalized_kl(report: UtilityReport, cells) -> None:
     raw = report.values("kl_raw")
-    combos = sorted({(label, mode, m, rep) for _, _, label, mode, m, rep in cells})
-    for label, mode, m, rep in combos:
+    for label, mode, m, rep in cells:
         if label == "S":
             continue
         mine = {
@@ -693,27 +702,13 @@ def benchmark_generation(
     record per-dataset seconds (fit + draw + CSV write)."""
     if count < 1:
         raise ConfigError("count must be >= 1")
-    match = [(e, p, lbl) for e, p, lbl in cfg.labels() if lbl == label]
-    if not match:
-        raise ConfigError(f"label {label!r} is not in the configured grid")
-    entry, proper, _ = match[0]
     original = load_original(cfg)
     seed = int(
         np.random.SeedSequence(
             (cfg.seed, zlib.crc32(f"bench|{label}".encode()), count)
         ).generate_state(1, dtype=np.uint64)[0]
     )
-    spec = build_spec(
-        original.schema,
-        entry.base,
-        order=entry.order,
-        own_order=entry.own_order,
-        proper=proper,
-        m=count,
-        seed=seed,
-        pmm_k=cfg.pmm_k,
-        min_leaf=cfg.min_leaf,
-    )
+    spec = spec_for_label(cfg, original.schema, label, m=count, seed=seed)
     sset = synthesize(original, spec)
     seconds = save_synthetic_set(sset, cfg.out / "bench" / label)
     record = TimingRecord(label, "simple", count, 0, tuple(seconds))

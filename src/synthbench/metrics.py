@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -83,7 +83,6 @@ class KlScore:
     variable: str
     raw: float
     direction: str
-    normalized: float | None = None
 
 
 def _distribution(counts: np.ndarray, smoothing: float) -> np.ndarray:
@@ -159,87 +158,6 @@ def kl_divergence(
     else:
         raw = 0.5 * (_kl(p, q) + _kl(q, p))
     return KlScore(variable=variable, raw=raw, direction=direction)
-
-
-def normalize_kl(
-    scores: Sequence[KlScore], baseline: Sequence[KlScore]
-) -> tuple[tuple[KlScore, ...], float]:
-    """Divide each variable's raw score by the baseline synthesizer's raw
-    score for the same variable, then average across variables."""
-    base_by_var = {b.variable: b for b in baseline}
-    out = []
-    for s in scores:
-        b = base_by_var.get(s.variable)
-        if b is None:
-            raise MetricError(f"baseline has no score for variable {s.variable!r}")
-        if not (b.raw > 0.0) or math.isinf(b.raw):
-            raise MetricError(
-                f"baseline score for {s.variable!r} must be positive and finite"
-            )
-        out.append(
-            KlScore(
-                variable=s.variable,
-                raw=s.raw,
-                direction=s.direction,
-                normalized=s.raw / b.raw,
-            )
-        )
-    avg = math.fsum(s.normalized for s in out) / len(out) if out else math.nan
-    if not out:
-        raise MetricError("no scores to normalize")
-    return tuple(out), avg
-
-
-@dataclass(frozen=True)
-class AggregateResult:
-    """Cell-level rollup of per-coefficient overlaps.
-
-    Per repetition: each fit's average overlap, their mean across fits, and
-    the APO over all pooled coefficients. The final cell values average the
-    per-repetition numbers.
-    """
-
-    per_fit_avg: dict[int, dict[str, float]]
-    per_k_avg: dict[int, float]
-    per_k_apo: dict[int, float]
-    avg_cio: float
-    apo: float
-
-
-def aggregate(
-    overlaps_by_k: Mapping[int, Mapping[str, Sequence[Overlap]]],
-    *,
-    threshold: float = 0.9,
-    inclusive: bool = False,
-) -> AggregateResult:
-    if not overlaps_by_k:
-        raise MetricError("no repetitions to aggregate")
-    per_fit_avg: dict[int, dict[str, float]] = {}
-    per_k_avg: dict[int, float] = {}
-    per_k_apo: dict[int, float] = {}
-    for k in sorted(overlaps_by_k):
-        fits = overlaps_by_k[k]
-        if not fits:
-            raise MetricError(f"repetition {k} has no fits")
-        fit_avg: dict[str, float] = {}
-        pooled: list[Overlap] = []
-        for fit_id in sorted(fits):
-            ovs = list(fits[fit_id])
-            if not ovs:
-                raise MetricError(f"fit {fit_id!r} has no overlaps")
-            fit_avg[fit_id] = math.fsum(o.value for o in ovs) / len(ovs)
-            pooled.extend(ovs)
-        per_fit_avg[k] = fit_avg
-        per_k_avg[k] = math.fsum(fit_avg.values()) / len(fit_avg)
-        per_k_apo[k] = apo(pooled, threshold, inclusive=inclusive)
-    reps = len(per_k_avg)
-    return AggregateResult(
-        per_fit_avg=per_fit_avg,
-        per_k_avg=per_k_avg,
-        per_k_apo=per_k_apo,
-        avg_cio=math.fsum(per_k_avg.values()) / reps,
-        apo=math.fsum(per_k_apo.values()) / reps,
-    )
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 from .design import DesignEncoding, Predictors
-from .cart import CartTree, draw_leaf, fit_cart
-from .linear import LinearModel, draw_linear, fit_ols
-from .logistic import LogisticModel, draw_class, fit_logistic
+from .cart import CartTree, fit_cart
+from .linear import LinearModel, fit_ols
+from .logistic import LogisticModel, fit_logistic
 from .contingency import JointTable, draw_tuples, fit_joint_table
 
 __all__ = [
@@ -11,9 +11,6 @@ __all__ = [
     "LinearModel",
     "LogisticModel",
     "Predictors",
-    "draw_class",
-    "draw_leaf",
-    "draw_linear",
     "draw_tuples",
     "fit_cart",
     "fit_joint_table",

@@ -41,7 +41,6 @@ class CartTree:
     kinds: tuple[ColumnKind, ...]
     y_kind: ColumnKind
     min_leaf: int
-    n_rows: int
     feature: np.ndarray        # -1 marks a leaf
     threshold: np.ndarray      # numeric splits only
     left_levels: list          # categorical splits: sorted level codes sent left
@@ -85,15 +84,6 @@ class CartTree:
             stack.append((int(self.right[node]), rows[~go_left]))
         return out
 
-    def route_row(self, x_row) -> int:
-        x_row = tuple(x_row)
-        if len(x_row) != len(self.names):
-            raise FitError(f"expected {len(self.names)} predictor values")
-        if any(v is None for v in x_row):
-            raise FitError("predictor row has a missing value")
-        cols = [np.asarray([v]) for v in x_row]
-        return int(self.route(cols)[0])
-
     def predict_class(self, cols, training_y: np.ndarray) -> np.ndarray:
         """Majority vote over leaf donors; ties go to the lowest level code."""
         if not self.y_kind.is_categorical:
@@ -121,16 +111,13 @@ def fit_cart(
     y_kind: ColumnKind,
     *,
     min_leaf: int = 5,
-    seed: int | None = None,
 ) -> CartTree:
     """Fit a donor tree of ``y`` on the predictors.
 
-    ``seed`` is accepted for signature stability; fitting itself is
-    deterministic (ties break to the earliest feature, then the lowest
-    threshold or subset in enumeration order). Randomness only enters when
-    donors are drawn.
+    Fitting is deterministic (ties break to the earliest feature, then the
+    lowest threshold or subset in enumeration order). Randomness only enters
+    when donors are drawn.
     """
-    del seed
     y = np.asarray(y)
     n = int(y.shape[0])
     if min_leaf < 1:
@@ -192,7 +179,6 @@ def fit_cart(
         kinds=X.kinds,
         y_kind=y_kind,
         min_leaf=min_leaf,
-        n_rows=n,
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=np.float64),
         left_levels=left_levels,
@@ -390,19 +376,6 @@ def _best_categorical_split(
     else:
         chosen = ordered[: i + 1]
     return _Candidate(gain, f, None, np.sort(chosen.astype(np.int64)))
-
-
-def draw_leaf(tree: CartTree, x_row, training_y: np.ndarray, rng: np.random.Generator):
-    """Route one predictor row to its leaf and return a uniformly drawn donor's
-    target value."""
-    training_y = np.asarray(training_y)
-    if training_y.shape[0] != tree.n_rows:
-        raise FitError("training target length does not match the fitted tree")
-    node = tree.route_row(x_row)
-    d = tree.donors[node]
-    pick = d[int(rng.integers(0, d.size))]
-    value = training_y[pick]
-    return value
 
 
 def draw_donor_rows(tree: CartTree, cols, rng: np.random.Generator) -> np.ndarray:

@@ -50,9 +50,6 @@ class Predictors:
     def take(self, rows: np.ndarray) -> Predictors:
         return Predictors(self.names, self.kinds, tuple(c[rows] for c in self.cols))
 
-    def row(self, i: int) -> tuple:
-        return tuple(c[i] for c in self.cols)
-
 
 @dataclass(frozen=True)
 class DesignEncoding:
@@ -107,18 +104,6 @@ class DesignEncoding:
                     out[:, j] = codes == lvl
                     j += 1
         return out
-
-    def encode_row(self, x_row) -> np.ndarray:
-        """Encode a single predictor tuple as a (p,) vector."""
-        x_row = tuple(x_row)
-        if len(x_row) != len(self.names):
-            raise FitError(
-                f"expected {len(self.names)} predictor values, got {len(x_row)}"
-            )
-        if any(v is None for v in x_row):
-            raise FitError("predictor row has a missing value")
-        cols = [np.asarray([v]) for v in x_row]
-        return self.encode(cols)[0]
 
 
 def encode_from_predictors(X: Predictors) -> tuple[DesignEncoding, np.ndarray]:

@@ -28,9 +28,6 @@ class LinearModel:
     def predict(self, cols) -> np.ndarray:
         return self.encoding.encode(cols) @ self.coef
 
-    def predict_row(self, x_row) -> float:
-        return float(self.encoding.encode_row(x_row) @ self.coef)
-
 
 def fit_ols(X: Predictors, y: np.ndarray) -> LinearModel:
     """Least-squares fit of ``y`` on an intercept plus the encoded predictors.
@@ -70,12 +67,8 @@ def fit_ols(X: Predictors, y: np.ndarray) -> LinearModel:
     )
 
 
-def draw_linear(model: LinearModel, x_row, rng: np.random.Generator) -> float:
-    """Predicted mean at ``x_row`` plus one normal residual draw."""
-    mu = model.predict_row(x_row)
-    return float(mu + rng.normal(0.0, model.residual_sd))
-
-
 def draw_linear_many(model: LinearModel, cols, rng: np.random.Generator) -> np.ndarray:
+    """Predicted mean at every row of ``cols`` plus one normal residual draw
+    each."""
     mu = model.predict(cols)
     return mu + rng.normal(0.0, model.residual_sd, size=mu.shape[0])

@@ -174,21 +174,12 @@ def _validated_probs(P: np.ndarray) -> np.ndarray:
     return P / sums[:, None]
 
 
-def draw_class(model: LogisticModel, x_row, rng: np.random.Generator) -> int:
-    """Draw one class from the model's probabilities at ``x_row``.
+def draw_class_many(model: LogisticModel, cols, rng: np.random.Generator) -> np.ndarray:
+    """Draw one class per row of ``cols`` from the model's probabilities.
 
     Probabilities are renormalised when they are off by at most 1e-9; larger
     drift raises.
     """
-    M = model.encoding.encode_row(x_row)[None, :]
-    P = _validated_probs(np.exp(_log_probs(M, model.coef)))
-    cum = np.cumsum(P[0])
-    pick = int(np.searchsorted(cum, rng.random(), side="right"))
-    pick = min(pick, len(model.classes) - 1)
-    return int(model.classes[pick])
-
-
-def draw_class_many(model: LogisticModel, cols, rng: np.random.Generator) -> np.ndarray:
     P = _validated_probs(model.predict_proba(cols))
     cum = np.cumsum(P, axis=1)
     u = rng.random(P.shape[0])

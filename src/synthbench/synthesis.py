@@ -1,17 +1,20 @@
 """Sequential and joint synthesis of fully synthetic datasets.
 
-A synthesizer walks the columns in a visit sequence. Each variable is fitted
-on the fitting set (the original data, or a with-replacement bootstrap
-resample of it when the spec is "proper") and then drawn for every synthetic
-row conditioning on the values already synthesized. A variable with no
-predictors is drawn marginally, by resampling the fitting column. Columns
-covered by the joint-categorical method are drawn together, as whole level
-tuples from their contingency table, at the first visit position the group
-occupies.
+A synthesizer walks the columns in a visit sequence. Each visit step has two
+parts. The fit step (``fit_step``) fits the step's model on the fitting set:
+the original data, or a with-replacement bootstrap resample of it when the
+spec is "proper". It uses no randomness and returns a plain fitted value
+(``Marginal``, ``Donors``, ``Normal``, ``Softmax``, ``MeanMatch`` or
+``Tuples``). The draw step, that value's ``draw(X_syn, n, rng)``, then draws
+the whole synthetic column at once, conditioning on the predictor columns
+already synthesized. A variable with no predictors is drawn marginally, by
+resampling the fitting column. Columns covered by the joint-categorical
+method form one step at the first visit position the group occupies, and are
+drawn together as whole level tuples from their contingency table.
 
-Every (dataset index, variable) pair consumes its own derived random stream,
-so dataset i is a pure function of (seed, i) no matter how many datasets are
-generated or in what order.
+Every (dataset index, visit step) pair consumes its own derived random
+stream, so dataset i is a pure function of (seed, i) no matter how many
+datasets are generated or in what order.
 """
 
 from __future__ import annotations
@@ -28,11 +31,11 @@ import numpy as np
 
 from .dataset import Dataset, Schema, load_csv, write_csv
 from .errors import FitError, SpecError, SynthesisError
-from .models.cart import draw_donor_rows, fit_cart
-from .models.contingency import draw_tuples, fit_joint_table
+from .models.cart import CartTree, draw_donor_rows, fit_cart
+from .models.contingency import JointTable, draw_tuples, fit_joint_table
 from .models.design import Predictors
 from .models.linear import LinearModel, draw_linear_many, fit_ols
-from .models.logistic import draw_class_many, fit_logistic
+from .models.logistic import LogisticModel, draw_class_many, fit_logistic
 
 
 class Method(Enum):
@@ -74,9 +77,6 @@ class VisitSequence:
     def __post_init__(self) -> None:
         if sorted(self.order) != list(range(len(self.order))):
             raise SpecError("visit sequence must be a permutation of the columns")
-
-    def position(self, col: int) -> int:
-        return self.order.index(col)
 
 
 def make_order(
@@ -305,31 +305,6 @@ def _bootstrap_indices(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.integers(0, n, size=n)
 
 
-def pmm_draw(
-    model: LinearModel,
-    fitting_X: Predictors,
-    fitting_y: np.ndarray,
-    x_row,
-    k_donors: int,
-    rng: np.random.Generator,
-) -> float:
-    """Predictive mean matching for one row: predict at ``x_row``, find the
-    ``k_donors`` fitting rows with the nearest predictions (ties broken by
-    row index), and return a uniformly chosen donor's observed value."""
-    fitting_y = np.asarray(fitting_y, dtype=np.float64)
-    if fitting_y.shape[0] < k_donors:
-        raise FitError(
-            f"need at least k_donors={k_donors} fitting rows, got {fitting_y.shape[0]}"
-        )
-    if k_donors < 1:
-        raise FitError("k_donors must be >= 1")
-    fit_preds = model.predict(fitting_X.cols)
-    q = model.predict_row(x_row)
-    return float(
-        _pmm_pick(fit_preds, fitting_y, np.asarray([q]), k_donors, rng.random(1))[0]
-    )
-
-
 def _pmm_pick(
     fit_preds: np.ndarray,
     fitting_y: np.ndarray,
@@ -441,49 +416,122 @@ def _pmm_pick_exhaustive(
     return out
 
 
-def _draw_variable(
-    j: int,
+@dataclass(frozen=True)
+class Marginal:
+    """Resample the fitting column, ignoring every predictor."""
+
+    y: np.ndarray
+
+    def draw(self, X_syn, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self.y[rng.integers(0, self.y.shape[0], size=n)]
+
+
+@dataclass(frozen=True)
+class Donors:
+    """A donor tree: each row takes a random donor's value from its leaf."""
+
+    tree: CartTree
+    y: np.ndarray
+
+    def draw(self, X_syn, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self.y[draw_donor_rows(self.tree, X_syn, rng)]
+
+
+@dataclass(frozen=True)
+class Normal:
+    """Linear prediction plus a normal residual draw."""
+
+    model: LinearModel
+
+    def draw(self, X_syn, n: int, rng: np.random.Generator) -> np.ndarray:
+        return draw_linear_many(self.model, X_syn, rng)
+
+
+@dataclass(frozen=True)
+class Softmax:
+    """A class drawn from the logistic model's probabilities."""
+
+    model: LogisticModel
+
+    def draw(self, X_syn, n: int, rng: np.random.Generator) -> np.ndarray:
+        return draw_class_many(self.model, X_syn, rng)
+
+
+@dataclass(frozen=True)
+class MeanMatch:
+    """Predictive mean matching over the ``k`` nearest fitting predictions."""
+
+    model: LinearModel
+    fit_preds: np.ndarray
+    y: np.ndarray
+    k: int
+
+    def draw(self, X_syn, n: int, rng: np.random.Generator) -> np.ndarray:
+        query_preds = self.model.predict(X_syn)
+        return _pmm_pick(self.fit_preds, self.y, query_preds, self.k, rng.random(n))
+
+
+@dataclass(frozen=True)
+class Tuples:
+    """Level tuples of the joint-categorical group from its contingency table."""
+
+    table: JointTable
+
+    def draw(self, X_syn, n: int, rng: np.random.Generator) -> np.ndarray:
+        return draw_tuples(self.table, n, rng)
+
+
+Fitted = Marginal | Donors | Normal | Softmax | MeanMatch | Tuples
+
+
+def fit_step(
     method: Method,
-    schema: Schema,
     fit_ds: Dataset,
-    syn: dict[int, np.ndarray],
+    targets: tuple[int, ...],
     preds: tuple[int, ...],
-    n: int,
-    rng: np.random.Generator,
     spec: SynthesizerSpec,
-) -> np.ndarray:
-    kind = schema.columns[j].kind
+) -> Fitted:
+    """Fit the model that draws ``targets`` (one column, or the whole
+    joint-categorical group in column order) from the columns ``preds``.
+    Uses no randomness: the returned value's ``draw`` takes every draw."""
+    schema = fit_ds.schema
+    if method is Method.JOINT_CATEGORICAL:
+        return Tuples(fit_joint_table(fit_ds, tuple(schema.columns[g].name for g in targets)))
+    (j,) = targets
     y_fit = fit_ds.columns[j]
-    n_fit = fit_ds.n_rows
+    # A single observed class needs no model: resampling repeats it.
+    if method is Method.SAMPLE or not preds or (
+        method is Method.PARAMETRIC_CATEGORICAL and np.unique(y_fit).size == 1
+    ):
+        return Marginal(y_fit)
 
-    if method is Method.SAMPLE or not preds:
-        return y_fit[rng.integers(0, n_fit, size=n)]
-
-    names = tuple(schema.columns[q].name for q in preds)
-    kinds = tuple(schema.columns[q].kind for q in preds)
-    X_fit = Predictors(names, kinds, tuple(fit_ds.columns[q] for q in preds))
-    X_syn = [syn[q] for q in preds]
-
+    X_fit = Predictors.from_dataset(fit_ds, (schema.columns[q].name for q in preds))
     if method is Method.CART:
-        tree = fit_cart(X_fit, y_fit, kind, min_leaf=spec.min_leaf)
-        donor_rows = draw_donor_rows(tree, X_syn, rng)
-        return y_fit[donor_rows]
+        tree = fit_cart(X_fit, y_fit, schema.columns[j].kind, min_leaf=spec.min_leaf)
+        return Donors(tree, y_fit)
     if method is Method.PARAMETRIC_NUMERIC:
-        lm = fit_ols(X_fit, y_fit)
-        return draw_linear_many(lm, X_syn, rng)
+        return Normal(fit_ols(X_fit, y_fit))
     if method is Method.PARAMETRIC_CATEGORICAL:
-        observed = np.unique(y_fit)
-        if observed.size == 1:
-            return np.full(n, observed[0], dtype=np.int64)
-        model = fit_logistic(X_fit, y_fit)
-        return draw_class_many(model, X_syn, rng)
+        return Softmax(fit_logistic(X_fit, y_fit))
     if method is Method.PMM:
+        if fit_ds.n_rows < spec.pmm_k:
+            raise FitError(f"need at least pmm_k={spec.pmm_k} fitting rows, got {fit_ds.n_rows}")
         lm = fit_ols(X_fit, y_fit)
-        fit_preds = lm.predict(X_fit.cols)
-        query_preds = lm.predict(X_syn)
-        u = rng.random(n)
-        return _pmm_pick(fit_preds, y_fit.astype(np.float64), query_preds, spec.pmm_k, u)
+        return MeanMatch(lm, lm.predict(X_fit.cols), y_fit.astype(np.float64), spec.pmm_k)
     raise SpecError(f"unhandled method {method}")
+
+
+def _visit_steps(spec: SynthesizerSpec) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """(visited column, target columns, predictor columns) in visit order.
+    The joint-categorical group is one step, without predictors, at its first
+    visit position, whose method and random stream it takes."""
+    group = tuple(j for j, mth in enumerate(spec.methods) if mth is Method.JOINT_CATEGORICAL)
+    first = next((j for j in spec.visit.order if j in group), None)
+    return [
+        (j, group, ()) if j == first else (j, (j,), spec.predictors.predictors_of(j))
+        for j in spec.visit.order
+        if j == first or j not in group
+    ]
 
 
 def _synthesize_one(original: Dataset, spec: SynthesizerSpec, idx: int) -> Dataset:
@@ -495,36 +543,20 @@ def _synthesize_one(original: Dataset, spec: SynthesizerSpec, idx: int) -> Datas
     else:
         fit_ds = original
 
-    group = [j for j, mth in enumerate(spec.methods) if mth is Method.JOINT_CATEGORICAL]
-    group_first = None
-    if group:
-        pos = {c: k for k, c in enumerate(spec.visit.order)}
-        group_first = min(group, key=lambda j: pos[j])
-
     syn: dict[int, np.ndarray] = {}
-    for j in spec.visit.order:
-        method = spec.methods[j]
+    for j, targets, preds in _visit_steps(spec):
         name = schema.columns[j].name
         try:
-            if method is Method.JOINT_CATEGORICAL:
-                if j != group_first:
-                    continue
-                rng = _stream(spec.seed, idx, 1 + j)
-                ordered = sorted(group)
-                table = fit_joint_table(fit_ds, tuple(schema.columns[g].name for g in ordered))
-                tuples = draw_tuples(table, n, rng)
-                for gi, g in enumerate(ordered):
-                    syn[g] = tuples[:, gi]
-                continue
-            rng = _stream(spec.seed, idx, 1 + j)
-            preds = spec.predictors.predictors_of(j)
-            syn[j] = _draw_variable(j, method, schema, fit_ds, syn, preds, n, rng, spec)
+            fitted = fit_step(spec.methods[j], fit_ds, targets, preds, spec)
+            drawn = fitted.draw([syn[q] for q in preds], n, _stream(spec.seed, idx, 1 + j))
         except Exception as err:
-            if isinstance(err, SynthesisError):
-                raise
             raise SynthesisError(
                 f"variable {name!r}, dataset {idx}: {err}", variable=name, dataset_index=idx
             ) from err
+        if drawn.ndim == 2:  # the joint group's tuples
+            syn.update(zip(targets, drawn.T))
+        else:
+            syn[j] = drawn
     return Dataset(schema, tuple(syn[j] for j in range(len(schema))))
 
 

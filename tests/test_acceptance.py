@@ -16,7 +16,7 @@ import pytest
 from conftest import MASTER_SEED
 from synthbench.analysis import classify_compare
 from synthbench.cli import main
-from synthbench.dataset import ColumnKind, write_csv
+from synthbench.dataset import Column, ColumnKind, Dataset, Schema, write_csv
 from synthbench.estimands import (
     ci,
     combine,
@@ -26,12 +26,12 @@ from synthbench.estimands import (
     regression_estimands,
 )
 from synthbench.metrics import apo, cio, kl_divergence
-from synthbench.models import fit_cart, fit_logistic, fit_ols
-from synthbench.models.cart import draw_leaf
+from synthbench.models import fit_cart, fit_logistic
+from synthbench.models.cart import draw_donor_rows
 from synthbench.models.contingency import draw_tuples, fit_joint_table
 from synthbench.models.design import Predictors
-from synthbench.models.logistic import draw_class, softmax_loglik, softmax_score
-from synthbench.synthesis import SyntheticSet, build_spec, pmm_draw, synthesize
+from synthbench.models.logistic import draw_class_many, softmax_loglik, softmax_score
+from synthbench.synthesis import Method, SyntheticSet, build_spec, fit_step, synthesize
 
 
 def _stream(*tags) -> int:
@@ -252,7 +252,7 @@ def test_criterion_7_draw_oracles():
     X = Predictors(("z",), (ColumnKind.numeric(),), (np.zeros(8),))
     tree = fit_cart(X, donors, ColumnKind.numeric(), min_leaf=8)
     rng = np.random.default_rng(_stream(7, 0))
-    picks = np.asarray([draw_leaf(tree, (0.0,), donors, rng) for _ in range(n_draws)])
+    picks = donors[draw_donor_rows(tree, (np.zeros(n_draws),), rng)]
     for v in donors:
         assert abs((picks == v).mean() - 1.0 / 8.0) < 0.01
 
@@ -264,17 +264,18 @@ def test_criterion_7_draw_oracles():
     model = fit_logistic(Xc, yc)
     probs = model.predict_proba((np.asarray([0.3]),))[0]
     rng = np.random.default_rng(_stream(7, 2))
-    drawn = np.asarray([draw_class(model, (0.3,), rng) for _ in range(n_draws)])
+    drawn = draw_class_many(model, (np.full(n_draws, 0.3),), rng)
     for cls, p in zip(model.classes, probs):
         assert abs((drawn == cls).mean() - p) < 0.01
 
     # mean matching: five nearest donors, drawn uniformly
     xs = np.linspace(0.0, 10.0, 50)
     ys = xs.copy()
-    Xr = Predictors(("x",), (ColumnKind.numeric(),), (xs,))
-    ols = fit_ols(Xr, ys)
+    num = ColumnKind.numeric()
+    ds = Dataset(Schema((Column("x", num), Column("y", num))), (xs, ys))
+    pmm = fit_step(Method.PMM, ds, (1,), (0,), build_spec(ds.schema, "CP", pmm_k=5))
     rng = np.random.default_rng(_stream(7, 3))
-    vals = np.asarray([pmm_draw(ols, Xr, ys, (5.0,), 5, rng) for _ in range(n_draws)])
+    vals = pmm.draw((np.full(n_draws, 5.0),), n_draws, rng)
     uniq, freq = np.unique(vals, return_counts=True)
     assert uniq.shape[0] == 5
     for f in freq / n_draws:

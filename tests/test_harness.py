@@ -3,9 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from conftest import make_fixture_a
 import synthbench.harness as harness
 from synthbench.cli import main
+from synthbench.dataset import Dataset, write_csv
 from synthbench.errors import ConfigError, MetricError
+from synthbench.metrics import UtilityReport
+from synthbench.synthesis import build_spec, load_synthetic_set, synthesize
 from synthbench.harness import (
     _cell_seed,
     benchmark_generation,
@@ -275,6 +279,88 @@ def test_cli_generate_and_evaluate(tmp_path, capsys):
         "--out", str(eval_out),
     ]) == 0
     assert (eval_out / "report.csv").exists()
+    capsys.readouterr()
+
+
+def test_cli_generate_and_bench_with_an_ordered_label(tmp_path, capsys):
+    grid = {
+        "synthesizers": [{"base": "S"}, {"base": "D", "order": "opposite"}],
+        "proper": [False, True],
+        "m": [1],
+    }
+    cfg_path = write_project(tmp_path, grid=grid, k=1)
+    gen_dir = tmp_path / "gen"
+    assert main([
+        "generate", "--config", str(cfg_path), "--spec", "DOT", "--m", "2",
+        "--out", str(gen_dir),
+    ]) == 0
+    cfg = load_config(cfg_path)
+    original = load_original(cfg)
+    spec = build_spec(
+        original.schema, "D", order="opposite", proper=True, m=2, seed=cfg.seed,
+        pmm_k=cfg.pmm_k, min_leaf=cfg.min_leaf,
+    )
+    expected = synthesize(original, spec)
+    written = load_synthetic_set(gen_dir, original.schema)
+    assert written.label == "DOT"
+    for got, want in zip(written.datasets, expected.datasets, strict=True):
+        for a, b in zip(got.columns, want.columns, strict=True):
+            assert np.array_equal(a, b)
+    assert main(["bench", "--config", str(cfg_path), "--spec", "DO", "--count", "2"]) == 0
+    assert json.loads((cfg.out / "bench_DO.json").read_text())["label"] == "DO"
+    assert main(["bench", "--config", str(cfg_path), "--spec", "P", "--count", "2"]) == 1
+    capsys.readouterr()
+
+
+def test_kl_normalization_by_baseline():
+    report = UtilityReport()
+    raws = {("S", 0): (0.2, 0.3), ("D", 0): (0.4, 0.9), ("S", 1): (0.0, 0.3), ("D", 1): (0.4, 0.9)}
+    for (label, rep), (x, y) in raws.items():
+        report.add(label, "simple", 2, rep, "kl_raw", "var:x", x)
+        report.add(label, "simple", 2, rep, "kl_raw", "var:y", y)
+    cells = sorted((label, "simple", 2, rep) for label, rep in raws)
+    harness._add_normalized_kl(report, cells)
+    assert report.values("kl_norm") == {
+        ("D", "simple", 2, 0, "var:x"): pytest.approx(2.0),
+        ("D", "simple", 2, 0, "var:y"): pytest.approx(3.0),
+    }
+    # A zero baseline divergence in repetition 1 cannot normalize anything.
+    assert report.values("kl_norm_avg") == {("D", "simple", 2, 0, ""): pytest.approx(2.5)}
+    assert [(e.label, e.k, e.stage) for e in report.errors] == [("D", 1, "kl_normalize")]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_any_exception_in_a_cell_becomes_an_error_row(tmp_path, capsys):
+    # x of magnitude 1e300 overflows the combining rule's between-variance sum.
+    ds = make_fixture_a(n=300)
+    ds = Dataset(ds.schema, (ds.columns[0] * 1e300,) + ds.columns[1:])
+    write_csv(ds, tmp_path / "data.csv")
+    cols = [
+        {"name": c.name, "kind": "categorical", "levels": list(c.kind.levels)}
+        if c.kind.is_categorical else {"name": c.name, "kind": "numeric"}
+        for c in ds.schema.columns
+    ]
+    (tmp_path / "schema.json").write_text(json.dumps({"columns": cols}))
+    (tmp_path / "fits.json").write_text(json.dumps(
+        {"fits": [{"id": "f1", "family": "linear", "target": "y", "predictors": ["x"]}]}
+    ))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({
+        "dataset": "data.csv",
+        "schema": "schema.json",
+        "fitspecs": "fits.json",
+        "grid": {"synthesizers": [{"base": "S"}, {"base": "D"}], "m": [2]},
+        "k": 1,
+        "seed": 3,
+        "out": "results",
+    }))
+    cfg = load_config(cfg_path)
+    report, _ = run_experiment(cfg)
+    assert {(e.label, e.stage) for e in report.errors} == {("S", "cell"), ("D", "cell")}
+    assert all(e.message.startswith("OverflowError: ") for e in report.errors)
+    lines = (cfg.out / "errors.csv").read_text().splitlines()
+    assert lines[1].startswith("D,simple,2,0,cell,") and lines[2].startswith("S,simple,2,0,cell,")
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "cli")]) == 2
     capsys.readouterr()
 
 

@@ -3,7 +3,8 @@ import pytest
 
 from synthbench.dataset import ColumnKind
 from synthbench.errors import FitError
-from synthbench.models import draw_linear, fit_ols
+from synthbench.models import fit_ols
+from synthbench.models.linear import draw_linear_many
 from synthbench.models.design import Predictors, encode_from_predictors
 
 NUM = ColumnKind.numeric()
@@ -78,8 +79,8 @@ def test_draw_linear_matches_prediction_and_spread():
     X = predictors(["x"], [NUM], [x])
     model = fit_ols(X, y)
     draw_rng = np.random.default_rng(4)
-    draws = np.asarray([draw_linear(model, (1.5,), draw_rng) for _ in range(20_000)])
-    assert draws.mean() == pytest.approx(model.predict_row((1.5,)), abs=0.02)
+    draws = draw_linear_many(model, (np.full(20_000, 1.5),), draw_rng)
+    assert draws.mean() == pytest.approx(model.predict((np.asarray([1.5]),))[0], abs=0.02)
     assert draws.std() == pytest.approx(model.residual_sd, abs=0.02)
 
 
@@ -93,5 +94,5 @@ def test_encoding_round_trip():
     assert M[:, 1].tolist() == x.tolist()
     assert M[:, 2].tolist() == [0.0, 0.0, 1.0, 0.0]
     assert M[:, 3].tolist() == [0.0, 1.0, 0.0, 0.0]
-    row = enc.encode_row((2.5, 2))
-    assert row.tolist() == [1.0, 2.5, 0.0, 1.0]
+    row = enc.encode((np.asarray([2.5]), np.asarray([2])))
+    assert row.tolist() == [[1.0, 2.5, 0.0, 1.0]]

@@ -11,11 +11,9 @@ from synthbench.estimands import ConfidenceInterval
 from synthbench.metrics import (
     Overlap,
     UtilityReport,
-    aggregate,
     apo,
     cio,
     kl_divergence,
-    normalize_kl,
 )
 
 CAT2 = ColumnKind.categorical(("a", "b"))
@@ -144,33 +142,6 @@ def test_kl_nonnegative(c_o, c_s):
     kind = ColumnKind.categorical(("w", "x", "y", "z"))
     raw = kl_divergence(np.asarray(c_o), np.asarray(c_s), kind).raw
     assert raw >= 0.0
-
-
-def test_normalize_kl_by_baseline():
-    from synthbench.metrics import KlScore
-
-    scores = (KlScore("x", 0.4, "pq"), KlScore("y", 0.9, "pq"))
-    baseline = (KlScore("x", 0.2, "pq"), KlScore("y", 0.3, "pq"))
-    out, avg = normalize_kl(scores, baseline)
-    assert out[0].normalized == pytest.approx(2.0)
-    assert out[1].normalized == pytest.approx(3.0)
-    assert avg == pytest.approx(2.5)
-    with pytest.raises(MetricError):
-        normalize_kl(scores, (KlScore("x", 0.0, "pq"), KlScore("y", 0.3, "pq")))
-
-
-def test_aggregate_rollup():
-    ov = lambda v: Overlap("", v)
-    by_k = {
-        0: {"f1": [ov(1.0), ov(0.8)], "f2": [ov(0.95)]},
-        1: {"f1": [ov(0.5), ov(0.5)], "f2": [ov(1.0)]},
-    }
-    agg = aggregate(by_k)
-    assert agg.per_fit_avg[0]["f1"] == pytest.approx(0.9)
-    assert agg.per_k_avg[0] == pytest.approx((0.9 + 0.95) / 2)
-    assert agg.per_k_apo[0] == pytest.approx(2.0 / 3.0)
-    assert agg.per_k_apo[1] == pytest.approx(1.0 / 3.0)
-    assert agg.apo == pytest.approx(0.5)
 
 
 def test_report_summary_and_values():

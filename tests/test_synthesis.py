@@ -4,16 +4,14 @@ import pytest
 import synthbench.synthesis as synthesis
 from synthbench.dataset import Column, ColumnKind, Dataset, Schema
 from synthbench.errors import SpecError, SynthesisError
-from synthbench.models import fit_ols
-from synthbench.models.design import Predictors
 from synthbench.synthesis import (
     Method,
     build_spec,
+    fit_step,
     load_synthetic_set,
     make_order,
     make_predictors,
     parse_label,
-    pmm_draw,
     save_synthetic_set,
     synthesize,
 )
@@ -232,15 +230,27 @@ def test_fit_errors_carry_variable_and_dataset_context(monkeypatch):
     assert "'y'" in msg and "dataset 0" in msg
 
 
+def numeric_pair(x, y):
+    num = ColumnKind.numeric()
+    return Dataset(Schema((Column("x", num), Column("y", num))), (x, y))
+
+
 def test_pmm_draw_returns_nearby_observed_value():
     rng = np.random.default_rng(3)
     x = np.linspace(0, 10, 200)
-    y = x.copy()
-    X = Predictors(("x",), (ColumnKind.numeric(),), (x,))
-    model = fit_ols(X, y)
-    draws = {pmm_draw(model, X, y, (5.0,), 5, rng) for _ in range(300)}
-    assert draws <= set(y.tolist())
+    ds = numeric_pair(x, x.copy())
+    pmm = fit_step(Method.PMM, ds, (1,), (0,), build_spec(ds.schema, "CP", pmm_k=5))
+    draws = set(pmm.draw((np.full(300, 5.0),), 300, rng).tolist())
+    assert draws <= set(x.tolist())
     assert all(abs(v - 5.0) < 0.2 for v in draws)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pmm_with_fewer_rows_than_donors_is_an_error(seed):
+    # 4 fitting rows cannot supply 5 donors to any synthetic row.
+    ds = numeric_pair(np.asarray([0.0, 1.0, 2.0, 3.0]), np.asarray([0.5, 1.5, 1.0, 3.5]))
+    with pytest.raises(SynthesisError, match=r"variable 'y'.*pmm_k=5"):
+        synthesize(ds, build_spec(ds.schema, "CP", m=1, seed=seed, pmm_k=5))
 
 
 def test_save_and_load_round_trip(tmp_path):
