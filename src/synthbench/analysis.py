@@ -59,32 +59,30 @@ def _fit_predict(
     return tree.predict_class(cols, train.column(target))
 
 
-def classify_compare(
+@dataclass(frozen=True)
+class ClassifierBaseline:
+    """The original-trained side of a classifier comparison: the original
+    records it is scored on, their labels, and which of them it gets right."""
+
+    eval_ds: Dataset
+    y_true: np.ndarray
+    correct: np.ndarray
+
+
+def classifier_baseline(
     original: Dataset,
-    synthetic: SyntheticSet,
     target: str,
     *,
     min_leaf: int | None = None,
     seed: int | None = None,
     test_fraction: float | None = None,
-) -> ClassificationResult:
-    """Train a donor-tree classifier per synthetic dataset and on the
-    original; evaluate all of them on the original records.
-
-    ``min_leaf=None`` applies a sqrt(n) stability floor per training set so
-    that a classifier trained on label-independent data degrades to roughly
-    majority-vote accuracy instead of below it.
-
-    ``test_fraction`` switches on a holdout split (off by default): models
-    train as before but are scored only on the held-out original rows, and
-    the original-trained model sees only the training rows.
-    """
+) -> ClassifierBaseline:
+    """Train the donor-tree classifier on the original data and score it on
+    the original records (arguments as in ``classify_compare``)."""
     if not original.schema.kind(target).is_categorical:
         raise AnalysisError(f"target {target!r} is not categorical")
     if len(original.schema) < 2:
         raise AnalysisError("classification needs at least one predictor column")
-    if synthetic.m < 1:
-        raise AnalysisError("no synthetic datasets to evaluate")
 
     if test_fraction is None:
         train_orig = original
@@ -104,22 +102,54 @@ def classify_compare(
         eval_ds = original.take(test_rows)
 
     y_true = eval_ds.column(target)
-    pred_orig = _fit_predict(train_orig, eval_ds, target, min_leaf)
-    correct_orig = pred_orig == y_true
-    baseline = float(correct_orig.mean())
+    correct = _fit_predict(train_orig, eval_ds, target, min_leaf) == y_true
+    correct.flags.writeable = False
+    return ClassifierBaseline(eval_ds, y_true, correct)
+
+
+def classify_compare(
+    original: Dataset,
+    synthetic: SyntheticSet,
+    target: str,
+    *,
+    min_leaf: int | None = None,
+    seed: int | None = None,
+    test_fraction: float | None = None,
+    baseline: ClassifierBaseline | None = None,
+) -> ClassificationResult:
+    """Train a donor-tree classifier per synthetic dataset and on the
+    original; evaluate all of them on the original records.
+
+    ``min_leaf=None`` applies a sqrt(n) stability floor per training set so
+    that a classifier trained on label-independent data degrades to roughly
+    majority-vote accuracy instead of below it.
+
+    ``test_fraction`` switches on a holdout split (off by default): models
+    train as before but are scored only on the held-out original rows, and
+    the original-trained model sees only the training rows.
+
+    ``baseline`` is the original-trained side, from ``classifier_baseline``
+    with the same arguments; it is computed here when not given.
+    """
+    if synthetic.m < 1:
+        raise AnalysisError("no synthetic datasets to evaluate")
+    if baseline is None:
+        baseline = classifier_baseline(
+            original, target, min_leaf=min_leaf, seed=seed, test_fraction=test_fraction
+        )
 
     accuracies = []
     agreements = []
     for ds in synthetic.datasets:
-        pred = _fit_predict(ds, eval_ds, target, min_leaf)
-        correct = pred == y_true
+        pred = _fit_predict(ds, baseline.eval_ds, target, min_leaf)
+        correct = pred == baseline.y_true
         accuracies.append(float(correct.mean()))
-        agreements.append(float((correct == correct_orig).mean()))
+        agreements.append(float((correct == baseline.correct).mean()))
 
     return ClassificationResult(
         label=synthetic.label,
         target=target,
-        baseline_accuracy=baseline,
+        baseline_accuracy=float(baseline.correct.mean()),
         accuracies=tuple(accuracies),
         mean_accuracy=math.fsum(accuracies) / len(accuracies),
         agreement=math.fsum(agreements) / len(agreements),

@@ -255,13 +255,14 @@ def load_csv(
 ) -> tuple[Dataset, Schema]:
     """Parse an RFC-4180 CSV with a header row against ``schema``.
 
-    The header must contain exactly the schema's column names (any order).
-    Cells equal to a missing token are flagged missing. Categorical columns
-    marked "infer" get their level set from the data in first-appearance
-    order. Returns the dataset and the (possibly concretised) schema.
+    The file is UTF-8. The header must contain exactly the schema's column
+    names (any order). Cells equal to a missing token, and fields a short row
+    lacks, are flagged missing. Categorical columns marked "infer" get their
+    level set from the data in first-appearance order. Returns the dataset
+    and the (possibly concretised) schema.
     """
     missing_set = set(missing_tokens)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -282,12 +283,12 @@ def load_csv(
     out_schema = schema
     for col in schema.columns:
         j = pos[col.name]
-        cells = [row[j] if j < len(row) else "" for row in rows]
+        cells = [row[j] if j < len(row) else None for row in rows]
         mask = np.zeros(n, dtype=bool)
         if col.kind.is_numeric:
             values = np.empty(n, dtype=np.float64)
             for i, cell in enumerate(cells):
-                if cell in missing_set:
+                if cell is None or cell in missing_set:
                     mask[i] = True
                     values[i] = np.nan
                     continue
@@ -304,7 +305,7 @@ def load_csv(
                 lookup: dict[str, int] = {}
                 codes = np.empty(n, dtype=np.int64)
                 for i, cell in enumerate(cells):
-                    if cell in missing_set:
+                    if cell is None or cell in missing_set:
                         mask[i] = True
                         codes[i] = _MISSING_CODE
                         continue
@@ -325,7 +326,7 @@ def load_csv(
                 lookup = {lvl: k for k, lvl in enumerate(col.kind.levels)}
                 codes = np.empty(n, dtype=np.int64)
                 for i, cell in enumerate(cells):
-                    if cell in missing_set:
+                    if cell is None or cell in missing_set:
                         mask[i] = True
                         codes[i] = _MISSING_CODE
                         continue
@@ -345,10 +346,11 @@ def load_csv(
 
 
 def write_csv(ds: Dataset, path: str | Path) -> None:
-    """Write the dataset as CSV. Numeric cells use shortest round-trip text;
-    categorical cells are written as their level labels. Missing cells come
-    out as the empty string."""
-    with open(path, "w", newline="") as fh:
+    """Write the dataset as UTF-8 CSV. Numeric cells use shortest round-trip
+    text; categorical cells are written as their level labels. Missing cells
+    come out as the empty string, so only a dataset without them reads back
+    exactly (with ``missing_tokens=()``)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(ds.schema.names)
         formatted: list[list[str]] = []

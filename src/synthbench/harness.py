@@ -6,7 +6,9 @@ computes the configured metrics against the original data, and saves a cell
 file. The report is assembled from the cell files in sorted key order, so
 the report bytes do not depend on how many workers ran the cells, and a
 resumed run reuses every finished cell without regenerating anything.
-Timings are kept out of the report files on purpose.
+Timings are kept out of the report files on purpose. Within one run and one
+process, cells share the non-proper synthesis fits and the original-side
+metric values, which no random draw can change.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 from .analysis import (
     AdhocPredicate,
     adhoc_proportion,
+    classifier_baseline,
     classify_compare,
     correlation_battery,
     load_adhoc,
@@ -55,6 +58,7 @@ from .estimands import (
 )
 from .metrics import Overlap, UtilityReport, apo, cio, kl_divergence
 from .synthesis import (
+    FitMemo,
     SynthesizerSpec,
     SyntheticSet,
     build_spec,
@@ -129,7 +133,22 @@ class ExperimentConfig:
         return out
 
     def fingerprint(self) -> str:
+        """sha256 over every setting, the bytes of every input file and the
+        package version, so a resumed run never mixes two inputs."""
+        from . import __version__
+
         doc = {
+            "version": __version__,
+            "contents": {
+                name: _file_sha256(path)
+                for name, path in (
+                    ("dataset", self.dataset),
+                    ("schema", self.schema),
+                    ("fitspecs", self.fitspecs),
+                    ("adhoc", self.adhoc),
+                )
+                if path is not None
+            },
             "dataset": str(self.dataset),
             "schema": str(self.schema),
             "synthesizers": [
@@ -155,6 +174,13 @@ class ExperimentConfig:
         }
         blob = json.dumps(doc, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
+
+
+def _file_sha256(path: Path) -> str:
+    try:
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    except OSError as err:
+        raise ConfigError(f"cannot read input file {path}: {err}") from err
 
 
 def load_config(path: str | Path, *, seed: int | None = None, out: str | Path | None = None) -> ExperimentConfig:
@@ -374,17 +400,33 @@ def spec_for_label(
     raise ConfigError(f"label {label!r} is not in the configured grid")
 
 
+def _describe_error(err: Exception) -> str:
+    """An error row's message: a package error's own text, any other
+    exception's type and text."""
+    return str(err) if isinstance(err, SynthbenchError) else f"{type(err).__name__}: {err}"
+
+
 def metric_rows(
     original: Dataset,
     sset: SyntheticSet,
     settings: MetricSettings,
     fits: tuple[FitSpec, ...],
     predicates: tuple[AdhocPredicate, ...],
+    *,
+    memo: dict | None = None,
 ) -> tuple[list[tuple[str, str, float]], list[tuple[str, str]]]:
     """Compute every configured metric for one synthetic set.
 
     Returns (rows, errors); a row is (metric, scope, value) and an error is
-    (stage, message). A failing fit or predicate only loses its own rows.
+    (stage, message). The families are the mean point estimands
+    (``mean_point``), each fit (``fit:<id>``), KL (``kl``), the classifier
+    (``classification``) and each predicate (``adhoc:<id>``). An exception
+    in one family, of whatever type, becomes its error and loses only that
+    family's rows.
+
+    ``memo`` keeps the original-side values (estimands and the classifier's
+    original-trained predictions) for later calls with the same
+    ``original`` and ``settings``; without it they are computed afresh.
     """
     rows: list[tuple[str, str, float]] = []
     errors: list[tuple[str, str]] = []
@@ -393,64 +435,68 @@ def metric_rows(
     thr = settings.apo_threshold
     inc = settings.apo_inclusive
 
-    if settings.mean_point:
+    def once(key, compute):
+        if memo is None:
+            return compute()
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
+
+    def family(stage, compute):
+        """compute()'s result, or None after recording its exception."""
+        try:
+            return compute()
+        except Exception as err:
+            errors.append((stage, _describe_error(err)))
+            return None
+
+    def mean_point_rows():
+        out = []
         overlaps = []
         for col in original.schema.columns:
             if not col.kind.is_numeric:
                 continue
-            q0, v0 = mean_point_estimand(original, col.name)
+            q0, v0 = once(
+                ("mean_point", col.name), lambda: mean_point_estimand(original, col.name)
+            )
             orig_ci = normal_interval(q0, v0, level)
             pairs = [mean_point_estimand(ds, col.name) for ds in sset.datasets]
             combined = combine(estimate_set_from(col.name, pairs), rule)
             ov = cio(orig_ci, ci(combined, level), estimand_id=col.name)
             overlaps.append(ov)
-            rows.append(("mpe_cio", f"var:{col.name}", ov.value))
+            out.append(("mpe_cio", f"var:{col.name}", ov.value))
         if overlaps:
-            rows.append(
+            out.append(
                 ("mpe_avg_cio", "", math.fsum(o.value for o in overlaps) / len(overlaps))
             )
-            rows.append(("mpe_apo", "", apo(overlaps, thr, inclusive=inc)))
+            out.append(("mpe_apo", "", apo(overlaps, thr, inclusive=inc)))
+        return out
 
-    if settings.regression and fits:
-        fit_avgs: list[float] = []
-        pooled: list[Overlap] = []
-        for fit in fits:
-            try:
-                orig_coefs = regression_estimands(original, fit)
-                per_ds = [regression_estimands(ds, fit) for ds in sset.datasets]
-                names = [c.name for c in orig_coefs]
-                for coefs in per_ds:
-                    if [c.name for c in coefs] != names:
-                        raise MetricError(
-                            "synthetic fit produced a different coefficient set"
-                        )
-                fit_overlaps = []
-                for idx, name in enumerate(names):
-                    orig_ci = normal_interval(orig_coefs[idx].q, orig_coefs[idx].v, level)
-                    est = estimate_set_from(
-                        name, [(coefs[idx].q, coefs[idx].v) for coefs in per_ds]
-                    )
-                    ov = cio(orig_ci, ci(combine(est, rule), level), estimand_id=name)
-                    fit_overlaps.append(ov)
-                    rows.append(("rf_cio", f"fit:{fit.id}:coef:{name}", ov.value))
-                avg = math.fsum(o.value for o in fit_overlaps) / len(fit_overlaps)
-                rows.append(("rf_fit_avg_cio", f"fit:{fit.id}", avg))
-                rows.append(
-                    ("rf_fit_apo", f"fit:{fit.id}", apo(fit_overlaps, thr, inclusive=inc))
-                )
-                fit_avgs.append(avg)
-                pooled.extend(fit_overlaps)
-            except SynthbenchError as err:
-                errors.append((f"fit:{fit.id}", str(err)))
-        if fit_avgs:
-            rows.append(("rf_avg_cio", "", math.fsum(fit_avgs) / len(fit_avgs)))
-            rows.append(("rf_apo", "", apo(pooled, thr, inclusive=inc)))
+    def fit_rows(fit):
+        orig_coefs = once(("fit", fit), lambda: regression_estimands(original, fit))
+        per_ds = [regression_estimands(ds, fit) for ds in sset.datasets]
+        names = [c.name for c in orig_coefs]
+        for coefs in per_ds:
+            if [c.name for c in coefs] != names:
+                raise MetricError("synthetic fit produced a different coefficient set")
+        out = []
+        fit_overlaps = []
+        for idx, name in enumerate(names):
+            orig_ci = normal_interval(orig_coefs[idx].q, orig_coefs[idx].v, level)
+            est = estimate_set_from(name, [(coefs[idx].q, coefs[idx].v) for coefs in per_ds])
+            ov = cio(orig_ci, ci(combine(est, rule), level), estimand_id=name)
+            fit_overlaps.append(ov)
+            out.append(("rf_cio", f"fit:{fit.id}:coef:{name}", ov.value))
+        avg = math.fsum(o.value for o in fit_overlaps) / len(fit_overlaps)
+        out.append(("rf_fit_avg_cio", f"fit:{fit.id}", avg))
+        out.append(("rf_fit_apo", f"fit:{fit.id}", apo(fit_overlaps, thr, inclusive=inc)))
+        return out, avg, fit_overlaps
 
-    if settings.kl:
+    def kl_rows():
+        out = []
         for col in original.schema.columns:
-            raws = []
-            for ds in sset.datasets:
-                score = kl_divergence(
+            raws = [
+                kl_divergence(
                     original.column(col.name),
                     ds.column(col.name),
                     col.kind,
@@ -458,60 +504,115 @@ def metric_rows(
                     smoothing=settings.kl_smoothing,
                     direction=settings.kl_direction,
                     variable=col.name,
-                )
-                raws.append(score.raw)
-            rows.append(("kl_raw", f"var:{col.name}", math.fsum(raws) / len(raws)))
+                ).raw
+                for ds in sset.datasets
+            ]
+            out.append(("kl_raw", f"var:{col.name}", math.fsum(raws) / len(raws)))
+        return out
+
+    def classification_rows():
+        target = settings.classification_target
+        test_fraction = settings.classification_test_fraction
+        baseline = once(
+            ("classification",),
+            lambda: classifier_baseline(original, target, test_fraction=test_fraction),
+        )
+        res = classify_compare(
+            original, sset, target, test_fraction=test_fraction, baseline=baseline
+        )
+        return [
+            ("clf_acc_orig", "", res.baseline_accuracy),
+            ("clf_acc_syn", "", res.mean_accuracy),
+            ("clf_acc_dev", "", res.accuracy_deviation),
+            ("clf_agreement", "", res.agreement),
+        ]
+
+    def adhoc_rows(pred):
+        p_orig = adhoc_proportion(original, pred)
+        p_syn = math.fsum(adhoc_proportion(ds, pred) for ds in sset.datasets) / sset.m
+        return [
+            ("adhoc_orig", f"pred:{pred.id}", p_orig),
+            ("adhoc_syn", f"pred:{pred.id}", p_syn),
+            ("adhoc_dev", f"pred:{pred.id}", abs(p_orig - p_syn)),
+        ]
+
+    if settings.mean_point:
+        rows += family("mean_point", mean_point_rows) or []
+
+    if settings.regression and fits:
+        fit_avgs: list[float] = []
+        pooled: list[Overlap] = []
+        for fit in fits:
+            got = family(f"fit:{fit.id}", lambda: fit_rows(fit))
+            if got is not None:
+                rows += got[0]
+                fit_avgs.append(got[1])
+                pooled.extend(got[2])
+        if fit_avgs:
+            rows.append(("rf_avg_cio", "", math.fsum(fit_avgs) / len(fit_avgs)))
+            rows.append(("rf_apo", "", apo(pooled, thr, inclusive=inc)))
+
+    if settings.kl:
+        rows += family("kl", kl_rows) or []
 
     if settings.classification_target is not None:
-        try:
-            res = classify_compare(
-                original,
-                sset,
-                settings.classification_target,
-                test_fraction=settings.classification_test_fraction,
-            )
-            rows.append(("clf_acc_orig", "", res.baseline_accuracy))
-            rows.append(("clf_acc_syn", "", res.mean_accuracy))
-            rows.append(("clf_acc_dev", "", res.accuracy_deviation))
-            rows.append(("clf_agreement", "", res.agreement))
-        except SynthbenchError as err:
-            errors.append(("classification", str(err)))
+        rows += family("classification", classification_rows) or []
 
     if settings.adhoc and predicates:
         for pred in predicates:
-            try:
-                p_orig = adhoc_proportion(original, pred)
-                p_syn = math.fsum(
-                    adhoc_proportion(ds, pred) for ds in sset.datasets
-                ) / sset.m
-                rows.append(("adhoc_orig", f"pred:{pred.id}", p_orig))
-                rows.append(("adhoc_syn", f"pred:{pred.id}", p_syn))
-                rows.append(("adhoc_dev", f"pred:{pred.id}", abs(p_orig - p_syn)))
-            except SynthbenchError as err:
-                errors.append((f"adhoc:{pred.id}", str(err)))
+            rows += family(f"adhoc:{pred.id}", lambda: adhoc_rows(pred)) or []
 
     return rows, errors
 
 
-def _run_cell(args) -> dict:
-    """Run one grid cell and save its cell file. Any exception becomes the
-    cell's error row, so one failing cell never aborts the grid."""
-    (cfg, original, label, mode, m, rep, fits, predicates) = args
+@dataclass(frozen=True)
+class _Experiment:
+    """What the cells of one ``run_experiment`` call share in a process: the
+    inputs, the non-proper synthesis fits and the original-side values of
+    ``metric_rows``."""
+
+    cfg: ExperimentConfig
+    original: Dataset
+    fits: tuple[FitSpec, ...]
+    predicates: tuple[AdhocPredicate, ...]
+    synth_fits: FitMemo
+    original_side: dict
+
+
+_experiment: _Experiment | None = None
+
+
+def _start_experiment(cfg, original, fits, predicates) -> None:
+    """Give this process empty memos for a new experiment. ``run_experiment``
+    calls it first, and each pool worker as its initializer, so no run
+    reuses another run's fits."""
+    global _experiment
+    _experiment = _Experiment(cfg, original, fits, predicates, FitMemo(original), {})
+
+
+def _run_cell(cell: tuple[str, str, int, int]) -> dict:
+    """Run one grid cell of the current experiment and save its cell file.
+    Any exception becomes the cell's error row, so one failing cell never
+    aborts the grid."""
+    label, mode, m, rep = cell
+    exp = _experiment
+    cfg = exp.cfg
     key = _cell_key(label, mode, m, rep)
     result = {"key": key, "label": label, "mode": mode, "m": m, "rep": rep}
     try:
         seed = _cell_seed(cfg.seed, label, mode, m, rep)
-        spec = spec_for_label(cfg, original.schema, label, m=m, seed=seed, mode=mode)
-        sset = synthesize(original, spec)
+        spec = spec_for_label(cfg, exp.original.schema, label, m=m, seed=seed, mode=mode)
+        sset = synthesize(exp.original, spec, memo=exp.synth_fits)
         seconds = save_synthetic_set(sset, cfg.out / "synth" / key)
-        rows, errors = metric_rows(original, sset, cfg.metrics, fits, predicates)
+        rows, errors = metric_rows(
+            exp.original, sset, cfg.metrics, exp.fits, exp.predicates, memo=exp.original_side
+        )
         result["rows"] = [[mtr, scope, val] for mtr, scope, val in rows]
         result["errors"] = [[stage, msg] for stage, msg in errors]
         result["seconds"] = seconds
     except Exception as err:
-        message = str(err) if isinstance(err, SynthbenchError) else f"{type(err).__name__}: {err}"
         result["rows"] = []
-        result["errors"] = [["cell", message]]
+        result["errors"] = [["cell", _describe_error(err)]]
         result["seconds"] = []
     cell_path = cfg.out / "cells" / f"{key}.json"
     cell_path.parent.mkdir(parents=True, exist_ok=True)
@@ -523,7 +624,12 @@ def run_experiment(
     cfg: ExperimentConfig, *, jobs: int = 1, resume: bool = False
 ) -> tuple[UtilityReport, list[TimingRecord]]:
     """Execute the full grid and write report.csv, summary.csv, errors.csv,
-    timings.csv and the resume manifest under ``cfg.out``."""
+    timings.csv and the resume manifest under ``cfg.out``.
+
+    Each process fits every non-proper synthesis step, and computes every
+    original-side estimand, once per call; a cell that finds them already
+    computed only draws and scores."""
+    global _experiment
     original = load_original(cfg)
     if cfg.metrics.classification_target is not None:
         if cfg.metrics.classification_target not in original.schema.names:
@@ -551,7 +657,7 @@ def run_experiment(
         manifest = json.loads(manifest_path.read_text())
         if manifest.get("fingerprint") != fingerprint:
             raise ConfigError(
-                "resume manifest belongs to a different configuration; "
+                "resume manifest belongs to a different configuration or input; "
                 "use a fresh output directory"
             )
         for key in manifest.get("cells", {}):
@@ -559,16 +665,19 @@ def run_experiment(
             if cell_path.exists():
                 done[key] = json.loads(cell_path.read_text())
 
-    pending = [
-        (cfg, original, label, mode, m, rep, fits, predicates)
-        for label, mode, m, rep in cells
-        if _cell_key(label, mode, m, rep) not in done
-    ]
-    if jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            fresh = list(pool.map(_run_cell, pending))
-    else:
-        fresh = [_run_cell(t) for t in pending]
+    pending = [cell for cell in cells if _cell_key(*cell) not in done]
+    shared = (cfg, original, fits, predicates)
+    _start_experiment(*shared)
+    try:
+        if jobs > 1 and len(pending) > 1:
+            with ProcessPoolExecutor(
+                max_workers=jobs, initializer=_start_experiment, initargs=shared
+            ) as pool:
+                fresh = list(pool.map(_run_cell, pending))
+        else:
+            fresh = [_run_cell(cell) for cell in pending]
+    finally:
+        _experiment = None
     generated_now = sum(r["m"] for r in fresh if r["seconds"])
 
     results = dict(done)

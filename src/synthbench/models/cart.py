@@ -40,7 +40,6 @@ class CartTree:
     names: tuple[str, ...]
     kinds: tuple[ColumnKind, ...]
     y_kind: ColumnKind
-    min_leaf: int
     feature: np.ndarray        # -1 marks a leaf
     threshold: np.ndarray      # numeric splits only
     left_levels: list          # categorical splits: sorted level codes sent left
@@ -178,7 +177,6 @@ def fit_cart(
         names=X.names,
         kinds=X.kinds,
         y_kind=y_kind,
-        min_leaf=min_leaf,
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=np.float64),
         left_levels=left_levels,

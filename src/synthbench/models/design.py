@@ -47,9 +47,6 @@ class Predictors:
         cols = tuple(ds.column(n) for n in names)
         return Predictors(names, kinds, cols)
 
-    def take(self, rows: np.ndarray) -> Predictors:
-        return Predictors(self.names, self.kinds, tuple(c[rows] for c in self.cols))
-
 
 @dataclass(frozen=True)
 class DesignEncoding:

@@ -14,7 +14,9 @@ drawn together as whole level tuples from their contingency table.
 
 Every (dataset index, visit step) pair consumes its own derived random
 stream, so dataset i is a pure function of (seed, i) no matter how many
-datasets are generated or in what order.
+datasets are generated or in what order. For the same reason a fitted value
+can be drawn from any number of times: a non-proper spec fits each step once
+(``FitMemo``) and draws all m datasets from those fits.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Dataset, Schema, load_csv, write_csv
-from .errors import FitError, SpecError, SynthesisError
+from .errors import DataError, FitError, SpecError, SynthesisError
 from .models.cart import CartTree, draw_donor_rows, fit_cart
 from .models.contingency import JointTable, draw_tuples, fit_joint_table
 from .models.design import Predictors
@@ -534,20 +536,47 @@ def _visit_steps(spec: SynthesizerSpec) -> list[tuple[int, tuple[int, ...], tupl
     ]
 
 
-def _synthesize_one(original: Dataset, spec: SynthesizerSpec, idx: int) -> Dataset:
+class FitMemo:
+    """The fitted steps of one fitting set, keyed by (method, targets,
+    predictors, ``min_leaf``, ``pmm_k``).
+
+    A fitted value is a pure function of its fitting set and that key, and
+    its ``draw`` takes every random number, so one value can serve every
+    dataset of every spec that fits on the same data, and no draw changes."""
+
+    def __init__(self, fit_ds: Dataset) -> None:
+        self.fit_ds = fit_ds
+        self._fitted: dict[tuple, Fitted] = {}
+
+    def fit(
+        self,
+        method: Method,
+        targets: tuple[int, ...],
+        preds: tuple[int, ...],
+        spec: SynthesizerSpec,
+    ) -> Fitted:
+        key = (method, targets, preds, spec.min_leaf, spec.pmm_k)
+        fitted = self._fitted.get(key)
+        if fitted is None:
+            fitted = self._fitted[key] = fit_step(method, self.fit_ds, targets, preds, spec)
+        return fitted
+
+
+def _synthesize_one(spec: SynthesizerSpec, idx: int, memo: FitMemo) -> Dataset:
+    """Dataset ``idx``. A non-proper spec fits through ``memo``, whose fitting
+    set is the original data; a proper one fits its own bootstrap resample
+    of it, which no other dataset shares."""
+    original = memo.fit_ds
     schema = original.schema
     n = original.n_rows
     if spec.proper:
-        rows = _bootstrap_indices(_stream(spec.seed, idx, 0), n)
-        fit_ds = original.take(rows)
-    else:
-        fit_ds = original
+        memo = FitMemo(original.take(_bootstrap_indices(_stream(spec.seed, idx, 0), n)))
 
     syn: dict[int, np.ndarray] = {}
     for j, targets, preds in _visit_steps(spec):
         name = schema.columns[j].name
         try:
-            fitted = fit_step(spec.methods[j], fit_ds, targets, preds, spec)
+            fitted = memo.fit(spec.methods[j], targets, preds, spec)
             drawn = fitted.draw([syn[q] for q in preds], n, _stream(spec.seed, idx, 1 + j))
         except Exception as err:
             raise SynthesisError(
@@ -561,25 +590,43 @@ def _synthesize_one(original: Dataset, spec: SynthesizerSpec, idx: int) -> Datas
 
 
 def _one_timed(args) -> tuple[int, Dataset, float]:
-    original, spec, idx = args
+    spec, idx, memo = args
     t0 = time.perf_counter()
-    ds = _synthesize_one(original, spec, idx)
+    ds = _synthesize_one(spec, idx, memo)
     return idx, ds, time.perf_counter() - t0
 
 
-def synthesize(original: Dataset, spec: SynthesizerSpec, *, jobs: int = 1) -> SyntheticSet:
+def synthesize(
+    original: Dataset,
+    spec: SynthesizerSpec,
+    *,
+    jobs: int = 1,
+    memo: FitMemo | None = None,
+) -> SyntheticSet:
     """Generate ``spec.m`` synthetic datasets from ``original``.
 
-    Results are identical for any ``jobs`` value: every dataset only touches
-    its own derived random streams.
+    A non-proper spec fits each step once and draws every dataset from that
+    fit. ``memo`` carries those fits across calls on the same ``original``;
+    by default they are shared within this call only. A dataset's seconds
+    cover the fits it made and its draws, so a dataset that finds its fits
+    in the memo costs only its draws.
+
+    Results are identical for any ``jobs`` value and any memo: every dataset
+    only touches its own derived random streams.
     """
     spec.validate_against(original.schema)
     if original.has_missing:
         raise SynthesisError("original data still has missing cells; preprocess first")
-    tasks = [(original, spec, i) for i in range(spec.m)]
+    if memo is None:
+        memo = FitMemo(original)
+    elif memo.fit_ds is not original:
+        raise SynthesisError("the fit memo belongs to a different original dataset")
+    tasks = [(spec, i, memo) for i in range(spec.m)]
     if jobs > 1 and spec.m > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, spec.m)) as pool:
-            results = list(pool.map(_one_timed, tasks))
+        # Dataset 0 runs here first, so that the workers receive its fits.
+        results = [] if spec.proper else [_one_timed(tasks.pop(0))]
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            results += pool.map(_one_timed, tasks)
     else:
         results = [_one_timed(t) for t in tasks]
     results.sort(key=lambda r: r[0])
@@ -620,7 +667,12 @@ def load_synthetic_set(in_dir: str | Path, schema: Schema) -> SyntheticSet:
     manifest = json.loads(manifest_path.read_text())
     datasets = []
     for i in range(int(manifest["m"])):
-        ds, _ = load_csv(src / f"ds{i:03d}.csv", schema)
+        # No missing tokens: every written cell is a value, even a level
+        # spelled "NA" or "". Only a field absent from a row is missing.
+        path = src / f"ds{i:03d}.csv"
+        ds, _ = load_csv(path, schema, missing_tokens=())
+        if ds.has_missing:
+            raise DataError(f"{path}: a synthetic dataset has missing cells")
         datasets.append(ds)
     return SyntheticSet(
         label=manifest["label"],

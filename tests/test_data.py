@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synthbench.dataset import (
     Column,
@@ -102,6 +106,46 @@ def test_csv_round_trip_is_exact(tmp_path):
     back, _ = load_csv(path, small_schema())
     assert np.array_equal(back.column("a"), a)
     assert np.array_equal(back.column("c"), c)
+
+
+# Levels that look like missing tokens or need CSV quoting, plus arbitrary text.
+LEVEL = st.sampled_from(["NA", "", " ", "a,b", '"q"', "x\ny", "\r"]) | st.text(max_size=4)
+
+
+@st.composite
+def any_dataset(draw):
+    names = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(0, 8))
+    columns = []
+    arrays = []
+    for name in names:
+        if draw(st.booleans()):
+            columns.append(Column(name, ColumnKind.numeric()))
+            values = draw(st.lists(st.floats(), min_size=n, max_size=n))
+            arrays.append(np.asarray(values, dtype=np.float64))
+        else:
+            levels = draw(st.lists(LEVEL, min_size=1, max_size=4, unique=True))
+            columns.append(Column(name, ColumnKind.categorical(levels)))
+            codes = draw(st.lists(st.integers(0, len(levels) - 1), min_size=n, max_size=n))
+            arrays.append(np.asarray(codes, dtype=np.int64))
+    return Dataset(Schema(tuple(columns)), tuple(arrays))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ds=any_dataset())
+def test_write_then_load_without_missing_tokens_is_the_identity(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ds.csv"
+        write_csv(ds, path)
+        back, schema = load_csv(path, ds.schema, missing_tokens=())
+    assert schema == ds.schema
+    assert not back.has_missing
+    for a, b in zip(ds.columns, back.columns, strict=True):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b, equal_nan=True)
+        # The text of a NaN keeps no sign bit; a zero's keeps its sign.
+        numbers = ~np.isnan(a) if a.dtype == np.float64 else slice(None)
+        assert np.array_equal(np.signbit(a[numbers]), np.signbit(b[numbers]))
 
 
 def test_replace_missing_fills_from_observed_values(tmp_path):

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import make_fixture_a
+import synthbench
 import synthbench.harness as harness
+import synthbench.synthesis as synthesis
 from synthbench.cli import main
 from synthbench.dataset import Dataset, write_csv
 from synthbench.errors import ConfigError, MetricError
@@ -191,6 +197,77 @@ def test_resume_rejects_different_config(mini_run, tmp_path):
         run_experiment(altered, resume=True)
 
 
+def test_resume_rejects_an_edited_input_file(tmp_path):
+    cfg_path = write_project(tmp_path, grid={"synthesizers": [{"base": "S"}], "m": [1]}, k=1)
+    run_experiment(load_config(cfg_path))
+    data = tmp_path / "data.csv"
+    lines = data.read_text().splitlines()
+    x, y, c = lines[1].split(",")
+    lines[1] = ",".join([x, repr(float(y) + 1.0), c])
+    data.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match="fresh output directory"):
+        run_experiment(load_config(cfg_path), resume=True)
+
+
+def test_non_proper_fits_are_made_once_per_experiment(tmp_path, monkeypatch):
+    fitted = []
+    real_fit_cart = synthesis.fit_cart
+
+    def counting_fit_cart(X, y, y_kind, **kwargs):
+        fitted.append(X.names)
+        return real_fit_cart(X, y, y_kind, **kwargs)
+
+    monkeypatch.setattr(synthesis, "fit_cart", counting_fit_cart)
+    # D on (x, y, c): x is drawn marginally, y and c from trees on (x) and
+    # (x, y). The grid has m in {1, 3} and k = 2: 8 datasets.
+    for proper, expected in ((False, [("x",), ("x", "y")]), (True, [("x",), ("x", "y")] * 8)):
+        root = tmp_path / f"proper_{proper}"
+        root.mkdir()
+        grid = {"synthesizers": [{"base": "D"}], "proper": [proper], "m": [1, 3]}
+        cfg = load_config(write_project(root, grid=grid, metrics={"kl_normalize": False}))
+        fitted.clear()
+        report, _ = run_experiment(cfg)
+        assert not report.errors
+        assert fitted == expected
+
+
+def _run_in_fresh_process(cfg_path, out):
+    src = str(Path(synthbench.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    subprocess.run(
+        [sys.executable, "-m", "synthbench.cli", "experiment",
+         "--config", str(cfg_path), "--out", str(out)],
+        check=True, env=env, capture_output=True, timeout=300,
+    )
+    return (out / "report.csv").read_bytes()
+
+
+def test_back_to_back_experiments_match_fresh_processes(tmp_path):
+    grid = {"synthesizers": [{"base": "S"}, {"base": "D"}, {"base": "CC"}], "m": [2]}
+    first, second = [tmp_path / name for name in ("first", "second")]
+    for root in (first, second):
+        root.mkdir()
+        write_project(root, grid=grid, k=1)
+    # Same schema and grid, other values: every fit key of the first run
+    # recurs in the second.
+    data = second / "data.csv"
+    lines = data.read_text().splitlines()
+    for i in range(1, len(lines)):
+        x, y, c = lines[i].split(",")
+        lines[i] = ",".join([x, repr(-2.0 * float(y)), c])
+    data.write_text("\n".join(lines) + "\n")
+
+    in_process = []
+    for root in (first, second):
+        cfg = load_config(root / "config.json")
+        run_experiment(cfg)
+        in_process.append((cfg.out / "report.csv").read_bytes())
+    fresh = [_run_in_fresh_process(root / "config.json", root / "fresh") for root in (first, second)]
+    assert in_process[0] != in_process[1]
+    assert in_process == fresh
+
+
 def test_jobs_do_not_change_report_bytes(mini_run, tmp_path):
     root, cfg, _, _ = mini_run
     serial = (cfg.out / "report.csv").read_bytes()
@@ -331,7 +408,8 @@ def test_kl_normalization_by_baseline():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_any_exception_in_a_cell_becomes_an_error_row(tmp_path, capsys):
-    # x of magnitude 1e300 overflows the combining rule's between-variance sum.
+    # x of magnitude 1e300 overflows the combining rule's between-variance sum
+    # in the mean-point family; the other families of the cell still report.
     ds = make_fixture_a(n=300)
     ds = Dataset(ds.schema, (ds.columns[0] * 1e300,) + ds.columns[1:])
     write_csv(ds, tmp_path / "data.csv")
@@ -353,15 +431,37 @@ def test_any_exception_in_a_cell_becomes_an_error_row(tmp_path, capsys):
         "k": 1,
         "seed": 3,
         "out": "results",
+        "metrics": {"classification": {"target": "c3"}},
     }))
     cfg = load_config(cfg_path)
     report, _ = run_experiment(cfg)
-    assert {(e.label, e.stage) for e in report.errors} == {("S", "cell"), ("D", "cell")}
+    assert {(e.label, e.stage) for e in report.errors} == {("S", "mean_point"), ("D", "mean_point")}
     assert all(e.message.startswith("OverflowError: ") for e in report.errors)
     lines = (cfg.out / "errors.csv").read_text().splitlines()
-    assert lines[1].startswith("D,simple,2,0,cell,") and lines[2].startswith("S,simple,2,0,cell,")
+    assert lines[1].startswith("D,simple,2,0,mean_point,")
+    assert lines[2].startswith("S,simple,2,0,mean_point,")
+    for label in ("S", "D"):
+        kl = report.values("kl_raw", label=label)
+        assert {key[-1] for key in kl} == {f"var:{c.name}" for c in ds.schema.columns}
+        for metric in ("clf_acc_orig", "clf_acc_syn", "clf_acc_dev", "clf_agreement"):
+            assert len(report.values(metric, label=label)) == 1, (label, metric)
+        assert not report.values("mpe_cio", label=label)
     assert main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "cli")]) == 2
     capsys.readouterr()
+
+
+def test_an_exception_outside_the_metrics_costs_the_whole_cell(tmp_path, monkeypatch):
+    cfg = load_config(write_project(tmp_path, grid={"synthesizers": [{"base": "S"}], "m": [1]}, k=1))
+
+    def broken(sset, out_dir):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(harness, "save_synthetic_set", broken)
+    report, timings = run_experiment(cfg)
+    assert [(e.label, e.stage, e.message) for e in report.errors] == [
+        ("S", "cell", "OSError: disk full")
+    ]
+    assert not report.rows and not timings
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):

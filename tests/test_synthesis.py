@@ -3,9 +3,11 @@ import pytest
 
 import synthbench.synthesis as synthesis
 from synthbench.dataset import Column, ColumnKind, Dataset, Schema
-from synthbench.errors import SpecError, SynthesisError
+from synthbench.errors import DataError, SpecError, SynthesisError
 from synthbench.synthesis import (
+    FitMemo,
     Method,
+    SyntheticSet,
     build_spec,
     fit_step,
     load_synthetic_set,
@@ -155,6 +157,24 @@ def test_dataset_streams_are_independent_of_m():
         assert np.array_equal(first.column(name), both[0].column(name))
 
 
+@pytest.mark.parametrize("base", synthesis.BASES)
+def test_shared_fits_draw_the_bytes_of_separate_fits(base):
+    ds = small_dataset()
+    shared = synthesize(ds, build_spec(ds.schema, base, m=3, seed=23)).datasets
+    alone = build_spec(ds.schema, base, m=1, seed=23)
+    for i, got in enumerate(shared):
+        want = synthesis._synthesize_one(alone, i, FitMemo(ds))
+        assert [c.tobytes() for c in got.columns] == [c.tobytes() for c in want.columns]
+
+
+def test_a_fit_memo_serves_only_its_own_original():
+    ds = small_dataset()
+    memo = FitMemo(ds)
+    synthesize(ds, build_spec(ds.schema, "D", m=1, seed=1), memo=memo)
+    with pytest.raises(SynthesisError, match="different original"):
+        synthesize(small_dataset(seed=10), build_spec(ds.schema, "D", m=1, seed=1), memo=memo)
+
+
 def test_jobs_do_not_change_output():
     ds = small_dataset()
     spec = build_spec(ds.schema, "P", m=4, seed=5)
@@ -262,6 +282,24 @@ def test_save_and_load_round_trip(tmp_path):
     for da, db in zip(sset.datasets, back.datasets):
         for name in ds.schema.names:
             assert np.array_equal(da.column(name), db.column(name))
+
+
+def test_levels_spelled_like_missing_tokens_round_trip(tmp_path):
+    schema = Schema(
+        (
+            Column("a", ColumnKind.numeric()),
+            Column("c", ColumnKind.categorical(("NA", "", "x"))),
+        )
+    )
+    ds = Dataset(schema, (np.asarray([1.0, 2.0, 3.0]), np.asarray([0, 1, 2])))
+    save_synthetic_set(SyntheticSet("S", 0, (ds,), (0.0,)), tmp_path)
+    back = load_synthetic_set(tmp_path, schema)
+    assert back.datasets[0].column("c").tolist() == [0, 1, 2]
+    # A row cut short lacks a cell, which no synthetic dataset may.
+    path = tmp_path / "ds000.csv"
+    path.write_text(path.read_text() + "4.0\n")
+    with pytest.raises(DataError, match="missing cells"):
+        load_synthetic_set(tmp_path, schema)
 
 
 def test_spec_validation():
