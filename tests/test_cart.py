@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -206,3 +207,53 @@ def test_partition_property_random_data(n, seed, min_leaf):
     for i, leaf in enumerate(leaves.tolist()):
         by_leaf.setdefault(leaf, []).append(i)
     assert sorted(map(tuple, by_leaf.values())) == sorted(map(tuple, donors))
+
+
+def _tree_digest(tree: CartTree) -> str:
+    h = hashlib.sha256()
+    for arr in (tree.feature, tree.threshold, tree.left, tree.right):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    for part in (*tree.left_levels, *tree.donors):
+        h.update(b"|" if part is None else b"#" + np.asarray(part, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+def _digest_fixture(n=240, seed=31):
+    rng = np.random.default_rng(seed)
+    x1 = np.round(rng.normal(size=n), 1)             # many ties
+    x2 = rng.integers(0, 6, n).astype(np.float64)    # few distinct values
+    c3 = rng.choice([0, 2], size=n)                  # level 1 declared but absent
+    c12 = rng.integers(0, 12, n)                     # > 10 levels: prefix search
+    X = predictors(["x1", "x2", "c3", "c12"], [NUM, NUM, cat(3), cat(12)], [x1, x2, c3, c12])
+    signal = x1 + 0.5 * (x2 > 2) + 0.8 * (c3 == 2) + np.sin(c12.astype(np.float64))
+    y_num = signal + rng.normal(0, 0.5, n)
+    y_two = (signal + rng.normal(0, 0.7, n) > 0.9).astype(np.int64)
+    y_four = np.digitize(signal + rng.normal(0, 0.7, n), [0.0, 0.9, 1.8])
+    return X, {"sse": (y_num, NUM), "gini2": (y_two, cat(2)), "gini4": (y_four, cat(4))}
+
+
+# Recorded before the split search was merged into one function; any change
+# here means fitted trees changed.
+GOLDEN_TREES = {
+    ("sse", 1):
+        "1725199fc4ef9c62a89d023376d8758085b19dc74463660ef5a2b1d5c110bb31",
+    ("sse", 5):
+        "2aa514e96fb7bd3a21168010731c897a0f8eb4aa0454254bd25d3aa69d9db469",
+    ("gini2", 1):
+        "ca7103d216a34dfc4dd0212eb03274898bc00f9a76c82d1cfc31da14f0d67853",
+    ("gini2", 5):
+        "4d67740f54bf460e8495b92191ae6361f1972cdad5856f1140ca5a44c8b653fd",
+    ("gini4", 1):
+        "55c44498b78c5e4d06dd77a68df01aef3fac3b2e6a28e0a4a7d98b0a88e5e030",
+    ("gini4", 5):
+        "a4ed44784db084d91db05be6810e232a228f5047e7e9a9eb9aa2699b6842ddbe",
+}
+
+
+def test_tree_digests_are_golden():
+    X, targets = _digest_fixture()
+    got = {}
+    for target, min_leaf in GOLDEN_TREES:
+        y, kind = targets[target]
+        got[(target, min_leaf)] = _tree_digest(fit_cart(X, y, kind, min_leaf=min_leaf))
+    assert got == GOLDEN_TREES
