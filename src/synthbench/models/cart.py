@@ -12,6 +12,7 @@ a child would fall below ``min_leaf``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -74,11 +75,7 @@ class CartTree:
             if f < 0:
                 out[rows] = node
                 continue
-            x = cols[f][rows]
-            if self.kinds[f].is_numeric:
-                go_left = x <= self.threshold[node]
-            else:
-                go_left = np.isin(x, self.left_levels[node])
+            go_left = _go_left(cols[f][rows], self.threshold[node], self.left_levels[node])
             stack.append((int(self.left[node]), rows[go_left]))
             stack.append((int(self.right[node]), rows[~go_left]))
         return out
@@ -161,13 +158,10 @@ def fit_cart(
             donors[node] = rows
             continue
         feature[node] = cand.feature
-        x = X.cols[cand.feature][rows]
         if cand.threshold is not None:
             threshold[node] = cand.threshold
-            go_left = x <= cand.threshold
-        else:
-            left_levels[node] = cand.left_levels
-            go_left = np.isin(x, cand.left_levels)
+        left_levels[node] = cand.left_levels
+        go_left = _go_left(X.cols[cand.feature][rows], cand.threshold, cand.left_levels)
         lnode, rnode = new_node(), new_node()
         left[node], right[node] = lnode, rnode
         stack.append((rnode, rows[~go_left]))
@@ -186,6 +180,14 @@ def fit_cart(
     )
 
 
+def _go_left(x: np.ndarray, threshold, levels) -> np.ndarray:
+    """The split rule fitting and routing share: numeric splits send
+    ``x <= threshold`` left, categorical ones the level codes in ``levels``."""
+    if levels is None:
+        return x <= threshold
+    return np.isin(x, levels)
+
+
 def _midpoint(a: float, b: float) -> float:
     t = (a + b) / 2.0
     # Rounding can push the midpoint onto b; fall back to the left value so
@@ -195,147 +197,119 @@ def _midpoint(a: float, b: float) -> float:
     return t
 
 
-def _best_split(X: Predictors, y, y_kind, rows, min_leaf) -> _Candidate | None:
-    if y_kind.is_categorical:
-        return _best_split_gini(X, y, y_kind.n_levels, rows, min_leaf)
-    return _best_split_sse(X, y, rows, min_leaf)
+@dataclass(frozen=True)
+class _Criterion:
+    """What an impurity criterion gives the split search at one node."""
+
+    stats: np.ndarray   # one row of statistics per node row
+    parent: float       # node impurity
+    eps: float          # gain floor
+    child_cost: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    # (codes, n_levels) -> per-level sums of ``stats``, and per-level totals
+    # whose mean orders the levels for the prefix search
+    level_sums: Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]]
 
 
-def _best_split_sse(X: Predictors, y, rows, min_leaf) -> _Candidate | None:
-    y_node = y[rows]
+def _sse_criterion(y_node: np.ndarray) -> _Criterion | None:
     yc = y_node - y_node.mean()
     parent = float(yc @ yc)
     eps = _GAIN_EPS * max(1.0, parent)
     if parent <= eps:
         return None
-    best: _Candidate | None = None
-    n = rows.size
-    for f, (kind, col) in enumerate(zip(X.kinds, X.cols)):
-        x = col[rows]
-        if kind.is_numeric:
-            order = np.argsort(x, kind="stable")
-            xs = x[order]
-            ys = yc[order]
-            boundary = np.nonzero(xs[:-1] < xs[1:])[0]
-            if boundary.size == 0:
-                continue
-            cnt_l = boundary + 1
-            ok = (cnt_l >= min_leaf) & (n - cnt_l >= min_leaf)
-            boundary = boundary[ok]
-            if boundary.size == 0:
-                continue
-            cy = np.cumsum(ys)
-            cy2 = np.cumsum(ys * ys)
-            cnt_l = boundary + 1
-            cnt_r = n - cnt_l
-            sl = cy[boundary]
-            s2l = cy2[boundary]
-            sse_l = s2l - sl * sl / cnt_l
-            sse_r = (cy2[-1] - s2l) - (cy[-1] - sl) ** 2 / cnt_r
-            gains = parent - sse_l - sse_r
-            i = int(np.argmax(gains))
-            gain = float(gains[i])
-            if gain > eps and (best is None or gain > best.gain):
-                b = boundary[i]
-                best = _Candidate(gain, f, _midpoint(float(xs[b]), float(xs[b + 1])), None)
-        else:
-            lvl_count = np.bincount(x, minlength=kind.n_levels).astype(np.float64)
-            lvl_sum = np.bincount(x, weights=yc, minlength=kind.n_levels)
-            lvl_sum2 = np.bincount(x, weights=yc * yc, minlength=kind.n_levels)
-            with np.errstate(invalid="ignore"):
-                lvl_key = np.where(lvl_count > 0, lvl_sum / lvl_count, 0.0)
-            got = _best_categorical_split(
-                f, lvl_count, np.stack([lvl_sum, lvl_sum2], axis=1), lvl_key,
-                parent, min_leaf, eps, child_cost=_sse_child_cost,
-            )
-            if got is not None and (best is None or got.gain > best.gain):
-                best = got
-    return best
+    yc2 = yc * yc
+
+    def level_sums(x, n_levels):
+        lvl_sum = np.bincount(x, weights=yc, minlength=n_levels)
+        lvl_sum2 = np.bincount(x, weights=yc2, minlength=n_levels)
+        return np.stack([lvl_sum, lvl_sum2], axis=1), lvl_sum
+
+    return _Criterion(np.stack([yc, yc2], axis=1), parent, eps, _sse_child_cost, level_sums)
 
 
-def _sse_child_cost(counts: np.ndarray, stats: np.ndarray) -> np.ndarray:
-    # stats[:, 0] = sum of centered y, stats[:, 1] = sum of squares
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cost = stats[:, 1] - stats[:, 0] ** 2 / counts
-    return np.where(counts > 0, cost, np.inf)
-
-
-def _gini_child_cost(counts: np.ndarray, stats: np.ndarray) -> np.ndarray:
-    # stats holds per-class counts; impurity mass is n - sum(c^2)/n.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cost = counts - (stats * stats).sum(axis=1) / counts
-    return np.where(counts > 0, cost, np.inf)
-
-
-def _best_split_gini(X: Predictors, y, k, rows, min_leaf) -> _Candidate | None:
-    y_node = y[rows]
+def _gini_criterion(y_node: np.ndarray, k: int) -> _Criterion | None:
+    n = y_node.size
     class_tot = np.bincount(y_node, minlength=k).astype(np.float64)
-    n = rows.size
     parent = float(n - (class_tot @ class_tot) / n)
     eps = _GAIN_EPS * max(1.0, float(n))
     if parent <= eps:
         return None
+
+    def level_sums(x, n_levels):
+        grid = np.bincount(x * k + y_node, minlength=n_levels * k)
+        grid = grid.reshape(n_levels, k).astype(np.float64)
+        return grid, grid @ np.arange(k, dtype=np.float64)
+
+    onehot = (y_node[:, None] == np.arange(k)[None, :]).astype(np.float64)
+    return _Criterion(onehot, parent, eps, _gini_child_cost, level_sums)
+
+
+def _sse_child_cost(counts: np.ndarray, stats: np.ndarray) -> np.ndarray:
+    # stats[:, 0] = sum of centered y, stats[:, 1] = sum of squares
+    return stats[:, 1] - stats[:, 0] ** 2 / counts
+
+
+def _gini_child_cost(counts: np.ndarray, stats: np.ndarray) -> np.ndarray:
+    # stats holds per-class counts; impurity mass is n - sum(c^2)/n.
+    return counts - (stats * stats).sum(axis=1) / counts
+
+
+def _best_split(X: Predictors, y, y_kind, rows, min_leaf) -> _Candidate | None:
+    y_node = y[rows]
+    if y_kind.is_categorical:
+        crit = _gini_criterion(y_node, y_kind.n_levels)
+    else:
+        crit = _sse_criterion(y_node)
+    if crit is None:
+        return None
+    n = rows.size
     best: _Candidate | None = None
     for f, (kind, col) in enumerate(zip(X.kinds, X.cols)):
         x = col[rows]
-        if kind.is_numeric:
+        if kind.is_categorical:
+            got = _best_categorical_split(f, x, kind.n_levels, crit, min_leaf)
+        else:
             order = np.argsort(x, kind="stable")
             xs = x[order]
             boundary = np.nonzero(xs[:-1] < xs[1:])[0]
-            if boundary.size == 0:
+            # cumsum adds each column in row order, so every prefix is the
+            # sequential sum a 1-D cumsum of that statistic would give.
+            cum = np.cumsum(crit.stats[order], axis=0)
+            cut = _best_cut(crit, boundary + 1.0, cum[boundary], n, cum[-1], min_leaf)
+            if cut is None:
                 continue
-            cnt_l = boundary + 1
-            ok = (cnt_l >= min_leaf) & (n - cnt_l >= min_leaf)
-            boundary = boundary[ok]
-            if boundary.size == 0:
-                continue
-            onehot = (y_node[order][:, None] == np.arange(k)[None, :]).astype(np.float64)
-            cum = np.cumsum(onehot, axis=0)
-            cnt_l = (boundary + 1).astype(np.float64)
-            cnt_r = n - cnt_l
-            cl = cum[boundary]
-            cr = class_tot[None, :] - cl
-            imp_l = cnt_l - (cl * cl).sum(axis=1) / cnt_l
-            imp_r = cnt_r - (cr * cr).sum(axis=1) / cnt_r
-            gains = parent - imp_l - imp_r
-            i = int(np.argmax(gains))
-            gain = float(gains[i])
-            if gain > eps and (best is None or gain > best.gain):
-                b = boundary[i]
-                best = _Candidate(gain, f, _midpoint(float(xs[b]), float(xs[b + 1])), None)
-        else:
-            lvl_count = np.bincount(x, minlength=kind.n_levels).astype(np.float64)
-            grid = np.bincount(x * k + y_node, minlength=kind.n_levels * k)
-            grid = grid.reshape(kind.n_levels, k).astype(np.float64)
-            with np.errstate(invalid="ignore"):
-                lvl_key = np.where(
-                    lvl_count > 0,
-                    (grid @ np.arange(k, dtype=np.float64)) / lvl_count,
-                    0.0,
-                )
-            got = _best_categorical_split(
-                f, lvl_count, grid, lvl_key, parent, min_leaf, eps,
-                child_cost=_gini_child_cost,
-            )
-            if got is not None and (best is None or got.gain > best.gain):
-                best = got
+            b = boundary[cut[0]]
+            got = _Candidate(cut[1], f, _midpoint(float(xs[b]), float(xs[b + 1])), None)
+        if got is not None and (best is None or got.gain > best.gain):
+            best = got
     return best
 
 
+def _best_cut(crit: _Criterion, left_count, left_stats, total_count, total_stats, min_leaf):
+    """(index, gain) of the candidate cut with the largest gain, among those
+    leaving at least ``min_leaf`` rows on each side; None when no such cut
+    gains more than the floor."""
+    keep = np.nonzero((left_count >= min_leaf) & (total_count - left_count >= min_leaf))[0]
+    if keep.size == 0:
+        return None
+    left_count, left_stats = left_count[keep], left_stats[keep]
+    gains = (
+        crit.parent
+        - crit.child_cost(left_count, left_stats)
+        - crit.child_cost(total_count - left_count, total_stats - left_stats)
+    )
+    i = int(np.argmax(gains))
+    gain = float(gains[i])
+    return None if gain <= crit.eps else (int(keep[i]), gain)
+
+
 def _best_categorical_split(
-    f: int,
-    lvl_count: np.ndarray,
-    lvl_stats: np.ndarray,
-    lvl_key: np.ndarray,
-    parent: float,
-    min_leaf: int,
-    eps: float,
-    *,
-    child_cost,
+    f: int, x: np.ndarray, n_levels: int, crit: _Criterion, min_leaf: int
 ) -> _Candidate | None:
+    lvl_count = np.bincount(x, minlength=n_levels).astype(np.float64)
     present = np.nonzero(lvl_count > 0)[0]
     if present.size < 2:
         return None
+    lvl_stats, lvl_total = crit.level_sums(x, n_levels)
     total_count = lvl_count[present].sum()
     total_stats = lvl_stats[present].sum(axis=0)
 
@@ -352,44 +326,28 @@ def _best_categorical_split(
     else:
         # Too many levels: order them by target mean and only scan prefix
         # splits along that ordering.
-        order = np.argsort(lvl_key[present], kind="stable")
+        order = np.argsort(lvl_total[present] / lvl_count[present], kind="stable")
         ordered = present[order]
-        bits = None
         left_count = np.cumsum(lvl_count[ordered])[:-1]
         left_stats = np.cumsum(lvl_stats[ordered], axis=0)[:-1]
 
-    right_count = total_count - left_count
-    ok = (left_count >= min_leaf) & (right_count >= min_leaf)
-    if not ok.any():
+    cut = _best_cut(crit, left_count, left_stats, total_count, total_stats, min_leaf)
+    if cut is None:
         return None
-    cost_l = child_cost(left_count, left_stats)
-    cost_r = child_cost(right_count, total_stats[None, :] - left_stats)
-    gains = np.where(ok, parent - cost_l - cost_r, -np.inf)
-    i = int(np.argmax(gains))
-    gain = float(gains[i])
-    if gain <= eps:
-        return None
+    i = cut[0]
     if present.size <= _MAX_EXHAUSTIVE_LEVELS:
-        chosen = present[1:][bits[i].astype(bool)]
+        chosen = rest[bits[i].astype(bool)]
     else:
         chosen = ordered[: i + 1]
-    return _Candidate(gain, f, None, np.sort(chosen.astype(np.int64)))
+    return _Candidate(cut[1], f, None, np.sort(chosen.astype(np.int64)))
 
 
 def draw_donor_rows(tree: CartTree, cols, rng: np.random.Generator) -> np.ndarray:
     """Vectorised donor draw: one training-row index per input row."""
     leaf_ids = tree.route(cols)
-    sizes = np.zeros(tree.n_nodes, dtype=np.int64)
-    offsets = np.zeros(tree.n_nodes, dtype=np.int64)
-    flat_parts = []
-    used = 0
-    for node, d in enumerate(tree.donors):
-        if d is not None:
-            sizes[node] = d.size
-            offsets[node] = used
-            used += d.size
-            flat_parts.append(d)
-    flat = np.concatenate(flat_parts) if flat_parts else np.empty(0, dtype=np.int64)
+    sizes = np.asarray([0 if d is None else d.size for d in tree.donors], dtype=np.int64)
+    offsets = np.cumsum(sizes) - sizes
+    flat = np.concatenate(tree.leaf_donors())
     u = rng.random(leaf_ids.shape[0])
     pos = np.floor(u * sizes[leaf_ids]).astype(np.int64)
     # u < 1 strictly, but guard the boundary anyway
