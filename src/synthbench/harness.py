@@ -720,32 +720,37 @@ def run_experiment(
 
 
 def _add_normalized_kl(report: UtilityReport, cells) -> None:
+    """Divide each non-``S`` cell's ``kl_raw`` by the pooled ``S`` baseline.
+
+    A scope's baseline is the mean divergence over every ``S`` dataset of
+    the run, sum(m * kl_raw) / sum(m) over all ``S`` cells: ``S`` has no
+    predictors, so every mode, m and repetition draws from one distribution.
+    A scope whose baseline is 0 or not finite gets no ``kl_norm``, and
+    ``kl_norm_avg`` averages the scopes that have one.
+    """
     raw = report.values("kl_raw")
+    weighted: dict[str, list[float]] = {}
+    weight: dict[str, int] = {}
+    for (label, _, m, _, scope), v in raw.items():
+        if label == "S":
+            weighted.setdefault(scope, []).append(m * v)
+            weight[scope] = weight.get(scope, 0) + m
+    base = {scope: math.fsum(parts) / weight[scope] for scope, parts in weighted.items()}
+    usable = sorted(scope for scope, b in base.items() if b > 0.0 and math.isfinite(b))
     for label, mode, m, rep in cells:
         if label == "S":
             continue
-        mine = {
-            scope: raw[(lbl, md, mm, rr, scope)]
-            for (lbl, md, mm, rr, scope) in raw
-            if (lbl, md, mm, rr) == (label, mode, m, rep)
-        }
-        if not mine:
-            continue
-        norms = []
-        failed = False
-        for scope in sorted(mine):
-            base = raw.get(("S", mode, m, rep, scope))
-            if base is None or not (base > 0.0) or math.isinf(base):
-                report.add_error(
-                    label, mode, m, rep, "kl_normalize",
-                    f"baseline divergence unusable for {scope}",
-                )
-                failed = True
-                break
-            norms.append(mine[scope] / base)
-            report.add(label, mode, m, rep, "kl_norm", scope, mine[scope] / base)
-        if not failed and norms:
-            report.add(label, mode, m, rep, "kl_norm_avg", "", math.fsum(norms) / len(norms))
+        norms = [
+            (scope, raw[(label, mode, m, rep, scope)] / base[scope])
+            for scope in usable
+            if (label, mode, m, rep, scope) in raw
+        ]
+        for scope, v in norms:
+            report.add(label, mode, m, rep, "kl_norm", scope, v)
+        if norms:
+            report.add(
+                label, mode, m, rep, "kl_norm_avg", "", math.fsum(v for _, v in norms) / len(norms)
+            )
 
 
 def _fmt(v: float) -> str:

@@ -20,8 +20,8 @@ from synthbench.dataset import write_csv
 from synthbench.harness import load_config, run_experiment
 
 GOLDEN = {
-    "report.csv": "28b43418c15dd435950c9be01ecba9ad613b301d3ce8070f3ecd04297fcc7b74",
-    "summary.csv": "73d18768e5fa28e73976828a07dd522f09704104ba2fc8ed6316a034e6768a97",
+    "report.csv": "bdf972653fabb836db7e68ea9b2230e9b5ed871c9895a603fb44ee41cb879bcc",
+    "summary.csv": "cf0981d7462b1db5acc5ffe5800cf5c5e25c7dd41a92ec747461963b3d7d9768",
 }
 
 

@@ -391,19 +391,62 @@ def test_cli_generate_and_bench_with_an_ordered_label(tmp_path, capsys):
 
 def test_kl_normalization_by_baseline():
     report = UtilityReport()
-    raws = {("S", 0): (0.2, 0.3), ("D", 0): (0.4, 0.9), ("S", 1): (0.0, 0.3), ("D", 1): (0.4, 0.9)}
-    for (label, rep), (x, y) in raws.items():
-        report.add(label, "simple", 2, rep, "kl_raw", "var:x", x)
-        report.add(label, "simple", 2, rep, "kl_raw", "var:y", y)
-    cells = sorted((label, "simple", 2, rep) for label, rep in raws)
+    raws = {
+        ("S", 2, 0): (0.2, 0.3, 0.0),
+        ("S", 2, 1): (0.0, 0.3, 0.0),  # a zero baseline repetition is no error
+        ("S", 1, 0): (0.5, 0.0, 0.0),
+        ("D", 2, 0): (0.36, 0.72, 0.4),
+        ("D", 2, 1): (0.18, 0.24, 0.4),
+    }
+    for (label, m, rep), values in raws.items():
+        for scope, v in zip(("var:x", "var:y", "var:z"), values):
+            report.add(label, "simple", m, rep, "kl_raw", scope, v)
+    cells = sorted((label, "simple", m, rep) for label, m, rep in raws)
     harness._add_normalized_kl(report, cells)
+    # Pooled over all S datasets: x (2*0.2 + 2*0.0 + 1*0.5) / 5 = 0.18,
+    # y (2*0.3 + 2*0.3 + 0) / 5 = 0.24, z 0 (undefined, so no kl_norm).
     assert report.values("kl_norm") == {
         ("D", "simple", 2, 0, "var:x"): pytest.approx(2.0),
         ("D", "simple", 2, 0, "var:y"): pytest.approx(3.0),
+        ("D", "simple", 2, 1, "var:x"): pytest.approx(1.0),
+        ("D", "simple", 2, 1, "var:y"): pytest.approx(1.0),
     }
-    # A zero baseline divergence in repetition 1 cannot normalize anything.
-    assert report.values("kl_norm_avg") == {("D", "simple", 2, 0, ""): pytest.approx(2.5)}
-    assert [(e.label, e.k, e.stage) for e in report.errors] == [("D", 1, "kl_normalize")]
+    assert report.values("kl_norm_avg") == {
+        ("D", "simple", 2, 0, ""): pytest.approx(2.5),
+        ("D", "simple", 2, 1, ""): pytest.approx(1.0),
+    }
+    assert report.errors == []
+
+    # With no defined scope there is nothing to average.
+    report = UtilityReport()
+    for label in ("S", "D"):
+        report.add(label, "simple", 1, 0, "kl_raw", "var:z", 0.0)
+    harness._add_normalized_kl(report, [("D", "simple", 1, 0), ("S", "simple", 1, 0)])
+    assert not report.values("kl_norm") and not report.values("kl_norm_avg")
+    assert report.errors == []
+
+
+def test_a_constant_column_has_no_normalized_kl(tmp_path):
+    cfg_path = write_project(tmp_path, grid={"synthesizers": [{"base": "S"}, {"base": "D"}], "m": [1, 2]})
+    data = (tmp_path / "data.csv").read_text().splitlines()
+    (tmp_path / "data.csv").write_text(
+        "\n".join([data[0] + ",k"] + [line + ",only" for line in data[1:]]) + "\n"
+    )
+    schema = json.loads((tmp_path / "schema.json").read_text())
+    schema["columns"].append({"name": "k", "kind": "categorical", "levels": ["only", "other"]})
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    cfg = load_config(cfg_path)
+    report, _ = run_experiment(cfg)
+    assert not report.errors
+    assert not (cfg.out / "errors.csv").exists()
+    assert all(v == 0.0 for v in report.values("kl_raw", scope="var:k").values())
+    norm = report.values("kl_norm")
+    avg = report.values("kl_norm_avg")
+    assert avg and set(avg) == {key[:4] + ("",) for key in norm}
+    for key, v in avg.items():
+        scopes = {s: n for (*cell, s), n in norm.items() if tuple(cell) == key[:4]}
+        assert set(scopes) == {"var:x", "var:y", "var:c"}
+        assert v == pytest.approx(sum(scopes.values()) / 3)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
