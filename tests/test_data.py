@@ -96,6 +96,18 @@ def test_missing_tokens_set_mask(tmp_path):
     assert ds.missing[1].tolist() == [False, False, True]
 
 
+def test_blank_lines_are_skipped_unless_the_file_has_one_column(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("a,c\n1.0,x\n2.0,y\n\n3.0,x\n")
+    ds, _ = load_csv(path, small_schema())
+    assert ds.column("a").tolist() == [1.0, 2.0, 3.0]
+    assert not ds.has_missing
+    # With one column a blank line is the record of an empty cell.
+    path.write_text("a\n1.0\n\n3.0\n")
+    ds, _ = load_csv(path, Schema((Column("a", ColumnKind.numeric()),)))
+    assert ds.missing[0].tolist() == [False, True, False]
+
+
 def test_csv_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(3)
     a = rng.normal(size=50)
