@@ -222,10 +222,6 @@ class Dataset:
         return int(self.columns[0].shape[0])
 
     @property
-    def n_cols(self) -> int:
-        return len(self.columns)
-
-    @property
     def has_missing(self) -> bool:
         return any(m is not None for m in self.missing)
 
@@ -238,14 +234,6 @@ class Dataset:
         cols = tuple(arr[rows] for arr in self.columns)
         masks = tuple(None if m is None else m[rows] for m in self.missing)
         return Dataset(self.schema, cols, masks)
-
-    def with_column(self, name: str, values: np.ndarray) -> Dataset:
-        i = self.schema.index(name)
-        cols = list(self.columns)
-        cols[i] = values
-        masks = list(self.missing)
-        masks[i] = None
-        return Dataset(self.schema, tuple(cols), tuple(masks))
 
 
 def load_csv(

@@ -115,10 +115,6 @@ class ConfidenceInterval:
     def center(self) -> float:
         return (self.lower + self.upper) / 2.0
 
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
 
 def normal_interval(center: float, variance: float, level: float = 0.95) -> ConfidenceInterval:
     """Normal-quantile interval: center +- z_{(1+level)/2} * sqrt(variance)."""

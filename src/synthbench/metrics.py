@@ -6,9 +6,7 @@ The confidence-interval overlap of an original and a synthetic interval is
 
 with I the length of the intersection, clamped to at most 1. Each term
 divides by that interval's own width, so identical intervals score exactly 1
-and disjoint ones 0. ``printed_denominators=True`` switches to the variant
-that divides by (U_o - L_s) and (U_s - L_o) instead, kept only for
-comparison with the other convention.
+and disjoint ones 0.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ def cio(
     original: ConfidenceInterval,
     synthetic: ConfidenceInterval,
     *,
-    printed_denominators: bool = False,
     estimand_id: str = "",
 ) -> Overlap:
     lo_o, up_o = original.lower, original.upper
@@ -47,15 +44,7 @@ def cio(
         value = 1.0 if (w_o == 0.0 and w_s == 0.0 and lo_o == lo_s) else 0.0
         return Overlap(estimand_id, value)
     inter = min(up_o, up_s) - max(lo_o, lo_s)
-    if printed_denominators:
-        d1 = up_o - lo_s
-        d2 = up_s - lo_o
-        t1 = inter / d1 if d1 != 0.0 else 0.0
-        t2 = inter / d2 if d2 != 0.0 else 0.0
-    else:
-        t1 = inter / w_o
-        t2 = inter / w_s
-    value = max(0.5 * (t1 + t2), 0.0)
+    value = max(0.5 * (inter / w_o + inter / w_s), 0.0)
     return Overlap(estimand_id, min(value, 1.0))
 
 

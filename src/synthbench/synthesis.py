@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -589,18 +588,10 @@ def _synthesize_one(spec: SynthesizerSpec, idx: int, memo: FitMemo) -> Dataset:
     return Dataset(schema, tuple(syn[j] for j in range(len(schema))))
 
 
-def _one_timed(args) -> tuple[int, Dataset, float]:
-    spec, idx, memo = args
-    t0 = time.perf_counter()
-    ds = _synthesize_one(spec, idx, memo)
-    return idx, ds, time.perf_counter() - t0
-
-
 def synthesize(
     original: Dataset,
     spec: SynthesizerSpec,
     *,
-    jobs: int = 1,
     memo: FitMemo | None = None,
 ) -> SyntheticSet:
     """Generate ``spec.m`` synthetic datasets from ``original``.
@@ -611,8 +602,8 @@ def synthesize(
     cover the fits it made and its draws, so a dataset that finds its fits
     in the memo costs only its draws.
 
-    Results are identical for any ``jobs`` value and any memo: every dataset
-    only touches its own derived random streams.
+    Results are identical for any memo: every dataset only touches its own
+    derived random streams.
     """
     spec.validate_against(original.schema)
     if original.has_missing:
@@ -621,20 +612,13 @@ def synthesize(
         memo = FitMemo(original)
     elif memo.fit_ds is not original:
         raise SynthesisError("the fit memo belongs to a different original dataset")
-    tasks = [(spec, i, memo) for i in range(spec.m)]
-    if jobs > 1 and spec.m > 1:
-        # Dataset 0 runs here first, so that the workers receive its fits.
-        results = [] if spec.proper else [_one_timed(tasks.pop(0))]
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results += pool.map(_one_timed, tasks)
-    else:
-        results = [_one_timed(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
+    datasets, seconds = [], []
+    for idx in range(spec.m):
+        t0 = time.perf_counter()
+        datasets.append(_synthesize_one(spec, idx, memo))
+        seconds.append(time.perf_counter() - t0)
     return SyntheticSet(
-        label=spec.label,
-        seed=spec.seed,
-        datasets=tuple(r[1] for r in results),
-        wall_times=tuple(r[2] for r in results),
+        label=spec.label, seed=spec.seed, datasets=tuple(datasets), wall_times=tuple(seconds)
     )
 
 

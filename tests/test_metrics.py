@@ -30,14 +30,6 @@ def test_cio_worked_examples():
     assert abs(cio(interval(0, 2), interval(1, 3)).value - 0.5) < 1e-12
 
 
-def test_cio_printed_denominators_variant():
-    # overlap length 1 divided by (U_o - L_s) = 1 and (U_s - L_o) = 3
-    got = cio(interval(0, 2), interval(1, 3), printed_denominators=True).value
-    assert got == pytest.approx(0.5 * (1.0 / 1.0 + 1.0 / 3.0), abs=1e-12)
-    # identical intervals still score 1 under the printed convention
-    assert cio(interval(0, 2), interval(0, 2), printed_denominators=True).value == 1.0
-
-
 def test_cio_degenerate_intervals():
     assert cio(interval(1, 1), interval(1, 1)).value == 1.0
     assert cio(interval(1, 1), interval(2, 2)).value == 0.0

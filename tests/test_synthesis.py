@@ -175,16 +175,6 @@ def test_a_fit_memo_serves_only_its_own_original():
         synthesize(small_dataset(seed=10), build_spec(ds.schema, "D", m=1, seed=1), memo=memo)
 
 
-def test_jobs_do_not_change_output():
-    ds = small_dataset()
-    spec = build_spec(ds.schema, "P", m=4, seed=5)
-    serial = synthesize(ds, spec, jobs=1)
-    parallel = synthesize(ds, spec, jobs=3)
-    for da, db in zip(serial.datasets, parallel.datasets):
-        for name in ds.schema.names:
-            assert np.array_equal(da.column(name), db.column(name))
-
-
 def test_proper_with_identity_bootstrap_equals_nonproper(monkeypatch):
     ds = small_dataset()
     monkeypatch.setattr(
