@@ -246,9 +246,10 @@ def load_csv(
     The file is UTF-8. The header must contain exactly the schema's column
     names (any order). Blank lines are skipped when there are two or more
     columns; in a one-column file a blank line is an empty cell. Cells equal
-    to a missing token, and fields a short row lacks, are flagged missing. Categorical columns marked "infer" get their
-    level set from the data in first-appearance order. Returns the dataset
-    and the (possibly concretised) schema.
+    to a missing token, and fields a short row lacks, are flagged missing.
+    Categorical columns marked "infer" get their level set from the data in
+    first-appearance order. Returns the dataset and the (possibly
+    concretised) schema.
     """
     missing_set = set(missing_tokens)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -263,8 +264,8 @@ def load_csv(
             raise DataError(
                 f"{path}: header mismatch (unexpected {extra}, missing {absent})"
             )
-        # csv yields [] for a blank line. With two or more columns no record
-        # is blank, so the line is skipped; with one column it is an empty cell.
+        # csv yields [] for a blank line. No record of a file with two or
+        # more columns is blank; in a one-column file it is an empty cell.
         rows = [row for row in reader if row or len(schema.names) < 2]
 
     pos = {name: header.index(name) for name in schema.names}

@@ -736,21 +736,20 @@ def _add_normalized_kl(report: UtilityReport, cells) -> None:
             weighted.setdefault(scope, []).append(m * v)
             weight[scope] = weight.get(scope, 0) + m
     base = {scope: math.fsum(parts) / weight[scope] for scope, parts in weighted.items()}
-    usable = sorted(scope for scope, b in base.items() if b > 0.0 and math.isfinite(b))
+    defined = sorted(scope for scope, b in base.items() if b > 0.0 and math.isfinite(b))
     for label, mode, m, rep in cells:
         if label == "S":
             continue
         norms = [
             (scope, raw[(label, mode, m, rep, scope)] / base[scope])
-            for scope in usable
+            for scope in defined
             if (label, mode, m, rep, scope) in raw
         ]
         for scope, v in norms:
             report.add(label, mode, m, rep, "kl_norm", scope, v)
         if norms:
-            report.add(
-                label, mode, m, rep, "kl_norm_avg", "", math.fsum(v for _, v in norms) / len(norms)
-            )
+            avg = math.fsum(v for _, v in norms) / len(norms)
+            report.add(label, mode, m, rep, "kl_norm_avg", "", avg)
 
 
 def _fmt(v: float) -> str:

@@ -427,7 +427,8 @@ def test_kl_normalization_by_baseline():
 
 
 def test_a_constant_column_has_no_normalized_kl(tmp_path):
-    cfg_path = write_project(tmp_path, grid={"synthesizers": [{"base": "S"}, {"base": "D"}], "m": [1, 2]})
+    grid = {"synthesizers": [{"base": "S"}, {"base": "D"}], "m": [1, 2]}
+    cfg_path = write_project(tmp_path, grid=grid)
     data = (tmp_path / "data.csv").read_text().splitlines()
     (tmp_path / "data.csv").write_text(
         "\n".join([data[0] + ",k"] + [line + ",only" for line in data[1:]]) + "\n"
