@@ -232,8 +232,8 @@ def _digest_fixture(n=240, seed=31):
     return X, {"sse": (y_num, NUM), "gini2": (y_two, cat(2)), "gini4": (y_four, cat(4))}
 
 
-# Recorded before the split search was merged into one function; any change
-# here means fitted trees changed.
+# sha256 of each fitted tree; a change here means fitting built a different
+# tree, which also changes every CART-based synthetic dataset.
 GOLDEN_TREES = {
     ("sse", 1):
         "1725199fc4ef9c62a89d023376d8758085b19dc74463660ef5a2b1d5c110bb31",
