@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -131,3 +133,59 @@ def test_reference_class_is_first_observed():
     model = fit_logistic(predictors(["x"], [NUM], [x]), y)
     assert model.classes == (0, 1, 2)
     assert model.coef.shape == (2, 2)
+
+
+def _fit_digest(model) -> str:
+    h = hashlib.sha256()
+    for arr in (model.coef, model.se):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    h.update(np.float64(model.loglik).tobytes())
+    h.update(np.int64(model.n_iter).tobytes())
+    h.update(np.bool_(model.separated).tobytes())
+    return h.hexdigest()
+
+
+def _stalled_fit_data(fixture_a):
+    # A bootstrap resample of fixture-A on which the line search of the
+    # c1 ~ x + y fit stops with the score's largest component above 1e-8.
+    rows = np.random.default_rng(11).integers(0, fixture_a.n_rows, fixture_a.n_rows)
+    x, y = fixture_a.column("x")[rows], fixture_a.column("y")[rows]
+    return predictors(["x", "y"], [NUM, NUM], [x, y]), fixture_a.column("c1")[rows]
+
+
+def _golden_fits(fixture_a):
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=300)
+    two = (0.3 + 1.1 * x + rng.logistic(size=300) > 0).astype(np.int64)
+    sep = np.linspace(-2.0, 2.0, 80)
+    fx, fy = fixture_a.column("x"), fixture_a.column("y")
+    c1, c3 = fixture_a.column("c1"), fixture_a.column("c3")
+    kind_c3 = fixture_a.schema.kind("c3")
+    return {
+        "two_class": (predictors(["x"], [NUM], [x]), two),
+        "fixture_a_c1": (predictors(["x", "y"], [NUM, NUM], [fx, fy]), c1),
+        "categorical_predictor": (predictors(["y", "c3"], [NUM, kind_c3], [fy, c3]), c1),
+        "separated": (predictors(["x"], [NUM], [sep]), (sep > 0).astype(np.int64)),
+        "stalled": _stalled_fit_data(fixture_a),
+    }
+
+
+# sha256 over each fit's coef, se, loglik, n_iter and separated; a change
+# here means Newton's method took different steps or stopped elsewhere.
+GOLDEN_FITS = {
+    "two_class":
+        "2f5859f2208d853518278954a91882105cfc7d4156013db8d4b5f8c9a442701b",
+    "fixture_a_c1":
+        "0e3e704ee6bfb0fc435a4385743388c5c46f954cc8e9dcb66831dd4a91ad158c",
+    "categorical_predictor":
+        "1771386542dbb3c564f677683956f0ad3b301311ae8b36547b5f22a4630d56b8",
+    "separated":
+        "fdaf98f0841b4842de8e22dd41c7db1ea05bbb917c176bf2bb5893d1f9e7ea54",
+    "stalled":
+        "974475f711d2a74f7b47c0ab19c76ecf6ef3b7dc813c39989cf6618d69870e9d",
+}
+
+
+def test_fit_digests_are_golden(fixture_a):
+    got = {name: _fit_digest(fit_logistic(X, y)) for name, (X, y) in _golden_fits(fixture_a).items()}
+    assert got == GOLDEN_FITS
