@@ -1,10 +1,12 @@
+import csv
+import io
 import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from synthbench.dataset import (
@@ -125,12 +127,16 @@ LEVEL = st.sampled_from(["NA", "", " ", "a,b", '"q"', "x\ny", "\r"]) | st.text(m
 
 
 @st.composite
-def any_dataset(draw):
+def any_dataset(draw, with_missing=False):
     names = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=4, unique=True))
     n = draw(st.integers(0, 8))
     columns = []
     arrays = []
+    masks = []
     for name in names:
+        mask = None
+        if with_missing and draw(st.booleans()):
+            mask = np.asarray(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
         if draw(st.booleans()):
             columns.append(Column(name, ColumnKind.numeric()))
             values = draw(st.lists(st.floats(), min_size=n, max_size=n))
@@ -138,9 +144,15 @@ def any_dataset(draw):
         else:
             levels = draw(st.lists(LEVEL, min_size=1, max_size=4, unique=True))
             columns.append(Column(name, ColumnKind.categorical(levels)))
-            codes = draw(st.lists(st.integers(0, len(levels) - 1), min_size=n, max_size=n))
-            arrays.append(np.asarray(codes, dtype=np.int64))
-    return Dataset(Schema(tuple(columns)), tuple(arrays))
+            codes = np.asarray(
+                draw(st.lists(st.integers(0, len(levels) - 1), min_size=n, max_size=n)),
+                dtype=np.int64,
+            )
+            if mask is not None and draw(st.booleans()):
+                codes[mask] = -1  # the code a missing cell holds after loading
+            arrays.append(codes)
+        masks.append(mask)
+    return Dataset(Schema(tuple(columns)), tuple(arrays), tuple(masks))
 
 
 @settings(max_examples=200, deadline=None)
@@ -222,3 +234,40 @@ def test_take_preserves_kinds():
     sub = ds.take(np.asarray([3, 1]))
     assert sub.column("a").tolist() == [3.0, 1.0]
     assert sub.column("c").tolist() == [0, 1]
+
+
+def csv_writer_bytes(ds):
+    """The file ``write_csv`` must produce, written one row at a time."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(ds.schema.names)
+    for i in range(ds.n_rows):
+        row = []
+        for col, arr, mask in zip(ds.schema.columns, ds.columns, ds.missing):
+            if mask is not None and mask[i]:
+                row.append("")
+            elif col.kind.is_numeric:
+                row.append(repr(float(arr[i])))
+            else:
+                row.append(col.kind.levels[arr[i]])
+        writer.writerow(row)
+    return buf.getvalue().encode("utf-8")
+
+
+def one_column(kind, values, mask=None):
+    return Dataset(Schema((Column("v", kind),)), (np.asarray(values),), (mask,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ds=any_dataset(with_missing=True))
+@example(ds=one_column(ColumnKind.categorical(("\r", "a")), [0, 1, 0]))
+@example(ds=one_column(ColumnKind.categorical(("x\ny", "")), [1, 0]))
+@example(ds=one_column(ColumnKind.categorical(("",)), [0, 0]))
+@example(ds=one_column(ColumnKind.numeric(), [1.5, np.nan, -0.0], np.asarray([False, True, False])))
+@example(ds=one_column(ColumnKind.categorical(("z",)), [0, -1], np.asarray([False, True])))
+@example(ds=Dataset(small_schema(), (np.empty(0), np.empty(0, dtype=np.int64))))
+def test_write_csv_bytes_equal_a_row_by_row_csv_writer(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ds.csv"
+        write_csv(ds, path)
+        assert path.read_bytes() == csv_writer_bytes(ds)
