@@ -10,6 +10,7 @@ them, so downstream model fitting always sees complete data.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -337,26 +338,50 @@ def load_csv(
     return ds, out_schema
 
 
+def _csv_fields(texts) -> list[str]:
+    """Each text as ``csv.writer`` writes it as one field of a row with two or
+    more fields. The writer keeps its default CRLF terminator, which
+    is stripped again: that terminator is what makes it quote CR and LF."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    out = []
+    for text in texts:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow([text])
+        # A row whose only field is empty comes out as '""'.
+        out.append(buf.getvalue()[:-2] if text else "")
+    return out
+
+
 def write_csv(ds: Dataset, path: str | Path) -> None:
     """Write the dataset as UTF-8 CSV. Numeric cells use shortest round-trip
     text; categorical cells are written as their level labels. Missing cells
     come out as the empty string, so only a dataset without them reads back
-    exactly (with ``missing_tokens=()``)."""
+    exactly (with ``missing_tokens=()``).
+
+    The bytes are those of ``csv.writer`` with its default dialect, one row at
+    a time: a level is quoted only when it holds a comma, a quote, CR or LF,
+    and an empty cell of a one-column file is written ``""``. Cells are
+    formatted a column at a time."""
+    formatted: list[list[str]] = []
+    for col, arr, mask in zip(ds.schema.columns, ds.columns, ds.missing):
+        if col.kind.is_numeric:
+            cells = list(map(repr, arr.tolist()))
+        else:
+            # Code -1 (a missing cell) indexes the trailing "".
+            labels = np.asarray(_csv_fields(col.kind.levels) + [""], dtype=object)
+            cells = labels[arr].tolist()
+        if mask is not None:
+            cells = ["" if m else c for c, m in zip(cells, mask.tolist())]
+        formatted.append(cells)
+    if len(formatted) == 1:
+        # Written bare, an empty cell would be a blank line.
+        formatted[0] = [c or '""' for c in formatted[0]]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ds.schema.names)
-        formatted: list[list[str]] = []
-        for col, arr, mask in zip(ds.schema.columns, ds.columns, ds.missing):
-            if col.kind.is_numeric:
-                cells = [repr(float(v)) for v in arr]
-            else:
-                levels = col.kind.levels
-                cells = [levels[code] if code >= 0 else "" for code in arr]
-            if mask is not None:
-                cells = ["" if m else c for c, m in zip(cells, mask)]
-            formatted.append(cells)
-        for row in zip(*formatted):
-            writer.writerow(row)
+        csv.writer(fh).writerow(ds.schema.names)
+        if ds.n_rows:
+            fh.write("\r\n".join(map(",".join, zip(*formatted))) + "\r\n")
 
 
 def replace_missing(ds: Dataset, seed: int) -> Dataset:
