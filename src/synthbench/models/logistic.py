@@ -35,23 +35,21 @@ def _log_probs(M: np.ndarray, B: np.ndarray) -> np.ndarray:
     return logits - lse
 
 
-def softmax_loglik(M: np.ndarray, y_pos: np.ndarray, B: np.ndarray) -> float:
-    lp = _log_probs(M, B)
-    return float(lp[np.arange(M.shape[0]), y_pos].sum())
+def _one_hot(y_pos: np.ndarray, k: int) -> np.ndarray:
+    """Indicators of the non-reference classes, shape (n, K-1)."""
+    return (y_pos[:, None] == np.arange(1, k)[None, :]).astype(np.float64)
 
 
-def softmax_score(M: np.ndarray, y_pos: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Gradient of the log-likelihood wrt B, shape (K-1, p)."""
-    P = np.exp(_log_probs(M, B))
-    k = B.shape[0] + 1
-    Y = (y_pos[:, None] == np.arange(1, k)[None, :]).astype(np.float64)
+def _loglik(lp: np.ndarray, y_pos: np.ndarray) -> float:
+    return float(lp[np.arange(lp.shape[0]), y_pos].sum())
+
+
+def _score(M: np.ndarray, Y: np.ndarray, P: np.ndarray) -> np.ndarray:
     return (Y - P[:, 1:]).T @ M
 
 
-def softmax_information(M: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Observed information (negative Hessian), shape ((K-1)p, (K-1)p)."""
-    P = np.exp(_log_probs(M, B))
-    km1 = B.shape[0]
+def _information(M: np.ndarray, P: np.ndarray) -> np.ndarray:
+    km1 = P.shape[1] - 1
     p = M.shape[1]
     info = np.empty((km1 * p, km1 * p), dtype=np.float64)
     for a in range(km1):
@@ -63,6 +61,20 @@ def softmax_information(M: np.ndarray, B: np.ndarray) -> np.ndarray:
             if b != a:
                 info[b * p:(b + 1) * p, a * p:(a + 1) * p] = block.T
     return info
+
+
+def softmax_loglik(M: np.ndarray, y_pos: np.ndarray, B: np.ndarray) -> float:
+    return _loglik(_log_probs(M, B), y_pos)
+
+
+def softmax_score(M: np.ndarray, y_pos: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Gradient of the log-likelihood wrt B, shape (K-1, p)."""
+    return _score(M, _one_hot(y_pos, B.shape[0] + 1), np.exp(_log_probs(M, B)))
+
+
+def softmax_information(M: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Observed information (negative Hessian), shape ((K-1)p, (K-1)p)."""
+    return _information(M, np.exp(_log_probs(M, B)))
 
 
 @dataclass(frozen=True)
@@ -104,21 +116,25 @@ def fit_logistic(
         raise FitError("target has a single observed class")
     if n <= p:
         raise FitError(f"need more rows ({n}) than encoded predictors ({p})")
-    pos_of = {c: i for i, c in enumerate(classes)}
-    y_pos = np.fromiter((pos_of[int(v)] for v in y), dtype=np.int64, count=n)
+    y_pos = np.searchsorted(np.asarray(classes, dtype=np.int64), y)
+    Y = _one_hot(y_pos, k)
 
+    # lp holds the log-probabilities at the current B; each iterate is
+    # evaluated once, and its score and information reuse them.
     B = np.zeros((k - 1, p), dtype=np.float64)
-    ll = softmax_loglik(M, y_pos, B)
+    lp = _log_probs(M, B)
+    ll = _loglik(lp, y_pos)
     converged = False
     separated = False
     it = 0
     for it in range(1, max_iter + 1):
-        G = softmax_score(M, y_pos, B)
+        P = np.exp(lp)
+        G = _score(M, Y, P)
         if float(np.abs(G).max()) < tol:
             converged = True
             it -= 1
             break
-        info = softmax_information(M, B)
+        info = _information(M, P)
         g = G.reshape(-1)
         try:
             step = np.linalg.solve(info, g)
@@ -126,15 +142,15 @@ def fit_logistic(
             step = np.linalg.lstsq(info, g, rcond=None)[0]
         if not np.isfinite(step).all():
             step = np.linalg.pinv(info) @ g
-        step = step.reshape(k - 1, p)
 
         t = 1.0
         accepted = False
         for _ in range(_MAX_HALVINGS):
-            cand = B + t * step
-            ll_new = softmax_loglik(M, y_pos, cand)
+            cand = B + t * step.reshape(k - 1, p)
+            lp_new = _log_probs(M, cand)
+            ll_new = _loglik(lp_new, y_pos)
             if np.isfinite(ll_new) and ll_new > ll:
-                B, ll = cand, ll_new
+                B, lp, ll = cand, lp_new, ll_new
                 accepted = True
                 break
             t /= 2.0
@@ -142,11 +158,12 @@ def fit_logistic(
             break
         if float(np.abs(B).max()) > _COEF_CAP:
             B = np.clip(B, -_COEF_CAP, _COEF_CAP)
-            ll = softmax_loglik(M, y_pos, B)
+            lp = _log_probs(M, B)
+            ll = _loglik(lp, y_pos)
             separated = True
             break
 
-    info = softmax_information(M, B)
+    info = _information(M, np.exp(lp))
     try:
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError:
