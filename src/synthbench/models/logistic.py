@@ -2,9 +2,13 @@
 
 The first observed class is the reference and its coefficient row is pinned
 at zero, so the parameter matrix has one row per remaining class. Iterations
-maximise the softmax log-likelihood with step-halving; convergence means the
-score's largest component fell below ``tol``. Standard errors come from the
-inverse of the observed information at the optimum.
+maximise the softmax log-likelihood with step-halving. A fit has converged
+when the score's largest component falls below ``tol``, or when no halving
+of the Newton step raises the log-likelihood and the Newton decrement
+g'H^-1g is at most ``tol`` (Boyd & Vandenberghe, *Convex Optimization*,
+2004, §9.5.1): near the optimum the score, a sum over n rows, can stay above
+an absolute bound while no step can still gain anything. Standard errors
+come from the inverse of the observed information at the optimum.
 
 Complete separation pushes coefficients towards infinity; any coefficient
 exceeding the cap (30 in absolute value per encoded predictor) stops the
@@ -155,6 +159,10 @@ def fit_logistic(
                 break
             t /= 2.0
         if not accepted:
+            # No step raises the log-likelihood. B is optimal when the
+            # Newton decrement g'H^-1g, twice the rise a full Newton step
+            # would predict, is negligible.
+            converged = float(g @ step) <= tol
             break
         if float(np.abs(B).max()) > _COEF_CAP:
             B = np.clip(B, -_COEF_CAP, _COEF_CAP)

@@ -189,3 +189,21 @@ GOLDEN_FITS = {
 def test_fit_digests_are_golden(fixture_a):
     got = {name: _fit_digest(fit_logistic(X, y)) for name, (X, y) in _golden_fits(fixture_a).items()}
     assert got == GOLDEN_FITS
+
+
+def test_a_stalled_fit_at_the_optimum_reports_convergence(fixture_a):
+    X, y = _stalled_fit_data(fixture_a)
+    model = fit_logistic(X, y)
+    M = model.encoding.encode(X.cols)
+    y_pos = np.searchsorted(np.asarray(model.classes), y)
+    # The score alone would not pass the 1e-8 bound ...
+    assert np.abs(softmax_score(M, y_pos, model.coef)).max() > 1e-8
+    # ... but the Newton decrement shows nothing is left to gain.
+    assert model.converged and not model.separated
+    assert _fit_digest(model) == GOLDEN_FITS["stalled"]
+
+
+def test_a_separated_fit_does_not_report_convergence():
+    x = np.linspace(-2.0, 2.0, 80)
+    model = fit_logistic(predictors(["x"], [NUM], [x]), (x > 0).astype(np.int64))
+    assert model.separated and not model.converged
