@@ -17,6 +17,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -572,6 +573,7 @@ class _Experiment:
     ``metric_rows``."""
 
     cfg: ExperimentConfig
+    fingerprint: str
     original: Dataset
     fits: tuple[FitSpec, ...]
     predicates: tuple[AdhocPredicate, ...]
@@ -582,12 +584,40 @@ class _Experiment:
 _experiment: _Experiment | None = None
 
 
-def _start_experiment(cfg, original, fits, predicates) -> None:
+def _start_experiment(cfg, fingerprint, original, fits, predicates) -> None:
     """Give this process empty memos for a new experiment. ``run_experiment``
     calls it first, and each pool worker as its initializer, so no run
     reuses another run's fits."""
     global _experiment
-    _experiment = _Experiment(cfg, original, fits, predicates, FitMemo(original), {})
+    _experiment = _Experiment(
+        cfg, fingerprint, original, fits, predicates, FitMemo(original), {}
+    )
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` in one step, so an interrupted run
+    leaves either the old file or the new one, never a truncated file."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
+def _finished_cell(path: Path, key: str, fingerprint: str) -> dict | None:
+    """The saved result of a cell that generated its datasets under this
+    fingerprint, or None when the file is absent, unreadable, belongs to
+    another run or records a cell that failed as a whole."""
+    try:
+        result = json.loads(path.read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+        return None
+    if (
+        isinstance(result, dict)
+        and result.get("fingerprint") == fingerprint
+        and result.get("key") == key
+        and result.get("seconds")
+    ):
+        return result
+    return None
 
 
 def _run_cell(cell: tuple[str, str, int, int]) -> dict:
@@ -598,7 +628,10 @@ def _run_cell(cell: tuple[str, str, int, int]) -> dict:
     exp = _experiment
     cfg = exp.cfg
     key = _cell_key(label, mode, m, rep)
-    result = {"key": key, "label": label, "mode": mode, "m": m, "rep": rep}
+    result = {
+        "key": key, "label": label, "mode": mode, "m": m, "rep": rep,
+        "fingerprint": exp.fingerprint,
+    }
     try:
         seed = _cell_seed(cfg.seed, label, mode, m, rep)
         spec = spec_for_label(cfg, exp.original.schema, label, m=m, seed=seed, mode=mode)
@@ -616,7 +649,7 @@ def _run_cell(cell: tuple[str, str, int, int]) -> dict:
         result["seconds"] = []
     cell_path = cfg.out / "cells" / f"{key}.json"
     cell_path.parent.mkdir(parents=True, exist_ok=True)
-    cell_path.write_text(json.dumps(result, indent=2) + "\n")
+    _write_atomic(cell_path, json.dumps(result, indent=2) + "\n")
     return result
 
 
@@ -625,6 +658,12 @@ def run_experiment(
 ) -> tuple[UtilityReport, list[TimingRecord]]:
     """Execute the full grid and write report.csv, summary.csv, errors.csv,
     timings.csv and the resume manifest under ``cfg.out``.
+
+    Each cell file carries the run's fingerprint and is written atomically.
+    With ``resume`` every cell of this grid whose file parses, carries the
+    same fingerprint and generated its datasets is reused, whether or not
+    the manifest lists it; every other cell runs again. A manifest with
+    another fingerprint refuses the resume.
 
     Each process fits every non-proper synthesis step, and computes every
     original-side estimand, once per call; a cell that finds them already
@@ -653,20 +692,24 @@ def run_experiment(
     manifest_path = out / "manifest.json"
     fingerprint = cfg.fingerprint()
     done: dict[str, dict] = {}
-    if resume and manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
-        if manifest.get("fingerprint") != fingerprint:
+    if resume:
+        try:
+            manifest = json.loads(manifest_path.read_text())
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+            manifest = None  # the cell files alone say what is done
+        if isinstance(manifest, dict) and manifest.get("fingerprint") != fingerprint:
             raise ConfigError(
                 "resume manifest belongs to a different configuration or input; "
                 "use a fresh output directory"
             )
-        for key in manifest.get("cells", {}):
-            cell_path = out / "cells" / f"{key}.json"
-            if cell_path.exists():
-                done[key] = json.loads(cell_path.read_text())
+        for cell in cells:
+            key = _cell_key(*cell)
+            result = _finished_cell(out / "cells" / f"{key}.json", key, fingerprint)
+            if result is not None:
+                done[key] = result
 
     pending = [cell for cell in cells if _cell_key(*cell) not in done]
-    shared = (cfg, original, fits, predicates)
+    shared = (cfg, fingerprint, original, fits, predicates)
     _start_experiment(*shared)
     try:
         if jobs > 1 and len(pending) > 1:
@@ -715,7 +758,7 @@ def run_experiment(
         ),
         "generated_last_run": generated_now,
     }
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return report, timings
 
 

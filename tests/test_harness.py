@@ -209,6 +209,26 @@ def test_resume_rejects_an_edited_input_file(tmp_path):
         run_experiment(load_config(cfg_path), resume=True)
 
 
+def test_resume_reruns_only_cells_without_a_valid_file(tmp_path):
+    cfg = load_config(write_project(tmp_path))
+    run_experiment(cfg)
+    fresh = (cfg.out / "report.csv").read_bytes()
+    # An interrupted run: no manifest yet, and one cell file cut short.
+    (cfg.out / "manifest.json").unlink()
+    cut = sorted((cfg.out / "cells").glob("*_m2_r0.json"))[0]
+    cut.write_text(cut.read_text()[:40])
+    run_experiment(cfg, resume=True)
+    manifest = json.loads((cfg.out / "manifest.json").read_text())
+    assert manifest["generated_last_run"] == 2
+    assert (cfg.out / "report.csv").read_bytes() == fresh
+    # A truncated manifest does not stop a resume either.
+    manifest_path = cfg.out / "manifest.json"
+    manifest_path.write_text(manifest_path.read_text()[:25])
+    run_experiment(cfg, resume=True)
+    assert json.loads(manifest_path.read_text())["generated_last_run"] == 0
+    assert (cfg.out / "report.csv").read_bytes() == fresh
+
+
 def test_non_proper_fits_are_made_once_per_experiment(tmp_path, monkeypatch):
     fitted = []
     real_fit_cart = synthesis.fit_cart
