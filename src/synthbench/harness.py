@@ -602,7 +602,7 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _finished_cell(path: Path, key: str, fingerprint: str) -> dict | None:
+def _finished_cell(path: Path, fingerprint: str) -> dict | None:
     """The saved result of a cell that generated its datasets under this
     fingerprint, or None when the file is absent, unreadable, belongs to
     another run or records a cell that failed as a whole."""
@@ -613,7 +613,6 @@ def _finished_cell(path: Path, key: str, fingerprint: str) -> dict | None:
     if (
         isinstance(result, dict)
         and result.get("fingerprint") == fingerprint
-        and result.get("key") == key
         and result.get("seconds")
     ):
         return result
@@ -704,7 +703,7 @@ def run_experiment(
             )
         for cell in cells:
             key = _cell_key(*cell)
-            result = _finished_cell(out / "cells" / f"{key}.json", key, fingerprint)
+            result = _finished_cell(out / "cells" / f"{key}.json", fingerprint)
             if result is not None:
                 done[key] = result
 
