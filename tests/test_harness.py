@@ -221,11 +221,18 @@ def test_resume_reruns_only_cells_without_a_valid_file(tmp_path):
     manifest = json.loads((cfg.out / "manifest.json").read_text())
     assert manifest["generated_last_run"] == 2
     assert (cfg.out / "report.csv").read_bytes() == fresh
-    # A truncated manifest does not stop a resume either.
+    # A truncated manifest does not stop a resume either. A cell file of
+    # another run, and a cell that failed as a whole, run again.
     manifest_path = cfg.out / "manifest.json"
     manifest_path.write_text(manifest_path.read_text()[:25])
+    other = sorted((cfg.out / "cells").glob("*_m1_r1.json"))[0]
+    other.write_text(other.read_text().replace(cfg.fingerprint(), "0" * 64))
+    failed = sorted((cfg.out / "cells").glob("*_m1_r0.json"))[0]
+    result = json.loads(failed.read_text())
+    result.update(rows=[], errors=[["cell", "interrupted"]], seconds=[])
+    failed.write_text(json.dumps(result))
     run_experiment(cfg, resume=True)
-    assert json.loads(manifest_path.read_text())["generated_last_run"] == 0
+    assert json.loads(manifest_path.read_text())["generated_last_run"] == 2
     assert (cfg.out / "report.csv").read_bytes() == fresh
 
 

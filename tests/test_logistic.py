@@ -201,6 +201,8 @@ def test_a_stalled_fit_at_the_optimum_reports_convergence(fixture_a):
     # ... but the Newton decrement shows nothing is left to gain.
     assert model.converged and not model.separated
     assert _fit_digest(model) == GOLDEN_FITS["stalled"]
+    # The decrement is held to the same tolerance.
+    assert not fit_logistic(X, y, tol=1e-20).converged
 
 
 def test_a_separated_fit_does_not_report_convergence():
