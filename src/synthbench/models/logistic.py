@@ -146,11 +146,13 @@ def fit_logistic(
             step = np.linalg.lstsq(info, g, rcond=None)[0]
         if not np.isfinite(step).all():
             step = np.linalg.pinv(info) @ g
+        decrement = float(g @ step)
+        step = step.reshape(k - 1, p)
 
         t = 1.0
         accepted = False
         for _ in range(_MAX_HALVINGS):
-            cand = B + t * step.reshape(k - 1, p)
+            cand = B + t * step
             lp_new = _log_probs(M, cand)
             ll_new = _loglik(lp_new, y_pos)
             if np.isfinite(ll_new) and ll_new > ll:
@@ -162,7 +164,7 @@ def fit_logistic(
             # No step raises the log-likelihood. B is optimal when the
             # Newton decrement g'H^-1g, twice the rise a full Newton step
             # would predict, is negligible.
-            converged = float(g @ step) <= tol
+            converged = decrement <= tol
             break
         if float(np.abs(B).max()) > _COEF_CAP:
             B = np.clip(B, -_COEF_CAP, _COEF_CAP)
