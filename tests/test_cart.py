@@ -232,6 +232,27 @@ def _digest_fixture(n=240, seed=31):
     return X, {"sse": (y_num, NUM), "gini2": (y_two, cat(2)), "gini4": (y_four, cat(4))}
 
 
+def _digest_fixture_2k(n=2000, seed=37):
+    """Fixture-A-like columns at the size the benchmark fits, as
+    ``name -> (predictors, target, kind)``: x and y rounded so that values
+    tie, a noisy binary target for the classifier tree, and c1 as a
+    three-class target for the synthesis tree."""
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.uniform(0.0, 1.0, n), 2)
+    y = np.round(2.0 * x + rng.normal(0.0, 0.3, n), 2)
+    c1 = np.digitize(x + rng.normal(0.0, 0.25, n), (1.0 / 3.0, 2.0 / 3.0))
+    c2 = np.where(rng.random(n) < 0.25, (c1 + 1) % 3, c1)
+    c3 = (x + rng.normal(0.0, 0.2, n) > 0.4).astype(np.int64)
+    by_c3 = predictors(["x", "y", "c1", "c2"], [NUM, NUM, cat(3), cat(3)], [x, y, c1, c2])
+    by_y = predictors(["x", "c1", "c2", "c3"], [NUM, cat(3), cat(3), cat(2)], [x, c1, c2, c3])
+    by_c1 = predictors(["x", "y", "c2", "c3"], [NUM, NUM, cat(3), cat(2)], [x, y, c2, c3])
+    return {
+        "classifier-2k": (by_c3, c3, cat(2)),
+        "sse-2k": (by_y, y, NUM),
+        "gini3-2k": (by_c1, c1, cat(3)),
+    }
+
+
 # sha256 of each fitted tree; a change here means fitting built a different
 # tree, which also changes every CART-based synthetic dataset.
 GOLDEN_TREES = {
@@ -247,13 +268,22 @@ GOLDEN_TREES = {
         "55c44498b78c5e4d06dd77a68df01aef3fac3b2e6a28e0a4a7d98b0a88e5e030",
     ("gini4", 5):
         "a4ed44784db084d91db05be6810e232a228f5047e7e9a9eb9aa2699b6842ddbe",
+    # n = 2000: the classifier's sqrt(n) floor and two min_leaf-5 synthesis trees
+    ("classifier-2k", 44):
+        "c66cc2e0fcc82fb13c90285bd36123990e13cbadbd5c088dc1dc894ff25f7793",
+    ("sse-2k", 5):
+        "cc4a6f50378aad93b89c49852a27eb8dd3d70e9299e1515a707768c89336dca8",
+    ("gini3-2k", 5):
+        "79aeba2662ad864f6aa88d0e334d2e0c41c26c3001dff5d4e27897deb587cdbc",
 }
 
 
 def test_tree_digests_are_golden():
     X, targets = _digest_fixture()
+    cases = {name: (X, y, kind) for name, (y, kind) in targets.items()}
+    cases.update(_digest_fixture_2k())
     got = {}
     for target, min_leaf in GOLDEN_TREES:
-        y, kind = targets[target]
+        X, y, kind = cases[target]
         got[(target, min_leaf)] = _tree_digest(fit_cart(X, y, kind, min_leaf=min_leaf))
     assert got == GOLDEN_TREES
