@@ -1,9 +1,11 @@
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from cart_reference import fit_cart as reference_fit_cart
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from synthbench.dataset import ColumnKind
@@ -105,7 +107,7 @@ def test_xor_interaction_reaches_purity():
     y = (a ^ b).astype(np.float64)
     X = predictors(["a", "b"], [cat(2), cat(2)], [a, b])
     tree = fit_cart(X, y, NUM, min_leaf=5)
-    assert np.array_equal(tree.predict_mean((a, b), y), y)
+    assert all(np.ptp(y[d]) == 0 for d in tree.leaf_donors())
     assert tree.n_leaves >= 4
 
 
@@ -126,7 +128,8 @@ def test_constant_target_gives_single_leaf():
     y = np.full(20, 3.25)
     tree = fit_cart(X, y, NUM, min_leaf=5)
     assert tree.n_leaves == 1
-    assert tree.predict_mean((np.asarray([0.0]),), y)[0] == 3.25
+    (donors,) = tree.leaf_donors()
+    assert y[donors].mean() == 3.25
 
 
 def test_unseen_level_routes_without_error():
@@ -136,8 +139,9 @@ def test_unseen_level_routes_without_error():
     X = predictors(["c"], [cat(3)], [f])
     tree = fit_cart(X, y, NUM, min_leaf=5)
     assert tree.n_leaves == 2
-    val = tree.predict_mean((np.asarray([2]),), y)[0]
-    assert val in (0.0, 5.0)
+    leaf = tree.route((np.asarray([2]),))[0]
+    assert tree.feature[leaf] < 0
+    assert set(y[tree.donors[leaf]]) in ({0.0}, {5.0})
 
 
 def test_fit_is_deterministic():
@@ -287,3 +291,60 @@ def test_tree_digests_are_golden():
         X, y, kind = cases[target]
         got[(target, min_leaf)] = _tree_digest(fit_cart(X, y, kind, min_leaf=min_leaf))
     assert got == GOLDEN_TREES
+
+
+@st.composite
+def tree_inputs(draw):
+    """(predictors, target, kind, min_leaf): 0-3 numeric predictors rounded
+    so that values tie, 0-3 categorical ones with 1-15 declared levels of
+    which some may be absent, an SSE target or a Gini one with 2-9 classes,
+    and min_leaf from 1 to sqrt(n)."""
+    n = draw(st.integers(6, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds, cols = [], []
+    signal = np.zeros(n)
+    for _ in range(draw(st.integers(0, 3))):
+        x = np.round(rng.normal(size=n), draw(st.integers(0, 2)))
+        kinds.append(NUM)
+        cols.append(x)
+        signal += rng.normal() * x
+    for _ in range(draw(st.integers(0, 3))):
+        declared = draw(st.integers(1, 15))
+        used = rng.permutation(declared)[: draw(st.integers(1, declared))]
+        codes = rng.choice(used, size=n)
+        kinds.append(cat(declared))
+        cols.append(codes)
+        signal += rng.normal(size=declared)[codes]
+    X = predictors([f"p{j}" for j in range(len(cols))], kinds, cols)
+    noisy = signal + rng.normal(0.0, draw(st.sampled_from([0.0, 0.3, 1.0])), n)
+    if draw(st.booleans()):
+        y, kind = np.round(noisy, draw(st.integers(0, 3))), NUM
+    else:
+        k = draw(st.integers(2, 9))
+        y, kind = np.digitize(noisy, np.quantile(noisy, np.arange(1, k) / k)), cat(k)
+    return X, y, kind, draw(st.integers(1, max(1, math.isqrt(n))))
+
+
+def _constant_target():
+    x = np.round(np.linspace(0.0, 1.0, 30), 1)
+    return predictors(["x", "c"], [NUM, cat(3)], [x, np.arange(30) % 2]), np.full(30, 3.25), NUM, 2
+
+
+def _huge_values():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=40) * 1e300
+    c = rng.integers(0, 12, 40)
+    y = 1e300 * (x > 0) + rng.normal(size=40) * 1e299
+    return predictors(["x", "c"], [NUM, cat(12)], [x, c]), y, NUM, 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(inputs=tree_inputs())
+@example(inputs=_constant_target())
+@example(inputs=_huge_values())
+def test_fit_builds_the_reference_tree(inputs):
+    X, y, kind, min_leaf = inputs
+    with np.errstate(all="ignore"):
+        got = fit_cart(X, y, kind, min_leaf=min_leaf)
+        want = reference_fit_cart(X, y, kind, min_leaf=min_leaf)
+    assert _tree_digest(got) == _tree_digest(want)
