@@ -298,7 +298,11 @@ def tree_inputs(draw):
     """(predictors, target, kind, min_leaf): 0-3 numeric predictors rounded
     so that values tie, 0-3 categorical ones with 1-15 declared levels of
     which some may be absent, an SSE target or a Gini one with 2-9 classes,
-    and min_leaf from 1 to sqrt(n)."""
+    and min_leaf from 1 to sqrt(n).
+
+    A numeric predictor may come with its mirror image. The two offer the
+    same partitions, so only the rounding of the prefix sums, which depends
+    on the order of tied rows, picks between them."""
     n = draw(st.integers(6, 400))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kinds, cols = [], []
@@ -308,6 +312,9 @@ def tree_inputs(draw):
         kinds.append(NUM)
         cols.append(x)
         signal += rng.normal() * x
+        if draw(st.booleans()):
+            kinds.append(NUM)
+            cols.append(-x)
     for _ in range(draw(st.integers(0, 3))):
         declared = draw(st.integers(1, 15))
         used = rng.permutation(declared)[: draw(st.integers(1, declared))]
@@ -338,10 +345,18 @@ def _huge_values():
     return predictors(["x", "c"], [NUM, cat(12)], [x, c]), y, NUM, 2
 
 
+def _mirrored_ties():
+    rng = np.random.default_rng(0)
+    x = np.round(rng.normal(size=200), 1)
+    y = np.round(x + rng.normal(0.0, 0.5, 200), 1)
+    return predictors(["x", "-x"], [NUM, NUM], [x, -x]), y, NUM, 5
+
+
 @settings(max_examples=40, deadline=None)
 @given(inputs=tree_inputs())
 @example(inputs=_constant_target())
 @example(inputs=_huge_values())
+@example(inputs=_mirrored_ties())
 def test_fit_builds_the_reference_tree(inputs):
     X, y, kind, min_leaf = inputs
     with np.errstate(all="ignore"):
