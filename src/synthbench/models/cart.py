@@ -7,12 +7,15 @@ subsets exhaustively while at most 10 levels are present at a node; above
 that, levels are ordered by target mean and only prefix splits along that
 ordering are scored. Splitting stops when no candidate improves impurity or
 a child would fall below ``min_leaf``.
+
+Numeric predictors are sorted once per fit (the presort of SLIQ: Mehta,
+Agrawal & Rissanen, EDBT 1996), and each node scores all of them in one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -59,55 +62,59 @@ class CartTree:
     def leaf_donors(self) -> list[np.ndarray]:
         return [d for d in self.donors if d is not None]
 
+    @cached_property
+    def _sends_left(self) -> np.ndarray:
+        """A row per node: which level codes its categorical split sends left."""
+        width = max((k.n_levels for k in self.kinds if k.is_categorical), default=0)
+        table = np.zeros((self.n_nodes, width), dtype=bool)
+        for node, levels in enumerate(self.left_levels):
+            if levels is not None:
+                table[node, levels] = True
+        return table
+
     def route(self, cols) -> np.ndarray:
-        """Leaf node id for every row of ``cols`` (ordered as ``names``)."""
+        """Leaf node id for every row of ``cols`` (ordered as ``names``).
+
+        Every row still at a split moves down one depth per pass."""
         cols = [np.asarray(c) for c in cols]
         if len(cols) != len(self.names):
             raise FitError(f"expected {len(self.names)} predictor columns")
         n = int(cols[0].shape[0]) if cols else 0
-        out = np.empty(n, dtype=np.int64)
-        stack = [(0, np.arange(n, dtype=np.int64))]
-        while stack:
-            node, rows = stack.pop()
-            if rows.size == 0:
-                continue
-            f = int(self.feature[node])
-            if f < 0:
-                out[rows] = node
-                continue
-            go_left = _go_left(cols[f][rows], self.threshold[node], self.left_levels[node])
-            stack.append((int(self.left[node]), rows[go_left]))
-            stack.append((int(self.right[node]), rows[~go_left]))
-        return out
+        node = np.zeros(n, dtype=np.int64)
+        live = np.arange(n, dtype=np.int64)
+        while live.size:
+            at = node[live]
+            inner = self.feature[at] >= 0
+            live, at = live[inner], at[inner]
+            f = self.feature[at]
+            go_left = np.empty(live.size, dtype=bool)
+            for j in np.unique(f).tolist():
+                on = np.nonzero(f == j)[0]
+                x = cols[j][live[on]]
+                if self.kinds[j].is_categorical:
+                    # a code outside the declared levels goes right
+                    known = (x >= 0) & (x < self._sends_left.shape[1])
+                    go_left[on] = known & self._sends_left[at[on], np.where(known, x, 0)]
+                else:
+                    go_left[on] = x <= self.threshold[at[on]]
+            node[live] = np.where(go_left, self.left[at], self.right[at])
+        return node
 
     def predict_class(self, cols, training_y: np.ndarray) -> np.ndarray:
         """Majority vote over leaf donors; ties go to the lowest level code."""
         if not self.y_kind.is_categorical:
             raise FitError("majority prediction needs a categorical target")
         k = self.y_kind.n_levels
-        leaf_ids = self.route(cols)
+        leaves = np.nonzero(self.feature < 0)[0]
+        donors = self.leaf_donors()
+        owner = np.repeat(np.arange(leaves.size), [d.size for d in donors])
+        votes = np.bincount(owner * k + training_y[np.concatenate(donors)], minlength=leaves.size * k)
         majority = np.zeros(self.n_nodes, dtype=np.int64)
-        for node, d in enumerate(self.donors):
-            if d is not None:
-                majority[node] = np.bincount(training_y[d], minlength=k).argmax()
-        return majority[leaf_ids]
-
-    def predict_mean(self, cols, training_y: np.ndarray) -> np.ndarray:
-        leaf_ids = self.route(cols)
-        means = np.zeros(self.n_nodes, dtype=np.float64)
-        for node, d in enumerate(self.donors):
-            if d is not None:
-                means[node] = training_y[d].mean()
-        return means[leaf_ids]
+        majority[leaves] = votes.reshape(leaves.size, k).argmax(axis=1)
+        return majority[self.route(cols)]
 
 
-def fit_cart(
-    X: Predictors,
-    y: np.ndarray,
-    y_kind: ColumnKind,
-    *,
-    min_leaf: int = 5,
-) -> CartTree:
+def fit_cart(X: Predictors, y: np.ndarray, y_kind: ColumnKind, *, min_leaf: int = 5) -> CartTree:
     """Fit a donor tree of ``y`` on the predictors.
 
     Fitting is deterministic (ties break to the earliest feature, then the
@@ -130,43 +137,37 @@ def fit_cart(
             raise FitError("target holds out-of-range level codes")
     else:
         y = y.astype(np.float64, copy=False)
+    search = _SplitSearch(X, y, y_kind, min_leaf)
 
-    feature: list[int] = []
-    threshold: list[float] = []
-    left_levels: list = []
-    left: list[int] = []
-    right: list[int] = []
-    donors: list = []
-
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(np.nan)
-        left_levels.append(None)
-        left.append(-1)
-        right.append(-1)
-        donors.append(None)
-        return len(feature) - 1
-
-    root = new_node()
-    stack: list[tuple[int, np.ndarray]] = [(root, np.arange(n, dtype=np.int64))]
+    # Nodes are numbered as they are made: a split appends its two children.
+    feature, threshold, left_levels, left, donors = [-1], [np.nan], [None], [-1], [None]
+    stack = [(0, np.arange(n, dtype=np.int64), search.presorted)]
     while stack:
-        node, rows = stack.pop()
-        cand = None
-        if rows.size >= 2 * min_leaf:
-            cand = _best_split(X, y, y_kind, rows, min_leaf)
+        node, rows, ords = stack.pop()
+        cand = search.best_split(rows, ords) if rows.size >= 2 * min_leaf else None
         if cand is None:
             donors[node] = rows
             continue
-        feature[node] = cand.feature
-        if cand.threshold is not None:
+        feature[node], left_levels[node], left[node] = cand.feature, cand.left_levels, len(feature)
+        x = X.cols[cand.feature].take(rows)
+        if cand.left_levels is None:
             threshold[node] = cand.threshold
-        left_levels[node] = cand.left_levels
-        go_left = _go_left(X.cols[cand.feature][rows], cand.threshold, cand.left_levels)
-        lnode, rnode = new_node(), new_node()
-        left[node], right[node] = lnode, rnode
-        stack.append((rnode, rows[~go_left]))
-        stack.append((lnode, rows[go_left]))
+            go_left = x <= cand.threshold
+        else:
+            go_left = np.zeros(X.kinds[cand.feature].n_levels, dtype=bool)
+            go_left[cand.left_levels] = True
+            go_left = go_left[x]
+        for column, blank in zip((feature, threshold, left_levels, left, donors), (-1, np.nan, None, -1, None)):
+            column += [blank, blank]
+        # Filtering keeps each predictor's ascending-x order, so a child's
+        # rows come out as a stable argsort of that child alone would give.
+        search.side[rows] = go_left
+        to_left = search.side[ords]
+        n_left, n_pred = int(go_left.sum()), ords.shape[0]
+        stack.append((left[node] + 1, rows[~go_left], ords[~to_left].reshape(n_pred, rows.size - n_left)))
+        stack.append((left[node], rows[go_left], ords[to_left].reshape(n_pred, n_left)))
 
+    left = np.asarray(left, dtype=np.int64)
     return CartTree(
         names=X.names,
         kinds=X.kinds,
@@ -174,18 +175,10 @@ def fit_cart(
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=np.float64),
         left_levels=left_levels,
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
+        left=left,
+        right=np.where(left < 0, -1, left + 1),
         donors=donors,
     )
-
-
-def _go_left(x: np.ndarray, threshold, levels) -> np.ndarray:
-    """The split rule fitting and routing share: numeric splits send
-    ``x <= threshold`` left, categorical ones the level codes in ``levels``."""
-    if levels is None:
-        return x <= threshold
-    return np.isin(x, levels)
 
 
 def _midpoint(a: float, b: float) -> float:
@@ -197,149 +190,152 @@ def _midpoint(a: float, b: float) -> float:
     return t
 
 
-@dataclass(frozen=True)
-class _Criterion:
-    """What an impurity criterion gives the split search at one node."""
-
-    stats: np.ndarray   # one row of statistics per node row
-    parent: float       # node impurity
-    eps: float          # gain floor
-    child_cost: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    # (codes, n_levels) -> per-level sums of ``stats``, and per-level totals
-    # whose mean orders the levels for the prefix search
-    level_sums: Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]]
+@cache
+def _subset_bits(m: int) -> np.ndarray:
+    """Row s holds the bits of s + 1: every non-empty subset of m levels."""
+    subset_ids = np.arange(1, 2**m, dtype=np.int64)
+    bits = ((subset_ids[:, None] >> np.arange(m)[None, :]) & 1).astype(np.float64)
+    bits.flags.writeable = False
+    return bits
 
 
-def _sse_criterion(y_node: np.ndarray) -> _Criterion | None:
-    yc = y_node - y_node.mean()
-    parent = float(yc @ yc)
-    eps = _GAIN_EPS * max(1.0, parent)
-    if parent <= eps:
-        return None
-    yc2 = yc * yc
+class _SplitSearch:
+    """What one fit builds once and every node's split search reads.
 
-    def level_sums(x, n_levels):
-        lvl_sum = np.bincount(x, weights=yc, minlength=n_levels)
-        lvl_sum2 = np.bincount(x, weights=yc2, minlength=n_levels)
-        return np.stack([lvl_sum, lvl_sum2], axis=1), lvl_sum
+    ``stats`` has a row per impurity statistic and a column per training
+    row: the node-centred target and its square (SSE, rewritten at each
+    node) or the class indicators (Gini). Gathers use ``take``, which costs
+    far less than fancy indexing of a 2-D array."""
 
-    return _Criterion(np.stack([yc, yc2], axis=1), parent, eps, _sse_child_cost, level_sums)
-
-
-def _gini_criterion(y_node: np.ndarray, k: int) -> _Criterion | None:
-    n = y_node.size
-    class_tot = np.bincount(y_node, minlength=k).astype(np.float64)
-    parent = float(n - (class_tot @ class_tot) / n)
-    eps = _GAIN_EPS * max(1.0, float(n))
-    if parent <= eps:
-        return None
-
-    def level_sums(x, n_levels):
-        grid = np.bincount(x * k + y_node, minlength=n_levels * k)
-        grid = grid.reshape(n_levels, k).astype(np.float64)
-        return grid, grid @ np.arange(k, dtype=np.float64)
-
-    onehot = (y_node[:, None] == np.arange(k)[None, :]).astype(np.float64)
-    return _Criterion(onehot, parent, eps, _gini_child_cost, level_sums)
-
-
-def _sse_child_cost(counts: np.ndarray, stats: np.ndarray) -> np.ndarray:
-    # stats[:, 0] = sum of centered y, stats[:, 1] = sum of squares
-    return stats[:, 1] - stats[:, 0] ** 2 / counts
-
-
-def _gini_child_cost(counts: np.ndarray, stats: np.ndarray) -> np.ndarray:
-    # stats holds per-class counts; impurity mass is n - sum(c^2)/n.
-    return counts - (stats * stats).sum(axis=1) / counts
-
-
-def _best_split(X: Predictors, y, y_kind, rows, min_leaf) -> _Candidate | None:
-    y_node = y[rows]
-    if y_kind.is_categorical:
-        crit = _gini_criterion(y_node, y_kind.n_levels)
-    else:
-        crit = _sse_criterion(y_node)
-    if crit is None:
-        return None
-    n = rows.size
-    best: _Candidate | None = None
-    for f, (kind, col) in enumerate(zip(X.kinds, X.cols)):
-        x = col[rows]
-        if kind.is_categorical:
-            got = _best_categorical_split(f, x, kind.n_levels, crit, min_leaf)
+    def __init__(self, X: Predictors, y: np.ndarray, y_kind: ColumnKind, min_leaf: int):
+        n = y.shape[0]
+        self.kinds, self.y, self.min_leaf = X.kinds, y, min_leaf
+        self.gini = y_kind.is_categorical
+        if self.gini:
+            self.k = y_kind.n_levels
+            self.stats = (np.arange(self.k)[:, None] == y[None, :]).astype(np.float64)
         else:
-            order = np.argsort(x, kind="stable")
-            xs = x[order]
-            boundary = np.nonzero(xs[:-1] < xs[1:])[0]
-            # cumsum adds each column in row order, so every prefix is the
-            # sequential sum a 1-D cumsum of that statistic would give.
-            cum = np.cumsum(crit.stats[order], axis=0)
-            cut = _best_cut(crit, boundary + 1.0, cum[boundary], n, cum[-1], min_leaf)
-            if cut is None:
-                continue
-            b = boundary[cut[0]]
-            got = _Candidate(cut[1], f, _midpoint(float(xs[b]), float(xs[b + 1])), None)
-        if got is not None and (best is None or got.gain > best.gain):
-            best = got
-    return best
+            self.stats = np.empty((2, n), dtype=np.float64)
+        num = [f for f, kind in enumerate(X.kinds) if not kind.is_categorical]
+        xnum = np.asarray([X.cols[f] for f in num], dtype=np.float64).reshape(len(num), n)
+        self.presorted = np.argsort(xnum, axis=1, kind="stable")
+        self.xflat, self.xoff = xnum.ravel(), np.arange(len(num))[:, None] * n
+        # Categorical codes shifted so that all predictors' levels share one
+        # bin range: one bincount sums them all.
+        cat = [f for f, kind in enumerate(X.kinds) if kind.is_categorical]
+        sizes = [X.kinds[f].n_levels for f in cat]
+        offsets = np.cumsum([0, *sizes])
+        codes = np.asarray([X.cols[f] for f in cat], dtype=np.int64).reshape(len(cat), n)
+        if codes.size and (codes.min() < 0 or (codes.max(axis=1) >= sizes).any()):
+            raise FitError("predictors hold out-of-range level codes")
+        self.codes = codes + offsets[:-1, None]
+        self.n_bins = int(offsets[-1])
+        self.lvl_stats = np.empty((self.n_bins, 2), dtype=np.float64)
+        # where each predictor's results sit: a numeric row, a level range
+        self.slot = {f: p for p, f in enumerate(num)}
+        self.slot.update({f: slice(offsets[c], offsets[c + 1]) for c, f in enumerate(cat)})
+        self.side = np.empty(n, dtype=bool)
 
+    def gains(self, parent, m, left_count, left_stats, total_stats):
+        """Impurity decrease of each cut; statistics run along the first axis."""
 
-def _best_cut(crit: _Criterion, left_count, left_stats, total_count, total_stats, min_leaf):
-    """(index, gain) of the candidate cut with the largest gain, among those
-    leaving at least ``min_leaf`` rows on each side; None when no such cut
-    gains more than the floor."""
-    keep = np.nonzero((left_count >= min_leaf) & (total_count - left_count >= min_leaf))[0]
-    if keep.size == 0:
-        return None
-    left_count, left_stats = left_count[keep], left_stats[keep]
-    gains = (
-        crit.parent
-        - crit.child_cost(left_count, left_stats)
-        - crit.child_cost(total_count - left_count, total_stats - left_stats)
-    )
-    i = int(np.argmax(gains))
-    gain = float(gains[i])
-    return None if gain <= crit.eps else (int(keep[i]), gain)
+        def cost(counts, stats):
+            if self.gini:
+                return counts - (stats * stats).sum(axis=0) / counts
+            return stats[1] - stats[0] ** 2 / counts
 
+        return parent - cost(left_count, left_stats) - cost(m - left_count, total_stats - left_stats)
 
-def _best_categorical_split(
-    f: int, x: np.ndarray, n_levels: int, crit: _Criterion, min_leaf: int
-) -> _Candidate | None:
-    lvl_count = np.bincount(x, minlength=n_levels).astype(np.float64)
-    present = np.nonzero(lvl_count > 0)[0]
-    if present.size < 2:
-        return None
-    lvl_stats, lvl_total = crit.level_sums(x, n_levels)
-    total_count = lvl_count[present].sum()
-    total_stats = lvl_stats[present].sum(axis=0)
+    def best_split(self, rows: np.ndarray, ords: np.ndarray) -> _Candidate | None:
+        m = rows.size
+        y_node = self.y.take(rows)
+        if self.gini:
+            class_tot = np.bincount(y_node, minlength=self.k).astype(np.float64)
+            parent = float(m - (class_tot @ class_tot) / m)
+            eps = _GAIN_EPS * max(1.0, float(m))
+        else:
+            yc = y_node - y_node.sum() / m   # the mean, as np.mean computes it
+            parent = float(yc @ yc)
+            eps = _GAIN_EPS * max(1.0, parent)
+        if parent <= eps:
+            return None
+        if not self.gini:
+            yc2 = yc * yc
+            self.stats[0, rows] = yc
+            self.stats[1, rows] = yc2
 
-    if present.size <= _MAX_EXHAUSTIVE_LEVELS:
-        # Pin the first present level to the right side so each partition is
-        # enumerated exactly once.
-        rest = present[1:]
-        m = rest.size
-        subset_ids = np.arange(1, 2**m, dtype=np.int64)
-        bits = (subset_ids[:, None] >> np.arange(m)[None, :]) & 1
-        bits = bits.astype(np.float64)
-        left_count = bits @ lvl_count[rest]
-        left_stats = bits @ lvl_stats[rest]
-    else:
-        # Too many levels: order them by target mean and only scan prefix
-        # splits along that ordering.
-        order = np.argsort(lvl_total[present] / lvl_count[present], kind="stable")
-        ordered = present[order]
-        left_count = np.cumsum(lvl_count[ordered])[:-1]
-        left_stats = np.cumsum(lvl_stats[ordered], axis=0)[:-1]
+        if ords.shape[0]:
+            # Cuts after sorted position j, min_leaf - 1 <= j < m - min_leaf,
+            # leave at least min_leaf rows on each side. cumsum adds along
+            # the rows in sequence, so every prefix equals a 1-D cumsum's.
+            lo, hi = self.min_leaf - 1, m - self.min_leaf
+            xs = self.xflat.take(ords + self.xoff)
+            cum = np.cumsum(self.stats.take(ords, axis=1), axis=2)
+            left_count = np.arange(lo + 1, hi + 1, dtype=np.float64)
+            gains = self.gains(parent, m, left_count, cum[..., lo:hi], cum[..., -1:])
+            gains = np.where(xs[:, lo:hi] < xs[:, lo + 1:hi + 1], gains, -np.inf)
+            cut = gains.argmax(axis=1)
+        if self.n_bins:
+            # bincount adds in row order, so each level sum equals what a
+            # bincount over that one predictor would give.
+            codes = self.codes.take(rows, axis=1)
+            if self.gini:
+                bins = (codes * self.k + y_node).ravel()
+                lvl_stats = np.bincount(bins, minlength=self.n_bins * self.k)
+                lvl_stats = lvl_stats.reshape(-1, self.k).astype(np.float64)
+                lvl_count = lvl_stats.sum(axis=1)
+            else:
+                codes, c = codes.ravel(), codes.shape[0]
+                lvl_stats = self.lvl_stats
+                lvl_stats[:, 0] = np.bincount(codes, np.concatenate((yc,) * c), self.n_bins)
+                lvl_stats[:, 1] = np.bincount(codes, np.concatenate((yc2,) * c), self.n_bins)
+                lvl_count = np.bincount(codes, minlength=self.n_bins).astype(np.float64)
 
-    cut = _best_cut(crit, left_count, left_stats, total_count, total_stats, min_leaf)
-    if cut is None:
-        return None
-    i = cut[0]
-    if present.size <= _MAX_EXHAUSTIVE_LEVELS:
-        chosen = rest[bits[i].astype(bool)]
-    else:
-        chosen = ordered[: i + 1]
-    return _Candidate(cut[1], f, None, np.sort(chosen.astype(np.int64)))
+        best: _Candidate | None = None
+        for f, kind in enumerate(self.kinds):
+            at = self.slot[f]
+            if kind.is_categorical:
+                got = self._categorical(f, lvl_count[at], lvl_stats[at], m, parent, eps)
+            elif gains[at, cut[at]] <= eps:
+                got = None
+            else:
+                b = lo + int(cut[at])
+                t = _midpoint(float(xs[at, b]), float(xs[at, b + 1]))
+                got = _Candidate(float(gains[at, cut[at]]), f, t, None)
+            if got is not None and (best is None or got.gain > best.gain):
+                best = got
+        return best
+
+    def _categorical(self, f, lvl_count, lvl_stats, m, parent, eps) -> _Candidate | None:
+        present = lvl_count.nonzero()[0]
+        if present.size < 2:
+            return None
+        total_stats = lvl_stats[present].sum(axis=0)
+        exhaustive = present.size <= _MAX_EXHAUSTIVE_LEVELS
+        if exhaustive:
+            # Pin the first present level to the right side so each partition is
+            # enumerated exactly once.
+            rest = present[1:]
+            bits = _subset_bits(rest.size)
+            left_count = bits @ lvl_count[rest]
+            left_stats = bits @ lvl_stats[rest]
+        else:
+            # Too many levels: order them by target mean and only scan prefix
+            # splits along that ordering.
+            lvl_total = lvl_stats @ np.arange(self.k, dtype=np.float64) if self.gini else lvl_stats[:, 0]
+            order = np.argsort(lvl_total[present] / lvl_count[present], kind="stable")
+            ordered = present[order]
+            left_count = np.cumsum(lvl_count[ordered])[:-1]
+            left_stats = np.cumsum(lvl_stats[ordered], axis=0)[:-1]
+
+        gains = self.gains(parent, m, left_count, left_stats.T, total_stats[:, None])
+        allowed = (left_count >= self.min_leaf) & (m - left_count >= self.min_leaf)
+        gains = np.where(allowed, gains, -np.inf)
+        i = int(gains.argmax())
+        if gains[i] <= eps:
+            return None
+        chosen = rest[bits[i].astype(bool)] if exhaustive else ordered[: i + 1]
+        return _Candidate(float(gains[i]), f, None, np.sort(chosen.astype(np.int64)))
 
 
 def draw_donor_rows(tree: CartTree, cols, rng: np.random.Generator) -> np.ndarray:
