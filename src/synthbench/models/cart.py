@@ -76,28 +76,29 @@ class CartTree:
         """Leaf node id for every row of ``cols`` (ordered as ``names``).
 
         Every row still at a split moves down one depth per pass."""
-        cols = [np.asarray(c) for c in cols]
         if len(cols) != len(self.names):
             raise FitError(f"expected {len(self.names)} predictor columns")
-        n = int(cols[0].shape[0]) if cols else 0
+        n = int(np.asarray(cols[0]).shape[0]) if len(cols) else 0
+        # one row per predictor; level codes are exact as floats
+        values = np.asarray([np.asarray(c, dtype=np.float64) for c in cols]).reshape(-1)
+        width = self._sends_left.shape[1]
+        sends = self._sends_left.reshape(-1)
+        categorical = self._sends_left.any(axis=1)    # such a split sends some level left
         node = np.zeros(n, dtype=np.int64)
         live = np.arange(n, dtype=np.int64)
         while live.size:
-            at = node[live]
-            inner = self.feature[at] >= 0
-            live, at = live[inner], at[inner]
-            f = self.feature[at]
-            go_left = np.empty(live.size, dtype=bool)
-            for j in np.unique(f).tolist():
-                on = np.nonzero(f == j)[0]
-                x = cols[j][live[on]]
-                if self.kinds[j].is_categorical:
-                    # a code outside the declared levels goes right
-                    known = (x >= 0) & (x < self._sends_left.shape[1])
-                    go_left[on] = known & self._sends_left[at[on], np.where(known, x, 0)]
-                else:
-                    go_left[on] = x <= self.threshold[at[on]]
-            node[live] = np.where(go_left, self.left[at], self.right[at])
+            f = self.feature.take(node.take(live))
+            live = live[f >= 0]
+            at, f = node.take(live), f[f >= 0]
+            x = values.take(f * n + live)
+            go_left = x <= self.threshold.take(at)
+            on = categorical.take(at)
+            if on.any():
+                # a code outside the declared levels goes right
+                known = on & (x >= 0) & (x < width)
+                code = np.where(known, x, 0).astype(np.int64)
+                go_left = np.where(on, known & sends.take(at * width + code), go_left)
+            node[live] = np.where(go_left, self.left.take(at), self.right.take(at))
         return node
 
     def predict_class(self, cols, training_y: np.ndarray) -> np.ndarray:
@@ -162,7 +163,7 @@ def fit_cart(X: Predictors, y: np.ndarray, y_kind: ColumnKind, *, min_leaf: int 
         # Filtering keeps each predictor's ascending-x order, so a child's
         # rows come out as a stable argsort of that child alone would give.
         search.side[rows] = go_left
-        to_left = search.side[ords]
+        to_left = search.side.take(ords)
         n_left, n_pred = int(go_left.sum()), ords.shape[0]
         stack.append((left[node] + 1, rows[~go_left], ords[~to_left].reshape(n_pred, rows.size - n_left)))
         stack.append((left[node], rows[go_left], ords[to_left].reshape(n_pred, n_left)))
@@ -261,8 +262,8 @@ class _SplitSearch:
             return None
         if not self.gini:
             yc2 = yc * yc
-            self.stats[0, rows] = yc
-            self.stats[1, rows] = yc2
+            stat_yc, stat_yc2 = self.stats
+            stat_yc[rows], stat_yc2[rows] = yc, yc2
 
         if ords.shape[0]:
             # Cuts after sorted position j, min_leaf - 1 <= j < m - min_leaf,
