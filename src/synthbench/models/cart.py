@@ -158,14 +158,16 @@ def fit_cart(X: Predictors, y: np.ndarray, y_kind: ColumnKind, *, min_leaf: int 
             go_left = np.zeros(X.kinds[cand.feature].n_levels, dtype=bool)
             go_left[cand.left_levels] = True
             go_left = go_left[x]
-        for column, blank in zip((feature, threshold, left_levels, left, donors), (-1, np.nan, None, -1, None)):
+        blanks = (-1, np.nan, None, -1, None)
+        for column, blank in zip((feature, threshold, left_levels, left, donors), blanks):
             column += [blank, blank]
         # Filtering keeps each predictor's ascending-x order, so a child's
         # rows come out as a stable argsort of that child alone would give.
         search.side[rows] = go_left
         to_left = search.side.take(ords)
         n_left, n_pred = int(go_left.sum()), ords.shape[0]
-        stack.append((left[node] + 1, rows[~go_left], ords[~to_left].reshape(n_pred, rows.size - n_left)))
+        right_ords = ords[~to_left].reshape(n_pred, rows.size - n_left)
+        stack.append((left[node] + 1, rows[~go_left], right_ords))
         stack.append((left[node], rows[go_left], ords[to_left].reshape(n_pred, n_left)))
 
     left = np.asarray(left, dtype=np.int64)
