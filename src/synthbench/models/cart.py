@@ -260,12 +260,11 @@ class _SplitSearch:
             yc = y_node - y_node.sum() / m   # the mean, as np.mean computes it
             parent = float(yc @ yc)
             eps = _GAIN_EPS * max(1.0, parent)
-        if parent <= eps:
-            return None
-        if not self.gini:
             yc2 = yc * yc
             stat_yc, stat_yc2 = self.stats
             stat_yc[rows], stat_yc2[rows] = yc, yc2
+        if parent <= eps:
+            return None
 
         if ords.shape[0]:
             # Cuts after sorted position j, min_leaf - 1 <= j < m - min_leaf,

@@ -352,7 +352,7 @@ def _mirrored_ties():
     return predictors(["x", "-x"], [NUM, NUM], [x, -x]), y, NUM, 5
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(inputs=tree_inputs())
 @example(inputs=_constant_target())
 @example(inputs=_huge_values())
