@@ -41,19 +41,16 @@ class ClassificationResult:
         return abs(self.baseline_accuracy - self.mean_accuracy)
 
 
-def _fit_predict(
-    train: Dataset, evaluate: Dataset, target: str, min_leaf: int | None
-) -> np.ndarray:
+def _fit_predict(train: Dataset, evaluate: Dataset, target: str) -> np.ndarray:
     names = [n for n in train.schema.names if n != target]
     X = Predictors.from_dataset(train, names)
-    if min_leaf is None:
-        # Stability floor. A deeply overfit tree trained on label-independent
-        # data scores systematically below the majority rate (greedy noise
-        # splits concentrate minority rows), so the comparison would punish a
-        # synthesizer beyond the information it destroyed. sqrt(n) leaves keep
-        # noise-trained trees close to a majority vote while leaving real
-        # structure easy to pick up.
-        min_leaf = max(5, math.isqrt(train.n_rows))
+    # Stability floor. A deeply overfit tree trained on label-independent
+    # data scores systematically below the majority rate (greedy noise
+    # splits concentrate minority rows), so the comparison would punish a
+    # synthesizer beyond the information it destroyed. sqrt(n) leaves keep
+    # noise-trained trees close to a majority vote while leaving real
+    # structure easy to pick up.
+    min_leaf = max(5, math.isqrt(train.n_rows))
     tree = fit_cart(X, train.column(target), train.schema.kind(target), min_leaf=min_leaf)
     cols = [evaluate.column(n) for n in names]
     return tree.predict_class(cols, train.column(target))
@@ -73,7 +70,6 @@ def classifier_baseline(
     original: Dataset,
     target: str,
     *,
-    min_leaf: int | None = None,
     seed: int | None = None,
     test_fraction: float | None = None,
 ) -> ClassifierBaseline:
@@ -102,7 +98,7 @@ def classifier_baseline(
         eval_ds = original.take(test_rows)
 
     y_true = eval_ds.column(target)
-    correct = _fit_predict(train_orig, eval_ds, target, min_leaf) == y_true
+    correct = _fit_predict(train_orig, eval_ds, target) == y_true
     correct.flags.writeable = False
     return ClassifierBaseline(eval_ds, y_true, correct)
 
@@ -112,7 +108,6 @@ def classify_compare(
     synthetic: SyntheticSet,
     target: str,
     *,
-    min_leaf: int | None = None,
     seed: int | None = None,
     test_fraction: float | None = None,
     baseline: ClassifierBaseline | None = None,
@@ -120,9 +115,9 @@ def classify_compare(
     """Train a donor-tree classifier per synthetic dataset and on the
     original; evaluate all of them on the original records.
 
-    ``min_leaf=None`` applies a sqrt(n) stability floor per training set so
-    that a classifier trained on label-independent data degrades to roughly
-    majority-vote accuracy instead of below it.
+    Each tree's leaves hold at least max(5, sqrt(n)) of its n training rows,
+    so that a classifier trained on label-independent data degrades to
+    roughly majority-vote accuracy instead of below it.
 
     ``test_fraction`` switches on a holdout split (off by default): models
     train as before but are scored only on the held-out original rows, and
@@ -134,14 +129,12 @@ def classify_compare(
     if synthetic.m < 1:
         raise AnalysisError("no synthetic datasets to evaluate")
     if baseline is None:
-        baseline = classifier_baseline(
-            original, target, min_leaf=min_leaf, seed=seed, test_fraction=test_fraction
-        )
+        baseline = classifier_baseline(original, target, seed=seed, test_fraction=test_fraction)
 
     accuracies = []
     agreements = []
     for ds in synthetic.datasets:
-        pred = _fit_predict(ds, baseline.eval_ds, target, min_leaf)
+        pred = _fit_predict(ds, baseline.eval_ds, target)
         correct = pred == baseline.y_true
         accuracies.append(float(correct.mean()))
         agreements.append(float((correct == baseline.correct).mean()))

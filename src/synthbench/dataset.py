@@ -293,44 +293,34 @@ def load_csv(
                         f"cannot parse {cell!r} as a number"
                     ) from None
         else:
-            if col.kind.levels is None:
-                levels: list[str] = []
-                lookup: dict[str, int] = {}
-                codes = np.empty(n, dtype=np.int64)
-                for i, cell in enumerate(cells):
-                    if cell is None or cell in missing_set:
-                        mask[i] = True
-                        codes[i] = _MISSING_CODE
-                        continue
-                    code = lookup.get(cell)
-                    if code is None:
-                        code = len(levels)
-                        lookup[cell] = code
-                        levels.append(cell)
-                    codes[i] = code
+            # A label outside the levels is a new level when they are inferred
+            # and an error when they are declared.
+            infer = col.kind.levels is None
+            levels = [] if infer else list(col.kind.levels)
+            lookup = {lvl: k for k, lvl in enumerate(levels)}
+            values = np.empty(n, dtype=np.int64)
+            for i, cell in enumerate(cells):
+                if cell is None or cell in missing_set:
+                    mask[i] = True
+                    values[i] = _MISSING_CODE
+                    continue
+                code = lookup.get(cell)
+                if code is None:
+                    if not infer:
+                        raise DataError(
+                            f"{path}: row {i + 2}, column {col.name!r}: "
+                            f"label {cell!r} is not a declared level"
+                        )
+                    code = lookup[cell] = len(levels)
+                    levels.append(cell)
+                values[i] = code
+            if infer:
                 if not levels:
                     raise DataError(
                         f"{path}: column {col.name!r} has no observed levels to infer"
                     )
                 kind = ColumnKind.categorical(levels)
                 out_schema = out_schema.replace_kind(col.name, kind)
-                values = codes
-            else:
-                lookup = {lvl: k for k, lvl in enumerate(col.kind.levels)}
-                codes = np.empty(n, dtype=np.int64)
-                for i, cell in enumerate(cells):
-                    if cell is None or cell in missing_set:
-                        mask[i] = True
-                        codes[i] = _MISSING_CODE
-                        continue
-                    code = lookup.get(cell)
-                    if code is None:
-                        raise DataError(
-                            f"{path}: row {i + 2}, column {col.name!r}: "
-                            f"label {cell!r} is not a declared level"
-                        )
-                    codes[i] = code
-                values = codes
         out_cols.append(values)
         out_masks.append(mask if mask.any() else None)
 

@@ -21,7 +21,8 @@ import os
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -134,46 +135,23 @@ class ExperimentConfig:
         return out
 
     def fingerprint(self) -> str:
-        """sha256 over every setting, the bytes of every input file and the
-        package version, so a resumed run never mixes two inputs."""
+        """sha256 over every setting except ``out``, the bytes of every input
+        file and the package version, so a resumed run never mixes two
+        inputs."""
         from . import __version__
 
+        settings = asdict(self)
+        del settings["out"]
         doc = {
             "version": __version__,
             "contents": {
                 name: _file_sha256(path)
-                for name, path in (
-                    ("dataset", self.dataset),
-                    ("schema", self.schema),
-                    ("fitspecs", self.fitspecs),
-                    ("adhoc", self.adhoc),
-                )
-                if path is not None
+                for name in ("dataset", "schema", "fitspecs", "adhoc")
+                if (path := getattr(self, name)) is not None
             },
-            "dataset": str(self.dataset),
-            "schema": str(self.schema),
-            "synthesizers": [
-                [e.base, e.order, list(e.own_order) if e.own_order else None]
-                for e in self.synthesizers
-            ],
-            "m": list(self.m_list),
-            "proper": list(self.proper_variants),
-            "modes": list(self.predictor_modes),
-            "selective": {k: list(v) for k, v in (self.selective or {}).items()},
-            "k": self.k,
-            "seed": self.seed,
-            "fitspecs": str(self.fitspecs) if self.fitspecs else None,
-            "adhoc": str(self.adhoc) if self.adhoc else None,
-            "metrics": self.metrics.__dict__,
-            "missing_tokens": list(self.missing_tokens),
-            "drop": list(self.drop),
-            "coarsen": [[c.column, c.mapping] for c in self.coarsen],
-            "head": self.head,
-            "missing_seed": self.missing_seed,
-            "pmm_k": self.pmm_k,
-            "min_leaf": self.min_leaf,
+            "settings": settings,
         }
-        blob = json.dumps(doc, sort_keys=True).encode()
+        blob = json.dumps(doc, sort_keys=True, default=os.fspath).encode()
         return hashlib.sha256(blob).hexdigest()
 
 
@@ -205,39 +183,26 @@ def load_config(path: str | Path, *, seed: int | None = None, out: str | Path | 
 
     try:
         grid = doc["grid"]
-        entries = []
-        for s in grid["synthesizers"]:
-            entries.append(
-                SynthesizerEntry(
-                    base=s["base"],
-                    order=s.get("order", "original"),
-                    own_order=tuple(s["own_order"]) if "own_order" in s else None,
-                )
+        entries = tuple(
+            SynthesizerEntry(
+                base=s["base"],
+                order=s.get("order", "original"),
+                own_order=tuple(s["own_order"]) if "own_order" in s else None,
             )
-        m_list = tuple(int(m) for m in grid["m"])
-        proper_variants = tuple(bool(b) for b in grid.get("proper", [False]))
-        modes = tuple(grid.get("predictor_modes", ["simple"]))
-        selective_doc = grid.get("selective")
-        selective = (
-            {str(k): tuple(v) for k, v in selective_doc.items()} if selective_doc else None
+            for s in grid["synthesizers"]
         )
+        selective = grid.get("selective")
         met = doc.get("metrics", {})
-        clf = met.get("classification")
+        clf = met.get("classification") or {}
+        # Each flat metrics key is the MetricSettings field of the same name.
         settings = MetricSettings(
-            mean_point=bool(met.get("mean_point", True)),
-            regression=bool(met.get("regression", True)),
-            kl=bool(met.get("kl", True)),
-            kl_normalize=bool(met.get("kl_normalize", True)),
-            classification_target=clf.get("target") if clf else None,
-            classification_test_fraction=clf.get("test_fraction") if clf else None,
-            adhoc=bool(met.get("adhoc", False)),
-            rule=met.get("rule", "Ts"),
-            ci_level=float(met.get("ci_level", 0.95)),
-            apo_threshold=float(met.get("apo_threshold", 0.9)),
-            apo_inclusive=bool(met.get("apo_inclusive", False)),
-            kl_bins=int(met.get("kl_bins", 20)),
-            kl_smoothing=float(met.get("kl_smoothing", 0.5)),
-            kl_direction=met.get("kl_direction", "pq"),
+            classification_target=clf.get("target"),
+            classification_test_fraction=clf.get("test_fraction"),
+            **{
+                f.name: type(f.default)(met[f.name])
+                for f in fields(MetricSettings)
+                if f.name in met and not f.name.startswith("classification_")
+            },
         )
         pre = doc.get("preprocess", {})
         coarsen = tuple(
@@ -246,11 +211,11 @@ def load_config(path: str | Path, *, seed: int | None = None, out: str | Path | 
         cfg = ExperimentConfig(
             dataset=resolve(doc["dataset"]),
             schema=resolve(doc["schema"]),
-            synthesizers=tuple(entries),
-            m_list=m_list,
-            proper_variants=proper_variants,
-            predictor_modes=modes,
-            selective=selective,
+            synthesizers=entries,
+            m_list=tuple(int(m) for m in grid["m"]),
+            proper_variants=tuple(bool(b) for b in grid.get("proper", [False])),
+            predictor_modes=tuple(grid.get("predictor_modes", ["simple"])),
+            selective={str(k): tuple(v) for k, v in selective.items()} if selective else None,
             k=int(doc.get("k", 5)),
             seed=int(seed if seed is not None else doc.get("seed", 0)),
             out=Path(out) if out is not None else resolve(doc.get("out", "results")),
@@ -293,6 +258,10 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("grid.synthesizers is empty")
     if not cfg.proper_variants:
         raise ConfigError("grid.proper is empty")
+    if not cfg.predictor_modes:
+        raise ConfigError("grid.predictor_modes is empty")
+    if len(set(cfg.predictor_modes)) != len(cfg.predictor_modes):
+        raise ConfigError("grid.predictor_modes has duplicates")
     for mode in cfg.predictor_modes:
         if mode not in PREDICTOR_MODES:
             raise ConfigError(f"unknown predictor mode {mode!r}")
@@ -342,34 +311,21 @@ class TimingRecord:
         return math.fsum(self.seconds)
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "mode": self.mode,
-            "m": self.m,
-            "rep": self.rep,
-            "seconds": list(self.seconds),
-        }
+        return {**asdict(self), "seconds": list(self.seconds)}
+
+
+def _derived_seed(master: int, tag: str, *ints: int) -> int:
+    """A uint64 seed from the master seed, the crc32 of ``tag`` and ``ints``."""
+    ss = np.random.SeedSequence((master, zlib.crc32(tag.encode()), *ints))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def _cell_seed(master: int, label: str, mode: str, m: int, rep: int) -> int:
-    tag = zlib.crc32(f"{label}|{mode}".encode())
-    ss = np.random.SeedSequence((master, tag, m, rep))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    return _derived_seed(master, f"{label}|{mode}", m, rep)
 
 
 def _cell_key(label: str, mode: str, m: int, rep: int) -> str:
     return f"{label}_{mode}_m{m}_r{rep}"
-
-
-def _selective_indices(
-    schema: Schema, selective: dict[str, tuple[str, ...]] | None
-) -> dict[int, tuple[int, ...]] | None:
-    if not selective:
-        return None
-    out = {}
-    for target, preds in selective.items():
-        out[schema.index(target)] = tuple(schema.index(p) for p in preds)
-    return out
 
 
 def spec_for_label(
@@ -394,7 +350,10 @@ def spec_for_label(
                 proper=proper,
                 m=m,
                 seed=seed,
-                selective=_selective_indices(schema, cfg.selective) if mode == "selective" else None,
+                selective={
+                    schema.index(target): tuple(schema.index(p) for p in preds)
+                    for target, preds in cfg.selective.items()
+                } if mode == "selective" else None,
                 pmm_k=cfg.pmm_k,
                 min_leaf=cfg.min_leaf,
             )
@@ -669,12 +628,11 @@ def run_experiment(
     computed only draws and scores."""
     global _experiment
     original = load_original(cfg)
-    if cfg.metrics.classification_target is not None:
-        if cfg.metrics.classification_target not in original.schema.names:
-            raise ConfigError(
-                f"classification target {cfg.metrics.classification_target!r} "
-                "is not a column of the preprocessed data"
-            )
+    target = cfg.metrics.classification_target
+    if target is not None and target not in original.schema.names:
+        raise ConfigError(
+            f"classification target {target!r} is not a column of the preprocessed data"
+        )
     fits = load_fitspecs(cfg.fitspecs) if (cfg.metrics.regression and cfg.fitspecs) else ()
     predicates = load_adhoc(cfg.adhoc) if (cfg.metrics.adhoc and cfg.adhoc) else ()
 
@@ -722,9 +680,7 @@ def run_experiment(
         _experiment = None
     generated_now = sum(r["m"] for r in fresh if r["seconds"])
 
-    results = dict(done)
-    for r in fresh:
-        results[r["key"]] = r
+    results = {**done, **{r["key"]: r for r in fresh}}
 
     report = UtilityReport()
     timings: list[TimingRecord] = []
@@ -741,20 +697,21 @@ def run_experiment(
         _add_normalized_kl(report, cells)
 
     _write_report_files(report, out)
-    _write_timings(timings, out / "timings.csv")
+    _write_table(
+        out / "timings.csv",
+        ["label", "mode", "m", "rep", "dataset", "seconds"],
+        (
+            [t.label, t.mode, t.m, t.rep, i, repr(s)]
+            for t in timings
+            for i, s in enumerate(t.seconds)
+        ),
+    )
 
+    # a cell has a timing record exactly when it generated its datasets
     manifest = {
         "fingerprint": fingerprint,
-        "cells": {
-            _cell_key(label, mode, m, rep): {"m": m}
-            for label, mode, m, rep in cells
-            if results[_cell_key(label, mode, m, rep)]["seconds"]
-        },
-        "datasets_generated": sum(
-            m
-            for label, mode, m, rep in cells
-            if results[_cell_key(label, mode, m, rep)]["seconds"]
-        ),
+        "cells": {_cell_key(t.label, t.mode, t.m, t.rep): {"m": t.m} for t in timings},
+        "datasets_generated": sum(t.m for t in timings),
         "generated_last_run": generated_now,
     }
     _write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -798,33 +755,35 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _write_report_files(report: UtilityReport, out: Path) -> None:
-    with open(out / "report.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["label", "mode", "m", "k", "metric", "scope", "value"])
-        for r in report.sorted_rows():
-            w.writerow([r.label, r.mode, r.m, r.k, r.metric, r.scope, _fmt(r.value)])
-    with open(out / "summary.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["label", "mode", "m", "metric", "scope", "value"])
-        for r in report.summary():
-            w.writerow([r.label, r.mode, r.m, r.metric, r.scope, _fmt(r.value)])
-    errors = sorted(report.errors, key=lambda e: e.key())
-    if errors:
-        with open(out / "errors.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["label", "mode", "m", "k", "stage", "message"])
-            for e in errors:
-                w.writerow([e.label, e.mode, e.m, e.k, e.stage, e.message])
-
-
-def _write_timings(timings: list[TimingRecord], path: Path) -> None:
+def _write_table(path: Path, header: list[str], rows) -> None:
+    """Write one CSV file: the header row, then ``rows``."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["label", "mode", "m", "rep", "dataset", "seconds"])
-        for t in timings:
-            for i, s in enumerate(t.seconds):
-                w.writerow([t.label, t.mode, t.m, t.rep, i, repr(s)])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _write_report_files(report: UtilityReport, out: Path) -> None:
+    _write_table(
+        out / "report.csv",
+        ["label", "mode", "m", "k", "metric", "scope", "value"],
+        (
+            [r.label, r.mode, r.m, r.k, r.metric, r.scope, _fmt(r.value)]
+            for r in report.sorted_rows()
+        ),
+    )
+    _write_table(
+        out / "summary.csv",
+        ["label", "mode", "m", "metric", "scope", "value"],
+        ([r.label, r.mode, r.m, r.metric, r.scope, _fmt(r.value)] for r in report.summary()),
+    )
+    errors = sorted(report.errors, key=lambda e: e.key())
+    if errors:
+        _write_table(
+            out / "errors.csv",
+            ["label", "mode", "m", "k", "stage", "message"],
+            ([e.label, e.mode, e.m, e.k, e.stage, e.message] for e in errors),
+        )
 
 
 def read_report(out: Path) -> UtilityReport:
@@ -858,11 +817,7 @@ def benchmark_generation(
     if count < 1:
         raise ConfigError("count must be >= 1")
     original = load_original(cfg)
-    seed = int(
-        np.random.SeedSequence(
-            (cfg.seed, zlib.crc32(f"bench|{label}".encode()), count)
-        ).generate_state(1, dtype=np.uint64)[0]
-    )
+    seed = _derived_seed(cfg.seed, f"bench|{label}", count)
     spec = spec_for_label(cfg, original.schema, label, m=count, seed=seed)
     sset = synthesize(original, spec)
     seconds = save_synthetic_set(sset, cfg.out / "bench" / label)
@@ -873,7 +828,137 @@ def benchmark_generation(
     return record
 
 
-TABLES = ("mpe_apo", "cio_vs_m", "apo_vs_m", "kl_norm", "mode_compare", "apo_vs_time", "correlations")
+# A table builder takes the summary values ``{metric: {(label, mode, m,
+# scope): value}}`` and the timing records. It returns its table's files,
+# ``{file stem: (header, rows)}``, or what the table needs and lacks.
+
+
+def _mpe_apo_table(by_metric, timings):
+    if "mpe_apo" not in by_metric:
+        return "metric 'mpe_apo' in the report"
+    avg = by_metric.get("mpe_avg_cio", {})
+    rows = []
+    for (label, mode, m, _), v in sorted(by_metric["mpe_apo"].items()):
+        a = avg.get((label, mode, m, ""))
+        rows.append([label, mode, m, _fmt(v), "" if a is None else _fmt(a)])
+    return {"mpe_apo": (["label", "mode", "m", "mpe_apo", "mpe_avg_cio"], rows)}
+
+
+def _series_by_m_table(table: str, metric: str, by_metric, timings):
+    """A ``series, m, value`` table of ``metric``; a series is a label, with
+    its predictor mode appended unless that is simple."""
+    if metric not in by_metric:
+        return f"metric {metric!r} in the report"
+    rows = [
+        [label if mode == "simple" else f"{label}/{mode}", m, _fmt(v)]
+        for (label, mode, m, _), v in sorted(by_metric[metric].items())
+    ]
+    return {table: (["series", "m", "value"], rows)}
+
+
+def _kl_norm_table(by_metric, timings):
+    if "kl_norm" not in by_metric:
+        return "metric 'kl_norm' in the report"
+    rows = [
+        [label, mode, m, scope.removeprefix("var:"), _fmt(v)]
+        for (label, mode, m, scope), v in sorted(by_metric["kl_norm"].items())
+    ]
+    rows += [
+        [label, mode, m, "all", _fmt(v)]
+        for (label, mode, m, _), v in sorted(by_metric.get("kl_norm_avg", {}).items())
+    ]
+    return {"kl_norm": (["label", "mode", "m", "variable", "value"], rows)}
+
+
+def _mode_compare_table(by_metric, timings):
+    """Per label and m: rf_apo in each predictor mode, and how many fits each
+    mode wins on rf_fit_apo (a tie gives each half a win)."""
+    apo_ = by_metric.get("rf_apo", {})
+    fit_apo = by_metric.get("rf_fit_apo")
+    if fit_apo is None or not {"simple", "selective"} <= {mode for _, mode, _, _ in apo_}:
+        return "both predictor modes in the report"
+    rows = []
+    for label, m in sorted({(label, m) for label, mode, m, _ in apo_ if mode == "simple"}):
+        if (label, "selective", m, "") not in apo_:
+            continue
+        shares = []  # the simple mode's share of each fit's win
+        for (lbl, mode, mm, scope), simp in fit_apo.items():
+            if (lbl, mode, mm) != (label, "simple", m):
+                continue
+            sel = fit_apo.get((label, "selective", m, scope))
+            if sel is not None:
+                shares.append(1.0 if simp > sel else 0.0 if sel > simp else 0.5)
+        wins = math.fsum(shares)
+        rows.append([
+            label, m, _fmt(apo_[(label, "simple", m, "")]), _fmt(apo_[(label, "selective", m, "")]),
+            _fmt(wins), _fmt(len(shares) - wins), len(shares),
+        ])
+    header = [
+        "label", "m", "apo_simple", "apo_selective",
+        "fit_wins_simple", "fit_wins_selective", "n_fits",
+    ]
+    return {"mode_compare": (header, rows)}
+
+
+def _apo_vs_time_table(by_metric, timings):
+    if not timings or "rf_apo" not in by_metric:
+        return "timing records and rf_apo values"
+    apo_ = by_metric["rf_apo"]
+    totals: dict[tuple, list[float]] = {}
+    for t in timings:
+        totals.setdefault((t.label, t.mode, t.m), []).append(t.total / max(t.m, 1))
+    rows = [
+        [label, mode, m, repr(math.fsum(secs) / len(secs)), _fmt(apo_[(label, mode, m, "")])]
+        for (label, mode, m), secs in sorted(totals.items())
+        if (label, mode, m, "") in apo_
+    ]
+    return {"apo_vs_time": (["label", "mode", "m", "seconds_per_dataset", "apo"], rows)}
+
+
+def _correlations_table(by_metric, timings):
+    """Pearson r between every two series that share at least three
+    (label, mode, m) cells, and the pairs it had to skip."""
+    series: dict[str, dict[tuple, float]] = {}
+    for metric in ("rf_avg_cio", "rf_apo", "kl_norm_avg", "clf_acc_dev", "mpe_apo"):
+        if metric in by_metric:
+            series[metric] = {
+                (label, mode, m): v
+                for (label, mode, m, scope), v in by_metric[metric].items()
+                if scope == ""
+            }
+    for (label, mode, m, scope), v in by_metric.get("adhoc_dev", {}).items():
+        series.setdefault(f"adhoc_dev:{scope.removeprefix('pred:')}", {})[(label, mode, m)] = v
+    names = sorted(series)
+    pairs = [
+        (a, b)
+        for i, a in enumerate(names)
+        for b in names[i + 1:]
+        if len(series[a].keys() & series[b].keys()) >= 3
+    ]
+    if not pairs:
+        return "at least two alignable series"
+    results, skipped = correlation_battery(series, pairs)
+    files = {
+        "correlations": (
+            ["series_x", "series_y", "r", "n"],
+            [[r.series_x, r.series_y, repr(r.r), r.n] for r in results],
+        )
+    }
+    if skipped:
+        files["correlations_skipped"] = (["series_x", "series_y", "reason"], skipped)
+    return files
+
+
+_TABLE_BUILDERS = {
+    "mpe_apo": _mpe_apo_table,
+    "cio_vs_m": partial(_series_by_m_table, "cio_vs_m", "rf_avg_cio"),
+    "apo_vs_m": partial(_series_by_m_table, "apo_vs_m", "rf_apo"),
+    "kl_norm": _kl_norm_table,
+    "mode_compare": _mode_compare_table,
+    "apo_vs_time": _apo_vs_time_table,
+    "correlations": _correlations_table,
+}
+TABLES = tuple(_TABLE_BUILDERS)
 
 
 def emit_tables(
@@ -886,164 +971,28 @@ def emit_tables(
 
     With ``requested=None`` every table whose inputs are present is emitted;
     explicitly requesting a table whose inputs are missing is an error.
+    Returns the path of each table written, by table name.
     """
     tables_dir = out / "tables"
     tables_dir.mkdir(parents=True, exist_ok=True)
-    summary = report.summary()
-    by_metric: dict[str, dict[tuple, float]] = {}
-    for r in summary:
-        by_metric.setdefault(r.metric, {})[(r.label, r.mode, r.m, r.scope)] = r.value
-
     want = TABLES if requested is None else tuple(requested)
     for t in want:
         if t not in TABLES:
             raise ConfigError(f"unknown table {t!r}")
-    explicit = requested is not None
+    by_metric: dict[str, dict[tuple, float]] = {}
+    for r in report.summary():
+        by_metric.setdefault(r.metric, {})[(r.label, r.mode, r.m, r.scope)] = r.value
+
     written: dict[str, Path] = {}
-
-    def need(table: str, metric: str) -> bool:
-        if metric in by_metric:
-            return True
-        if explicit and table in want:
-            raise MetricError(f"table {table!r} needs metric {metric!r} in the report")
-        return False
-
-    if "mpe_apo" in want and need("mpe_apo", "mpe_apo"):
-        path = tables_dir / "mpe_apo.csv"
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["label", "mode", "m", "mpe_apo", "mpe_avg_cio"])
-            for (label, mode, m, _), v in sorted(by_metric["mpe_apo"].items()):
-                avg = by_metric.get("mpe_avg_cio", {}).get((label, mode, m, ""))
-                w.writerow([label, mode, m, _fmt(v), "" if avg is None else _fmt(avg)])
-        written["mpe_apo"] = path
-
-    for table, metric in (("cio_vs_m", "rf_avg_cio"), ("apo_vs_m", "rf_apo")):
-        if table in want and need(table, metric):
-            path = tables_dir / f"{table}.csv"
-            with open(path, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["series", "m", "value"])
-                for (label, mode, m, _), v in sorted(by_metric[metric].items()):
-                    series = label if mode == "simple" else f"{label}/{mode}"
-                    w.writerow([series, m, _fmt(v)])
-            written[table] = path
-
-    if "kl_norm" in want and need("kl_norm", "kl_norm"):
-        path = tables_dir / "kl_norm.csv"
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["label", "mode", "m", "variable", "value"])
-            for (label, mode, m, scope), v in sorted(by_metric["kl_norm"].items()):
-                w.writerow([label, mode, m, scope.removeprefix("var:"), _fmt(v)])
-            for (label, mode, m, _), v in sorted(by_metric.get("kl_norm_avg", {}).items()):
-                w.writerow([label, mode, m, "all", _fmt(v)])
-        written["kl_norm"] = path
-
-    if "mode_compare" in want:
-        ok = "rf_apo" in by_metric and "rf_fit_apo" in by_metric
-        modes_present = {mode for (_, mode, _, _) in by_metric.get("rf_apo", {})}
-        ok = ok and {"simple", "selective"} <= modes_present
-        if not ok and explicit and "mode_compare" in want:
-            raise MetricError("table 'mode_compare' needs both predictor modes in the report")
-        if ok:
-            path = tables_dir / "mode_compare.csv"
-            pairs = sorted(
-                {
-                    (label, m)
-                    for (label, mode, m, _) in by_metric["rf_apo"]
-                    if ("simple" == mode and (label, "selective", m, "") in by_metric["rf_apo"])
-                }
-            )
-            with open(path, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow([
-                    "label", "m", "apo_simple", "apo_selective",
-                    "fit_wins_simple", "fit_wins_selective", "n_fits",
-                ])
-                for label, m in pairs:
-                    a_s = by_metric["rf_apo"][(label, "simple", m, "")]
-                    a_x = by_metric["rf_apo"][(label, "selective", m, "")]
-                    fit_scopes = sorted(
-                        scope
-                        for (lbl, mode, mm, scope) in by_metric["rf_fit_apo"]
-                        if (lbl, mode, mm) == (label, "simple", m)
-                    )
-                    wins_s = wins_x = 0.0
-                    n_fits = 0
-                    for scope in fit_scopes:
-                        sel = by_metric["rf_fit_apo"].get((label, "selective", m, scope))
-                        if sel is None:
-                            continue
-                        simp = by_metric["rf_fit_apo"][(label, "simple", m, scope)]
-                        n_fits += 1
-                        if simp > sel:
-                            wins_s += 1.0
-                        elif sel > simp:
-                            wins_x += 1.0
-                        else:
-                            wins_s += 0.5
-                            wins_x += 0.5
-                    w.writerow([
-                        label, m, _fmt(a_s), _fmt(a_x), _fmt(wins_s), _fmt(wins_x), n_fits,
-                    ])
-            written["mode_compare"] = path
-
-    if "apo_vs_time" in want:
-        if timings and "rf_apo" in by_metric:
-            totals: dict[tuple, list[float]] = {}
-            for t in timings:
-                totals.setdefault((t.label, t.mode, t.m), []).append(t.total / max(t.m, 1))
-            path = tables_dir / "apo_vs_time.csv"
-            with open(path, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["label", "mode", "m", "seconds_per_dataset", "apo"])
-                for (label, mode, m), secs in sorted(totals.items()):
-                    v = by_metric["rf_apo"].get((label, mode, m, ""))
-                    if v is None:
-                        continue
-                    w.writerow([label, mode, m, repr(math.fsum(secs) / len(secs)), _fmt(v)])
-            written["apo_vs_time"] = path
-        elif explicit and "apo_vs_time" in want:
-            raise MetricError("table 'apo_vs_time' needs timing records and rf_apo values")
-
-    if "correlations" in want:
-        series: dict[str, dict[tuple, float]] = {}
-        for metric in ("rf_avg_cio", "rf_apo", "kl_norm_avg", "clf_acc_dev", "mpe_apo"):
-            if metric in by_metric:
-                series[metric] = {
-                    (label, mode, m): v
-                    for (label, mode, m, scope), v in by_metric[metric].items()
-                    if scope == ""
-                }
-        for (label, mode, m, scope), v in by_metric.get("adhoc_dev", {}).items():
-            series.setdefault(f"adhoc_dev:{scope.removeprefix('pred:')}", {})[
-                (label, mode, m)
-            ] = v
-        pairs = []
-        names = sorted(series)
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                keys = set(series[a]) & set(series[b])
-                if len(keys) >= 3:
-                    pairs.append((a, b))
-        if pairs:
-            results, skipped = correlation_battery(series, pairs)
-            path = tables_dir / "correlations.csv"
-            with open(path, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["series_x", "series_y", "r", "n"])
-                for r in results:
-                    w.writerow([r.series_x, r.series_y, repr(r.r), r.n])
-            written["correlations"] = path
-            if skipped:
-                spath = tables_dir / "correlations_skipped.csv"
-                with open(spath, "w", newline="") as fh:
-                    w = csv.writer(fh)
-                    w.writerow(["series_x", "series_y", "reason"])
-                    for a, b, reason in skipped:
-                        w.writerow([a, b, reason])
-        elif explicit and "correlations" in want:
-            raise MetricError("table 'correlations' needs at least two alignable series")
-
+    for table in TABLES:
+        if table not in want:
+            continue
+        files = _TABLE_BUILDERS[table](by_metric, timings)
+        if isinstance(files, str):
+            if requested is not None:
+                raise MetricError(f"table {table!r} needs {files}")
+            continue
+        for stem, (header, rows) in files.items():
+            _write_table(tables_dir / f"{stem}.csv", header, rows)
+        written[table] = tables_dir / f"{table}.csv"
     return written

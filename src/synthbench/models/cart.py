@@ -63,6 +63,14 @@ class CartTree:
         return [d for d in self.donors if d is not None]
 
     @cached_property
+    def _donor_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Donor count per node (0 off the leaves), each node's offset into
+        the flat donor array, and that array: every leaf's donors in node
+        order."""
+        sizes = np.asarray([0 if d is None else d.size for d in self.donors], dtype=np.int64)
+        return sizes, np.cumsum(sizes) - sizes, np.concatenate(self.leaf_donors())
+
+    @cached_property
     def _sends_left(self) -> np.ndarray:
         """A row per node: which level codes its categorical split sends left."""
         width = max((k.n_levels for k in self.kinds if k.is_categorical), default=0)
@@ -107,9 +115,9 @@ class CartTree:
             raise FitError("majority prediction needs a categorical target")
         k = self.y_kind.n_levels
         leaves = np.nonzero(self.feature < 0)[0]
-        donors = self.leaf_donors()
-        owner = np.repeat(np.arange(leaves.size), [d.size for d in donors])
-        votes = np.bincount(owner * k + training_y[np.concatenate(donors)], minlength=leaves.size * k)
+        sizes, _, flat = self._donor_layout
+        owner = np.repeat(np.arange(leaves.size), sizes[leaves])
+        votes = np.bincount(owner * k + training_y[flat], minlength=leaves.size * k)
         majority = np.zeros(self.n_nodes, dtype=np.int64)
         majority[leaves] = votes.reshape(leaves.size, k).argmax(axis=1)
         return majority[self.route(cols)]
@@ -343,9 +351,7 @@ class _SplitSearch:
 def draw_donor_rows(tree: CartTree, cols, rng: np.random.Generator) -> np.ndarray:
     """Vectorised donor draw: one training-row index per input row."""
     leaf_ids = tree.route(cols)
-    sizes = np.asarray([0 if d is None else d.size for d in tree.donors], dtype=np.int64)
-    offsets = np.cumsum(sizes) - sizes
-    flat = np.concatenate(tree.leaf_donors())
+    sizes, offsets, flat = tree._donor_layout
     u = rng.random(leaf_ids.shape[0])
     pos = np.floor(u * sizes[leaf_ids]).astype(np.int64)
     # u < 1 strictly, but guard the boundary anyway

@@ -1,3 +1,6 @@
+import dataclasses
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -12,11 +15,14 @@ import synthbench
 import synthbench.harness as harness
 import synthbench.synthesis as synthesis
 from synthbench.cli import main
-from synthbench.dataset import Dataset, write_csv
+from synthbench.dataset import Dataset, LevelMapping, write_csv
 from synthbench.errors import ConfigError, MetricError
 from synthbench.metrics import UtilityReport
 from synthbench.synthesis import build_spec, load_synthetic_set, synthesize
 from synthbench.harness import (
+    ExperimentConfig,
+    MetricSettings,
+    SynthesizerEntry,
     _cell_seed,
     benchmark_generation,
     emit_tables,
@@ -132,6 +138,80 @@ def test_load_config_validation(tmp_path):
         load_config(write_cfg(lambda d: d.update(k=0)))
     with pytest.raises(ConfigError, match="grid.m"):
         load_config(write_cfg(lambda d: d["grid"].update(m=[2, 2])))
+    with pytest.raises(ConfigError, match="predictor_modes has duplicates"):
+        load_config(write_cfg(lambda d: d["grid"].update(predictor_modes=["simple", "simple"])))
+    with pytest.raises(ConfigError, match="predictor_modes is empty"):
+        load_config(write_cfg(lambda d: d["grid"].update(predictor_modes=[])))
+
+
+def test_every_setting_but_out_enters_the_fingerprint(tmp_path):
+    cfg = load_config(write_project(tmp_path))
+    moved = {}
+    for name in ("dataset", "schema", "fitspecs"):
+        # the same bytes under another name: only the path differs
+        path = getattr(cfg, name)
+        moved[name] = path.with_name("moved_" + path.name)
+        moved[name].write_bytes(path.read_bytes())
+    changes = {
+        **moved,
+        "synthesizers": cfg.synthesizers + (SynthesizerEntry("P"),),
+        "m_list": (1, 3),
+        "proper_variants": (False, True),
+        "predictor_modes": ("simple", "selective"),
+        "selective": {"y": ("x",)},
+        "k": 3,
+        "seed": 4,
+        "adhoc": None,
+        "missing_tokens": ("NA",),
+        "drop": ("c",),
+        "coarsen": (LevelMapping("c", {"lo": "any", "hi": "any"}),),
+        "head": 50,
+        "missing_seed": 1,
+        "pmm_k": 3,
+        "min_leaf": 7,
+    }
+    metric_changes = {
+        "mean_point": False,
+        "regression": False,
+        "kl": False,
+        "kl_normalize": False,
+        "classification_target": None,
+        "classification_test_fraction": 0.25,
+        "adhoc": False,
+        "rule": "Tp",
+        "ci_level": 0.9,
+        "apo_threshold": 0.8,
+        "apo_inclusive": True,
+        "kl_bins": 10,
+        "kl_smoothing": 1.0,
+        "kl_direction": "qp",
+    }
+    # every field is changed, so a new field must join one of the two lists
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert set(changes) == names - {"out", "metrics"}
+    assert set(metric_changes) == {f.name for f in dataclasses.fields(MetricSettings)}
+
+    base = cfg.fingerprint()
+    for name, value in changes.items():
+        assert getattr(cfg, name) != value, name
+        assert dataclasses.replace(cfg, **{name: value}).fingerprint() != base, name
+    for name, value in metric_changes.items():
+        assert getattr(cfg.metrics, name) != value, name
+        metrics = dataclasses.replace(cfg.metrics, **{name: value})
+        assert dataclasses.replace(cfg, metrics=metrics).fingerprint() != base, name
+    assert dataclasses.replace(cfg, out=tmp_path / "elsewhere").fingerprint() == base
+
+
+def test_every_traced_name_resolves():
+    """The benchmark's tracer replaces each name in WRAPS in the module that
+    looks it up; a moved or renamed name must fail here, not in a traced run."""
+    path = Path(__file__).parents[1] / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, attr, span, _ in tracing.WRAPS:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr} ({span})"
 
 
 def test_cell_seed_streams_are_distinct_and_stable():
