@@ -20,6 +20,7 @@ from .harness import (
     load_original,
     metric_rows,
     read_report,
+    read_timings,
     run_experiment,
     spec_for_label,
 )
@@ -123,7 +124,7 @@ def _cmd_report(args) -> int:
     out = Path(args.out)
     report = read_report(out)
     requested = tuple(args.tables) if args.tables else None
-    written = emit_tables(report, out, None, requested)
+    written = emit_tables(report, out, read_timings(out), requested)
     for name in sorted(written):
         print(f"{name}: {written[name]}")
     return 0

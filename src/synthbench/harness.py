@@ -6,9 +6,9 @@ computes the configured metrics against the original data, and saves a cell
 file. The report is assembled from the cell files in sorted key order, so
 the report bytes do not depend on how many workers ran the cells, and a
 resumed run reuses every finished cell without regenerating anything.
-Timings are kept out of the report files on purpose. Within one run and one
-process, cells share the non-proper synthesis fits and the original-side
-metric values, which no random draw can change.
+Timings are kept out of the report files on purpose. Within one run, cells
+share the non-proper synthesis fits, across worker processes too, and within
+one process the original-side metric values; no random draw changes either.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ from .synthesis import (
     FitMemo,
     SynthesizerSpec,
     SyntheticSet,
+    _visit_steps,
     build_spec,
     save_synthetic_set,
     synthesize,
@@ -162,6 +163,21 @@ def _file_sha256(path: Path) -> str:
         raise ConfigError(f"cannot read input file {path}: {err}") from err
 
 
+_JSON_TYPES = {
+    bool: "true or false", int: "an integer", float: "a number", str: "a string", dict: "an object"
+}
+
+
+def _typed(value, kind: type, where: str):
+    """``value`` as ``kind`` when it has that JSON type, where any number
+    serves as a float; true and false are no numbers."""
+    if not isinstance(value, (int, float) if kind is float else kind) or (
+        kind is not bool and isinstance(value, bool)
+    ):
+        raise ConfigError(f"{where} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return kind(value)
+
+
 def load_config(path: str | Path, *, seed: int | None = None, out: str | Path | None = None) -> ExperimentConfig:
     """Read an experiment configuration (JSON; grammar in the README).
 
@@ -192,19 +208,22 @@ def load_config(path: str | Path, *, seed: int | None = None, out: str | Path | 
             for s in grid["synthesizers"]
         )
         selective = grid.get("selective")
-        met = doc.get("metrics", {})
-        clf = met.get("classification") or {}
+        met = _typed(doc.get("metrics", {}), dict, "metrics")
+        clf = _typed(met.get("classification") or {}, dict, "metrics.classification")
         # Each flat metrics key is the MetricSettings field of the same name.
+        fraction = clf.get("test_fraction")
         settings = MetricSettings(
             classification_target=clf.get("target"),
-            classification_test_fraction=clf.get("test_fraction"),
+            classification_test_fraction=None if fraction is None else _typed(
+                fraction, float, "metrics.classification.test_fraction"
+            ),
             **{
-                f.name: type(f.default)(met[f.name])
+                f.name: _typed(met[f.name], type(f.default), f"metrics.{f.name}")
                 for f in fields(MetricSettings)
                 if f.name in met and not f.name.startswith("classification_")
             },
         )
-        pre = doc.get("preprocess", {})
+        pre = _typed(doc.get("preprocess", {}), dict, "preprocess")
         coarsen = tuple(
             LevelMapping(c["column"], dict(c["mapping"])) for c in pre.get("coarsen", ())
         )
@@ -212,12 +231,14 @@ def load_config(path: str | Path, *, seed: int | None = None, out: str | Path | 
             dataset=resolve(doc["dataset"]),
             schema=resolve(doc["schema"]),
             synthesizers=entries,
-            m_list=tuple(int(m) for m in grid["m"]),
-            proper_variants=tuple(bool(b) for b in grid.get("proper", [False])),
+            m_list=tuple(_typed(m, int, "grid.m") for m in grid["m"]),
+            proper_variants=tuple(
+                _typed(b, bool, "grid.proper") for b in grid.get("proper", [False])
+            ),
             predictor_modes=tuple(grid.get("predictor_modes", ["simple"])),
             selective={str(k): tuple(v) for k, v in selective.items()} if selective else None,
-            k=int(doc.get("k", 5)),
-            seed=int(seed if seed is not None else doc.get("seed", 0)),
+            k=_typed(doc.get("k", 5), int, "k"),
+            seed=int(seed) if seed is not None else _typed(doc.get("seed", 0), int, "seed"),
             out=Path(out) if out is not None else resolve(doc.get("out", "results")),
             fitspecs=resolve(doc["fitspecs"]) if doc.get("fitspecs") else None,
             adhoc=resolve(doc["adhoc"]) if doc.get("adhoc") else None,
@@ -225,10 +246,10 @@ def load_config(path: str | Path, *, seed: int | None = None, out: str | Path | 
             missing_tokens=tuple(doc.get("missing_tokens", DEFAULT_MISSING_TOKENS)),
             drop=tuple(pre.get("drop", ())),
             coarsen=coarsen,
-            head=int(pre["head_n"]) if pre.get("head_n") else None,
-            missing_seed=int(pre.get("missing_seed", 0)),
-            pmm_k=int(doc.get("pmm_k", 5)),
-            min_leaf=int(doc.get("min_leaf", 5)),
+            head=_typed(pre["head_n"], int, "preprocess.head_n") if pre.get("head_n") else None,
+            missing_seed=_typed(pre.get("missing_seed", 0), int, "preprocess.missing_seed"),
+            pmm_k=_typed(doc.get("pmm_k", 5), int, "pmm_k"),
+            min_leaf=_typed(doc.get("min_leaf", 5), int, "min_leaf"),
         )
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"bad config document: {err}") from err
@@ -276,6 +297,11 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             "kl_normalize needs the independent-sampling baseline: add base 'S' "
             "(non-proper) to the grid"
+        )
+    fraction = cfg.metrics.classification_test_fraction
+    if fraction is not None and not 0.0 < fraction < 1.0:
+        raise ConfigError(
+            f"metrics.classification.test_fraction must lie in (0, 1), got {fraction}"
         )
     if cfg.metrics.regression and cfg.fitspecs is None:
         raise ConfigError("regression metrics need a fitspecs file")
@@ -543,13 +569,14 @@ class _Experiment:
 _experiment: _Experiment | None = None
 
 
-def _start_experiment(cfg, fingerprint, original, fits, predicates) -> None:
-    """Give this process empty memos for a new experiment. ``run_experiment``
+def _start_experiment(cfg, fingerprint, original, fits, predicates, synth_fits=None) -> None:
+    """Give this process the memos of a new experiment: ``synth_fits``, whose
+    fitting set must be ``original``, or an empty one. ``run_experiment``
     calls it first, and each pool worker as its initializer, so no run
     reuses another run's fits."""
     global _experiment
     _experiment = _Experiment(
-        cfg, fingerprint, original, fits, predicates, FitMemo(original), {}
+        cfg, fingerprint, original, fits, predicates, synth_fits or FitMemo(original), {}
     )
 
 
@@ -611,6 +638,45 @@ def _run_cell(cell: tuple[str, str, int, int]) -> dict:
     return result
 
 
+def _fit_shared(step):
+    """The fitted value of one shared step, or None when its fit raises: the
+    cells that need it then fit it themselves and record the error."""
+    try:
+        return _experiment.synth_fits.fit(*step)
+    except Exception:
+        return None
+
+
+def _run_pool(pending, jobs: int, shared: tuple) -> list[dict]:
+    """Run ``pending`` over ``jobs`` workers in two phases: first fit every
+    distinct non-proper step of the pending cells once (no fit takes a seed),
+    in parallel, into this process's memo; then run the cells from that memo
+    longest first (proper before non-proper, then larger m)."""
+    cfg, original, memo = _experiment.cfg, _experiment.original, _experiment.synth_fits
+    proper = {label: p for _, p, label in cfg.labels()}
+    steps = {}
+    for label, mode, m, _ in pending:
+        try:
+            spec = spec_for_label(cfg, original.schema, label, m=m, seed=0, mode=mode)
+        except Exception:
+            continue  # the cell records why
+        for j, targets, preds in () if spec.proper else _visit_steps(spec):
+            step = (spec.methods[j], targets, preds, spec)
+            steps.setdefault(FitMemo.key(*step), step)
+    if steps:
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(steps)), initializer=_start_experiment, initargs=shared
+        ) as pool:
+            for key, fitted in zip(steps, pool.map(_fit_shared, steps.values())):
+                if fitted is not None:
+                    memo.add(key, fitted)
+    order = sorted(pending, key=lambda cell: (not proper[cell[0]], -cell[2]))
+    with ProcessPoolExecutor(
+        max_workers=min(jobs, len(pending)), initializer=_start_experiment, initargs=(*shared, memo)
+    ) as pool:
+        return list(pool.map(_run_cell, order))
+
+
 def run_experiment(
     cfg: ExperimentConfig, *, jobs: int = 1, resume: bool = False
 ) -> tuple[UtilityReport, list[TimingRecord]]:
@@ -623,9 +689,10 @@ def run_experiment(
     the manifest lists it; every other cell runs again. A manifest with
     another fingerprint refuses the resume.
 
-    Each process fits every non-proper synthesis step, and computes every
-    original-side estimand, once per call; a cell that finds them already
-    computed only draws and scores."""
+    Every non-proper synthesis step is fitted once per call, and every
+    original-side estimand once per call and process; a cell that finds
+    them already computed only draws and scores. With ``jobs > 1`` the
+    shared steps are fitted across the workers before any cell runs."""
     global _experiment
     original = load_original(cfg)
     target = cfg.metrics.classification_target
@@ -670,10 +737,7 @@ def run_experiment(
     _start_experiment(*shared)
     try:
         if jobs > 1 and len(pending) > 1:
-            with ProcessPoolExecutor(
-                max_workers=jobs, initializer=_start_experiment, initargs=shared
-            ) as pool:
-                fresh = list(pool.map(_run_cell, pending))
+            fresh = _run_pool(pending, jobs, shared)
         else:
             fresh = [_run_cell(cell) for cell in pending]
     finally:
@@ -807,6 +871,20 @@ def read_report(out: Path) -> UtilityReport:
                     row["stage"], row["message"],
                 )
     return report
+
+
+def read_timings(out: Path) -> list[TimingRecord]:
+    """Rebuild the timing records from timings.csv in ``out``, in file order;
+    none when the file is absent."""
+    path = out / "timings.csv"
+    if not path.exists():
+        return []
+    seconds: dict[tuple, list[float]] = {}
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            key = (row["label"], row["mode"], int(row["m"]), int(row["rep"]))
+            seconds.setdefault(key, []).append(float(row["seconds"]))
+    return [TimingRecord(*key, tuple(secs)) for key, secs in seconds.items()]
 
 
 def benchmark_generation(

@@ -547,6 +547,17 @@ class FitMemo:
         self.fit_ds = fit_ds
         self._fitted: dict[tuple, Fitted] = {}
 
+    @staticmethod
+    def key(
+        method: Method,
+        targets: tuple[int, ...],
+        preds: tuple[int, ...],
+        spec: SynthesizerSpec,
+    ) -> tuple:
+        """The memo key of a step: all that its fitted value depends on
+        besides the fitting set."""
+        return (method, targets, preds, spec.min_leaf, spec.pmm_k)
+
     def fit(
         self,
         method: Method,
@@ -554,11 +565,16 @@ class FitMemo:
         preds: tuple[int, ...],
         spec: SynthesizerSpec,
     ) -> Fitted:
-        key = (method, targets, preds, spec.min_leaf, spec.pmm_k)
+        key = self.key(method, targets, preds, spec)
         fitted = self._fitted.get(key)
         if fitted is None:
             fitted = self._fitted[key] = fit_step(method, self.fit_ds, targets, preds, spec)
         return fitted
+
+    def add(self, key: tuple, fitted: Fitted) -> None:
+        """Store ``fitted`` under ``key``: a value that ``fit`` made for
+        the same key on an equal fitting set, in this or another process."""
+        self._fitted[key] = fitted
 
 
 def _synthesize_one(spec: SynthesizerSpec, idx: int, memo: FitMemo) -> Dataset:

@@ -2,7 +2,9 @@ import dataclasses
 import importlib
 import importlib.util
 import json
+import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -142,6 +144,27 @@ def test_load_config_validation(tmp_path):
         load_config(write_cfg(lambda d: d["grid"].update(predictor_modes=["simple", "simple"])))
     with pytest.raises(ConfigError, match="predictor_modes is empty"):
         load_config(write_cfg(lambda d: d["grid"].update(predictor_modes=[])))
+    # JSON types: a string is no boolean, and a boolean is no integer
+    with pytest.raises(ConfigError, match="metrics.kl must be true or false, got 'false'"):
+        load_config(write_cfg(lambda d: d["metrics"].update(kl="false")))
+    with pytest.raises(ConfigError, match="grid.proper must be true or false"):
+        load_config(write_cfg(lambda d: d["grid"].update(proper=[False, "false"])))
+    with pytest.raises(ConfigError, match="metrics.classification must be an object"):
+        load_config(write_cfg(lambda d: d["metrics"].update(classification="c")))
+    with pytest.raises(ConfigError, match="metrics.kl_bins must be an integer"):
+        load_config(write_cfg(lambda d: d["metrics"].update(kl_bins=True)))
+    with pytest.raises(ConfigError, match="k must be an integer"):
+        load_config(write_cfg(lambda d: d.update(k=2.5)))
+    with pytest.raises(ConfigError, match="grid.m must be an integer"):
+        load_config(write_cfg(lambda d: d["grid"].update(m=[1, "2"])))
+    with pytest.raises(ConfigError, match="test_fraction must be a number"):
+        load_config(write_cfg(lambda d: d["metrics"]["classification"].update(test_fraction="0.3")))
+    with pytest.raises(ConfigError, match=r"test_fraction must lie in \(0, 1\)"):
+        load_config(write_cfg(lambda d: d["metrics"]["classification"].update(test_fraction=1.5)))
+    with pytest.raises(ConfigError, match="metrics.ci_level must be a number"):
+        load_config(write_cfg(lambda d: d["metrics"].update(ci_level="0.9")))
+    # a whole number is a valid float setting
+    assert load_config(write_cfg(lambda d: d["metrics"].update(ci_level=1))).metrics.ci_level == 1.0
 
 
 def test_every_setting_but_out_enters_the_fingerprint(tmp_path):
@@ -383,6 +406,91 @@ def test_jobs_do_not_change_report_bytes(mini_run, tmp_path):
     assert (tmp_path / "par" / "report.csv").read_bytes() == serial
 
 
+def _fit_log(monkeypatch, log):
+    """Append a line to ``log`` for each synthesis fit made by this process
+    or by a worker forked from it."""
+    real_fit_step = synthesis.fit_step
+
+    def counting_fit_step(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write("fit\n")
+        return real_fit_step(*args, **kwargs)
+
+    monkeypatch.setattr(synthesis, "fit_step", counting_fit_step)
+
+
+def _fits_since_last_call(log):
+    count = len(log.read_text().splitlines()) if log.exists() else 0
+    log.unlink(missing_ok=True)
+    return count
+
+
+def _output_bytes(out):
+    """Every file of a run that must not depend on --jobs."""
+    paths = [out / "report.csv", out / "summary.csv", out / "errors.csv"]
+    paths += sorted((out / "synth").rglob("*.csv"))
+    return {p.relative_to(out): p.read_bytes() for p in paths if p.exists()}
+
+
+def _start_method():
+    """The start method of new pools, without fixing it as asking the
+    default context would."""
+    method = multiprocessing.get_start_method(allow_none=True)
+    return method or multiprocessing.get_all_start_methods()[0]
+
+
+@pytest.mark.skipif(
+    _start_method() != "fork", reason="the workers must inherit the counting fit_step"
+)
+def test_the_pool_fits_each_shared_step_once(tmp_path, monkeypatch):
+    log = tmp_path / "fits.log"
+    _fit_log(monkeypatch, log)
+    grid = {
+        "synthesizers": [{"base": "S"}, {"base": "D"}, {"base": "CC"}],
+        "proper": [False, True],
+        "m": [1, 2],
+    }
+    cfg_path = write_project(tmp_path, grid=grid, k=2)
+    fits, outputs = {}, {}
+    for jobs in (1, 2):
+        cfg = load_config(cfg_path, out=tmp_path / f"jobs{jobs}")
+        report, _ = run_experiment(cfg, jobs=jobs)
+        assert not report.errors
+        fits[jobs] = _fits_since_last_call(log)
+        outputs[jobs] = _output_bytes(cfg.out)
+    assert fits[1] > 0 and fits[2] == fits[1]
+    assert outputs[2] == outputs[1]
+
+
+def test_a_shared_fit_that_raises_fails_its_cells_alike_at_any_jobs(tmp_path):
+    # 20 rows cannot serve 25 predictive-mean-matching donors: the shared CP
+    # fit of y raises, in the pool's fit phase and again in every CP cell.
+    grid = {"synthesizers": [{"base": "S"}, {"base": "CP"}], "m": [1, 2]}
+    cfg_path = write_project(tmp_path, grid=grid)
+    doc = json.loads(cfg_path.read_text())
+    doc.update(pmm_k=25, preprocess={"head_n": 20})
+    cfg_path.write_text(json.dumps(doc))
+    outputs = {}
+    for jobs in (1, 2):
+        cfg = load_config(cfg_path, out=tmp_path / f"jobs{jobs}")
+        report, _ = run_experiment(cfg, jobs=jobs)
+        assert {(e.label, e.stage) for e in report.errors} >= {("CP", "cell")}
+        assert all("pmm_k=25" in e.message for e in report.errors if e.label == "CP")
+        outputs[jobs] = _output_bytes(cfg.out)
+    assert outputs[2] == outputs[1]
+
+
+def test_resume_of_a_finished_grid_fits_nothing(mini_run, tmp_path, monkeypatch):
+    root, cfg, _, _ = mini_run
+    before = _output_bytes(cfg.out)
+    log = tmp_path / "fits.log"
+    _fit_log(monkeypatch, log)
+    run_experiment(cfg, jobs=2, resume=True)
+    assert _fits_since_last_call(log) == 0
+    assert json.loads((cfg.out / "manifest.json").read_text())["generated_last_run"] == 0
+    assert _output_bytes(cfg.out) == before
+
+
 def test_read_report_round_trip(mini_run):
     root, cfg, report, _ = mini_run
     back = read_report(cfg.out)
@@ -440,12 +548,19 @@ def test_benchmark_generation(mini_run):
 
 
 def test_cli_experiment_and_report(tmp_path, capsys):
-    cfg_path = write_project(tmp_path, grid={"synthesizers": [{"base": "S"}], "m": [1]}, k=1)
+    grid = {"synthesizers": [{"base": "S"}, {"base": "D"}], "m": [1, 2]}
+    cfg_path = write_project(tmp_path, grid=grid, k=1)
     assert main(["experiment", "--config", str(cfg_path)]) == 0
     out = tmp_path / "results"
     assert (out / "report.csv").exists()
-    assert main(["report", "--out", str(out), "--tables", "mpe_apo"]) == 0
-    assert (out / "tables" / "mpe_apo.csv").exists()
+    tables = {p.name: p.read_bytes() for p in (out / "tables").iterdir()}
+    assert "apo_vs_time.csv" in tables
+    shutil.rmtree(out / "tables")
+    assert main(["report", "--out", str(out), "--tables", "mpe_apo", "apo_vs_time"]) == 0
+    assert sorted(p.name for p in (out / "tables").iterdir()) == ["apo_vs_time.csv", "mpe_apo.csv"]
+    # every table, apo_vs_time too, comes back byte for byte
+    assert main(["report", "--out", str(out)]) == 0
+    assert {p.name: p.read_bytes() for p in (out / "tables").iterdir()} == tables
     capsys.readouterr()
 
 
