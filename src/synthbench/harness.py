@@ -21,6 +21,7 @@ import os
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -209,7 +210,7 @@ def load_config(path: str | Path, *, seed: int | None = None, out: str | Path | 
         )
         selective = grid.get("selective")
         met = _typed(doc.get("metrics", {}), dict, "metrics")
-        clf = _typed(met.get("classification") or {}, dict, "metrics.classification")
+        clf = _typed(met.get("classification", {}), dict, "metrics.classification")
         # Each flat metrics key is the MetricSettings field of the same name.
         fraction = clf.get("test_fraction")
         settings = MetricSettings(
@@ -246,7 +247,9 @@ def load_config(path: str | Path, *, seed: int | None = None, out: str | Path | 
             missing_tokens=tuple(doc.get("missing_tokens", DEFAULT_MISSING_TOKENS)),
             drop=tuple(pre.get("drop", ())),
             coarsen=coarsen,
-            head=_typed(pre["head_n"], int, "preprocess.head_n") if pre.get("head_n") else None,
+            head=None if pre.get("head_n") is None else _typed(
+                pre["head_n"], int, "preprocess.head_n"
+            ),
             missing_seed=_typed(pre.get("missing_seed", 0), int, "preprocess.missing_seed"),
             pmm_k=_typed(doc.get("pmm_k", 5), int, "pmm_k"),
             min_leaf=_typed(doc.get("min_leaf", 5), int, "min_leaf"),
@@ -271,6 +274,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"k must be >= 1, got {cfg.k}")
     if cfg.seed < 0:
         raise ConfigError("seed must be non-negative")
+    if cfg.head is not None and cfg.head < 1:
+        raise ConfigError(f"preprocess.head_n must be >= 1, got {cfg.head}")
     if not cfg.m_list or any(m < 1 for m in cfg.m_list):
         raise ConfigError("grid.m must be a non-empty list of integers >= 1")
     if len(set(cfg.m_list)) != len(cfg.m_list):
@@ -647,34 +652,43 @@ def _fit_shared(step):
         return None
 
 
-def _run_pool(pending, jobs: int, shared: tuple) -> list[dict]:
+@contextmanager
+def _workers(jobs: int, tasks: int, initargs: tuple):
+    """``map`` over min(jobs, tasks) pool workers, each started with
+    ``initargs``, or the builtin ``map`` in this process when that is one."""
+    if min(jobs, tasks) < 2:
+        yield map
+        return
+    with ProcessPoolExecutor(
+        max_workers=min(jobs, tasks), initializer=_start_experiment, initargs=initargs
+    ) as pool:
+        yield pool.map
+
+
+def _run_cells(pending, jobs: int, shared: tuple) -> list[dict]:
     """Run ``pending`` over ``jobs`` workers in two phases: first fit every
-    distinct non-proper step of the pending cells once (no fit takes a seed),
-    in parallel, into this process's memo; then run the cells from that memo
-    longest first (proper before non-proper, then larger m)."""
+    distinct non-proper step of the pending cells once (no fit takes a seed)
+    into this process's memo; then run the cells from that memo longest
+    first (proper before non-proper, then larger m)."""
     cfg, original, memo = _experiment.cfg, _experiment.original, _experiment.synth_fits
     proper = {label: p for _, p, label in cfg.labels()}
     steps = {}
     for label, mode, m, _ in pending:
         try:
             spec = spec_for_label(cfg, original.schema, label, m=m, seed=0, mode=mode)
+            spec.validate_against(original.schema)
         except Exception:
             continue  # the cell records why
         for j, targets, preds in () if spec.proper else _visit_steps(spec):
             step = (spec.methods[j], targets, preds, spec)
             steps.setdefault(FitMemo.key(*step), step)
-    if steps:
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(steps)), initializer=_start_experiment, initargs=shared
-        ) as pool:
-            for key, fitted in zip(steps, pool.map(_fit_shared, steps.values())):
-                if fitted is not None:
-                    memo.add(key, fitted)
+    with _workers(jobs, len(steps), shared) as fit_map:
+        for key, fitted in zip(steps, fit_map(_fit_shared, steps.values())):
+            if fitted is not None:
+                memo.add(key, fitted)
     order = sorted(pending, key=lambda cell: (not proper[cell[0]], -cell[2]))
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(pending)), initializer=_start_experiment, initargs=(*shared, memo)
-    ) as pool:
-        return list(pool.map(_run_cell, order))
+    with _workers(jobs, len(pending), (*shared, memo)) as cell_map:
+        return list(cell_map(_run_cell, order))
 
 
 def run_experiment(
@@ -689,10 +703,10 @@ def run_experiment(
     the manifest lists it; every other cell runs again. A manifest with
     another fingerprint refuses the resume.
 
-    Every non-proper synthesis step is fitted once per call, and every
-    original-side estimand once per call and process; a cell that finds
-    them already computed only draws and scores. With ``jobs > 1`` the
-    shared steps are fitted across the workers before any cell runs."""
+    Every non-proper synthesis step is fitted once per call, across the
+    workers and before any cell runs, and every original-side estimand once
+    per call and process; a cell that finds them already computed only
+    draws and scores."""
     global _experiment
     original = load_original(cfg)
     target = cfg.metrics.classification_target
@@ -736,10 +750,7 @@ def run_experiment(
     shared = (cfg, fingerprint, original, fits, predicates)
     _start_experiment(*shared)
     try:
-        if jobs > 1 and len(pending) > 1:
-            fresh = _run_pool(pending, jobs, shared)
-        else:
-            fresh = [_run_cell(cell) for cell in pending]
+        fresh = _run_cells(pending, jobs, shared)
     finally:
         _experiment = None
     generated_now = sum(r["m"] for r in fresh if r["seconds"])

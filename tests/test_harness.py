@@ -151,6 +151,12 @@ def test_load_config_validation(tmp_path):
         load_config(write_cfg(lambda d: d["grid"].update(proper=[False, "false"])))
     with pytest.raises(ConfigError, match="metrics.classification must be an object"):
         load_config(write_cfg(lambda d: d["metrics"].update(classification="c")))
+    with pytest.raises(ConfigError, match="metrics.classification must be an object"):
+        load_config(write_cfg(lambda d: d["metrics"].update(classification=False)))
+    with pytest.raises(ConfigError, match="preprocess.head_n must be an integer"):
+        load_config(write_cfg(lambda d: d.update(preprocess={"head_n": False})))
+    with pytest.raises(ConfigError, match="preprocess.head_n must be >= 1"):
+        load_config(write_cfg(lambda d: d.update(preprocess={"head_n": 0})))
     with pytest.raises(ConfigError, match="metrics.kl_bins must be an integer"):
         load_config(write_cfg(lambda d: d["metrics"].update(kl_bins=True)))
     with pytest.raises(ConfigError, match="k must be an integer"):
@@ -439,10 +445,22 @@ def _start_method():
     return method or multiprocessing.get_all_start_methods()[0]
 
 
+def _failing_cp_project(tmp_path):
+    """20 rows cannot serve 25 predictive-mean-matching donors: the shared
+    CP fit of y raises, in the fit phase and again in every CP cell."""
+    grid = {"synthesizers": [{"base": "S"}, {"base": "CP"}], "m": [1, 2]}
+    cfg_path = write_project(tmp_path, grid=grid)
+    doc = json.loads(cfg_path.read_text())
+    doc.update(pmm_k=25, preprocess={"head_n": 20})
+    cfg_path.write_text(json.dumps(doc))
+    return cfg_path
+
+
 @pytest.mark.skipif(
     _start_method() != "fork", reason="the workers must inherit the counting fit_step"
 )
-def test_the_pool_fits_each_shared_step_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("failing", [False, True], ids=["fits-succeed", "a-fit-raises"])
+def test_the_pool_fits_as_often_as_one_process(tmp_path, monkeypatch, failing):
     log = tmp_path / "fits.log"
     _fit_log(monkeypatch, log)
     grid = {
@@ -450,12 +468,12 @@ def test_the_pool_fits_each_shared_step_once(tmp_path, monkeypatch):
         "proper": [False, True],
         "m": [1, 2],
     }
-    cfg_path = write_project(tmp_path, grid=grid, k=2)
+    cfg_path = _failing_cp_project(tmp_path) if failing else write_project(tmp_path, grid=grid, k=2)
     fits, outputs = {}, {}
     for jobs in (1, 2):
         cfg = load_config(cfg_path, out=tmp_path / f"jobs{jobs}")
         report, _ = run_experiment(cfg, jobs=jobs)
-        assert not report.errors
+        assert bool(report.errors) == failing
         fits[jobs] = _fits_since_last_call(log)
         outputs[jobs] = _output_bytes(cfg.out)
     assert fits[1] > 0 and fits[2] == fits[1]
@@ -463,13 +481,7 @@ def test_the_pool_fits_each_shared_step_once(tmp_path, monkeypatch):
 
 
 def test_a_shared_fit_that_raises_fails_its_cells_alike_at_any_jobs(tmp_path):
-    # 20 rows cannot serve 25 predictive-mean-matching donors: the shared CP
-    # fit of y raises, in the pool's fit phase and again in every CP cell.
-    grid = {"synthesizers": [{"base": "S"}, {"base": "CP"}], "m": [1, 2]}
-    cfg_path = write_project(tmp_path, grid=grid)
-    doc = json.loads(cfg_path.read_text())
-    doc.update(pmm_k=25, preprocess={"head_n": 20})
-    cfg_path.write_text(json.dumps(doc))
+    cfg_path = _failing_cp_project(tmp_path)
     outputs = {}
     for jobs in (1, 2):
         cfg = load_config(cfg_path, out=tmp_path / f"jobs{jobs}")
