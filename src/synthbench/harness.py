@@ -64,9 +64,9 @@ from .synthesis import (
     FitMemo,
     SynthesizerSpec,
     SyntheticSet,
-    _visit_steps,
     build_spec,
     save_synthetic_set,
+    shared_steps,
     synthesize,
 )
 
@@ -658,11 +658,11 @@ def _workers(jobs: int, tasks: int, initargs: tuple):
     ``initargs``, or the builtin ``map`` in this process when that is one."""
     if min(jobs, tasks) < 2:
         yield map
-        return
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, tasks), initializer=_start_experiment, initargs=initargs
-    ) as pool:
-        yield pool.map
+    else:
+        with ProcessPoolExecutor(
+            min(jobs, tasks), initializer=_start_experiment, initargs=initargs
+        ) as pool:
+            yield pool.map
 
 
 def _run_cells(pending, jobs: int, shared: tuple) -> list[dict]:
@@ -679,9 +679,7 @@ def _run_cells(pending, jobs: int, shared: tuple) -> list[dict]:
             spec.validate_against(original.schema)
         except Exception:
             continue  # the cell records why
-        for j, targets, preds in () if spec.proper else _visit_steps(spec):
-            step = (spec.methods[j], targets, preds, spec)
-            steps.setdefault(FitMemo.key(*step), step)
+        steps.update(shared_steps(spec))
     with _workers(jobs, len(steps), shared) as fit_map:
         for key, fitted in zip(steps, fit_map(_fit_shared, steps.values())):
             if fitted is not None:

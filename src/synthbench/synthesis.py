@@ -577,6 +577,16 @@ class FitMemo:
         self._fitted[key] = fitted
 
 
+def shared_steps(spec: SynthesizerSpec) -> dict[tuple, tuple]:
+    """The steps that a non-proper ``spec`` fits through a memo, as ``{memo
+    key: (method, targets, preds, spec)}``; none for a proper spec, whose
+    fits no other dataset shares."""
+    if spec.proper:
+        return {}
+    steps = ((spec.methods[j], targets, preds, spec) for j, targets, preds in _visit_steps(spec))
+    return {FitMemo.key(*step): step for step in steps}
+
+
 def _synthesize_one(spec: SynthesizerSpec, idx: int, memo: FitMemo) -> Dataset:
     """Dataset ``idx``. A non-proper spec fits through ``memo``, whose fitting
     set is the original data; a proper one fits its own bootstrap resample
