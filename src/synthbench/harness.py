@@ -575,10 +575,9 @@ _experiment: _Experiment | None = None
 
 
 def _start_experiment(cfg, fingerprint, original, fits, predicates, synth_fits=None) -> None:
-    """Give this process the memos of a new experiment: ``synth_fits``, whose
-    fitting set must be ``original``, or an empty one. ``run_experiment``
-    calls it first, and each pool worker as its initializer, so no run
-    reuses another run's fits."""
+    """Give this process a new experiment's memos, empty or with the fits of
+    ``synth_fits``. ``run_experiment`` calls it first, and each pool worker
+    as its initializer, so no run reuses another run's fits."""
     global _experiment
     _experiment = _Experiment(
         cfg, fingerprint, original, fits, predicates, synth_fits or FitMemo(original), {}
@@ -644,8 +643,7 @@ def _run_cell(cell: tuple[str, str, int, int]) -> dict:
 
 
 def _fit_shared(step):
-    """The fitted value of one shared step, or None when its fit raises: the
-    cells that need it then fit it themselves and record the error."""
+    """The fitted value of one shared step, or None when its fit raises."""
     try:
         return _experiment.synth_fits.fit(*step)
     except Exception:
@@ -656,20 +654,19 @@ def _fit_shared(step):
 def _workers(jobs: int, tasks: int, initargs: tuple):
     """``map`` over min(jobs, tasks) pool workers, each started with
     ``initargs``, or the builtin ``map`` in this process when that is one."""
-    if min(jobs, tasks) < 2:
+    workers = min(jobs, tasks)
+    if workers < 2:
         yield map
     else:
-        with ProcessPoolExecutor(
-            min(jobs, tasks), initializer=_start_experiment, initargs=initargs
-        ) as pool:
+        with ProcessPoolExecutor(workers, initializer=_start_experiment, initargs=initargs) as pool:
             yield pool.map
 
 
 def _run_cells(pending, jobs: int, shared: tuple) -> list[dict]:
-    """Run ``pending`` over ``jobs`` workers in two phases: first fit every
+    """Run ``pending`` over ``jobs`` workers in two phases: first fit each
     distinct non-proper step of the pending cells once (no fit takes a seed)
-    into this process's memo; then run the cells from that memo longest
-    first (proper before non-proper, then larger m)."""
+    into this process's memo, leaving a fit that raises to the cells that
+    need it; then run the cells longest first (proper, then larger m)."""
     cfg, original, memo = _experiment.cfg, _experiment.original, _experiment.synth_fits
     proper = {label: p for _, p, label in cfg.labels()}
     steps = {}
@@ -701,10 +698,9 @@ def run_experiment(
     the manifest lists it; every other cell runs again. A manifest with
     another fingerprint refuses the resume.
 
-    Every non-proper synthesis step is fitted once per call, across the
-    workers and before any cell runs, and every original-side estimand once
-    per call and process; a cell that finds them already computed only
-    draws and scores."""
+    Every non-proper synthesis step is fitted once per call, before any
+    cell, and every original-side estimand once per call and process; a
+    cell that finds them already computed only draws and scores."""
     global _experiment
     original = load_original(cfg)
     target = cfg.metrics.classification_target
