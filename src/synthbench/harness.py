@@ -18,7 +18,6 @@ import hashlib
 import json
 import math
 import os
-import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -61,6 +60,8 @@ from .estimands import (
 )
 from .metrics import Overlap, UtilityReport, apo, cio, kl_divergence
 from .synthesis import (
+    BASES,
+    ORDER_KINDS,
     FitMemo,
     SynthesizerSpec,
     SyntheticSet,
@@ -68,6 +69,7 @@ from .synthesis import (
     save_synthetic_set,
     shared_steps,
     synthesize,
+    synthesizer_label,
 )
 
 PREDICTOR_MODES = ("simple", "selective")
@@ -125,11 +127,9 @@ class ExperimentConfig:
         """Expanded (entry, proper, label) triples; labels must be unique."""
         out = []
         seen = set()
-        from .synthesis import _ORDER_SUFFIX  # single source for the suffix map
-
         for entry in self.synthesizers:
             for proper in self.proper_variants:
-                label = entry.base + _ORDER_SUFFIX[entry.order] + ("T" if proper else "")
+                label = synthesizer_label(entry.base, entry.order, proper)
                 if label in seen:
                     raise ConfigError(f"duplicate synthesizer label {label!r} in grid")
                 seen.add(label)
@@ -179,6 +179,17 @@ def _typed(value, kind: type, where: str):
     return kind(value)
 
 
+def _strings(section: dict, key: str, default, where: str = ""):
+    """``section[key]``, a JSON list of strings, as a tuple; ``default`` when
+    absent. A lone string is an error: it would split into its characters."""
+    if key not in section:
+        return default
+    value = section[key]
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f"{where}{key} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
 def load_config(path: str | Path, *, seed: int | None = None, out: str | Path | None = None) -> ExperimentConfig:
     """Read an experiment configuration (JSON; grammar in the README).
 
@@ -204,11 +215,11 @@ def load_config(path: str | Path, *, seed: int | None = None, out: str | Path | 
             SynthesizerEntry(
                 base=s["base"],
                 order=s.get("order", "original"),
-                own_order=tuple(s["own_order"]) if "own_order" in s else None,
+                own_order=_strings(s, "own_order", None),
             )
             for s in grid["synthesizers"]
         )
-        selective = grid.get("selective")
+        sel = _typed(grid.get("selective") or {}, dict, "grid.selective")
         met = _typed(doc.get("metrics", {}), dict, "metrics")
         clf = _typed(met.get("classification", {}), dict, "metrics.classification")
         # Each flat metrics key is the MetricSettings field of the same name.
@@ -236,16 +247,16 @@ def load_config(path: str | Path, *, seed: int | None = None, out: str | Path | 
             proper_variants=tuple(
                 _typed(b, bool, "grid.proper") for b in grid.get("proper", [False])
             ),
-            predictor_modes=tuple(grid.get("predictor_modes", ["simple"])),
-            selective={str(k): tuple(v) for k, v in selective.items()} if selective else None,
+            predictor_modes=_strings(grid, "predictor_modes", ("simple",), "grid."),
+            selective={k: _strings(sel, k, None, "grid.selective.") for k in sel} or None,
             k=_typed(doc.get("k", 5), int, "k"),
             seed=int(seed) if seed is not None else _typed(doc.get("seed", 0), int, "seed"),
             out=Path(out) if out is not None else resolve(doc.get("out", "results")),
             fitspecs=resolve(doc["fitspecs"]) if doc.get("fitspecs") else None,
             adhoc=resolve(doc["adhoc"]) if doc.get("adhoc") else None,
             metrics=settings,
-            missing_tokens=tuple(doc.get("missing_tokens", DEFAULT_MISSING_TOKENS)),
-            drop=tuple(pre.get("drop", ())),
+            missing_tokens=_strings(doc, "missing_tokens", DEFAULT_MISSING_TOKENS),
+            drop=_strings(pre, "drop", (), "preprocess."),
             coarsen=coarsen,
             head=None if pre.get("head_n") is None else _typed(
                 pre["head_n"], int, "preprocess.head_n"
@@ -261,8 +272,6 @@ def load_config(path: str | Path, *, seed: int | None = None, out: str | Path | 
 
 
 def _validate_config(cfg: ExperimentConfig) -> None:
-    from .synthesis import BASES, ORDER_KINDS
-
     for e in cfg.synthesizers:
         if e.base not in BASES:
             raise ConfigError(f"unknown synthesizer base {e.base!r}")
@@ -340,9 +349,6 @@ class TimingRecord:
     @property
     def total(self) -> float:
         return math.fsum(self.seconds)
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "seconds": list(self.seconds)}
 
 
 def _derived_seed(master: int, tag: str, *ints: int) -> int:
@@ -426,9 +432,9 @@ def metric_rows(
     thr = settings.apo_threshold
     inc = settings.apo_inclusive
 
+    memo = {} if memo is None else memo
+
     def once(key, compute):
-        if memo is None:
-            return compute()
         if key not in memo:
             memo[key] = compute()
         return memo[key]
@@ -664,16 +670,16 @@ def _workers(jobs: int, tasks: int, initargs: tuple):
 
 def _run_cells(pending, jobs: int, shared: tuple) -> list[dict]:
     """Run ``pending`` over ``jobs`` workers in two phases: first fit each
-    distinct non-proper step of the pending cells once (no fit takes a seed)
-    into this process's memo, leaving a fit that raises to the cells that
-    need it; then run the cells longest first (proper, then larger m)."""
+    distinct non-proper step of the pending cells once (no fit depends on m
+    or the seed, so one spec per label and mode lists them) into this
+    process's memo, leaving a fit that raises to the cells that need it;
+    then run the cells longest first (proper, then larger m)."""
     cfg, original, memo = _experiment.cfg, _experiment.original, _experiment.synth_fits
     proper = {label: p for _, p, label in cfg.labels()}
     steps = {}
-    for label, mode, m, _ in pending:
+    for label, mode in dict.fromkeys((label, mode) for label, mode, _, _ in pending):
         try:
-            spec = spec_for_label(cfg, original.schema, label, m=m, seed=0, mode=mode)
-            spec.validate_against(original.schema)
+            spec = spec_for_label(cfg, original.schema, label, m=1, seed=0, mode=mode)
         except Exception:
             continue  # the cell records why
         steps.update(shared_steps(spec))
@@ -907,7 +913,7 @@ def benchmark_generation(
     record = TimingRecord(label, "simple", count, 0, tuple(seconds))
     bench_path = cfg.out / f"bench_{label}.json"
     bench_path.parent.mkdir(parents=True, exist_ok=True)
-    bench_path.write_text(json.dumps(record.to_dict(), indent=2) + "\n")
+    bench_path.write_text(json.dumps(asdict(record), indent=2) + "\n")
     return record
 
 

@@ -15,7 +15,7 @@ Agrawal & Rissanen, EDBT 1996), and each node scores all of them in one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -37,48 +37,50 @@ class _Candidate:
     left_levels: np.ndarray | None
 
 
-@dataclass
+@dataclass(frozen=True)
 class CartTree:
-    """Flat node arrays plus per-leaf donor indices into the training rows."""
+    """Flat node arrays; node 0 is the root, and a split node's children
+    are ``left`` and ``left + 1``. Leaf v's training rows are
+    ``donor_rows[donor_start[v]:donor_start[v + 1]]``."""
 
     names: tuple[str, ...]
-    kinds: tuple[ColumnKind, ...]
     y_kind: ColumnKind
     feature: np.ndarray        # -1 marks a leaf
     threshold: np.ndarray      # numeric splits only
-    left_levels: list          # categorical splits: sorted level codes sent left
-    left: np.ndarray
-    right: np.ndarray
-    donors: list               # row-index arrays at leaves, None elsewhere
+    left: np.ndarray           # -1 at leaves
+    sends_left: np.ndarray     # node x level code: what a categorical split sends left
+    donor_start: np.ndarray    # node count + 1 offsets; empty ranges off the leaves
+    donor_rows: np.ndarray     # every leaf's rows, in node order
 
-    @property
-    def n_nodes(self) -> int:
-        return int(self.feature.shape[0])
+    @classmethod
+    def from_nodes(
+        cls, X: Predictors, y_kind: ColumnKind, feature, threshold, left_levels, left, donors
+    ) -> CartTree:
+        """Pack per-node lists; ``left_levels`` (the codes a categorical split
+        sends left) and ``donors`` (a leaf's rows) hold None at other nodes."""
+        width = max((k.n_levels for k in X.kinds if k.is_categorical), default=0)
+        sends_left = np.zeros((len(feature), width), dtype=bool)
+        for node, levels in enumerate(left_levels):
+            if levels is not None:
+                sends_left[node, levels] = True
+        sizes = [0 if d is None else d.size for d in donors]
+        return cls(
+            names=X.names,
+            y_kind=y_kind,
+            feature=np.asarray(feature, dtype=np.int64),
+            threshold=np.asarray(threshold, dtype=np.float64),
+            left=np.asarray(left, dtype=np.int64),
+            sends_left=sends_left,
+            donor_start=np.cumsum([0, *sizes], dtype=np.int64),
+            donor_rows=np.concatenate([d for d in donors if d is not None]),
+        )
 
     @property
     def n_leaves(self) -> int:
         return int((self.feature < 0).sum())
 
     def leaf_donors(self) -> list[np.ndarray]:
-        return [d for d in self.donors if d is not None]
-
-    @cached_property
-    def _donor_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Donor count per node (0 off the leaves), each node's offset into
-        the flat donor array, and that array: every leaf's donors in node
-        order."""
-        sizes = np.asarray([0 if d is None else d.size for d in self.donors], dtype=np.int64)
-        return sizes, np.cumsum(sizes) - sizes, np.concatenate(self.leaf_donors())
-
-    @cached_property
-    def _sends_left(self) -> np.ndarray:
-        """A row per node: which level codes its categorical split sends left."""
-        width = max((k.n_levels for k in self.kinds if k.is_categorical), default=0)
-        table = np.zeros((self.n_nodes, width), dtype=bool)
-        for node, levels in enumerate(self.left_levels):
-            if levels is not None:
-                table[node, levels] = True
-        return table
+        return [d for d in np.split(self.donor_rows, self.donor_start[1:-1]) if d.size]
 
     def route(self, cols) -> np.ndarray:
         """Leaf node id for every row of ``cols`` (ordered as ``names``).
@@ -89,9 +91,9 @@ class CartTree:
         n = int(np.asarray(cols[0]).shape[0]) if len(cols) else 0
         # one row per predictor; level codes are exact as floats
         values = np.asarray([np.asarray(c, dtype=np.float64) for c in cols]).reshape(-1)
-        width = self._sends_left.shape[1]
-        sends = self._sends_left.reshape(-1)
-        categorical = self._sends_left.any(axis=1)    # such a split sends some level left
+        width = self.sends_left.shape[1]
+        sends = self.sends_left.reshape(-1)
+        categorical = self.sends_left.any(axis=1)    # such a split sends some level left
         node = np.zeros(n, dtype=np.int64)
         live = np.arange(n, dtype=np.int64)
         while live.size:
@@ -106,21 +108,17 @@ class CartTree:
                 known = on & (x >= 0) & (x < width)
                 code = np.where(known, x, 0).astype(np.int64)
                 go_left = np.where(on, known & sends.take(at * width + code), go_left)
-            node[live] = np.where(go_left, self.left.take(at), self.right.take(at))
+            node[live] = self.left.take(at) + ~go_left   # right is left + 1
         return node
 
     def predict_class(self, cols, training_y: np.ndarray) -> np.ndarray:
         """Majority vote over leaf donors; ties go to the lowest level code."""
         if not self.y_kind.is_categorical:
             raise FitError("majority prediction needs a categorical target")
-        k = self.y_kind.n_levels
-        leaves = np.nonzero(self.feature < 0)[0]
-        sizes, _, flat = self._donor_layout
-        owner = np.repeat(np.arange(leaves.size), sizes[leaves])
-        votes = np.bincount(owner * k + training_y[flat], minlength=leaves.size * k)
-        majority = np.zeros(self.n_nodes, dtype=np.int64)
-        majority[leaves] = votes.reshape(leaves.size, k).argmax(axis=1)
-        return majority[self.route(cols)]
+        k, n_nodes = self.y_kind.n_levels, self.feature.shape[0]
+        owner = np.repeat(np.arange(n_nodes), np.diff(self.donor_start))
+        votes = np.bincount(owner * k + training_y[self.donor_rows], minlength=n_nodes * k)
+        return votes.reshape(n_nodes, k).argmax(axis=1)[self.route(cols)]
 
 
 def fit_cart(X: Predictors, y: np.ndarray, y_kind: ColumnKind, *, min_leaf: int = 5) -> CartTree:
@@ -178,18 +176,7 @@ def fit_cart(X: Predictors, y: np.ndarray, y_kind: ColumnKind, *, min_leaf: int 
         stack.append((left[node] + 1, rows[~go_left], right_ords))
         stack.append((left[node], rows[go_left], ords[to_left].reshape(n_pred, n_left)))
 
-    left = np.asarray(left, dtype=np.int64)
-    return CartTree(
-        names=X.names,
-        kinds=X.kinds,
-        y_kind=y_kind,
-        feature=np.asarray(feature, dtype=np.int64),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left_levels=left_levels,
-        left=left,
-        right=np.where(left < 0, -1, left + 1),
-        donors=donors,
-    )
+    return CartTree.from_nodes(X, y_kind, feature, threshold, left_levels, left, donors)
 
 
 def _midpoint(a: float, b: float) -> float:
@@ -351,9 +338,9 @@ class _SplitSearch:
 def draw_donor_rows(tree: CartTree, cols, rng: np.random.Generator) -> np.ndarray:
     """Vectorised donor draw: one training-row index per input row."""
     leaf_ids = tree.route(cols)
-    sizes, offsets, flat = tree._donor_layout
+    start = tree.donor_start[leaf_ids]
+    sizes = tree.donor_start[leaf_ids + 1] - start
     u = rng.random(leaf_ids.shape[0])
-    pos = np.floor(u * sizes[leaf_ids]).astype(np.int64)
+    pos = np.floor(u * sizes).astype(np.int64)
     # u < 1 strictly, but guard the boundary anyway
-    pos = np.minimum(pos, sizes[leaf_ids] - 1)
-    return flat[offsets[leaf_ids] + pos]
+    return tree.donor_rows[start + np.minimum(pos, sizes - 1)]

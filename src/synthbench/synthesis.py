@@ -60,6 +60,12 @@ _ORDER_SUFFIX = {
     "largest_cat_last": "L",
 }
 
+
+def synthesizer_label(base: str, order: str, proper: bool) -> str:
+    """The grid label of a synthesizer: "DOT" is proper D in opposite order."""
+    return base + _ORDER_SUFFIX[order] + ("T" if proper else "")
+
+
 _LABEL_RE = re.compile(r"^(CP|CC|P|D|S)(O|V|H|L)?(T)?$")
 
 
@@ -266,9 +272,8 @@ def build_spec(
         else:  # CC
             methods.append(Method.CART if col.kind.is_numeric else Method.JOINT_CATEGORICAL)
 
-    label = base + _ORDER_SUFFIX[order] + ("T" if proper else "")
     spec = SynthesizerSpec(
-        label=label,
+        label=synthesizer_label(base, order, proper),
         methods=tuple(methods),
         visit=visit,
         predictors=make_predictors(visit, selective),

@@ -1,7 +1,12 @@
 """The depth-first CART fit as it stood before the presorted, batched split
 search: every node argsorts each numeric predictor and scores one predictor
 at a time. Kept unchanged as the reference that ``test_cart.py`` compares the
-package's trees against, digest for digest."""
+package's trees against, digest for digest.
+
+Only the last step is shared with the package: the per-node lists go through
+``CartTree.from_nodes``, which packs them into flat arrays. That step drops
+the ``right`` list, since the fit makes both children at once and ``right``
+is always ``left + 1``."""
 
 from __future__ import annotations
 
@@ -95,17 +100,7 @@ def fit_cart(
         stack.append((rnode, rows[~go_left]))
         stack.append((lnode, rows[go_left]))
 
-    return CartTree(
-        names=X.names,
-        kinds=X.kinds,
-        y_kind=y_kind,
-        feature=np.asarray(feature, dtype=np.int64),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left_levels=left_levels,
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
-        donors=donors,
-    )
+    return CartTree.from_nodes(X, y_kind, feature, threshold, left_levels, left, donors)
 
 
 def _go_left(x: np.ndarray, threshold, levels) -> np.ndarray:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from synthbench.errors import FitError
 from synthbench.models import CartTree, fit_cart
 from synthbench.models.cart import draw_donor_rows
 from synthbench.models.design import Predictors
+from synthbench.synthesis import Donors
 
 
 NUM = ColumnKind.numeric()
@@ -24,6 +26,10 @@ def cat(k):
 
 def predictors(names, kinds, cols):
     return Predictors(tuple(names), tuple(kinds), tuple(np.asarray(c) for c in cols))
+
+
+def leaf_rows(tree, leaf):
+    return tree.donor_rows[tree.donor_start[leaf]:tree.donor_start[leaf + 1]]
 
 
 def sse(y):
@@ -83,7 +89,7 @@ def test_categorical_split_matches_exhaustive_search():
             c = sse(y[mask]) + sse(y[~mask])
             if best is None or c < best[1] - 1e-9:
                 best = (set(subset), c)
-    got_left = set(tree.left_levels[0])
+    got_left = set(np.flatnonzero(tree.sends_left[0]).tolist())
     # the same partition can be stored from either side
     assert got_left == best[0] or (set(levels) - got_left) == best[0]
 
@@ -141,7 +147,7 @@ def test_unseen_level_routes_without_error():
     assert tree.n_leaves == 2
     leaf = tree.route((np.asarray([2]),))[0]
     assert tree.feature[leaf] < 0
-    assert set(y[tree.donors[leaf]]) in ({0.0}, {5.0})
+    assert set(y[leaf_rows(tree, leaf)]) in ({0.0}, {5.0})
 
 
 def test_fit_is_deterministic():
@@ -189,6 +195,40 @@ def test_draw_leaf_uniform_over_donors():
     assert np.all(np.abs(freqs - 1 / 8) < 0.03)
 
 
+def test_predict_class_is_the_routed_leafs_majority():
+    rng = np.random.default_rng(29)
+    x = np.round(rng.normal(size=300), 1)
+    c = rng.integers(0, 4, 300)
+    y = np.digitize(x + 0.4 * c + rng.normal(0, 0.8, 300), [0.3, 1.2])
+    tree = fit_cart(predictors(["x", "c"], [NUM, cat(4)], [x, c]), y, cat(3), min_leaf=6)
+    assert any(np.unique(y[d]).size > 1 for d in tree.leaf_donors())
+    cols = (rng.normal(size=100), rng.integers(0, 4, 100))
+    leaves = tree.route(cols)
+    want = [np.bincount(y[leaf_rows(tree, v)], minlength=3).argmax() for v in leaves]
+    assert tree.predict_class(cols, y).tolist() == want
+    # the level-0 leaf holds three rows each of classes 1 and 2: 1 wins
+    f = np.asarray([0] * 6 + [1] * 6)
+    y = np.asarray([2, 1, 2, 1, 2, 1] + [0] * 6)
+    tree = fit_cart(predictors(["c"], [cat(2)], [f]), y, cat(3), min_leaf=5)
+    assert tree.n_leaves == 2
+    assert tree.predict_class((np.asarray([0, 1]),), y).tolist() == [1, 0]
+
+
+def test_tree_and_donors_survive_pickle():
+    """The pool's fit phase sends fitted trees to the parent by pickle."""
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=200)
+    c = rng.integers(0, 3, 200)
+    y = x + c + rng.normal(0, 0.3, 200)
+    tree = fit_cart(predictors(["x", "c"], [NUM, cat(3)], [x, c]), y, NUM, min_leaf=5)
+    fitted = Donors(tree, y)
+    cols = (rng.normal(size=500), rng.integers(0, 3, 500))
+    assert np.array_equal(pickle.loads(pickle.dumps(tree)).route(cols), tree.route(cols))
+    copy = pickle.loads(pickle.dumps(fitted))
+    draws = [d.draw(cols, 500, np.random.default_rng(3)) for d in (copy, fitted)]
+    assert np.array_equal(*draws)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(12, 60),
@@ -214,10 +254,17 @@ def test_partition_property_random_data(n, seed, min_leaf):
 
 
 def _tree_digest(tree: CartTree) -> str:
+    """sha256 of the bytes the tree's per-node form once fed it: the node
+    arrays with the right children, then each node's left level codes and
+    each node's donor rows, or a "|" where a node has none."""
     h = hashlib.sha256()
-    for arr in (tree.feature, tree.threshold, tree.left, tree.right):
+    right = np.where(tree.left < 0, -1, tree.left + 1)
+    for arr in (tree.feature, tree.threshold, tree.left, right):
         h.update(np.ascontiguousarray(arr).tobytes())
-    for part in (*tree.left_levels, *tree.donors):
+    bounds = zip(tree.donor_start[:-1], tree.donor_start[1:])
+    parts = [np.flatnonzero(row) if row.any() else None for row in tree.sends_left]
+    parts += [tree.donor_rows[a:b] if b > a else None for a, b in bounds]
+    for part in parts:
         h.update(b"|" if part is None else b"#" + np.asarray(part, dtype=np.int64).tobytes())
     return h.hexdigest()
 

@@ -17,9 +17,10 @@ import synthbench
 import synthbench.harness as harness
 import synthbench.synthesis as synthesis
 from synthbench.cli import main
-from synthbench.dataset import Dataset, LevelMapping, write_csv
+from synthbench.dataset import ColumnKind, Dataset, LevelMapping, write_csv
 from synthbench.errors import ConfigError, MetricError
 from synthbench.metrics import UtilityReport
+from synthbench.models import Predictors, fit_cart, fit_logistic
 from synthbench.synthesis import build_spec, load_synthetic_set, synthesize
 from synthbench.harness import (
     ExperimentConfig,
@@ -169,6 +170,22 @@ def test_load_config_validation(tmp_path):
         load_config(write_cfg(lambda d: d["metrics"]["classification"].update(test_fraction=1.5)))
     with pytest.raises(ConfigError, match="metrics.ci_level must be a number"):
         load_config(write_cfg(lambda d: d["metrics"].update(ci_level="0.9")))
+    # a lone string is no list: "NA" must not split into the tokens "N" and "A"
+    for mutate, where in (
+        (lambda d: d.update(missing_tokens="NA"), "missing_tokens"),
+        (lambda d: d.update(missing_tokens=["", 0]), "missing_tokens"),
+        (lambda d: d.update(preprocess={"drop": "c1"}), "preprocess.drop"),
+        (lambda d: d["grid"].update(predictor_modes="simple"), "grid.predictor_modes"),
+        (lambda d: d["grid"].update(selective={"y": "x"}), "grid.selective.y"),
+        (
+            lambda d: d["grid"]["synthesizers"].append(
+                {"base": "D", "order": "own", "own_order": "xy"}
+            ),
+            "own_order",
+        ),
+    ):
+        with pytest.raises(ConfigError, match=f"{where} must be a list of strings"):
+            load_config(write_cfg(mutate))
     # a whole number is a valid float setting
     assert load_config(write_cfg(lambda d: d["metrics"].update(ci_level=1))).metrics.ci_level == 1.0
 
@@ -241,6 +258,13 @@ def test_every_traced_name_resolves():
     for module_name, attr, span, _ in tracing.WRAPS:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr} ({span})"
+    # what the tracer's _after reads off a traced fit's result
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=40)
+    X = Predictors(("x",), (ColumnKind.numeric(),), (x,))
+    assert fit_cart(X, x + rng.normal(size=40), ColumnKind.numeric()).n_leaves >= 1
+    model = fit_logistic(X, (x + rng.normal(size=40) > 0).astype(np.int64))
+    assert model.n_iter >= 1 and model.converged in (True, False)
 
 
 def test_cell_seed_streams_are_distinct_and_stable():
