@@ -7,7 +7,9 @@ comparison and ad-hoc proportions). The sha256 digests of ``report.csv`` and
 ``summary.csv`` are stored below, and so are those of every plot table
 ``emit_tables`` writes from the run, so any change to what the grid produces,
 however small, fails here. The ``apo_vs_time`` digest leaves out its
-measured seconds column. A change that alters results on purpose updates
+measured seconds column. One more digest covers the bytes of every synthetic
+dataset the run writes; each set's ``manifest.json`` holds wall times and is
+left out. A change that alters results on purpose updates
 the digests and says so in CHANGES.md.
 
 The digests depend on floating-point results of numpy's linear algebra; they
@@ -39,6 +41,8 @@ GOLDEN_TABLES = {
     "correlations": "246e364cf0b3513163711055e72e3b4c36365612de412f217a99ce6de42bec0a",
     "apo_vs_time": "817befb08df7d5209ebb199aa892b44c79dc00d5e1f1d09a10ec526a6bec39c3",
 }
+
+GOLDEN_SYNTHETIC = "e40bbdfa0ae3adaa4a84d19de2f5d9b31b8b1d911582b2ce008b923ffc53964d"
 
 
 def _write_project(root):
@@ -132,3 +136,15 @@ def test_table_digests_are_golden(golden_run):
             data = _without_column(data, "seconds_per_dataset")
         digests[name] = hashlib.sha256(data).hexdigest()
     assert digests == GOLDEN_TABLES
+
+
+def test_synthetic_csv_digests_are_golden(golden_run):
+    cfg, _, _ = golden_run
+    synth = cfg.out / "synth"
+    paths = sorted(synth.glob("*/ds*.csv"))
+    assert paths
+    h = hashlib.sha256()
+    for path in paths:
+        h.update(path.relative_to(synth).as_posix().encode() + b"\0")
+        h.update(path.read_bytes())
+    assert h.hexdigest() == GOLDEN_SYNTHETIC
