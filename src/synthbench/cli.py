@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 from .analysis import load_adhoc
+from .dataset import NumberText
 from .errors import SynthbenchError
 from .estimands import load_fitspecs
 from .harness import (
@@ -71,7 +72,7 @@ def _cmd_generate(args) -> int:
     spec = spec_for_label(cfg, original.schema, args.spec, m=args.m, seed=cfg.seed)
     sset = synthesize(original, spec)
     out = Path(args.out) if args.out else cfg.out / "synth" / f"{args.spec}_m{args.m}"
-    save_synthetic_set(sset, out)
+    save_synthetic_set(sset, out, known=NumberText.of(original))
     print(f"wrote {sset.m} datasets to {out}")
     return 0
 

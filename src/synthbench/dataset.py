@@ -132,7 +132,12 @@ class Schema:
                 if entry.get("infer", False):
                     kind = ColumnKind.categorical(None)
                 elif "levels" in entry:
-                    kind = ColumnKind.categorical(entry["levels"])
+                    levels = entry["levels"]
+                    if not isinstance(levels, list) or not all(isinstance(v, str) for v in levels):
+                        raise SchemaError(
+                            f"column {name!r}: levels must be a list of strings, got {levels!r}"
+                        )
+                    kind = ColumnKind.categorical(levels)
                 else:
                     raise SchemaError(
                         f"categorical column {name!r} needs 'levels' or 'infer': true"
@@ -344,7 +349,41 @@ def _csv_fields(texts) -> list[str]:
     return out
 
 
-def write_csv(ds: Dataset, path: str | Path) -> None:
+@dataclass(frozen=True)
+class NumberText:
+    """The shortest round-trip text (``repr``) of a set of numbers, looked up
+    by bit pattern, so ``-0.0`` and ``0.0`` each keep their own text.
+
+    Synthesizers that copy values of the original (resampling, leaf and PMM
+    donors, bootstrap rows) write the same numbers again in every dataset;
+    with this table each distinct number is formatted once per run."""
+
+    bits: np.ndarray  # sorted distinct float64 bit patterns, as int64
+    texts: np.ndarray  # object array: repr of the value at each bit pattern
+
+    @staticmethod
+    def of(ds: Dataset) -> NumberText:
+        """The table of every value in the numeric columns of ``ds``."""
+        values = [arr for col, arr in zip(ds.schema.columns, ds.columns) if col.kind.is_numeric]
+        bits = np.unique(np.concatenate(values or [np.empty(0)]).view(np.int64))
+        texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+        return NumberText(_freeze(bits), _freeze(texts))
+
+    def format(self, arr: np.ndarray) -> list[str]:
+        """``repr`` of each float64 in ``arr``: the stored text where the
+        table holds its bit pattern, a fresh ``repr`` elsewhere."""
+        if not self.bits.size:
+            return list(map(repr, arr.tolist()))
+        bits = arr.view(np.int64)
+        pos = np.minimum(np.searchsorted(self.bits, bits), self.bits.size - 1)
+        cells = self.texts[pos].tolist()
+        missed = np.flatnonzero(self.bits[pos] != bits)
+        for i, value in zip(missed.tolist(), arr[missed].tolist()):
+            cells[i] = repr(value)
+        return cells
+
+
+def write_csv(ds: Dataset, path: str | Path, *, known: NumberText | None = None) -> None:
     """Write the dataset as UTF-8 CSV. Numeric cells use shortest round-trip
     text; categorical cells are written as their level labels. Missing cells
     come out as the empty string, so only a dataset without them reads back
@@ -353,11 +392,12 @@ def write_csv(ds: Dataset, path: str | Path) -> None:
     The bytes are those of ``csv.writer`` with its default dialect, one row at
     a time: a level is quoted only when it holds a comma, a quote, CR or LF,
     and an empty cell of a one-column file is written ``""``. Cells are
-    formatted a column at a time."""
+    formatted a column at a time. A number found in ``known`` takes its
+    stored text, which is the same text."""
     formatted: list[list[str]] = []
     for col, arr, mask in zip(ds.schema.columns, ds.columns, ds.missing):
         if col.kind.is_numeric:
-            cells = list(map(repr, arr.tolist()))
+            cells = list(map(repr, arr.tolist())) if known is None else known.format(arr)
         else:
             # Code -1 (a missing cell) indexes the trailing "".
             labels = np.asarray(_csv_fields(col.kind.levels) + [""], dtype=object)

@@ -174,13 +174,20 @@ def load_fitspecs(path: str | Path) -> tuple[FitSpec, ...]:
         raise EstimandError("fitspec document must be an object with a 'fits' list")
     fits = []
     for entry in doc["fits"]:
+        if not isinstance(entry, dict):
+            raise EstimandError(f"bad fit entry {entry!r}: not an object")
+        predictors = entry.get("predictors", [])
+        if not isinstance(predictors, list) or not all(isinstance(v, str) for v in predictors):
+            raise EstimandError(
+                f"bad fit entry {entry!r}: predictors must be a list of strings"
+            )
         try:
             fits.append(
                 FitSpec(
                     id=entry["id"],
                     family=entry["family"],
                     target=entry["target"],
-                    predictors=tuple(entry.get("predictors", ())),
+                    predictors=tuple(predictors),
                 )
             )
         except (KeyError, TypeError) as err:

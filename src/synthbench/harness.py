@@ -39,6 +39,7 @@ from .dataset import (
     DEFAULT_MISSING_TOKENS,
     Dataset,
     LevelMapping,
+    NumberText,
     Schema,
     coarsen_levels,
     drop_column,
@@ -565,12 +566,13 @@ def metric_rows(
 @dataclass(frozen=True)
 class _Experiment:
     """What the cells of one ``run_experiment`` call share in a process: the
-    inputs, the non-proper synthesis fits and the original-side values of
-    ``metric_rows``."""
+    inputs, the text of the original's numbers, the non-proper synthesis
+    fits and the original-side values of ``metric_rows``."""
 
     cfg: ExperimentConfig
     fingerprint: str
     original: Dataset
+    known: NumberText
     fits: tuple[FitSpec, ...]
     predicates: tuple[AdhocPredicate, ...]
     synth_fits: FitMemo
@@ -580,13 +582,16 @@ class _Experiment:
 _experiment: _Experiment | None = None
 
 
-def _start_experiment(cfg, fingerprint, original, fits, predicates, synth_fits=None) -> None:
+def _start_experiment(
+    cfg, fingerprint, original, known, fits, predicates, synth_fits=None
+) -> None:
     """Give this process a new experiment's memos, empty or with the fits of
     ``synth_fits``. ``run_experiment`` calls it first, and each pool worker
     as its initializer, so no run reuses another run's fits."""
     global _experiment
     _experiment = _Experiment(
-        cfg, fingerprint, original, fits, predicates, synth_fits or FitMemo(original), {}
+        cfg, fingerprint, original, known, fits, predicates,
+        synth_fits or FitMemo(original), {},
     )
 
 
@@ -631,7 +636,7 @@ def _run_cell(cell: tuple[str, str, int, int]) -> dict:
         seed = _cell_seed(cfg.seed, label, mode, m, rep)
         spec = spec_for_label(cfg, exp.original.schema, label, m=m, seed=seed, mode=mode)
         sset = synthesize(exp.original, spec, memo=exp.synth_fits)
-        seconds = save_synthetic_set(sset, cfg.out / "synth" / key)
+        seconds = save_synthetic_set(sset, cfg.out / "synth" / key, known=exp.known)
         rows, errors = metric_rows(
             exp.original, sset, cfg.metrics, exp.fits, exp.predicates, memo=exp.original_side
         )
@@ -747,7 +752,7 @@ def run_experiment(
                 done[key] = result
 
     pending = [cell for cell in cells if _cell_key(*cell) not in done]
-    shared = (cfg, fingerprint, original, fits, predicates)
+    shared = (cfg, fingerprint, original, NumberText.of(original), fits, predicates)
     _start_experiment(*shared)
     try:
         fresh = _run_cells(pending, jobs, shared)
@@ -909,7 +914,8 @@ def benchmark_generation(
     seed = _derived_seed(cfg.seed, f"bench|{label}", count)
     spec = spec_for_label(cfg, original.schema, label, m=count, seed=seed)
     sset = synthesize(original, spec)
-    seconds = save_synthetic_set(sset, cfg.out / "bench" / label)
+    known = NumberText.of(original)
+    seconds = save_synthetic_set(sset, cfg.out / "bench" / label, known=known)
     record = TimingRecord(label, "simple", count, 0, tuple(seconds))
     bench_path = cfg.out / f"bench_{label}.json"
     bench_path.parent.mkdir(parents=True, exist_ok=True)

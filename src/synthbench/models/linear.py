@@ -29,6 +29,13 @@ class LinearModel:
         return self.encoding.encode(cols) @ self.coef
 
 
+def _rank(M: np.ndarray) -> int:
+    """``np.linalg.matrix_rank(M)`` for a tall ``M``, from the singular values
+    of its p x p R factor, which are those of ``M``, with the same tolerance."""
+    S = np.linalg.svd(np.linalg.qr(M, mode="r"), compute_uv=False)
+    return int(np.count_nonzero(S > S.max() * max(M.shape) * np.finfo(M.dtype).eps))
+
+
 def fit_ols(X: Predictors, y: np.ndarray) -> LinearModel:
     """Least-squares fit of ``y`` on an intercept plus the encoded predictors.
 
@@ -47,7 +54,7 @@ def fit_ols(X: Predictors, y: np.ndarray) -> LinearModel:
 
     xtx = M.T @ M
     xty = M.T @ y
-    ridged = int(np.linalg.matrix_rank(M)) < p
+    ridged = _rank(M) < p
     if ridged:
         xtx = xtx + _RIDGE * np.eye(p)
     coef = np.linalg.solve(xtx, xty)

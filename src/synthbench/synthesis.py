@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, Schema, load_csv, write_csv
+from .dataset import Dataset, NumberText, Schema, load_csv, write_csv
 from .errors import DataError, FitError, SpecError, SynthesisError
 from .models.cart import CartTree, draw_donor_rows, fit_cart
 from .models.contingency import JointTable, draw_tuples, fit_joint_table
@@ -653,16 +653,18 @@ def synthesize(
     )
 
 
-def save_synthetic_set(sset: SyntheticSet, out_dir: str | Path) -> list[float]:
+def save_synthetic_set(
+    sset: SyntheticSet, out_dir: str | Path, *, known: NumberText | None = None
+) -> list[float]:
     """Write one CSV per dataset plus a manifest. The manifest's wall times
     add each dataset's write seconds to its generation seconds; the combined
-    list is returned."""
+    list is returned. ``known`` goes to every ``write_csv``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     combined = []
     for i, ds in enumerate(sset.datasets):
         t0 = time.perf_counter()
-        write_csv(ds, out / f"ds{i:03d}.csv")
+        write_csv(ds, out / f"ds{i:03d}.csv", known=known)
         combined.append(sset.wall_times[i] + time.perf_counter() - t0)
     manifest = {
         "label": sset.label,

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from synthbench.dataset import (
     ColumnKind,
     Dataset,
     LevelMapping,
+    NumberText,
     Schema,
     coarsen_levels,
     drop_column,
@@ -51,6 +53,13 @@ def test_schema_json_round_trip(tmp_path):
     assert schema.kind("c").levels == ("x", "y")
     assert schema.kind("d").levels is None  # inferred at load time
     assert Schema.from_dict(schema.to_dict()).names == schema.names
+
+
+@pytest.mark.parametrize("levels", ["yes", ["yes", 1], {"yes": 1}])
+def test_schema_levels_must_be_a_list_of_strings(levels):
+    doc = {"columns": [{"name": "c", "kind": "categorical", "levels": levels}]}
+    with pytest.raises(SchemaError, match="list of strings"):
+        Schema.from_dict(doc)
 
 
 def test_schema_rejects_duplicate_names():
@@ -170,6 +179,54 @@ def test_write_then_load_without_missing_tokens_is_the_identity(ds):
         # The text of a NaN keeps no sign bit; a zero's keeps its sign.
         numbers = ~np.isnan(a) if a.dtype == np.float64 else slice(None)
         assert np.array_equal(np.signbit(a[numbers]), np.signbit(b[numbers]))
+
+
+# Numbers whose text is easy to get wrong, plus arbitrary floats.
+NUMBER = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, math.inf, -math.inf, math.nan, 0.1]
+) | st.floats()
+
+
+@settings(max_examples=200, deadline=None)
+@example(shared=[0.0], table_only=[], written_only=[-0.0], data=None)
+@example(shared=[5e-324, 1e300, -1e300, math.inf], table_only=[], written_only=[-5e-324], data=None)
+@given(
+    shared=st.lists(NUMBER, max_size=6),
+    table_only=st.lists(NUMBER, max_size=6),
+    written_only=st.lists(NUMBER, max_size=6),
+    data=st.data(),
+)
+def test_write_csv_with_a_number_table_writes_what_repr_gives(
+    shared, table_only, written_only, data
+):
+    """The table is built from another dataset that shares only some values;
+    hits, misses, an empty table and masked cells all write repr's bytes."""
+    table = Dataset(
+        Schema((Column("t", ColumnKind.numeric()), Column("c", ColumnKind.categorical(("x",))))),
+        (np.asarray(shared + table_only, dtype=np.float64), np.zeros(len(shared + table_only))),
+    )
+    known = NumberText.of(table)
+    values = shared + written_only
+    if data is None:  # an explicit example: write every value, masking none
+        rows, masks = [values, values[::-1]], [None, None]
+    else:
+        n = data.draw(st.integers(0, 10))
+        cell = st.sampled_from(values) if values else st.just(0.0)
+        rows = [data.draw(st.lists(cell, min_size=n, max_size=n)) for _ in range(2)]
+        masks = [
+            data.draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n))
+            for _ in range(2)
+        ]
+    ds = Dataset(
+        Schema((Column("a", ColumnKind.numeric()), Column("b", ColumnKind.numeric()))),
+        tuple(np.asarray(r, dtype=np.float64) for r in rows),
+        tuple(None if m is None else np.asarray(m, dtype=bool) for m in masks),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        plain, looked_up = Path(tmp) / "plain.csv", Path(tmp) / "known.csv"
+        write_csv(ds, plain)
+        write_csv(ds, looked_up, known=known)
+        assert looked_up.read_bytes() == plain.read_bytes()
 
 
 def test_replace_missing_fills_from_observed_values(tmp_path):

@@ -192,6 +192,10 @@ def test_load_fitspecs_validation(tmp_path):
                 {"id": "f", "family": "linear", "target": "x", "predictors": ["y"]},
             ]
         },
+        # A string is not split into one-letter column names.
+        {"fits": [{"id": "f", "family": "linear", "target": "y", "predictors": "xc"}]},
+        {"fits": [{"id": "f", "family": "linear", "target": "y", "predictors": "x"}]},
+        {"fits": [{"id": "f", "family": "linear", "target": "y", "predictors": [1]}]},
     ]
     for doc in bad_cases:
         path.write_text(json.dumps(doc))

@@ -755,7 +755,7 @@ def test_any_exception_in_a_cell_becomes_an_error_row(tmp_path, capsys):
 def test_an_exception_outside_the_metrics_costs_the_whole_cell(tmp_path, monkeypatch):
     cfg = load_config(write_project(tmp_path, grid={"synthesizers": [{"base": "S"}], "m": [1]}, k=1))
 
-    def broken(sset, out_dir):
+    def broken(sset, out_dir, *, known=None):
         raise OSError("disk full")
 
     monkeypatch.setattr(harness, "save_synthetic_set", broken)

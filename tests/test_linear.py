@@ -66,6 +66,35 @@ def test_rank_deficiency_sets_ridged_flag():
     assert np.all(np.isfinite(model.se))
 
 
+@pytest.mark.parametrize(
+    "design, ridged",
+    [
+        ("full rank", False),
+        ("duplicated column", True),
+        ("absent dummy level", True),
+        ("duplicate scaled by 3e-9", True),
+        ("duplicate plus 3e-9 noise", False),
+    ],
+)
+def test_ridged_flag_agrees_with_matrix_rank(design, ridged):
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=60)
+    c = rng.integers(0, 3, 60)
+    names, kinds, cols = ["x", "c"], [NUM, cat(3)], [x, c]
+    if design == "duplicated column":
+        names, kinds, cols = names + ["x2"], kinds + [NUM], cols + [x.copy()]
+    elif design == "absent dummy level":
+        kinds[1] = cat(4)  # level l3 never occurs, so its dummy column is all zero
+    elif design == "duplicate scaled by 3e-9":
+        names, kinds, cols = names + ["x2"], kinds + [NUM], cols + [3e-9 * x]
+    elif design == "duplicate plus 3e-9 noise":
+        names, kinds, cols = names + ["x2"], kinds + [NUM], cols + [x + 3e-9 * rng.normal(size=60)]
+    X = predictors(names, kinds, cols)
+    _, M = encode_from_predictors(X)
+    assert (np.linalg.matrix_rank(M) < M.shape[1]) == ridged
+    assert fit_ols(X, x + rng.normal(size=60)).ridged == ridged
+
+
 def test_needs_more_rows_than_parameters():
     X = predictors(["x"], [NUM], [np.asarray([1.0, 2.0])])
     with pytest.raises(FitError):
