@@ -240,6 +240,21 @@ def test_fit_errors_carry_variable_and_dataset_context(monkeypatch):
     assert "'y'" in msg and "dataset 0" in msg
 
 
+@pytest.mark.parametrize("base, variable", [("D", "y"), ("CC", "x")])
+def test_unfittable_proper_tree_names_its_variable_and_dataset(base, variable):
+    # every bootstrap has 250 rows, one short of min_leaf: the first donor
+    # tree of dataset 0 fails (D draws x marginally; CC draws c1 and c2
+    # jointly before x)
+    ds = small_dataset()
+    spec = build_spec(ds.schema, base, proper=True, m=3, seed=5, min_leaf=251)
+    with pytest.raises(SynthesisError) as err:
+        synthesize(ds, spec)
+    assert str(err.value) == (
+        f"variable {variable!r}, dataset 0: need at least min_leaf=251 rows, got 250"
+    )
+    assert (err.value.variable, err.value.dataset_index) == (variable, 0)
+
+
 def numeric_pair(x, y):
     num = ColumnKind.numeric()
     return Dataset(Schema((Column("x", num), Column("y", num))), (x, y))
