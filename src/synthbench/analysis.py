@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import AnalysisError
-from .models.cart import fit_cart
+from .models.cart import CartProblem, CartTree, fit_cart
 from .models.design import Predictors
 from .synthesis import SyntheticSet
 
@@ -41,7 +41,8 @@ class ClassificationResult:
         return abs(self.baseline_accuracy - self.mean_accuracy)
 
 
-def _fit_predict(train: Dataset, evaluate: Dataset, target: str) -> np.ndarray:
+def _classifier_problem(train: Dataset, target: str) -> CartProblem:
+    """The donor tree of ``target`` on every other column of ``train``."""
     names = [n for n in train.schema.names if n != target]
     X = Predictors.from_dataset(train, names)
     # Stability floor. A deeply overfit tree trained on label-independent
@@ -51,19 +52,33 @@ def _fit_predict(train: Dataset, evaluate: Dataset, target: str) -> np.ndarray:
     # noise-trained trees close to a majority vote while leaving real
     # structure easy to pick up.
     min_leaf = max(5, math.isqrt(train.n_rows))
-    tree = fit_cart(X, train.column(target), train.schema.kind(target), min_leaf=min_leaf)
-    cols = [evaluate.column(n) for n in names]
-    return tree.predict_class(cols, train.column(target))
+    return CartProblem(X, train.column(target), train.schema.kind(target), min_leaf)
+
+
+def _predict(tree: CartTree, train: Dataset, evaluate: Dataset, target: str) -> np.ndarray:
+    """The class ``tree``, fitted on ``train``, predicts for each record of
+    ``evaluate``."""
+    return tree.predict_class([evaluate.column(n) for n in tree.names], train.column(target))
 
 
 @dataclass(frozen=True)
 class ClassifierBaseline:
     """The original-trained side of a classifier comparison: the original
-    records it is scored on, their labels, and which of them it gets right."""
+    records it is scored on, their labels, and which of them it gets right.
+    ``target``, ``seed`` and ``test_fraction`` say which labels and records
+    those are; ``seed`` is None when no holdout split uses it."""
 
     eval_ds: Dataset
     y_true: np.ndarray
     correct: np.ndarray
+    target: str
+    seed: int | None
+    test_fraction: float | None
+
+
+def _split_seed(seed: int | None, test_fraction: float | None) -> int | None:
+    """The seed the holdout split draws from, or None without a split."""
+    return None if test_fraction is None else (0 if seed is None else seed)
 
 
 def classifier_baseline(
@@ -80,13 +95,14 @@ def classifier_baseline(
     if len(original.schema) < 2:
         raise AnalysisError("classification needs at least one predictor column")
 
+    seed = _split_seed(seed, test_fraction)
     if test_fraction is None:
         train_orig = original
         eval_ds = original
     else:
         if not (0.0 < test_fraction < 1.0):
             raise AnalysisError("test_fraction must lie in (0, 1)")
-        rng = np.random.default_rng(seed if seed is not None else 0)
+        rng = np.random.default_rng(seed)
         n = original.n_rows
         perm = rng.permutation(n)
         n_test = max(1, int(round(test_fraction * n)))
@@ -98,9 +114,10 @@ def classifier_baseline(
         eval_ds = original.take(test_rows)
 
     y_true = eval_ds.column(target)
-    correct = _fit_predict(train_orig, eval_ds, target) == y_true
+    (tree,) = fit_cart([_classifier_problem(train_orig, target)]).trees
+    correct = _predict(tree, train_orig, eval_ds, target) == y_true
     correct.flags.writeable = False
-    return ClassifierBaseline(eval_ds, y_true, correct)
+    return ClassifierBaseline(eval_ds, y_true, correct, target, seed, test_fraction)
 
 
 def classify_compare(
@@ -124,17 +141,28 @@ def classify_compare(
     the original-trained model sees only the training rows.
 
     ``baseline`` is the original-trained side, from ``classifier_baseline``
-    with the same arguments; it is computed here when not given.
+    with the same arguments; it is computed here when not given, and one
+    built for another target, seed or holdout fraction is an error.
+
+    The synthetic-trained trees grow together as one forest.
     """
     if synthetic.m < 1:
         raise AnalysisError("no synthetic datasets to evaluate")
     if baseline is None:
         baseline = classifier_baseline(original, target, seed=seed, test_fraction=test_fraction)
+    asked = (target, _split_seed(seed, test_fraction), test_fraction)
+    if (baseline.target, baseline.seed, baseline.test_fraction) != asked:
+        raise AnalysisError(
+            f"the classifier baseline was built for target {baseline.target!r}, seed "
+            f"{baseline.seed}, test_fraction {baseline.test_fraction}; this comparison "
+            f"asks for target {asked[0]!r}, seed {asked[1]}, test_fraction {asked[2]}"
+        )
 
     accuracies = []
     agreements = []
-    for ds in synthetic.datasets:
-        pred = _fit_predict(ds, baseline.eval_ds, target)
+    forest = fit_cart([_classifier_problem(ds, target) for ds in synthetic.datasets])
+    for ds, tree in zip(synthetic.datasets, forest.trees):
+        pred = _predict(tree, ds, baseline.eval_ds, target)
         correct = pred == baseline.y_true
         accuracies.append(float(correct.mean()))
         agreements.append(float((correct == baseline.correct).mean()))

@@ -67,6 +67,8 @@ from .synthesis import (
     SynthesizerSpec,
     SyntheticSet,
     build_spec,
+    fit_trees,
+    grows_tree,
     save_synthetic_set,
     shared_steps,
     synthesize,
@@ -653,12 +655,18 @@ def _run_cell(cell: tuple[str, str, int, int]) -> dict:
     return result
 
 
-def _fit_shared(step):
-    """The fitted value of one shared step, or None when its fit raises."""
-    try:
-        return _experiment.synth_fits.fit(*step)
-    except Exception:
-        return None
+def _fit_shared(steps):
+    """The fitted value of each shared step, or None where its fit raises.
+    The donor trees among the steps grow as one forest."""
+    memo = _experiment.synth_fits
+    fit_trees([(memo, step) for step in steps])
+    fitted = []
+    for step in steps:
+        try:
+            fitted.append(memo.fit(*step))
+        except Exception:
+            fitted.append(None)
+    return fitted
 
 
 @contextmanager
@@ -678,7 +686,11 @@ def _run_cells(pending, jobs: int, shared: tuple) -> list[dict]:
     distinct non-proper step of the pending cells once (no fit depends on m
     or the seed, so one spec per label and mode lists them) into this
     process's memo, leaving a fit that raises to the cells that need it;
-    then run the cells longest first (proper, then larger m)."""
+    then run the cells longest first (proper, then larger m).
+
+    The donor trees of the first phase grow as at most ``jobs`` forests,
+    dealt round-robin, so that every worker has one; every other step is a
+    task of its own."""
     cfg, original, memo = _experiment.cfg, _experiment.original, _experiment.synth_fits
     proper = {label: p for _, p, label in cfg.labels()}
     steps = {}
@@ -688,10 +700,15 @@ def _run_cells(pending, jobs: int, shared: tuple) -> list[dict]:
         except Exception:
             continue  # the cell records why
         steps.update(shared_steps(spec))
-    with _workers(jobs, len(steps), shared) as fit_map:
-        for key, fitted in zip(steps, fit_map(_fit_shared, steps.values())):
-            if fitted is not None:
-                memo.add(key, fitted)
+    trees = [key for key, step in steps.items() if grows_tree(step)]
+    tasks = [trees[i::jobs] for i in range(min(jobs, len(trees)))]
+    tasks += [[key] for key, step in steps.items() if not grows_tree(step)]
+    step_lists = ([steps[key] for key in task] for task in tasks)
+    with _workers(jobs, len(tasks), shared) as fit_map:
+        for keys, fitted in zip(tasks, fit_map(_fit_shared, step_lists)):
+            for key, value in zip(keys, fitted):
+                if value is not None:
+                    memo.add(key, value)
     order = sorted(pending, key=lambda cell: (not proper[cell[0]], -cell[2]))
     with _workers(jobs, len(pending), (*shared, memo)) as cell_map:
         return list(cell_map(_run_cell, order))

@@ -1,10 +1,12 @@
 from .design import DesignEncoding, Predictors
-from .cart import CartTree, fit_cart
+from .cart import CartForest, CartProblem, CartTree, fit_cart
 from .linear import LinearModel, fit_ols
 from .logistic import LogisticModel, fit_logistic
 from .contingency import JointTable, draw_tuples, fit_joint_table
 
 __all__ = [
+    "CartForest",
+    "CartProblem",
     "CartTree",
     "DesignEncoding",
     "JointTable",

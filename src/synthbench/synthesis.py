@@ -16,7 +16,9 @@ Every (dataset index, visit step) pair consumes its own derived random
 stream, so dataset i is a pure function of (seed, i) no matter how many
 datasets are generated or in what order. For the same reason a fitted value
 can be drawn from any number of times: a non-proper spec fits each step once
-(``FitMemo``) and draws all m datasets from those fits.
+(``FitMemo``) and draws all m datasets from those fits. No fit uses
+randomness, so the donor trees of many steps, and of many datasets' bootstrap
+resamples, can grow together as one forest before any draw.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from .dataset import Dataset, NumberText, Schema, load_csv, write_csv
 from .errors import DataError, FitError, SpecError, SynthesisError
-from .models.cart import CartTree, draw_donor_rows, fit_cart
+from .models.cart import CartProblem, CartTree, draw_donor_rows, fit_cart
 from .models.contingency import JointTable, draw_tuples, fit_joint_table
 from .models.design import Predictors
 from .models.linear import LinearModel, draw_linear_many, fit_ols
@@ -302,6 +304,11 @@ class SyntheticSet:
         return len(self.datasets)
 
 
+# A batch of proper datasets holds at most this many bootstrap rows, so
+# memory stays bounded at any m.
+_BATCH_ROWS = 1 << 15
+
+
 def _stream(seed: int, dataset_index: int, tag: int) -> np.random.Generator:
     """Independent child stream for (seed, dataset, variable-or-bootstrap)."""
     return np.random.default_rng(np.random.SeedSequence((seed, dataset_index, tag)))
@@ -510,11 +517,10 @@ def fit_step(
         method is Method.PARAMETRIC_CATEGORICAL and np.unique(y_fit).size == 1
     ):
         return Marginal(y_fit)
+    if method is Method.CART:
+        return _fit_donors([_cart_problem(fit_ds, j, preds, spec)])[0]
 
     X_fit = Predictors.from_dataset(fit_ds, (schema.columns[q].name for q in preds))
-    if method is Method.CART:
-        tree = fit_cart(X_fit, y_fit, schema.columns[j].kind, min_leaf=spec.min_leaf)
-        return Donors(tree, y_fit)
     if method is Method.PARAMETRIC_NUMERIC:
         return Normal(fit_ols(X_fit, y_fit))
     if method is Method.PARAMETRIC_CATEGORICAL:
@@ -525,6 +531,26 @@ def fit_step(
         lm = fit_ols(X_fit, y_fit)
         return MeanMatch(lm, lm.predict(X_fit.cols), y_fit.astype(np.float64), spec.pmm_k)
     raise SpecError(f"unhandled method {method}")
+
+
+def _cart_problem(
+    fit_ds: Dataset, j: int, preds: tuple[int, ...], spec: SynthesizerSpec
+) -> CartProblem:
+    schema = fit_ds.schema
+    X = Predictors.from_dataset(fit_ds, (schema.columns[q].name for q in preds))
+    return CartProblem(X, fit_ds.columns[j], schema.columns[j].kind, spec.min_leaf)
+
+
+def _fit_donors(problems: list[CartProblem]) -> list[Donors]:
+    """One donor tree per problem, grown together as one forest."""
+    return [Donors(tree, p.y) for p, tree in zip(problems, fit_cart(problems).trees)]
+
+
+def grows_tree(step: tuple) -> bool:
+    """Whether a step (method, targets, preds, spec) fits a donor tree; a
+    CART step without predictors resamples its column instead."""
+    method, _, preds, _ = step
+    return method is Method.CART and bool(preds)
 
 
 def _visit_steps(spec: SynthesizerSpec) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
@@ -538,6 +564,11 @@ def _visit_steps(spec: SynthesizerSpec) -> list[tuple[int, tuple[int, ...], tupl
         for j in spec.visit.order
         if j == first or j not in group
     ]
+
+
+def _steps(spec: SynthesizerSpec) -> list[tuple]:
+    """Every visit step as (method, targets, preds, spec), in visit order."""
+    return [(spec.methods[j], targets, preds, spec) for j, targets, preds in _visit_steps(spec)]
 
 
 class FitMemo:
@@ -581,6 +612,33 @@ class FitMemo:
         the same key on an equal fitting set, in this or another process."""
         self._fitted[key] = fitted
 
+    def __contains__(self, key: tuple) -> bool:
+        return key in self._fitted
+
+
+def fit_trees(steps) -> None:
+    """Grow, as one forest, the donor trees of ``steps``, pairs of a memo
+    and a step (method, targets, preds, spec) that its memo lacks, and add
+    each tree to its memo. Other steps are left alone. A forest that raises
+    adds nothing, so each of its steps is fitted alone, and raises alone,
+    where ``FitMemo.fit`` asks for it."""
+    todo = [
+        (memo, step) for memo, step in steps
+        if grows_tree(step) and FitMemo.key(*step) not in memo
+    ]
+    if not todo:
+        return
+    problems = [
+        _cart_problem(memo.fit_ds, targets[0], preds, spec)
+        for memo, (_, targets, preds, spec) in todo
+    ]
+    try:
+        fitted = _fit_donors(problems)
+    except Exception:  # whatever it is, the step that meets it alone reports it
+        return
+    for (memo, step), donors in zip(todo, fitted):
+        memo.add(FitMemo.key(*step), donors)
+
 
 def shared_steps(spec: SynthesizerSpec) -> dict[tuple, tuple]:
     """The steps that a non-proper ``spec`` fits through a memo, as ``{memo
@@ -588,19 +646,33 @@ def shared_steps(spec: SynthesizerSpec) -> dict[tuple, tuple]:
     fits no other dataset shares."""
     if spec.proper:
         return {}
-    steps = ((spec.methods[j], targets, preds, spec) for j, targets, preds in _visit_steps(spec))
-    return {FitMemo.key(*step): step for step in steps}
+    return {FitMemo.key(*step): step for step in _steps(spec)}
+
+
+def _fitting_memos(spec: SynthesizerSpec, indices, memo: FitMemo) -> list[FitMemo]:
+    """The memo that each dataset of ``indices`` fits through, with the
+    donor trees of all of them grown as one forest. A non-proper spec fits
+    through ``memo``, whose fitting set is the original data; a proper one
+    fits each dataset's own bootstrap resample of it, drawn from the
+    dataset's stream 0, which no other dataset shares."""
+    if spec.proper:
+        original = memo.fit_ds
+        n = original.n_rows
+        memos = [
+            FitMemo(original.take(_bootstrap_indices(_stream(spec.seed, idx, 0), n)))
+            for idx in indices
+        ]
+    else:
+        memos = [memo] * len(indices)
+    fit_trees([(fits, step) for fits in dict.fromkeys(memos) for step in _steps(spec)])
+    return memos
 
 
 def _synthesize_one(spec: SynthesizerSpec, idx: int, memo: FitMemo) -> Dataset:
-    """Dataset ``idx``. A non-proper spec fits through ``memo``, whose fitting
-    set is the original data; a proper one fits its own bootstrap resample
-    of it, which no other dataset shares."""
-    original = memo.fit_ds
-    schema = original.schema
-    n = original.n_rows
-    if spec.proper:
-        memo = FitMemo(original.take(_bootstrap_indices(_stream(spec.seed, idx, 0), n)))
+    """Dataset ``idx``, fitting each step through ``memo`` (see
+    ``_fitting_memos``) and drawing it from the dataset's own streams."""
+    schema = memo.fit_ds.schema
+    n = memo.fit_ds.n_rows
 
     syn: dict[int, np.ndarray] = {}
     for j, targets, preds in _visit_steps(spec):
@@ -629,12 +701,19 @@ def synthesize(
 
     A non-proper spec fits each step once and draws every dataset from that
     fit. ``memo`` carries those fits across calls on the same ``original``;
-    by default they are shared within this call only. A dataset's seconds
-    cover the fits it made and its draws, so a dataset that finds its fits
-    in the memo costs only its draws.
+    by default they are shared within this call only. A proper spec fits
+    each dataset's bootstrap resample, in batches of at most ``_BATCH_ROWS``
+    bootstrap rows; a non-proper spec's datasets form one batch. The donor
+    trees that a batch lacks grow together as one forest before its first
+    draw.
 
-    Results are identical for any memo: every dataset only touches its own
-    derived random streams.
+    A dataset's seconds are an equal share of its batch's forest, plus the
+    other fits it made and its draws. A dataset that finds all its fits in
+    the memo costs only its draws.
+
+    Results are identical for any memo and batch: every tree depends only
+    on its own fitting set, and every dataset only touches its own derived
+    random streams.
     """
     spec.validate_against(original.schema)
     if original.has_missing:
@@ -644,10 +723,16 @@ def synthesize(
     elif memo.fit_ds is not original:
         raise SynthesisError("the fit memo belongs to a different original dataset")
     datasets, seconds = [], []
-    for idx in range(spec.m):
+    per_batch = max(1, _BATCH_ROWS // max(1, original.n_rows)) if spec.proper else spec.m
+    for first in range(0, spec.m, per_batch):
+        batch = range(first, min(spec.m, first + per_batch))
         t0 = time.perf_counter()
-        datasets.append(_synthesize_one(spec, idx, memo))
-        seconds.append(time.perf_counter() - t0)
+        memos = _fitting_memos(spec, batch, memo)
+        share = (time.perf_counter() - t0) / len(batch)
+        for idx, fits in zip(batch, memos):
+            t0 = time.perf_counter()
+            datasets.append(_synthesize_one(spec, idx, fits))
+            seconds.append(share + time.perf_counter() - t0)
     return SyntheticSet(
         label=spec.label, seed=spec.seed, datasets=tuple(datasets), wall_times=tuple(seconds)
     )

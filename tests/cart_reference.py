@@ -3,10 +3,9 @@ search: every node argsorts each numeric predictor and scores one predictor
 at a time. Kept unchanged as the reference that ``test_cart.py`` compares the
 package's trees against, digest for digest.
 
-Only the last step is shared with the package: the per-node lists go through
-``CartTree.from_nodes``, which packs them into flat arrays. That step drops
-the ``right`` list, since the fit makes both children at once and ``right``
-is always ``left + 1``."""
+Its last step, ``_pack``, turns the per-node lists into the package's flat
+``CartTree`` arrays. It drops the ``right`` list, since the fit makes both
+children at once and ``right`` is always ``left + 1``."""
 
 from __future__ import annotations
 
@@ -100,7 +99,28 @@ def fit_cart(
         stack.append((rnode, rows[~go_left]))
         stack.append((lnode, rows[go_left]))
 
-    return CartTree.from_nodes(X, y_kind, feature, threshold, left_levels, left, donors)
+    return _pack(X, y_kind, feature, threshold, left_levels, left, donors)
+
+
+def _pack(X: Predictors, y_kind, feature, threshold, left_levels, left, donors) -> CartTree:
+    """Pack per-node lists; ``left_levels`` (the codes a categorical split
+    sends left) and ``donors`` (a leaf's rows) hold None at other nodes."""
+    width = max((k.n_levels for k in X.kinds if k.is_categorical), default=0)
+    sends_left = np.zeros((len(feature), width), dtype=bool)
+    for node, levels in enumerate(left_levels):
+        if levels is not None:
+            sends_left[node, levels] = True
+    sizes = [0 if d is None else d.size for d in donors]
+    return CartTree(
+        names=X.names,
+        y_kind=y_kind,
+        feature=np.asarray(feature, dtype=np.int64),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int64),
+        sends_left=sends_left,
+        donor_start=np.cumsum([0, *sizes], dtype=np.int64),
+        donor_rows=np.concatenate([d for d in donors if d is not None]),
+    )
 
 
 def _go_left(x: np.ndarray, threshold, levels) -> np.ndarray:

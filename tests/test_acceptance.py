@@ -26,7 +26,7 @@ from synthbench.estimands import (
     regression_estimands,
 )
 from synthbench.metrics import apo, cio, kl_divergence
-from synthbench.models import fit_cart, fit_logistic
+from synthbench.models import CartProblem, fit_cart, fit_logistic
 from synthbench.models.cart import draw_donor_rows
 from synthbench.models.contingency import draw_tuples, fit_joint_table
 from synthbench.models.design import Predictors
@@ -250,7 +250,7 @@ def test_criterion_7_draw_oracles():
     # uniform leaf donors: a constant predictor keeps the tree at its root
     donors = np.arange(8, dtype=np.float64)
     X = Predictors(("z",), (ColumnKind.numeric(),), (np.zeros(8),))
-    tree = fit_cart(X, donors, ColumnKind.numeric(), min_leaf=8)
+    (tree,) = fit_cart([CartProblem(X, donors, ColumnKind.numeric(), min_leaf=8)]).trees
     rng = np.random.default_rng(_stream(7, 0))
     picks = donors[draw_donor_rows(tree, (np.zeros(n_draws),), rng)]
     for v in donors:

@@ -7,6 +7,7 @@ from synthbench.analysis import (
     AdhocPredicate,
     Condition,
     adhoc_proportion,
+    classifier_baseline,
     classify_compare,
     correlation_battery,
     load_adhoc,
@@ -71,6 +72,33 @@ def test_classify_holdout_split():
     assert 0.0 <= result.agreement <= 1.0
     with pytest.raises(AnalysisError):
         classify_compare(ds, as_set("c", ds), "y", test_fraction=1.5)
+
+
+def test_classify_rejects_a_baseline_built_for_other_rows_or_labels():
+    ds = labeled_dataset()
+    labels = ds.column("y")
+    two_targets = Dataset(
+        Schema((*ds.schema.columns, Column("w", ColumnKind.categorical(("a", "b"))))),
+        (*ds.columns, 1 - labels),
+    )
+    sset = as_set("copy", two_targets)
+    base = classifier_baseline(two_targets, "y", seed=1, test_fraction=0.3)
+    got = classify_compare(two_targets, sset, "y", seed=1, test_fraction=0.3, baseline=base)
+    assert got == classify_compare(two_targets, sset, "y", seed=1, test_fraction=0.3)
+    for target, kwargs in (
+        ("w", {"seed": 1, "test_fraction": 0.3}),
+        ("y", {"seed": 2, "test_fraction": 0.3}),
+        ("y", {"seed": 1, "test_fraction": 0.4}),
+        ("y", {"seed": 1}),
+    ):
+        with pytest.raises(AnalysisError, match="baseline was built for target 'y', seed 1"):
+            classify_compare(two_targets, sset, target, baseline=base, **kwargs)
+    # without a holdout split the seed picks no rows, and a holdout seed of
+    # None is seed 0
+    whole = classifier_baseline(two_targets, "y", seed=4)
+    classify_compare(two_targets, sset, "y", seed=9, baseline=whole)
+    split = classifier_baseline(two_targets, "y", test_fraction=0.3)
+    classify_compare(two_targets, sset, "y", seed=0, test_fraction=0.3, baseline=split)
 
 
 def test_classify_validation():

@@ -1,7 +1,12 @@
 import hashlib
 import itertools
+import json
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +16,7 @@ from hypothesis import strategies as st
 
 from synthbench.dataset import ColumnKind
 from synthbench.errors import FitError
-from synthbench.models import CartTree, fit_cart
+from synthbench.models import CartProblem, CartTree, cart, fit_cart
 from synthbench.models.cart import draw_donor_rows
 from synthbench.models.design import Predictors
 from synthbench.synthesis import Donors
@@ -26,6 +31,11 @@ def cat(k):
 
 def predictors(names, kinds, cols):
     return Predictors(tuple(names), tuple(kinds), tuple(np.asarray(c) for c in cols))
+
+
+def fit_tree(X, y, kind, *, min_leaf=5):
+    """A forest of one tree, as the package's callers fit a single tree."""
+    return fit_cart([CartProblem(X, np.asarray(y), kind, min_leaf)]).trees[0]
 
 
 def leaf_rows(tree, leaf):
@@ -66,7 +76,7 @@ def test_numeric_regression_split_matches_brute_force():
     x = rng.normal(size=60)
     y = np.where(x > 0.3, 4.0, 1.0) + rng.normal(0, 0.2, 60)
     X = predictors(["x"], [NUM], [x])
-    tree = fit_cart(X, y, NUM, min_leaf=5)
+    tree = fit_tree(X, y, NUM, min_leaf=5)
     best = brute_force_numeric_split(x, y, 5, sse)
     assert tree.feature[0] == 0
     assert tree.threshold[0] == pytest.approx(best[0], abs=1e-12)
@@ -77,7 +87,7 @@ def test_categorical_split_matches_exhaustive_search():
     f = rng.integers(0, 4, 80)
     y = np.asarray([10.0, -3.0, 10.5, 2.0])[f] + rng.normal(0, 0.1, 80)
     X = predictors(["c"], [cat(4)], [f])
-    tree = fit_cart(X, y, NUM, min_leaf=5)
+    tree = fit_tree(X, y, NUM, min_leaf=5)
 
     best = None
     levels = sorted(set(f.tolist()))
@@ -100,7 +110,7 @@ def test_classification_split_matches_brute_force_gini():
     y = (x > 0.6).astype(np.int64)
     y[::9] = 1 - y[::9]  # noise so the split is not trivial
     X = predictors(["x"], [NUM], [x])
-    tree = fit_cart(X, y, cat(2), min_leaf=5)
+    tree = fit_tree(X, y, cat(2), min_leaf=5)
     best = brute_force_numeric_split(x, y, 5, lambda part: gini_mass(part, 2))
     assert tree.feature[0] == 0
     assert tree.threshold[0] == pytest.approx(best[0], abs=1e-12)
@@ -112,7 +122,7 @@ def test_xor_interaction_reaches_purity():
     b = rng.integers(0, 2, 400)
     y = (a ^ b).astype(np.float64)
     X = predictors(["a", "b"], [cat(2), cat(2)], [a, b])
-    tree = fit_cart(X, y, NUM, min_leaf=5)
+    tree = fit_tree(X, y, NUM, min_leaf=5)
     assert all(np.ptp(y[d]) == 0 for d in tree.leaf_donors())
     assert tree.n_leaves >= 4
 
@@ -123,7 +133,7 @@ def test_donors_partition_rows():
     c = rng.integers(0, 3, 90)
     y = x * 2 + c + rng.normal(0, 0.5, 90)
     X = predictors(["x", "c"], [NUM, cat(5)], [x, c])
-    tree = fit_cart(X, y, NUM, min_leaf=5)
+    tree = fit_tree(X, y, NUM, min_leaf=5)
     seen = sorted(i for leaf in tree.leaf_donors() for i in leaf)
     assert seen == list(range(90))
     assert all(len(leaf) >= 5 for leaf in tree.leaf_donors())
@@ -132,7 +142,7 @@ def test_donors_partition_rows():
 def test_constant_target_gives_single_leaf():
     X = predictors(["x"], [NUM], [np.arange(20.0)])
     y = np.full(20, 3.25)
-    tree = fit_cart(X, y, NUM, min_leaf=5)
+    tree = fit_tree(X, y, NUM, min_leaf=5)
     assert tree.n_leaves == 1
     (donors,) = tree.leaf_donors()
     assert y[donors].mean() == 3.25
@@ -143,7 +153,7 @@ def test_unseen_level_routes_without_error():
     f = np.asarray([0] * 10 + [1] * 10)
     y = np.asarray([0.0] * 10 + [5.0] * 10)
     X = predictors(["c"], [cat(3)], [f])
-    tree = fit_cart(X, y, NUM, min_leaf=5)
+    tree = fit_tree(X, y, NUM, min_leaf=5)
     assert tree.n_leaves == 2
     leaf = tree.route((np.asarray([2]),))[0]
     assert tree.feature[leaf] < 0
@@ -156,8 +166,8 @@ def test_fit_is_deterministic():
     c = rng.integers(0, 5, 100)
     y = rng.normal(size=100)
     X = predictors(["x", "c"], [NUM, cat(5)], [x, c])
-    t1 = fit_cart(X, y, NUM, min_leaf=5)
-    t2 = fit_cart(X, y, NUM, min_leaf=5)
+    t1 = fit_tree(X, y, NUM, min_leaf=5)
+    t2 = fit_tree(X, y, NUM, min_leaf=5)
     assert np.array_equal(t1.feature, t2.feature)
     assert np.array_equal(t1.threshold, t2.threshold, equal_nan=True)
     assert [d.tolist() for d in t1.leaf_donors()] == [d.tolist() for d in t2.leaf_donors()]
@@ -169,25 +179,31 @@ def test_route_vectorised_agrees_with_row_routing():
     c = rng.integers(0, 4, 120)
     y = x + 0.5 * c + rng.normal(0, 0.3, 120)
     X = predictors(["x", "c"], [NUM, cat(5)], [x, c])
-    tree = fit_cart(X, y, NUM, min_leaf=5)
+    tree = fit_tree(X, y, NUM, min_leaf=5)
     leaves = tree.route((x, c))
     for i in range(120):
         assert leaves[i] == tree.route((x[i:i + 1], c[i:i + 1]))[0]
 
 
+def test_a_tree_needs_a_predictor():
+    # with none, routing would find no row to route: refuse the problem
+    with pytest.raises(FitError, match="at least one predictor"):
+        fit_tree(predictors([], [], []), np.arange(10.0), NUM)
+
+
 def test_min_leaf_validation():
     X = predictors(["x"], [NUM], [np.arange(6.0)])
     with pytest.raises(FitError):
-        fit_cart(X, np.arange(6.0), NUM, min_leaf=0)
+        fit_tree(X, np.arange(6.0), NUM, min_leaf=0)
     with pytest.raises(FitError):
-        fit_cart(X, np.arange(3.0)[:2], NUM, min_leaf=5)
+        fit_tree(X, np.arange(3.0)[:2], NUM, min_leaf=5)
 
 
 def test_draw_leaf_uniform_over_donors():
     f = np.asarray([0] * 8 + [1] * 8)
     y = np.asarray([float(i) for i in range(8)] + [99.0] * 8)
     X = predictors(["c"], [cat(2)], [f])
-    tree = fit_cart(X, y, NUM, min_leaf=5)
+    tree = fit_tree(X, y, NUM, min_leaf=5)
     rng = np.random.default_rng(0)
     draws = y[draw_donor_rows(tree, (np.zeros(4000, dtype=np.int64),), rng)]
     assert set(np.unique(draws)) <= set(range(8))
@@ -200,7 +216,7 @@ def test_predict_class_is_the_routed_leafs_majority():
     x = np.round(rng.normal(size=300), 1)
     c = rng.integers(0, 4, 300)
     y = np.digitize(x + 0.4 * c + rng.normal(0, 0.8, 300), [0.3, 1.2])
-    tree = fit_cart(predictors(["x", "c"], [NUM, cat(4)], [x, c]), y, cat(3), min_leaf=6)
+    tree = fit_tree(predictors(["x", "c"], [NUM, cat(4)], [x, c]), y, cat(3), min_leaf=6)
     assert any(np.unique(y[d]).size > 1 for d in tree.leaf_donors())
     cols = (rng.normal(size=100), rng.integers(0, 4, 100))
     leaves = tree.route(cols)
@@ -209,7 +225,7 @@ def test_predict_class_is_the_routed_leafs_majority():
     # the level-0 leaf holds three rows each of classes 1 and 2: 1 wins
     f = np.asarray([0] * 6 + [1] * 6)
     y = np.asarray([2, 1, 2, 1, 2, 1] + [0] * 6)
-    tree = fit_cart(predictors(["c"], [cat(2)], [f]), y, cat(3), min_leaf=5)
+    tree = fit_tree(predictors(["c"], [cat(2)], [f]), y, cat(3), min_leaf=5)
     assert tree.n_leaves == 2
     assert tree.predict_class((np.asarray([0, 1]),), y).tolist() == [1, 0]
 
@@ -220,7 +236,7 @@ def test_tree_and_donors_survive_pickle():
     x = rng.normal(size=200)
     c = rng.integers(0, 3, 200)
     y = x + c + rng.normal(0, 0.3, 200)
-    tree = fit_cart(predictors(["x", "c"], [NUM, cat(3)], [x, c]), y, NUM, min_leaf=5)
+    tree = fit_tree(predictors(["x", "c"], [NUM, cat(3)], [x, c]), y, NUM, min_leaf=5)
     fitted = Donors(tree, y)
     cols = (rng.normal(size=500), rng.integers(0, 3, 500))
     assert np.array_equal(pickle.loads(pickle.dumps(tree)).route(cols), tree.route(cols))
@@ -241,7 +257,7 @@ def test_partition_property_random_data(n, seed, min_leaf):
     c = rng.integers(0, 3, n)
     y = rng.normal(size=n)
     X = predictors(["x", "c"], [NUM, cat(5)], [x, c])
-    tree = fit_cart(X, y, NUM, min_leaf=min_leaf)
+    tree = fit_tree(X, y, NUM, min_leaf=min_leaf)
     donors = tree.leaf_donors()
     assert sorted(i for leaf in donors for i in leaf) == list(range(n))
     assert all(len(leaf) >= min_leaf for leaf in donors)
@@ -329,23 +345,60 @@ GOLDEN_TREES = {
 }
 
 
-def test_tree_digests_are_golden():
+def _golden_problems() -> list[CartProblem]:
+    """The problems of ``GOLDEN_TREES``, in its order."""
     X, targets = _digest_fixture()
     cases = {name: (X, y, kind) for name, (y, kind) in targets.items()}
     cases.update(_digest_fixture_2k())
+    return [CartProblem(*cases[target], min_leaf) for target, min_leaf in GOLDEN_TREES]
+
+
+def test_tree_digests_are_golden():
     got = {}
-    for target, min_leaf in GOLDEN_TREES:
-        X, y, kind = cases[target]
-        got[(target, min_leaf)] = _tree_digest(fit_cart(X, y, kind, min_leaf=min_leaf))
+    for key, p in zip(GOLDEN_TREES, _golden_problems()):
+        got[key] = _tree_digest(fit_tree(p.X, p.y, p.y_kind, min_leaf=p.min_leaf))
     assert got == GOLDEN_TREES
+
+
+def test_golden_trees_grown_as_one_forest():
+    forest = fit_cart(_golden_problems())
+    assert dict(zip(GOLDEN_TREES, map(_tree_digest, forest.trees))) == GOLDEN_TREES
+    assert forest.n_leaves == sum(tree.n_leaves for tree in forest.trees)
+
+
+def test_golden_trees_under_small_forest_and_pass_budgets(monkeypatch):
+    # every tree grows alone, and a pass of the numeric search holds a few
+    # short segments or one long one
+    monkeypatch.setattr(cart, "_FOREST_PLACES", 1)
+    monkeypatch.setattr(cart, "_PASS_PLACES", 64)
+    forest = fit_cart(_golden_problems())
+    assert [_tree_digest(tree) for tree in forest.trees] == list(GOLDEN_TREES.values())
+
+
+def test_golden_forest_under_two_blas_threads():
+    """Some of the forest's sums run through BLAS; splitting that work over
+    threads must not reorder them."""
+    tests = Path(__file__).resolve().parent
+    path = [str(tests), str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": os.pathsep.join(path)}
+    code = (
+        "import json, test_cart as t\n"
+        "trees = t.fit_cart(t._golden_problems()).trees\n"
+        "print(json.dumps([t._tree_digest(tree) for tree in trees]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+        timeout=300,
+    )
+    assert json.loads(out.stdout) == list(GOLDEN_TREES.values())
 
 
 @st.composite
 def tree_inputs(draw):
     """(predictors, target, kind, min_leaf): 0-3 numeric predictors rounded
     so that values tie, 0-3 categorical ones with 1-15 declared levels of
-    which some may be absent, an SSE target or a Gini one with 2-9 classes,
-    and min_leaf from 1 to sqrt(n).
+    which some may be absent (at least one predictor in all), an SSE target
+    or a Gini one with 2-9 classes, and min_leaf from 1 to sqrt(n).
 
     A numeric predictor may come with its mirror image. The two offer the
     same partitions, so only the rounding of the prefix sums, which depends
@@ -354,7 +407,8 @@ def tree_inputs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kinds, cols = [], []
     signal = np.zeros(n)
-    for _ in range(draw(st.integers(0, 3))):
+    n_num = draw(st.integers(0, 3))
+    for _ in range(n_num):
         x = np.round(rng.normal(size=n), draw(st.integers(0, 2)))
         kinds.append(NUM)
         cols.append(x)
@@ -362,7 +416,7 @@ def tree_inputs(draw):
         if draw(st.booleans()):
             kinds.append(NUM)
             cols.append(-x)
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(0 if n_num else 1, 3))):
         declared = draw(st.integers(1, 15))
         used = rng.permutation(declared)[: draw(st.integers(1, declared))]
         codes = rng.choice(used, size=n)
@@ -407,6 +461,19 @@ def _mirrored_ties():
 def test_fit_builds_the_reference_tree(inputs):
     X, y, kind, min_leaf = inputs
     with np.errstate(all="ignore"):
-        got = fit_cart(X, y, kind, min_leaf=min_leaf)
+        got = fit_tree(X, y, kind, min_leaf=min_leaf)
         want = reference_fit_cart(X, y, kind, min_leaf=min_leaf)
     assert _tree_digest(got) == _tree_digest(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(forest=st.lists(tree_inputs(), min_size=1, max_size=6))
+@example(forest=[_constant_target(), _huge_values(), _mirrored_ties()])
+def test_forest_builds_each_reference_tree(forest):
+    """Trees grown together, SSE and Gini mixed, each with its own data,
+    predictors and min_leaf, equal the reference tree by tree."""
+    problems = [CartProblem(X, np.asarray(y), kind, min_leaf) for X, y, kind, min_leaf in forest]
+    with np.errstate(all="ignore"):
+        got = fit_cart(problems).trees
+        want = [reference_fit_cart(p.X, p.y, p.y_kind, min_leaf=p.min_leaf) for p in problems]
+    assert [_tree_digest(t) for t in got] == [_tree_digest(t) for t in want]

@@ -20,7 +20,7 @@ from synthbench.cli import main
 from synthbench.dataset import ColumnKind, Dataset, LevelMapping, write_csv
 from synthbench.errors import ConfigError, MetricError
 from synthbench.metrics import UtilityReport
-from synthbench.models import Predictors, fit_cart, fit_logistic
+from synthbench.models import CartProblem, Predictors, fit_cart, fit_logistic
 from synthbench.synthesis import build_spec, load_synthetic_set, synthesize
 from synthbench.harness import (
     ExperimentConfig,
@@ -262,7 +262,8 @@ def test_every_traced_name_resolves():
     rng = np.random.default_rng(0)
     x = rng.normal(size=40)
     X = Predictors(("x",), (ColumnKind.numeric(),), (x,))
-    assert fit_cart(X, x + rng.normal(size=40), ColumnKind.numeric()).n_leaves >= 1
+    problem = CartProblem(X, x + rng.normal(size=40), ColumnKind.numeric())
+    assert fit_cart([problem]).n_leaves >= 1
     model = fit_logistic(X, (x + rng.normal(size=40) > 0).astype(np.int64))
     assert model.n_iter >= 1 and model.converged in (True, False)
 
@@ -370,25 +371,33 @@ def test_resume_reruns_only_cells_without_a_valid_file(tmp_path):
 
 
 def test_non_proper_fits_are_made_once_per_experiment(tmp_path, monkeypatch):
-    fitted = []
+    fitted, per_call = [], []
     real_fit_cart = synthesis.fit_cart
 
-    def counting_fit_cart(X, y, y_kind, **kwargs):
-        fitted.append(X.names)
-        return real_fit_cart(X, y, y_kind, **kwargs)
+    def counting_fit_cart(problems):
+        fitted.extend(p.X.names for p in problems)
+        per_call.append(len(problems))
+        return real_fit_cart(problems)
 
     monkeypatch.setattr(synthesis, "fit_cart", counting_fit_cart)
     # D on (x, y, c): x is drawn marginally, y and c from trees on (x) and
-    # (x, y). The grid has m in {1, 3} and k = 2: 8 datasets.
-    for proper, expected in ((False, [("x",), ("x", "y")]), (True, [("x",), ("x", "y")] * 8)):
+    # (x, y). The grid has m in {1, 3} and k = 2: 8 datasets. The shared
+    # phase grows the two non-proper trees as one forest; a proper cell
+    # grows the trees of all its datasets as one, larger m first.
+    for proper, expected, calls in (
+        (False, [("x",), ("x", "y")], [2]),
+        (True, [("x",), ("x", "y")] * 8, [6, 6, 2, 2]),
+    ):
         root = tmp_path / f"proper_{proper}"
         root.mkdir()
         grid = {"synthesizers": [{"base": "D"}], "proper": [proper], "m": [1, 3]}
         cfg = load_config(write_project(root, grid=grid, metrics={"kl_normalize": False}))
         fitted.clear()
+        per_call.clear()
         report, _ = run_experiment(cfg)
         assert not report.errors
         assert fitted == expected
+        assert per_call == calls
 
 
 def _run_in_fresh_process(cfg_path, out):

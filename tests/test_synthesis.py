@@ -167,6 +167,17 @@ def test_shared_fits_draw_the_bytes_of_separate_fits(base):
         assert [c.tobytes() for c in got.columns] == [c.tobytes() for c in want.columns]
 
 
+@pytest.mark.parametrize("base", synthesis.BASES)
+def test_proper_forests_draw_the_bytes_of_separate_fits(base):
+    # synthesize grows the trees of all three bootstraps as one forest
+    ds = small_dataset()
+    spec = build_spec(ds.schema, base, proper=True, m=3, seed=23)
+    for i, got in enumerate(synthesize(ds, spec).datasets):
+        (fits,) = synthesis._fitting_memos(spec, [i], FitMemo(ds))
+        want = synthesis._synthesize_one(spec, i, fits)
+        assert [c.tobytes() for c in got.columns] == [c.tobytes() for c in want.columns]
+
+
 def test_a_fit_memo_serves_only_its_own_original():
     ds = small_dataset()
     memo = FitMemo(ds)
