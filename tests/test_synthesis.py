@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -333,3 +335,60 @@ def test_spec_validation():
     # joint base with no categoricals degrades to donor trees on the numerics
     spec_num = build_spec(schema_num_only, "CC")
     assert spec_num.methods == (Method.CART,)
+
+
+# Orders whose visited column differs from the first target of its step: the
+# joint group of CPO starts at c3, CCL visits c1 last, DV and DOT start away
+# from column 0. Each digest covers both datasets (m = 2) on fixture-A.
+ORDER_DIGESTS = {
+    "CPO": "296e2438b6678759b53c048012cbb5d99fdde57ba6ca2472e5c195b78df428b4",
+    "CCL": "e088fd1acec4bac199bb57050bfe272f2c0f0d2ca995eba5b4fc67c6020afc1d",
+    "DV": "c32a7744bcb3244631ae16fcdbe407307000291010a2ea391bcb10d9bf1e676f",
+    "DOT": "c15c8699660a5bddc712cd4ab5b4ef508151631f86c13f6cc074bdfe6db86722",
+}
+
+_ORDER_SPECS = {
+    "CPO": dict(base="CP", order="opposite"),
+    "CCL": dict(base="CC", order="largest_cat_last"),
+    "DV": dict(base="D", order="own", own_order=("c2", "y", "c3", "x", "c1")),
+    "DOT": dict(base="D", order="opposite", proper=True),
+}
+
+
+def _order_spec(schema, label):
+    kwargs = dict(_ORDER_SPECS[label])
+    return build_spec(schema, kwargs.pop("base"), m=2, seed=31, **kwargs)
+
+
+def _datasets_digest(datasets):
+    h = hashlib.sha256()
+    for ds in datasets:
+        for col in ds.columns:
+            h.update(col.dtype.str.encode() + np.ascontiguousarray(col).tobytes())
+    return h.hexdigest()
+
+
+def test_order_digests_are_golden(fixture_a):
+    digests = {}
+    for label in ORDER_DIGESTS:
+        sset = synthesize(fixture_a, _order_spec(fixture_a.schema, label))
+        digests[label] = _datasets_digest(sset.datasets)
+    assert digests == ORDER_DIGESTS
+
+
+def test_cp_and_cpo_share_one_joint_table(fixture_a, monkeypatch):
+    # CP visits c1 first and CPO visits c3 first, but the joint group is the
+    # same fit, and each spec draws the bytes that a fresh memo gives it.
+    fits = []
+    real = synthesis.fit_joint_table
+    monkeypatch.setattr(
+        synthesis, "fit_joint_table", lambda *a, **k: fits.append(a[1]) or real(*a, **k)
+    )
+    cp = build_spec(fixture_a.schema, "CP", m=2, seed=31)
+    cpo = _order_spec(fixture_a.schema, "CPO")
+    memo = FitMemo(fixture_a)
+    shared = [synthesize(fixture_a, spec, memo=memo).datasets for spec in (cp, cpo)]
+    assert fits == [("c1", "c2", "c3")]
+    for spec, got in zip((cp, cpo), shared):
+        want = synthesize(fixture_a, spec).datasets
+        assert _datasets_digest(got) == _datasets_digest(want)
