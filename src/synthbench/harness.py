@@ -68,7 +68,6 @@ from .synthesis import (
     SyntheticSet,
     build_spec,
     fit_trees,
-    grows_tree,
     save_synthetic_set,
     shared_steps,
     synthesize,
@@ -663,7 +662,7 @@ def _fit_shared(steps):
     fitted = []
     for step in steps:
         try:
-            fitted.append(memo.fit(*step))
+            fitted.append(memo.fit(step))
         except Exception:
             fitted.append(None)
     return fitted
@@ -699,16 +698,15 @@ def _run_cells(pending, jobs: int, shared: tuple) -> list[dict]:
             spec = spec_for_label(cfg, original.schema, label, m=1, seed=0, mode=mode)
         except Exception:
             continue  # the cell records why
-        steps.update(shared_steps(spec))
-    trees = [key for key, step in steps.items() if grows_tree(step)]
+        steps.update(dict.fromkeys(shared_steps(spec)))
+    trees = [step for step in steps if step.grows_tree]
     tasks = [trees[i::jobs] for i in range(min(jobs, len(trees)))]
-    tasks += [[key] for key, step in steps.items() if not grows_tree(step)]
-    step_lists = ([steps[key] for key in task] for task in tasks)
+    tasks += [[step] for step in steps if not step.grows_tree]
     with _workers(jobs, len(tasks), shared) as fit_map:
-        for keys, fitted in zip(tasks, fit_map(_fit_shared, step_lists)):
-            for key, value in zip(keys, fitted):
+        for task, fitted in zip(tasks, fit_map(_fit_shared, tasks)):
+            for step, value in zip(task, fitted):
                 if value is not None:
-                    memo.add(key, value)
+                    memo.add(step, value)
     order = sorted(pending, key=lambda cell: (not proper[cell[0]], -cell[2]))
     with _workers(jobs, len(pending), (*shared, memo)) as cell_map:
         return list(cell_map(_run_cell, order))

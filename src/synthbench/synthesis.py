@@ -1,24 +1,27 @@
 """Sequential and joint synthesis of fully synthetic datasets.
 
 A synthesizer walks the columns in a visit sequence. Each visit step has two
-parts. The fit step (``fit_step``) fits the step's model on the fitting set:
-the original data, or a with-replacement bootstrap resample of it when the
-spec is "proper". It uses no randomness and returns a plain fitted value
-(``Marginal``, ``Donors``, ``Normal``, ``Softmax``, ``MeanMatch`` or
-``Tuples``). The draw step, that value's ``draw(X_syn, n, rng)``, then draws
-the whole synthetic column at once, conditioning on the predictor columns
-already synthesized. A variable with no predictors is drawn marginally, by
-resampling the fitting column. Columns covered by the joint-categorical
-method form one step at the first visit position the group occupies, and are
-drawn together as whole level tuples from their contingency table.
+parts. The fit step (``fit_step``) fits the model of a ``Step`` (method,
+targets, preds, min_leaf, pmm_k) on the fitting set: the original data, or a
+with-replacement bootstrap resample of it when the spec is "proper". It uses
+no randomness and returns a plain fitted value (``Marginal``, ``Donors``,
+``Normal``, ``Softmax``, ``MeanMatch`` or ``Tuples``). The draw step, that
+value's ``draw(X_syn, n, rng)``, then draws the whole synthetic column at
+once, conditioning on the predictor columns already synthesized. A variable
+with no predictors is drawn marginally, by resampling the fitting column.
+Columns covered by the joint-categorical method form one step at the first
+visit position the group occupies, and are drawn together as whole level
+tuples from their contingency table.
 
-Every (dataset index, visit step) pair consumes its own derived random
+Every (dataset index, visited column) pair consumes its own derived random
 stream, so dataset i is a pure function of (seed, i) no matter how many
 datasets are generated or in what order. For the same reason a fitted value
 can be drawn from any number of times: a non-proper spec fits each step once
-(``FitMemo``) and draws all m datasets from those fits. No fit uses
-randomness, so the donor trees of many steps, and of many datasets' bootstrap
-resamples, can grow together as one forest before any draw.
+(``FitMemo``, keyed by the ``Step``) and draws all m datasets from those
+fits, and specs that visit in other orders share the steps they have in
+common. No fit uses randomness, so the donor trees of many steps, and of many
+datasets' bootstrap resamples, can grow together as one forest before any
+draw.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,64 +130,36 @@ def make_order(
     return VisitSequence(tuple(rest + [best]))
 
 
-@dataclass(frozen=True)
-class PredictorMatrix:
-    """mask[i, j] says column j is a predictor when synthesizing column i."""
-
-    mask: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.mask, dtype=bool)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise SpecError("predictor matrix must be square")
-        object.__setattr__(self, "mask", m)
-
-    def predictors_of(self, i: int) -> tuple[int, ...]:
-        return tuple(int(j) for j in np.nonzero(self.mask[i])[0])
-
-
 def make_predictors(
     visit: VisitSequence,
     selective: dict[int, tuple[int, ...]] | None = None,
-) -> PredictorMatrix:
-    """Simple mode: every earlier-visited column predicts every later one.
-    Selective mode overrides listed targets with exactly the given subsets;
-    unlisted targets keep the simple default."""
+) -> tuple[tuple[int, ...], ...]:
+    """Each column's predictors, ascending. Simple mode: every
+    earlier-visited column predicts every later one. Selective mode
+    overrides listed targets with exactly the given subsets; unlisted
+    targets keep the simple default."""
     p = len(visit.order)
-    mask = np.zeros((p, p), dtype=bool)
-    seen: list[int] = []
-    for col in visit.order:
-        mask[col, seen] = True
-        seen.append(col)
-    if selective:
-        pos = {c: k for k, c in enumerate(visit.order)}
-        for target, preds in selective.items():
-            if target < 0 or target >= p:
-                raise SpecError(f"selective target {target} out of range")
-            row = np.zeros(p, dtype=bool)
-            for q in preds:
-                if q == target:
-                    raise SpecError("a column cannot predict itself")
-                if q < 0 or q >= p:
-                    raise SpecError(f"selective predictor {q} out of range")
-                if pos[q] >= pos[target]:
-                    raise SpecError(
-                        f"predictor {q} does not precede target {target} in the visit sequence"
-                    )
-                row[q] = True
-            mask[target] = row
-    return PredictorMatrix(mask)
+    preds = [()] * p
+    for k, col in enumerate(visit.order):
+        preds[col] = tuple(sorted(visit.order[:k]))
+    for target, chosen in (selective or {}).items():
+        for q in (target, *chosen):
+            if q < 0 or q >= p:
+                raise SpecError(f"selective column {q} out of range")
+        preds[target] = tuple(sorted(set(chosen)))
+    return tuple(preds)
 
 
 @dataclass(frozen=True)
 class SynthesizerSpec:
     """Complete recipe for one synthesizer: per-column methods, visit order,
-    predictor sets, proper flag, dataset count and master seed."""
+    predictor sets (column i's predictors, ascending), proper flag, dataset
+    count and master seed."""
 
     label: str
     methods: tuple[Method, ...]
     visit: VisitSequence
-    predictors: PredictorMatrix
+    predictors: tuple[tuple[int, ...], ...]
     proper: bool
     m: int
     seed: int
@@ -193,8 +169,8 @@ class SynthesizerSpec:
     def __post_init__(self) -> None:
         parse_label(self.label)
         p = len(self.methods)
-        if len(self.visit.order) != p or self.predictors.mask.shape != (p, p):
-            raise SpecError("methods, visit sequence and predictor matrix disagree")
+        if len(self.visit.order) != p or len(self.predictors) != p:
+            raise SpecError("methods, visit sequence and predictor sets disagree")
         if self.m < 1:
             raise SpecError(f"m must be >= 1, got {self.m}")
         if self.seed < 0:
@@ -202,9 +178,11 @@ class SynthesizerSpec:
         if self.pmm_k < 1 or self.min_leaf < 1:
             raise SpecError("pmm_k and min_leaf must be >= 1")
         pos = {c: k for k, c in enumerate(self.visit.order)}
-        for i in range(p):
-            for j in self.predictors.predictors_of(i):
-                if pos[j] >= pos[i]:
+        for i, preds in enumerate(self.predictors):
+            for j in preds:
+                if j == i:
+                    raise SpecError(f"column {i} cannot predict itself")
+                if pos.get(j, p) >= pos[i]:
                     raise SpecError(
                         f"predictor {j} of column {i} does not precede it in the visit"
                     )
@@ -497,16 +475,35 @@ class Tuples:
 Fitted = Marginal | Donors | Normal | Softmax | MeanMatch | Tuples
 
 
-def fit_step(
-    method: Method,
-    fit_ds: Dataset,
-    targets: tuple[int, ...],
-    preds: tuple[int, ...],
-    spec: SynthesizerSpec,
-) -> Fitted:
-    """Fit the model that draws ``targets`` (one column, or the whole
-    joint-categorical group in column order) from the columns ``preds``.
-    Uses no randomness: the returned value's ``draw`` takes every draw."""
+class Step(NamedTuple):
+    """One fit of a synthesizer: the model of ``method`` that draws
+    ``targets`` (one column, or the whole joint-categorical group in column
+    order) from the columns ``preds``. With the fitting set it fixes the
+    fitted value, so it is the ``FitMemo`` key."""
+
+    method: Method
+    targets: tuple[int, ...]
+    preds: tuple[int, ...]
+    min_leaf: int
+    pmm_k: int
+
+    @property
+    def grows_tree(self) -> bool:
+        """Whether the step fits a donor tree; a CART step without
+        predictors resamples its column instead."""
+        return self.method is Method.CART and bool(self.preds)
+
+    def cart_problem(self, fit_ds: Dataset) -> CartProblem:
+        schema = fit_ds.schema
+        (j,) = self.targets
+        X = Predictors.from_dataset(fit_ds, (schema.columns[q].name for q in self.preds))
+        return CartProblem(X, fit_ds.columns[j], schema.columns[j].kind, self.min_leaf)
+
+
+def fit_step(step: Step, fit_ds: Dataset) -> Fitted:
+    """Fit the model of ``step`` on ``fit_ds``. Uses no randomness: the
+    returned value's ``draw`` takes every draw."""
+    method, targets, preds = step.method, step.targets, step.preds
     schema = fit_ds.schema
     if method is Method.JOINT_CATEGORICAL:
         return Tuples(fit_joint_table(fit_ds, tuple(schema.columns[g].name for g in targets)))
@@ -518,7 +515,7 @@ def fit_step(
     ):
         return Marginal(y_fit)
     if method is Method.CART:
-        return _fit_donors([_cart_problem(fit_ds, j, preds, spec)])[0]
+        return _fit_donors([step.cart_problem(fit_ds)])[0]
 
     X_fit = Predictors.from_dataset(fit_ds, (schema.columns[q].name for q in preds))
     if method is Method.PARAMETRIC_NUMERIC:
@@ -526,19 +523,11 @@ def fit_step(
     if method is Method.PARAMETRIC_CATEGORICAL:
         return Softmax(fit_logistic(X_fit, y_fit))
     if method is Method.PMM:
-        if fit_ds.n_rows < spec.pmm_k:
-            raise FitError(f"need at least pmm_k={spec.pmm_k} fitting rows, got {fit_ds.n_rows}")
+        if fit_ds.n_rows < step.pmm_k:
+            raise FitError(f"need at least pmm_k={step.pmm_k} fitting rows, got {fit_ds.n_rows}")
         lm = fit_ols(X_fit, y_fit)
-        return MeanMatch(lm, lm.predict(X_fit.cols), y_fit.astype(np.float64), spec.pmm_k)
+        return MeanMatch(lm, lm.predict(X_fit.cols), y_fit.astype(np.float64), step.pmm_k)
     raise SpecError(f"unhandled method {method}")
-
-
-def _cart_problem(
-    fit_ds: Dataset, j: int, preds: tuple[int, ...], spec: SynthesizerSpec
-) -> CartProblem:
-    schema = fit_ds.schema
-    X = Predictors.from_dataset(fit_ds, (schema.columns[q].name for q in preds))
-    return CartProblem(X, fit_ds.columns[j], schema.columns[j].kind, spec.min_leaf)
 
 
 def _fit_donors(problems: list[CartProblem]) -> list[Donors]:
@@ -546,107 +535,66 @@ def _fit_donors(problems: list[CartProblem]) -> list[Donors]:
     return [Donors(tree, p.y) for p, tree in zip(problems, fit_cart(problems).trees)]
 
 
-def grows_tree(step: tuple) -> bool:
-    """Whether a step (method, targets, preds, spec) fits a donor tree; a
-    CART step without predictors resamples its column instead."""
-    method, _, preds, _ = step
-    return method is Method.CART and bool(preds)
-
-
-def _visit_steps(spec: SynthesizerSpec) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """(visited column, target columns, predictor columns) in visit order.
-    The joint-categorical group is one step, without predictors, at its first
-    visit position, whose method and random stream it takes."""
+def visit_steps(spec: SynthesizerSpec):
+    """Every (visited column, step) of ``spec``, in visit order. The column
+    picks the step's random stream; the fit is the step's alone, so specs
+    that visit in other orders can share it. The joint-categorical group is
+    one step, without predictors, at its first visit position."""
     group = tuple(j for j, mth in enumerate(spec.methods) if mth is Method.JOINT_CATEGORICAL)
     first = next((j for j in spec.visit.order if j in group), None)
-    return [
-        (j, group, ()) if j == first else (j, (j,), spec.predictors.predictors_of(j))
-        for j in spec.visit.order
-        if j == first or j not in group
-    ]
-
-
-def _steps(spec: SynthesizerSpec) -> list[tuple]:
-    """Every visit step as (method, targets, preds, spec), in visit order."""
-    return [(spec.methods[j], targets, preds, spec) for j, targets, preds in _visit_steps(spec)]
+    for j in spec.visit.order:
+        if j == first:
+            yield j, Step(Method.JOINT_CATEGORICAL, group, (), spec.min_leaf, spec.pmm_k)
+        elif j not in group:
+            yield j, Step(spec.methods[j], (j,), spec.predictors[j], spec.min_leaf, spec.pmm_k)
 
 
 class FitMemo:
-    """The fitted steps of one fitting set, keyed by (method, targets,
-    predictors, ``min_leaf``, ``pmm_k``).
+    """The fitted steps of one fitting set, keyed by ``Step``.
 
-    A fitted value is a pure function of its fitting set and that key, and
+    A fitted value is a pure function of its fitting set and its step, and
     its ``draw`` takes every random number, so one value can serve every
     dataset of every spec that fits on the same data, and no draw changes."""
 
     def __init__(self, fit_ds: Dataset) -> None:
         self.fit_ds = fit_ds
-        self._fitted: dict[tuple, Fitted] = {}
+        self._fitted: dict[Step, Fitted] = {}
 
-    @staticmethod
-    def key(
-        method: Method,
-        targets: tuple[int, ...],
-        preds: tuple[int, ...],
-        spec: SynthesizerSpec,
-    ) -> tuple:
-        """The memo key of a step: all that its fitted value depends on
-        besides the fitting set."""
-        return (method, targets, preds, spec.min_leaf, spec.pmm_k)
-
-    def fit(
-        self,
-        method: Method,
-        targets: tuple[int, ...],
-        preds: tuple[int, ...],
-        spec: SynthesizerSpec,
-    ) -> Fitted:
-        key = self.key(method, targets, preds, spec)
-        fitted = self._fitted.get(key)
+    def fit(self, step: Step) -> Fitted:
+        fitted = self._fitted.get(step)
         if fitted is None:
-            fitted = self._fitted[key] = fit_step(method, self.fit_ds, targets, preds, spec)
+            fitted = self._fitted[step] = fit_step(step, self.fit_ds)
         return fitted
 
-    def add(self, key: tuple, fitted: Fitted) -> None:
-        """Store ``fitted`` under ``key``: a value that ``fit`` made for
-        the same key on an equal fitting set, in this or another process."""
-        self._fitted[key] = fitted
+    def add(self, step: Step, fitted: Fitted) -> None:
+        """Store ``fitted`` for ``step``: a value that ``fit`` made for the
+        same step on an equal fitting set, in this or another process."""
+        self._fitted[step] = fitted
 
-    def __contains__(self, key: tuple) -> bool:
-        return key in self._fitted
+    def __contains__(self, step: Step) -> bool:
+        return step in self._fitted
 
 
-def fit_trees(steps) -> None:
-    """Grow, as one forest, the donor trees of ``steps``, pairs of a memo
-    and a step (method, targets, preds, spec) that its memo lacks, and add
-    each tree to its memo. Other steps are left alone. A forest that raises
-    adds nothing, so each of its steps is fitted alone, and raises alone,
-    where ``FitMemo.fit`` asks for it."""
-    todo = [
-        (memo, step) for memo, step in steps
-        if grows_tree(step) and FitMemo.key(*step) not in memo
-    ]
+def fit_trees(pairs) -> None:
+    """Grow, as one forest, the donor trees of ``pairs``, each a memo and a
+    step that it lacks, and add each tree to its memo. Other steps are left
+    alone. A forest that raises adds nothing, so each of its steps is fitted
+    alone, and raises alone, where ``FitMemo.fit`` asks for it."""
+    todo = [(memo, step) for memo, step in pairs if step.grows_tree and step not in memo]
     if not todo:
         return
-    problems = [
-        _cart_problem(memo.fit_ds, targets[0], preds, spec)
-        for memo, (_, targets, preds, spec) in todo
-    ]
     try:
-        fitted = _fit_donors(problems)
+        fitted = _fit_donors([step.cart_problem(memo.fit_ds) for memo, step in todo])
     except Exception:  # whatever it is, the step that meets it alone reports it
         return
     for (memo, step), donors in zip(todo, fitted):
-        memo.add(FitMemo.key(*step), donors)
+        memo.add(step, donors)
 
 
-def shared_steps(spec: SynthesizerSpec) -> dict[tuple, tuple]:
-    """The steps that a non-proper ``spec`` fits through a memo, as ``{memo
-    key: (method, targets, preds, spec)}``; none for a proper spec, whose
-    fits no other dataset shares."""
-    if spec.proper:
-        return {}
-    return {FitMemo.key(*step): step for step in _steps(spec)}
+def shared_steps(spec: SynthesizerSpec) -> list[Step]:
+    """The steps that a non-proper ``spec`` fits through a memo; none for a
+    proper spec, whose fits no other dataset shares."""
+    return [] if spec.proper else [step for _, step in visit_steps(spec)]
 
 
 def _fitting_memos(spec: SynthesizerSpec, indices, memo: FitMemo) -> list[FitMemo]:
@@ -664,7 +612,7 @@ def _fitting_memos(spec: SynthesizerSpec, indices, memo: FitMemo) -> list[FitMem
         ]
     else:
         memos = [memo] * len(indices)
-    fit_trees([(fits, step) for fits in dict.fromkeys(memos) for step in _steps(spec)])
+    fit_trees([(fits, step) for fits in dict.fromkeys(memos) for _, step in visit_steps(spec)])
     return memos
 
 
@@ -675,17 +623,17 @@ def _synthesize_one(spec: SynthesizerSpec, idx: int, memo: FitMemo) -> Dataset:
     n = memo.fit_ds.n_rows
 
     syn: dict[int, np.ndarray] = {}
-    for j, targets, preds in _visit_steps(spec):
+    for j, step in visit_steps(spec):
         name = schema.columns[j].name
         try:
-            fitted = memo.fit(spec.methods[j], targets, preds, spec)
-            drawn = fitted.draw([syn[q] for q in preds], n, _stream(spec.seed, idx, 1 + j))
+            fitted = memo.fit(step)
+            drawn = fitted.draw([syn[q] for q in step.preds], n, _stream(spec.seed, idx, 1 + j))
         except Exception as err:
             raise SynthesisError(
                 f"variable {name!r}, dataset {idx}: {err}", variable=name, dataset_index=idx
             ) from err
         if drawn.ndim == 2:  # the joint group's tuples
-            syn.update(zip(targets, drawn.T))
+            syn.update(zip(step.targets, drawn.T))
         else:
             syn[j] = drawn
     return Dataset(schema, tuple(syn[j] for j in range(len(schema))))

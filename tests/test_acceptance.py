@@ -31,7 +31,7 @@ from synthbench.models.cart import draw_donor_rows
 from synthbench.models.contingency import draw_tuples, fit_joint_table
 from synthbench.models.design import Predictors
 from synthbench.models.logistic import draw_class_many, softmax_loglik, softmax_score
-from synthbench.synthesis import Method, SyntheticSet, build_spec, fit_step, synthesize
+from synthbench.synthesis import Method, Step, SyntheticSet, build_spec, fit_step, synthesize
 
 
 def _stream(*tags) -> int:
@@ -273,7 +273,7 @@ def test_criterion_7_draw_oracles():
     ys = xs.copy()
     num = ColumnKind.numeric()
     ds = Dataset(Schema((Column("x", num), Column("y", num))), (xs, ys))
-    pmm = fit_step(Method.PMM, ds, (1,), (0,), build_spec(ds.schema, "CP", pmm_k=5))
+    pmm = fit_step(Step(Method.PMM, (1,), (0,), min_leaf=5, pmm_k=5), ds)
     rng = np.random.default_rng(_stream(7, 3))
     vals = pmm.draw((np.full(n_draws, 5.0),), n_draws, rng)
     uniq, freq = np.unique(vals, return_counts=True)

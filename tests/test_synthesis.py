@@ -9,6 +9,7 @@ from synthbench.errors import DataError, SpecError, SynthesisError
 from synthbench.synthesis import (
     FitMemo,
     Method,
+    Step,
     SyntheticSet,
     build_spec,
     fit_step,
@@ -80,15 +81,15 @@ def test_make_predictors_simple_and_selective():
     ds = small_dataset()
     visit = make_order(ds.schema, "original")
     simple = make_predictors(visit)
-    assert simple.predictors_of(0) == ()
-    assert simple.predictors_of(2) == (0, 1)
+    assert simple[0] == ()
+    assert simple[2] == (0, 1)
     sel = make_predictors(visit, {2: (0,)})
-    assert sel.predictors_of(2) == (0,)
-    assert sel.predictors_of(3) == (0, 1, 2)  # unlisted targets keep the default
+    assert sel[2] == (0,)
+    assert sel[3] == (0, 1, 2)  # unlisted targets keep the default
     with pytest.raises(SpecError):
-        make_predictors(visit, {0: (1,)})  # predictor visited after target
+        build_spec(ds.schema, "D", selective={0: (1,)})  # predictor visited after target
     with pytest.raises(SpecError):
-        make_predictors(visit, {1: (1,)})  # self-prediction
+        build_spec(ds.schema, "D", selective={1: (1,)})  # self-prediction
 
 
 def test_build_spec_methods_by_base():
@@ -277,7 +278,7 @@ def test_pmm_draw_returns_nearby_observed_value():
     rng = np.random.default_rng(3)
     x = np.linspace(0, 10, 200)
     ds = numeric_pair(x, x.copy())
-    pmm = fit_step(Method.PMM, ds, (1,), (0,), build_spec(ds.schema, "CP", pmm_k=5))
+    pmm = fit_step(Step(Method.PMM, (1,), (0,), min_leaf=5, pmm_k=5), ds)
     draws = set(pmm.draw((np.full(300, 5.0),), 300, rng).tolist())
     assert draws <= set(x.tolist())
     assert all(abs(v - 5.0) < 0.2 for v in draws)
