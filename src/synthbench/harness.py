@@ -192,6 +192,13 @@ def _strings(section: dict, key: str, default, where: str = ""):
     return tuple(value)
 
 
+def _string_map(value, where: str) -> dict[str, str]:
+    """``value``, a JSON object whose values are strings, as a dict."""
+    if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
+        raise ConfigError(f"{where} must be an object of strings, got {value!r}")
+    return dict(value)
+
+
 def load_config(path: str | Path, *, seed: int | None = None, out: str | Path | None = None) -> ExperimentConfig:
     """Read an experiment configuration (JSON; grammar in the README).
 
@@ -239,7 +246,11 @@ def load_config(path: str | Path, *, seed: int | None = None, out: str | Path | 
         )
         pre = _typed(doc.get("preprocess", {}), dict, "preprocess")
         coarsen = tuple(
-            LevelMapping(c["column"], dict(c["mapping"])) for c in pre.get("coarsen", ())
+            LevelMapping(
+                _typed(c["column"], str, "preprocess.coarsen.column"),
+                _string_map(c["mapping"], "preprocess.coarsen.mapping"),
+            )
+            for c in pre.get("coarsen", ())
         )
         cfg = ExperimentConfig(
             dataset=resolve(doc["dataset"]),

@@ -190,6 +190,26 @@ def test_load_config_validation(tmp_path):
     assert load_config(write_cfg(lambda d: d["metrics"].update(ci_level=1))).metrics.ci_level == 1.0
 
 
+def test_coarsen_column_and_mapping_must_be_strings(tmp_path):
+    # Coarse labels become levels: integer ones would be written to the
+    # synthetic CSVs as 0 and 1, which no longer load as declared levels.
+    cfg_path = write_project(tmp_path)
+    doc = json.loads(cfg_path.read_text())
+    for coarsen, where in (
+        ({"column": "c", "mapping": {"lo": 0, "hi": 1}}, "preprocess.coarsen.mapping"),
+        ({"column": "c", "mapping": {"lo": "any", "hi": None}}, "preprocess.coarsen.mapping"),
+        ({"column": "c", "mapping": ["lo", "hi"]}, "preprocess.coarsen.mapping"),
+        ({"column": 2, "mapping": {"lo": "any", "hi": "any"}}, "preprocess.coarsen.column"),
+    ):
+        doc["preprocess"] = {"coarsen": [coarsen]}
+        cfg_path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=where):
+            load_config(cfg_path)
+    doc["preprocess"] = {"coarsen": [{"column": "c", "mapping": {"lo": "any", "hi": "any"}}]}
+    cfg_path.write_text(json.dumps(doc))
+    assert load_config(cfg_path).coarsen == (LevelMapping("c", {"lo": "any", "hi": "any"}),)
+
+
 def test_every_setting_but_out_enters_the_fingerprint(tmp_path):
     cfg = load_config(write_project(tmp_path))
     moved = {}
