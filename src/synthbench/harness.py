@@ -59,7 +59,7 @@ from .estimands import (
     normal_interval,
     regression_estimands,
 )
-from .metrics import Overlap, UtilityReport, apo, cio, kl_divergence
+from .metrics import UtilityReport, apo, cio, kl_divergence
 from .synthesis import (
     BASES,
     ORDER_KINDS,
@@ -460,27 +460,36 @@ def metric_rows(
             errors.append((stage, _describe_error(err)))
             return None
 
+    def overlap(name, orig, pairs):
+        """The CIO of one estimand: its original (q, v) against the combined
+        synthetic (q, v) of each dataset."""
+        syn_ci = ci(combine(estimate_set_from(name, pairs), rule), level)
+        return cio(normal_interval(*orig, level), syn_ci, estimand_id=name)
+
+    def mean_cio(overlaps):
+        return math.fsum(o.value for o in overlaps) / len(overlaps)
+
+    def roll_up(avg_metric, apo_metric, scope, overlaps):
+        """The average CIO and the APO of ``overlaps``, both under ``scope``."""
+        return [
+            (avg_metric, scope, mean_cio(overlaps)),
+            (apo_metric, scope, apo(overlaps, thr, inclusive=inc)),
+        ]
+
     def mean_point_rows():
-        out = []
-        overlaps = []
-        for col in original.schema.columns:
-            if not col.kind.is_numeric:
-                continue
-            q0, v0 = once(
-                ("mean_point", col.name), lambda: mean_point_estimand(original, col.name)
+        overlaps = [
+            overlap(
+                col.name,
+                once(("mean_point", col.name), lambda: mean_point_estimand(original, col.name)),
+                [mean_point_estimand(ds, col.name) for ds in sset.datasets],
             )
-            orig_ci = normal_interval(q0, v0, level)
-            pairs = [mean_point_estimand(ds, col.name) for ds in sset.datasets]
-            combined = combine(estimate_set_from(col.name, pairs), rule)
-            ov = cio(orig_ci, ci(combined, level), estimand_id=col.name)
-            overlaps.append(ov)
-            out.append(("mpe_cio", f"var:{col.name}", ov.value))
-        if overlaps:
-            out.append(
-                ("mpe_avg_cio", "", math.fsum(o.value for o in overlaps) / len(overlaps))
-            )
-            out.append(("mpe_apo", "", apo(overlaps, thr, inclusive=inc)))
-        return out
+            for col in original.schema.columns
+            if col.kind.is_numeric
+        ]
+        if not overlaps:
+            return []
+        out = [("mpe_cio", f"var:{o.estimand_id}", o.value) for o in overlaps]
+        return out + roll_up("mpe_avg_cio", "mpe_apo", "", overlaps)
 
     def fit_rows(fit):
         orig_coefs = once(("fit", fit), lambda: regression_estimands(original, fit))
@@ -489,18 +498,12 @@ def metric_rows(
         for coefs in per_ds:
             if [c.name for c in coefs] != names:
                 raise MetricError("synthetic fit produced a different coefficient set")
-        out = []
-        fit_overlaps = []
-        for idx, name in enumerate(names):
-            orig_ci = normal_interval(orig_coefs[idx].q, orig_coefs[idx].v, level)
-            est = estimate_set_from(name, [(coefs[idx].q, coefs[idx].v) for coefs in per_ds])
-            ov = cio(orig_ci, ci(combine(est, rule), level), estimand_id=name)
-            fit_overlaps.append(ov)
-            out.append(("rf_cio", f"fit:{fit.id}:coef:{name}", ov.value))
-        avg = math.fsum(o.value for o in fit_overlaps) / len(fit_overlaps)
-        out.append(("rf_fit_avg_cio", f"fit:{fit.id}", avg))
-        out.append(("rf_fit_apo", f"fit:{fit.id}", apo(fit_overlaps, thr, inclusive=inc)))
-        return out, avg, fit_overlaps
+        overlaps = [
+            overlap(c.name, (c.q, c.v), [(coefs[idx].q, coefs[idx].v) for coefs in per_ds])
+            for idx, c in enumerate(orig_coefs)
+        ]
+        out = [("rf_cio", f"fit:{fit.id}:coef:{o.estimand_id}", o.value) for o in overlaps]
+        return out + roll_up("rf_fit_avg_cio", "rf_fit_apo", f"fit:{fit.id}", overlaps), overlaps
 
     def kl_rows():
         out = []
@@ -550,16 +553,16 @@ def metric_rows(
         rows += family("mean_point", mean_point_rows) or []
 
     if settings.regression and fits:
-        fit_avgs: list[float] = []
-        pooled: list[Overlap] = []
+        per_fit = []
         for fit in fits:
             got = family(f"fit:{fit.id}", lambda: fit_rows(fit))
             if got is not None:
                 rows += got[0]
-                fit_avgs.append(got[1])
-                pooled.extend(got[2])
-        if fit_avgs:
-            rows.append(("rf_avg_cio", "", math.fsum(fit_avgs) / len(fit_avgs)))
+                per_fit.append(got[1])
+        if per_fit:
+            # the average of the fits' averages, and the APO of all their overlaps
+            rows.append(("rf_avg_cio", "", math.fsum(map(mean_cio, per_fit)) / len(per_fit)))
+            pooled = [o for overlaps in per_fit for o in overlaps]
             rows.append(("rf_apo", "", apo(pooled, thr, inclusive=inc)))
 
     if settings.kl:
