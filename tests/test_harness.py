@@ -5,8 +5,10 @@ import json
 import multiprocessing
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -390,6 +392,38 @@ def test_resume_reruns_only_cells_without_a_valid_file(tmp_path):
     assert (cfg.out / "report.csv").read_bytes() == fresh
 
 
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+def test_resume_after_a_killed_run_matches_an_uninterrupted_one(tmp_path):
+    # 96 cells of 1 or 3 datasets: the run is killed once its first cell
+    # file appears, long before its last.
+    grid = {
+        "synthesizers": [{"base": "S"}, {"base": "D"}, {"base": "CC"}],
+        "proper": [False, True],
+        "m": [1, 3],
+    }
+    cfg_path = write_project(tmp_path, grid=grid, k=8)
+    whole = load_config(cfg_path, out=tmp_path / "whole")
+    run_experiment(whole)
+    out = tmp_path / "killed"
+    command, env = _experiment_command(cfg_path, out)
+    proc = subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        while proc.poll() is None and not any((out / "cells").glob("*.json")):
+            time.sleep(0.002)
+        proc.send_signal(signal.SIGKILL)
+    finally:
+        proc.wait(timeout=300)
+    assert proc.returncode == -signal.SIGKILL
+    kept = [json.loads(path.read_text()) for path in (out / "cells").glob("*.json")]
+    assert 0 < len(kept) < 96 and not (out / "manifest.json").exists()
+
+    subprocess.run(command + ["--resume"], check=True, env=env, capture_output=True, timeout=300)
+    assert (out / "report.csv").read_bytes() == (whole.out / "report.csv").read_bytes()
+    manifest = json.loads((out / "manifest.json").read_text())
+    total = json.loads((whole.out / "manifest.json").read_text())["datasets_generated"]
+    assert manifest["generated_last_run"] == total - sum(cell["m"] for cell in kept)
+
+
 def test_non_proper_fits_are_made_once_per_experiment(tmp_path, monkeypatch):
     fitted, per_call = [], []
     real_fit_cart = synthesis.fit_cart
@@ -420,15 +454,19 @@ def test_non_proper_fits_are_made_once_per_experiment(tmp_path, monkeypatch):
         assert per_call == calls
 
 
-def _run_in_fresh_process(cfg_path, out):
+def _experiment_command(cfg_path, out):
+    """The ``synthbench experiment`` command line of a fresh process that
+    imports this source tree, and its environment."""
     src = str(Path(synthbench.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    subprocess.run(
-        [sys.executable, "-m", "synthbench.cli", "experiment",
-         "--config", str(cfg_path), "--out", str(out)],
-        check=True, env=env, capture_output=True, timeout=300,
-    )
+    command = [sys.executable, "-m", "synthbench.cli", "experiment",
+               "--config", str(cfg_path), "--out", str(out)]
+    return command, {**os.environ, "PYTHONPATH": path}
+
+
+def _run_in_fresh_process(cfg_path, out):
+    command, env = _experiment_command(cfg_path, out)
+    subprocess.run(command, check=True, env=env, capture_output=True, timeout=300)
     return (out / "report.csv").read_bytes()
 
 
