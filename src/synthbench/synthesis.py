@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -494,6 +494,7 @@ class Step(NamedTuple):
         return self.method is Method.CART and bool(self.preds)
 
     def cart_problem(self, fit_ds: Dataset) -> CartProblem:
+        """The donor-tree problem of this CART step on ``fit_ds``."""
         schema = fit_ds.schema
         (j,) = self.targets
         X = Predictors.from_dataset(fit_ds, (schema.columns[q].name for q in self.preds))
@@ -535,7 +536,7 @@ def _fit_donors(problems: list[CartProblem]) -> list[Donors]:
     return [Donors(tree, p.y) for p, tree in zip(problems, fit_cart(problems).trees)]
 
 
-def visit_steps(spec: SynthesizerSpec):
+def visit_steps(spec: SynthesizerSpec) -> Iterator[tuple[int, Step]]:
     """Every (visited column, step) of ``spec``, in visit order. The column
     picks the step's random stream; the fit is the step's alone, so specs
     that visit in other orders can share it. The joint-categorical group is
