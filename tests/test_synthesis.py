@@ -338,9 +338,10 @@ def test_spec_validation():
     assert spec_num.methods == (Method.CART,)
 
 
-# Orders whose visited column differs from the first target of its step: the
-# joint group of CPO starts at c3, CCL visits c1 last, DV and DOT start away
-# from column 0. Each digest covers both datasets (m = 2) on fixture-A.
+# Orders the golden grid does not cover. CPO and CCL first visit the joint
+# group at c3 and c2, so its stream is not that of its first target, c1. DV
+# and DOT visit the columns out of column order. Each digest covers both
+# datasets (m = 2) on fixture-A.
 ORDER_DIGESTS = {
     "CPO": "296e2438b6678759b53c048012cbb5d99fdde57ba6ca2472e5c195b78df428b4",
     "CCL": "e088fd1acec4bac199bb57050bfe272f2c0f0d2ca995eba5b4fc67c6020afc1d",
