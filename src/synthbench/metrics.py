@@ -38,6 +38,8 @@ def cio(
 ) -> Overlap:
     lo_o, up_o = original.lower, original.upper
     lo_s, up_s = synthetic.lower, synthetic.upper
+    if not all(map(math.isfinite, (lo_o, up_o, lo_s, up_s))):
+        raise MetricError(f"estimand {estimand_id!r}: an interval bound is not finite")
     w_o = up_o - lo_o
     w_s = up_s - lo_s
     if w_o == 0.0 or w_s == 0.0:

@@ -778,7 +778,8 @@ def test_a_constant_column_has_no_normalized_kl(tmp_path):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_any_exception_in_a_cell_becomes_an_error_row(tmp_path, capsys):
     # x of magnitude 1e300 overflows the combining rule's between-variance sum
-    # in the mean-point family; the other families of the cell still report.
+    # in the mean-point family, and gives the fit an interval with infinite
+    # bounds; the other families of the cell still report.
     ds = make_fixture_a(n=300)
     ds = Dataset(ds.schema, (ds.columns[0] * 1e300,) + ds.columns[1:])
     write_csv(ds, tmp_path / "data.csv")
@@ -804,17 +805,24 @@ def test_any_exception_in_a_cell_becomes_an_error_row(tmp_path, capsys):
     }))
     cfg = load_config(cfg_path)
     report, _ = run_experiment(cfg)
-    assert {(e.label, e.stage) for e in report.errors} == {("S", "mean_point"), ("D", "mean_point")}
-    assert all(e.message.startswith("OverflowError: ") for e in report.errors)
+    assert {(e.label, e.stage) for e in report.errors} == {
+        (label, stage) for label in ("S", "D") for stage in ("mean_point", "fit:f1")
+    }
+    for e in report.errors:
+        assert e.message.startswith(
+            "OverflowError: " if e.stage == "mean_point" else "estimand 'intercept': "
+        ), e
     lines = (cfg.out / "errors.csv").read_text().splitlines()
-    assert lines[1].startswith("D,simple,2,0,mean_point,")
-    assert lines[2].startswith("S,simple,2,0,mean_point,")
+    assert lines[1].startswith("D,simple,2,0,fit:f1,")
+    assert lines[2].startswith("D,simple,2,0,mean_point,")
+    assert lines[3].startswith("S,simple,2,0,fit:f1,")
     for label in ("S", "D"):
         kl = report.values("kl_raw", label=label)
         assert {key[-1] for key in kl} == {f"var:{c.name}" for c in ds.schema.columns}
         for metric in ("clf_acc_orig", "clf_acc_syn", "clf_acc_dev", "clf_agreement"):
             assert len(report.values(metric, label=label)) == 1, (label, metric)
         assert not report.values("mpe_cio", label=label)
+        assert not report.values("rf_cio", label=label)
     assert main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "cli")]) == 2
     capsys.readouterr()
 

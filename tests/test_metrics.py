@@ -36,6 +36,15 @@ def test_cio_degenerate_intervals():
     assert cio(interval(1, 1), interval(0, 2)).value == 0.0
 
 
+def test_cio_of_an_interval_with_a_non_finite_bound_is_an_error():
+    # An infinite variance (values near 1e300) gave an overlap of nan.
+    for bad in (interval(-math.inf, math.inf), interval(math.nan, math.nan), interval(0, math.inf)):
+        with pytest.raises(MetricError, match="not finite"):
+            cio(bad, interval(0, 1), estimand_id="x")
+        with pytest.raises(MetricError, match="not finite"):
+            cio(interval(0, 1), bad, estimand_id="x")
+
+
 def test_cio_nested_intervals():
     # synthetic twice as wide, centered: 0.5 * (1 + 1/2)
     got = cio(interval(-1, 1), interval(-2, 2)).value
