@@ -205,6 +205,8 @@ def load_adhoc(path: str | Path) -> tuple[AdhocPredicate, ...]:
     out = []
     for entry in doc["analyses"]:
         try:
+            if not isinstance(entry["id"], str):
+                raise TypeError("id must be a string")
             conds = tuple(
                 Condition(c["column"], c["op"], c["value"]) for c in entry["conditions"]
             )

@@ -182,6 +182,8 @@ def load_fitspecs(path: str | Path) -> tuple[FitSpec, ...]:
                 f"bad fit entry {entry!r}: predictors must be a list of strings"
             )
         try:
+            if not isinstance(entry["id"], str):
+                raise TypeError("id must be a string")
             fits.append(
                 FitSpec(
                     id=entry["id"],

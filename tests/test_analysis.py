@@ -166,6 +166,15 @@ def test_load_adhoc_round_trip(tmp_path):
         load_adhoc(path)
 
 
+def test_adhoc_ids_must_be_strings(tmp_path):
+    # 7 and "7" would pass the duplicate check and share the scope pred:7.
+    path = tmp_path / "adhoc.json"
+    for ids in ([7, "7"], [7], [None]):
+        path.write_text(json.dumps({"analyses": [{"id": i, "conditions": []} for i in ids]}))
+        with pytest.raises(AnalysisError, match="id must be a string"):
+            load_adhoc(path)
+
+
 def test_correlation_battery_alignment_and_skips():
     series = {
         "a": {("D", 1): 1.0, ("D", 5): 2.0, ("P", 1): 3.0, ("P", 5): 4.0},

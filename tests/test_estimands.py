@@ -201,3 +201,15 @@ def test_load_fitspecs_validation(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(EstimandError):
             load_fitspecs(path)
+
+
+def test_fit_ids_must_be_strings(tmp_path):
+    # 1 and "1" would pass the duplicate check and share the scope fit:1.
+    path = tmp_path / "fits.json"
+    for ids in ([1, "1"], [1], [None], [["f"]]):
+        fits = [
+            {"id": i, "family": "linear", "target": "y", "predictors": ["x"]} for i in ids
+        ]
+        path.write_text(json.dumps({"fits": fits}))
+        with pytest.raises(EstimandError, match="id must be a string"):
+            load_fitspecs(path)
