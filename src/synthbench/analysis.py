@@ -33,6 +33,7 @@ class ClassificationResult:
     target: str
     baseline_accuracy: float
     accuracies: tuple[float, ...]
+    agreements: tuple[float, ...]
     mean_accuracy: float
     agreement: float
 
@@ -172,6 +173,7 @@ def classify_compare(
         target=target,
         baseline_accuracy=float(baseline.correct.mean()),
         accuracies=tuple(accuracies),
+        agreements=tuple(agreements),
         mean_accuracy=math.fsum(accuracies) / len(accuracies),
         agreement=math.fsum(agreements) / len(agreements),
     )

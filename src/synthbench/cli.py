@@ -85,7 +85,7 @@ def _cmd_evaluate(args) -> int:
     predicates = load_adhoc(cfg.adhoc) if (cfg.metrics.adhoc and cfg.adhoc) else ()
     rows, errors = metric_rows(original, sset, cfg.metrics, fits, predicates)
     report = UtilityReport()
-    for metric, scope, value in rows:
+    for metric, scope, value in rows[sset.m]:
         report.add(sset.label, "simple", sset.m, 0, metric, scope, value)
     for stage, message in errors:
         report.add_error(sset.label, "simple", sset.m, 0, stage, message)

@@ -1,14 +1,17 @@
 """Experiment harness: run a synthesizer grid, persist results, emit tables.
 
-A grid cell is one (synthesizer label, predictor mode, m, repetition).
-Cells are independent: each synthesizes its m datasets, writes them out,
-computes the configured metrics against the original data, and saves a cell
-file. The report is assembled from the cell files in sorted key order, so
-the report bytes do not depend on how many workers ran the cells, and a
-resumed run reuses every finished cell without regenerating anything.
-Timings are kept out of the report files on purpose. Within one run, cells
-share the non-proper synthesis fits, across worker processes too, and within
-one process the original-side metric values; no random draw changes either.
+A grid cell is one (synthesizer label, predictor mode, m, repetition); a
+replicate is one (label, mode, repetition) and the unit of work. It draws
+max(m) datasets from a seed without m, writes them once, computes each
+per-dataset metric value once, and gives the cell of each m the roll-up of
+its first m datasets, all in one cell file. The cells of a replicate thus
+share datasets (common random numbers): each m's summary keeps its expected
+value, and its differences across m have less noise. The report is built
+from the cell files in sorted key order, so its bytes do not depend on the
+worker count, and a resumed run reuses every finished replicate. Timings
+stay out of the report files. Within one run, replicates share the
+non-proper synthesis fits, across worker processes too, and within one
+process the original-side metric values; no random draw changes either.
 """
 
 from __future__ import annotations
@@ -370,12 +373,12 @@ def _derived_seed(master: int, tag: str, *ints: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _cell_seed(master: int, label: str, mode: str, m: int, rep: int) -> int:
-    return _derived_seed(master, f"{label}|{mode}", m, rep)
+def _replicate_seed(master: int, label: str, mode: str, rep: int) -> int:
+    return _derived_seed(master, f"{label}|{mode}", rep)
 
 
-def _cell_key(label: str, mode: str, m: int, rep: int) -> str:
-    return f"{label}_{mode}_m{m}_r{rep}"
+def _replicate_key(label: str, mode: str, rep: int) -> str:
+    return f"{label}_{mode}_r{rep}"
 
 
 def spec_for_label(
@@ -393,19 +396,12 @@ def spec_for_label(
     for entry, proper, lbl in cfg.labels():
         if lbl == label:
             return build_spec(
-                schema,
-                entry.base,
-                order=entry.order,
-                own_order=entry.own_order,
-                proper=proper,
-                m=m,
-                seed=seed,
+                schema, entry.base, order=entry.order, own_order=entry.own_order,
+                proper=proper, m=m, seed=seed, pmm_k=cfg.pmm_k, min_leaf=cfg.min_leaf,
                 selective={
                     schema.index(target): tuple(schema.index(p) for p in preds)
                     for target, preds in cfg.selective.items()
                 } if mode == "selective" else None,
-                pmm_k=cfg.pmm_k,
-                min_leaf=cfg.min_leaf,
             )
     raise ConfigError(f"label {label!r} is not in the configured grid")
 
@@ -423,25 +419,31 @@ def metric_rows(
     fits: tuple[FitSpec, ...],
     predicates: tuple[AdhocPredicate, ...],
     *,
+    ms: tuple[int, ...] | None = None,
     memo: dict | None = None,
-) -> tuple[list[tuple[str, str, float]], list[tuple[str, str]]]:
-    """Compute every configured metric for one synthetic set.
+) -> tuple[dict[int, list[tuple[str, str, float]]], list[tuple[str, str]]]:
+    """Compute every configured metric of the first m datasets of ``sset``,
+    for each m of ``ms`` (by default only m = ``sset.m``, the whole set).
 
-    Returns (rows, errors); a row is (metric, scope, value) and an error is
-    (stage, message). The families are the mean point estimands
-    (``mean_point``), each fit (``fit:<id>``), KL (``kl``), the classifier
-    (``classification``) and each predicate (``adhoc:<id>``). An exception
-    in one family, of whatever type, becomes its error and loses only that
-    family's rows.
+    Returns (rows, errors): ``rows[m]`` lists the rows of the first m
+    datasets, a row being (metric, scope, value), and an error is (stage,
+    message). The families are the mean point estimands (``mean_point``),
+    each fit (``fit:<id>``), KL (``kl``), the classifier
+    (``classification``) and each predicate (``adhoc:<id>``). Each family
+    computes its per-dataset values once and combines the first m of them
+    for each m, so the rows of m equal those of a set holding only its
+    first m datasets. An exception in one family, of whatever type, becomes
+    its error and loses that family's rows for every m.
 
     ``memo`` keeps the original-side values (estimands and the classifier's
     original-trained predictions) for later calls with the same
     ``original`` and ``settings``; without it they are computed afresh.
     """
-    rows: list[tuple[str, str, float]] = []
+    ms = (sset.m,) if ms is None else ms
+    if not all(1 <= m <= sset.m for m in ms):
+        raise MetricError(f"cannot score the first m of {sset.m} datasets for each m of {ms}")
+    rows: dict[int, list[tuple[str, str, float]]] = {m: [] for m in ms}
     errors: list[tuple[str, str]] = []
-    level = settings.ci_level
-    rule = settings.rule
     thr = settings.apo_threshold
     inc = settings.apo_inclusive
 
@@ -453,17 +455,31 @@ def metric_rows(
         return memo[key]
 
     def family(stage, compute):
-        """compute()'s result, or None after recording its exception."""
+        """Each m's result of ``compute()(m)``: compute() does the
+        per-dataset work and returns the roll-up of the first m datasets.
+        None after recording an exception of either."""
         try:
-            return compute()
+            roll = compute()
+            return {m: roll(m) for m in ms}
         except Exception as err:
             errors.append((stage, _describe_error(err)))
             return None
 
+    def add(stage, compute):
+        """Append each m's rows of a family that does not raise."""
+        got = family(stage, compute)
+        for m in ms if got is not None else ():
+            rows[m] += got[m]
+
+    def mean(values, m):
+        """The mean of the first m per-dataset ``values``."""
+        return math.fsum(values[:m]) / m
+
     def overlap(name, orig, pairs):
         """The CIO of one estimand: its original (q, v) against the combined
         synthetic (q, v) of each dataset."""
-        syn_ci = ci(combine(estimate_set_from(name, pairs), rule), level)
+        level = settings.ci_level
+        syn_ci = ci(combine(estimate_set_from(name, pairs), settings.rule), level)
         return cio(normal_interval(*orig, level), syn_ci, estimand_id=name)
 
     def mean_cio(overlaps):
@@ -477,51 +493,51 @@ def metric_rows(
         ]
 
     def mean_point_rows():
-        overlaps = [
-            overlap(
-                col.name,
-                once(("mean_point", col.name), lambda: mean_point_estimand(original, col.name)),
-                [mean_point_estimand(ds, col.name) for ds in sset.datasets],
-            )
-            for col in original.schema.columns
-            if col.kind.is_numeric
+        estimands = [
+            (c.name, once(("mean_point", c.name), lambda: mean_point_estimand(original, c.name)),
+             [mean_point_estimand(ds, c.name) for ds in sset.datasets])
+            for c in original.schema.columns
+            if c.kind.is_numeric
         ]
-        if not overlaps:
-            return []
-        out = [("mpe_cio", f"var:{o.estimand_id}", o.value) for o in overlaps]
-        return out + roll_up("mpe_avg_cio", "mpe_apo", "", overlaps)
+
+        def roll(m):
+            overlaps = [overlap(name, orig, pairs[:m]) for name, orig, pairs in estimands]
+            if not overlaps:
+                return []
+            out = [("mpe_cio", f"var:{o.estimand_id}", o.value) for o in overlaps]
+            return out + roll_up("mpe_avg_cio", "mpe_apo", "", overlaps)
+
+        return roll
 
     def fit_rows(fit):
+        """The roll-up of one fit: its rows and its overlaps."""
         orig_coefs = once(("fit", fit), lambda: regression_estimands(original, fit))
         per_ds = [regression_estimands(ds, fit) for ds in sset.datasets]
         names = [c.name for c in orig_coefs]
         for coefs in per_ds:
             if [c.name for c in coefs] != names:
                 raise MetricError("synthetic fit produced a different coefficient set")
-        overlaps = [
-            overlap(c.name, (c.q, c.v), [(coefs[idx].q, coefs[idx].v) for coefs in per_ds])
-            for idx, c in enumerate(orig_coefs)
-        ]
-        out = [("rf_cio", f"fit:{fit.id}:coef:{o.estimand_id}", o.value) for o in overlaps]
-        return out + roll_up("rf_fit_avg_cio", "rf_fit_apo", f"fit:{fit.id}", overlaps), overlaps
+
+        def roll(m):
+            overlaps = [
+                overlap(c.name, (c.q, c.v), [(coefs[idx].q, coefs[idx].v) for coefs in per_ds[:m]])
+                for idx, c in enumerate(orig_coefs)
+            ]
+            out = [("rf_cio", f"fit:{fit.id}:coef:{o.estimand_id}", o.value) for o in overlaps]
+            out += roll_up("rf_fit_avg_cio", "rf_fit_apo", f"fit:{fit.id}", overlaps)
+            return out, overlaps
+
+        return roll
 
     def kl_rows():
-        out = []
-        for col in original.schema.columns:
-            raws = [
-                kl_divergence(
-                    original.column(col.name),
-                    ds.column(col.name),
-                    col.kind,
-                    bins=settings.kl_bins,
-                    smoothing=settings.kl_smoothing,
-                    direction=settings.kl_direction,
-                    variable=col.name,
-                ).raw
-                for ds in sset.datasets
-            ]
-            out.append(("kl_raw", f"var:{col.name}", math.fsum(raws) / len(raws)))
-        return out
+        kl = partial(kl_divergence, bins=settings.kl_bins, smoothing=settings.kl_smoothing,
+                     direction=settings.kl_direction)
+        raws = [
+            (c.name, [kl(original.column(c.name), ds.column(c.name), c.kind, variable=c.name).raw
+                      for ds in sset.datasets])
+            for c in original.schema.columns
+        ]
+        return lambda m: [("kl_raw", f"var:{name}", mean(r, m)) for name, r in raws]
 
     def classification_rows():
         target = settings.classification_target
@@ -533,47 +549,44 @@ def metric_rows(
         res = classify_compare(
             original, sset, target, test_fraction=test_fraction, baseline=baseline
         )
-        return [
+        return lambda m: [
             ("clf_acc_orig", "", res.baseline_accuracy),
-            ("clf_acc_syn", "", res.mean_accuracy),
-            ("clf_acc_dev", "", res.accuracy_deviation),
-            ("clf_agreement", "", res.agreement),
+            ("clf_acc_syn", "", mean(res.accuracies, m)),
+            ("clf_acc_dev", "", abs(res.baseline_accuracy - mean(res.accuracies, m))),
+            ("clf_agreement", "", mean(res.agreements, m)),
         ]
 
     def adhoc_rows(pred):
         p_orig = adhoc_proportion(original, pred)
-        p_syn = math.fsum(adhoc_proportion(ds, pred) for ds in sset.datasets) / sset.m
-        return [
+        p_syn = [adhoc_proportion(ds, pred) for ds in sset.datasets]
+        return lambda m: [
             ("adhoc_orig", f"pred:{pred.id}", p_orig),
-            ("adhoc_syn", f"pred:{pred.id}", p_syn),
-            ("adhoc_dev", f"pred:{pred.id}", abs(p_orig - p_syn)),
+            ("adhoc_syn", f"pred:{pred.id}", mean(p_syn, m)),
+            ("adhoc_dev", f"pred:{pred.id}", abs(p_orig - mean(p_syn, m))),
         ]
 
     if settings.mean_point:
-        rows += family("mean_point", mean_point_rows) or []
+        add("mean_point", mean_point_rows)
 
     if settings.regression and fits:
-        per_fit = []
-        for fit in fits:
-            got = family(f"fit:{fit.id}", lambda: fit_rows(fit))
-            if got is not None:
-                rows += got[0]
-                per_fit.append(got[1])
-        if per_fit:
+        per_fit = [got for fit in fits if (got := family(f"fit:{fit.id}", lambda: fit_rows(fit)))]
+        for m in ms if per_fit else ():
+            overlaps = [got[m][1] for got in per_fit]
+            rows[m] += [row for got in per_fit for row in got[m][0]]
             # the average of the fits' averages, and the APO of all their overlaps
-            rows.append(("rf_avg_cio", "", math.fsum(map(mean_cio, per_fit)) / len(per_fit)))
-            pooled = [o for overlaps in per_fit for o in overlaps]
-            rows.append(("rf_apo", "", apo(pooled, thr, inclusive=inc)))
+            rows[m].append(("rf_avg_cio", "", math.fsum(map(mean_cio, overlaps)) / len(overlaps)))
+            pooled = [o for ov in overlaps for o in ov]
+            rows[m].append(("rf_apo", "", apo(pooled, thr, inclusive=inc)))
 
     if settings.kl:
-        rows += family("kl", kl_rows) or []
+        add("kl", kl_rows)
 
     if settings.classification_target is not None:
-        rows += family("classification", classification_rows) or []
+        add("classification", classification_rows)
 
     if settings.adhoc and predicates:
         for pred in predicates:
-            rows += family(f"adhoc:{pred.id}", lambda: adhoc_rows(pred)) or []
+            add(f"adhoc:{pred.id}", lambda: adhoc_rows(pred))
 
     return rows, errors
 
@@ -619,49 +632,43 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _finished_cell(path: Path, fingerprint: str) -> dict | None:
-    """The saved result of a cell that generated its datasets under this
-    fingerprint, or None when the file is absent, unreadable, belongs to
-    another run or records a cell that failed as a whole."""
+    """The saved result of a replicate that generated its datasets under
+    this fingerprint, or None when the file is absent, unreadable, belongs
+    to another run or records a replicate that failed as a whole."""
     try:
         result = json.loads(path.read_text())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError):
         return None
-    if (
-        isinstance(result, dict)
-        and result.get("fingerprint") == fingerprint
-        and result.get("seconds")
-    ):
-        return result
-    return None
+    ok = isinstance(result, dict) and result.get("fingerprint") == fingerprint
+    return result if ok and result.get("seconds") else None
 
 
-def _run_cell(cell: tuple[str, str, int, int]) -> dict:
-    """Run one grid cell of the current experiment and save its cell file.
-    Any exception becomes the cell's error row, so one failing cell never
-    aborts the grid."""
-    label, mode, m, rep = cell
+def _run_cell(replicate: tuple[str, str, int]) -> dict:
+    """Run one replicate of the current experiment: synthesize and write
+    max(m) datasets, score the first m of them for each m of the grid, and
+    save the replicate's cell file. Any exception becomes the replicate's
+    error row, so one failing replicate never aborts the grid."""
+    label, mode, rep = replicate
     exp = _experiment
     cfg = exp.cfg
-    key = _cell_key(label, mode, m, rep)
-    result = {
-        "key": key, "label": label, "mode": mode, "m": m, "rep": rep,
-        "fingerprint": exp.fingerprint,
-    }
+    key = _replicate_key(label, mode, rep)
+    result = {"key": key, "label": label, "mode": mode, "rep": rep, "fingerprint": exp.fingerprint}
     try:
-        seed = _cell_seed(cfg.seed, label, mode, m, rep)
-        spec = spec_for_label(cfg, exp.original.schema, label, m=m, seed=seed, mode=mode)
+        seed = _replicate_seed(cfg.seed, label, mode, rep)
+        spec = spec_for_label(
+            cfg, exp.original.schema, label, m=max(cfg.m_list), seed=seed, mode=mode
+        )
         sset = synthesize(exp.original, spec, memo=exp.synth_fits)
         seconds = save_synthetic_set(sset, cfg.out / "synth" / key, known=exp.known)
         rows, errors = metric_rows(
-            exp.original, sset, cfg.metrics, exp.fits, exp.predicates, memo=exp.original_side
+            exp.original, sset, cfg.metrics, exp.fits, exp.predicates,
+            ms=cfg.m_list, memo=exp.original_side,
         )
-        result["rows"] = [[mtr, scope, val] for mtr, scope, val in rows]
-        result["errors"] = [[stage, msg] for stage, msg in errors]
-        result["seconds"] = seconds
+        # JSON object keys are strings
+        result["rows"] = {str(m): [list(row) for row in rows[m]] for m in cfg.m_list}
+        result.update(errors=[[stage, msg] for stage, msg in errors], seconds=seconds)
     except Exception as err:
-        result["rows"] = []
-        result["errors"] = [["cell", _describe_error(err)]]
-        result["seconds"] = []
+        result.update(rows={}, errors=[["cell", _describe_error(err)]], seconds=[])
     cell_path = cfg.out / "cells" / f"{key}.json"
     cell_path.parent.mkdir(parents=True, exist_ok=True)
     _write_atomic(cell_path, json.dumps(result, indent=2) + "\n")
@@ -695,11 +702,11 @@ def _workers(jobs: int, tasks: int, initargs: tuple):
 
 
 def _run_cells(pending, jobs: int, shared: tuple) -> list[dict]:
-    """Run ``pending`` over ``jobs`` workers in two phases: first fit each
-    distinct non-proper step of the pending cells once (no fit depends on m
-    or the seed, so one spec per label and mode lists them) into this
-    process's memo, leaving a fit that raises to the cells that need it;
-    then run the cells longest first (proper, then larger m).
+    """Run the ``pending`` replicates over ``jobs`` workers in two phases:
+    first fit each distinct non-proper step of them once (no fit depends on
+    m or the seed, so one spec per label and mode lists them) into this
+    process's memo, leaving a fit that raises to the replicates that need
+    it; then run the replicates longest first (proper first).
 
     The donor trees of the first phase grow as at most ``jobs`` forests,
     dealt round-robin, so that every worker has one; every other step is a
@@ -707,11 +714,11 @@ def _run_cells(pending, jobs: int, shared: tuple) -> list[dict]:
     cfg, original, memo = _experiment.cfg, _experiment.original, _experiment.synth_fits
     proper = {label: p for _, p, label in cfg.labels()}
     steps = {}
-    for label, mode in dict.fromkeys((label, mode) for label, mode, _, _ in pending):
+    for label, mode in dict.fromkeys((label, mode) for label, mode, _ in pending):
         try:
             spec = spec_for_label(cfg, original.schema, label, m=1, seed=0, mode=mode)
         except Exception:
-            continue  # the cell records why
+            continue  # the replicate records why
         steps.update(dict.fromkeys(shared_steps(spec)))
     trees = [step for step in steps if step.grows_tree]
     tasks = [trees[i::jobs] for i in range(min(jobs, len(trees)))]
@@ -721,7 +728,7 @@ def _run_cells(pending, jobs: int, shared: tuple) -> list[dict]:
             for step, value in zip(task, fitted):
                 if value is not None:
                     memo.add(step, value)
-    order = sorted(pending, key=lambda cell: (not proper[cell[0]], -cell[2]))
+    order = sorted(pending, key=lambda replicate: not proper[replicate[0]])
     with _workers(jobs, len(pending), (*shared, memo)) as cell_map:
         return list(cell_map(_run_cell, order))
 
@@ -732,15 +739,15 @@ def run_experiment(
     """Execute the full grid and write report.csv, summary.csv, errors.csv,
     timings.csv and the resume manifest under ``cfg.out``.
 
-    Each cell file carries the run's fingerprint and is written atomically.
-    With ``resume`` every cell of this grid whose file parses, carries the
-    same fingerprint and generated its datasets is reused, whether or not
-    the manifest lists it; every other cell runs again. A manifest with
-    another fingerprint refuses the resume.
+    Each replicate's cell file carries the run's fingerprint and is written
+    atomically. With ``resume`` every replicate of this grid whose file
+    parses, carries the same fingerprint and generated its datasets is
+    reused, whether or not the manifest lists it; every other replicate runs
+    again. A manifest with another fingerprint refuses the resume.
 
     Every non-proper synthesis step is fitted once per call, before any
-    cell, and every original-side estimand once per call and process; a
-    cell that finds them already computed only draws and scores."""
+    replicate, and every original-side estimand once per call and process; a
+    replicate that finds them already computed only draws and scores."""
     global _experiment
     original = load_original(cfg)
     target = cfg.metrics.classification_target
@@ -751,12 +758,9 @@ def run_experiment(
     fits = load_fitspecs(cfg.fitspecs) if (cfg.metrics.regression and cfg.fitspecs) else ()
     predicates = load_adhoc(cfg.adhoc) if (cfg.metrics.adhoc and cfg.adhoc) else ()
 
-    cells = sorted(
-        (label, mode, m, rep)
-        for _, _, label in cfg.labels()
-        for mode in cfg.predictor_modes
-        for m in cfg.m_list
-        for rep in range(cfg.k)
+    replicates = sorted(
+        (label, mode, rep)
+        for _, _, label in cfg.labels() for mode in cfg.predictor_modes for rep in range(cfg.k)
     )
 
     out = cfg.out
@@ -774,33 +778,31 @@ def run_experiment(
                 "resume manifest belongs to a different configuration or input; "
                 "use a fresh output directory"
             )
-        for cell in cells:
-            key = _cell_key(*cell)
-            result = _finished_cell(out / "cells" / f"{key}.json", fingerprint)
-            if result is not None:
+        for replicate in replicates:
+            key = _replicate_key(*replicate)
+            if (result := _finished_cell(out / "cells" / f"{key}.json", fingerprint)) is not None:
                 done[key] = result
 
-    pending = [cell for cell in cells if _cell_key(*cell) not in done]
+    pending = [r for r in replicates if _replicate_key(*r) not in done]
     shared = (cfg, fingerprint, original, NumberText.of(original), fits, predicates)
     _start_experiment(*shared)
     try:
         fresh = _run_cells(pending, jobs, shared)
     finally:
         _experiment = None
-    generated_now = sum(r["m"] for r in fresh if r["seconds"])
-
     results = {**done, **{r["key"]: r for r in fresh}}
 
     report = UtilityReport()
     timings: list[TimingRecord] = []
+    cells = sorted((label, mode, m, rep) for label, mode, rep in replicates for m in cfg.m_list)
     for label, mode, m, rep in cells:
-        r = results[_cell_key(label, mode, m, rep)]
-        for mtr, scope, val in r["rows"]:
+        r = results[_replicate_key(label, mode, rep)]
+        for mtr, scope, val in r["rows"].get(str(m), ()):
             report.add(label, mode, m, rep, mtr, scope, val)
         for stage, msg in r["errors"]:
             report.add_error(label, mode, m, rep, stage, msg)
         if r["seconds"]:
-            timings.append(TimingRecord(label, mode, m, rep, tuple(r["seconds"])))
+            timings.append(TimingRecord(label, mode, m, rep, tuple(r["seconds"][:m])))
 
     if cfg.metrics.kl and cfg.metrics.kl_normalize:
         _add_normalized_kl(report, cells)
@@ -809,19 +811,17 @@ def run_experiment(
     _write_table(
         out / "timings.csv",
         ["label", "mode", "m", "rep", "dataset", "seconds"],
-        (
-            [t.label, t.mode, t.m, t.rep, i, repr(s)]
-            for t in timings
-            for i, s in enumerate(t.seconds)
-        ),
+        ([t.label, t.mode, t.m, t.rep, i, repr(s)]
+         for t in timings for i, s in enumerate(t.seconds)),
     )
 
-    # a cell has a timing record exactly when it generated its datasets
+    # a replicate generated its datasets exactly when it has their seconds
+    generated = {key: len(r["seconds"]) for key, r in sorted(results.items()) if r["seconds"]}
     manifest = {
         "fingerprint": fingerprint,
-        "cells": {_cell_key(t.label, t.mode, t.m, t.rep): {"m": t.m} for t in timings},
-        "datasets_generated": sum(t.m for t in timings),
-        "generated_last_run": generated_now,
+        "replicates": {key: {"datasets": n} for key, n in generated.items()},
+        "datasets_generated": sum(generated.values()),
+        "generated_last_run": sum(len(r["seconds"]) for r in fresh),
     }
     _write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return report, timings
@@ -830,20 +830,21 @@ def run_experiment(
 def _add_normalized_kl(report: UtilityReport, cells) -> None:
     """Divide each non-``S`` cell's ``kl_raw`` by the pooled ``S`` baseline.
 
-    A scope's baseline is the mean divergence over every ``S`` dataset of
-    the run, sum(m * kl_raw) / sum(m) over all ``S`` cells: ``S`` has no
-    predictors, so every mode, m and repetition draws from one distribution.
-    A scope whose baseline is 0 or not finite gets no ``kl_norm``, and
-    ``kl_norm_avg`` averages the scopes that have one.
+    A scope's baseline is the mean divergence over every distinct ``S``
+    dataset of the run: the mean ``kl_raw`` of the ``S`` cells at the
+    largest m, since the cells at a smaller m score the first datasets of
+    the same replicates. ``S`` has no predictors, so every mode and
+    replicate draws from one distribution. A scope whose baseline is 0 or
+    not finite gets no ``kl_norm``, and ``kl_norm_avg`` averages the scopes
+    that have one.
     """
     raw = report.values("kl_raw")
-    weighted: dict[str, list[float]] = {}
-    weight: dict[str, int] = {}
+    top = max(m for _, _, m, _ in cells)
+    pooled: dict[str, list[float]] = {}
     for (label, _, m, _, scope), v in raw.items():
-        if label == "S":
-            weighted.setdefault(scope, []).append(m * v)
-            weight[scope] = weight.get(scope, 0) + m
-    base = {scope: math.fsum(parts) / weight[scope] for scope, parts in weighted.items()}
+        if label == "S" and m == top:
+            pooled.setdefault(scope, []).append(v)
+    base = {scope: math.fsum(vs) / len(vs) for scope, vs in pooled.items()}
     defined = sorted(scope for scope, b in base.items() if b > 0.0 and math.isfinite(b))
     for label, mode, m, rep in cells:
         if label == "S":
@@ -943,12 +944,10 @@ def benchmark_generation(
     seed = _derived_seed(cfg.seed, f"bench|{label}", count)
     spec = spec_for_label(cfg, original.schema, label, m=count, seed=seed)
     sset = synthesize(original, spec)
-    known = NumberText.of(original)
-    seconds = save_synthetic_set(sset, cfg.out / "bench" / label, known=known)
+    seconds = save_synthetic_set(sset, cfg.out / "bench" / label, known=NumberText.of(original))
     record = TimingRecord(label, "simple", count, 0, tuple(seconds))
-    bench_path = cfg.out / f"bench_{label}.json"
-    bench_path.parent.mkdir(parents=True, exist_ok=True)
-    bench_path.write_text(json.dumps(asdict(record), indent=2) + "\n")
+    # saving the set made cfg.out
+    (cfg.out / f"bench_{label}.json").write_text(json.dumps(asdict(record), indent=2) + "\n")
     return record
 
 

@@ -28,21 +28,21 @@ from synthbench.dataset import write_csv
 from synthbench.harness import emit_tables, load_config, run_experiment
 
 GOLDEN = {
-    "report.csv": "bdf972653fabb836db7e68ea9b2230e9b5ed871c9895a603fb44ee41cb879bcc",
-    "summary.csv": "cf0981d7462b1db5acc5ffe5800cf5c5e25c7dd41a92ec747461963b3d7d9768",
+    "report.csv": "295afaf517f54126ba84d80206735e76819bc5dd10f44d452a0426a43328b300",
+    "summary.csv": "d43c5426eeafe8a3cac5582d1c0d74faae59112a2955dae768952aacb65710d6",
 }
 
 GOLDEN_TABLES = {
-    "mpe_apo": "34d29d78cd4859cc7220a7da7e36149077f39d994ac63467f523673c1e140040",
-    "cio_vs_m": "53c34c1196bfcc292bdbee334e5e33332f54950095690c62b42d6c0b8adc9be1",
-    "apo_vs_m": "925738bfc24540902ffcc355cc0f6a50b21d07309c95f4d00001fa7a64c3a032",
-    "kl_norm": "e879da891e3ad8151437f82db01f657be9d42e72aedb75ded8e927344c63a4df",
-    "mode_compare": "641477d88203e38308d2e8c2690cdb7185c576de06c554f3d4c784fe6c2fa274",
-    "correlations": "246e364cf0b3513163711055e72e3b4c36365612de412f217a99ce6de42bec0a",
-    "apo_vs_time": "817befb08df7d5209ebb199aa892b44c79dc00d5e1f1d09a10ec526a6bec39c3",
+    "mpe_apo": "39826974320412a6956c23ea15258009b4a6a094d0c78614d5dd35f214aa91ad",
+    "cio_vs_m": "7b747de02587f2a2100bce3e4c36be284bbe385e54a7b92584c303a759d5d120",
+    "apo_vs_m": "c74840eefcb91ea33d26e4f2227059bf222de5d999285ce254907630169b07f0",
+    "kl_norm": "22b3a3f800676d1b61bf3a32fe5c9eea677e4e6570f3967d5871db2de4f45ecd",
+    "mode_compare": "af06ebb34ac374118b91ec46a8b6d0bda15e49d7991db95fdfba95a5d26d217c",
+    "correlations": "81582627e0bcfbe5dd0f2d82a4109690dad19743628660e3819a35f724960729",
+    "apo_vs_time": "3608ff3fad348c994205ef1f1441b1f0dd293d252807fd1955d09fc5824bcf88",
 }
 
-GOLDEN_SYNTHETIC = "e40bbdfa0ae3adaa4a84d19de2f5d9b31b8b1d911582b2ce008b923ffc53964d"
+GOLDEN_SYNTHETIC = "26c58c5d9fa0c6097eade389b4ddb93995b9a83d4e7d522b85c31ef66e13e233"
 
 
 def _write_project(root):

@@ -1,7 +1,9 @@
+import csv
 import dataclasses
 import importlib
 import importlib.util
 import json
+import math
 import multiprocessing
 import os
 import shutil
@@ -20,15 +22,17 @@ import synthbench.harness as harness
 import synthbench.synthesis as synthesis
 from synthbench.cli import main
 from synthbench.dataset import ColumnKind, Dataset, LevelMapping, write_csv
+from synthbench.analysis import load_adhoc
 from synthbench.errors import ConfigError, MetricError
-from synthbench.metrics import UtilityReport
+from synthbench.estimands import load_fitspecs
+from synthbench.metrics import UtilityReport, kl_divergence
 from synthbench.models import CartProblem, Predictors, fit_cart, fit_logistic
 from synthbench.synthesis import build_spec, load_synthetic_set, synthesize
 from synthbench.harness import (
     ExperimentConfig,
     MetricSettings,
     SynthesizerEntry,
-    _cell_seed,
+    _replicate_seed,
     benchmark_generation,
     emit_tables,
     load_config,
@@ -291,13 +295,14 @@ def test_every_traced_name_resolves():
 
 
 def test_cell_seed_streams_are_distinct_and_stable():
-    a = _cell_seed(7, "D", "simple", 3, 0)
-    assert a == _cell_seed(7, "D", "simple", 3, 0)
+    # every cell of a replicate draws from the replicate's seed
+    a = _replicate_seed(7, "D", "simple", 0)
+    assert a == _replicate_seed(7, "D", "simple", 0)
     others = {
-        _cell_seed(7, "D", "simple", 3, 1),
-        _cell_seed(7, "D", "selective", 3, 0),
-        _cell_seed(7, "DT", "simple", 3, 0),
-        _cell_seed(8, "D", "simple", 3, 0),
+        _replicate_seed(7, "D", "simple", 1),
+        _replicate_seed(7, "D", "selective", 0),
+        _replicate_seed(7, "DT", "simple", 0),
+        _replicate_seed(8, "D", "simple", 0),
     }
     assert a not in others and len(others) == 4
 
@@ -316,11 +321,13 @@ def test_run_experiment_outputs(mini_run):
     for name in ("report.csv", "summary.csv", "timings.csv", "manifest.json"):
         assert (out / name).exists()
     manifest = json.loads((out / "manifest.json").read_text())
-    # labels {S, D} x 1 mode x m {1, 2} x k 2 -> 8 cells, 12 datasets
-    assert len(manifest["cells"]) == 8
-    assert manifest["datasets_generated"] == 2 * (1 + 2) * 2
+    # labels {S, D} x 1 mode x k 2 -> 4 replicates of max(m) = 2 datasets,
+    # which serve the 8 cells of m {1, 2}
+    assert len(manifest["replicates"]) == 4
+    assert manifest["datasets_generated"] == 2 * 2 * 2
     assert manifest["generated_last_run"] == manifest["datasets_generated"]
-    assert len(list((out / "cells").glob("*.json"))) == 8
+    assert len(list((out / "cells").glob("*.json"))) == 4
+    assert len(list((out / "synth").glob("*/ds*.csv"))) == 8
     assert not report.errors
     metrics_present = {r.metric for r in report.sorted_rows()}
     assert {
@@ -353,6 +360,19 @@ def test_resume_rejects_different_config(mini_run, tmp_path):
         run_experiment(altered, resume=True)
 
 
+def test_resume_refuses_a_directory_written_by_another_version(tmp_path, monkeypatch):
+    # 0.2.0 draws each replicate's datasets once for every m, so the cells
+    # of an unchanged config differ from those 0.1.0 wrote.
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert f'\nversion = "{synthbench.__version__}"\n' in pyproject
+    cfg = load_config(write_project(tmp_path, grid={"synthesizers": [{"base": "S"}], "m": [1]}, k=1))
+    monkeypatch.setattr(synthbench, "__version__", "0.1.0")
+    run_experiment(cfg)
+    monkeypatch.undo()
+    with pytest.raises(ConfigError, match="fresh output directory"):
+        run_experiment(cfg, resume=True)
+
+
 def test_resume_rejects_an_edited_input_file(tmp_path):
     cfg_path = write_project(tmp_path, grid={"synthesizers": [{"base": "S"}], "m": [1]}, k=1)
     run_experiment(load_config(cfg_path))
@@ -369,32 +389,33 @@ def test_resume_reruns_only_cells_without_a_valid_file(tmp_path):
     cfg = load_config(write_project(tmp_path))
     run_experiment(cfg)
     fresh = (cfg.out / "report.csv").read_bytes()
-    # An interrupted run: no manifest yet, and one cell file cut short.
+    # An interrupted run: no manifest yet, and one cell file cut short. Its
+    # replicate draws its max(m) = 2 datasets again.
     (cfg.out / "manifest.json").unlink()
-    cut = sorted((cfg.out / "cells").glob("*_m2_r0.json"))[0]
+    cut = cfg.out / "cells" / "D_simple_r0.json"
     cut.write_text(cut.read_text()[:40])
     run_experiment(cfg, resume=True)
     manifest = json.loads((cfg.out / "manifest.json").read_text())
     assert manifest["generated_last_run"] == 2
     assert (cfg.out / "report.csv").read_bytes() == fresh
     # A truncated manifest does not stop a resume either. A cell file of
-    # another run, and a cell that failed as a whole, run again.
+    # another run, and a replicate that failed as a whole, run again.
     manifest_path = cfg.out / "manifest.json"
     manifest_path.write_text(manifest_path.read_text()[:25])
-    other = sorted((cfg.out / "cells").glob("*_m1_r1.json"))[0]
+    other = cfg.out / "cells" / "D_simple_r1.json"
     other.write_text(other.read_text().replace(cfg.fingerprint(), "0" * 64))
-    failed = sorted((cfg.out / "cells").glob("*_m1_r0.json"))[0]
+    failed = cfg.out / "cells" / "S_simple_r0.json"
     result = json.loads(failed.read_text())
-    result.update(rows=[], errors=[["cell", "interrupted"]], seconds=[])
+    result.update(rows={}, errors=[["cell", "interrupted"]], seconds=[])
     failed.write_text(json.dumps(result))
     run_experiment(cfg, resume=True)
-    assert json.loads(manifest_path.read_text())["generated_last_run"] == 2
+    assert json.loads(manifest_path.read_text())["generated_last_run"] == 4
     assert (cfg.out / "report.csv").read_bytes() == fresh
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
 def test_resume_after_a_killed_run_matches_an_uninterrupted_one(tmp_path):
-    # 96 cells of 1 or 3 datasets: the run is killed once its first cell
+    # 48 replicates of 3 datasets: the run is killed once its first cell
     # file appears, long before its last.
     grid = {
         "synthesizers": [{"base": "S"}, {"base": "D"}, {"base": "CC"}],
@@ -415,13 +436,13 @@ def test_resume_after_a_killed_run_matches_an_uninterrupted_one(tmp_path):
         proc.wait(timeout=300)
     assert proc.returncode == -signal.SIGKILL
     kept = [json.loads(path.read_text()) for path in (out / "cells").glob("*.json")]
-    assert 0 < len(kept) < 96 and not (out / "manifest.json").exists()
+    assert 0 < len(kept) < 48 and not (out / "manifest.json").exists()
 
     subprocess.run(command + ["--resume"], check=True, env=env, capture_output=True, timeout=300)
     assert (out / "report.csv").read_bytes() == (whole.out / "report.csv").read_bytes()
     manifest = json.loads((out / "manifest.json").read_text())
     total = json.loads((whole.out / "manifest.json").read_text())["datasets_generated"]
-    assert manifest["generated_last_run"] == total - sum(cell["m"] for cell in kept)
+    assert manifest["generated_last_run"] == total - sum(len(cell["seconds"]) for cell in kept)
 
 
 def test_non_proper_fits_are_made_once_per_experiment(tmp_path, monkeypatch):
@@ -435,12 +456,12 @@ def test_non_proper_fits_are_made_once_per_experiment(tmp_path, monkeypatch):
 
     monkeypatch.setattr(synthesis, "fit_cart", counting_fit_cart)
     # D on (x, y, c): x is drawn marginally, y and c from trees on (x) and
-    # (x, y). The grid has m in {1, 3} and k = 2: 8 datasets. The shared
-    # phase grows the two non-proper trees as one forest; a proper cell
-    # grows the trees of all its datasets as one, larger m first.
+    # (x, y). The grid has m in {1, 3} and k = 2: two replicates of 3
+    # datasets. The shared phase grows the two non-proper trees as one
+    # forest; a proper replicate grows the trees of all its datasets as one.
     for proper, expected, calls in (
         (False, [("x",), ("x", "y")], [2]),
-        (True, [("x",), ("x", "y")] * 8, [6, 6, 2, 2]),
+        (True, [("x",), ("x", "y")] * 6, [6, 6]),
     ):
         root = tmp_path / f"proper_{proper}"
         root.mkdir()
@@ -452,6 +473,81 @@ def test_non_proper_fits_are_made_once_per_experiment(tmp_path, monkeypatch):
         assert not report.errors
         assert fitted == expected
         assert per_call == calls
+
+
+@pytest.fixture(scope="module")
+def replicate_run(tmp_path_factory):
+    """Proper and non-proper labels at m in {1, 2, 3}, two replicates each."""
+    root = tmp_path_factory.mktemp("replicates")
+    grid = {"synthesizers": [{"base": "S"}, {"base": "D"}], "proper": [False, True], "m": [1, 2, 3]}
+    cfg = load_config(write_project(root, grid=grid, k=2))
+    report, timings = run_experiment(cfg)
+    assert not report.errors
+    return cfg, report, timings
+
+
+def _replicate_sets(cfg):
+    """Each replicate's synthetic set as written, by (label, mode, rep)."""
+    schema = load_original(cfg).schema
+    sets = {}
+    for path in sorted((cfg.out / "synth").iterdir()):
+        label, mode, rep = path.name.split("_")
+        sets[(label, mode, int(rep.removeprefix("r")))] = load_synthetic_set(path, schema)
+    return sets
+
+
+def test_each_cell_scores_the_first_m_datasets_of_its_replicate(replicate_run):
+    cfg, report, _ = replicate_run
+    original = load_original(cfg)
+    fits, predicates = load_fitspecs(cfg.fitspecs), load_adhoc(cfg.adhoc)
+    sets = _replicate_sets(cfg)
+    assert sorted(sets) == [(label, "simple", rep) for label in ("D", "DT", "S", "ST") for rep in (0, 1)]
+    for (label, mode, rep), sset in sets.items():
+        assert sset.m == 3
+        for m in (1, 2, 3):
+            first = dataclasses.replace(
+                sset, datasets=sset.datasets[:m], wall_times=sset.wall_times[:m]
+            )
+            rows, errors = metric_rows(original, first, cfg.metrics, fits, predicates)
+            assert not errors and list(rows) == [m]
+            cell = {
+                (r.metric, r.scope): r.value
+                for r in report.rows
+                if (r.label, r.mode, r.m, r.k) == (label, mode, m, rep)
+                and not r.metric.startswith("kl_norm")
+            }
+            assert cell == {(metric, scope): value for metric, scope, value in rows[m]}
+
+
+def test_the_kl_baseline_counts_each_distinct_s_dataset_once(replicate_run):
+    cfg, report, _ = replicate_run
+    original = load_original(cfg)
+    s_sets = [sset for (label, _, _), sset in _replicate_sets(cfg).items() if label == "S"]
+    assert len(s_sets) == 2
+    raw = report.values("kl_raw")
+    for col in original.schema.columns:
+        scores = [
+            kl_divergence(original.column(col.name), ds.column(col.name), col.kind).raw
+            for sset in s_sets
+            for ds in sset.datasets
+        ]
+        baseline = math.fsum(scores) / len(scores)
+        for (label, mode, m, rep, scope), v in report.values("kl_norm").items():
+            if scope == f"var:{col.name}":
+                assert v == pytest.approx(raw[(label, mode, m, rep, scope)] / baseline, rel=1e-12)
+
+
+def test_timings_hold_the_first_m_dataset_seconds_of_each_cell(replicate_run):
+    cfg, _, timings = replicate_run
+    with open(cfg.out / "timings.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4 * (1 + 2 + 3) * 2  # labels x sum(m) x k
+    assert len(timings) == 4 * 3 * 2
+    for row in rows:
+        key = f"{row['label']}_{row['mode']}_r{row['rep']}"
+        manifest = json.loads((cfg.out / "synth" / key / "manifest.json").read_text())
+        assert int(row["dataset"]) < int(row["m"])
+        assert float(row["seconds"]) == manifest["wall_times"][int(row["dataset"])]
 
 
 def _experiment_command(cfg_path, out):
@@ -633,7 +729,7 @@ def test_metric_rows_isolates_failing_fits(mini_run, monkeypatch):
     monkeypatch.setattr(harness, "regression_estimands", broken)
     rows, errors = metric_rows(original, sset, cfg.metrics, fits, ())
     assert errors == [("fit:f1", "forced failure for f1")]
-    names = {r[0] for r in rows}
+    names = {r[0] for r in rows[2]}
     assert "rf_cio" not in names and "mpe_apo" in names  # other metrics intact
 
 
@@ -728,17 +824,19 @@ def test_kl_normalization_by_baseline():
             report.add(label, "simple", m, rep, "kl_raw", scope, v)
     cells = sorted((label, "simple", m, rep) for label, m, rep in raws)
     harness._add_normalized_kl(report, cells)
-    # Pooled over all S datasets: x (2*0.2 + 2*0.0 + 1*0.5) / 5 = 0.18,
-    # y (2*0.3 + 2*0.3 + 0) / 5 = 0.24, z 0 (undefined, so no kl_norm).
+    # Pooled over the S cells at the largest m, which hold every distinct S
+    # dataset (the m = 1 cell scores the first dataset of rep 0 again):
+    # x (0.2 + 0.0) / 2 = 0.1, y (0.3 + 0.3) / 2 = 0.3, z 0 (undefined, so
+    # no kl_norm).
     assert report.values("kl_norm") == {
-        ("D", "simple", 2, 0, "var:x"): pytest.approx(2.0),
-        ("D", "simple", 2, 0, "var:y"): pytest.approx(3.0),
-        ("D", "simple", 2, 1, "var:x"): pytest.approx(1.0),
-        ("D", "simple", 2, 1, "var:y"): pytest.approx(1.0),
+        ("D", "simple", 2, 0, "var:x"): pytest.approx(3.6),
+        ("D", "simple", 2, 0, "var:y"): pytest.approx(2.4),
+        ("D", "simple", 2, 1, "var:x"): pytest.approx(1.8),
+        ("D", "simple", 2, 1, "var:y"): pytest.approx(0.8),
     }
     assert report.values("kl_norm_avg") == {
-        ("D", "simple", 2, 0, ""): pytest.approx(2.5),
-        ("D", "simple", 2, 1, ""): pytest.approx(1.0),
+        ("D", "simple", 2, 0, ""): pytest.approx(3.0),
+        ("D", "simple", 2, 1, ""): pytest.approx(1.3),
     }
     assert report.errors == []
 
