@@ -53,7 +53,7 @@ def _parser() -> argparse.ArgumentParser:
     x.add_argument("--seed", type=int, default=None)
     x.add_argument("--out", default=None)
     x.add_argument("--jobs", type=int, default=1)
-    x.add_argument("--resume", action="store_true", help="reuse finished cells in the output directory")
+    x.add_argument("--resume", action="store_true", help="reuse finished replicates in the output directory")
 
     b = sub.add_parser("bench", help="time serial generation of many datasets")
     b.add_argument("--config", required=True)

@@ -271,7 +271,7 @@ def _check_run(cfg, project: Project) -> None:
 
 
 @settings(
-    max_examples=30, deadline=None, derandomize=True,
+    max_examples=50, deadline=None, derandomize=True,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(projects())
@@ -294,7 +294,7 @@ def test_any_small_grid_runs_checks_and_resumes(project):
 
 
 @settings(
-    max_examples=3, deadline=None, derandomize=True,
+    max_examples=4, deadline=None, derandomize=True,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(projects())
