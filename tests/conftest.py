@@ -48,6 +48,14 @@ def fit_battery() -> tuple[FitSpec, ...]:
     )
 
 
+def output_bytes(out) -> dict:
+    """Every file of an experiment run in ``out`` that must not depend on
+    ``--jobs`` or on a resume: the report files and the synthetic CSVs."""
+    paths = [out / "report.csv", out / "summary.csv", out / "errors.csv"]
+    paths += sorted((out / "synth").rglob("*.csv"))
+    return {p.relative_to(out): p.read_bytes() for p in paths if p.exists()}
+
+
 @pytest.fixture(scope="session")
 def fixture_a() -> Dataset:
     return make_fixture_a()

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_fixture_a
+from conftest import make_fixture_a, output_bytes
 import synthbench
 import synthbench.harness as harness
 import synthbench.synthesis as synthesis
@@ -618,13 +618,6 @@ def _fits_since_last_call(log):
     return count
 
 
-def _output_bytes(out):
-    """Every file of a run that must not depend on --jobs."""
-    paths = [out / "report.csv", out / "summary.csv", out / "errors.csv"]
-    paths += sorted((out / "synth").rglob("*.csv"))
-    return {p.relative_to(out): p.read_bytes() for p in paths if p.exists()}
-
-
 def _start_method():
     """The start method of new pools, without fixing it as asking the
     default context would."""
@@ -662,7 +655,7 @@ def test_the_pool_fits_as_often_as_one_process(tmp_path, monkeypatch, failing):
         report, _ = run_experiment(cfg, jobs=jobs)
         assert bool(report.errors) == failing
         fits[jobs] = _fits_since_last_call(log)
-        outputs[jobs] = _output_bytes(cfg.out)
+        outputs[jobs] = output_bytes(cfg.out)
     assert fits[1] > 0 and fits[2] == fits[1]
     assert outputs[2] == outputs[1]
 
@@ -675,19 +668,19 @@ def test_a_shared_fit_that_raises_fails_its_cells_alike_at_any_jobs(tmp_path):
         report, _ = run_experiment(cfg, jobs=jobs)
         assert {(e.label, e.stage) for e in report.errors} >= {("CP", "cell")}
         assert all("pmm_k=25" in e.message for e in report.errors if e.label == "CP")
-        outputs[jobs] = _output_bytes(cfg.out)
+        outputs[jobs] = output_bytes(cfg.out)
     assert outputs[2] == outputs[1]
 
 
 def test_resume_of_a_finished_grid_fits_nothing(mini_run, tmp_path, monkeypatch):
     root, cfg, _, _ = mini_run
-    before = _output_bytes(cfg.out)
+    before = output_bytes(cfg.out)
     log = tmp_path / "fits.log"
     _fit_log(monkeypatch, log)
     run_experiment(cfg, jobs=2, resume=True)
     assert _fits_since_last_call(log) == 0
     assert json.loads((cfg.out / "manifest.json").read_text())["generated_last_run"] == 0
-    assert _output_bytes(cfg.out) == before
+    assert output_bytes(cfg.out) == before
 
 
 def test_read_report_round_trip(mini_run):
