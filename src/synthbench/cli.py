@@ -7,6 +7,7 @@ finished but some cells or analyses recorded failures.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -15,7 +16,6 @@ from .dataset import NumberText
 from .errors import SynthbenchError
 from .estimands import load_fitspecs
 from .harness import (
-    benchmark_generation,
     emit_tables,
     load_config,
     load_original,
@@ -55,11 +55,6 @@ def _parser() -> argparse.ArgumentParser:
     x.add_argument("--jobs", type=int, default=1)
     x.add_argument("--resume", action="store_true", help="reuse finished replicates in the output directory")
 
-    b = sub.add_parser("bench", help="time serial generation of many datasets")
-    b.add_argument("--config", required=True)
-    b.add_argument("--spec", required=True, metavar="LABEL")
-    b.add_argument("--count", type=int, default=100)
-
     r = sub.add_parser("report", help="rebuild tables from an existing report.csv")
     r.add_argument("--out", required=True, help="experiment output directory")
     r.add_argument("--tables", nargs="*", default=None, help="specific tables (default: all available)")
@@ -72,8 +67,11 @@ def _cmd_generate(args) -> int:
     spec = spec_for_label(cfg, original.schema, args.spec, m=args.m, seed=cfg.seed)
     sset = synthesize(original, spec)
     out = Path(args.out) if args.out else cfg.out / "synth" / f"{args.spec}_m{args.m}"
-    save_synthetic_set(sset, out, known=NumberText.of(original))
-    print(f"wrote {sset.m} datasets to {out}")
+    total = math.fsum(save_synthetic_set(sset, out, known=NumberText.of(original)))
+    print(
+        f"wrote {sset.m} datasets to {out} in {total:.3f}s "
+        f"({total / sset.m:.4f}s per dataset: fit, draw and write)"
+    )
     return 0
 
 
@@ -110,17 +108,6 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    cfg = load_config(args.config)
-    record = benchmark_generation(cfg, args.spec, args.count)
-    mean = record.total / len(record.seconds)
-    print(
-        f"{args.spec}: {len(record.seconds)} datasets in {record.total:.3f}s "
-        f"({mean:.4f}s per dataset)"
-    )
-    return 0
-
-
 def _cmd_report(args) -> int:
     out = Path(args.out)
     report = read_report(out)
@@ -137,7 +124,6 @@ def main(argv: list[str] | None = None) -> int:
         "generate": _cmd_generate,
         "evaluate": _cmd_evaluate,
         "experiment": _cmd_experiment,
-        "bench": _cmd_bench,
         "report": _cmd_report,
     }
     try:

@@ -176,10 +176,12 @@ def load_fitspecs(path: str | Path) -> tuple[FitSpec, ...]:
     for entry in doc["fits"]:
         if not isinstance(entry, dict):
             raise EstimandError(f"bad fit entry {entry!r}: not an object")
-        predictors = entry.get("predictors", [])
-        if not isinstance(predictors, list) or not all(isinstance(v, str) for v in predictors):
+        predictors = entry.get("predictors")
+        if not (isinstance(predictors, list) and predictors
+                and all(isinstance(v, str) for v in predictors)):
             raise EstimandError(
-                f"bad fit entry {entry!r}: predictors must be a list of strings"
+                f"fit {entry.get('id')!r}: predictors must be a non-empty list of strings, "
+                f"got {predictors!r}"
             )
         try:
             if not isinstance(entry["id"], str):

@@ -24,7 +24,7 @@ import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -367,14 +367,10 @@ class TimingRecord:
         return math.fsum(self.seconds)
 
 
-def _derived_seed(master: int, tag: str, *ints: int) -> int:
-    """A uint64 seed from the master seed, the crc32 of ``tag`` and ``ints``."""
-    ss = np.random.SeedSequence((master, zlib.crc32(tag.encode()), *ints))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
 def _replicate_seed(master: int, label: str, mode: str, rep: int) -> int:
-    return _derived_seed(master, f"{label}|{mode}", rep)
+    """A uint64 seed from the master seed, the crc32 of "label|mode" and rep."""
+    ss = np.random.SeedSequence((master, zlib.crc32(f"{label}|{mode}".encode()), rep))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def _replicate_key(label: str, mode: str, rep: int) -> str:
@@ -594,8 +590,9 @@ def metric_rows(
 @dataclass(frozen=True)
 class _Experiment:
     """What the cells of one ``run_experiment`` call share in a process: the
-    inputs, the text of the original's numbers, the non-proper synthesis
-    fits and the original-side values of ``metric_rows``."""
+    inputs, the text of the original's numbers, the spec of each (label,
+    mode), the non-proper synthesis fits and the original-side values of
+    ``metric_rows``."""
 
     cfg: ExperimentConfig
     fingerprint: str
@@ -603,6 +600,7 @@ class _Experiment:
     known: NumberText
     fits: tuple[FitSpec, ...]
     predicates: tuple[AdhocPredicate, ...]
+    specs: dict[tuple[str, str], SynthesizerSpec]
     synth_fits: FitMemo
     original_side: dict
 
@@ -611,14 +609,14 @@ _experiment: _Experiment | None = None
 
 
 def _start_experiment(
-    cfg, fingerprint, original, known, fits, predicates, synth_fits=None
+    cfg, fingerprint, original, known, fits, predicates, specs, synth_fits=None
 ) -> None:
     """Give this process a new experiment's memos, empty or with the fits of
     ``synth_fits``. ``run_experiment`` calls it first, and each pool worker
     as its initializer, so no run reuses another run's fits."""
     global _experiment
     _experiment = _Experiment(
-        cfg, fingerprint, original, known, fits, predicates,
+        cfg, fingerprint, original, known, fits, predicates, specs,
         synth_fits or FitMemo(original), {},
     )
 
@@ -654,10 +652,7 @@ def _run_cell(replicate: tuple[str, str, int]) -> dict:
     key = _replicate_key(label, mode, rep)
     result = {"key": key, "label": label, "mode": mode, "rep": rep, "fingerprint": exp.fingerprint}
     try:
-        seed = _replicate_seed(cfg.seed, label, mode, rep)
-        spec = spec_for_label(
-            cfg, exp.original.schema, label, m=max(cfg.m_list), seed=seed, mode=mode
-        )
+        spec = replace(exp.specs[label, mode], seed=_replicate_seed(cfg.seed, label, mode, rep))
         sset = synthesize(exp.original, spec, memo=exp.synth_fits)
         seconds = save_synthetic_set(sset, cfg.out / "synth" / key, known=exp.known)
         rows, errors = metric_rows(
@@ -703,23 +698,18 @@ def _workers(jobs: int, tasks: int, initargs: tuple):
 
 def _run_cells(pending, jobs: int, shared: tuple) -> list[dict]:
     """Run the ``pending`` replicates over ``jobs`` workers in two phases:
-    first fit each distinct non-proper step of them once (no fit depends on
-    m or the seed, so one spec per label and mode lists them) into this
-    process's memo, leaving a fit that raises to the replicates that need
-    it; then run the replicates longest first (proper first).
+    first fit each distinct non-proper step of their specs once (no fit
+    depends on the seed) into this process's memo, leaving a fit that
+    raises to the replicates that need it; then run the replicates longest
+    first (proper first).
 
     The donor trees of the first phase grow as at most ``jobs`` forests,
     dealt round-robin, so that every worker has one; every other step is a
     task of its own."""
-    cfg, original, memo = _experiment.cfg, _experiment.original, _experiment.synth_fits
-    proper = {label: p for _, p, label in cfg.labels()}
-    steps = {}
-    for label, mode in dict.fromkeys((label, mode) for label, mode, _ in pending):
-        try:
-            spec = spec_for_label(cfg, original.schema, label, m=1, seed=0, mode=mode)
-        except Exception:
-            continue  # the replicate records why
-        steps.update(dict.fromkeys(shared_steps(spec)))
+    specs, memo = _experiment.specs, _experiment.synth_fits
+    steps = dict.fromkeys(
+        step for label, mode, _ in pending for step in shared_steps(specs[label, mode])
+    )
     trees = [step for step in steps if step.grows_tree]
     tasks = [trees[i::jobs] for i in range(min(jobs, len(trees)))]
     tasks += [[step] for step in steps if not step.grows_tree]
@@ -728,7 +718,7 @@ def _run_cells(pending, jobs: int, shared: tuple) -> list[dict]:
             for step, value in zip(task, fitted):
                 if value is not None:
                     memo.add(step, value)
-    order = sorted(pending, key=lambda replicate: not proper[replicate[0]])
+    order = sorted(pending, key=lambda replicate: not specs[replicate[:2]].proper)
     with _workers(jobs, len(pending), (*shared, memo)) as cell_map:
         return list(cell_map(_run_cell, order))
 
@@ -745,9 +735,11 @@ def run_experiment(
     reused, whether or not the manifest lists it; every other replicate runs
     again. A manifest with another fingerprint refuses the resume.
 
-    Every non-proper synthesis step is fitted once per call, before any
-    replicate, and every original-side estimand once per call and process; a
-    replicate that finds them already computed only draws and scores."""
+    The spec of each (label, mode) is built once, before anything is
+    written; one that cannot be built is a ``ConfigError``. Every non-proper
+    synthesis step is fitted once per call, before any replicate, and every
+    original-side estimand once per call and process; a replicate that finds
+    them already computed only draws and scores."""
     global _experiment
     original = load_original(cfg)
     target = cfg.metrics.classification_target
@@ -757,11 +749,18 @@ def run_experiment(
         )
     fits = load_fitspecs(cfg.fitspecs) if (cfg.metrics.regression and cfg.fitspecs) else ()
     predicates = load_adhoc(cfg.adhoc) if (cfg.metrics.adhoc and cfg.adhoc) else ()
-
-    replicates = sorted(
-        (label, mode, rep)
-        for _, _, label in cfg.labels() for mode in cfg.predictor_modes for rep in range(cfg.k)
-    )
+    specs = {}
+    for _, _, label in cfg.labels():
+        for mode in cfg.predictor_modes:
+            try:
+                specs[label, mode] = spec_for_label(
+                    cfg, original.schema, label, m=max(cfg.m_list), seed=0, mode=mode
+                )
+            except SynthbenchError as err:
+                raise ConfigError(
+                    f"synthesizer {label!r} in predictor mode {mode!r}: {err}"
+                ) from err
+    replicates = sorted((label, mode, rep) for label, mode in specs for rep in range(cfg.k))
 
     out = cfg.out
     out.mkdir(parents=True, exist_ok=True)
@@ -784,7 +783,7 @@ def run_experiment(
                 done[key] = result
 
     pending = [r for r in replicates if _replicate_key(*r) not in done]
-    shared = (cfg, fingerprint, original, NumberText.of(original), fits, predicates)
+    shared = (cfg, fingerprint, original, NumberText.of(original), fits, predicates, specs)
     _start_experiment(*shared)
     try:
         fresh = _run_cells(pending, jobs, shared)
@@ -931,24 +930,6 @@ def read_timings(out: Path) -> list[TimingRecord]:
             key = (row["label"], row["mode"], int(row["m"]), int(row["rep"]))
             seconds.setdefault(key, []).append(float(row["seconds"]))
     return [TimingRecord(*key, tuple(secs)) for key, secs in seconds.items()]
-
-
-def benchmark_generation(
-    cfg: ExperimentConfig, label: str, count: int = 100
-) -> TimingRecord:
-    """Serially generate ``count`` datasets with the labelled synthesizer and
-    record per-dataset seconds (fit + draw + CSV write)."""
-    if count < 1:
-        raise ConfigError("count must be >= 1")
-    original = load_original(cfg)
-    seed = _derived_seed(cfg.seed, f"bench|{label}", count)
-    spec = spec_for_label(cfg, original.schema, label, m=count, seed=seed)
-    sset = synthesize(original, spec)
-    seconds = save_synthetic_set(sset, cfg.out / "bench" / label, known=NumberText.of(original))
-    record = TimingRecord(label, "simple", count, 0, tuple(seconds))
-    # saving the set made cfg.out
-    (cfg.out / f"bench_{label}.json").write_text(json.dumps(asdict(record), indent=2) + "\n")
-    return record
 
 
 # A table builder takes the summary values ``{metric: {(label, mode, m,

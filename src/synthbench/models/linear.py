@@ -42,7 +42,8 @@ def fit_ols(X: Predictors, y: np.ndarray) -> LinearModel:
     Residual sd is sqrt(RSS / (n - p)) with p counting every coefficient
     including the intercept; standard errors come from the diagonal of
     sigma^2 (X'X)^-1. A rank-deficient design falls back to a small ridge
-    (1e-8 on the normal-equation diagonal) and flags the model.
+    (1e-8 on the normal-equation diagonal) and flags the model. Sums that
+    overflow (values near 1e300) raise before any LAPACK call.
     """
     y = np.asarray(y, dtype=np.float64)
     enc, M = encode_from_predictors(X)
@@ -54,6 +55,8 @@ def fit_ols(X: Predictors, y: np.ndarray) -> LinearModel:
 
     xtx = M.T @ M
     xty = M.T @ y
+    if not (np.isfinite(xtx).all() and np.isfinite(xty).all()):
+        raise FitError("the design sums X'X and X'y are not finite")
     ridged = _rank(M) < p
     if ridged:
         xtx = xtx + _RIDGE * np.eye(p)

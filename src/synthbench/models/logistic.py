@@ -67,6 +67,15 @@ def _information(M: np.ndarray, P: np.ndarray) -> np.ndarray:
     return info
 
 
+def _finite_information(M: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """The information matrix, checked before any LAPACK call: sums that
+    overflow (values near 1e300) would reach the solvers as inf or nan."""
+    info = _information(M, P)
+    if not np.isfinite(info).all():
+        raise FitError("the information matrix is not finite")
+    return info
+
+
 def softmax_loglik(M: np.ndarray, y_pos: np.ndarray, B: np.ndarray) -> float:
     return _loglik(_log_probs(M, B), y_pos)
 
@@ -138,7 +147,7 @@ def fit_logistic(
             converged = True
             it -= 1
             break
-        info = _information(M, P)
+        info = _finite_information(M, P)
         g = G.reshape(-1)
         try:
             step = np.linalg.solve(info, g)
@@ -173,7 +182,7 @@ def fit_logistic(
             separated = True
             break
 
-    info = _information(M, np.exp(lp))
+    info = _finite_information(M, np.exp(lp))
     try:
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError:

@@ -184,7 +184,7 @@ def test_load_fitspecs_validation(tmp_path):
     assert fits[0].id == "f1" and fits[0].family == "linear"
 
     bad_cases = [
-        {"fits": [{"id": "f", "family": "poisson", "target": "y", "predictors": []}]},
+        {"fits": [{"id": "f", "family": "poisson", "target": "y", "predictors": ["x"]}]},
         {"fits": [{"id": "f", "family": "linear", "target": "y", "predictors": ["y"]}]},
         {
             "fits": [
@@ -200,6 +200,16 @@ def test_load_fitspecs_validation(tmp_path):
     for doc in bad_cases:
         path.write_text(json.dumps(doc))
         with pytest.raises(EstimandError):
+            load_fitspecs(path)
+
+
+def test_a_fit_needs_predictors(tmp_path):
+    # An intercept-only fit failed in every cell; it is refused when it loads.
+    path = tmp_path / "fits.json"
+    for entry in ({"predictors": []}, {}):
+        entry.update(id="mean_y", family="linear", target="y")
+        path.write_text(json.dumps({"fits": [entry]}))
+        with pytest.raises(EstimandError, match="fit 'mean_y': predictors must be a non-empty"):
             load_fitspecs(path)
 
 

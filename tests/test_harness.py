@@ -33,7 +33,6 @@ from synthbench.harness import (
     MetricSettings,
     SynthesizerEntry,
     _replicate_seed,
-    benchmark_generation,
     emit_tables,
     load_config,
     load_original,
@@ -726,19 +725,6 @@ def test_metric_rows_isolates_failing_fits(mini_run, monkeypatch):
     assert "rf_cio" not in names and "mpe_apo" in names  # other metrics intact
 
 
-def test_benchmark_generation(mini_run):
-    root, cfg, _, _ = mini_run
-    record = benchmark_generation(cfg, "D", count=3)
-    assert record.m == 3 and len(record.seconds) == 3
-    assert (cfg.out / "bench_D.json").exists()
-    doc = json.loads((cfg.out / "bench_D.json").read_text())
-    assert doc["label"] == "D" and len(doc["seconds"]) == 3
-    with pytest.raises(ConfigError):
-        benchmark_generation(cfg, "CC", count=3)
-    with pytest.raises(ConfigError):
-        benchmark_generation(cfg, "D", count=0)
-
-
 def test_cli_experiment_and_report(tmp_path, capsys):
     grid = {"synthesizers": [{"base": "S"}, {"base": "D"}], "m": [1, 2]}
     cfg_path = write_project(tmp_path, grid=grid, k=1)
@@ -773,7 +759,7 @@ def test_cli_generate_and_evaluate(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_generate_and_bench_with_an_ordered_label(tmp_path, capsys):
+def test_cli_generate_with_an_ordered_label(tmp_path, capsys):
     grid = {
         "synthesizers": [{"base": "S"}, {"base": "D", "order": "opposite"}],
         "proper": [False, True],
@@ -785,6 +771,14 @@ def test_cli_generate_and_bench_with_an_ordered_label(tmp_path, capsys):
         "generate", "--config", str(cfg_path), "--spec", "DOT", "--m", "2",
         "--out", str(gen_dir),
     ]) == 0
+    # the fit + draw + write seconds of each dataset, their total and mean
+    printed = capsys.readouterr().out
+    assert printed.startswith(f"wrote 2 datasets to {gen_dir} in ")
+    assert printed.rstrip().endswith("s per dataset: fit, draw and write)")
+    wall_times = json.loads((gen_dir / "manifest.json").read_text())["wall_times"]
+    assert len(wall_times) == 2 and all(t >= 0.0 for t in wall_times)
+    total = float(printed.split(" in ")[1].split("s ")[0])
+    assert total == pytest.approx(sum(wall_times), abs=1e-3)
     cfg = load_config(cfg_path)
     original = load_original(cfg)
     spec = build_spec(
@@ -797,9 +791,8 @@ def test_cli_generate_and_bench_with_an_ordered_label(tmp_path, capsys):
     for got, want in zip(written.datasets, expected.datasets, strict=True):
         for a, b in zip(got.columns, want.columns, strict=True):
             assert np.array_equal(a, b)
-    assert main(["bench", "--config", str(cfg_path), "--spec", "DO", "--count", "2"]) == 0
-    assert json.loads((cfg.out / "bench_DO.json").read_text())["label"] == "DO"
-    assert main(["bench", "--config", str(cfg_path), "--spec", "P", "--count", "2"]) == 1
+    # a label outside the grid is a configuration error
+    assert main(["generate", "--config", str(cfg_path), "--spec", "P", "--m", "2"]) == 1
     capsys.readouterr()
 
 
@@ -866,12 +859,9 @@ def test_a_constant_column_has_no_normalized_kl(tmp_path):
         assert v == pytest.approx(sum(scopes.values()) / 3)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_any_exception_in_a_cell_becomes_an_error_row(tmp_path, capsys):
-    # x of magnitude 1e300 overflows the combining rule's between-variance sum
-    # in the mean-point family, and gives the fit an interval with infinite
-    # bounds; the other families of the cell still report.
-    ds = make_fixture_a(n=300)
+def _huge_x_project(tmp_path, n, bases):
+    """fixture-A's first n rows with x scaled by 1e300, and fit f1, y ~ x."""
+    ds = make_fixture_a(n=n)
     ds = Dataset(ds.schema, (ds.columns[0] * 1e300,) + ds.columns[1:])
     write_csv(ds, tmp_path / "data.csv")
     cols = [
@@ -888,12 +878,21 @@ def test_any_exception_in_a_cell_becomes_an_error_row(tmp_path, capsys):
         "dataset": "data.csv",
         "schema": "schema.json",
         "fitspecs": "fits.json",
-        "grid": {"synthesizers": [{"base": "S"}, {"base": "D"}], "m": [2]},
+        "grid": {"synthesizers": [{"base": b} for b in bases], "m": [2]},
         "k": 1,
         "seed": 3,
         "out": "results",
         "metrics": {"classification": {"target": "c3"}},
     }))
+    return cfg_path, ds
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_any_exception_in_a_cell_becomes_an_error_row(tmp_path, capsys):
+    # x of magnitude 1e300 overflows the combining rule's between-variance sum
+    # in the mean-point family, and the design sums of the fit; the other
+    # families of the cell still report.
+    cfg_path, ds = _huge_x_project(tmp_path, 300, ("S", "D"))
     cfg = load_config(cfg_path)
     report, _ = run_experiment(cfg)
     assert {(e.label, e.stage) for e in report.errors} == {
@@ -901,7 +900,7 @@ def test_any_exception_in_a_cell_becomes_an_error_row(tmp_path, capsys):
     }
     for e in report.errors:
         assert e.message.startswith(
-            "OverflowError: " if e.stage == "mean_point" else "estimand 'intercept': "
+            "OverflowError: " if e.stage == "mean_point" else "fit 'f1': "
         ), e
     lines = (cfg.out / "errors.csv").read_text().splitlines()
     assert lines[1].startswith("D,simple,2,0,fit:f1,")
@@ -916,6 +915,56 @@ def test_any_exception_in_a_cell_becomes_an_error_row(tmp_path, capsys):
         assert not report.values("rf_cio", label=label)
     assert main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "cli")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_parametric_fits_fail_their_cells_without_nan(tmp_path, capfd):
+    # P fits y on x near 1e300: the fit raises before LAPACK sees an
+    # infinite matrix, so no dataset with a nan y is written and LAPACK
+    # prints nothing.
+    cfg_path, _ = _huge_x_project(tmp_path, 50, ("S", "P"))
+    doc = json.loads(cfg_path.read_text())
+    doc.update(preprocess={"drop": ["c1", "c2", "c3"]}, metrics={"kl": True})
+    cfg_path.write_text(json.dumps(doc))
+    cfg = load_config(cfg_path)
+    report, _ = run_experiment(cfg)
+    assert ("P", "cell") in {(e.label, e.stage) for e in report.errors}
+    assert all(e.message.startswith("variable ") for e in report.errors if e.label == "P")
+    tables = sorted(cfg.out.rglob("*.csv"))
+    assert cfg.out / "synth" / "S_simple_r0" / "ds000.csv" in tables
+    for path in tables:
+        with open(path, newline="") as fh:
+            assert not any(cell.lower() == "nan" for row in csv.reader(fh) for cell in row), path
+    captured = capfd.readouterr()
+    assert "DLASCL" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize(
+    "grid, drop, label, mode",
+    [
+        (
+            {"synthesizers": [{"base": "S"}, {"base": "D"}], "m": [1, 2],
+             "predictor_modes": ["simple", "selective"], "selective": {"x": ["y"]}},
+            [], "S", "selective",
+        ),
+        (
+            {"synthesizers": [{"base": "S"}, {"base": "D", "order": "largest_cat_first"}],
+             "m": [1, 2]},
+            ["c"], "DH", "simple",
+        ),
+    ],
+    ids=["selective-predictor-after-its-target", "largest-cat-first-without-a-categorical"],
+)
+def test_a_spec_that_cannot_be_built_is_a_config_error(tmp_path, grid, drop, label, mode):
+    # Each (label, mode) spec is built once, before any replicate runs.
+    cfg_path = write_project(tmp_path, grid=grid, metrics={"kl": True})
+    doc = json.loads(cfg_path.read_text())
+    doc["preprocess"] = {"drop": drop}
+    cfg_path.write_text(json.dumps(doc))
+    cfg = load_config(cfg_path)
+    with pytest.raises(ConfigError, match=f"synthesizer {label!r} in predictor mode {mode!r}: "):
+        run_experiment(cfg)
+    assert not (cfg.out / "cells").exists()
 
 
 def test_an_exception_outside_the_metrics_costs_the_whole_cell(tmp_path, monkeypatch):

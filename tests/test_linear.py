@@ -125,3 +125,14 @@ def test_encoding_round_trip():
     assert M[:, 3].tolist() == [0.0, 1.0, 0.0, 0.0]
     row = enc.encode((np.asarray([2.5]), np.asarray([2])))
     assert row.tolist() == [[1.0, 2.5, 0.0, 1.0]]
+
+
+def test_overflowing_design_sums_are_a_fit_error(fixture_a):
+    # x near 1e300: x'x overflows, and the solve would return nan coefficients
+    X = predictors(["x"], [NUM], [fixture_a.column("x")[:50] * 1e300])
+    with pytest.raises(FitError, match="not finite"):
+        fit_ols(X, fixture_a.column("y")[:50])
+    # y near 1e307: the sum of y in X'y overflows
+    X = predictors(["x"], [NUM], [fixture_a.column("x")[:50]])
+    with pytest.raises(FitError, match="not finite"):
+        fit_ols(X, fixture_a.column("y")[:50] * 1e307)

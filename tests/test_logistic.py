@@ -209,3 +209,11 @@ def test_a_separated_fit_does_not_report_convergence():
     x = np.linspace(-2.0, 2.0, 80)
     model = fit_logistic(predictors(["x"], [NUM], [x]), (x > 0).astype(np.int64))
     assert model.separated and not model.converged
+
+
+def test_an_overflowing_information_matrix_is_a_fit_error(fixture_a):
+    # x near 1e300: the information matrix overflows, and the fit reported
+    # convergence with nan standard errors
+    X = predictors(["x"], [NUM], [fixture_a.column("x")[:50] * 1e300])
+    with pytest.raises(FitError, match="not finite"):
+        fit_logistic(X, fixture_a.column("c3")[:50])
