@@ -1,11 +1,11 @@
 """Analysis-level comparisons: classification, ad-hoc predicates, correlation.
 
-``classify_compare`` mirrors how an analyst would use a released dataset:
-train a classifier on each synthetic dataset, train the same classifier on
-the original, and evaluate everything on the original records. Besides
-accuracies it reports record-level agreement: the share of records on which
-the synthetic-trained and original-trained models are either both correct or
-both wrong, averaged over the synthetic models.
+The classifier comparison mirrors how an analyst would use a released
+dataset: ``classifier_baseline`` trains a classifier on the original, and
+``classify_compare`` trains the same classifier on each synthetic dataset;
+all are evaluated on the original records. Besides each accuracy it reports
+record-level agreement: the share of records on which the synthetic-trained
+and original-trained models are either both correct or both wrong.
 """
 
 from __future__ import annotations
@@ -25,21 +25,6 @@ from .models.design import Predictors
 from .synthesis import SyntheticSet
 
 ADHOC_OPS = ("eq", "le", "ge", "lt", "gt")
-
-
-@dataclass(frozen=True)
-class ClassificationResult:
-    label: str
-    target: str
-    baseline_accuracy: float
-    accuracies: tuple[float, ...]
-    agreements: tuple[float, ...]
-    mean_accuracy: float
-    agreement: float
-
-    @property
-    def accuracy_deviation(self) -> float:
-        return abs(self.baseline_accuracy - self.mean_accuracy)
 
 
 def _classifier_problem(train: Dataset, target: str) -> CartProblem:
@@ -64,48 +49,43 @@ def _predict(tree: CartTree, train: Dataset, evaluate: Dataset, target: str) -> 
 
 @dataclass(frozen=True)
 class ClassifierBaseline:
-    """The original-trained side of a classifier comparison: the original
-    records it is scored on, their labels, and which of them it gets right.
-    ``target``, ``seed`` and ``test_fraction`` say which labels and records
-    those are; ``seed`` is None when no holdout split uses it."""
+    """The original-trained side of a classifier comparison on ``target``:
+    the original records it is scored on, their labels, and which of them it
+    gets right."""
 
+    target: str
     eval_ds: Dataset
     y_true: np.ndarray
     correct: np.ndarray
-    target: str
-    seed: int | None
-    test_fraction: float | None
-
-
-def _split_seed(seed: int | None, test_fraction: float | None) -> int | None:
-    """The seed the holdout split draws from, or None without a split."""
-    return None if test_fraction is None else (0 if seed is None else seed)
 
 
 def classifier_baseline(
-    original: Dataset,
-    target: str,
-    *,
-    seed: int | None = None,
-    test_fraction: float | None = None,
+    original: Dataset, target: str, *, test_fraction: float | None = None
 ) -> ClassifierBaseline:
     """Train the donor-tree classifier on the original data and score it on
-    the original records (arguments as in ``classify_compare``)."""
+    the original records.
+
+    Each tree's leaves hold at least max(5, sqrt(n)) of its n training rows,
+    so that a classifier trained on label-independent data degrades to
+    roughly majority-vote accuracy instead of below it.
+
+    ``test_fraction`` switches on a holdout split (off by default), drawn
+    from seed 0: the original-trained tree sees only the training rows, and
+    every tree is scored only on the held-out rows.
+    """
     if not original.schema.kind(target).is_categorical:
         raise AnalysisError(f"target {target!r} is not categorical")
     if len(original.schema) < 2:
         raise AnalysisError("classification needs at least one predictor column")
 
-    seed = _split_seed(seed, test_fraction)
     if test_fraction is None:
         train_orig = original
         eval_ds = original
     else:
         if not (0.0 < test_fraction < 1.0):
             raise AnalysisError("test_fraction must lie in (0, 1)")
-        rng = np.random.default_rng(seed)
         n = original.n_rows
-        perm = rng.permutation(n)
+        perm = np.random.default_rng(0).permutation(n)
         n_test = max(1, int(round(test_fraction * n)))
         test_rows = np.sort(perm[:n_test])
         train_rows = np.sort(perm[n_test:])
@@ -118,64 +98,26 @@ def classifier_baseline(
     (tree,) = fit_cart([_classifier_problem(train_orig, target)]).trees
     correct = _predict(tree, train_orig, eval_ds, target) == y_true
     correct.flags.writeable = False
-    return ClassifierBaseline(eval_ds, y_true, correct, target, seed, test_fraction)
+    return ClassifierBaseline(target, eval_ds, y_true, correct)
 
 
 def classify_compare(
-    original: Dataset,
-    synthetic: SyntheticSet,
-    target: str,
-    *,
-    seed: int | None = None,
-    test_fraction: float | None = None,
-    baseline: ClassifierBaseline | None = None,
-) -> ClassificationResult:
-    """Train a donor-tree classifier per synthetic dataset and on the
-    original; evaluate all of them on the original records.
-
-    Each tree's leaves hold at least max(5, sqrt(n)) of its n training rows,
-    so that a classifier trained on label-independent data degrades to
-    roughly majority-vote accuracy instead of below it.
-
-    ``test_fraction`` switches on a holdout split (off by default): models
-    train as before but are scored only on the held-out original rows, and
-    the original-trained model sees only the training rows.
-
-    ``baseline`` is the original-trained side, from ``classifier_baseline``
-    with the same arguments; it is computed here when not given, and one
-    built for another target, seed or holdout fraction is an error.
-
-    The synthetic-trained trees grow together as one forest.
-    """
+    baseline: ClassifierBaseline, synthetic: SyntheticSet
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Train the classifier on each synthetic dataset, the trees growing as
+    one forest, and score it on the baseline's records. Returns each
+    dataset's accuracy and its agreement with the original-trained tree."""
     if synthetic.m < 1:
         raise AnalysisError("no synthetic datasets to evaluate")
-    if baseline is None:
-        baseline = classifier_baseline(original, target, seed=seed, test_fraction=test_fraction)
-    asked = (target, _split_seed(seed, test_fraction), test_fraction)
-    if (baseline.target, baseline.seed, baseline.test_fraction) != asked:
-        raise AnalysisError(
-            f"the classifier baseline was built for target {baseline.target!r}, seed "
-            f"{baseline.seed}, test_fraction {baseline.test_fraction}; this comparison "
-            f"asks for target {asked[0]!r}, seed {asked[1]}, test_fraction {asked[2]}"
-        )
-
-    accuracies = []
-    agreements = []
+    target = baseline.target
     forest = fit_cart([_classifier_problem(ds, target) for ds in synthetic.datasets])
-    for ds, tree in zip(synthetic.datasets, forest.trees):
-        pred = _predict(tree, ds, baseline.eval_ds, target)
-        correct = pred == baseline.y_true
-        accuracies.append(float(correct.mean()))
-        agreements.append(float((correct == baseline.correct).mean()))
-
-    return ClassificationResult(
-        label=synthetic.label,
-        target=target,
-        baseline_accuracy=float(baseline.correct.mean()),
-        accuracies=tuple(accuracies),
-        agreements=tuple(agreements),
-        mean_accuracy=math.fsum(accuracies) / len(accuracies),
-        agreement=math.fsum(agreements) / len(agreements),
+    correct = [
+        _predict(tree, ds, baseline.eval_ds, target) == baseline.y_true
+        for ds, tree in zip(synthetic.datasets, forest.trees)
+    ]
+    return (
+        tuple(float(c.mean()) for c in correct),
+        tuple(float((c == baseline.correct).mean()) for c in correct),
     )
 
 

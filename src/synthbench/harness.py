@@ -467,9 +467,10 @@ def metric_rows(
         for m in ms if got is not None else ():
             rows[m] += got[m]
 
-    def mean(values, m):
-        """The mean of the first m per-dataset ``values``."""
-        return math.fsum(values[:m]) / m
+    def mean(values, m=None):
+        """The mean of ``values``, or of the first m per-dataset values."""
+        values = values[:m]
+        return math.fsum(values) / len(values)
 
     def overlap(name, orig, pairs):
         """The CIO of one estimand: its original (q, v) against the combined
@@ -478,13 +479,10 @@ def metric_rows(
         syn_ci = ci(combine(estimate_set_from(name, pairs), settings.rule), level)
         return cio(normal_interval(*orig, level), syn_ci, estimand_id=name)
 
-    def mean_cio(overlaps):
-        return math.fsum(o.value for o in overlaps) / len(overlaps)
-
     def roll_up(avg_metric, apo_metric, scope, overlaps):
         """The average CIO and the APO of ``overlaps``, both under ``scope``."""
         return [
-            (avg_metric, scope, mean_cio(overlaps)),
+            (avg_metric, scope, mean(overlaps)),
             (apo_metric, scope, apo(overlaps, thr, inclusive=inc)),
         ]
 
@@ -500,7 +498,7 @@ def metric_rows(
             overlaps = [overlap(name, orig, pairs[:m]) for name, orig, pairs in estimands]
             if not overlaps:
                 return []
-            out = [("mpe_cio", f"var:{o.estimand_id}", o.value) for o in overlaps]
+            out = [("mpe_cio", f"var:{name}", o) for (name, _, _), o in zip(estimands, overlaps)]
             return out + roll_up("mpe_avg_cio", "mpe_apo", "", overlaps)
 
         return roll
@@ -519,7 +517,8 @@ def metric_rows(
                 overlap(c.name, (c.q, c.v), [(coefs[idx].q, coefs[idx].v) for coefs in per_ds[:m]])
                 for idx, c in enumerate(orig_coefs)
             ]
-            out = [("rf_cio", f"fit:{fit.id}:coef:{o.estimand_id}", o.value) for o in overlaps]
+            out = [("rf_cio", f"fit:{fit.id}:coef:{c.name}", o)
+                   for c, o in zip(orig_coefs, overlaps)]
             out += roll_up("rf_fit_avg_cio", "rf_fit_apo", f"fit:{fit.id}", overlaps)
             return out, overlaps
 
@@ -529,27 +528,24 @@ def metric_rows(
         kl = partial(kl_divergence, bins=settings.kl_bins, smoothing=settings.kl_smoothing,
                      direction=settings.kl_direction)
         raws = [
-            (c.name, [kl(original.column(c.name), ds.column(c.name), c.kind, variable=c.name).raw
+            (c.name, [kl(original.column(c.name), ds.column(c.name), c.kind)
                       for ds in sset.datasets])
             for c in original.schema.columns
         ]
         return lambda m: [("kl_raw", f"var:{name}", mean(r, m)) for name, r in raws]
 
     def classification_rows():
-        target = settings.classification_target
-        test_fraction = settings.classification_test_fraction
-        baseline = once(
-            ("classification",),
-            lambda: classifier_baseline(original, target, test_fraction=test_fraction),
-        )
-        res = classify_compare(
-            original, sset, target, test_fraction=test_fraction, baseline=baseline
-        )
+        baseline = once(("classification",), lambda: classifier_baseline(
+            original, settings.classification_target,
+            test_fraction=settings.classification_test_fraction,
+        ))
+        accuracies, agreements = classify_compare(baseline, sset)
+        acc_orig = float(baseline.correct.mean())
         return lambda m: [
-            ("clf_acc_orig", "", res.baseline_accuracy),
-            ("clf_acc_syn", "", mean(res.accuracies, m)),
-            ("clf_acc_dev", "", abs(res.baseline_accuracy - mean(res.accuracies, m))),
-            ("clf_agreement", "", mean(res.agreements, m)),
+            ("clf_acc_orig", "", acc_orig),
+            ("clf_acc_syn", "", mean(accuracies, m)),
+            ("clf_acc_dev", "", abs(acc_orig - mean(accuracies, m))),
+            ("clf_agreement", "", mean(agreements, m)),
         ]
 
     def adhoc_rows(pred):
@@ -570,7 +566,7 @@ def metric_rows(
             overlaps = [got[m][1] for got in per_fit]
             rows[m] += [row for got in per_fit for row in got[m][0]]
             # the average of the fits' averages, and the APO of all their overlaps
-            rows[m].append(("rf_avg_cio", "", math.fsum(map(mean_cio, overlaps)) / len(overlaps)))
+            rows[m].append(("rf_avg_cio", "", math.fsum(map(mean, overlaps)) / len(overlaps)))
             pooled = [o for ov in overlaps for o in ov]
             rows[m].append(("rf_apo", "", apo(pooled, thr, inclusive=inc)))
 
@@ -741,6 +737,8 @@ def run_experiment(
     original-side estimand once per call and process; a replicate that finds
     them already computed only draws and scores."""
     global _experiment
+    if jobs < 1:
+        raise ConfigError("jobs must be >= 1")
     original = load_original(cfg)
     target = cfg.metrics.classification_target
     if target is not None and target not in original.schema.names:

@@ -24,18 +24,14 @@ from .estimands import ConfidenceInterval
 KL_DIRECTIONS = ("pq", "qp", "sym")
 
 
-@dataclass(frozen=True)
-class Overlap:
-    estimand_id: str
-    value: float
-
-
 def cio(
     original: ConfidenceInterval,
     synthetic: ConfidenceInterval,
     *,
     estimand_id: str = "",
-) -> Overlap:
+) -> float:
+    """The overlap of two intervals; ``estimand_id`` names the estimand in
+    the error raised for a bound that is not finite."""
     lo_o, up_o = original.lower, original.upper
     lo_s, up_s = synthetic.lower, synthetic.upper
     if not all(map(math.isfinite, (lo_o, up_o, lo_s, up_s))):
@@ -43,15 +39,13 @@ def cio(
     w_o = up_o - lo_o
     w_s = up_s - lo_s
     if w_o == 0.0 or w_s == 0.0:
-        value = 1.0 if (w_o == 0.0 and w_s == 0.0 and lo_o == lo_s) else 0.0
-        return Overlap(estimand_id, value)
+        return 1.0 if (w_o == 0.0 and w_s == 0.0 and lo_o == lo_s) else 0.0
     inter = min(up_o, up_s) - max(lo_o, lo_s)
-    value = max(0.5 * (inter / w_o + inter / w_s), 0.0)
-    return Overlap(estimand_id, min(value, 1.0))
+    return min(max(0.5 * (inter / w_o + inter / w_s), 0.0), 1.0)
 
 
 def apo(
-    overlaps: Sequence[Overlap | float],
+    overlaps: Sequence[float],
     threshold: float = 0.9,
     *,
     inclusive: bool = False,
@@ -61,19 +55,11 @@ def apo(
         raise MetricError("apo needs at least one overlap")
     if not (0.0 <= threshold <= 1.0):
         raise MetricError(f"threshold must lie in [0, 1], got {threshold}")
-    values = [o.value if isinstance(o, Overlap) else float(o) for o in overlaps]
     if inclusive:
-        hits = sum(1 for v in values if v >= threshold)
+        hits = sum(1 for v in overlaps if v >= threshold)
     else:
-        hits = sum(1 for v in values if v > threshold)
-    return hits / len(values)
-
-
-@dataclass(frozen=True)
-class KlScore:
-    variable: str
-    raw: float
-    direction: str
+        hits = sum(1 for v in overlaps if v > threshold)
+    return hits / len(overlaps)
 
 
 def _distribution(counts: np.ndarray, smoothing: float) -> np.ndarray:
@@ -101,8 +87,7 @@ def kl_divergence(
     bins: int = 20,
     smoothing: float = 0.5,
     direction: str = "pq",
-    variable: str = "",
-) -> KlScore:
+) -> float:
     """KL divergence between a column's original and synthetic distribution.
 
     Categorical columns compare level frequencies over the declared level
@@ -143,12 +128,10 @@ def kl_divergence(
     p = _distribution(c_o, smoothing)
     q = _distribution(c_s, smoothing)
     if direction == "pq":
-        raw = _kl(p, q)
-    elif direction == "qp":
-        raw = _kl(q, p)
-    else:
-        raw = 0.5 * (_kl(p, q) + _kl(q, p))
-    return KlScore(variable=variable, raw=raw, direction=direction)
+        return _kl(p, q)
+    if direction == "qp":
+        return _kl(q, p)
+    return 0.5 * (_kl(p, q) + _kl(q, p))
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,8 @@ def fit_ols(X: Predictors, y: np.ndarray) -> LinearModel:
     including the intercept; standard errors come from the diagonal of
     sigma^2 (X'X)^-1. A rank-deficient design falls back to a small ridge
     (1e-8 on the normal-equation diagonal) and flags the model. Sums that
-    overflow (values near 1e300) raise before any LAPACK call.
+    overflow (values near 1e300) raise before any LAPACK call, and so does a
+    residual sum of squares that overflows after it.
     """
     y = np.asarray(y, dtype=np.float64)
     enc, M = encode_from_predictors(X)
@@ -64,6 +65,8 @@ def fit_ols(X: Predictors, y: np.ndarray) -> LinearModel:
 
     resid = y - M @ coef
     rss = float(resid @ resid)
+    if not np.isfinite(rss):
+        raise FitError("the residual sum of squares is not finite")
     sigma2 = max(rss, 0.0) / (n - p)
     cov = sigma2 * np.linalg.inv(xtx)
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))

@@ -55,60 +55,37 @@ def test_pearson_validation():
 
 def test_classify_copies_agree_perfectly():
     ds = labeled_dataset()
-    result = classify_compare(ds, as_set("copy", ds, ds), "y", seed=1)
-    assert result.agreement == 1.0
-    assert result.mean_accuracy == result.baseline_accuracy
-    assert result.accuracy_deviation == 0.0
+    baseline = classifier_baseline(ds, "y")
+    accuracies, agreements = classify_compare(baseline, as_set("copy", ds, ds))
+    assert agreements == (1.0, 1.0)
+    assert accuracies == (float(baseline.correct.mean()),) * 2
     # x > 0 is perfectly learnable by an overfit tree evaluated in-sample
-    assert result.baseline_accuracy > 0.95
+    assert baseline.correct.mean() > 0.95
 
 
 def test_classify_holdout_split():
     ds = labeled_dataset(n=600)
-    result = classify_compare(ds, as_set("copy", ds), "y", seed=3, test_fraction=0.25)
+    baseline = classifier_baseline(ds, "y", test_fraction=0.25)
+    assert baseline.eval_ds.n_rows == 150
+    _, (agreement,) = classify_compare(baseline, as_set("copy", ds))
     # held-out scoring loses the resubstitution advantage but the signal
     # is deterministic, so accuracy stays high
-    assert 0.8 <= result.baseline_accuracy <= 1.0
-    assert 0.0 <= result.agreement <= 1.0
+    assert 0.8 <= baseline.correct.mean() <= 1.0
+    assert 0.0 <= agreement <= 1.0
     with pytest.raises(AnalysisError):
-        classify_compare(ds, as_set("c", ds), "y", test_fraction=1.5)
-
-
-def test_classify_rejects_a_baseline_built_for_other_rows_or_labels():
-    ds = labeled_dataset()
-    labels = ds.column("y")
-    two_targets = Dataset(
-        Schema((*ds.schema.columns, Column("w", ColumnKind.categorical(("a", "b"))))),
-        (*ds.columns, 1 - labels),
-    )
-    sset = as_set("copy", two_targets)
-    base = classifier_baseline(two_targets, "y", seed=1, test_fraction=0.3)
-    got = classify_compare(two_targets, sset, "y", seed=1, test_fraction=0.3, baseline=base)
-    assert got == classify_compare(two_targets, sset, "y", seed=1, test_fraction=0.3)
-    for target, kwargs in (
-        ("w", {"seed": 1, "test_fraction": 0.3}),
-        ("y", {"seed": 2, "test_fraction": 0.3}),
-        ("y", {"seed": 1, "test_fraction": 0.4}),
-        ("y", {"seed": 1}),
-    ):
-        with pytest.raises(AnalysisError, match="baseline was built for target 'y', seed 1"):
-            classify_compare(two_targets, sset, target, baseline=base, **kwargs)
-    # without a holdout split the seed picks no rows, and a holdout seed of
-    # None is seed 0
-    whole = classifier_baseline(two_targets, "y", seed=4)
-    classify_compare(two_targets, sset, "y", seed=9, baseline=whole)
-    split = classifier_baseline(two_targets, "y", test_fraction=0.3)
-    classify_compare(two_targets, sset, "y", seed=0, test_fraction=0.3, baseline=split)
+        classifier_baseline(ds, "y", test_fraction=1.5)
 
 
 def test_classify_validation():
     ds = labeled_dataset()
     with pytest.raises(AnalysisError):
-        classify_compare(ds, as_set("c", ds), "x")  # numeric target
+        classifier_baseline(ds, "x")  # numeric target
     schema = Schema((Column("y", ColumnKind.categorical(("a", "b"))),))
     lone = Dataset(schema, (np.zeros(10, dtype=np.int64),))
     with pytest.raises(AnalysisError):
-        classify_compare(lone, as_set("c", lone), "y")
+        classifier_baseline(lone, "y")
+    with pytest.raises(AnalysisError, match="no synthetic datasets"):
+        classify_compare(classifier_baseline(ds, "y"), as_set("none"))
 
 
 def test_adhoc_proportion_hand_values():

@@ -526,7 +526,7 @@ def test_the_kl_baseline_counts_each_distinct_s_dataset_once(replicate_run):
     raw = report.values("kl_raw")
     for col in original.schema.columns:
         scores = [
-            kl_divergence(original.column(col.name), ds.column(col.name), col.kind).raw
+            kl_divergence(original.column(col.name), ds.column(col.name), col.kind)
             for sset in s_sets
             for ds in sset.datasets
         ]
@@ -979,6 +979,17 @@ def test_an_exception_outside_the_metrics_costs_the_whole_cell(tmp_path, monkeyp
         ("S", "cell", "OSError: disk full")
     ]
     assert not report.rows and not timings
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_is_a_config_error_before_any_output(tmp_path, capsys, jobs):
+    cfg_path = write_project(tmp_path, grid={"synthesizers": [{"base": "S"}], "m": [1]}, k=1)
+    with pytest.raises(ConfigError, match="jobs must be >= 1"):
+        run_experiment(load_config(cfg_path), jobs=jobs)
+    assert main(["experiment", "--config", str(cfg_path), "--jobs", str(jobs)]) == 1
+    assert "jobs must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "results" / "cells").exists()
+    assert not (tmp_path / "results").exists()
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):

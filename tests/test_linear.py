@@ -136,3 +136,11 @@ def test_overflowing_design_sums_are_a_fit_error(fixture_a):
     X = predictors(["x"], [NUM], [fixture_a.column("x")[:50]])
     with pytest.raises(FitError, match="not finite"):
         fit_ols(X, fixture_a.column("y")[:50] * 1e307)
+
+
+def test_overflowing_residual_sum_of_squares_is_a_fit_error(fixture_a):
+    # y near 1e200: X'X and X'y stay finite, but the squared residuals
+    # overflow, which gave an infinite residual sd and standard errors
+    X = predictors(["x"], [NUM], [fixture_a.column("x")[:50]])
+    with pytest.raises(FitError, match="residual sum of squares is not finite"):
+        fit_ols(X, fixture_a.column("y")[:50] * 1e200)
