@@ -8,6 +8,7 @@ from synthbench.errors import FitError
 from synthbench.models import fit_logistic
 from synthbench.models.design import Predictors
 from synthbench.models.logistic import (
+    draw_class_many,
     softmax_information,
     softmax_loglik,
     softmax_score,
@@ -153,6 +154,17 @@ def _stalled_fit_data(fixture_a):
     return predictors(["x", "y"], [NUM, NUM], [x, y]), fixture_a.column("c1")[rows]
 
 
+def _twelve_class_data():
+    # Twelve observed classes, so each softmax row sum takes numpy's
+    # eight-accumulator branch rather than a plain running sum.
+    rng = np.random.default_rng(31)
+    n, k = 1500, 12
+    x, z = rng.normal(size=n), rng.normal(size=n)
+    b = rng.normal(scale=0.7, size=(k, 3))
+    y = (b[:, 0] + np.outer(x, b[:, 1]) + np.outer(z, b[:, 2]) + rng.gumbel(size=(n, k))).argmax(axis=1)
+    return predictors(["x", "z"], [NUM, NUM], [x, z]), y
+
+
 def _golden_fits(fixture_a):
     rng = np.random.default_rng(21)
     x = rng.normal(size=300)
@@ -167,6 +179,7 @@ def _golden_fits(fixture_a):
         "categorical_predictor": (predictors(["y", "c3"], [NUM, kind_c3], [fy, c3]), c1),
         "separated": (predictors(["x"], [NUM], [sep]), (sep > 0).astype(np.int64)),
         "stalled": _stalled_fit_data(fixture_a),
+        "twelve_class": _twelve_class_data(),
     }
 
 
@@ -183,12 +196,34 @@ GOLDEN_FITS = {
         "fdaf98f0841b4842de8e22dd41c7db1ea05bbb917c176bf2bb5893d1f9e7ea54",
     "stalled":
         "974475f711d2a74f7b47c0ab19c76ecf6ef3b7dc813c39989cf6618d69870e9d",
+    "twelve_class":
+        "d046585924ae88f9a6767459801fdf44e8f3a91b735d3ae83baabc6a23fb9cf0",
 }
 
 
 def test_fit_digests_are_golden(fixture_a):
     got = {name: _fit_digest(fit_logistic(X, y)) for name, (X, y) in _golden_fits(fixture_a).items()}
     assert got == GOLDEN_FITS
+
+
+# sha256 over the int64 classes drawn at a fixed seed: a change here means
+# the class probabilities or the cumulative-sum pick moved.
+GOLDEN_DRAWS = {
+    "two_class":
+        "dc8279ef4c0b39c4e113ee411cf2e18252353727975f9adc50fe7b196965c945",
+    "twelve_class":
+        "8f59d87c6770c7b8a1fb563bf34ad18804e2ca2cd45253dd670671cf1ff56a3e",
+}
+
+
+def test_class_draws_are_golden(fixture_a):
+    fits = _golden_fits(fixture_a)
+    got = {}
+    for name in GOLDEN_DRAWS:
+        X, y = fits[name]
+        drawn = draw_class_many(fit_logistic(X, y), X.cols, np.random.default_rng(41))
+        got[name] = hashlib.sha256(np.ascontiguousarray(drawn, dtype=np.int64).tobytes()).hexdigest()
+    assert got == GOLDEN_DRAWS
 
 
 def test_a_stalled_fit_at_the_optimum_reports_convergence(fixture_a):
