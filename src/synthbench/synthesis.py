@@ -522,7 +522,7 @@ def fit_step(step: Step, fit_ds: Dataset) -> Fitted:
     if method is Method.PARAMETRIC_NUMERIC:
         return Normal(fit_ols(X_fit, y_fit))
     if method is Method.PARAMETRIC_CATEGORICAL:
-        return Softmax(fit_logistic(X_fit, y_fit))
+        return Softmax(fit_logistic(X_fit, y_fit, standard_errors=False))
     if method is Method.PMM:
         if fit_ds.n_rows < step.pmm_k:
             raise FitError(f"need at least pmm_k={step.pmm_k} fitting rows, got {fit_ds.n_rows}")

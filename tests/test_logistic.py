@@ -2,12 +2,16 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from synthbench.dataset import ColumnKind
 from synthbench.errors import FitError
 from synthbench.models import fit_logistic
-from synthbench.models.design import Predictors
+from synthbench.models.design import Predictors, encode_from_predictors
 from synthbench.models.logistic import (
+    LogisticModel,
+    _row_sums,
     draw_class_many,
     softmax_information,
     softmax_loglik,
@@ -252,3 +256,56 @@ def test_an_overflowing_information_matrix_is_a_fit_error(fixture_a):
     X = predictors(["x"], [NUM], [fixture_a.column("x")[:50] * 1e300])
     with pytest.raises(FitError, match="not finite"):
         fit_logistic(X, fixture_a.column("c3")[:50])
+
+
+def _nonnegative(rows, width, seed, exponent, zero_share):
+    """Finite values in [0, 1e3) * 10**exponent, subnormal for exponents
+    below -308, with about ``zero_share`` of them set to zero."""
+    rng = np.random.default_rng(seed)
+    X = rng.random((rows, width)) * 10.0 ** rng.uniform(exponent, exponent + 3, (rows, width))
+    X[rng.random((rows, width)) < zero_share] = 0.0
+    return X
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 8),
+    width=st.integers(2, 300),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.integers(-323, 297),
+    zero_share=st.sampled_from([0.0, 0.1, 0.9]),
+)
+@example(rows=8, width=8, seed=1, exponent=0, zero_share=0.0)
+@example(rows=8, width=128, seed=2, exponent=0, zero_share=0.0)
+@example(rows=8, width=129, seed=3, exponent=-1, zero_share=0.0)
+@example(rows=8, width=256, seed=4, exponent=297, zero_share=0.1)
+@example(rows=8, width=257, seed=5, exponent=-320, zero_share=0.1)
+def test_row_sums_add_in_the_order_of_a_numpy_row_sum(rows, width, seed, exponent, zero_share):
+    X = _nonnegative(rows, width, seed, exponent, zero_share)
+    assert _row_sums(np.ascontiguousarray(X.T)).tobytes() == X.sum(axis=1).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(2, 12),
+    n=st.integers(0, 200),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([0.1, 3.0, 30.0]),
+)
+def test_class_draws_follow_the_cumulative_sum_rule(k, n, seed, scale):
+    rng = np.random.default_rng(seed)
+    enc, _ = encode_from_predictors(predictors(["x"], [NUM], [rng.normal(size=5)]))
+    classes = tuple(sorted(rng.choice(100, size=k, replace=False).tolist()))
+    coef = rng.normal(scale=scale, size=(k - 1, 2))
+    model = LogisticModel(
+        encoding=enc, classes=classes, coef=coef, se=None, n=5,
+        n_iter=0, converged=True, separated=False, loglik=0.0,
+    )
+    x = rng.normal(size=n)
+    # The rule written out with numpy's row-wise cumulative sums.
+    P = model.predict_proba((x,))
+    P = P / P.sum(axis=1)[:, None]
+    u = np.random.default_rng(seed + 1).random(n)
+    picks = np.minimum((np.cumsum(P, axis=1) <= u[:, None]).sum(axis=1), k - 1)
+    drawn = draw_class_many(model, (x,), np.random.default_rng(seed + 1))
+    assert drawn.tolist() == np.asarray(classes)[picks].tolist()

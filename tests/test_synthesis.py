@@ -6,6 +6,8 @@ import pytest
 import synthbench.synthesis as synthesis
 from synthbench.dataset import Column, ColumnKind, Dataset, Schema
 from synthbench.errors import DataError, SpecError, SynthesisError
+from synthbench.models import fit_logistic
+from synthbench.models.design import Predictors
 from synthbench.synthesis import (
     FitMemo,
     Method,
@@ -394,3 +396,18 @@ def test_cp_and_cpo_share_one_joint_table(fixture_a, monkeypatch):
     for spec, got in zip((cp, cpo), shared):
         want = synthesize(fixture_a, spec).datasets
         assert _datasets_digest(got) == _datasets_digest(want)
+
+
+@pytest.mark.parametrize("bootstrap", [False, True])
+def test_a_softmax_step_skips_only_the_standard_errors(fixture_a, bootstrap):
+    ds = fixture_a
+    if bootstrap:
+        ds = ds.take(np.random.default_rng(11).integers(0, ds.n_rows, ds.n_rows))
+    idx = ds.schema.index
+    step = Step(Method.PARAMETRIC_CATEGORICAL, (idx("c1"),), (idx("x"), idx("y")), min_leaf=5, pmm_k=5)
+    model = fit_step(step, ds).model
+    full = fit_logistic(Predictors.from_dataset(ds, ("x", "y")), ds.column("c1"))
+    assert model.se is None and full.se is not None
+    assert model.coef.tobytes() == full.coef.tobytes()
+    assert np.float64(model.loglik).tobytes() == np.float64(full.loglik).tobytes()
+    assert (model.n_iter, model.converged, model.separated) == (full.n_iter, full.converged, full.separated)
