@@ -75,8 +75,7 @@ def _row_sums(cols: np.ndarray) -> np.ndarray:
 
 def _log_probs(M: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Log-probabilities of the K classes, shape (K, n): one contiguous row
-    per class, so the shift, the exponentials and the sums run over whole
-    columns of the (n, K) softmax instead of along its short rows."""
+    per class."""
     L = np.empty((B.shape[0] + 1, M.shape[0]), dtype=np.float64)
     L[0] = 0.0
     L[1:] = (M @ B.T).T
@@ -179,9 +178,8 @@ def fit_logistic(
     tol: float = 1e-8,
     standard_errors: bool = True,
 ) -> LogisticModel:
-    """Fit by Newton's method. With ``standard_errors=False`` the model's
-    ``se`` is None: synthesis draws read only ``coef``, so they skip the
-    last information build and its inverse."""
+    """With ``standard_errors=False`` the model's ``se`` is None, and the
+    last information build and its inverse are skipped."""
     y = np.asarray(y, dtype=np.int64)
     enc, M = encode_from_predictors(X)
     n, p = M.shape
