@@ -230,6 +230,23 @@ def test_class_draws_are_golden(fixture_a):
     assert got == GOLDEN_DRAWS
 
 
+class _TopDraws:
+    """Stands in for a generator whose uniform draws all sit just below 1."""
+
+    def random(self, n):
+        return np.full(n, np.nextafter(1.0, 0.0))
+
+
+def test_a_draw_above_every_cumulative_probability_takes_the_last_class():
+    # Rounding leaves some rows' cumulative probabilities just below 1, so
+    # the largest uniform draw exceeds all of them.
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=500)
+    model = fit_logistic(predictors(["x"], [NUM], [x]), rng.integers(0, 5, 500))
+    drawn = draw_class_many(model, (x,), _TopDraws())
+    assert set(drawn.tolist()) == {model.classes[-1]}
+
+
 def test_a_stalled_fit_at_the_optimum_reports_convergence(fixture_a):
     X, y = _stalled_fit_data(fixture_a)
     model = fit_logistic(X, y)
