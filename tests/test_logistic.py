@@ -276,7 +276,7 @@ def test_an_overflowing_information_matrix_is_a_fit_error(fixture_a):
 
 
 def _nonnegative(rows, width, seed, exponent, zero_share):
-    """Finite values in [0, 1e3) * 10**exponent, subnormal for exponents
+    """Non-negative values below 10**(exponent + 3), subnormal for exponents
     below -308, with about ``zero_share`` of them set to zero."""
     rng = np.random.default_rng(seed)
     X = rng.random((rows, width)) * 10.0 ** rng.uniform(exponent, exponent + 3, (rows, width))
