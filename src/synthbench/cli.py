@@ -13,17 +13,17 @@ from pathlib import Path
 
 from .analysis import load_adhoc
 from .dataset import NumberText
-from .errors import SynthbenchError
+from .errors import ConfigError, SynthbenchError
 from .estimands import load_fitspecs
 from .harness import (
     emit_tables,
+    grid_specs,
     load_config,
     load_original,
     metric_rows,
     read_report,
     read_timings,
     run_experiment,
-    spec_for_label,
 )
 from .metrics import UtilityReport
 from .synthesis import load_synthetic_set, save_synthetic_set, synthesize
@@ -64,7 +64,11 @@ def _parser() -> argparse.ArgumentParser:
 def _cmd_generate(args) -> int:
     cfg = load_config(args.config, seed=args.seed)
     original = load_original(cfg)
-    spec = spec_for_label(cfg, original.schema, args.spec, m=args.m, seed=cfg.seed)
+    # simple mode is built whatever modes the grid lists
+    specs = grid_specs(cfg, original.schema, ("simple",), m=args.m, seed=cfg.seed)
+    spec = specs.get((args.spec, "simple"))
+    if spec is None:
+        raise ConfigError(f"label {args.spec!r} is not in the configured grid")
     sset = synthesize(original, spec)
     out = Path(args.out) if args.out else cfg.out / "synth" / f"{args.spec}_m{args.m}"
     total = math.fsum(save_synthetic_set(sset, out, known=NumberText.of(original)))

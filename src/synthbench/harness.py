@@ -377,29 +377,31 @@ def _replicate_key(label: str, mode: str, rep: int) -> str:
     return f"{label}_{mode}_r{rep}"
 
 
-def spec_for_label(
-    cfg: ExperimentConfig,
-    schema: Schema,
-    label: str,
-    *,
-    m: int,
-    seed: int,
-    mode: str = "simple",
-) -> SynthesizerSpec:
-    """Build the spec of the grid's synthesizer ``label`` (base, order and
-    proper flag from its grid entry; ``pmm_k`` and ``min_leaf`` from the
-    config) for ``m`` datasets under ``seed`` in predictor ``mode``."""
-    for entry, proper, lbl in cfg.labels():
-        if lbl == label:
-            return build_spec(
-                schema, entry.base, order=entry.order, own_order=entry.own_order,
-                proper=proper, m=m, seed=seed, pmm_k=cfg.pmm_k, min_leaf=cfg.min_leaf,
-                selective={
-                    schema.index(target): tuple(schema.index(p) for p in preds)
-                    for target, preds in cfg.selective.items()
-                } if mode == "selective" else None,
-            )
-    raise ConfigError(f"label {label!r} is not in the configured grid")
+def grid_specs(
+    cfg: ExperimentConfig, schema: Schema, modes: tuple[str, ...], *, m: int, seed: int
+) -> dict[tuple[str, str], SynthesizerSpec]:
+    """The spec of each grid synthesizer in each predictor mode of ``modes``
+    for ``m`` datasets under ``seed``, keyed by (label, mode): base, order
+    and proper flag from the synthesizer's grid entry, ``pmm_k`` and
+    ``min_leaf`` from the config. A spec that cannot be built is a
+    ``ConfigError``."""
+    specs = {}
+    for entry, proper, label in cfg.labels():
+        for mode in modes:
+            try:
+                specs[label, mode] = build_spec(
+                    schema, entry.base, order=entry.order, own_order=entry.own_order,
+                    proper=proper, m=m, seed=seed, pmm_k=cfg.pmm_k, min_leaf=cfg.min_leaf,
+                    selective={
+                        schema.index(target): tuple(schema.index(p) for p in preds)
+                        for target, preds in cfg.selective.items()
+                    } if mode == "selective" else None,
+                )
+            except SynthbenchError as err:
+                raise ConfigError(
+                    f"synthesizer {label!r} in predictor mode {mode!r}: {err}"
+                ) from err
+    return specs
 
 
 def _describe_error(err: Exception) -> str:
@@ -604,17 +606,13 @@ class _Experiment:
 _experiment: _Experiment | None = None
 
 
-def _start_experiment(
-    cfg, fingerprint, original, known, fits, predicates, specs, synth_fits=None
-) -> None:
-    """Give this process a new experiment's memos, empty or with the fits of
-    ``synth_fits``. ``run_experiment`` calls it first, and each pool worker
-    as its initializer, so no run reuses another run's fits."""
+def _start_experiment(exp: _Experiment) -> None:
+    """Make ``exp`` this process's experiment. ``run_experiment`` calls it
+    with a new value, so no run reuses another run's fits, and each pool
+    worker calls it as its initializer, with the parent's value as it
+    stands when the pool starts."""
     global _experiment
-    _experiment = _Experiment(
-        cfg, fingerprint, original, known, fits, predicates, specs,
-        synth_fits or FitMemo(original), {},
-    )
+    _experiment = exp
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -681,18 +679,21 @@ def _fit_shared(steps):
 
 
 @contextmanager
-def _workers(jobs: int, tasks: int, initargs: tuple):
-    """``map`` over min(jobs, tasks) pool workers, each started with
-    ``initargs``, or the builtin ``map`` in this process when that is one."""
+def _workers(jobs: int, tasks: int):
+    """``map`` over min(jobs, tasks) pool workers, each started with this
+    process's experiment, or the builtin ``map`` in this process when that
+    is one."""
     workers = min(jobs, tasks)
     if workers < 2:
         yield map
     else:
-        with ProcessPoolExecutor(workers, initializer=_start_experiment, initargs=initargs) as pool:
+        with ProcessPoolExecutor(
+            workers, initializer=_start_experiment, initargs=(_experiment,)
+        ) as pool:
             yield pool.map
 
 
-def _run_cells(pending, jobs: int, shared: tuple) -> list[dict]:
+def _run_cells(pending, jobs: int) -> list[dict]:
     """Run the ``pending`` replicates over ``jobs`` workers in two phases:
     first fit each distinct non-proper step of their specs once (no fit
     depends on the seed) into this process's memo, leaving a fit that
@@ -709,13 +710,13 @@ def _run_cells(pending, jobs: int, shared: tuple) -> list[dict]:
     trees = [step for step in steps if step.grows_tree]
     tasks = [trees[i::jobs] for i in range(min(jobs, len(trees)))]
     tasks += [[step] for step in steps if not step.grows_tree]
-    with _workers(jobs, len(tasks), shared) as fit_map:
+    with _workers(jobs, len(tasks)) as fit_map:
         for task, fitted in zip(tasks, fit_map(_fit_shared, tasks)):
             for step, value in zip(task, fitted):
                 if value is not None:
                     memo.add(step, value)
     order = sorted(pending, key=lambda replicate: not specs[replicate[:2]].proper)
-    with _workers(jobs, len(pending), (*shared, memo)) as cell_map:
+    with _workers(jobs, len(pending)) as cell_map:
         return list(cell_map(_run_cell, order))
 
 
@@ -747,17 +748,7 @@ def run_experiment(
         )
     fits = load_fitspecs(cfg.fitspecs) if (cfg.metrics.regression and cfg.fitspecs) else ()
     predicates = load_adhoc(cfg.adhoc) if (cfg.metrics.adhoc and cfg.adhoc) else ()
-    specs = {}
-    for _, _, label in cfg.labels():
-        for mode in cfg.predictor_modes:
-            try:
-                specs[label, mode] = spec_for_label(
-                    cfg, original.schema, label, m=max(cfg.m_list), seed=0, mode=mode
-                )
-            except SynthbenchError as err:
-                raise ConfigError(
-                    f"synthesizer {label!r} in predictor mode {mode!r}: {err}"
-                ) from err
+    specs = grid_specs(cfg, original.schema, cfg.predictor_modes, m=max(cfg.m_list), seed=0)
     replicates = sorted((label, mode, rep) for label, mode in specs for rep in range(cfg.k))
 
     out = cfg.out
@@ -781,10 +772,12 @@ def run_experiment(
                 done[key] = result
 
     pending = [r for r in replicates if _replicate_key(*r) not in done]
-    shared = (cfg, fingerprint, original, NumberText.of(original), fits, predicates, specs)
-    _start_experiment(*shared)
+    _start_experiment(_Experiment(
+        cfg, fingerprint, original, NumberText.of(original), fits, predicates, specs,
+        FitMemo(original), {},
+    ))
     try:
-        fresh = _run_cells(pending, jobs, shared)
+        fresh = _run_cells(pending, jobs)
     finally:
         _experiment = None
     results = {**done, **{r["key"]: r for r in fresh}}

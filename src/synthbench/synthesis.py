@@ -27,7 +27,6 @@ draw.
 from __future__ import annotations
 
 import json
-import re
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -70,17 +69,6 @@ _ORDER_SUFFIX = {
 def synthesizer_label(base: str, order: str, proper: bool) -> str:
     """The grid label of a synthesizer: "DOT" is proper D in opposite order."""
     return base + _ORDER_SUFFIX[order] + ("T" if proper else "")
-
-
-_LABEL_RE = re.compile(r"^(CP|CC|P|D|S)(O|V|H|L)?(T)?$")
-
-
-def parse_label(label: str) -> tuple[str, str, bool]:
-    """Split a label into (base, order suffix, proper flag)."""
-    m = _LABEL_RE.match(label)
-    if not m:
-        raise SpecError(f"label {label!r} does not match the grammar")
-    return m.group(1), m.group(2) or "", m.group(3) == "T"
 
 
 @dataclass(frozen=True)
@@ -167,7 +155,6 @@ class SynthesizerSpec:
     min_leaf: int = 5
 
     def __post_init__(self) -> None:
-        parse_label(self.label)
         p = len(self.methods)
         if len(self.visit.order) != p or len(self.predictors) != p:
             raise SpecError("methods, visit sequence and predictor sets disagree")
@@ -252,7 +239,7 @@ def build_spec(
         else:  # CC
             methods.append(Method.CART if col.kind.is_numeric else Method.JOINT_CATEGORICAL)
 
-    spec = SynthesizerSpec(
+    return SynthesizerSpec(
         label=synthesizer_label(base, order, proper),
         methods=tuple(methods),
         visit=visit,
@@ -263,8 +250,6 @@ def build_spec(
         pmm_k=pmm_k,
         min_leaf=min_leaf,
     )
-    spec.validate_against(schema)
-    return spec
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from synthbench.synthesis import (
     load_synthetic_set,
     make_order,
     make_predictors,
-    parse_label,
     save_synthetic_set,
     synthesize,
 )
@@ -39,17 +38,6 @@ def small_dataset(n=250, seed=9):
         )
     )
     return Dataset(schema, (x, y, c1, c2))
-
-
-def test_parse_label_grammar():
-    assert parse_label("D") == ("D", "", False)
-    assert parse_label("CPOT") == ("CP", "O", True)
-    assert parse_label("SV") == ("S", "V", False)
-    assert parse_label("CCL") == ("CC", "L", False)
-    assert parse_label("PT") == ("P", "", True)
-    for bad in ("d", "Q", "PX", "TCP", "P T", "", "CPP"):
-        with pytest.raises(SpecError):
-            parse_label(bad)
 
 
 def test_make_order_variants():
