@@ -62,7 +62,7 @@ from .estimands import (
     normal_interval,
     regression_estimands,
 )
-from .metrics import UtilityReport, apo, cio, kl_divergence
+from .metrics import KL_DIRECTIONS, UtilityReport, apo, cio, kl_divergence
 from .synthesis import (
     BASES,
     ORDER_KINDS,
@@ -202,6 +202,32 @@ def _string_map(value, where: str) -> dict[str, str]:
     return dict(value)
 
 
+def _object(value, where: str, keys) -> dict:
+    """``value``, a JSON object whose keys all lie in ``keys``, as a dict: a
+    misspelt key is an error, not a setting silently left at its default."""
+    value = _typed(value, dict, where)
+    for key in value:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+    return value
+
+
+# The keys of each object of a config document (README shows them all). Each
+# flat metrics key is the MetricSettings field of the same name.
+_TOP_KEYS = (
+    "dataset", "schema", "fitspecs", "adhoc", "grid", "k", "seed", "out", "metrics",
+    "preprocess", "missing_tokens", "pmm_k", "min_leaf",
+)
+_GRID_KEYS = ("synthesizers", "m", "proper", "predictor_modes", "selective")
+_ENTRY_KEYS = ("base", "order", "own_order")
+_METRICS_KEYS = ("classification", *(
+    f.name for f in fields(MetricSettings) if not f.name.startswith("classification_")
+))
+_CLASSIFICATION_KEYS = ("target", "test_fraction")
+_PREPROCESS_KEYS = ("drop", "coarsen", "head_n", "missing_seed")
+_COARSEN_KEYS = ("column", "mapping")
+
+
 def load_config(path: str | Path, *, seed: int | None = None, out: str | Path | None = None) -> ExperimentConfig:
     """Read an experiment configuration (JSON; grammar in the README).
 
@@ -222,19 +248,23 @@ def load_config(path: str | Path, *, seed: int | None = None, out: str | Path | 
         return p if p.is_absolute() else base_dir / p
 
     try:
-        grid = doc["grid"]
+        doc = _object(doc, "the config", _TOP_KEYS)
+        grid = _object(doc["grid"], "grid", _GRID_KEYS)
+        synths = [
+            _object(s, f"grid.synthesizers[{i}]", _ENTRY_KEYS)
+            for i, s in enumerate(grid["synthesizers"])
+        ]
         entries = tuple(
             SynthesizerEntry(
                 base=s["base"],
                 order=s.get("order", "original"),
                 own_order=_strings(s, "own_order", None),
             )
-            for s in grid["synthesizers"]
+            for s in synths
         )
         sel = _typed(grid.get("selective") or {}, dict, "grid.selective")
-        met = _typed(doc.get("metrics", {}), dict, "metrics")
-        clf = _typed(met.get("classification", {}), dict, "metrics.classification")
-        # Each flat metrics key is the MetricSettings field of the same name.
+        met = _object(doc.get("metrics", {}), "metrics", _METRICS_KEYS)
+        clf = _object(met.get("classification", {}), "metrics.classification", _CLASSIFICATION_KEYS)
         fraction = clf.get("test_fraction")
         settings = MetricSettings(
             classification_target=clf.get("target"),
@@ -247,13 +277,16 @@ def load_config(path: str | Path, *, seed: int | None = None, out: str | Path | 
                 if f.name in met and not f.name.startswith("classification_")
             },
         )
-        pre = _typed(doc.get("preprocess", {}), dict, "preprocess")
+        pre = _object(doc.get("preprocess", {}), "preprocess", _PREPROCESS_KEYS)
         coarsen = tuple(
             LevelMapping(
                 _typed(c["column"], str, "preprocess.coarsen.column"),
                 _string_map(c["mapping"], "preprocess.coarsen.mapping"),
             )
-            for c in pre.get("coarsen", ())
+            for c in (
+                _object(c, f"preprocess.coarsen[{i}]", _COARSEN_KEYS)
+                for i, c in enumerate(pre.get("coarsen", ()))
+            )
         )
         cfg = ExperimentConfig(
             dataset=resolve(doc["dataset"]),
@@ -333,6 +366,22 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             f"metrics.classification.test_fraction must lie in (0, 1), got {fraction}"
         )
+    met = cfg.metrics
+    if not 0.0 < met.ci_level < 1.0:
+        raise ConfigError(f"metrics.ci_level must lie in (0, 1), got {met.ci_level}")
+    if not 0.0 <= met.apo_threshold <= 1.0:
+        raise ConfigError(f"metrics.apo_threshold must lie in [0, 1], got {met.apo_threshold}")
+    if met.kl_bins < 2:
+        raise ConfigError(f"metrics.kl_bins must be >= 2, got {met.kl_bins}")
+    if not met.kl_smoothing >= 0.0:
+        raise ConfigError(f"metrics.kl_smoothing must be >= 0, got {met.kl_smoothing}")
+    if met.kl_direction not in KL_DIRECTIONS:
+        raise ConfigError(
+            f"metrics.kl_direction must be one of {', '.join(KL_DIRECTIONS)}, "
+            f"got {met.kl_direction!r}"
+        )
+    if cfg.missing_seed < 0:
+        raise ConfigError(f"preprocess.missing_seed must be >= 0, got {cfg.missing_seed}")
     if cfg.metrics.regression and cfg.fitspecs is None:
         raise ConfigError("regression metrics need a fitspecs file")
     if cfg.metrics.adhoc and cfg.adhoc is None:

@@ -191,8 +191,71 @@ def test_load_config_validation(tmp_path):
     ):
         with pytest.raises(ConfigError, match=f"{where} must be a list of strings"):
             load_config(write_cfg(mutate))
+    # a misspelt key in any section is an error, not a setting left at its default
+    coarsen = {"column": "c", "mapping": {"lo": "lo", "hi": "hi"}}
+    for mutate, where in (
+        (lambda d: d.update(pmmk=3), "'pmmk' in the config"),
+        (lambda d: d["grid"].update(predictor_mode=["selective"]), "'predictor_mode' in grid"),
+        (
+            lambda d: d["grid"]["synthesizers"][1].update(ordr="opposite"),
+            r"'ordr' in grid.synthesizers\[1\]",
+        ),
+        (lambda d: d["metrics"].update(kl_bin=10), "'kl_bin' in metrics"),
+        (
+            lambda d: d["metrics"]["classification"].update(targt="c"),
+            "'targt' in metrics.classification",
+        ),
+        (lambda d: d.update(preprocess={"head": 50}), "'head' in preprocess"),
+        (
+            lambda d: d.update(preprocess={"coarsen": [{**coarsen, "maping": {}}]}),
+            r"'maping' in preprocess.coarsen\[0\]",
+        ),
+    ):
+        with pytest.raises(ConfigError, match=f"unknown key {where}$"):
+            load_config(write_cfg(mutate))
     # a whole number is a valid float setting
-    assert load_config(write_cfg(lambda d: d["metrics"].update(ci_level=1))).metrics.ci_level == 1.0
+    assert (
+        load_config(write_cfg(lambda d: d["metrics"].update(kl_smoothing=1))).metrics.kl_smoothing
+        == 1.0
+    )
+
+
+@pytest.mark.parametrize(
+    "section, setting, value, message",
+    [
+        ("metrics", "ci_level", 1.5, r"ci_level must lie in \(0, 1\)"),
+        ("metrics", "ci_level", 1, r"ci_level must lie in \(0, 1\)"),
+        ("metrics", "ci_level", 0, r"ci_level must lie in \(0, 1\)"),
+        ("metrics", "apo_threshold", 2.0, r"apo_threshold must lie in \[0, 1\]"),
+        ("metrics", "apo_threshold", -0.1, r"apo_threshold must lie in \[0, 1\]"),
+        ("metrics", "kl_bins", 1, "kl_bins must be >= 2"),
+        ("metrics", "kl_smoothing", -1, "kl_smoothing must be >= 0"),
+        ("metrics", "kl_direction", "PQ", "kl_direction must be one of pq, qp, sym, got 'PQ'"),
+        ("preprocess", "missing_seed", -1, "missing_seed must be >= 0"),
+    ],
+)
+def test_a_setting_out_of_range_is_a_config_error(tmp_path, section, setting, value, message):
+    # Each of these used to load, and then failed every replicate's metric
+    # rows or the preprocessing, after the grid had synthesized its datasets.
+    cfg_path = write_project(tmp_path)
+    doc = json.loads(cfg_path.read_text())
+    doc.setdefault(section, {})[setting] = value
+    cfg_path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=f"{section}.{message}"):
+        load_config(cfg_path)
+
+
+def test_settings_at_the_ends_of_their_ranges_load(tmp_path):
+    cfg_path = write_project(tmp_path)
+    doc = json.loads(cfg_path.read_text())
+    for apo_threshold in (0.0, 1.0):
+        doc["metrics"].update(apo_threshold=apo_threshold, kl_bins=2, kl_smoothing=0)
+        doc["preprocess"] = {"missing_seed": 0}
+        cfg_path.write_text(json.dumps(doc))
+        settings = load_config(cfg_path).metrics
+        assert (settings.apo_threshold, settings.kl_bins, settings.kl_smoothing) == (
+            apo_threshold, 2, 0.0
+        )
 
 
 def test_coarsen_column_and_mapping_must_be_strings(tmp_path):

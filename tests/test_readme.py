@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 from synthbench.dataset import write_csv
+from synthbench.harness import load_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -24,3 +25,14 @@ def test_library_use_example_runs(tmp_path, monkeypatch, capsys, fixture_a):
     overlap = float(capsys.readouterr().out)
     assert overlap == namespace["overlap"] and 0.0 <= overlap <= 1.0
     assert len(namespace["accuracies"]) == len(namespace["agreements"]) == 5
+
+
+def test_config_example_loads(tmp_path):
+    section = README.read_text().split("## Experiment configuration", 1)[1]
+    block = re.search(r"```jsonc\n(.*?)\n```", section, re.DOTALL).group(1)
+    (tmp_path / "config.json").write_text(re.sub(r"//[^\n]*", "", block))
+    cfg = load_config(tmp_path / "config.json")
+    assert [label for _, _, label in cfg.labels()] == [
+        "S", "ST", "D", "DT", "PO", "POT", "CCV", "CCVT",
+    ]
+    assert cfg.predictor_modes == ("simple", "selective") and cfg.head == 2000
