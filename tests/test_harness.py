@@ -859,6 +859,34 @@ def test_cli_generate_with_an_ordered_label(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_generate_builds_the_simple_spec_of_a_selective_only_grid(tmp_path, capsys):
+    grid = {
+        "synthesizers": [{"base": "S"}, {"base": "D"}],
+        "m": [1],
+        "predictor_modes": ["selective"],
+        # simple mode draws c, which x fixes, from x and y
+        "selective": {"c": ["y"]},
+    }
+    cfg_path = write_project(tmp_path, grid=grid, k=1)
+    gen_dir = tmp_path / "gen"
+    assert main([
+        "generate", "--config", str(cfg_path), "--spec", "D", "--m", "2",
+        "--out", str(gen_dir),
+    ]) == 0
+    cfg = load_config(cfg_path)
+    original = load_original(cfg)
+    spec = build_spec(
+        original.schema, "D", m=2, seed=cfg.seed, pmm_k=cfg.pmm_k, min_leaf=cfg.min_leaf,
+        selective=None,
+    )
+    expected = synthesize(original, spec)
+    written = load_synthetic_set(gen_dir, original.schema)
+    for got, want in zip(written.datasets, expected.datasets, strict=True):
+        for a, b in zip(got.columns, want.columns, strict=True):
+            assert np.array_equal(a, b)
+    capsys.readouterr()
+
+
 def test_kl_normalization_by_baseline():
     report = UtilityReport()
     raws = {
