@@ -367,21 +367,17 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             f"metrics.classification.test_fraction must lie in (0, 1), got {fraction}"
         )
     met = cfg.metrics
-    if not 0.0 < met.ci_level < 1.0:
-        raise ConfigError(f"metrics.ci_level must lie in (0, 1), got {met.ci_level}")
-    if not 0.0 <= met.apo_threshold <= 1.0:
-        raise ConfigError(f"metrics.apo_threshold must lie in [0, 1], got {met.apo_threshold}")
-    if met.kl_bins < 2:
-        raise ConfigError(f"metrics.kl_bins must be >= 2, got {met.kl_bins}")
-    if not met.kl_smoothing >= 0.0:
-        raise ConfigError(f"metrics.kl_smoothing must be >= 0, got {met.kl_smoothing}")
-    if met.kl_direction not in KL_DIRECTIONS:
-        raise ConfigError(
-            f"metrics.kl_direction must be one of {', '.join(KL_DIRECTIONS)}, "
-            f"got {met.kl_direction!r}"
-        )
-    if cfg.missing_seed < 0:
-        raise ConfigError(f"preprocess.missing_seed must be >= 0, got {cfg.missing_seed}")
+    for where, value, ok, rule in (
+        ("metrics.ci_level", met.ci_level, 0.0 < met.ci_level < 1.0, "lie in (0, 1)"),
+        ("metrics.apo_threshold", met.apo_threshold, 0.0 <= met.apo_threshold <= 1.0, "lie in [0, 1]"),
+        ("metrics.kl_bins", met.kl_bins, met.kl_bins >= 2, "be >= 2"),
+        ("metrics.kl_smoothing", met.kl_smoothing, met.kl_smoothing >= 0.0, "be >= 0"),
+        ("metrics.kl_direction", met.kl_direction, met.kl_direction in KL_DIRECTIONS,
+         f"be one of {', '.join(KL_DIRECTIONS)}"),
+        ("preprocess.missing_seed", cfg.missing_seed, cfg.missing_seed >= 0, "be >= 0"),
+    ):
+        if not ok:
+            raise ConfigError(f"{where} must {rule}, got {value!r}")
     if cfg.metrics.regression and cfg.fitspecs is None:
         raise ConfigError("regression metrics need a fitspecs file")
     if cfg.metrics.adhoc and cfg.adhoc is None:
