@@ -885,6 +885,9 @@ def test_cli_generate_builds_the_simple_spec_of_a_selective_only_grid(tmp_path, 
         for a, b in zip(got.columns, want.columns, strict=True):
             assert np.array_equal(a, b)
     capsys.readouterr()
+    # the error names the option, not the first spec of the grid
+    assert main(["generate", "--config", str(cfg_path), "--spec", "D", "--m", "0"]) == 1
+    assert capsys.readouterr().err == "error: --m must be >= 1, got 0\n"
 
 
 def test_kl_normalization_by_baseline():
