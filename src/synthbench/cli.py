@@ -62,10 +62,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
-    cfg = load_config(args.config, seed=args.seed)
-    original = load_original(cfg)
     if args.m < 1:
         raise ConfigError(f"--m must be >= 1, got {args.m}")
+    cfg = load_config(args.config, seed=args.seed)
+    original = load_original(cfg)
     # simple mode is built whatever modes the grid lists
     specs = grid_specs(cfg, original.schema, ("simple",), m=args.m, seed=cfg.seed)
     spec = specs.get((args.spec, "simple"))

@@ -235,8 +235,8 @@ def test_load_config_validation(tmp_path):
     ],
 )
 def test_a_setting_out_of_range_is_a_config_error(tmp_path, section, setting, value, message):
-    # Each of these used to load, and then failed every replicate's metric
-    # rows or the preprocessing, after the grid had synthesized its datasets.
+    # Unchecked at load, each would fail every replicate's metric rows, or the
+    # preprocessing, only after the grid had synthesized its datasets.
     cfg_path = write_project(tmp_path)
     doc = json.loads(cfg_path.read_text())
     doc.setdefault(section, {})[setting] = value
