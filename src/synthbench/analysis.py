@@ -142,7 +142,9 @@ def load_adhoc(path: str | Path) -> tuple[AdhocPredicate, ...]:
     """Read ad-hoc predicates from a JSON document (see README grammar)."""
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
+    except OSError as err:
+        raise AnalysisError(f"cannot read adhoc file {path}: {err.strerror}") from err
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise AnalysisError(f"adhoc file is not valid JSON: {err}") from err
     if not isinstance(doc, dict) or "analyses" not in doc:
         raise AnalysisError("adhoc document must be an object with an 'analyses' list")

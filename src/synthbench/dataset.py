@@ -163,7 +163,9 @@ def load_schema(path: str | Path) -> Schema:
     """Read a schema from a JSON document (grammar documented in the README)."""
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
+    except OSError as err:
+        raise SchemaError(f"cannot read schema file {path}: {err.strerror}") from err
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise SchemaError(f"schema file is not valid JSON: {err}") from err
     return Schema.from_dict(doc)
 
@@ -258,7 +260,11 @@ def load_csv(
     concretised) schema.
     """
     missing_set = set(missing_tokens)
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as err:
+        raise DataError(f"cannot read data file {path}: {err.strerror}") from err
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

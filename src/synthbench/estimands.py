@@ -1,15 +1,17 @@
 """Point estimands, multi-dataset combining rules, and confidence intervals.
 
-An estimand is computed once per synthetic dataset, giving m point estimates
-q_i with within-dataset variances v_i. Combining averages them (q_bar,
-v_bar) and offers two total-variance rules for interval construction:
+An estimate is a plain (q, v) pair: a point estimate and its within-dataset
+variance. An estimand is computed once per synthetic dataset, giving m pairs
+(q_i, v_i). ``combine`` averages them (q_bar, v_bar) and offers two
+total-variance rules for interval construction:
 
 * ``Ts`` (the default): (1 + 1/m) * v_bar, defined for any m >= 1.
 * ``Tp``: v_bar + b/m with b the between-dataset variance of the q_i,
   defined only for m >= 2.
 
-Intervals are normal: center q_bar, half-width z * sqrt(T).
-"""
+An interval is a plain (lower, upper) pair. ``normal_interval`` builds it
+around a center, q_bar for a combined estimate, with half-width
+z * sqrt(T)."""
 
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import NormalDist
+from typing import Sequence
 
 from .dataset import Dataset
 from .errors import EstimandError, FitError
@@ -29,29 +32,7 @@ RULES = ("Ts", "Tp")
 
 
 @dataclass(frozen=True)
-class EstimateSet:
-    """m aligned (q_i, v_i) pairs for one estimand."""
-
-    estimand_id: str
-    q: tuple[float, ...]
-    v: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.q) != len(self.v):
-            raise EstimandError("q and v differ in length")
-        if not self.q:
-            raise EstimandError("estimate set is empty")
-        if any(x < 0 for x in self.v):
-            raise EstimandError("variances must be non-negative")
-
-    @property
-    def m(self) -> int:
-        return len(self.q)
-
-
-@dataclass(frozen=True)
 class CombinedEstimate:
-    estimand_id: str
     m: int
     q_bar: float
     v_bar: float
@@ -68,8 +49,9 @@ class CombinedEstimate:
         return self.t_p
 
 
-def combine(estimates: EstimateSet, rule: str = "Ts") -> CombinedEstimate:
-    """Average the estimates and compute the requested total variance.
+def combine(pairs: Sequence[tuple[float, float]], rule: str = "Ts") -> CombinedEstimate:
+    """Average the (q_i, v_i) pairs of m datasets and compute the requested
+    total variance.
 
     Exactly-summed (math.fsum), so the result is invariant under permutation
     of the datasets, and b is exactly zero when all q_i coincide. The final
@@ -78,57 +60,39 @@ def combine(estimates: EstimateSet, rule: str = "Ts") -> CombinedEstimate:
     """
     if rule not in RULES:
         raise EstimandError(f"unknown combining rule {rule!r}")
-    m = estimates.m
+    if not pairs:
+        raise EstimandError("no estimates to combine")
+    q, v = zip(*pairs)
+    if any(x < 0 for x in v):
+        raise EstimandError("variances must be non-negative")
+    m = len(q)
     if rule == "Tp" and m < 2:
         raise EstimandError("rule Tp needs at least two datasets")
-    q_bar = min(max(math.fsum(estimates.q) / m, min(estimates.q)), max(estimates.q))
-    v_bar = math.fsum(estimates.v) / m
+    q_bar = min(max(math.fsum(q) / m, min(q)), max(q))
+    v_bar = math.fsum(v) / m
     if m == 1:
         b = None
         t_p = None
-    elif all(x == estimates.q[0] for x in estimates.q):
+    elif all(x == q[0] for x in q):
         b = 0.0
         t_p = v_bar
     else:
-        b = math.fsum((x - q_bar) ** 2 for x in estimates.q) / (m - 1)
+        b = math.fsum((x - q_bar) ** 2 for x in q) / (m - 1)
         t_p = v_bar + b / m
     t_s = (1.0 + 1.0 / m) * v_bar
-    return CombinedEstimate(
-        estimand_id=estimates.estimand_id,
-        m=m,
-        q_bar=q_bar,
-        v_bar=v_bar,
-        b=b,
-        t_p=t_p,
-        t_s=t_s,
-        rule=rule,
-    )
+    return CombinedEstimate(m=m, q_bar=q_bar, v_bar=v_bar, b=b, t_p=t_p, t_s=t_s, rule=rule)
 
 
-@dataclass(frozen=True)
-class ConfidenceInterval:
-    lower: float
-    upper: float
-    level: float
-
-    @property
-    def center(self) -> float:
-        return (self.lower + self.upper) / 2.0
-
-
-def normal_interval(center: float, variance: float, level: float = 0.95) -> ConfidenceInterval:
-    """Normal-quantile interval: center +- z_{(1+level)/2} * sqrt(variance)."""
+def normal_interval(center: float, variance: float, level: float = 0.95) -> tuple[float, float]:
+    """The normal-quantile interval (lower, upper): center +-
+    z_{(1+level)/2} * sqrt(variance)."""
     if not (0.0 < level < 1.0):
         raise EstimandError(f"level must lie in (0, 1), got {level}")
     if variance < 0:
         raise EstimandError("variance must be non-negative")
     z = NormalDist().inv_cdf((1.0 + level) / 2.0)
     half = z * math.sqrt(variance)
-    return ConfidenceInterval(center - half, center + half, level)
-
-
-def ci(combined: CombinedEstimate, level: float = 0.95) -> ConfidenceInterval:
-    return normal_interval(combined.q_bar, combined.total_variance, level)
+    return center - half, center + half
 
 
 def mean_point_estimand(ds: Dataset, column: str) -> tuple[float, float]:
@@ -168,7 +132,9 @@ def load_fitspecs(path: str | Path) -> tuple[FitSpec, ...]:
     """Read fit specifications from a JSON document (see README grammar)."""
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
+    except OSError as err:
+        raise EstimandError(f"cannot read fitspec file {path}: {err.strerror}") from err
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise EstimandError(f"fitspec file is not valid JSON: {err}") from err
     if not isinstance(doc, dict) or "fits" not in doc:
         raise EstimandError("fitspec document must be an object with a 'fits' list")
@@ -202,17 +168,13 @@ def load_fitspecs(path: str | Path) -> tuple[FitSpec, ...]:
     return tuple(fits)
 
 
-@dataclass(frozen=True)
-class CoefEstimate:
-    name: str
-    q: float
-    v: float
-
-
-def regression_estimands(ds: Dataset, fit: FitSpec) -> tuple[CoefEstimate, ...]:
-    """Fit the model on ``ds`` and return one (coefficient, variance) pair per
-    encoded coefficient, intercept included. Logistic fits contribute one set
-    per non-reference class, named ``<class label>:<coefficient>``."""
+def regression_estimands(ds: Dataset, fit: FitSpec) -> dict[str, tuple[float, float]]:
+    """Fit the model on ``ds`` and return {coefficient name: (coefficient,
+    variance)} for each encoded coefficient, intercept included, in
+    coefficient order. Logistic fits contribute one set per non-reference
+    class, named ``<class label>:<coefficient>``. A name that repeats (a
+    numeric predictor called ``intercept``, say) is an error, since its
+    coefficients could not be told apart."""
     X = Predictors.from_dataset(ds, fit.predictors)
     target_kind = ds.schema.kind(fit.target)
     y = ds.column(fit.target)
@@ -221,35 +183,22 @@ def regression_estimands(ds: Dataset, fit: FitSpec) -> tuple[CoefEstimate, ...]:
             if not target_kind.is_numeric:
                 raise FitError(f"target {fit.target!r} is not numeric")
             model = fit_ols(X, y)
-            return tuple(
-                CoefEstimate(name, float(c), float(s) ** 2)
-                for name, c, s in zip(model.coef_names, model.coef, model.se)
-            )
-        if not target_kind.is_categorical:
-            raise FitError(f"target {fit.target!r} is not categorical")
-        lmodel = fit_logistic(X, y)
-        levels = target_kind.levels
-        assert levels is not None
-        out = []
-        for row, cls in enumerate(lmodel.classes[1:]):
-            for col, cname in enumerate(lmodel.coef_names):
-                out.append(
-                    CoefEstimate(
-                        f"{levels[cls]}:{cname}",
-                        float(lmodel.coef[row, col]),
-                        float(lmodel.se[row, col]) ** 2,
-                    )
-                )
-        return tuple(out)
+            names = model.coef_names
+            pairs = [(float(c), float(s) ** 2) for c, s in zip(model.coef, model.se)]
+        else:
+            if not target_kind.is_categorical:
+                raise FitError(f"target {fit.target!r} is not categorical")
+            lmodel = fit_logistic(X, y)
+            levels = target_kind.levels
+            assert levels is not None
+            names = [f"{levels[cls]}:{cname}"
+                     for cls in lmodel.classes[1:] for cname in lmodel.coef_names]
+            pairs = [(float(c), float(s) ** 2)
+                     for c, s in zip(lmodel.coef.reshape(-1), lmodel.se.reshape(-1))]
     except FitError as err:
         raise EstimandError(f"fit {fit.id!r}: {err}") from err
-
-
-def estimate_set_from(
-    estimand_id: str, pairs: list[tuple[float, float]]
-) -> EstimateSet:
-    return EstimateSet(
-        estimand_id=estimand_id,
-        q=tuple(p[0] for p in pairs),
-        v=tuple(p[1] for p in pairs),
-    )
+    out = dict(zip(names, pairs))
+    if len(out) < len(names):
+        repeated = next(name for i, name in enumerate(names) if name in names[:i])
+        raise EstimandError(f"fit {fit.id!r}: coefficient name {repeated!r} repeats")
+    return out

@@ -54,9 +54,7 @@ from .dataset import (
 from .errors import ConfigError, MetricError, SynthbenchError
 from .estimands import (
     FitSpec,
-    ci,
     combine,
-    estimate_set_from,
     load_fitspecs,
     mean_point_estimand,
     normal_interval,
@@ -237,9 +235,9 @@ def load_config(path: str | Path, *, seed: int | None = None, out: str | Path | 
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file {path} does not exist") from None
-    except json.JSONDecodeError as err:
+    except OSError as err:
+        raise ConfigError(f"cannot read config file {path}: {err.strerror}") from err
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ConfigError(f"config file is not valid JSON: {err}") from err
     base_dir = path.parent
 
@@ -523,7 +521,8 @@ def metric_rows(
         """The CIO of one estimand: its original (q, v) against the combined
         synthetic (q, v) of each dataset."""
         level = settings.ci_level
-        syn_ci = ci(combine(estimate_set_from(name, pairs), settings.rule), level)
+        syn = combine(pairs, settings.rule)
+        syn_ci = normal_interval(syn.q_bar, syn.total_variance, level)
         return cio(normal_interval(*orig, level), syn_ci, estimand_id=name)
 
     def roll_up(avg_metric, apo_metric, scope, overlaps):
@@ -552,20 +551,15 @@ def metric_rows(
 
     def fit_rows(fit):
         """The roll-up of one fit: its rows and its overlaps."""
-        orig_coefs = once(("fit", fit), lambda: regression_estimands(original, fit))
+        orig = once(("fit", fit), lambda: regression_estimands(original, fit))
         per_ds = [regression_estimands(ds, fit) for ds in sset.datasets]
-        names = [c.name for c in orig_coefs]
-        for coefs in per_ds:
-            if [c.name for c in coefs] != names:
-                raise MetricError("synthetic fit produced a different coefficient set")
+        if any(coefs.keys() != orig.keys() for coefs in per_ds):
+            raise MetricError("synthetic fit produced a different coefficient set")
 
         def roll(m):
-            overlaps = [
-                overlap(c.name, (c.q, c.v), [(coefs[idx].q, coefs[idx].v) for coefs in per_ds[:m]])
-                for idx, c in enumerate(orig_coefs)
-            ]
-            out = [("rf_cio", f"fit:{fit.id}:coef:{c.name}", o)
-                   for c, o in zip(orig_coefs, overlaps)]
+            overlaps = [overlap(name, qv, [coefs[name] for coefs in per_ds[:m]])
+                        for name, qv in orig.items()]
+            out = [("rf_cio", f"fit:{fit.id}:coef:{name}", o) for name, o in zip(orig, overlaps)]
             out += roll_up("rf_fit_avg_cio", "rf_fit_apo", f"fit:{fit.id}", overlaps)
             return out, overlaps
 

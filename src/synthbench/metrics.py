@@ -19,21 +19,20 @@ import numpy as np
 
 from .dataset import ColumnKind
 from .errors import MetricError
-from .estimands import ConfidenceInterval
 
 KL_DIRECTIONS = ("pq", "qp", "sym")
 
 
 def cio(
-    original: ConfidenceInterval,
-    synthetic: ConfidenceInterval,
+    original: tuple[float, float],
+    synthetic: tuple[float, float],
     *,
     estimand_id: str = "",
 ) -> float:
-    """The overlap of two intervals; ``estimand_id`` names the estimand in
-    the error raised for a bound that is not finite."""
-    lo_o, up_o = original.lower, original.upper
-    lo_s, up_s = synthetic.lower, synthetic.upper
+    """The overlap of two (lower, upper) intervals; ``estimand_id`` names
+    the estimand in the error raised for a bound that is not finite."""
+    lo_o, up_o = original
+    lo_s, up_s = synthetic
     if not all(map(math.isfinite, (lo_o, up_o, lo_s, up_s))):
         raise MetricError(f"estimand {estimand_id!r}: an interval bound is not finite")
     w_o = up_o - lo_o

@@ -54,8 +54,10 @@ def fit_ols(X: Predictors, y: np.ndarray) -> LinearModel:
     if n <= p:
         raise FitError(f"need more rows ({n}) than coefficients ({p})")
 
-    xtx = M.T @ M
-    xty = M.T @ y
+    # Overflow is expected here and reported as a FitError just below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        xtx = M.T @ M
+        xty = M.T @ y
     if not (np.isfinite(xtx).all() and np.isfinite(xty).all()):
         raise FitError("the design sums X'X and X'y are not finite")
     ridged = _rank(M) < p
@@ -63,8 +65,9 @@ def fit_ols(X: Predictors, y: np.ndarray) -> LinearModel:
         xtx = xtx + _RIDGE * np.eye(p)
     coef = np.linalg.solve(xtx, xty)
 
-    resid = y - M @ coef
-    rss = float(resid @ resid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = y - M @ coef
+        rss = float(resid @ resid)
     if not np.isfinite(rss):
         raise FitError("the residual sum of squares is not finite")
     sigma2 = max(rss, 0.0) / (n - p)

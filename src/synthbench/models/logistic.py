@@ -128,7 +128,8 @@ def _information(M: np.ndarray, P: np.ndarray) -> np.ndarray:
 def _finite_information(M: np.ndarray, P: np.ndarray) -> np.ndarray:
     """The information matrix, checked before any LAPACK call: sums that
     overflow (values near 1e300) would reach the solvers as inf or nan."""
-    info = _information(M, P)
+    with np.errstate(over="ignore", invalid="ignore"):
+        info = _information(M, P)
     if not np.isfinite(info).all():
         raise FitError("the information matrix is not finite")
     return info

@@ -700,7 +700,12 @@ def load_synthetic_set(in_dir: str | Path, schema: Schema) -> SyntheticSet:
     manifest_path = src / "manifest.json"
     if not manifest_path.exists():
         raise SynthesisError(f"{src} has no manifest.json")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except (OSError, ValueError) as err:
+        raise SynthesisError(f"cannot read manifest {manifest_path}: {err}") from err
+    if not (isinstance(manifest, dict) and {"m", "label", "seed", "wall_times"} <= manifest.keys()):
+        raise SynthesisError(f"{manifest_path} lacks one of m, label, seed and wall_times")
     datasets = []
     for i in range(int(manifest["m"])):
         # No missing tokens: every written cell is a value, even a level

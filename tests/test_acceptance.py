@@ -18,9 +18,7 @@ from synthbench.analysis import classifier_baseline, classify_compare
 from synthbench.cli import main
 from synthbench.dataset import Column, ColumnKind, Dataset, Schema, write_csv
 from synthbench.estimands import (
-    ci,
     combine,
-    estimate_set_from,
     mean_point_estimand,
     normal_interval,
     regression_estimands,
@@ -40,24 +38,24 @@ def _stream(*tags) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _interval(lo, hi):
-    from synthbench.estimands import ConfidenceInterval
-
-    return ConfidenceInterval(lo, hi, 0.95)
+def _combined_interval(pairs):
+    """The 95% interval of the Ts-combined synthetic estimate."""
+    comb = combine(pairs)
+    return normal_interval(comb.q_bar, comb.total_variance)
 
 
 @pytest.mark.criterion(1, "metric oracles")
 def test_criterion_1_metric_oracles():
     t0 = time.perf_counter()
-    assert abs(cio(_interval(0.0, 2.0), _interval(0.0, 2.0)) - 1.0) < 1e-12
-    assert abs(cio(_interval(0.0, 1.0), _interval(2.0, 3.0)) - 0.0) < 1e-12
-    assert abs(cio(_interval(0.0, 2.0), _interval(1.0, 3.0)) - 0.5) < 1e-12
+    assert abs(cio((0.0, 2.0), (0.0, 2.0)) - 1.0) < 1e-12
+    assert abs(cio((0.0, 1.0), (2.0, 3.0)) - 0.0) < 1e-12
+    assert abs(cio((0.0, 2.0), (1.0, 3.0)) - 0.5) < 1e-12
 
-    comb = combine(estimate_set_from("q", [(1.0, 0.0), (2.0, 0.0), (3.0, 0.0)]), "Tp")
+    comb = combine([(1.0, 0.0), (2.0, 0.0), (3.0, 0.0)], "Tp")
     assert comb.b is not None and abs(comb.b - 1.0) < 1e-12
     assert comb.t_p is not None and abs(comb.t_p - 1.0 / 3.0) < 1e-12
 
-    single = combine(estimate_set_from("q", [(1.0, 0.7)]), "Ts")
+    single = combine([(1.0, 0.7)], "Ts")
     assert single.t_s == 2.0 * 0.7
 
     p_col = np.asarray([0, 1], dtype=np.int64)            # (0.5, 0.5)
@@ -75,22 +73,22 @@ def test_criterion_2_combining_rules():
     t0 = time.perf_counter()
     rng = np.random.default_rng(_stream(2))
     pairs = [(float(q), float(v)) for q, v in zip(rng.normal(0, 3, 9), rng.uniform(0.1, 2, 9))]
-    base = combine(estimate_set_from("e", pairs), "Tp")
+    base = combine(pairs, "Tp")
     for _ in range(25):
         perm = list(pairs)
         rng.shuffle(perm)
-        other = combine(estimate_set_from("e", perm), "Tp")
+        other = combine(perm, "Tp")
         assert other.q_bar == base.q_bar and other.v_bar == base.v_bar
         assert other.b == base.b and other.t_p == base.t_p and other.t_s == base.t_s
 
-    equal = combine(estimate_set_from("e", [(1.3, 0.5)] * 6), "Tp")
+    equal = combine([(1.3, 0.5)] * 6, "Tp")
     assert equal.b == 0.0
     nudged = [(1.3, 0.5)] * 5 + [(float(np.nextafter(1.3, 2.0)), 0.5)]
-    assert combine(estimate_set_from("e", nudged), "Tp").b > 0.0
+    assert combine(nudged, "Tp").b > 0.0
 
     for m in (1, 2, 5, 10, 50):
         vals = [(float(v), float(v) / 3.0) for v in range(1, m + 1)]
-        comb = combine(estimate_set_from("e", vals), "Ts")
+        comb = combine(vals, "Ts")
         assert comb.t_s == (1.0 + 1.0 / m) * comb.v_bar
     assert time.perf_counter() - t0 < 1.0
 
@@ -142,11 +140,9 @@ def battery_apo(original, fits, sset, threshold=0.9):
     for fit in fits:
         orig = regression_estimands(original, fit)
         per = [regression_estimands(ds, fit) for ds in sset.datasets]
-        for i, coef in enumerate(orig):
-            est = estimate_set_from(coef.name, [(p[i].q, p[i].v) for p in per])
-            overlaps.append(
-                cio(normal_interval(coef.q, coef.v), ci(combine(est)), estimand_id=coef.name)
-            )
+        for name, (q0, v0) in orig.items():
+            syn_ci = _combined_interval([p[name] for p in per])
+            overlaps.append(cio(normal_interval(q0, v0), syn_ci, estimand_id=name))
     return apo(overlaps, threshold)
 
 
@@ -155,8 +151,7 @@ def mean_point_apo(original, sset, threshold=0.9):
     for name in ("x", "y"):
         q0, v0 = mean_point_estimand(original, name)
         pairs = [mean_point_estimand(ds, name) for ds in sset.datasets]
-        comb = combine(estimate_set_from(name, pairs))
-        overlaps.append(cio(normal_interval(q0, v0), ci(comb), estimand_id=name))
+        overlaps.append(cio(normal_interval(q0, v0), _combined_interval(pairs), estimand_id=name))
     return apo(overlaps, threshold)
 
 
@@ -216,9 +211,9 @@ def test_criterion_5_proper_vs_nonproper(fixture_a, battery):
             for fit in battery:
                 orig = regression_estimands(fixture_a, fit)
                 per = [regression_estimands(ds, fit) for ds in sset.datasets]
-                for i, coef in enumerate(orig):
-                    est = estimate_set_from(coef.name, [(p[i].q, p[i].v) for p in per])
-                    values.append(cio(normal_interval(coef.q, coef.v), ci(combine(est))))
+                for name, (q0, v0) in orig.items():
+                    syn_ci = _combined_interval([p[name] for p in per])
+                    values.append(cio(normal_interval(q0, v0), syn_ci))
         return math.fsum(values) / len(values)
 
     plain = avg_cio(False)

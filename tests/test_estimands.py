@@ -11,59 +11,57 @@ from hypothesis import strategies as st
 from synthbench.dataset import Column, ColumnKind, Dataset, Schema
 from synthbench.errors import EstimandError
 from synthbench.estimands import (
-    EstimateSet,
-    ci,
     combine,
-    estimate_set_from,
     FitSpec,
     load_fitspecs,
     mean_point_estimand,
     normal_interval,
     regression_estimands,
 )
+from synthbench.harness import MetricSettings, metric_rows
 from synthbench.models import fit_ols
 from synthbench.models.design import Predictors
+from synthbench.synthesis import SyntheticSet
 
 
 def test_worked_example_exact():
-    est = EstimateSet("e", (1.0, 2.0, 3.0), (0.0, 0.0, 0.0))
-    out = combine(est, "Tp")
+    pairs = [(1.0, 0.0), (2.0, 0.0), (3.0, 0.0)]
+    out = combine(pairs, "Tp")
     assert out.q_bar == 2.0
     assert out.v_bar == 0.0
     assert abs(out.b - 1.0) < 1e-12
     assert abs(out.t_p - 1.0 / 3.0) < 1e-12
-    out_s = combine(est, "Ts")
+    out_s = combine(pairs, "Ts")
     assert out_s.t_s == 0.0
 
 
 def test_single_dataset_variance():
-    out = combine(EstimateSet("e", (5.0,), (0.7,)), "Ts")
+    out = combine([(5.0, 0.7)], "Ts")
     assert out.m == 1
     assert out.t_s == 2.0 * 0.7
     assert out.b is None and out.t_p is None
-    with pytest.raises(EstimandError):
-        combine(EstimateSet("e", (5.0,), (0.7,)), "Tp")
+    with pytest.raises(EstimandError, match="at least two datasets"):
+        combine([(5.0, 0.7)], "Tp")
 
 
 def test_between_variance_zero_iff_equal_points():
     q = 1.2345678901234567
-    equal = combine(EstimateSet("e", (q, q, q, q), (1.0, 2.0, 3.0, 4.0)))
+    v = (1.0, 2.0, 3.0, 4.0)
+    equal = combine(list(zip((q, q, q, q), v)))
     assert equal.b == 0.0
-    nudged = combine(EstimateSet("e", (q, q, q, np.nextafter(q, 2.0)), (1.0, 2.0, 3.0, 4.0)))
+    nudged = combine(list(zip((q, q, q, np.nextafter(q, 2.0)), v)))
     assert nudged.b > 0.0
 
 
 def test_permutation_invariance_is_exact():
     rng = random.Random(13)
-    q = tuple(rng.uniform(-5, 5) for _ in range(7))
-    v = tuple(rng.uniform(0, 2) for _ in range(7))
-    base = combine(EstimateSet("e", q, v), "Tp")
-    order = list(range(7))
+    q = [rng.uniform(-5, 5) for _ in range(7)]
+    v = [rng.uniform(0, 2) for _ in range(7)]
+    pairs = list(zip(q, v))
+    base = combine(pairs, "Tp")
     for _ in range(50):
-        rng.shuffle(order)
-        perm = combine(
-            EstimateSet("e", tuple(q[i] for i in order), tuple(v[i] for i in order)), "Tp"
-        )
+        rng.shuffle(pairs)
+        perm = combine(pairs, "Tp")
         assert perm.q_bar == base.q_bar
         assert perm.v_bar == base.v_bar
         assert perm.b == base.b
@@ -78,25 +76,33 @@ def test_permutation_invariance_is_exact():
 @example(qs=[699050.9144240941] * 3, seed=0)
 def test_ts_identity_and_mean_bounds(qs, seed):
     rng = random.Random(seed)
-    v = tuple(rng.uniform(0.0, 10.0) for _ in qs)
-    out = combine(EstimateSet("e", tuple(qs), v), "Ts")
+    out = combine([(q, rng.uniform(0.0, 10.0)) for q in qs], "Ts")
     m = len(qs)
     assert out.t_s == (1.0 + 1.0 / m) * out.v_bar
     assert min(qs) <= out.q_bar <= max(qs)
 
 
 def test_combined_total_variance_field():
-    est = EstimateSet("e", (1.0, 2.0), (0.5, 0.5))
-    assert combine(est, "Ts").total_variance == combine(est, "Ts").t_s
-    assert combine(est, "Tp").total_variance == combine(est, "Tp").t_p
+    pairs = [(1.0, 0.5), (2.0, 0.5)]
+    assert combine(pairs, "Ts").total_variance == combine(pairs, "Ts").t_s
+    assert combine(pairs, "Tp").total_variance == combine(pairs, "Tp").t_p
+
+
+def test_combine_rejects_bad_pairs_and_rules():
+    with pytest.raises(EstimandError, match="no estimates"):
+        combine([])
+    with pytest.raises(EstimandError, match="non-negative"):
+        combine([(1.0, 0.1), (2.0, -0.5)])
+    with pytest.raises(EstimandError, match="unknown combining rule"):
+        combine([(1.0, 0.1), (2.0, 0.2)], "Tq")
 
 
 def test_normal_interval_uses_z_quantile():
     z = NormalDist().inv_cdf(0.975)
-    interval = normal_interval(3.0, 4.0, 0.95)
-    assert interval.lower == pytest.approx(3.0 - z * 2.0, abs=1e-12)
-    assert interval.upper == pytest.approx(3.0 + z * 2.0, abs=1e-12)
-    assert interval.center == pytest.approx(3.0, abs=1e-12)
+    lower, upper = normal_interval(3.0, 4.0, 0.95)
+    assert lower == pytest.approx(3.0 - z * 2.0, abs=1e-12)
+    assert upper == pytest.approx(3.0 + z * 2.0, abs=1e-12)
+    assert (lower + upper) / 2.0 == pytest.approx(3.0, abs=1e-12)
     with pytest.raises(EstimandError):
         normal_interval(0.0, -1.0)
     with pytest.raises(EstimandError):
@@ -104,11 +110,11 @@ def test_normal_interval_uses_z_quantile():
 
 
 def test_ci_of_combined_estimate():
-    out = combine(EstimateSet("e", (2.0, 2.0), (1.0, 1.0)), "Ts")
-    interval = ci(out, 0.95)
+    out = combine([(2.0, 1.0), (2.0, 1.0)], "Ts")
+    lower, upper = normal_interval(out.q_bar, out.total_variance, 0.95)
     z = NormalDist().inv_cdf(0.975)
-    assert interval.center == 2.0
-    assert interval.upper - interval.lower == pytest.approx(2 * z * math.sqrt(1.5), rel=1e-12)
+    assert (lower + upper) / 2.0 == 2.0
+    assert upper - lower == pytest.approx(2 * z * math.sqrt(1.5), rel=1e-12)
 
 
 def test_mean_point_estimand_hand_value():
@@ -140,10 +146,10 @@ def test_regression_estimands_match_direct_fit():
 
     X = Predictors(("x", "c"), (schema.kind("x"), schema.kind("c")), (x, c))
     model = fit_ols(X, y)
-    assert tuple(cf.name for cf in coefs) == model.coef_names
-    for cf, q, se in zip(coefs, model.coef, model.se):
-        assert cf.q == q
-        assert cf.v == se**2
+    assert tuple(coefs) == model.coef_names
+    for (q, v), coef, se in zip(coefs.values(), model.coef, model.se):
+        assert q == coef
+        assert v == se**2
 
 
 def test_logistic_estimand_names_include_class():
@@ -159,17 +165,44 @@ def test_logistic_estimand_names_include_class():
     )
     ds = Dataset(schema, (x, c))
     coefs = regression_estimands(ds, FitSpec("g", "logistic", "c", ("x",)))
-    assert [cf.name for cf in coefs] == ["yes:intercept", "yes:x"]
+    assert list(coefs) == ["yes:intercept", "yes:x"]
 
 
-def test_estimate_set_from_pairs():
-    est = estimate_set_from("id", [(1.0, 0.1), (2.0, 0.2)])
-    assert est.q == (1.0, 2.0)
-    assert est.v == (0.1, 0.2)
-    with pytest.raises(EstimandError):
-        estimate_set_from("id", [])
-    with pytest.raises(EstimandError):
-        estimate_set_from("id", [(1.0, -0.5)])
+def test_a_repeated_coefficient_name_is_an_error():
+    # Two coefficients under one name gave two rf_cio rows with one key, and
+    # the summary averaged them together.
+    rng = np.random.default_rng(6)
+    n = 80
+    schema = Schema(
+        (
+            Column("intercept", ColumnKind.numeric()),
+            Column("y", ColumnKind.numeric()),
+            Column("c", ColumnKind.categorical(("w", "x"))),
+            Column("c=x", ColumnKind.numeric()),
+            Column("b", ColumnKind.categorical(("no", "yes"))),
+        )
+    )
+    ds = Dataset(
+        schema,
+        (rng.normal(size=n), rng.normal(size=n), rng.integers(0, 2, n),
+         rng.normal(size=n), rng.integers(0, 2, n)),
+    )
+    repeats = {
+        FitSpec("own", "linear", "y", ("intercept",)): "intercept",
+        FitSpec("dummy", "linear", "y", ("c", "c=x")): "c=x",
+        FitSpec("class", "logistic", "b", ("intercept",)): "yes:intercept",
+    }
+    for fit, name in repeats.items():
+        with pytest.raises(EstimandError, match=f"fit '{fit.id}': coefficient name '{name}' repeats"):
+            regression_estimands(ds, fit)
+
+    good = FitSpec("good", "linear", "y", ("c=x",))
+    sset = SyntheticSet(label="S", seed=0, datasets=(ds, ds), wall_times=(0.0, 0.0))
+    settings_ = MetricSettings(mean_point=False, kl=False)
+    rows, errors = metric_rows(ds, sset, settings_, (*repeats, good), ())
+    assert [stage for stage, _ in errors] == ["fit:own", "fit:dummy", "fit:class"]
+    scopes = [scope for metric, scope, _ in rows[2] if metric == "rf_cio"]
+    assert scopes == ["fit:good:coef:intercept", "fit:good:coef:c=x"]
 
 
 def test_load_fitspecs_validation(tmp_path):

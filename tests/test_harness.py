@@ -1090,3 +1090,40 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["experiment", "--config", str(tmp_path / "missing.json")]) == 1
     assert main(["report", "--out", str(tmp_path / "empty")]) == 1
     capsys.readouterr()
+
+
+def test_cli_names_a_missing_or_malformed_input(tmp_path, capsys):
+    # Each of these ended in a raw FileNotFoundError or JSONDecodeError traceback.
+    cfg_path = write_project(tmp_path, grid={"synthesizers": [{"base": "S"}], "m": [1]}, k=1)
+
+    def fails_naming(path, *argv):
+        assert main(list(argv)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err, err
+
+    fails_naming(tmp_path, "experiment", "--config", str(tmp_path))  # a directory
+    for name in ("schema.json", "data.csv", "fits.json", "adhoc.json"):
+        path = tmp_path / name
+        kept = path.read_bytes()
+        path.unlink()
+        fails_naming(path, "experiment", "--config", str(cfg_path))
+        if name.endswith(".json"):  # not UTF-8
+            path.write_bytes(b"\xff" + kept)
+            assert main(["experiment", "--config", str(cfg_path)]) == 1
+            assert capsys.readouterr().err.startswith("error: ")
+        path.write_bytes(kept)
+
+    gen = tmp_path / "gen"
+    assert main(["generate", "--config", str(cfg_path), "--spec", "S", "--m", "1",
+                 "--out", str(gen)]) == 0
+    evaluate = ("evaluate", "--config", str(cfg_path), "--syn", str(gen), "--out",
+                str(tmp_path / "eval"))
+    manifest = gen / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    for text in ("{not json", "[1]", *(json.dumps({k: v for k, v in doc.items() if k != key})
+                                       for key in ("m", "label", "seed", "wall_times"))):
+        manifest.write_text(text)
+        fails_naming(manifest, *evaluate)
+    manifest.write_text(json.dumps(doc))
+    (gen / "ds000.csv").unlink()
+    fails_naming(gen / "ds000.csv", *evaluate)

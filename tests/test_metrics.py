@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from synthbench.dataset import ColumnKind
 from synthbench.errors import MetricError
-from synthbench.estimands import ConfidenceInterval
 from synthbench.metrics import (
     UtilityReport,
     apo,
@@ -19,34 +18,30 @@ CAT2 = ColumnKind.categorical(("a", "b"))
 NUM = ColumnKind.numeric()
 
 
-def interval(lo, hi):
-    return ConfidenceInterval(lo, hi, 0.95)
-
-
 def test_cio_worked_examples():
-    assert abs(cio(interval(0, 2), interval(0, 2)) - 1.0) < 1e-12
-    assert abs(cio(interval(0, 1), interval(2, 3)) - 0.0) < 1e-12
-    assert abs(cio(interval(0, 2), interval(1, 3)) - 0.5) < 1e-12
+    assert abs(cio((0, 2), (0, 2)) - 1.0) < 1e-12
+    assert abs(cio((0, 1), (2, 3)) - 0.0) < 1e-12
+    assert abs(cio((0, 2), (1, 3)) - 0.5) < 1e-12
 
 
 def test_cio_degenerate_intervals():
-    assert cio(interval(1, 1), interval(1, 1)) == 1.0
-    assert cio(interval(1, 1), interval(2, 2)) == 0.0
-    assert cio(interval(1, 1), interval(0, 2)) == 0.0
+    assert cio((1, 1), (1, 1)) == 1.0
+    assert cio((1, 1), (2, 2)) == 0.0
+    assert cio((1, 1), (0, 2)) == 0.0
 
 
 def test_cio_of_an_interval_with_a_non_finite_bound_is_an_error():
     # An infinite variance (values near 1e300) gave an overlap of nan.
-    for bad in (interval(-math.inf, math.inf), interval(math.nan, math.nan), interval(0, math.inf)):
+    for bad in ((-math.inf, math.inf), (math.nan, math.nan), (0, math.inf)):
         with pytest.raises(MetricError, match="not finite"):
-            cio(bad, interval(0, 1), estimand_id="x")
+            cio(bad, (0, 1), estimand_id="x")
         with pytest.raises(MetricError, match="not finite"):
-            cio(interval(0, 1), bad, estimand_id="x")
+            cio((0, 1), bad, estimand_id="x")
 
 
 def test_cio_nested_intervals():
     # synthetic twice as wide, centered: 0.5 * (1 + 1/2)
-    got = cio(interval(-1, 1), interval(-2, 2))
+    got = cio((-1, 1), (-2, 2))
     assert got == pytest.approx(0.75, abs=1e-12)
 
 
@@ -60,14 +55,14 @@ def test_cio_nested_intervals():
     scale=st.floats(0.01, 10),
 )
 def test_cio_symmetry_range_and_affine_invariance(lo1, w1, lo2, w2, shift, scale):
-    a = interval(lo1, lo1 + w1)
-    b = interval(lo2, lo2 + w2)
+    a = (lo1, lo1 + w1)
+    b = (lo2, lo2 + w2)
     v1 = cio(a, b)
     v2 = cio(b, a)
     assert v1 == pytest.approx(v2, abs=1e-12)
     assert 0.0 <= v1 <= 1.0
-    at = interval(scale * lo1 + shift, scale * (lo1 + w1) + shift)
-    bt = interval(scale * lo2 + shift, scale * (lo2 + w2) + shift)
+    at = (scale * lo1 + shift, scale * (lo1 + w1) + shift)
+    bt = (scale * lo2 + shift, scale * (lo2 + w2) + shift)
     assert cio(at, bt) == pytest.approx(v1, abs=1e-9)
 
 
