@@ -264,21 +264,23 @@ def load_csv(
         fh = open(path, newline="", encoding="utf-8")
     except OSError as err:
         raise DataError(f"cannot read data file {path}: {err.strerror}") from err
+    # The file decodes as it is read, so a byte that is not UTF-8 raises
+    # while the header or the rows are read.
     with fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if set(header) != set(schema.names) or len(header) != len(schema.names):
-            extra = sorted(set(header) - set(schema.names))
-            absent = sorted(set(schema.names) - set(header))
-            raise DataError(
-                f"{path}: header mismatch (unexpected {extra}, missing {absent})"
-            )
-        # csv yields [] for a blank line. No record of a file with two or
-        # more columns is blank; in a one-column file it is an empty cell.
-        rows = [row for row in reader if row or len(schema.names) < 2]
+            header = next(reader, None)
+            # csv yields [] for a blank line. No record of a file with two or
+            # more columns is blank; in a one-column file it is an empty cell.
+            rows = [row for row in reader if row or len(schema.names) < 2]
+        except UnicodeDecodeError as err:
+            raise DataError(f"{path}: not UTF-8 text ({err.reason})") from None
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    if set(header) != set(schema.names) or len(header) != len(schema.names):
+        extra = sorted(set(header) - set(schema.names))
+        absent = sorted(set(schema.names) - set(header))
+        raise DataError(f"{path}: header mismatch (unexpected {extra}, missing {absent})")
 
     pos = {name: header.index(name) for name in schema.names}
     n = len(rows)

@@ -22,6 +22,8 @@ from pathlib import Path
 from statistics import NormalDist
 from typing import Sequence
 
+import numpy as np
+
 from .dataset import Dataset
 from .errors import EstimandError, FitError
 from .models.design import Predictors
@@ -96,7 +98,8 @@ def normal_interval(center: float, variance: float, level: float = 0.95) -> tupl
 
 
 def mean_point_estimand(ds: Dataset, column: str) -> tuple[float, float]:
-    """Sample mean with variance s^2/n (unbiased s^2). Needs n >= 2."""
+    """Sample mean with variance s^2/n (unbiased s^2). Needs n >= 2, and
+    raises when either overflows (values near 1e300)."""
     kind = ds.schema.kind(column)
     if not kind.is_numeric:
         raise EstimandError(f"column {column!r} is not numeric")
@@ -104,8 +107,11 @@ def mean_point_estimand(ds: Dataset, column: str) -> tuple[float, float]:
     n = x.shape[0]
     if n < 2:
         raise EstimandError("mean estimand needs at least two rows")
-    q = float(x.mean())
-    v = float(x.var(ddof=1) / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = float(x.mean())
+        v = float(x.var(ddof=1) / n)
+    if not (math.isfinite(q) and math.isfinite(v)):
+        raise EstimandError(f"the mean of column {column!r} or its variance is not finite")
     return q, v
 
 

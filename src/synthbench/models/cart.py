@@ -322,10 +322,14 @@ class _Forest:
         y = self.y[rows]
         ends = np.cumsum(m)
         bounds = list(zip((ends - m).tolist(), ends.tolist()))
-        # np.mean's pairwise sum and a dot product, node by node
-        mean = np.array([np.add.reduce(y[a:b]) for a, b in bounds], dtype=np.float64) / m
-        yc = y - np.repeat(mean, m)
-        parent = np.array([yc[a:b] @ yc[a:b] for a, b in bounds], dtype=np.float64)
+        # np.mean's pairwise sum and a dot product, node by node. Overflow is
+        # reported as a FitError just below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = np.array([np.add.reduce(y[a:b]) for a, b in bounds], dtype=np.float64) / m
+            yc = y - np.repeat(mean, m)
+            parent = np.array([yc[a:b] @ yc[a:b] for a, b in bounds], dtype=np.float64)
+        if not np.isfinite(parent).all():
+            raise FitError("a node's sum of squared deviations is not finite")
         self.stats[0, rows], self.stats[1, rows] = yc, yc * yc
         return parent, _GAIN_EPS * np.fmax(1.0, parent), rows
 

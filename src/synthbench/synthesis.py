@@ -281,115 +281,58 @@ def _bootstrap_indices(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.integers(0, n, size=n)
 
 
-def _pmm_pick(
-    fit_preds: np.ndarray,
-    fitting_y: np.ndarray,
-    query_preds: np.ndarray,
-    k: int,
-    u: np.ndarray,
-) -> np.ndarray:
-    """For each query, rank the fitting rows by (|prediction - query|, row id),
-    keep the first ``k`` and return the observed value of the one chosen by
-    ``u`` (uniform on [0, 1)): index ``min(floor(u * k), k - 1)``.
+def _first_place(holds, lo: np.ndarray, hi) -> np.ndarray:
+    """For each query, the first place in [lo, hi) where ``holds`` is true,
+    or hi. ``holds`` must be true on a suffix of the range. All queries are
+    bisected together."""
+    hi = np.broadcast_to(hi, lo.shape)
+    while (live := lo < hi).any():
+        mid = (lo + hi) // 2
+        ok = holds(mid)
+        lo, hi = np.where(live & ~ok, mid + 1, lo), np.where(live & ok, mid, hi)
+    return lo
 
-    The predictions are sorted once, ascending by value with ties by row id
-    ascending (the rows at or above a query, nearest first) and with ties by
-    row id descending (the rows below it, walked back nearest first).
-    Rounded distance is monotone in the prediction on each side, so the
-    first ``k`` rows of each side hold that side's ``k`` nearest, and the
-    2k candidates hold the overall ``k`` nearest, unless rows with different
-    predictions round to one distance across the k-th place. A query is
-    redone by ``_pmm_pick_exhaustive`` when, on either side, the distinct
-    prediction just beyond the k-th row's rounds to the k-th distance, or the
-    one just before it does while the (k+1)-th row ties the k-th. Equal
-    predictions alone never cause this. Calls with non-finite values or
-    fewer than ``k`` fitting rows go to it whole; the result always equals
-    it bit for bit.
 
-    Cost is O((n + q) log n + q k log k) for n fitting rows and q queries.
-    """
-    nf = fit_preds.shape[0]
-    nq = query_preds.shape[0]
-    if nf < k or not (np.isfinite(fit_preds).all() and np.isfinite(query_preds).all()):
-        return _pmm_pick_exhaustive(fit_preds, fitting_y, query_preds, k, u)
-
-    up = np.argsort(fit_preds, kind="stable")
-    down = nf - 1 - np.argsort(fit_preds[::-1], kind="stable")
-    sv = fit_preds[up]
-    q = query_preds[:, None]
+def _donor_places(sv: np.ndarray, q: np.ndarray, k: int):
+    """The candidate donors of each query ``q`` among the finite, ascending
+    fitting predictions ``sv`` (at least ``k`` of them), as sorted places
+    ``lo <= a <= b <= hi``. With d the k-th smallest rounded distance
+    ``|sv - q|``, S = [a, b) holds the s < k places strictly nearer than d
+    and T = [lo, a) + [b, hi) the t places at exactly d. Rounded distance
+    is monotone on each side of the query, so each set is contiguous on
+    each side. A NaN or infinite query is at one distance from every place,
+    so all of them are in T."""
+    n = sv.shape[0]
+    q = np.where(np.isnan(q), np.inf, q)
     pos = np.searchsorted(sv, q)
+    # The k places on each side hold the k nearest. Places off either end
+    # read NaN, which sorts after every distance and compares false.
+    pad = np.full(k, np.nan)
+    dist = np.abs(np.concatenate([pad, sv, pad])[pos[:, None] + np.arange(2 * k)] - q[:, None])
+    d = np.sort(dist, axis=1)[:, k - 1]
+    nearer = dist < d[:, None]
+    a = pos - nearer[:, :k].sum(axis=1)
+    b = pos + nearer[:, k:].sum(axis=1)
 
-    # Sorted place i is looked up at i + pad. Places off either end read a
-    # NaN prediction, which equals no distance and sorts after every real
-    # one, and row id nf.
-    pad = k + 1
-    nan_pad = np.full(pad, np.nan)
-    id_pad = np.full(pad, nf)
-    svp = np.concatenate([nan_pad, sv, nan_pad])
-    upp = np.concatenate([id_pad, up, id_pad])
-    downp = np.concatenate([id_pad, down, id_pad])
+    def at_d(i):
+        return np.abs(sv[np.minimum(i, n - 1)] - q) <= d
 
-    # The window: places pos .. pos+k-1 above the query (rows in `up` order)
-    # and pos-k .. pos-1 below it (rows in `down` order).
-    step = np.arange(-k, k)
-    at = pos + step + pad
-    cand = np.where(step >= 0, upp[at], downp[at])
-    order = np.lexsort((cand, np.abs(svp[at] - q)), axis=1)
-    choice = np.minimum(np.floor(u * k).astype(np.int64), k - 1)
-    rows = np.arange(nq)
-    out = fitting_y[cand[rows, order[rows, choice]]].astype(np.float64)
-
-    # Column 0 is the side above the query, column 1 the side below. A k-th
-    # place off the end has a NaN distance, which ties nothing.
-    above = np.array([True, False])
-    away = np.array([1, -1])
-    kth = pos + np.array([k - 1, -k])
-    vk = svp[kth + pad]
-    dk = np.abs(vk - q)
-
-    def ties_kth(i):
-        return np.abs(svp[i + pad] - q) == dk
-
-    # The distinct prediction values next to the k-th one.
-    before = np.searchsorted(sv, vk, side="left") - 1
-    after = np.searchsorted(sv, vk, side="right")
-    farther = np.where(above, after, before)
-    nearer = np.where(above, before, after)
-    redo = (
-        ties_kth(farther)
-        | (ties_kth(kth + away) & ((nearer >= pos) == above) & ties_kth(nearer))
-    ).any(axis=1)
-    if redo.any():
-        out[redo] = _pmm_pick_exhaustive(
-            fit_preds, fitting_y, query_preds[redo], k, u[redo]
-        )
-    return out
+    lo = _first_place(at_d, np.zeros_like(a), a)
+    hi = _first_place(lambda i: ~at_d(i), b, n)
+    return lo, a, b, hi
 
 
-def _pmm_pick_exhaustive(
-    fit_preds: np.ndarray,
-    fitting_y: np.ndarray,
-    query_preds: np.ndarray,
-    k: int,
-    u: np.ndarray,
-) -> np.ndarray:
-    """Reference donor search: lexsort every (query, fitting row) distance.
-    Quadratic in the row count; ``_pmm_pick`` uses it only where its window
-    could be wrong."""
-    nf = fit_preds.shape[0]
-    nq = query_preds.shape[0]
-    out = np.empty(nq, dtype=np.float64)
-    row_ids = np.arange(nf)
-    block = max(1, 2_000_000 // max(nf, 1))
-    choice = np.minimum(np.floor(u * k).astype(np.int64), k - 1)
-    for s in range(0, nq, block):
-        q = query_preds[s:s + block]
-        d = np.abs(fit_preds[None, :] - q[:, None])
-        ids = np.broadcast_to(row_ids, d.shape)
-        order = np.lexsort((ids, d), axis=1)[:, :k]
-        pick = order[np.arange(q.shape[0]), choice[s:s + block]]
-        out[s:s + block] = fitting_y[pick]
-    return out
+def _pmm_pick(sv: np.ndarray, q: np.ndarray, k: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The sorted place of each query's donor: with c = min(floor(u * k),
+    k - 1), the c-th place of S when c < s, and otherwise the place of T
+    chosen by ``v`` (see ``_donor_places``). So each of the s places of S is
+    drawn with chance 1/k, and each of the t places of T with (k - s)/(k t):
+    the k nearest, with distance ties broken at random."""
+    lo, a, b, hi = _donor_places(sv, q, k)
+    c = np.minimum(np.floor(u * k).astype(np.int64), k - 1)
+    below, t = a - lo, a - lo + hi - b
+    j = np.minimum(np.floor(v * t).astype(np.int64), t - 1)
+    return np.where(c < b - a, a + c, np.where(j < below, lo + j, b + j - below))
 
 
 @dataclass(frozen=True)
@@ -435,16 +378,21 @@ class Softmax:
 
 @dataclass(frozen=True)
 class MeanMatch:
-    """Predictive mean matching over the ``k`` nearest fitting predictions."""
+    """Predictive mean matching: each row takes the observed value of one of
+    the ``k`` fitting rows whose predictions are nearest its own, ties at
+    the k-th distance broken at random. ``preds`` holds the fitting
+    predictions in ascending order (ties by row id), and ``y`` the observed
+    values in the same order."""
 
     model: LinearModel
-    fit_preds: np.ndarray
+    preds: np.ndarray
     y: np.ndarray
     k: int
 
     def draw(self, X_syn, n: int, rng: np.random.Generator) -> np.ndarray:
-        query_preds = self.model.predict(X_syn)
-        return _pmm_pick(self.fit_preds, self.y, query_preds, self.k, rng.random(n))
+        u = rng.random(n)
+        v = rng.random(n)
+        return self.y[_pmm_pick(self.preds, self.model.predict(X_syn), self.k, u, v)]
 
 
 @dataclass(frozen=True)
@@ -512,7 +460,9 @@ def fit_step(step: Step, fit_ds: Dataset) -> Fitted:
         if fit_ds.n_rows < step.pmm_k:
             raise FitError(f"need at least pmm_k={step.pmm_k} fitting rows, got {fit_ds.n_rows}")
         lm = fit_ols(X_fit, y_fit)
-        return MeanMatch(lm, lm.predict(X_fit.cols), y_fit.astype(np.float64), step.pmm_k)
+        preds = lm.predict(X_fit.cols)
+        order = np.argsort(preds, kind="stable")
+        return MeanMatch(lm, preds[order], y_fit[order].astype(np.float64), step.pmm_k)
     raise SpecError(f"unhandled method {method}")
 
 

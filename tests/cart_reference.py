@@ -1,7 +1,9 @@
 """The depth-first CART fit as it stood before the presorted, batched split
 search: every node argsorts each numeric predictor and scores one predictor
-at a time. Kept unchanged as the reference that ``test_cart.py`` compares the
-package's trees against, digest for digest.
+at a time. Kept as the reference that ``test_cart.py`` compares the
+package's trees against, digest for digest. Its one later change is the
+package's rule that a node whose sum of squared deviations is not finite
+fails the fit.
 
 Its last step, ``_pack``, turns the per-node lists into the package's flat
 ``CartTree`` arrays. It drops the ``right`` list, since the fit makes both
@@ -156,6 +158,8 @@ class _Criterion:
 def _sse_criterion(y_node: np.ndarray) -> _Criterion | None:
     yc = y_node - y_node.mean()
     parent = float(yc @ yc)
+    if not np.isfinite(parent):
+        raise FitError("a node's sum of squared deviations is not finite")
     eps = _GAIN_EPS * max(1.0, parent)
     if parent <= eps:
         return None

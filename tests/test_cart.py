@@ -148,6 +148,16 @@ def test_constant_target_gives_single_leaf():
     assert y[donors].mean() == 3.25
 
 
+def test_a_target_whose_squares_overflow_is_a_fit_error():
+    # At 1e160 the squared deviations overflow. The root then read as pure,
+    # and the tree kept one leaf without an error; at 1e150 it splits.
+    x = np.arange(40.0)
+    X = predictors(["x"], [NUM], [x])
+    assert fit_tree(X, x * 1e150, NUM, min_leaf=5).n_leaves > 1
+    with pytest.raises(FitError, match="not finite"):
+        fit_tree(X, x * 1e160, NUM, min_leaf=5)
+
+
 def test_unseen_level_routes_without_error():
     # train with levels 0 and 1 only; level 2 is declared but absent
     f = np.asarray([0] * 10 + [1] * 10)
@@ -267,6 +277,14 @@ def test_partition_property_random_data(n, seed, min_leaf):
     for i, leaf in enumerate(leaves.tolist()):
         by_leaf.setdefault(leaf, []).append(i)
     assert sorted(map(tuple, by_leaf.values())) == sorted(map(tuple, donors))
+
+
+def _digest_or_error(fit, *args, **kwargs) -> str:
+    """The digest of the tree that ``fit`` returns, or the FitError it raises."""
+    try:
+        return _tree_digest(fit(*args, **kwargs))
+    except FitError as err:
+        return f"FitError: {err}"
 
 
 def _tree_digest(tree: CartTree) -> str:
@@ -461,9 +479,9 @@ def _mirrored_ties():
 def test_fit_builds_the_reference_tree(inputs):
     X, y, kind, min_leaf = inputs
     with np.errstate(all="ignore"):
-        got = fit_tree(X, y, kind, min_leaf=min_leaf)
-        want = reference_fit_cart(X, y, kind, min_leaf=min_leaf)
-    assert _tree_digest(got) == _tree_digest(want)
+        got = _digest_or_error(fit_tree, X, y, kind, min_leaf=min_leaf)
+        want = _digest_or_error(reference_fit_cart, X, y, kind, min_leaf=min_leaf)
+    assert got == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -474,6 +492,14 @@ def test_forest_builds_each_reference_tree(forest):
     predictors and min_leaf, equal the reference tree by tree."""
     problems = [CartProblem(X, np.asarray(y), kind, min_leaf) for X, y, kind, min_leaf in forest]
     with np.errstate(all="ignore"):
-        got = fit_cart(problems).trees
-        want = [reference_fit_cart(p.X, p.y, p.y_kind, min_leaf=p.min_leaf) for p in problems]
-    assert [_tree_digest(t) for t in got] == [_tree_digest(t) for t in want]
+        want = [
+            _digest_or_error(reference_fit_cart, p.X, p.y, p.y_kind, min_leaf=p.min_leaf)
+            for p in problems
+        ]
+        # A tree that fails its fit fails its forest; the others grow without it.
+        grown = [p for p, w in zip(problems, want) if not w.startswith("FitError")]
+        if len(grown) < len(problems):
+            with pytest.raises(FitError):
+                fit_cart(problems)
+        got = [_tree_digest(t) for t in fit_cart(grown).trees] if grown else []
+    assert got == [w for w in want if not w.startswith("FitError")]

@@ -83,6 +83,18 @@ def test_load_csv_header_must_match_schema(tmp_path):
         load_csv(path, small_schema())
 
 
+def test_load_csv_names_a_file_that_is_not_utf8(tmp_path):
+    # The file decodes as it is read: a bad byte in the header, and one
+    # thousands of rows later, after the first block has decoded.
+    path = tmp_path / "d.csv"
+    rows = b"1.0,x\n" * 5000
+    for data in (b"\xff\xfea,c\n" + rows, b"a,c\n" + rows + b"2.0,\xff\n"):
+        path.write_bytes(data)
+        with pytest.raises(DataError, match="not UTF-8") as err:
+            load_csv(path, small_schema())
+        assert str(path) in str(err.value)
+
+
 def test_load_csv_reports_row_and_column_on_bad_number(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("a,c\n1.0,x\noops,y\n")

@@ -125,6 +125,10 @@ def test_mean_point_estimand_hand_value():
     assert v == pytest.approx((5.0 / 3.0) / 4.0, rel=1e-12)
     with pytest.raises(EstimandError):
         mean_point_estimand(Dataset(schema, (np.asarray([1.0]),)), "x")
+    # s^2 overflows near 1e300, and the mean past the largest double
+    for x in ([1e300, -1e300, 3.0], [1.7e308, 1.7e308]):
+        with pytest.raises(EstimandError, match="'x'.*not finite"):
+            mean_point_estimand(Dataset(schema, (np.asarray(x),)), "x")
 
 
 def test_regression_estimands_match_direct_fit():

@@ -28,21 +28,21 @@ from synthbench.dataset import write_csv
 from synthbench.harness import emit_tables, load_config, run_experiment
 
 GOLDEN = {
-    "report.csv": "295afaf517f54126ba84d80206735e76819bc5dd10f44d452a0426a43328b300",
-    "summary.csv": "d43c5426eeafe8a3cac5582d1c0d74faae59112a2955dae768952aacb65710d6",
+    "report.csv": "5b9d65c4dc126610b68cd0088b09480a9ca6884fcd333552443dbb080dcc2c43",
+    "summary.csv": "0e4da43b66e5e2a2ec15085b7b16565b6f3ce9381fe50aee4f4e6f60b55b0a42",
 }
 
 GOLDEN_TABLES = {
-    "mpe_apo": "39826974320412a6956c23ea15258009b4a6a094d0c78614d5dd35f214aa91ad",
-    "cio_vs_m": "7b747de02587f2a2100bce3e4c36be284bbe385e54a7b92584c303a759d5d120",
-    "apo_vs_m": "c74840eefcb91ea33d26e4f2227059bf222de5d999285ce254907630169b07f0",
-    "kl_norm": "22b3a3f800676d1b61bf3a32fe5c9eea677e4e6570f3967d5871db2de4f45ecd",
-    "mode_compare": "af06ebb34ac374118b91ec46a8b6d0bda15e49d7991db95fdfba95a5d26d217c",
-    "correlations": "81582627e0bcfbe5dd0f2d82a4109690dad19743628660e3819a35f724960729",
-    "apo_vs_time": "3608ff3fad348c994205ef1f1441b1f0dd293d252807fd1955d09fc5824bcf88",
+    "mpe_apo": "d1fffef5104c9aa060c035fd5a6d133576b85cee1982f8cb0899e94c1c6783dd",
+    "cio_vs_m": "f29be73aa6b4477fd004a42fe00b14e45eeb9b99b59597603f64dd661d0ea12b",
+    "apo_vs_m": "92ba8fe2b3cc849d26dfa3e4173663cb614252f598825722f971bc150dc2710d",
+    "kl_norm": "a4f937a896a5f4f0f70cd37cb999ebb5af8f6abc93886786fa0cb888088ddd54",
+    "mode_compare": "e5a7952726c1e5aae7ba17bd66ab9bd6bdf5f2e13e6b6f62d98feb97a55bac06",
+    "correlations": "932ac64d9de100a00fc9bf29fcba1466c1b6f4690ae2befc781c452d8b7fedb7",
+    "apo_vs_time": "ef51cb21ee5b495014ede723da922c0aba0337b006e1bb3661ea132d176d9c63",
 }
 
-GOLDEN_SYNTHETIC = "26c58c5d9fa0c6097eade389b4ddb93995b9a83d4e7d522b85c31ef66e13e233"
+GOLDEN_SYNTHETIC = "de990d214a8ac449c35a6b0981a9805fa04d96c262c3393ddd04b7673eb508a8"
 
 
 def _write_project(root):

@@ -423,12 +423,12 @@ def test_resume_rejects_different_config(mini_run, tmp_path):
 
 
 def test_resume_refuses_a_directory_written_by_another_version(tmp_path, monkeypatch):
-    # 0.2.0 draws each replicate's datasets once for every m, so the cells
-    # of an unchanged config differ from those 0.1.0 wrote.
+    # 0.3.0 breaks PMM distance ties at random, so the CP and CPT cells of
+    # an unchanged config differ from those 0.2.0 wrote.
     pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
     assert f'\nversion = "{synthbench.__version__}"\n' in pyproject
     cfg = load_config(write_project(tmp_path, grid={"synthesizers": [{"base": "S"}], "m": [1]}, k=1))
-    monkeypatch.setattr(synthbench, "__version__", "0.1.0")
+    monkeypatch.setattr(synthbench, "__version__", "0.2.0")
     run_experiment(cfg)
     monkeypatch.undo()
     with pytest.raises(ConfigError, match="fresh output directory"):
@@ -983,9 +983,9 @@ def _huge_x_project(tmp_path, n, bases):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_any_exception_in_a_cell_becomes_an_error_row(tmp_path, capsys):
-    # x of magnitude 1e300 overflows the combining rule's between-variance sum
-    # in the mean-point family, and the design sums of the fit; the other
-    # families of the cell still report.
+    # x of magnitude 1e300 overflows the variance of its mean in the
+    # mean-point family, and the design sums of the fit; the other families
+    # of the cell still report.
     cfg_path, ds = _huge_x_project(tmp_path, 300, ("S", "D"))
     cfg = load_config(cfg_path)
     report, _ = run_experiment(cfg)
@@ -994,7 +994,7 @@ def test_any_exception_in_a_cell_becomes_an_error_row(tmp_path, capsys):
     }
     for e in report.errors:
         assert e.message.startswith(
-            "OverflowError: " if e.stage == "mean_point" else "fit 'f1': "
+            "the mean of column 'x'" if e.stage == "mean_point" else "fit 'f1': "
         ), e
     lines = (cfg.out / "errors.csv").read_text().splitlines()
     assert lines[1].startswith("D,simple,2,0,fit:f1,")
@@ -1093,7 +1093,8 @@ def test_cli_error_exit_codes(tmp_path, capsys):
 
 
 def test_cli_names_a_missing_or_malformed_input(tmp_path, capsys):
-    # Each of these ended in a raw FileNotFoundError or JSONDecodeError traceback.
+    # Each of these ended in a raw FileNotFoundError, JSONDecodeError or
+    # UnicodeDecodeError traceback.
     cfg_path = write_project(tmp_path, grid={"synthesizers": [{"base": "S"}], "m": [1]}, k=1)
 
     def fails_naming(path, *argv):
@@ -1107,8 +1108,10 @@ def test_cli_names_a_missing_or_malformed_input(tmp_path, capsys):
         kept = path.read_bytes()
         path.unlink()
         fails_naming(path, "experiment", "--config", str(cfg_path))
-        if name.endswith(".json"):  # not UTF-8
-            path.write_bytes(b"\xff" + kept)
+        path.write_bytes(b"\xff\xfe" + kept)  # not UTF-8
+        if name == "data.csv":
+            fails_naming(path, "experiment", "--config", str(cfg_path))
+        else:  # a JSON file's error names its role, not its path
             assert main(["experiment", "--config", str(cfg_path)]) == 1
             assert capsys.readouterr().err.startswith("error: ")
         path.write_bytes(kept)

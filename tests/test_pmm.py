@@ -1,8 +1,10 @@
 """Predictive-mean-matching donor search.
 
-``_pmm_pick`` searches a window of 2k sorted candidates per query and hands
-rows where rounding could reorder that window to ``_pmm_pick_exhaustive``,
-the quadratic reference. The two must agree element for element.
+``_donor_places`` finds each query's donors in the sorted fitting
+predictions: the rows strictly nearer than the k-th distance (S) and the
+rows at exactly that distance (T). ``_sets_by_scan`` is the quadratic
+reference that looks at every (query, fitting row) distance; the two must
+name the same rows.
 """
 
 import math
@@ -11,11 +13,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import synthbench.synthesis as synthesis
-from synthbench.dataset import ColumnKind
-from synthbench.models import fit_ols
-from synthbench.models.design import Predictors
-from synthbench.synthesis import _pmm_pick, _pmm_pick_exhaustive
+from synthbench.synthesis import _donor_places, _pmm_pick, build_spec, synthesize
 
 EPS = float(np.finfo(np.float64).eps)
 TINY = 5e-324
@@ -34,7 +32,10 @@ def pmm_cases(draw):
     elif kind == "subnormal":
         pool = [j * TINY for j in range(-4, 5)]
     if kind == "any":
-        fit = draw(st.lists(st.floats(), min_size=nf, max_size=nf))
+        # Fitting predictions are finite: fit_ols refuses a non-finite
+        # residual sum. Queries may be anything.
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        fit = draw(st.lists(finite, min_size=nf, max_size=nf))
     else:
         fit = draw(st.lists(st.sampled_from(pool), min_size=nf, max_size=nf))
     near = st.sampled_from(fit)
@@ -52,24 +53,14 @@ def pmm_cases(draw):
     return np.asarray(fit, dtype=np.float64), np.asarray(query, dtype=np.float64), k, np.asarray(u)
 
 
-def _both(fit, query, k, u):
-    donors = np.arange(fit.shape[0], dtype=np.float64)  # a pick's value is its row id
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (
-            _pmm_pick(fit, donors, query, k, u),
-            _pmm_pick_exhaustive(fit, donors, query, k, u),
-        )
-
-
-def _count_fallback_rows(monkeypatch):
-    rows = []
-
-    def spy(fit_preds, fitting_y, query_preds, k, u):
-        rows.append(query_preds.shape[0])
-        return _pmm_pick_exhaustive(fit_preds, fitting_y, query_preds, k, u)
-
-    monkeypatch.setattr(synthesis, "_pmm_pick_exhaustive", spy)
-    return rows
+def _sets_by_scan(fit, q, k):
+    """S and T of one query, as row sets, from every distance. A NaN query
+    is at no defined distance from any row, so it ties them all."""
+    if np.isnan(q):
+        return set(), set(range(fit.shape[0]))
+    d = np.abs(fit - q)
+    dk = np.sort(d)[k - 1]
+    return set(np.flatnonzero(d < dk).tolist()), set(np.flatnonzero(d == dk).tolist())
 
 
 @settings(max_examples=400, deadline=None)
@@ -83,49 +74,47 @@ def _count_fallback_rows(monkeypatch):
         np.asarray([0.1, 0.4, 0.7, 0.9]),
     )
 )
-# Seen from -3, all three rows round to distance 4, so rows 0 and 1 are the
-# two nearest, though row 2 sorts first by value.
+# Seen from -3, all three rows round to distance 4, though row 2 is the
+# nearest by value: all three are in T.
 @example((np.asarray([1 + EPS, 1 + EPS, 1.0]), np.asarray([-3.0]), 2, np.asarray([0.5])))
 @example((np.asarray([-1 - EPS, -1 - EPS, -1.0]), np.asarray([3.0]), 2, np.asarray([0.5])))
 @example((np.asarray([-TINY, 0.0, TINY, 2 * TINY]), np.asarray([TINY, -0.0]), 2, np.asarray([0.5, 0.9])))
 @example((np.asarray([0.0, 1.0, np.inf, 2.0]), np.asarray([1.5]), 2, np.asarray([0.6])))
 @example((np.asarray([0.0, 1.0, 2.0]), np.asarray([np.nan, 1.0]), 1, np.asarray([0.6, 0.2])))
-def test_windowed_search_equals_exhaustive(case):
-    fast, ref = _both(*case)
-    assert fast.tobytes() == ref.tobytes()
+def test_donor_places_equal_the_scan(case):
+    fit, query, k, u = case
+    order = np.argsort(fit, kind="stable")
+    sv = fit[order]
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, a, b, hi = _donor_places(sv, query, k)
+        picked = _pmm_pick(sv, query, k, u, u[::-1])
+        want = [_sets_by_scan(fit, q, k) for q in query]
+    for i in range(query.shape[0]):
+        assert 0 <= lo[i] <= a[i] <= b[i] <= hi[i] <= fit.shape[0]
+        S = set(order[a[i]:b[i]].tolist())
+        T = set(order[lo[i]:a[i]].tolist()) | set(order[b[i]:hi[i]].tolist())
+        assert (S, T) == want[i]
+        assert len(S) < k <= len(S) + len(T)
+        in_s = min(math.floor(u[i] * k), k - 1) < len(S)
+        assert (order[picked[i]] in S) if in_s else (order[picked[i]] in T)
 
 
-def test_rounding_collapse_goes_to_the_exhaustive_search(monkeypatch):
-    # Viewed from 1e16 or -1e3 every 1 + j*eps rounds to one distance, so
-    # the lowest row ids win, and those hold the largest values.
-    fit = 1.0 + np.arange(12.0)[::-1] * EPS
-    query = np.asarray([1e16, -1e3, 1.0])
-    u = np.asarray([0.0, 0.99, 0.5])
-    fast, ref = _both(fit, query, 5, u)
-    assert fast.tobytes() == ref.tobytes()
-    assert fast[:2].tolist() == [0.0, 4.0]
-    rows = _count_fallback_rows(monkeypatch)
-    _both(fit, query, 5, u)
-    assert rows == [2]
-
-
-def test_categorical_only_predictions_take_no_fallback(monkeypatch):
-    """CP fits numeric columns on categorical predictors, so predictions are
-    heavily tied; exact ties must stay on the windowed path."""
-    rng = np.random.default_rng(11)
-    n = 2000
-    cats = tuple(rng.integers(0, 3, n) for _ in range(3))
-    kind = ColumnKind.categorical(("a", "b", "c"))
-    X = Predictors(("c1", "c2", "c3"), (kind,) * 3, cats)
-    x = rng.uniform(0.0, 1.0, n) + 0.3 * cats[0] - 0.2 * cats[1] + 0.1 * cats[2]
-    lm = fit_ols(X, x)
-    fit = lm.predict(X.cols)
-    assert np.unique(fit).size == 27
-    rows = rng.integers(0, n, n)
-    query = lm.predict(tuple(c[rows] for c in cats))
+def test_ties_are_broken_at_random():
+    # Seen from 1.0 the two rows at 1.0 are nearer than the 5th distance,
+    # and the six rows at 0.0 and 2.0, on both sides, are at it.
+    sv = np.asarray([0.0] * 3 + [1.0] * 2 + [2.0] * 3 + [5.0] * 3)
+    k, s, t, n = 5, 2, 6, 200_000
+    rng = np.random.default_rng(2024)
     u = rng.random(n)
-    ref = _pmm_pick_exhaustive(fit, x, query, 5, u)
-    fallback_rows = _count_fallback_rows(monkeypatch)
-    out = _pmm_pick(fit, x, query, 5, u)
-    assert fallback_rows == []
-    assert out.tobytes() == ref.tobytes()
+    v = rng.random(n)
+    freq = np.bincount(_pmm_pick(sv, np.ones(n), k, u, v), minlength=sv.size) / n
+    want = np.asarray([(k - s) / (k * t)] * 3 + [1 / k] * 2 + [(k - s) / (k * t)] * 3 + [0.0] * 3)
+    # 0.005 is more than 5 binomial sds at these rates and n.
+    assert np.abs(freq - want).max() < 0.005
+
+
+def test_cp_on_fixture_a_keeps_most_values_of_x(fixture_a):
+    # x is CP's first numeric column, predicted from the categoricals
+    # alone, so its predictions take a few dozen distinct values.
+    syn = synthesize(fixture_a, build_spec(fixture_a.schema, "CP", m=1, seed=7)).datasets[0]
+    assert np.unique(syn.column("x")).size > 1000

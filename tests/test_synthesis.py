@@ -333,7 +333,7 @@ def test_spec_validation():
 # and DOT visit the columns out of column order. Each digest covers both
 # datasets (m = 2) on fixture-A.
 ORDER_DIGESTS = {
-    "CPO": "296e2438b6678759b53c048012cbb5d99fdde57ba6ca2472e5c195b78df428b4",
+    "CPO": "4c9e1c3218ea746d1a55c203453093ea87d302685bdf9b238870fd305295b056",
     "CCL": "e088fd1acec4bac199bb57050bfe272f2c0f0d2ca995eba5b4fc67c6020afc1d",
     "DV": "c32a7744bcb3244631ae16fcdbe407307000291010a2ea391bcb10d9bf1e676f",
     "DOT": "c15c8699660a5bddc712cd4ab5b4ef508151631f86c13f6cc074bdfe6db86722",
