@@ -300,8 +300,8 @@ def _donor_places(sv: np.ndarray, q: np.ndarray, k: int):
     ``|sv - q|``, S = [a, b) holds the s < k places strictly nearer than d
     and T = [lo, a) + [b, hi) the t places at exactly d. Rounded distance
     is monotone on each side of the query, so each set is contiguous on
-    each side. A NaN or infinite query is at one distance from every place,
-    so all of them are in T."""
+    each side. An infinite query is at one distance from every place, and
+    a NaN query is taken to be, so all places are in T."""
     n = sv.shape[0]
     q = np.where(np.isnan(q), np.inf, q)
     pos = np.searchsorted(sv, q)
