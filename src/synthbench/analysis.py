@@ -10,7 +10,6 @@ and original-trained models are either both correct or both wrong.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,13 +17,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, JsonFields, read_json
 from .errors import AnalysisError
 from .models.cart import CartProblem, CartTree, fit_cart
 from .models.design import Predictors
 from .synthesis import SyntheticSet
 
 ADHOC_OPS = ("eq", "le", "ge", "lt", "gt")
+_CONDITION_KEYS = ("column", "op", "value")
 
 
 def _classifier_problem(train: Dataset, target: str) -> CartProblem:
@@ -140,27 +140,22 @@ class AdhocPredicate:
 
 def load_adhoc(path: str | Path) -> tuple[AdhocPredicate, ...]:
     """Read ad-hoc predicates from a JSON document (see README grammar)."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as err:
-        raise AnalysisError(f"cannot read adhoc file {path}: {err.strerror}") from err
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
-        raise AnalysisError(f"adhoc file is not valid JSON: {err}") from err
-    if not isinstance(doc, dict) or "analyses" not in doc:
-        raise AnalysisError("adhoc document must be an object with an 'analyses' list")
+    return read_json(path, "adhoc", AnalysisError, _adhoc)
+
+
+def _adhoc(doc) -> tuple[AdhocPredicate, ...]:
+    check = JsonFields(AnalysisError)
+    doc = check.object(doc, "the adhoc document", ("analyses",))
     out = []
-    for entry in doc["analyses"]:
-        try:
-            if not isinstance(entry["id"], str):
-                raise TypeError("id must be a string")
-            conds = tuple(
-                Condition(c["column"], c["op"], c["value"]) for c in entry["conditions"]
-            )
-            out.append(AdhocPredicate(entry["id"], conds))
-        except (KeyError, TypeError) as err:
-            raise AnalysisError(f"bad adhoc entry {entry!r}: {err}") from err
-    ids = [a.id for a in out]
-    if len(set(ids)) != len(ids):
+    for where, entry in check.objects(doc["analyses"], "analyses", ("id", "conditions")):
+        conds = []
+        for at, c in check.objects(entry["conditions"], f"{where}.conditions", _CONDITION_KEYS):
+            if not isinstance(c["value"], str):
+                check.typed(c["value"], float, f"{at}.value")
+            column = check.typed(c["column"], str, f"{at}.column")
+            conds.append(Condition(column, check.typed(c["op"], str, f"{at}.op"), c["value"]))
+        out.append(AdhocPredicate(check.typed(entry["id"], str, f"{where}.id"), tuple(conds)))
+    if len({a.id for a in out}) != len(out):
         raise AnalysisError("duplicate adhoc ids")
     return tuple(out)
 

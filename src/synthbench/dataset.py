@@ -5,6 +5,10 @@ A :class:`Dataset` stores one numpy array per column. Numeric columns are
 set carried by the schema. Cells that were missing in the source file are
 tracked in per-column boolean masks until :func:`replace_missing` fills
 them, so downstream model fitting always sees complete data.
+
+Every JSON input document of the package (config, schema, fit
+specifications, ad-hoc analyses, synthetic-set manifest) is read by
+:func:`read_json` and its fields checked with :class:`JsonFields`.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, SchemaError
+from .errors import DataError, SchemaError, SynthbenchError
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -117,34 +121,24 @@ class Schema:
         return Schema(tuple(cols))
 
     @staticmethod
-    def from_dict(doc: dict) -> Schema:
-        if not isinstance(doc, dict) or "columns" not in doc:
-            raise SchemaError("schema document must be an object with a 'columns' list")
+    def from_dict(doc) -> Schema:
+        """The schema of a JSON document (grammar documented in the README)."""
+        check = JsonFields(SchemaError)
+        doc = check.object(doc, "the schema", ("columns",))
         cols = []
-        for entry in doc["columns"]:
-            if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
-                raise SchemaError(f"bad column entry: {entry!r}")
-            name = entry["name"]
-            kind_tag = entry["kind"]
-            if kind_tag == NUMERIC:
-                kind = ColumnKind.numeric()
-            elif kind_tag == CATEGORICAL:
-                if entry.get("infer", False):
-                    kind = ColumnKind.categorical(None)
-                elif "levels" in entry:
-                    levels = entry["levels"]
-                    if not isinstance(levels, list) or not all(isinstance(v, str) for v in levels):
-                        raise SchemaError(
-                            f"column {name!r}: levels must be a list of strings, got {levels!r}"
-                        )
-                    kind = ColumnKind.categorical(levels)
-                else:
-                    raise SchemaError(
-                        f"categorical column {name!r} needs 'levels' or 'infer': true"
-                    )
+        for where, entry in check.objects(
+            doc["columns"], "columns", ("name", "kind"), ("levels", "infer")
+        ):
+            name = check.typed(entry["name"], str, f"{where}.name")
+            tag = check.typed(entry["kind"], str, f"{where}.kind")
+            infer = check.typed(entry.get("infer", False), bool, f"{where}.infer")
+            if tag != CATEGORICAL or infer:
+                levels = None
+            elif "levels" in entry:
+                levels = check.strings(entry["levels"], f"{where}.levels")
             else:
-                raise SchemaError(f"unknown column kind {kind_tag!r}")
-            cols.append(Column(name, kind))
+                raise SchemaError(f"categorical column {name!r} needs 'levels' or 'infer': true")
+            cols.append(Column(name, ColumnKind(tag, levels)))
         return Schema(tuple(cols))
 
     def to_dict(self) -> dict:
@@ -161,13 +155,84 @@ class Schema:
 
 def load_schema(path: str | Path) -> Schema:
     """Read a schema from a JSON document (grammar documented in the README)."""
+    return read_json(path, "schema", SchemaError, Schema.from_dict)
+
+
+_JSON_TYPES = {
+    bool: "true or false", int: "an integer", float: "a number", str: "a string",
+    list: "a list", dict: "an object",
+}
+
+
+def read_json(path: str | Path, what: str, error: type[SynthbenchError], parse):
+    """``parse`` of the JSON document in the UTF-8 file at ``path``. A file
+    that cannot be read, decoded or parsed, and any synthbench error that
+    ``parse`` raises, is an ``error`` naming the ``what`` file and its path."""
     try:
-        doc = json.loads(Path(path).read_text())
+        data = Path(path).read_bytes()
     except OSError as err:
-        raise SchemaError(f"cannot read schema file {path}: {err.strerror}") from err
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
-        raise SchemaError(f"schema file is not valid JSON: {err}") from err
-    return Schema.from_dict(doc)
+        raise error(f"cannot read {what} file {path}: {err.strerror}") from err
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        raise error(f"{what} file {path}: not UTF-8 text ({err.reason})") from None
+    except json.JSONDecodeError as err:
+        raise error(f"{what} file {path}: not valid JSON ({err})") from None
+    try:
+        return parse(doc)
+    except SynthbenchError as err:
+        raise error(f"{what} file {path}: {err}") from None
+
+
+@dataclass(frozen=True)
+class JsonFields:
+    """The checks on the fields of a JSON input document. A field that
+    fails one is an ``error`` naming its key, ``where``."""
+
+    error: type[SynthbenchError]
+
+    def typed(self, value, kind: type, where: str):
+        """``value`` as ``kind`` when it has that JSON type, where any number
+        serves as a float; true and false are no numbers."""
+        if not isinstance(value, (int, float) if kind is float else kind) or (
+            kind is not bool and isinstance(value, bool)
+        ):
+            raise self.error(f"{where} must be {_JSON_TYPES[kind]}, got {value!r}")
+        return kind(value)
+
+    def strings(self, value, where: str) -> tuple[str, ...]:
+        """``value``, a JSON list of strings, as a tuple. A lone string is an
+        error: it would split into its characters."""
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise self.error(f"{where} must be a list of strings, got {value!r}")
+        return tuple(value)
+
+    def string_map(self, value, where: str) -> dict[str, str]:
+        """``value``, a JSON object whose values are strings, as a dict."""
+        if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
+            raise self.error(f"{where} must be an object of strings, got {value!r}")
+        return dict(value)
+
+    def object(self, value, where: str, required=(), optional=()) -> dict:
+        """``value``, a JSON object that has every key in ``required`` and no
+        key outside ``required`` and ``optional``, as a dict: a misspelt key
+        is an error, not a setting silently left at its default."""
+        value = self.typed(value, dict, where)
+        for key in value:
+            if key not in required and key not in optional:
+                raise self.error(f"unknown key {key!r} in {where}")
+        for key in required:
+            if key not in value:
+                raise self.error(f"{where} lacks the key {key!r}")
+        return value
+
+    def objects(self, value, where: str, required=(), optional=()) -> list[tuple[str, dict]]:
+        """``value``, a JSON list of objects each checked as ``object``
+        checks one, as a list of (where, object) pairs."""
+        return [
+            (f"{where}[{i}]", self.object(v, f"{where}[{i}]", required, optional))
+            for i, v in enumerate(self.typed(value, list, where))
+        ]
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -383,7 +448,10 @@ class NumberText:
         if not self.bits.size:
             return list(map(repr, arr.tolist()))
         bits = arr.view(np.int64)
-        pos = np.minimum(np.searchsorted(self.bits, bits), self.bits.size - 1)
+        # Sorted keys search faster; the places go back to row order.
+        order = np.argsort(bits)
+        pos = np.empty_like(order)
+        pos[order] = np.minimum(np.searchsorted(self.bits, bits[order]), self.bits.size - 1)
         cells = self.texts[pos].tolist()
         missed = np.flatnonzero(self.bits[pos] != bits)
         for i, value in zip(missed.tolist(), arr[missed].tolist()):

@@ -15,7 +15,6 @@ z * sqrt(T)."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, JsonFields, read_json
 from .errors import EstimandError, FitError
 from .models.design import Predictors
 from .models.linear import fit_ols
@@ -136,40 +135,24 @@ class FitSpec:
 
 def load_fitspecs(path: str | Path) -> tuple[FitSpec, ...]:
     """Read fit specifications from a JSON document (see README grammar)."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as err:
-        raise EstimandError(f"cannot read fitspec file {path}: {err.strerror}") from err
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
-        raise EstimandError(f"fitspec file is not valid JSON: {err}") from err
-    if not isinstance(doc, dict) or "fits" not in doc:
-        raise EstimandError("fitspec document must be an object with a 'fits' list")
+    return read_json(path, "fitspec", EstimandError, _fitspecs)
+
+
+def _fitspecs(doc) -> tuple[FitSpec, ...]:
+    check = JsonFields(EstimandError)
+    doc = check.object(doc, "the fitspecs", ("fits",))
     fits = []
-    for entry in doc["fits"]:
-        if not isinstance(entry, dict):
-            raise EstimandError(f"bad fit entry {entry!r}: not an object")
-        predictors = entry.get("predictors")
-        if not (isinstance(predictors, list) and predictors
-                and all(isinstance(v, str) for v in predictors)):
-            raise EstimandError(
-                f"fit {entry.get('id')!r}: predictors must be a non-empty list of strings, "
-                f"got {predictors!r}"
-            )
-        try:
-            if not isinstance(entry["id"], str):
-                raise TypeError("id must be a string")
-            fits.append(
-                FitSpec(
-                    id=entry["id"],
-                    family=entry["family"],
-                    target=entry["target"],
-                    predictors=tuple(predictors),
-                )
-            )
-        except (KeyError, TypeError) as err:
-            raise EstimandError(f"bad fit entry {entry!r}: {err}") from err
-    ids = [f.id for f in fits]
-    if len(set(ids)) != len(ids):
+    entries = check.objects(doc["fits"], "fits", ("id", "family", "target"), ("predictors",))
+    for where, entry in entries:
+        fit_id = check.typed(entry["id"], str, f"{where}.id")
+        named = f"fit {fit_id!r}: predictors"
+        predictors = check.strings(entry.get("predictors", []), named)
+        if not predictors:
+            raise EstimandError(f"{named} must be a non-empty list of strings, got []")
+        family = check.typed(entry["family"], str, f"{where}.family")
+        target = check.typed(entry["target"], str, f"{where}.target")
+        fits.append(FitSpec(fit_id, family, target, predictors))
+    if len({f.id for f in fits}) != len(fits):
         raise EstimandError("duplicate fit ids")
     return tuple(fits)
 

@@ -41,6 +41,7 @@ from .analysis import (
 from .dataset import (
     DEFAULT_MISSING_TOKENS,
     Dataset,
+    JsonFields,
     LevelMapping,
     NumberText,
     Schema,
@@ -49,6 +50,7 @@ from .dataset import (
     head_n,
     load_csv,
     load_schema,
+    read_json,
     replace_missing,
 )
 from .errors import ConfigError, MetricError, SynthbenchError
@@ -167,63 +169,21 @@ def _file_sha256(path: Path) -> str:
         raise ConfigError(f"cannot read input file {path}: {err}") from err
 
 
-_JSON_TYPES = {
-    bool: "true or false", int: "an integer", float: "a number", str: "a string", dict: "an object"
-}
-
-
-def _typed(value, kind: type, where: str):
-    """``value`` as ``kind`` when it has that JSON type, where any number
-    serves as a float; true and false are no numbers."""
-    if not isinstance(value, (int, float) if kind is float else kind) or (
-        kind is not bool and isinstance(value, bool)
-    ):
-        raise ConfigError(f"{where} must be {_JSON_TYPES[kind]}, got {value!r}")
-    return kind(value)
-
-
-def _strings(section: dict, key: str, default, where: str = ""):
-    """``section[key]``, a JSON list of strings, as a tuple; ``default`` when
-    absent. A lone string is an error: it would split into its characters."""
-    if key not in section:
-        return default
-    value = section[key]
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ConfigError(f"{where}{key} must be a list of strings, got {value!r}")
-    return tuple(value)
-
-
-def _string_map(value, where: str) -> dict[str, str]:
-    """``value``, a JSON object whose values are strings, as a dict."""
-    if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
-        raise ConfigError(f"{where} must be an object of strings, got {value!r}")
-    return dict(value)
-
-
-def _object(value, where: str, keys) -> dict:
-    """``value``, a JSON object whose keys all lie in ``keys``, as a dict: a
-    misspelt key is an error, not a setting silently left at its default."""
-    value = _typed(value, dict, where)
-    for key in value:
-        if key not in keys:
-            raise ConfigError(f"unknown key {key!r} in {where}")
-    return value
-
-
-# The keys of each object of a config document (README shows them all). Each
-# flat metrics key is the MetricSettings field of the same name.
-_TOP_KEYS = (
-    "dataset", "schema", "fitspecs", "adhoc", "grid", "k", "seed", "out", "metrics",
-    "preprocess", "missing_tokens", "pmm_k", "min_leaf",
+# The keys of each object of a config document (README shows them all): the
+# ones it must have, then the others. Each flat metrics key is the
+# MetricSettings field of the same name.
+_TOP_KEYS = ("dataset", "schema", "grid"), (
+    "fitspecs", "adhoc", "k", "seed", "out", "metrics", "preprocess", "missing_tokens", "pmm_k",
+    "min_leaf",
 )
-_GRID_KEYS = ("synthesizers", "m", "proper", "predictor_modes", "selective")
-_ENTRY_KEYS = ("base", "order", "own_order")
-_METRICS_KEYS = ("classification", *(
+_GRID_KEYS = ("synthesizers", "m"), ("proper", "predictor_modes", "selective")
+_ENTRY_KEYS = ("base",), ("order", "own_order")
+_METRICS_KEYS = (), ("classification", *(
     f.name for f in fields(MetricSettings) if not f.name.startswith("classification_")
 ))
-_CLASSIFICATION_KEYS = ("target", "test_fraction")
-_PREPROCESS_KEYS = ("drop", "coarsen", "head_n", "missing_seed")
-_COARSEN_KEYS = ("column", "mapping")
+_CLF_KEYS = (), ("target", "test_fraction")
+_PREPROCESS_KEYS = (), ("drop", "coarsen", "head_n", "missing_seed")
+_COARSEN_KEYS = ("column", "mapping"), ()
 
 
 def load_config(path: str | Path, *, seed: int | None = None, out: str | Path | None = None) -> ExperimentConfig:
@@ -232,90 +192,82 @@ def load_config(path: str | Path, *, seed: int | None = None, out: str | Path | 
     Relative paths inside the file resolve against the file's directory.
     ``seed``/``out`` override the file's values.
     """
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as err:
-        raise ConfigError(f"cannot read config file {path}: {err.strerror}") from err
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
-        raise ConfigError(f"config file is not valid JSON: {err}") from err
-    base_dir = path.parent
+    path, check = Path(path), JsonFields(ConfigError)
 
-    def resolve(p) -> Path:
-        p = Path(p)
-        return p if p.is_absolute() else base_dir / p
+    def resolve(p, where: str) -> Path:
+        p = Path(check.typed(p, str, where))
+        return p if p.is_absolute() else path.parent / p
 
-    try:
-        doc = _object(doc, "the config", _TOP_KEYS)
-        grid = _object(doc["grid"], "grid", _GRID_KEYS)
-        synths = [
-            _object(s, f"grid.synthesizers[{i}]", _ENTRY_KEYS)
-            for i, s in enumerate(grid["synthesizers"])
-        ]
-        entries = tuple(
-            SynthesizerEntry(
-                base=s["base"],
-                order=s.get("order", "original"),
-                own_order=_strings(s, "own_order", None),
-            )
-            for s in synths
-        )
-        sel = _typed(grid.get("selective") or {}, dict, "grid.selective")
-        met = _object(doc.get("metrics", {}), "metrics", _METRICS_KEYS)
-        clf = _object(met.get("classification", {}), "metrics.classification", _CLASSIFICATION_KEYS)
-        fraction = clf.get("test_fraction")
-        settings = MetricSettings(
-            classification_target=clf.get("target"),
-            classification_test_fraction=None if fraction is None else _typed(
-                fraction, float, "metrics.classification.test_fraction"
-            ),
-            **{
-                f.name: _typed(met[f.name], type(f.default), f"metrics.{f.name}")
-                for f in fields(MetricSettings)
-                if f.name in met and not f.name.startswith("classification_")
-            },
-        )
-        pre = _object(doc.get("preprocess", {}), "preprocess", _PREPROCESS_KEYS)
-        coarsen = tuple(
-            LevelMapping(
-                _typed(c["column"], str, "preprocess.coarsen.column"),
-                _string_map(c["mapping"], "preprocess.coarsen.mapping"),
-            )
-            for c in (
-                _object(c, f"preprocess.coarsen[{i}]", _COARSEN_KEYS)
-                for i, c in enumerate(pre.get("coarsen", ()))
-            )
-        )
+    def parse(doc) -> ExperimentConfig:
+        doc = check.object(doc, "the config", *_TOP_KEYS)
+        grid = check.object(doc["grid"], "grid", *_GRID_KEYS)
+        met = check.object(doc.get("metrics", {}), "metrics", *_METRICS_KEYS)
+        clf = check.object(met.get("classification", {}), "metrics.classification", *_CLF_KEYS)
+        target, fraction = clf.get("target"), clf.get("test_fraction")
+        pre = check.object(doc.get("preprocess", {}), "preprocess", *_PREPROCESS_KEYS)
+        sel = check.typed(grid.get("selective", {}), dict, "grid.selective")
+        synths = check.objects(grid["synthesizers"], "grid.synthesizers", *_ENTRY_KEYS)
+        coarsen = check.objects(pre.get("coarsen", []), "preprocess.coarsen", *_COARSEN_KEYS)
         cfg = ExperimentConfig(
-            dataset=resolve(doc["dataset"]),
-            schema=resolve(doc["schema"]),
-            synthesizers=entries,
-            m_list=tuple(_typed(m, int, "grid.m") for m in grid["m"]),
+            dataset=resolve(doc["dataset"], "dataset"),
+            schema=resolve(doc["schema"], "schema"),
+            synthesizers=tuple(
+                SynthesizerEntry(
+                    check.typed(s["base"], str, f"{at}.base"),
+                    check.typed(s.get("order", "original"), str, f"{at}.order"),
+                    None if "own_order" not in s
+                    else check.strings(s["own_order"], f"{at}.own_order"),
+                )
+                for at, s in synths
+            ),
+            m_list=tuple(
+                check.typed(m, int, "grid.m") for m in check.typed(grid["m"], list, "grid.m")
+            ),
             proper_variants=tuple(
-                _typed(b, bool, "grid.proper") for b in grid.get("proper", [False])
+                check.typed(b, bool, "grid.proper")
+                for b in check.typed(grid.get("proper", [False]), list, "grid.proper")
             ),
-            predictor_modes=_strings(grid, "predictor_modes", ("simple",), "grid."),
-            selective={k: _strings(sel, k, None, "grid.selective.") for k in sel} or None,
-            k=_typed(doc.get("k", 5), int, "k"),
-            seed=int(seed) if seed is not None else _typed(doc.get("seed", 0), int, "seed"),
-            out=Path(out) if out is not None else resolve(doc.get("out", "results")),
-            fitspecs=resolve(doc["fitspecs"]) if doc.get("fitspecs") else None,
-            adhoc=resolve(doc["adhoc"]) if doc.get("adhoc") else None,
-            metrics=settings,
-            missing_tokens=_strings(doc, "missing_tokens", DEFAULT_MISSING_TOKENS),
-            drop=_strings(pre, "drop", (), "preprocess."),
-            coarsen=coarsen,
-            head=None if pre.get("head_n") is None else _typed(
-                pre["head_n"], int, "preprocess.head_n"
+            predictor_modes=check.strings(
+                grid.get("predictor_modes", ["simple"]), "grid.predictor_modes"
             ),
-            missing_seed=_typed(pre.get("missing_seed", 0), int, "preprocess.missing_seed"),
-            pmm_k=_typed(doc.get("pmm_k", 5), int, "pmm_k"),
-            min_leaf=_typed(doc.get("min_leaf", 5), int, "min_leaf"),
+            selective={k: check.strings(v, f"grid.selective.{k}") for k, v in sel.items()} or None,
+            k=check.typed(doc.get("k", 5), int, "k"),
+            seed=int(seed) if seed is not None else check.typed(doc.get("seed", 0), int, "seed"),
+            out=Path(out) if out is not None else resolve(doc.get("out", "results"), "out"),
+            fitspecs=resolve(doc["fitspecs"], "fitspecs") if "fitspecs" in doc else None,
+            adhoc=resolve(doc["adhoc"], "adhoc") if "adhoc" in doc else None,
+            metrics=MetricSettings(
+                classification_target=None if target is None
+                else check.typed(target, str, "metrics.classification.target"),
+                classification_test_fraction=None if fraction is None
+                else check.typed(fraction, float, "metrics.classification.test_fraction"),
+                **{
+                    f.name: check.typed(met[f.name], type(f.default), f"metrics.{f.name}")
+                    for f in fields(MetricSettings)
+                    if f.name in met and not f.name.startswith("classification_")
+                },
+            ),
+            missing_tokens=check.strings(
+                doc.get("missing_tokens", list(DEFAULT_MISSING_TOKENS)), "missing_tokens"
+            ),
+            drop=check.strings(pre.get("drop", []), "preprocess.drop"),
+            coarsen=tuple(
+                LevelMapping(
+                    check.typed(c["column"], str, "preprocess.coarsen.column"),
+                    check.string_map(c["mapping"], "preprocess.coarsen.mapping"),
+                )
+                for _, c in coarsen
+            ),
+            head=None if pre.get("head_n") is None
+            else check.typed(pre["head_n"], int, "preprocess.head_n"),
+            missing_seed=check.typed(pre.get("missing_seed", 0), int, "preprocess.missing_seed"),
+            pmm_k=check.typed(doc.get("pmm_k", 5), int, "pmm_k"),
+            min_leaf=check.typed(doc.get("min_leaf", 5), int, "min_leaf"),
         )
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigError(f"bad config document: {err}") from err
-    _validate_config(cfg)
-    return cfg
+        _validate_config(cfg)
+        return cfg
+
+    return read_json(path, "config", ConfigError, parse)
 
 
 def _validate_config(cfg: ExperimentConfig) -> None:
@@ -326,12 +278,6 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"unknown synthesis order {e.order!r}")
         if e.order == "own" and not e.own_order:
             raise ConfigError("order 'own' needs own_order")
-    if cfg.k < 1:
-        raise ConfigError(f"k must be >= 1, got {cfg.k}")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be non-negative")
-    if cfg.head is not None and cfg.head < 1:
-        raise ConfigError(f"preprocess.head_n must be >= 1, got {cfg.head}")
     if not cfg.m_list or any(m < 1 for m in cfg.m_list):
         raise ConfigError("grid.m must be a non-empty list of integers >= 1")
     if len(set(cfg.m_list)) != len(cfg.m_list):
@@ -359,13 +305,14 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             "kl_normalize needs the independent-sampling baseline: add base 'S' "
             "(non-proper) to the grid"
         )
-    fraction = cfg.metrics.classification_test_fraction
-    if fraction is not None and not 0.0 < fraction < 1.0:
-        raise ConfigError(
-            f"metrics.classification.test_fraction must lie in (0, 1), got {fraction}"
-        )
-    met = cfg.metrics
+    met, head = cfg.metrics, cfg.head
+    fraction = met.classification_test_fraction
     for where, value, ok, rule in (
+        ("k", cfg.k, cfg.k >= 1, "be >= 1"),
+        ("seed", cfg.seed, cfg.seed >= 0, "be >= 0"),
+        ("preprocess.head_n", head, head is None or head >= 1, "be >= 1"),
+        ("metrics.classification.test_fraction", fraction,
+         fraction is None or 0.0 < fraction < 1.0, "lie in (0, 1)"),
         ("metrics.ci_level", met.ci_level, 0.0 < met.ci_level < 1.0, "lie in (0, 1)"),
         ("metrics.apo_threshold", met.apo_threshold, 0.0 <= met.apo_threshold <= 1.0, "lie in [0, 1]"),
         ("metrics.kl_bins", met.kl_bins, met.kl_bins >= 2, "be >= 2"),

@@ -35,7 +35,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .dataset import Dataset, NumberText, Schema, load_csv, write_csv
+from .dataset import Dataset, JsonFields, NumberText, Schema, load_csv, read_json, write_csv
 from .errors import DataError, FitError, SpecError, SynthesisError
 from .models.cart import CartProblem, CartTree, draw_donor_rows, fit_cart
 from .models.contingency import JointTable, draw_tuples, fit_joint_table
@@ -647,17 +647,9 @@ def save_synthetic_set(
 
 def load_synthetic_set(in_dir: str | Path, schema: Schema) -> SyntheticSet:
     src = Path(in_dir)
-    manifest_path = src / "manifest.json"
-    if not manifest_path.exists():
-        raise SynthesisError(f"{src} has no manifest.json")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except (OSError, ValueError) as err:
-        raise SynthesisError(f"cannot read manifest {manifest_path}: {err}") from err
-    if not (isinstance(manifest, dict) and {"m", "label", "seed", "wall_times"} <= manifest.keys()):
-        raise SynthesisError(f"{manifest_path} lacks one of m, label, seed and wall_times")
+    label, seed, m, times = read_json(src / "manifest.json", "manifest", SynthesisError, _manifest)
     datasets = []
-    for i in range(int(manifest["m"])):
+    for i in range(m):
         # No missing tokens: every written cell is a value, even a level
         # spelled "NA" or "". Only a field absent from a row is missing.
         path = src / f"ds{i:03d}.csv"
@@ -665,9 +657,16 @@ def load_synthetic_set(in_dir: str | Path, schema: Schema) -> SyntheticSet:
         if ds.has_missing:
             raise DataError(f"{path}: a synthetic dataset has missing cells")
         datasets.append(ds)
-    return SyntheticSet(
-        label=manifest["label"],
-        seed=int(manifest["seed"]),
-        datasets=tuple(datasets),
-        wall_times=tuple(float(t) for t in manifest["wall_times"]),
-    )
+    return SyntheticSet(label, seed, tuple(datasets), times)
+
+
+def _manifest(doc) -> tuple[str, int, int, tuple[float, ...]]:
+    """The label, seed, m and wall times of a synthetic set's manifest."""
+    check = JsonFields(SynthesisError)
+    doc = check.object(doc, "the manifest", ("label", "seed", "m", "wall_times"))
+    label = check.typed(doc["label"], str, "label")
+    seed, m = check.typed(doc["seed"], int, "seed"), check.typed(doc["m"], int, "m")
+    times = check.typed(doc["wall_times"], list, "wall_times")
+    if m < 1 or len(times) != m:
+        raise SynthesisError(f"m must be >= 1 and match wall_times, got {m} and {len(times)}")
+    return label, seed, m, tuple(check.typed(t, float, "wall_times") for t in times)

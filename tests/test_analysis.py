@@ -141,6 +141,13 @@ def test_load_adhoc_round_trip(tmp_path):
     path.write_text(json.dumps({"analyses": [{"conditions": []}]}))
     with pytest.raises(AnalysisError):
         load_adhoc(path)
+    # a key outside the grammar is an error naming it, not a note left unread
+    doc["analyses"][0]["conditions"][0]["note"] = "upper half"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(
+        AnalysisError, match=r"adhoc\.json: unknown key 'note' in analyses\[0\]\.conditions\[0\]$"
+    ):
+        load_adhoc(path)
 
 
 def test_adhoc_ids_must_be_strings(tmp_path):

@@ -53,6 +53,11 @@ def test_schema_json_round_trip(tmp_path):
     assert schema.kind("c").levels == ("x", "y")
     assert schema.kind("d").levels is None  # inferred at load time
     assert Schema.from_dict(schema.to_dict()).names == schema.names
+    # a key outside the grammar is an error naming it, not a note left unread
+    doc["columns"][1]["note"] = "coded 0/1"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=r"schema\.json: unknown key 'note' in columns\[1\]$"):
+        load_schema(path)
 
 
 @pytest.mark.parametrize("levels", ["yes", ["yes", 1], {"yes": 1}])

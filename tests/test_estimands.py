@@ -238,6 +238,11 @@ def test_load_fitspecs_validation(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(EstimandError):
             load_fitspecs(path)
+    # a key outside the grammar is an error naming it, not a note left unread
+    good["fits"][0]["note"] = "simple regression"
+    path.write_text(json.dumps(good))
+    with pytest.raises(EstimandError, match=r"fits\.json: unknown key 'note' in fits\[0\]$"):
+        load_fitspecs(path)
 
 
 def test_a_fit_needs_predictors(tmp_path):

@@ -23,7 +23,10 @@ import synthbench.synthesis as synthesis
 from synthbench.cli import main
 from synthbench.dataset import ColumnKind, Dataset, LevelMapping, write_csv
 from synthbench.analysis import load_adhoc
-from synthbench.errors import ConfigError, MetricError
+from synthbench.errors import (
+    AnalysisError, ConfigError, DataError, EstimandError, MetricError, SchemaError,
+    SynthesisError,
+)
 from synthbench.estimands import load_fitspecs
 from synthbench.metrics import UtilityReport, kl_divergence
 from synthbench.models import CartProblem, Predictors, fit_cart, fit_logistic
@@ -175,6 +178,11 @@ def test_load_config_validation(tmp_path):
         load_config(write_cfg(lambda d: d["metrics"]["classification"].update(test_fraction=1.5)))
     with pytest.raises(ConfigError, match="metrics.ci_level must be a number"):
         load_config(write_cfg(lambda d: d["metrics"].update(ci_level="0.9")))
+    # null or an empty list is no object, and null no path
+    with pytest.raises(ConfigError, match="grid.selective must be an object, got \\[\\]"):
+        load_config(write_cfg(lambda d: d["grid"].update(selective=[])))
+    with pytest.raises(ConfigError, match="fitspecs must be a string, got None"):
+        load_config(write_cfg(lambda d: d.update(fitspecs=None)))
     # a lone string is no list: "NA" must not split into the tokens "N" and "A"
     for mutate, where in (
         (lambda d: d.update(missing_tokens="NA"), "missing_tokens"),
@@ -1093,8 +1101,9 @@ def test_cli_error_exit_codes(tmp_path, capsys):
 
 
 def test_cli_names_a_missing_or_malformed_input(tmp_path, capsys):
-    # Each of these ended in a raw FileNotFoundError, JSONDecodeError or
-    # UnicodeDecodeError traceback.
+    # Each of these ended in a raw FileNotFoundError, JSONDecodeError,
+    # UnicodeDecodeError or ValueError traceback, or named the file's role
+    # but not its path; a manifest seed "7" was taken for 7.
     cfg_path = write_project(tmp_path, grid={"synthesizers": [{"base": "S"}], "m": [1]}, k=1)
 
     def fails_naming(path, *argv):
@@ -1109,11 +1118,7 @@ def test_cli_names_a_missing_or_malformed_input(tmp_path, capsys):
         path.unlink()
         fails_naming(path, "experiment", "--config", str(cfg_path))
         path.write_bytes(b"\xff\xfe" + kept)  # not UTF-8
-        if name == "data.csv":
-            fails_naming(path, "experiment", "--config", str(cfg_path))
-        else:  # a JSON file's error names its role, not its path
-            assert main(["experiment", "--config", str(cfg_path)]) == 1
-            assert capsys.readouterr().err.startswith("error: ")
+        fails_naming(path, "experiment", "--config", str(cfg_path))
         path.write_bytes(kept)
 
     gen = tmp_path / "gen"
@@ -1123,10 +1128,119 @@ def test_cli_names_a_missing_or_malformed_input(tmp_path, capsys):
                 str(tmp_path / "eval"))
     manifest = gen / "manifest.json"
     doc = json.loads(manifest.read_text())
-    for text in ("{not json", "[1]", *(json.dumps({k: v for k, v in doc.items() if k != key})
-                                       for key in ("m", "label", "seed", "wall_times"))):
+    for text in (
+        "{not json", "[1]",
+        *(json.dumps({k: v for k, v in doc.items() if k != key})
+          for key in ("m", "label", "seed", "wall_times")),
+        *(json.dumps({**doc, key: value})
+          for key, value in (
+              ("m", "abc"), ("wall_times", ["x"]), ("seed", "7"), ("m", 0),
+              ("wall_times", [0.1, 0.2]),
+          )),
+    ):
         manifest.write_text(text)
         fails_naming(manifest, *evaluate)
     manifest.write_text(json.dumps(doc))
     (gen / "ds000.csv").unlink()
     fails_naming(gen / "ds000.csv", *evaluate)
+
+
+def _retyped(doc: dict, *route, value) -> dict:
+    """A copy of ``doc`` with ``value`` at ``route``, which may end in a new key."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for step in route[:-1]:
+        target = target[step]
+    target[route[-1]] = value
+    return doc
+
+
+def test_cli_names_the_path_of_every_faulty_json_input(tmp_path, capsys):
+    # Every JSON input document is read under one rule: a fault is an input
+    # error (exit 1) naming the file's path, and the key when there is one.
+    cfg_path = write_project(tmp_path, grid={"synthesizers": [{"base": "S"}], "m": [1]}, k=1)
+    experiment = ("experiment", "--config", str(cfg_path))
+    gen = tmp_path / "gen"
+    assert main(["generate", "--config", str(cfg_path), "--spec", "S", "--m", "1",
+                 "--out", str(gen)]) == 0
+    capsys.readouterr()
+    evaluate = ("evaluate", "--config", str(cfg_path), "--syn", str(gen), "--out",
+                str(tmp_path / "eval"))
+    cases = (
+        (cfg_path, experiment, ("grid", "synthesizers", 0), ("pmm_k",), "5"),
+        (tmp_path / "schema.json", experiment, ("columns", 2), ("columns", 0, "name"), 1),
+        (tmp_path / "fits.json", experiment, ("fits", 0), ("fits", 0, "target"), ["y"]),
+        (
+            tmp_path / "adhoc.json", experiment, ("analyses", 0, "conditions", 0),
+            ("analyses", 0, "conditions", 0, "op"), 1,
+        ),
+        (gen / "manifest.json", evaluate, (), ("m",), "abc"),
+    )
+    for path, argv, stray_at, retype_at, value in cases:
+        kept = path.read_bytes()
+        doc = json.loads(kept)
+        faults = (
+            ("missing", None, ""),
+            ("a directory", None, ""),
+            ("not UTF-8", b"\xff\xfe" + kept, "not UTF-8"),
+            ("not JSON", b"{not json", "not valid JSON"),
+            (
+                "unknown key", json.dumps(_retyped(doc, *stray_at, "note", value="x")).encode(),
+                "'note'",
+            ),
+            (
+                "wrong type", json.dumps(_retyped(doc, *retype_at, value=value)).encode(),
+                str(retype_at[-1]),
+            ),
+        )
+        for fault, data, says in faults:
+            path.unlink()
+            if fault == "a directory":
+                path.mkdir()
+            elif data is not None:
+                path.write_bytes(data)
+            assert main(list(argv)) == 1, (path.name, fault)
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(path) in err and says in err, (fault, err)
+            if path.is_dir():
+                path.rmdir()
+            path.write_bytes(kept)
+
+
+@pytest.mark.parametrize("name", ["config", "schema", "fits", "adhoc", "manifest"])
+def test_a_json_field_of_any_type_loads_or_is_the_readers_error(tmp_path, name):
+    # Each leaf of each input document takes a value of every JSON type in
+    # turn; the document loads or its reader raises its own error, never a
+    # raw TypeError, KeyError or ValueError.
+    cfg_path = write_project(tmp_path, grid={"synthesizers": [{"base": "S"}], "m": [1]}, k=1)
+    original = make_fixture_a(20, seed=1)
+    synthesis.save_synthetic_set(
+        synthesize(original, build_spec(original.schema, "S", m=1, seed=1)), tmp_path / "gen"
+    )
+    path, load, error = {
+        "config": (cfg_path, load_config, ConfigError),
+        "schema": (tmp_path / "schema.json", harness.load_schema, SchemaError),
+        "fits": (tmp_path / "fits.json", load_fitspecs, EstimandError),
+        "adhoc": (tmp_path / "adhoc.json", load_adhoc, AnalysisError),
+        "manifest": (
+            tmp_path / "gen" / "manifest.json",
+            # a changed m names a dataset file that is not there
+            lambda p: load_synthetic_set(p.parent, original.schema), (SynthesisError, DataError),
+        ),
+    }[name]
+    doc = json.loads(path.read_text())
+
+    def leaves(node, route=()):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            if isinstance(value, (dict, list)) and value:
+                yield from leaves(value, (*route, key))
+            yield (*route, key)
+
+    for route in leaves(doc):
+        for value in (None, True, 2, 0.5, "s", [], {}):
+            path.write_text(json.dumps(_retyped(doc, *route, value=value)))
+            try:
+                load(path)
+            except error:
+                pass
