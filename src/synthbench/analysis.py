@@ -23,7 +23,15 @@ from .models.cart import CartProblem, CartTree, fit_cart
 from .models.design import Predictors
 from .synthesis import SyntheticSet
 
-ADHOC_OPS = ("eq", "le", "ge", "lt", "gt")
+# Each ad-hoc operator's comparison of a numeric column with a value.
+_ADHOC_COMPARE = {
+    "eq": np.equal,
+    "le": np.less_equal,
+    "ge": np.greater_equal,
+    "lt": np.less,
+    "gt": np.greater,
+}
+ADHOC_OPS = tuple(_ADHOC_COMPARE)
 _CONDITION_KEYS = ("column", "op", "value")
 
 
@@ -185,16 +193,7 @@ def adhoc_proportion(ds: Dataset, predicate: AdhocPredicate) -> float:
                 raise AnalysisError(
                     f"condition on numeric column {cond.column!r} needs a number"
                 ) from None
-            if cond.op == "eq":
-                keep &= col == v
-            elif cond.op == "le":
-                keep &= col <= v
-            elif cond.op == "ge":
-                keep &= col >= v
-            elif cond.op == "lt":
-                keep &= col < v
-            else:
-                keep &= col > v
+            keep &= _ADHOC_COMPARE[cond.op](col, v)
     return float(keep.mean())
 
 

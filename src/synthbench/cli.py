@@ -11,19 +11,19 @@ import math
 import sys
 from pathlib import Path
 
-from .analysis import load_adhoc
 from .dataset import NumberText
 from .errors import ConfigError, SynthbenchError
-from .estimands import load_fitspecs
 from .harness import (
     emit_tables,
     grid_specs,
     load_config,
+    load_metric_inputs,
     load_original,
     metric_rows,
     read_report,
     read_timings,
     run_experiment,
+    write_report,
 )
 from .metrics import UtilityReport
 from .synthesis import load_synthetic_set, save_synthetic_set, synthesize
@@ -85,8 +85,9 @@ def _cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
     original = load_original(cfg)
     sset = load_synthetic_set(args.syn, original.schema)
-    fits = load_fitspecs(cfg.fitspecs) if (cfg.metrics.regression and cfg.fitspecs) else ()
-    predicates = load_adhoc(cfg.adhoc) if (cfg.metrics.adhoc and cfg.adhoc) else ()
+    if cfg.metrics.rule == "Tp" and sset.m < 2:
+        raise ConfigError(f"rule Tp needs at least two datasets; {args.syn} holds m = {sset.m}")
+    fits, predicates = load_metric_inputs(cfg)
     rows, errors = metric_rows(original, sset, cfg.metrics, fits, predicates)
     report = UtilityReport()
     for metric, scope, value in rows[sset.m]:
@@ -95,9 +96,7 @@ def _cmd_evaluate(args) -> int:
         report.add_error(sset.label, "simple", sset.m, 0, stage, message)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    from .harness import _write_report_files
-
-    _write_report_files(report, out)
+    write_report(report, out)
     print(f"evaluated {sset.label} (m={sset.m}); report in {out}")
     return 2 if errors else 0
 

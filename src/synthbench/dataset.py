@@ -313,7 +313,7 @@ def load_csv(
     path: str | Path,
     schema: Schema,
     missing_tokens: tuple[str, ...] = DEFAULT_MISSING_TOKENS,
-) -> tuple[Dataset, Schema]:
+) -> Dataset:
     """Parse an RFC-4180 CSV with a header row against ``schema``.
 
     The file is UTF-8. The header must contain exactly the schema's column
@@ -321,8 +321,7 @@ def load_csv(
     columns; in a one-column file a blank line is an empty cell. Cells equal
     to a missing token, and fields a short row lacks, are flagged missing.
     Categorical columns marked "infer" get their level set from the data in
-    first-appearance order. Returns the dataset and the (possibly
-    concretised) schema.
+    first-appearance order, which the dataset's schema records.
     """
     missing_set = set(missing_tokens)
     try:
@@ -402,8 +401,7 @@ def load_csv(
         out_cols.append(values)
         out_masks.append(mask if mask.any() else None)
 
-    ds = Dataset(out_schema, tuple(out_cols), tuple(out_masks))
-    return ds, out_schema
+    return Dataset(out_schema, tuple(out_cols), tuple(out_masks))
 
 
 def _csv_fields(texts) -> list[str]:

@@ -55,6 +55,7 @@ from .dataset import (
 )
 from .errors import ConfigError, MetricError, SynthbenchError
 from .estimands import (
+    RULES,
     FitSpec,
     combine,
     load_fitspecs,
@@ -295,7 +296,7 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"unknown predictor mode {mode!r}")
     if "selective" in cfg.predictor_modes and not cfg.selective:
         raise ConfigError("predictor mode 'selective' needs grid.selective")
-    if cfg.metrics.rule not in ("Ts", "Tp"):
+    if cfg.metrics.rule not in RULES:
         raise ConfigError(f"unknown combining rule {cfg.metrics.rule!r}")
     if cfg.metrics.rule == "Tp" and any(m < 2 for m in cfg.m_list):
         raise ConfigError("rule Tp needs every m >= 2")
@@ -331,17 +332,28 @@ def _validate_config(cfg: ExperimentConfig) -> None:
 
 def load_original(cfg: ExperimentConfig) -> Dataset:
     """Load and preprocess the original data: drop, coarsen, head, then fill
-    missing cells by resampling observed values."""
-    schema = load_schema(cfg.schema)
-    ds, _ = load_csv(cfg.dataset, schema, cfg.missing_tokens)
+    missing cells by resampling observed values. A classification target
+    that is not a column of the result is a ``ConfigError``."""
+    ds = load_csv(cfg.dataset, load_schema(cfg.schema), cfg.missing_tokens)
     for name in cfg.drop:
         ds = drop_column(ds, name)
     for mapping in cfg.coarsen:
         ds = coarsen_levels(ds, mapping)
     if cfg.head is not None:
         ds = head_n(ds, cfg.head)
-    ds = replace_missing(ds, cfg.missing_seed)
-    return ds
+    target = cfg.metrics.classification_target
+    if target is not None and target not in ds.schema.names:
+        raise ConfigError(
+            f"classification target {target!r} is not a column of the preprocessed data"
+        )
+    return replace_missing(ds, cfg.missing_seed)
+
+
+def load_metric_inputs(cfg: ExperimentConfig) -> tuple[tuple[FitSpec, ...], tuple[AdhocPredicate, ...]]:
+    """The fits and ad-hoc predicates that ``cfg``'s metrics score; none while a metric is off."""
+    fits = load_fitspecs(cfg.fitspecs) if (cfg.metrics.regression and cfg.fitspecs) else ()
+    predicates = load_adhoc(cfg.adhoc) if (cfg.metrics.adhoc and cfg.adhoc) else ()
+    return fits, predicates
 
 
 @dataclass(frozen=True)
@@ -727,13 +739,7 @@ def run_experiment(
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")
     original = load_original(cfg)
-    target = cfg.metrics.classification_target
-    if target is not None and target not in original.schema.names:
-        raise ConfigError(
-            f"classification target {target!r} is not a column of the preprocessed data"
-        )
-    fits = load_fitspecs(cfg.fitspecs) if (cfg.metrics.regression and cfg.fitspecs) else ()
-    predicates = load_adhoc(cfg.adhoc) if (cfg.metrics.adhoc and cfg.adhoc) else ()
+    fits, predicates = load_metric_inputs(cfg)
     specs = grid_specs(cfg, original.schema, cfg.predictor_modes, m=max(cfg.m_list), seed=0)
     replicates = sorted((label, mode, rep) for label, mode in specs for rep in range(cfg.k))
 
@@ -783,7 +789,7 @@ def run_experiment(
     if cfg.metrics.kl and cfg.metrics.kl_normalize:
         _add_normalized_kl(report, cells)
 
-    _write_report_files(report, out)
+    write_report(report, out)
     _write_table(
         out / "timings.csv",
         ["label", "mode", "m", "rep", "dataset", "seconds"],
@@ -849,7 +855,9 @@ def _write_table(path: Path, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
-def _write_report_files(report: UtilityReport, out: Path) -> None:
+def write_report(report: UtilityReport, out: Path) -> None:
+    """Write report.csv, summary.csv and, when ``report`` holds errors,
+    errors.csv under ``out``."""
     _write_table(
         out / "report.csv",
         ["label", "mode", "m", "k", "metric", "scope", "value"],

@@ -53,10 +53,17 @@ class Method(Enum):
     JOINT_CATEGORICAL = "joint_categorical"
 
 
-BASES = ("P", "D", "CP", "CC", "S")
+# Each base's (numeric method, categorical method).
+_BASE_METHODS = {
+    "P": (Method.PARAMETRIC_NUMERIC, Method.PARAMETRIC_CATEGORICAL),
+    "D": (Method.CART, Method.CART),
+    "CP": (Method.PMM, Method.JOINT_CATEGORICAL),
+    "CC": (Method.CART, Method.JOINT_CATEGORICAL),
+    "S": (Method.SAMPLE, Method.SAMPLE),
+}
+BASES = tuple(_BASE_METHODS)
 
-ORDER_KINDS = ("original", "opposite", "own", "largest_cat_first", "largest_cat_last")
-
+# Each order kind's suffix in a synthesizer label.
 _ORDER_SUFFIX = {
     "original": "",
     "opposite": "O",
@@ -64,6 +71,7 @@ _ORDER_SUFFIX = {
     "largest_cat_first": "H",
     "largest_cat_last": "L",
 }
+ORDER_KINDS = tuple(_ORDER_SUFFIX)
 
 
 def synthesizer_label(base: str, order: str, proper: bool) -> str:
@@ -211,37 +219,21 @@ def build_spec(
     numeric columns and logistic models to categorical ones; D fits a donor
     tree to every column; CP and CC draw all categorical columns jointly from
     their contingency table and handle numeric columns with predictive mean
-    matching (CP) or donor trees (CC). For CP/CC the categorical block is
-    visited first.
+    matching (CP) or donor trees (CC). A joint categorical block is visited
+    first, each part keeping the order's relative order.
     """
     if base not in BASES:
         raise SpecError(f"unknown base synthesizer {base!r}")
-    base_order = make_order(schema, order, own_order)
-    if base in ("CP", "CC"):
-        cats = [i for i in base_order.order if schema.columns[i].kind.is_categorical]
-        nums = [i for i in base_order.order if schema.columns[i].kind.is_numeric]
-        visit = VisitSequence(tuple(cats + nums))
-    else:
-        visit = base_order
-
-    methods: list[Method] = []
-    for col in schema.columns:
-        if base == "S":
-            methods.append(Method.SAMPLE)
-        elif base == "P":
-            methods.append(
-                Method.PARAMETRIC_NUMERIC if col.kind.is_numeric else Method.PARAMETRIC_CATEGORICAL
-            )
-        elif base == "D":
-            methods.append(Method.CART)
-        elif base == "CP":
-            methods.append(Method.PMM if col.kind.is_numeric else Method.JOINT_CATEGORICAL)
-        else:  # CC
-            methods.append(Method.CART if col.kind.is_numeric else Method.JOINT_CATEGORICAL)
+    numeric, categorical = _BASE_METHODS[base]
+    visit = make_order(schema, order, own_order)
+    if categorical is Method.JOINT_CATEGORICAL:
+        visit = VisitSequence(
+            tuple(sorted(visit.order, key=lambda i: not schema.columns[i].kind.is_categorical))
+        )
 
     return SynthesizerSpec(
         label=synthesizer_label(base, order, proper),
-        methods=tuple(methods),
+        methods=tuple(numeric if col.kind.is_numeric else categorical for col in schema.columns),
         visit=visit,
         predictors=make_predictors(visit, selective),
         proper=proper,
@@ -653,7 +645,7 @@ def load_synthetic_set(in_dir: str | Path, schema: Schema) -> SyntheticSet:
         # No missing tokens: every written cell is a value, even a level
         # spelled "NA" or "". Only a field absent from a row is missing.
         path = src / f"ds{i:03d}.csv"
-        ds, _ = load_csv(path, schema, missing_tokens=())
+        ds = load_csv(path, schema, missing_tokens=())
         if ds.has_missing:
             raise DataError(f"{path}: a synthetic dataset has missing cells")
         datasets.append(ds)

@@ -1,9 +1,11 @@
 import json
+import operator
 
 import numpy as np
 import pytest
 
 from synthbench.analysis import (
+    ADHOC_OPS,
     AdhocPredicate,
     Condition,
     adhoc_proportion,
@@ -91,6 +93,14 @@ def test_classify_validation():
 def test_adhoc_proportion_hand_values():
     ds = labeled_dataset(n=8, seed=0)
     x = ds.column("x")
+    compare = {"eq": operator.eq, "le": operator.le, "ge": operator.ge,
+               "lt": operator.lt, "gt": operator.gt}
+    assert tuple(compare) == ADHOC_OPS
+    # at a value that x takes, every operator's share differs from its strict twin's
+    for op, numpy_compare in compare.items():
+        for v in (float(x[3]), 0.0):
+            pred = AdhocPredicate("p0", (Condition("x", op, v),))
+            assert adhoc_proportion(ds, pred) == numpy_compare(x, v).mean(), (op, v)
     pred = AdhocPredicate("p1", (Condition("x", "gt", 0.0),))
     assert adhoc_proportion(ds, pred) == (x > 0).mean()
     both = AdhocPredicate(

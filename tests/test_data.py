@@ -76,8 +76,8 @@ def test_load_csv_infers_levels_in_first_appearance_order(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("a,c\n1.5,zebra\n2.5,ant\n3.5,zebra\n")
     schema = Schema((Column("a", ColumnKind.numeric()), Column("c", ColumnKind.categorical())))
-    ds, out_schema = load_csv(path, schema)
-    assert out_schema.kind("c").levels == ("zebra", "ant")
+    ds = load_csv(path, schema)
+    assert ds.schema.kind("c").levels == ("zebra", "ant")
     assert ds.column("c").tolist() == [0, 1, 0]
 
 
@@ -118,7 +118,7 @@ def test_load_csv_undeclared_level_fails(tmp_path):
 def test_missing_tokens_set_mask(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("a,c\n1.0,x\n,y\n2.0,NA\n")
-    ds, _ = load_csv(path, small_schema())
+    ds = load_csv(path, small_schema())
     assert ds.has_missing
     assert ds.missing[0].tolist() == [False, True, False]
     assert ds.missing[1].tolist() == [False, False, True]
@@ -127,12 +127,12 @@ def test_missing_tokens_set_mask(tmp_path):
 def test_blank_lines_are_skipped_unless_the_file_has_one_column(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("a,c\n1.0,x\n2.0,y\n\n3.0,x\n")
-    ds, _ = load_csv(path, small_schema())
+    ds = load_csv(path, small_schema())
     assert ds.column("a").tolist() == [1.0, 2.0, 3.0]
     assert not ds.has_missing
     # With one column a blank line is the record of an empty cell.
     path.write_text("a\n1.0\n\n3.0\n")
-    ds, _ = load_csv(path, Schema((Column("a", ColumnKind.numeric()),)))
+    ds = load_csv(path, Schema((Column("a", ColumnKind.numeric()),)))
     assert ds.missing[0].tolist() == [False, True, False]
 
 
@@ -143,7 +143,7 @@ def test_csv_round_trip_is_exact(tmp_path):
     ds = Dataset(small_schema(), (a, c))
     path = tmp_path / "out.csv"
     write_csv(ds, path)
-    back, _ = load_csv(path, small_schema())
+    back = load_csv(path, small_schema())
     assert np.array_equal(back.column("a"), a)
     assert np.array_equal(back.column("c"), c)
 
@@ -187,8 +187,8 @@ def test_write_then_load_without_missing_tokens_is_the_identity(ds):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ds.csv"
         write_csv(ds, path)
-        back, schema = load_csv(path, ds.schema, missing_tokens=())
-    assert schema == ds.schema
+        back = load_csv(path, ds.schema, missing_tokens=())
+    assert back.schema == ds.schema
     assert not back.has_missing
     for a, b in zip(ds.columns, back.columns, strict=True):
         assert a.dtype == b.dtype
@@ -249,7 +249,7 @@ def test_write_csv_with_a_number_table_writes_what_repr_gives(
 def test_replace_missing_fills_from_observed_values(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("a,c\n1.0,x\n,y\n4.0,NA\n1.0,x\n")
-    ds, _ = load_csv(path, small_schema())
+    ds = load_csv(path, small_schema())
     filled = replace_missing(ds, seed=0)
     assert not filled.has_missing
     assert filled.column("a")[1] in (1.0, 4.0)

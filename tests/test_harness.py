@@ -1145,6 +1145,54 @@ def test_cli_names_a_missing_or_malformed_input(tmp_path, capsys):
     fails_naming(gen / "ds000.csv", *evaluate)
 
 
+def test_a_classification_target_outside_the_data_fails_every_command_at_load(
+    tmp_path, capsys
+):
+    # evaluate took such a target and failed its classification family
+    # (exit 2, "unknown column 'zz'" in errors.csv); experiment refused it.
+    grid = {"synthesizers": [{"base": "S"}], "m": [1]}
+    cfg_path = write_project(tmp_path, grid=grid, k=1)
+    gen = tmp_path / "gen"
+    assert main(["generate", "--config", str(cfg_path), "--spec", "S", "--m", "1",
+                 "--out", str(gen)]) == 0
+    (tmp_path / "bad").mkdir()
+    bad = write_project(
+        tmp_path / "bad", grid=grid, k=1,
+        metrics={"classification": {"target": "zz"}, "adhoc": True},
+    )
+    capsys.readouterr()
+    for argv, out in (
+        (("experiment", "--config", str(bad)), tmp_path / "bad" / "results"),
+        (("generate", "--config", str(bad), "--spec", "S", "--m", "1", "--out",
+          str(tmp_path / "gen_bad")), tmp_path / "gen_bad"),
+        (("evaluate", "--config", str(bad), "--syn", str(gen), "--out",
+          str(tmp_path / "eval")), tmp_path / "eval"),
+    ):
+        assert main(list(argv)) == 1, argv[0]
+        assert capsys.readouterr().err == (
+            "error: classification target 'zz' is not a column of the preprocessed data\n"
+        ), argv[0]
+        assert not (out / "report.csv").exists() and not (out / "ds000.csv").exists(), argv[0]
+
+
+def test_evaluate_under_rule_tp_refuses_a_one_dataset_set(tmp_path, capsys):
+    # evaluate failed each family of such a set (exit 2, six error rows
+    # "rule Tp needs at least two datasets"); experiment refuses m = 1 at load.
+    metrics = {"classification": {"target": "c"}, "adhoc": True, "rule": "Tp"}
+    cfg_path = write_project(
+        tmp_path, grid={"synthesizers": [{"base": "S"}], "m": [2]}, metrics=metrics, k=1
+    )
+    gen = tmp_path / "gen"
+    assert main(["generate", "--config", str(cfg_path), "--spec", "S", "--m", "1",
+                 "--out", str(gen)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg_path), "--syn", str(gen), "--out",
+                 str(tmp_path / "eval")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: rule Tp needs at least two datasets") and "m = 1" in err, err
+    assert not (tmp_path / "eval").exists()
+
+
 def _retyped(doc: dict, *route, value) -> dict:
     """A copy of ``doc`` with ``value`` at ``route``, which may end in a new key."""
     doc = json.loads(json.dumps(doc))
