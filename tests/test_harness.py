@@ -1069,6 +1069,30 @@ def test_a_spec_that_cannot_be_built_is_a_config_error(tmp_path, grid, drop, lab
     assert not (cfg.out / "cells").exists()
 
 
+@pytest.mark.parametrize(
+    "own_order, reason",
+    [
+        (["x", "x", "y"], "visit sequence must be a permutation of the columns"),
+        (["x", "y"], "methods, visit sequence and predictor sets disagree"),
+    ],
+    ids=["repeats-a-column", "leaves-out-a-column"],
+)
+def test_an_own_order_that_is_not_a_permutation_is_a_config_error(
+    tmp_path, capsys, own_order, reason
+):
+    grid = {
+        "synthesizers": [{"base": "S"}, {"base": "D", "order": "own", "own_order": own_order}],
+        "m": [1],
+    }
+    cfg_path = write_project(tmp_path, grid=grid, k=1)
+    assert main(["experiment", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: synthesizer 'DV' in predictor mode 'simple': {reason}\n"
+    )
+    assert not (tmp_path / "results" / "cells").exists()
+    assert not (tmp_path / "results" / "report.csv").exists()
+
+
 def test_an_exception_outside_the_metrics_costs_the_whole_cell(tmp_path, monkeypatch):
     cfg = load_config(write_project(tmp_path, grid={"synthesizers": [{"base": "S"}], "m": [1]}, k=1))
 
