@@ -141,17 +141,6 @@ class Schema:
             cols.append(Column(name, ColumnKind(tag, levels)))
         return Schema(tuple(cols))
 
-    def to_dict(self) -> dict:
-        out = []
-        for c in self.columns:
-            if c.kind.is_numeric:
-                out.append({"name": c.name, "kind": NUMERIC})
-            elif c.kind.levels is None:
-                out.append({"name": c.name, "kind": CATEGORICAL, "infer": True})
-            else:
-                out.append({"name": c.name, "kind": CATEGORICAL, "levels": list(c.kind.levels)})
-        return {"columns": out}
-
 
 def load_schema(path: str | Path) -> Schema:
     """Read a schema from a JSON document (grammar documented in the README)."""

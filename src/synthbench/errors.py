@@ -22,15 +22,8 @@ class SpecError(SynthbenchError):
 
 
 class SynthesisError(SynthbenchError):
-    """Failure while generating a synthetic dataset.
-
-    Carries the variable name and dataset index where generation failed.
-    """
-
-    def __init__(self, message: str, variable: str | None = None, dataset_index: int | None = None):
-        super().__init__(message)
-        self.variable = variable
-        self.dataset_index = dataset_index
+    """Failure while generating a synthetic dataset; the message names the
+    variable and the dataset index where generation failed."""
 
 
 class EstimandError(SynthbenchError):

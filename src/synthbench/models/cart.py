@@ -77,9 +77,6 @@ class CartTree:
     def n_leaves(self) -> int:
         return int((self.feature < 0).sum())
 
-    def leaf_donors(self) -> list[np.ndarray]:
-        return [d for d in np.split(self.donor_rows, self.donor_start[1:-1]) if d.size]
-
     def route(self, cols) -> np.ndarray:
         """Leaf node id for every row of ``cols`` (ordered as ``names``).
 

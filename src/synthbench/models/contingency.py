@@ -18,8 +18,6 @@ class JointTable:
     the matching positive counts; ``total`` equals the fitted row count.
     """
 
-    variables: tuple[str, ...]
-    n_levels: tuple[int, ...]
     cells: np.ndarray   # (n_cells, n_vars) level codes
     counts: np.ndarray  # (n_cells,) positive ints
 
@@ -31,29 +29,18 @@ class JointTable:
     def n_cells(self) -> int:
         return int(self.counts.shape[0])
 
-    def proportions(self) -> np.ndarray:
-        return self.counts / self.total
-
 
 def fit_joint_table(ds: Dataset, variables) -> JointTable:
     """Cross-tabulate the named categorical columns of ``ds``."""
     variables = tuple(variables)
     if not variables:
         raise FitError("joint table needs at least one variable")
-    kinds = []
     for name in variables:
-        kind = ds.schema.kind(name)
-        if not kind.is_categorical:
+        if not ds.schema.kind(name).is_categorical:
             raise FitError(f"column {name!r} is not categorical")
-        kinds.append(kind)
     stacked = np.stack([ds.column(name) for name in variables], axis=1)
     cells, counts = np.unique(stacked, axis=0, return_counts=True)
-    return JointTable(
-        variables=variables,
-        n_levels=tuple(k.n_levels for k in kinds),
-        cells=cells.astype(np.int64),
-        counts=counts.astype(np.int64),
-    )
+    return JointTable(cells=cells.astype(np.int64), counts=counts.astype(np.int64))
 
 
 def draw_tuples(table: JointTable, size: int, rng: np.random.Generator) -> np.ndarray:

@@ -18,7 +18,6 @@ class LinearModel:
     coef: np.ndarray
     se: np.ndarray
     residual_sd: float
-    n: int
     ridged: bool
 
     @property
@@ -78,7 +77,6 @@ def fit_ols(X: Predictors, y: np.ndarray) -> LinearModel:
         coef=coef,
         se=se,
         residual_sd=float(np.sqrt(sigma2)),
-        n=n,
         ridged=ridged,
     )
 

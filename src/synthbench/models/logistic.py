@@ -3,9 +3,9 @@
 The first observed class is the reference and its coefficient row is pinned
 at zero, so the parameter matrix has one row per remaining class. Iterations
 maximise the softmax log-likelihood with step-halving. A fit has converged
-when the score's largest component falls below ``tol``, or when no halving
+when the score's largest component falls below ``_TOL``, or when no halving
 of the Newton step raises the log-likelihood and the Newton decrement
-g'H^-1g is at most ``tol`` (Boyd & Vandenberghe, *Convex Optimization*,
+g'H^-1g is at most ``_TOL`` (Boyd & Vandenberghe, *Convex Optimization*,
 2004, §9.5.1): near the optimum the score, a sum over n rows, can stay above
 an absolute bound while no step can still gain anything. Standard errors
 come from the inverse of the observed information at the optimum. Only the
@@ -38,7 +38,9 @@ from ..errors import FitError
 from .design import DesignEncoding, Predictors, encode_from_predictors
 
 _COEF_CAP = 30.0
+_MAX_ITER = 50
 _MAX_HALVINGS = 30
+_TOL = 1e-8
 
 
 def _row_sums(cols: np.ndarray) -> np.ndarray:
@@ -103,6 +105,7 @@ def _loglik(lp: np.ndarray, picks: np.ndarray) -> float:
 
 
 def _score(M: np.ndarray, Y: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Gradient of the log-likelihood wrt B, shape (K-1, p)."""
     # Y - P over the non-reference classes, laid out (n, K-1) as the BLAS
     # product has always received it.
     resid = np.empty((Y.shape[1], Y.shape[0]), dtype=np.float64)
@@ -111,6 +114,7 @@ def _score(M: np.ndarray, Y: np.ndarray, P: np.ndarray) -> np.ndarray:
 
 
 def _information(M: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Observed information (negative Hessian), shape ((K-1)p, (K-1)p)."""
     km1 = P.shape[0] - 1
     p = M.shape[1]
     info = np.empty((km1 * p, km1 * p), dtype=np.float64)
@@ -135,27 +139,12 @@ def _finite_information(M: np.ndarray, P: np.ndarray) -> np.ndarray:
     return info
 
 
-def softmax_loglik(M: np.ndarray, y_pos: np.ndarray, B: np.ndarray) -> float:
-    return _loglik(_log_probs(M, B), _picks(y_pos))
-
-
-def softmax_score(M: np.ndarray, y_pos: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Gradient of the log-likelihood wrt B, shape (K-1, p)."""
-    return _score(M, _one_hot(y_pos, B.shape[0] + 1), np.exp(_log_probs(M, B)))
-
-
-def softmax_information(M: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Observed information (negative Hessian), shape ((K-1)p, (K-1)p)."""
-    return _information(M, np.exp(_log_probs(M, B)))
-
-
 @dataclass(frozen=True)
 class LogisticModel:
     encoding: DesignEncoding
     classes: tuple[int, ...]
     coef: np.ndarray
     se: np.ndarray | None
-    n: int
     n_iter: int
     converged: bool
     separated: bool
@@ -165,18 +154,11 @@ class LogisticModel:
     def coef_names(self) -> tuple[str, ...]:
         return self.encoding.coef_names
 
-    def predict_proba(self, cols) -> np.ndarray:
-        """Class probabilities, shape (n, K)."""
-        M = self.encoding.encode(cols)
-        return np.ascontiguousarray(np.exp(_log_probs(M, self.coef)).T)
-
 
 def fit_logistic(
     X: Predictors,
     y: np.ndarray,
     *,
-    max_iter: int = 50,
-    tol: float = 1e-8,
     standard_errors: bool = True,
 ) -> LogisticModel:
     """With ``standard_errors=False`` the model's ``se`` is None, and the
@@ -204,10 +186,10 @@ def fit_logistic(
     converged = False
     separated = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         P = np.exp(lp)
         G = _score(M, Y, P)
-        if float(np.abs(G).max()) < tol:
+        if float(np.abs(G).max()) < _TOL:
             converged = True
             it -= 1
             break
@@ -237,7 +219,7 @@ def fit_logistic(
             # No step raises the log-likelihood. B is optimal when the
             # Newton decrement g'H^-1g, twice the rise a full Newton step
             # would predict, is negligible.
-            converged = decrement <= tol
+            converged = decrement <= _TOL
             break
         if float(np.abs(B).max()) > _COEF_CAP:
             B = np.clip(B, -_COEF_CAP, _COEF_CAP)
@@ -260,7 +242,6 @@ def fit_logistic(
         classes=classes,
         coef=B,
         se=se,
-        n=n,
         n_iter=it,
         converged=converged,
         separated=separated,

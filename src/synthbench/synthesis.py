@@ -79,39 +79,30 @@ def synthesizer_label(base: str, order: str, proper: bool) -> str:
     return base + _ORDER_SUFFIX[order] + ("T" if proper else "")
 
 
-@dataclass(frozen=True)
-class VisitSequence:
-    order: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if sorted(self.order) != list(range(len(self.order))):
-            raise SpecError("visit sequence must be a permutation of the columns")
-
-
 def make_order(
     schema: Schema,
     kind: str,
     own: tuple[str, ...] | None = None,
-) -> VisitSequence:
-    """Build a visit sequence over the schema's columns.
+) -> tuple[int, ...]:
+    """Build a visit sequence (column indices) over the schema's columns.
 
     ``largest_cat_first``/``largest_cat_last`` move the categorical column
     with the most levels (ties broken by original column order) to the front
     or back; everything else keeps its original relative order. ``own`` takes
-    an explicit permutation of column names.
+    an explicit permutation of column names, which ``SynthesizerSpec``
+    checks.
     """
     p = len(schema)
     if kind not in ORDER_KINDS:
         raise SpecError(f"unknown order kind {kind!r}")
     if kind == "original":
-        return VisitSequence(tuple(range(p)))
+        return tuple(range(p))
     if kind == "opposite":
-        return VisitSequence(tuple(reversed(range(p))))
+        return tuple(reversed(range(p)))
     if kind == "own":
         if own is None:
             raise SpecError("own order requires the column permutation")
-        idx = tuple(schema.index(name) for name in own)
-        return VisitSequence(idx)
+        return tuple(schema.index(name) for name in own)
     cat_sizes = [
         (c.kind.n_levels, i)
         for i, c in enumerate(schema.columns)
@@ -122,22 +113,22 @@ def make_order(
     best = max(cat_sizes, key=lambda t: (t[0], -t[1]))[1]
     rest = [i for i in range(p) if i != best]
     if kind == "largest_cat_first":
-        return VisitSequence(tuple([best] + rest))
-    return VisitSequence(tuple(rest + [best]))
+        return tuple([best] + rest)
+    return tuple(rest + [best])
 
 
 def make_predictors(
-    visit: VisitSequence,
+    visit: tuple[int, ...],
     selective: dict[int, tuple[int, ...]] | None = None,
 ) -> tuple[tuple[int, ...], ...]:
     """Each column's predictors, ascending. Simple mode: every
     earlier-visited column predicts every later one. Selective mode
     overrides listed targets with exactly the given subsets; unlisted
-    targets keep the simple default."""
-    p = len(visit.order)
-    preds = [()] * p
-    for k, col in enumerate(visit.order):
-        preds[col] = tuple(sorted(visit.order[:k]))
+    targets keep the simple default. A visit that is not a permutation
+    gets sets that ``SynthesizerSpec`` refuses."""
+    p = len(visit)
+    earlier = {col: visit[:k] for k, col in enumerate(visit)}
+    preds = [tuple(sorted(earlier.get(i, ()))) for i in range(p)]
     for target, chosen in (selective or {}).items():
         for q in (target, *chosen):
             if q < 0 or q >= p:
@@ -154,7 +145,7 @@ class SynthesizerSpec:
 
     label: str
     methods: tuple[Method, ...]
-    visit: VisitSequence
+    visit: tuple[int, ...]
     predictors: tuple[tuple[int, ...], ...]
     proper: bool
     m: int
@@ -163,8 +154,10 @@ class SynthesizerSpec:
     min_leaf: int = 5
 
     def __post_init__(self) -> None:
+        if sorted(self.visit) != list(range(len(self.visit))):
+            raise SpecError("visit sequence must be a permutation of the columns")
         p = len(self.methods)
-        if len(self.visit.order) != p or len(self.predictors) != p:
+        if len(self.visit) != p or len(self.predictors) != p:
             raise SpecError("methods, visit sequence and predictor sets disagree")
         if self.m < 1:
             raise SpecError(f"m must be >= 1, got {self.m}")
@@ -172,7 +165,7 @@ class SynthesizerSpec:
             raise SpecError("seed must be non-negative")
         if self.pmm_k < 1 or self.min_leaf < 1:
             raise SpecError("pmm_k and min_leaf must be >= 1")
-        pos = {c: k for k, c in enumerate(self.visit.order)}
+        pos = {c: k for k, c in enumerate(self.visit)}
         for i, preds in enumerate(self.predictors):
             for j in preds:
                 if j == i:
@@ -227,9 +220,7 @@ def build_spec(
     numeric, categorical = _BASE_METHODS[base]
     visit = make_order(schema, order, own_order)
     if categorical is Method.JOINT_CATEGORICAL:
-        visit = VisitSequence(
-            tuple(sorted(visit.order, key=lambda i: not schema.columns[i].kind.is_categorical))
-        )
+        visit = tuple(sorted(visit, key=lambda i: not schema.columns[i].kind.is_categorical))
 
     return SynthesizerSpec(
         label=synthesizer_label(base, order, proper),
@@ -469,8 +460,8 @@ def visit_steps(spec: SynthesizerSpec) -> Iterator[tuple[int, Step]]:
     that visit in other orders can share it. The joint-categorical group is
     one step, without predictors, at its first visit position."""
     group = tuple(j for j, mth in enumerate(spec.methods) if mth is Method.JOINT_CATEGORICAL)
-    first = next((j for j in spec.visit.order if j in group), None)
-    for j in spec.visit.order:
+    first = next((j for j in spec.visit if j in group), None)
+    for j in spec.visit:
         if j == first:
             yield j, Step(Method.JOINT_CATEGORICAL, group, (), spec.min_leaf, spec.pmm_k)
         elif j not in group:
@@ -557,9 +548,7 @@ def _synthesize_one(spec: SynthesizerSpec, idx: int, memo: FitMemo) -> Dataset:
             fitted = memo.fit(step)
             drawn = fitted.draw([syn[q] for q in step.preds], n, _stream(spec.seed, idx, 1 + j))
         except Exception as err:
-            raise SynthesisError(
-                f"variable {name!r}, dataset {idx}: {err}", variable=name, dataset_index=idx
-            ) from err
+            raise SynthesisError(f"variable {name!r}, dataset {idx}: {err}") from err
         if drawn.ndim == 2:  # the joint group's tuples
             syn.update(zip(step.targets, drawn.T))
         else:

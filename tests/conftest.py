@@ -9,11 +9,15 @@ about 0.85).
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from synthbench.dataset import Column, ColumnKind, Dataset, Schema
+from synthbench.dataset import CATEGORICAL, NUMERIC, Column, ColumnKind, Dataset, Schema
 from synthbench.estimands import FitSpec
+from synthbench.models.logistic import _log_probs, _loglik, _one_hot, _picks, _score
 
 FIXTURE_SEED = 42
 MASTER_SEED = 7
@@ -37,6 +41,35 @@ def make_fixture_a(n: int = 2000, seed: int = FIXTURE_SEED) -> Dataset:
         )
     )
     return Dataset(schema, (x, y, c1, c2, c3))
+
+
+def write_schema(schema: Schema, path: str | Path) -> None:
+    """Write ``schema`` to ``path`` as a schema document (README grammar)."""
+    columns = []
+    for c in schema.columns:
+        if c.kind.is_numeric:
+            columns.append({"name": c.name, "kind": NUMERIC})
+        elif c.kind.levels is None:
+            columns.append({"name": c.name, "kind": CATEGORICAL, "infer": True})
+        else:
+            columns.append({"name": c.name, "kind": CATEGORICAL, "levels": list(c.kind.levels)})
+    Path(path).write_text(json.dumps({"columns": columns}))
+
+
+def loglik_at(M: np.ndarray, y_pos: np.ndarray, B: np.ndarray) -> float:
+    """The softmax log-likelihood of classes ``y_pos`` at coefficients ``B``."""
+    return _loglik(_log_probs(M, B), _picks(y_pos))
+
+
+def score_at(M: np.ndarray, y_pos: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Gradient of the log-likelihood wrt ``B``, shape (K-1, p)."""
+    return _score(M, _one_hot(y_pos, B.shape[0] + 1), np.exp(_log_probs(M, B)))
+
+
+def class_probs(model, cols) -> np.ndarray:
+    """A logistic model's class probabilities at ``cols``, shape (n, K)."""
+    M = model.encoding.encode(cols)
+    return np.ascontiguousarray(np.exp(_log_probs(M, model.coef)).T)
 
 
 def fit_battery() -> tuple[FitSpec, ...]:

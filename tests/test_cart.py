@@ -33,6 +33,11 @@ def predictors(names, kinds, cols):
     return Predictors(tuple(names), tuple(kinds), tuple(np.asarray(c) for c in cols))
 
 
+def leaf_donors(tree):
+    """Each leaf's training rows, in node order."""
+    return [d for d in np.split(tree.donor_rows, tree.donor_start[1:-1]) if d.size]
+
+
 def fit_tree(X, y, kind, *, min_leaf=5):
     """A forest of one tree, as the package's callers fit a single tree."""
     return fit_cart([CartProblem(X, np.asarray(y), kind, min_leaf)]).trees[0]
@@ -123,7 +128,7 @@ def test_xor_interaction_reaches_purity():
     y = (a ^ b).astype(np.float64)
     X = predictors(["a", "b"], [cat(2), cat(2)], [a, b])
     tree = fit_tree(X, y, NUM, min_leaf=5)
-    assert all(np.ptp(y[d]) == 0 for d in tree.leaf_donors())
+    assert all(np.ptp(y[d]) == 0 for d in leaf_donors(tree))
     assert tree.n_leaves >= 4
 
 
@@ -134,9 +139,9 @@ def test_donors_partition_rows():
     y = x * 2 + c + rng.normal(0, 0.5, 90)
     X = predictors(["x", "c"], [NUM, cat(5)], [x, c])
     tree = fit_tree(X, y, NUM, min_leaf=5)
-    seen = sorted(i for leaf in tree.leaf_donors() for i in leaf)
+    seen = sorted(i for leaf in leaf_donors(tree) for i in leaf)
     assert seen == list(range(90))
-    assert all(len(leaf) >= 5 for leaf in tree.leaf_donors())
+    assert all(len(leaf) >= 5 for leaf in leaf_donors(tree))
 
 
 def test_constant_target_gives_single_leaf():
@@ -144,7 +149,7 @@ def test_constant_target_gives_single_leaf():
     y = np.full(20, 3.25)
     tree = fit_tree(X, y, NUM, min_leaf=5)
     assert tree.n_leaves == 1
-    (donors,) = tree.leaf_donors()
+    (donors,) = leaf_donors(tree)
     assert y[donors].mean() == 3.25
 
 
@@ -180,7 +185,7 @@ def test_fit_is_deterministic():
     t2 = fit_tree(X, y, NUM, min_leaf=5)
     assert np.array_equal(t1.feature, t2.feature)
     assert np.array_equal(t1.threshold, t2.threshold, equal_nan=True)
-    assert [d.tolist() for d in t1.leaf_donors()] == [d.tolist() for d in t2.leaf_donors()]
+    assert [d.tolist() for d in leaf_donors(t1)] == [d.tolist() for d in leaf_donors(t2)]
 
 
 def test_route_vectorised_agrees_with_row_routing():
@@ -227,7 +232,7 @@ def test_predict_class_is_the_routed_leafs_majority():
     c = rng.integers(0, 4, 300)
     y = np.digitize(x + 0.4 * c + rng.normal(0, 0.8, 300), [0.3, 1.2])
     tree = fit_tree(predictors(["x", "c"], [NUM, cat(4)], [x, c]), y, cat(3), min_leaf=6)
-    assert any(np.unique(y[d]).size > 1 for d in tree.leaf_donors())
+    assert any(np.unique(y[d]).size > 1 for d in leaf_donors(tree))
     cols = (rng.normal(size=100), rng.integers(0, 4, 100))
     leaves = tree.route(cols)
     want = [np.bincount(y[leaf_rows(tree, v)], minlength=3).argmax() for v in leaves]
@@ -268,7 +273,7 @@ def test_partition_property_random_data(n, seed, min_leaf):
     y = rng.normal(size=n)
     X = predictors(["x", "c"], [NUM, cat(5)], [x, c])
     tree = fit_tree(X, y, NUM, min_leaf=min_leaf)
-    donors = tree.leaf_donors()
+    donors = leaf_donors(tree)
     assert sorted(i for leaf in donors for i in leaf) == list(range(n))
     assert all(len(leaf) >= min_leaf for leaf in donors)
     leaves = tree.route((x, c))

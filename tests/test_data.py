@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import write_schema
 from synthbench.dataset import (
     Column,
     ColumnKind,
@@ -52,7 +53,8 @@ def test_schema_json_round_trip(tmp_path):
     assert schema.kind("a").is_numeric
     assert schema.kind("c").levels == ("x", "y")
     assert schema.kind("d").levels is None  # inferred at load time
-    assert Schema.from_dict(schema.to_dict()).names == schema.names
+    write_schema(schema, tmp_path / "back.json")
+    assert load_schema(tmp_path / "back.json").names == schema.names
     # a key outside the grammar is an error naming it, not a note left unread
     doc["columns"][1]["note"] = "coded 0/1"
     path.write_text(json.dumps(doc))

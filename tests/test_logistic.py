@@ -5,17 +5,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import synthbench.models.logistic as logistic
+from conftest import class_probs, loglik_at, score_at
 from synthbench.dataset import ColumnKind
 from synthbench.errors import FitError
 from synthbench.models import fit_logistic
 from synthbench.models.design import Predictors, encode_from_predictors
 from synthbench.models.logistic import (
     LogisticModel,
+    _information,
+    _log_probs,
     _row_sums,
     draw_class_many,
-    softmax_information,
-    softmax_loglik,
-    softmax_score,
 )
 
 NUM = ColumnKind.numeric()
@@ -38,7 +39,7 @@ def fd_score(M, y_pos, B, h=1e-6):
             up[i, j] += h
             dn = B.copy()
             dn[i, j] -= h
-            g[i, j] = (softmax_loglik(M, y_pos, up) - softmax_loglik(M, y_pos, dn)) / (2 * h)
+            g[i, j] = (loglik_at(M, y_pos, up) - loglik_at(M, y_pos, dn)) / (2 * h)
     return g
 
 
@@ -48,7 +49,7 @@ def test_score_matches_finite_differences_at_random_point():
     M = np.column_stack([np.ones(n), rng.normal(size=n), rng.normal(size=n)])
     y_pos = rng.integers(0, k, n)
     B = rng.normal(scale=0.5, size=(k - 1, 3))
-    analytic = softmax_score(M, y_pos, B)
+    analytic = score_at(M, y_pos, B)
     numeric = fd_score(M, y_pos, B)
     scale = max(1.0, np.abs(analytic).max())
     assert np.abs(analytic - numeric).max() / scale < 1e-6
@@ -60,7 +61,7 @@ def test_information_matches_finite_differences_of_score():
     M = np.column_stack([np.ones(n), rng.normal(size=n)])
     y_pos = rng.integers(0, k, n)
     B = rng.normal(scale=0.3, size=(k - 1, 2))
-    info = softmax_information(M, B)
+    info = _information(M, np.exp(_log_probs(M, B)))
     h = 1e-6
     p = B.size
     fd = np.zeros((p, p))
@@ -69,8 +70,8 @@ def test_information_matches_finite_differences_of_score():
         up[col] += h
         dn = B.copy().reshape(-1)
         dn[col] -= h
-        s_up = softmax_score(M, y_pos, up.reshape(B.shape)).reshape(-1)
-        s_dn = softmax_score(M, y_pos, dn.reshape(B.shape)).reshape(-1)
+        s_up = score_at(M, y_pos, up.reshape(B.shape)).reshape(-1)
+        s_dn = score_at(M, y_pos, dn.reshape(B.shape)).reshape(-1)
         fd[:, col] = -(s_up - s_dn) / (2 * h)
     assert np.abs(info - fd).max() < 1e-4
 
@@ -83,7 +84,7 @@ def test_fitted_probabilities_sum_to_class_counts():
     X = predictors(["x"], [NUM], [x])
     model = fit_logistic(X, y)
     assert model.converged
-    probs = model.predict_proba((x,))
+    probs = class_probs(model, (x,))
     counts = np.bincount(y, minlength=3).astype(np.float64)
     assert probs.sum(axis=0) == pytest.approx(counts.tolist(), abs=1e-5)
 
@@ -102,7 +103,7 @@ def test_recovery_of_generating_coefficients():
     model = fit_logistic(X, y)
     assert model.converged and not model.separated
     assert model.coef == pytest.approx(true_b, abs=0.15)
-    assert np.max(np.abs(softmax_score(np.column_stack([np.ones(n), x]), y, model.coef))) < 1e-6
+    assert np.max(np.abs(score_at(np.column_stack([np.ones(n), x]), y, model.coef))) < 1e-6
 
 
 def test_probabilities_normalize():
@@ -111,7 +112,7 @@ def test_probabilities_normalize():
     y = rng.integers(0, 3, 500)
     X = predictors(["x"], [NUM], [x])
     model = fit_logistic(X, y)
-    probs = model.predict_proba((x,))
+    probs = class_probs(model, (x,))
     assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-12
     assert probs.min() >= 0.0
 
@@ -247,18 +248,19 @@ def test_a_draw_above_every_cumulative_probability_takes_the_last_class():
     assert set(drawn.tolist()) == {model.classes[-1]}
 
 
-def test_a_stalled_fit_at_the_optimum_reports_convergence(fixture_a):
+def test_a_stalled_fit_at_the_optimum_reports_convergence(fixture_a, monkeypatch):
     X, y = _stalled_fit_data(fixture_a)
     model = fit_logistic(X, y)
     M = model.encoding.encode(X.cols)
     y_pos = np.searchsorted(np.asarray(model.classes), y)
     # The score alone would not pass the 1e-8 bound ...
-    assert np.abs(softmax_score(M, y_pos, model.coef)).max() > 1e-8
+    assert np.abs(score_at(M, y_pos, model.coef)).max() > 1e-8
     # ... but the Newton decrement shows nothing is left to gain.
     assert model.converged and not model.separated
     assert _fit_digest(model) == GOLDEN_FITS["stalled"]
     # The decrement is held to the same tolerance.
-    assert not fit_logistic(X, y, tol=1e-20).converged
+    monkeypatch.setattr(logistic, "_TOL", 1e-20)
+    assert not fit_logistic(X, y).converged
 
 
 def test_a_separated_fit_does_not_report_convergence():
@@ -315,12 +317,12 @@ def test_class_draws_follow_the_cumulative_sum_rule(k, n, seed, scale):
     classes = tuple(sorted(rng.choice(100, size=k, replace=False).tolist()))
     coef = rng.normal(scale=scale, size=(k - 1, 2))
     model = LogisticModel(
-        encoding=enc, classes=classes, coef=coef, se=None, n=5,
+        encoding=enc, classes=classes, coef=coef, se=None,
         n_iter=0, converged=True, separated=False, loglik=0.0,
     )
     x = rng.normal(size=n)
     # The rule written out with numpy's row-wise cumulative sums.
-    P = model.predict_proba((x,))
+    P = class_probs(model, (x,))
     P = P / P.sum(axis=1)[:, None]
     u = np.random.default_rng(seed + 1).random(n)
     picks = np.minimum((np.cumsum(P, axis=1) <= u[:, None]).sum(axis=1), k - 1)

@@ -1,9 +1,9 @@
 """The README's library example runs as written."""
 
-import json
 import re
 from pathlib import Path
 
+from conftest import write_schema
 from synthbench.dataset import write_csv
 from synthbench.harness import load_config
 
@@ -17,7 +17,7 @@ def _library_use_block() -> str:
 
 
 def test_library_use_example_runs(tmp_path, monkeypatch, capsys, fixture_a):
-    (tmp_path / "schema.json").write_text(json.dumps(fixture_a.schema.to_dict()))
+    write_schema(fixture_a.schema, tmp_path / "schema.json")
     write_csv(fixture_a, tmp_path / "data.csv")
     monkeypatch.chdir(tmp_path)
     namespace: dict = {}
