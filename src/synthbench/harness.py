@@ -53,7 +53,7 @@ from .dataset import (
     read_json,
     replace_missing,
 )
-from .errors import ConfigError, MetricError, SynthbenchError
+from .errors import ConfigError, DataError, MetricError, SynthbenchError
 from .estimands import (
     RULES,
     FitSpec,
@@ -332,15 +332,28 @@ def _validate_config(cfg: ExperimentConfig) -> None:
 
 def load_original(cfg: ExperimentConfig) -> Dataset:
     """Load and preprocess the original data: drop, coarsen, head, then fill
-    missing cells by resampling observed values. A classification target
-    that is not a column of the result is a ``ConfigError``."""
+    missing cells by resampling observed values. Data without rows, or with
+    a numeric cell that is nan or infinite, is a ``DataError``; a
+    classification target that is not a column of the result is a
+    ``ConfigError``."""
     ds = load_csv(cfg.dataset, load_schema(cfg.schema), cfg.missing_tokens)
+    if ds.n_rows == 0:
+        raise DataError(f"{cfg.dataset}: the data has no rows")
     for name in cfg.drop:
         ds = drop_column(ds, name)
     for mapping in cfg.coarsen:
         ds = coarsen_levels(ds, mapping)
     if cfg.head is not None:
         ds = head_n(ds, cfg.head)
+    for col, values, missing in zip(ds.schema.columns, ds.columns, ds.missing):
+        if col.kind.is_numeric:
+            bad = ~np.isfinite(values) if missing is None else ~(np.isfinite(values) | missing)
+            if bad.any():
+                i = int(bad.argmax())
+                raise DataError(
+                    f"{cfg.dataset}: row {i + 2}, column {col.name!r}: "
+                    f"{float(values[i])!r} is not a finite number"
+                )
     target = cfg.metrics.classification_target
     if target is not None and target not in ds.schema.names:
         raise ConfigError(

@@ -1199,6 +1199,47 @@ def test_a_classification_target_outside_the_data_fails_every_command_at_load(
         assert not (out / "report.csv").exists() and not (out / "ds000.csv").exists(), argv[0]
 
 
+@pytest.mark.parametrize(
+    "cells, problem",
+    [
+        ({(4, 0): "nan", (9, 1): "inf"}, "row 6, column 'x': nan is not a finite number"),
+        ({(0, 1): "-inf"}, "row 2, column 'y': -inf is not a finite number"),
+        (None, "the data has no rows"),
+    ],
+    ids=["nan-and-inf", "minus-inf", "header-only"],
+)
+def test_original_data_that_is_empty_or_not_finite_fails_every_command_at_load(
+    tmp_path, capsys, cells, problem
+):
+    # experiment scored such data: error rows such as kl "ValueError: math
+    # domain error", nan cells in the synthetic sets and nan in report.csv.
+    grid = {"synthesizers": [{"base": "S"}], "m": [1]}
+    cfg_path = write_project(tmp_path, grid=grid, k=1)
+    gen = tmp_path / "gen"
+    assert main(["generate", "--config", str(cfg_path), "--spec", "S", "--m", "1",
+                 "--out", str(gen)]) == 0
+    data = tmp_path / "data.csv"
+    lines = data.read_text().splitlines()
+    if cells is None:
+        lines = lines[:1]
+    for (row, col), text in (cells or {}).items():
+        fields = lines[row + 1].split(",")
+        fields[col] = text
+        lines[row + 1] = ",".join(fields)
+    data.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    for argv, out in (
+        (("experiment", "--config", str(cfg_path)), tmp_path / "results"),
+        (("generate", "--config", str(cfg_path), "--spec", "S", "--m", "1", "--out",
+          str(tmp_path / "gen_bad")), tmp_path / "gen_bad"),
+        (("evaluate", "--config", str(cfg_path), "--syn", str(gen), "--out",
+          str(tmp_path / "eval")), tmp_path / "eval"),
+    ):
+        assert main(list(argv)) == 1, argv[0]
+        assert capsys.readouterr().err == f"error: {data}: {problem}\n", argv[0]
+        assert not out.exists(), argv[0]
+
+
 def test_evaluate_under_rule_tp_refuses_a_one_dataset_set(tmp_path, capsys):
     # evaluate failed each family of such a set (exit 2, six error rows
     # "rule Tp needs at least two datasets"); experiment refuses m = 1 at load.
