@@ -308,7 +308,8 @@ def load_csv(
     The file is UTF-8. The header must contain exactly the schema's column
     names (any order). Blank lines are skipped when there are two or more
     columns; in a one-column file a blank line is an empty cell. Cells equal
-    to a missing token, and fields a short row lacks, are flagged missing.
+    to a missing token, and fields a short row lacks, are flagged missing; a
+    row with more fields than the header is an error.
     Categorical columns marked "infer" get their level set from the data in
     first-appearance order, which the dataset's schema records.
     """
@@ -334,6 +335,11 @@ def load_csv(
         extra = sorted(set(header) - set(schema.names))
         absent = sorted(set(schema.names) - set(header))
         raise DataError(f"{path}: header mismatch (unexpected {extra}, missing {absent})")
+    wide = next((i for i, row in enumerate(rows) if len(row) > len(header)), None)
+    if wide is not None:
+        raise DataError(
+            f"{path}: row {wide + 2} has {len(rows[wide])} fields, the header has {len(header)}"
+        )
 
     pos = {name: header.index(name) for name in schema.names}
     n = len(rows)

@@ -126,6 +126,18 @@ def test_missing_tokens_set_mask(tmp_path):
     assert ds.missing[1].tolist() == [False, False, True]
 
 
+def test_a_row_with_more_fields_than_the_header_is_an_error(tmp_path):
+    # The extra field was dropped without a word. A short row keeps its
+    # rule: the fields it lacks are missing cells.
+    path = tmp_path / "d.csv"
+    path.write_text("a,c\n1.0,x\n2.0,y,7\n3.0\n")
+    with pytest.raises(DataError) as err:
+        load_csv(path, small_schema())
+    assert str(err.value) == f"{path}: row 3 has 3 fields, the header has 2"
+    path.write_text("a,c\n1.0,x\n2.0,y\n3.0\n")
+    assert load_csv(path, small_schema()).missing[1].tolist() == [False, False, True]
+
+
 def test_blank_lines_are_skipped_unless_the_file_has_one_column(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("a,c\n1.0,x\n2.0,y\n\n3.0,x\n")
