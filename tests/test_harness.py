@@ -777,6 +777,53 @@ def test_emit_tables(mini_run):
     assert len(lines) == 1 + 4  # {S, D} x m {1, 2}
 
 
+def test_correlations_tables_bytes(tmp_path):
+    # Series share only some (label, mode, m) cells; a pair is correlated on
+    # the cells both hold, and kept only when it shares at least three.
+    report = UtilityReport()
+    cells = [("D", "simple", 1), ("D", "simple", 5), ("P", "simple", 1), ("P", "simple", 5)]
+    for cell, v in zip(cells, (0.1, 0.4, 0.2, 0.9)):
+        report.add(*cell, 0, "rf_apo", "", v)
+    report.add("D", "selective", 1, 0, "rf_apo", "", 0.3)
+    report.add("D", "simple", 1, 0, "rf_apo", "fit:f1", 0.7)  # a scoped row is no series value
+    # D/simple/1 averages two repetitions: 0.5 and 0.75.
+    for k, v in enumerate((0.5, 0.75)):
+        report.add("D", "simple", 1, k, "rf_avg_cio", "", v)
+    for cell, v in zip([cells[1], cells[2], ("S", "simple", 1)], (0.5, 0.25, 0.9)):
+        report.add(*cell, 0, "rf_avg_cio", "", v)
+    for cell in cells:
+        report.add(*cell, 0, "kl_norm_avg", "", 2.0)  # constant
+    for cell in cells[:3]:
+        report.add(*cell, 0, "mpe_apo", "", 0.5)  # constant
+    for cell, v in zip(cells[1:] + [("D", "selective", 1)], (3.0, 1.0, 2.0, 5.0)):
+        report.add(*cell, 0, "adhoc_dev", "pred:p1", v)
+    for cell, v in zip(cells[:2], (0.1, 0.2)):
+        report.add(*cell, 0, "clf_acc_dev", "", v)  # shares two cells at most
+    written = emit_tables(report, tmp_path, requested=("correlations",))
+    tables = tmp_path / "tables"
+    assert written == {"correlations": tables / "correlations.csv"}
+    assert sorted(p.name for p in tables.iterdir()) == [
+        "correlations.csv", "correlations_skipped.csv"
+    ]
+    # By hand: r = -0.25 / sqrt(8.75 * 0.29) on the four cells adhoc_dev:p1
+    # and rf_apo share, and -1/7 on the three rf_apo and rf_avg_cio share.
+    # A constant series is named, the x series when both are constant.
+    assert (tables / "correlations.csv").read_bytes() == (
+        b"series_x,series_y,r,n\r\n"
+        b"adhoc_dev:p1,rf_apo,-0.1569412051435861,4\r\n"
+        b"rf_apo,rf_avg_cio,-0.14285714285714285,3\r\n"
+    )
+    assert (tables / "correlations_skipped.csv").read_bytes() == (
+        b"series_x,series_y,reason\r\n"
+        b"adhoc_dev:p1,kl_norm_avg,series 'kl_norm_avg' is constant\r\n"
+        b"kl_norm_avg,mpe_apo,series 'kl_norm_avg' is constant\r\n"
+        b"kl_norm_avg,rf_apo,series 'kl_norm_avg' is constant\r\n"
+        b"kl_norm_avg,rf_avg_cio,series 'kl_norm_avg' is constant\r\n"
+        b"mpe_apo,rf_apo,series 'mpe_apo' is constant\r\n"
+        b"mpe_apo,rf_avg_cio,series 'mpe_apo' is constant\r\n"
+    )
+
+
 def test_metric_rows_isolates_failing_fits(mini_run, monkeypatch):
     root, cfg, _, _ = mini_run
     original = load_original(cfg)
