@@ -1,4 +1,4 @@
-"""Analysis-level comparisons: classification, ad-hoc predicates, correlation.
+"""Analysis-level comparisons: classification, ad-hoc predicates, Pearson r.
 
 The classifier comparison mirrors how an analyst would use a released
 dataset: ``classifier_baseline`` trains a classifier on the original, and
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -197,14 +197,6 @@ def adhoc_proportion(ds: Dataset, predicate: AdhocPredicate) -> float:
     return float(keep.mean())
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
-    series_x: str
-    series_y: str
-    r: float
-    n: int
-
-
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Sample Pearson correlation; needs n >= 3 and non-constant series."""
     x = np.asarray(xs, dtype=np.float64)
@@ -219,36 +211,3 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     dy = y - y.mean()
     return float((dx @ dy) / math.sqrt((dx @ dx) * (dy @ dy)))
 
-
-def correlation_battery(
-    series: Mapping[str, Mapping[tuple, float]],
-    pairs: Sequence[tuple[str, str]],
-) -> tuple[tuple[CorrelationResult, ...], tuple[tuple[str, str, str], ...]]:
-    """Correlate metric series across synthesizer combinations.
-
-    ``series`` maps a metric name to {combination key: value}. For each
-    requested pair the values are aligned on the shared keys. Pairs whose
-    aligned series are constant are skipped with a reason instead of failing;
-    fewer than three aligned combinations is an error.
-    """
-    results = []
-    skipped = []
-    for name_x, name_y in pairs:
-        if name_x not in series or name_y not in series:
-            missing = name_x if name_x not in series else name_y
-            skipped.append((name_x, name_y, f"no series {missing!r}"))
-            continue
-        sx, sy = series[name_x], series[name_y]
-        keys = sorted(set(sx) & set(sy))
-        if len(keys) < 3:
-            raise AnalysisError(
-                f"pair ({name_x!r}, {name_y!r}) has only {len(keys)} aligned combinations"
-            )
-        xs = [sx[k] for k in keys]
-        ys = [sy[k] for k in keys]
-        if max(xs) == min(xs) or max(ys) == min(ys):
-            which = name_x if max(xs) == min(xs) else name_y
-            skipped.append((name_x, name_y, f"series {which!r} is constant"))
-            continue
-        results.append(CorrelationResult(name_x, name_y, pearson(xs, ys), len(keys)))
-    return tuple(results), tuple(skipped)

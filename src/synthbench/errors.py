@@ -35,7 +35,7 @@ class MetricError(SynthbenchError):
 
 
 class AnalysisError(SynthbenchError):
-    """Invalid analysis request (classification, predicate, correlation)."""
+    """Invalid analysis request (classification, predicate, Pearson r)."""
 
 
 class ConfigError(SynthbenchError):

@@ -35,8 +35,8 @@ from .analysis import (
     adhoc_proportion,
     classifier_baseline,
     classify_compare,
-    correlation_battery,
     load_adhoc,
+    pearson,
 )
 from .dataset import (
     DEFAULT_MISSING_TOKENS,
@@ -1019,7 +1019,8 @@ def _apo_vs_time_table(by_metric, timings):
 
 def _correlations_table(by_metric, timings):
     """Pearson r between every two series that share at least three
-    (label, mode, m) cells, and the pairs it had to skip."""
+    (label, mode, m) cells, on the cells they share, and the pairs skipped
+    because a series is constant on those cells."""
     series: dict[str, dict[tuple, float]] = {}
     for metric in ("rf_avg_cio", "rf_apo", "kl_norm_avg", "clf_acc_dev", "mpe_apo"):
         if metric in by_metric:
@@ -1031,21 +1032,22 @@ def _correlations_table(by_metric, timings):
     for (label, mode, m, scope), v in by_metric.get("adhoc_dev", {}).items():
         series.setdefault(f"adhoc_dev:{scope.removeprefix('pred:')}", {})[(label, mode, m)] = v
     names = sorted(series)
-    pairs = [
-        (a, b)
-        for i, a in enumerate(names)
-        for b in names[i + 1:]
-        if len(series[a].keys() & series[b].keys()) >= 3
-    ]
-    if not pairs:
+    rows, skipped = [], []
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            keys = sorted(series[a].keys() & series[b].keys())
+            if len(keys) < 3:
+                continue
+            xs = [series[a][k] for k in keys]
+            ys = [series[b][k] for k in keys]
+            if max(xs) == min(xs) or max(ys) == min(ys):
+                constant = a if max(xs) == min(xs) else b
+                skipped.append([a, b, f"series {constant!r} is constant"])
+            else:
+                rows.append([a, b, repr(pearson(xs, ys)), len(keys)])
+    if not rows and not skipped:
         return "at least two alignable series"
-    results, skipped = correlation_battery(series, pairs)
-    files = {
-        "correlations": (
-            ["series_x", "series_y", "r", "n"],
-            [[r.series_x, r.series_y, repr(r.r), r.n] for r in results],
-        )
-    }
+    files = {"correlations": (["series_x", "series_y", "r", "n"], rows)}
     if skipped:
         files["correlations_skipped"] = (["series_x", "series_y", "reason"], skipped)
     return files

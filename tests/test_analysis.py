@@ -11,7 +11,6 @@ from synthbench.analysis import (
     adhoc_proportion,
     classifier_baseline,
     classify_compare,
-    correlation_battery,
     load_adhoc,
     pearson,
 )
@@ -167,22 +166,3 @@ def test_adhoc_ids_must_be_strings(tmp_path):
         path.write_text(json.dumps({"analyses": [{"id": i, "conditions": []} for i in ids]}))
         with pytest.raises(AnalysisError, match="id must be a string"):
             load_adhoc(path)
-
-
-def test_correlation_battery_alignment_and_skips():
-    series = {
-        "a": {("D", 1): 1.0, ("D", 5): 2.0, ("P", 1): 3.0, ("P", 5): 4.0},
-        "b": {("D", 1): 2.0, ("D", 5): 4.0, ("P", 1): 6.0, ("P", 5): 8.0},
-        "flat": {("D", 1): 1.0, ("D", 5): 1.0, ("P", 1): 1.0},
-    }
-    results, skipped = correlation_battery(
-        series, [("a", "b"), ("a", "flat"), ("a", "ghost")]
-    )
-    assert len(results) == 1
-    assert results[0].r == pytest.approx(1.0, abs=1e-12)
-    assert results[0].n == 4
-    reasons = {(s[0], s[1]): s[2] for s in skipped}
-    assert "constant" in reasons[("a", "flat")]
-    assert "ghost" in reasons[("a", "ghost")]
-    with pytest.raises(AnalysisError):
-        correlation_battery({"a": {("D", 1): 1.0}, "b": {("D", 1): 2.0}}, [("a", "b")])
