@@ -117,6 +117,11 @@ def make_order(
     return tuple(rest + [best])
 
 
+def _check_permutation(visit: tuple[int, ...]) -> None:
+    if sorted(visit) != list(range(len(visit))):
+        raise SpecError("visit sequence must be a permutation of the columns")
+
+
 def make_predictors(
     visit: tuple[int, ...],
     selective: dict[int, tuple[int, ...]] | None = None,
@@ -124,11 +129,13 @@ def make_predictors(
     """Each column's predictors, ascending. Simple mode: every
     earlier-visited column predicts every later one. Selective mode
     overrides listed targets with exactly the given subsets; unlisted
-    targets keep the simple default. A visit that is not a permutation
-    gets sets that ``SynthesizerSpec`` refuses."""
+    targets keep the simple default. A visit that is not a permutation is
+    refused before the selective map is checked against it."""
+    _check_permutation(visit)
     p = len(visit)
-    earlier = {col: visit[:k] for k, col in enumerate(visit)}
-    preds = [tuple(sorted(earlier.get(i, ()))) for i in range(p)]
+    preds = [()] * p
+    for k, col in enumerate(visit):
+        preds[col] = tuple(sorted(visit[:k]))
     for target, chosen in (selective or {}).items():
         for q in (target, *chosen):
             if q < 0 or q >= p:
@@ -154,8 +161,7 @@ class SynthesizerSpec:
     min_leaf: int = 5
 
     def __post_init__(self) -> None:
-        if sorted(self.visit) != list(range(len(self.visit))):
-            raise SpecError("visit sequence must be a permutation of the columns")
+        _check_permutation(self.visit)
         p = len(self.methods)
         if len(self.visit) != p or len(self.predictors) != p:
             raise SpecError("methods, visit sequence and predictor sets disagree")

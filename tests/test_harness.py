@@ -1140,6 +1140,22 @@ def test_an_own_order_that_is_not_a_permutation_is_a_config_error(
     assert not (tmp_path / "results" / "report.csv").exists()
 
 
+def test_a_selective_own_order_that_leaves_out_a_column_is_a_config_error(tmp_path, capsys):
+    grid = {
+        "synthesizers": [{"base": "S"}, {"base": "D", "order": "own", "own_order": ["y", "c"]}],
+        "m": [1],
+        "predictor_modes": ["selective"],
+        "selective": {"c": ["x"]},
+    }
+    cfg_path = write_project(tmp_path, grid=grid, k=1)
+    assert main(["experiment", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: synthesizer 'DV' in predictor mode 'selective': "
+        "visit sequence must be a permutation of the columns\n"
+    )
+    assert not (tmp_path / "results" / "cells").exists()
+
+
 def test_an_exception_outside_the_metrics_costs_the_whole_cell(tmp_path, monkeypatch):
     cfg = load_config(write_project(tmp_path, grid={"synthesizers": [{"base": "S"}], "m": [1]}, k=1))
 
