@@ -177,15 +177,11 @@ class UtilityReport:
     def sorted_rows(self) -> list[ReportRow]:
         return sorted(self.rows, key=lambda r: r.key())
 
-    def values(self, metric: str, **match) -> dict[tuple, float]:
-        out = {}
-        for r in self.rows:
-            if r.metric != metric:
-                continue
-            if any(getattr(r, f) != v for f, v in match.items()):
-                continue
-            out[(r.label, r.mode, r.m, r.k, r.scope)] = r.value
-        return out
+    def values(self, metric: str) -> dict[tuple, float]:
+        """Each value of ``metric`` by (label, mode, m, k, scope)."""
+        return {
+            (r.label, r.mode, r.m, r.k, r.scope): r.value for r in self.rows if r.metric == metric
+        }
 
     def summary(self) -> list[ReportRow]:
         """Average each (label, mode, m, metric, scope) over its repetitions.

@@ -147,6 +147,6 @@ def test_report_summary_and_values():
     summary = {(r.label, r.metric): r.value for r in rep.summary()}
     assert summary[("D", "rf_apo")] == pytest.approx(0.75)
     assert summary[("S", "rf_apo")] == 0.0
-    got = rep.values("rf_apo", label="D")
+    got = {key: v for key, v in rep.values("rf_apo").items() if key[0] == "D"}
     assert got == {("D", "simple", 3, 0, ""): 0.5, ("D", "simple", 3, 1, ""): 1.0}
     assert all(r.k == -1 for r in rep.summary())
