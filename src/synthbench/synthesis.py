@@ -243,8 +243,9 @@ def build_spec(
 
 @dataclass(frozen=True)
 class SyntheticSet:
-    """The m generated datasets plus per-dataset generation seconds
-    (model fitting and drawing; excludes any file writing)."""
+    """The m generated datasets plus per-dataset seconds: model fitting and
+    drawing for a set from ``synthesize``, plus the CSV write for a set
+    read back by ``load_synthetic_set`` (its manifest's combined times)."""
 
     label: str
     seed: int
