@@ -1121,43 +1121,30 @@ def test_a_spec_that_cannot_be_built_is_a_config_error(tmp_path, grid, drop, lab
 
 
 @pytest.mark.parametrize(
-    "own_order, reason",
+    "own_order, mode, reason",
     [
-        (["x", "x", "y"], "visit sequence must be a permutation of the columns"),
-        (["x", "y"], "methods, visit sequence and predictor sets disagree"),
+        (["x", "x", "y"], "simple", "visit sequence must be a permutation of the columns"),
+        (["x", "y"], "simple", "methods, visit sequence and predictor sets disagree"),
+        (["y", "c"], "selective", "visit sequence must be a permutation of the columns"),
     ],
-    ids=["repeats-a-column", "leaves-out-a-column"],
+    ids=["repeats-a-column", "leaves-out-a-column", "selective-leaves-out-a-column"],
 )
 def test_an_own_order_that_is_not_a_permutation_is_a_config_error(
-    tmp_path, capsys, own_order, reason
+    tmp_path, capsys, own_order, mode, reason
 ):
     grid = {
         "synthesizers": [{"base": "S"}, {"base": "D", "order": "own", "own_order": own_order}],
         "m": [1],
-    }
-    cfg_path = write_project(tmp_path, grid=grid, k=1)
-    assert main(["experiment", "--config", str(cfg_path)]) == 1
-    assert capsys.readouterr().err == (
-        f"error: synthesizer 'DV' in predictor mode 'simple': {reason}\n"
-    )
-    assert not (tmp_path / "results" / "cells").exists()
-    assert not (tmp_path / "results" / "report.csv").exists()
-
-
-def test_a_selective_own_order_that_leaves_out_a_column_is_a_config_error(tmp_path, capsys):
-    grid = {
-        "synthesizers": [{"base": "S"}, {"base": "D", "order": "own", "own_order": ["y", "c"]}],
-        "m": [1],
-        "predictor_modes": ["selective"],
+        "predictor_modes": [mode],
         "selective": {"c": ["x"]},
     }
     cfg_path = write_project(tmp_path, grid=grid, k=1)
     assert main(["experiment", "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err == (
-        "error: synthesizer 'DV' in predictor mode 'selective': "
-        "visit sequence must be a permutation of the columns\n"
+        f"error: synthesizer 'DV' in predictor mode {mode!r}: {reason}\n"
     )
     assert not (tmp_path / "results" / "cells").exists()
+    assert not (tmp_path / "results" / "report.csv").exists()
 
 
 def test_an_exception_outside_the_metrics_costs_the_whole_cell(tmp_path, monkeypatch):

@@ -55,21 +55,6 @@ def test_make_order_variants():
         make_order(schema_num, "largest_cat_first")
 
 
-def test_a_selective_visit_that_leaves_out_a_column_is_no_permutation():
-    # The visit is checked before the selective map is range-checked
-    # against it, in either mode.
-    schema = Schema(
-        (
-            Column("x", ColumnKind.numeric()),
-            Column("y", ColumnKind.numeric()),
-            Column("c", ColumnKind.categorical(("a", "b"))),
-        )
-    )
-    for selective in (None, {2: (0,)}):
-        with pytest.raises(SpecError, match="^visit sequence must be a permutation of the columns$"):
-            build_spec(schema, "D", order="own", own_order=("y", "c"), selective=selective)
-
-
 def test_largest_cat_picks_widest_level_set():
     schema = Schema(
         (
@@ -93,6 +78,9 @@ def test_make_predictors_simple_and_selective():
     assert sel[3] == (0, 1, 2)  # unlisted targets keep the default
     with pytest.raises(SpecError):
         build_spec(ds.schema, "D", selective={0: (1,)})  # predictor visited after target
+    # The visit is checked before the selective map is range-checked against it.
+    with pytest.raises(SpecError, match="^visit sequence must be a permutation of the columns$"):
+        build_spec(ds.schema, "D", order="own", own_order=("y", "c1", "c2"), selective={3: (0,)})
     with pytest.raises(SpecError):
         build_spec(ds.schema, "D", selective={1: (1,)})  # self-prediction
 
