@@ -210,4 +210,3 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     dx = x - x.mean()
     dy = y - y.mean()
     return float((dx @ dy) / math.sqrt((dx @ dx) * (dy @ dy)))
-

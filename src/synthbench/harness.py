@@ -1040,9 +1040,9 @@ def _correlations_table(by_metric, timings):
                 continue
             xs = [series[a][k] for k in keys]
             ys = [series[b][k] for k in keys]
-            if max(xs) == min(xs) or max(ys) == min(ys):
-                constant = a if max(xs) == min(xs) else b
-                skipped.append([a, b, f"series {constant!r} is constant"])
+            constant = [name for name, vs in ((a, xs), (b, ys)) if max(vs) == min(vs)]
+            if constant:
+                skipped.append([a, b, f"series {constant[0]!r} is constant"])
             else:
                 rows.append([a, b, repr(pearson(xs, ys)), len(keys)])
     if not rows and not skipped:
