@@ -359,3 +359,137 @@ def test_write_csv_bytes_equal_a_row_by_row_csv_writer(ds):
         path = Path(tmp) / "ds.csv"
         write_csv(ds, path)
         assert path.read_bytes() == csv_writer_bytes(ds)
+
+
+def load_cell_by_cell(path, schema, missing_tokens):
+    """What ``load_csv`` must return for a file whose header matches
+    ``schema``, computed one cell at a time: each column in schema order,
+    each of its cells in file order."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = [row for row in csv.reader(fh) if row or len(schema) < 2]
+    wide = next((i for i, row in enumerate(rows) if len(row) > len(header)), None)
+    if wide is not None:
+        raise DataError(
+            f"{path}: row {wide + 2} has {len(rows[wide])} fields, the header has {len(header)}"
+        )
+    n = len(rows)
+    out_cols, out_masks, out_schema = [], [], schema
+    for col in schema.columns:
+        j = header.index(col.name)
+        cells = [row[j] if j < len(row) else None for row in rows]
+        mask = np.zeros(n, dtype=bool)
+        if col.kind.is_numeric:
+            values = np.empty(n, dtype=np.float64)
+            for i, cell in enumerate(cells):
+                if cell is None or cell in missing_tokens:
+                    mask[i] = True
+                    values[i] = np.nan
+                    continue
+                try:
+                    values[i] = float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"{path}: row {i + 2}, column {col.name!r}: "
+                        f"cannot parse {cell!r} as a number"
+                    ) from None
+        else:
+            infer = col.kind.levels is None
+            levels = [] if infer else list(col.kind.levels)
+            lookup = {lvl: k for k, lvl in enumerate(levels)}
+            values = np.empty(n, dtype=np.int64)
+            for i, cell in enumerate(cells):
+                if cell is None or cell in missing_tokens:
+                    mask[i] = True
+                    values[i] = -1
+                    continue
+                code = lookup.get(cell)
+                if code is None:
+                    if not infer:
+                        raise DataError(
+                            f"{path}: row {i + 2}, column {col.name!r}: "
+                            f"label {cell!r} is not a declared level"
+                        )
+                    code = lookup[cell] = len(levels)
+                    levels.append(cell)
+                values[i] = code
+            if infer:
+                if not levels:
+                    raise DataError(f"{path}: column {col.name!r} has no observed levels to infer")
+                out_schema = out_schema.replace_kind(col.name, ColumnKind.categorical(levels))
+        out_cols.append(values)
+        out_masks.append(mask if mask.any() else None)
+    return Dataset(out_schema, tuple(out_cols), tuple(out_masks))
+
+
+NUMBER_TEXT = (
+    st.sampled_from(["1", "-0.0", "2.5e3", " 7 ", "inf", "-nan", "1_0"]) | st.floats().map(repr)
+)
+LABEL = st.sampled_from(["x", "y", "z", "NA", "", " "])
+
+
+@st.composite
+def csv_file(draw):
+    """A schema, the missing tokens and the records of a file to load against
+    them, with the header in any order: numbers, missing tokens, short rows,
+    declared and inferred levels, up to two cells that cannot load and at
+    most one row that is too wide."""
+    names = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True))
+    tokens = draw(st.sampled_from([("", "NA"), (), ("NA", "?")]))
+    columns, cell_texts = [], []
+    for name in names:
+        kind = draw(st.sampled_from(["numeric", "declared", "inferred"]))
+        if kind == "numeric":
+            columns.append(Column(name, ColumnKind.numeric()))
+            cell_texts.append(NUMBER_TEXT | st.sampled_from(tokens or ("1",)))
+        elif kind == "declared":
+            levels = draw(st.lists(LABEL, min_size=1, max_size=3, unique=True))
+            columns.append(Column(name, ColumnKind.categorical(levels)))
+            cell_texts.append(st.sampled_from(levels + list(tokens)))
+        else:
+            columns.append(Column(name, ColumnKind.categorical()))
+            cell_texts.append(LABEL | st.sampled_from(tokens or ("x",)))
+    header = draw(st.permutations(names))
+    text_of = dict(zip(names, cell_texts))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        row = [draw(text_of[name]) for name in header]
+        if draw(st.integers(0, 3)) == 0:  # a short row
+            row = row[: draw(st.integers(0, len(row) - 1))]
+        rows.append(row)
+    # Up to two cells that cannot load, both in one column, in any row order.
+    j = draw(st.integers(0, len(header) - 1))
+    holding = [row for row in rows if len(row) > j]
+    for bad in ("oops", "bad")[: draw(st.integers(0, 2)) if holding else 0]:
+        draw(st.sampled_from(holding))[j] = bad
+    if rows and draw(st.integers(0, 4)) == 0:
+        rows[draw(st.integers(0, len(rows) - 1))].append("1")
+    return Schema(tuple(columns)), tokens, [header, *rows]
+
+
+def load_outcome(load, path, schema, tokens):
+    try:
+        return load(path, schema, tokens)
+    except DataError as err:
+        return str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=csv_file())
+def test_load_csv_equals_a_cell_by_cell_load(case):
+    schema, tokens, records = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(records)
+        got = load_outcome(load_csv, path, schema, tokens)
+        want = load_outcome(load_cell_by_cell, path, schema, tokens)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert isinstance(got, Dataset), got
+    assert got.schema == want.schema
+    for a, b, ma, mb in zip(got.columns, want.columns, got.missing, want.missing, strict=True):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b, equal_nan=True)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+        assert (ma is None and mb is None) or np.array_equal(ma, mb)
