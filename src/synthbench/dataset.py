@@ -17,6 +17,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -311,9 +312,12 @@ def load_csv(
     to a missing token, and fields a short row lacks, are flagged missing; a
     row with more fields than the header is an error.
     Categorical columns marked "infer" get their level set from the data in
-    first-appearance order, which the dataset's schema records.
+    first-appearance order, which the dataset's schema records. A cell that
+    is not a number or not a declared level is an error naming the first
+    such cell in file order, the columns checked in schema order.
     """
-    missing_set = set(missing_tokens)
+    # None stands for a field that a short row lacks.
+    missing_set = {None, *missing_tokens}
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as err:
@@ -335,64 +339,47 @@ def load_csv(
         extra = sorted(set(header) - set(schema.names))
         absent = sorted(set(schema.names) - set(header))
         raise DataError(f"{path}: header mismatch (unexpected {extra}, missing {absent})")
-    wide = next((i for i, row in enumerate(rows) if len(row) > len(header)), None)
-    if wide is not None:
-        raise DataError(
-            f"{path}: row {wide + 2} has {len(rows[wide])} fields, the header has {len(header)}"
-        )
+    p = len(header)
+    widths = set(map(len, rows))
+    if widths and max(widths) > p:
+        wide = next(i for i, row in enumerate(rows) if len(row) > p)
+        raise DataError(f"{path}: row {wide + 2} has {len(rows[wide])} fields, the header has {p}")
+    if widths - {p}:
+        rows = [row + [None] * (p - len(row)) for row in rows]
+    fields = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
 
-    pos = {name: header.index(name) for name in schema.names}
     n = len(rows)
     out_cols: list[np.ndarray] = []
     out_masks: list[np.ndarray | None] = []
     out_schema = schema
     for col in schema.columns:
-        j = pos[col.name]
-        cells = [row[j] if j < len(row) else None for row in rows]
-        mask = np.zeros(n, dtype=bool)
+        cells = fields[col.name]
+        mask = np.fromiter(map(missing_set.__contains__, cells), bool, n)
+        observed = ~mask
+        present = list(compress(cells, observed.tolist()))
         if col.kind.is_numeric:
-            values = np.empty(n, dtype=np.float64)
-            for i, cell in enumerate(cells):
-                if cell is None or cell in missing_set:
-                    mask[i] = True
-                    values[i] = np.nan
-                    continue
-                try:
-                    values[i] = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {i + 2}, column {col.name!r}: "
-                        f"cannot parse {cell!r} as a number"
-                    ) from None
+            parse, values, problem = float, np.full(n, np.nan), "cannot parse {!r} as a number"
         else:
-            # A label outside the levels is a new level when they are inferred
-            # and an error when they are declared.
-            infer = col.kind.levels is None
-            levels = [] if infer else list(col.kind.levels)
-            lookup = {lvl: k for k, lvl in enumerate(levels)}
-            values = np.empty(n, dtype=np.int64)
-            for i, cell in enumerate(cells):
-                if cell is None or cell in missing_set:
-                    mask[i] = True
-                    values[i] = _MISSING_CODE
-                    continue
-                code = lookup.get(cell)
-                if code is None:
-                    if not infer:
-                        raise DataError(
-                            f"{path}: row {i + 2}, column {col.name!r}: "
-                            f"label {cell!r} is not a declared level"
-                        )
-                    code = lookup[cell] = len(levels)
-                    levels.append(cell)
-                values[i] = code
-            if infer:
-                if not levels:
+            # Inferred levels take every label in order of first appearance;
+            # a label outside declared levels is an error.
+            levels = col.kind.levels or tuple(dict.fromkeys(present))
+            if not levels:
+                raise DataError(f"{path}: column {col.name!r} has no observed levels to infer")
+            out_schema = out_schema.replace_kind(col.name, ColumnKind.categorical(levels))
+            parse = {lvl: k for k, lvl in enumerate(levels)}.__getitem__
+            values = np.full(n, _MISSING_CODE, dtype=np.int64)
+            problem = "label {!r} is not a declared level"
+        try:
+            values[observed] = np.fromiter(map(parse, present), values.dtype, len(present))
+        except (ValueError, KeyError):
+            # One scan finds the first cell that fails, in file order.
+            for i, cell in zip(np.flatnonzero(observed).tolist(), present):
+                try:
+                    parse(cell)
+                except (ValueError, KeyError):
                     raise DataError(
-                        f"{path}: column {col.name!r} has no observed levels to infer"
-                    )
-                kind = ColumnKind.categorical(levels)
-                out_schema = out_schema.replace_kind(col.name, kind)
+                        f"{path}: row {i + 2}, column {col.name!r}: {problem.format(cell)}"
+                    ) from None
         out_cols.append(values)
         out_masks.append(mask if mask.any() else None)
 
