@@ -89,8 +89,7 @@ def make_order(
     ``largest_cat_first``/``largest_cat_last`` move the categorical column
     with the most levels (ties broken by original column order) to the front
     or back; everything else keeps its original relative order. ``own`` takes
-    an explicit permutation of column names, which ``SynthesizerSpec``
-    checks.
+    an explicit permutation of column names: each column once.
     """
     p = len(schema)
     if kind not in ORDER_KINDS:
@@ -102,7 +101,9 @@ def make_order(
     if kind == "own":
         if own is None:
             raise SpecError("own order requires the column permutation")
-        return tuple(schema.index(name) for name in own)
+        visit = tuple(schema.index(name) for name in own)
+        _check_permutation(visit, p)
+        return visit
     cat_sizes = [
         (c.kind.n_levels, i)
         for i, c in enumerate(schema.columns)
@@ -117,8 +118,9 @@ def make_order(
     return tuple(rest + [best])
 
 
-def _check_permutation(visit: tuple[int, ...]) -> None:
-    if sorted(visit) != list(range(len(visit))):
+def _check_permutation(visit: tuple[int, ...], p: int) -> None:
+    """Refuse a visit that is not a permutation of ``p`` columns."""
+    if sorted(visit) != list(range(p)):
         raise SpecError("visit sequence must be a permutation of the columns")
 
 
@@ -131,8 +133,8 @@ def make_predictors(
     overrides listed targets with exactly the given subsets; unlisted
     targets keep the simple default. A visit that is not a permutation is
     refused before the selective map is checked against it."""
-    _check_permutation(visit)
     p = len(visit)
+    _check_permutation(visit, p)
     preds = [()] * p
     for k, col in enumerate(visit):
         preds[col] = tuple(sorted(visit[:k]))
@@ -161,7 +163,7 @@ class SynthesizerSpec:
     min_leaf: int = 5
 
     def __post_init__(self) -> None:
-        _check_permutation(self.visit)
+        _check_permutation(self.visit, len(self.visit))
         p = len(self.methods)
         if len(self.visit) != p or len(self.predictors) != p:
             raise SpecError("methods, visit sequence and predictor sets disagree")

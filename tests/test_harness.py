@@ -1124,10 +1124,16 @@ def test_a_spec_that_cannot_be_built_is_a_config_error(tmp_path, grid, drop, lab
     "own_order, mode, reason",
     [
         (["x", "x", "y"], "simple", "visit sequence must be a permutation of the columns"),
-        (["x", "y"], "simple", "methods, visit sequence and predictor sets disagree"),
+        (["x", "y"], "simple", "visit sequence must be a permutation of the columns"),
         (["y", "c"], "selective", "visit sequence must be a permutation of the columns"),
+        (["x", "y"], "selective", "visit sequence must be a permutation of the columns"),
     ],
-    ids=["repeats-a-column", "leaves-out-a-column", "selective-leaves-out-a-column"],
+    ids=[
+        "repeats-a-column",
+        "leaves-out-a-column",
+        "selective-leaves-out-a-column",
+        "selective-leaves-out-the-last-column",
+    ],
 )
 def test_an_own_order_that_is_not_a_permutation_is_a_config_error(
     tmp_path, capsys, own_order, mode, reason

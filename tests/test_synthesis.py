@@ -50,6 +50,9 @@ def test_make_order_variants():
     assert make_order(ds.schema, "largest_cat_last") == (0, 1, 3, 2)
     with pytest.raises(SpecError, match="must be a permutation"):
         build_spec(ds.schema, "D", order="own", own_order=("x", "x", "y", "c1"))
+    # An own order is checked against the schema, so leaving out the last column fails too.
+    with pytest.raises(SpecError, match="^visit sequence must be a permutation of the columns$"):
+        make_order(ds.schema, "own", ("x", "y", "c1"))
     schema_num = Schema((Column("x", ColumnKind.numeric()),))
     with pytest.raises(SpecError):
         make_order(schema_num, "largest_cat_first")
