@@ -899,20 +899,13 @@ def read_report(out: Path) -> UtilityReport:
     if not report_path.exists():
         raise ConfigError(f"{report_path} does not exist; run an experiment first")
     report = UtilityReport()
-    with open(report_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            report.add(
-                row["label"], row["mode"], int(row["m"]), int(row["k"]),
-                row["metric"], row["scope"], float(row["value"]),
-            )
+    key = {"label": str, "mode": str, "m": int, "k": int}
+    for row in _table_rows(report_path, {**key, "metric": str, "scope": str, "value": float}):
+        report.add(*row)
     err_path = out / "errors.csv"
     if err_path.exists():
-        with open(err_path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                report.add_error(
-                    row["label"], row["mode"], int(row["m"]), int(row["k"]),
-                    row["stage"], row["message"],
-                )
+        for row in _table_rows(err_path, {**key, "stage": str, "message": str}):
+            report.add_error(*row)
     return report
 
 
@@ -923,11 +916,34 @@ def read_timings(out: Path) -> list[TimingRecord]:
     if not path.exists():
         return []
     seconds: dict[tuple, list[float]] = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            key = (row["label"], row["mode"], int(row["m"]), int(row["rep"]))
-            seconds.setdefault(key, []).append(float(row["seconds"]))
+    fields = {"label": str, "mode": str, "m": int, "rep": int, "seconds": float}
+    for *key, secs in _table_rows(path, fields):
+        seconds.setdefault(tuple(key), []).append(secs)
     return [TimingRecord(*key, tuple(secs)) for key, secs in seconds.items()]
+
+
+def _table_rows(path: Path, fields: dict):
+    """Each row of the results table at ``path`` as a tuple of its ``fields``,
+    each parsed by its type (str, int or float). A row that lacks one of
+    them, holds a number that does not parse or has more fields than the
+    header is a ``DataError`` naming the file and the row."""
+    with open(path, newline="") as fh:
+        for i, row in enumerate(csv.DictReader(fh), start=2):
+            if None in row:
+                raise DataError(f"{path}: row {i} has more fields than the header")
+            values = []
+            for name, kind in fields.items():
+                text = row.get(name)
+                if text is None:
+                    raise DataError(f"{path}: row {i} lacks the field {name!r}")
+                try:
+                    values.append(kind(text))
+                except ValueError:
+                    number = "an integer" if kind is int else "a number"
+                    raise DataError(
+                        f"{path}: row {i}, field {name!r}: cannot parse {text!r} as {number}"
+                    ) from None
+            yield tuple(values)
 
 
 # A table builder takes the summary values ``{metric: {(label, mode, m,

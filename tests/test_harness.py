@@ -761,6 +761,50 @@ def test_read_report_round_trip(mini_run):
         read_report(cfg.out / "nowhere")
 
 
+def _replace_last_field(line, text):
+    return line.rsplit(",", 1)[0] + text
+
+
+@pytest.mark.parametrize(
+    "table, row, edit, problem",
+    [
+        ("report.csv", 1, lambda line: _replace_last_field(line, ",abc"),
+         "row 2, field 'value': cannot parse 'abc' as a number"),
+        ("report.csv", 2, lambda line: _replace_last_field(line, ""),
+         "row 3 lacks the field 'value'"),
+        ("report.csv", 1, lambda line: line + ",7", "row 2 has more fields than the header"),
+        ("timings.csv", 2, lambda line: _replace_last_field(line, ",1.5s"),
+         "row 3, field 'seconds': cannot parse '1.5s' as a number"),
+        ("timings.csv", 1, lambda line: _replace_last_field(line, ""),
+         "row 2 lacks the field 'seconds'"),
+        ("errors.csv", 1, lambda line: line.replace(",1,", ",one,", 1),
+         "row 2, field 'm': cannot parse 'one' as an integer"),
+    ],
+    ids=[
+        "report-value-not-a-number",
+        "report-row-lacks-value",
+        "report-row-too-wide",
+        "timings-seconds-not-a-number",
+        "timings-row-lacks-seconds",
+        "errors-m-not-an-integer",
+    ],
+)
+def test_a_malformed_results_row_is_an_input_error(
+    mini_run, tmp_path, capsys, table, row, edit, problem
+):
+    _, cfg, _, _ = mini_run
+    out = tmp_path / "results"
+    out.mkdir()
+    for name in ("report.csv", "timings.csv"):
+        shutil.copy(cfg.out / name, out / name)
+    (out / "errors.csv").write_text("label,mode,m,k,stage,message\nS,simple,1,1,cell,boom\n")
+    lines = (out / table).read_text().splitlines()
+    lines[row] = edit(lines[row])
+    (out / table).write_text("\n".join(lines) + "\n")
+    assert main(["report", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {out / table}: {problem}\n"
+
+
 def test_emit_tables(mini_run):
     root, cfg, report, timings = mini_run
     written = emit_tables(report, cfg.out, timings)
