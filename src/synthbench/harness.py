@@ -926,24 +926,29 @@ def _table_rows(path: Path, fields: dict):
     """Each row of the results table at ``path`` as a tuple of its ``fields``,
     each parsed by its type (str, int or float). A row that lacks one of
     them, holds a number that does not parse or has more fields than the
-    header is a ``DataError`` naming the file and the row."""
+    header is a ``DataError`` naming the file and the row; so is a file
+    that does not decode."""
     with open(path, newline="") as fh:
-        for i, row in enumerate(csv.DictReader(fh), start=2):
-            if None in row:
-                raise DataError(f"{path}: row {i} has more fields than the header")
-            values = []
-            for name, kind in fields.items():
-                text = row.get(name)
-                if text is None:
-                    raise DataError(f"{path}: row {i} lacks the field {name!r}")
-                try:
-                    values.append(kind(text))
-                except ValueError:
-                    number = "an integer" if kind is int else "a number"
-                    raise DataError(
-                        f"{path}: row {i}, field {name!r}: cannot parse {text!r} as {number}"
-                    ) from None
-            yield tuple(values)
+        try:
+            rows = list(csv.DictReader(fh))
+        except UnicodeDecodeError as err:
+            raise DataError(f"{path}: not {err.encoding} text ({err.reason})") from None
+    for i, row in enumerate(rows, start=2):
+        if None in row:
+            raise DataError(f"{path}: row {i} has more fields than the header")
+        values = []
+        for name, kind in fields.items():
+            text = row.get(name)
+            if text is None:
+                raise DataError(f"{path}: row {i} lacks the field {name!r}")
+            try:
+                values.append(kind(text))
+            except ValueError:
+                number = "an integer" if kind is int else "a number"
+                raise DataError(
+                    f"{path}: row {i}, field {name!r}: cannot parse {text!r} as {number}"
+                ) from None
+        yield tuple(values)
 
 
 # A table builder takes the summary values ``{metric: {(label, mode, m,

@@ -805,6 +805,17 @@ def test_a_malformed_results_row_is_an_input_error(
     assert capsys.readouterr().err == f"error: {out / table}: {problem}\n"
 
 
+def test_a_results_table_that_does_not_decode_is_an_input_error(mini_run, tmp_path, capsys):
+    _, cfg, _, _ = mini_run
+    out = tmp_path / "results"
+    out.mkdir()
+    shutil.copy(cfg.out / "report.csv", out / "report.csv")
+    (out / "timings.csv").write_bytes((cfg.out / "timings.csv").read_bytes() + b"\xff\n")
+    assert main(["report", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'timings.csv'}: not ") and "Traceback" not in err
+
+
 def test_emit_tables(mini_run):
     root, cfg, report, timings = mini_run
     written = emit_tables(report, cfg.out, timings)
