@@ -16,10 +16,10 @@ The softmax's rows hold K entries, and numpy pays a fixed cost per row when
 it reduces or broadcasts along so short an axis. So the log-probabilities
 are held as a (K, n) array, one contiguous row per class, and the shift, the
 normalising sums, the score's residuals and a draw's cumulative sums run
-over whole length-n columns. Each float operation and its order stay those
-of the row-wise form: the shift is a maximum, exact in any order, and
-``_row_sums`` adds in the order of numpy's pairwise row sum. Fits and draws
-therefore keep their bits, which the golden digests pin. The BLAS products
+over whole length-n columns. The shift is a maximum, exact in any order.
+The normalising sums and a draw's cumulative sums add the classes in class
+order, one column at a time, so no result depends on how numpy blocks a
+reduction. The golden digests pin the fits and draws. The BLAS products
 receive the operands and layouts they always have, because a product may
 round differently for another layout.
 
@@ -43,35 +43,11 @@ _MAX_HALVINGS = 30
 _TOL = 1e-8
 
 
-def _row_sums(cols: np.ndarray) -> np.ndarray:
-    """``np.sum(cols.T, axis=1)`` for a (k, n) array, bit for bit, by adding
-    whole length-n columns.
-
-    numpy adds each row of a reduction over the last axis pairwise: below 8
-    entries in sequence; up to 128 with eight interleaved accumulators
-    combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and the remainder added in
-    sequence; above 128 as the sums of two halves, the first rounded down to a
-    multiple of 8. The reduction starts from a zero (-0.0 since numpy 2),
-    which leaves a non-negative sum unchanged but not every sum of signed
-    zeros or infinities, so this helper is exact only for non-negative
-    values, such as the softmax's exponentials.
-    """
-    k = cols.shape[0]
-    if k > 128:
-        half = k // 2 - (k // 2) % 8
-        return _row_sums(cols[:half]) + _row_sums(cols[half:])
-    if k < 8:
-        out = cols[0].copy()
-        tail = cols[1:]
-    else:
-        r = cols[:8].copy()
-        stop = k - k % 8
-        for i in range(8, stop, 8):
-            r += cols[i:i + 8]
-        out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        tail = cols[stop:]
-    for c in tail:
-        out += c
+def _class_sums(P: np.ndarray) -> np.ndarray:
+    """Column sums of a (K, n) array, adding the class rows in class order."""
+    out = P[0].copy()
+    for row in P[1:]:
+        out += row
     return out
 
 
@@ -81,11 +57,8 @@ def _log_probs(M: np.ndarray, B: np.ndarray) -> np.ndarray:
     L = np.empty((B.shape[0] + 1, M.shape[0]), dtype=np.float64)
     L[0] = 0.0
     L[1:] = (M @ B.T).T
-    shift = L[0].copy()
-    for z in L[1:]:
-        np.maximum(shift, z, out=shift)
-    L -= shift
-    L -= np.log(_row_sums(np.exp(L)))
+    L -= L.max(axis=0)
+    L -= np.log(_class_sums(np.exp(L)))
     return L
 
 
@@ -251,7 +224,7 @@ def fit_logistic(
 
 def _validated_probs(P: np.ndarray) -> np.ndarray:
     """Class probabilities of shape (K, n), each column rescaled to sum to 1."""
-    sums = _row_sums(P)
+    sums = _class_sums(P)
     drift = float(np.abs(sums - 1.0).max()) if P.shape[1] else 0.0
     if drift > 1e-9:
         raise FitError(f"class probabilities drift from 1 by {drift:.3e}")
@@ -267,10 +240,5 @@ def draw_class_many(model: LogisticModel, cols, rng: np.random.Generator) -> np.
     """
     P = _validated_probs(np.exp(_log_probs(model.encoding.encode(cols), model.coef)))
     u = rng.random(P.shape[1])
-    run = P[0].copy()
-    picks = (run <= u).astype(np.int64)
-    for p in P[1:]:
-        run += p
-        picks += run <= u
-    picks = np.minimum(picks, len(model.classes) - 1)
+    picks = np.minimum((np.cumsum(P, axis=0) <= u).sum(axis=0), len(model.classes) - 1)
     return np.asarray(model.classes, dtype=np.int64)[picks]

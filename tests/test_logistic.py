@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synthbench.models.logistic as logistic
@@ -15,7 +15,6 @@ from synthbench.models.logistic import (
     LogisticModel,
     _information,
     _log_probs,
-    _row_sums,
     draw_class_many,
 )
 
@@ -160,8 +159,8 @@ def _stalled_fit_data(fixture_a):
 
 
 def _twelve_class_data():
-    # Twelve observed classes, so each softmax row sum takes numpy's
-    # eight-accumulator branch rather than a plain running sum.
+    # Twelve observed classes: enough that a sum in class order and numpy's
+    # blocked row sum can round differently.
     rng = np.random.default_rng(31)
     n, k = 1500, 12
     x, z = rng.normal(size=n), rng.normal(size=n)
@@ -202,7 +201,7 @@ GOLDEN_FITS = {
     "stalled":
         "974475f711d2a74f7b47c0ab19c76ecf6ef3b7dc813c39989cf6618d69870e9d",
     "twelve_class":
-        "d046585924ae88f9a6767459801fdf44e8f3a91b735d3ae83baabc6a23fb9cf0",
+        "52a04ac1d55c39fdc778c34b87d1520958dcee26ec475972401c2445e1324001",
 }
 
 
@@ -277,33 +276,6 @@ def test_an_overflowing_information_matrix_is_a_fit_error(fixture_a):
         fit_logistic(X, fixture_a.column("c3")[:50])
 
 
-def _nonnegative(rows, width, seed, exponent, zero_share):
-    """Non-negative values below 10**(exponent + 3), subnormal for exponents
-    below -308, with about ``zero_share`` of them set to zero."""
-    rng = np.random.default_rng(seed)
-    X = rng.random((rows, width)) * 10.0 ** rng.uniform(exponent, exponent + 3, (rows, width))
-    X[rng.random((rows, width)) < zero_share] = 0.0
-    return X
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    rows=st.integers(1, 8),
-    width=st.integers(2, 300),
-    seed=st.integers(0, 2**32 - 1),
-    exponent=st.integers(-323, 297),
-    zero_share=st.sampled_from([0.0, 0.1, 0.9]),
-)
-@example(rows=8, width=8, seed=1, exponent=0, zero_share=0.0)
-@example(rows=8, width=128, seed=2, exponent=0, zero_share=0.0)
-@example(rows=8, width=129, seed=3, exponent=-1, zero_share=0.0)
-@example(rows=8, width=256, seed=4, exponent=297, zero_share=0.1)
-@example(rows=8, width=257, seed=5, exponent=-320, zero_share=0.1)
-def test_row_sums_add_in_the_order_of_a_numpy_row_sum(rows, width, seed, exponent, zero_share):
-    X = _nonnegative(rows, width, seed, exponent, zero_share)
-    assert _row_sums(np.ascontiguousarray(X.T)).tobytes() == X.sum(axis=1).tobytes()
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     k=st.integers(2, 12),
@@ -321,9 +293,10 @@ def test_class_draws_follow_the_cumulative_sum_rule(k, n, seed, scale):
         n_iter=0, converged=True, separated=False, loglik=0.0,
     )
     x = rng.normal(size=n)
-    # The rule written out with numpy's row-wise cumulative sums.
+    # The rule written out with row-wise cumulative sums, each row
+    # normalised by its sum in class order.
     P = class_probs(model, (x,))
-    P = P / P.sum(axis=1)[:, None]
+    P = P / np.cumsum(P, axis=1)[:, -1][:, None]
     u = np.random.default_rng(seed + 1).random(n)
     picks = np.minimum((np.cumsum(P, axis=1) <= u[:, None]).sum(axis=1), k - 1)
     drawn = draw_class_many(model, (x,), np.random.default_rng(seed + 1))
