@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset, JsonFields, read_json
+from .dataset import Dataset, JsonFields, Schema, read_json
 from .errors import AnalysisError
 from .models.cart import CartProblem, CartTree, fit_cart
 from .models.design import Predictors
@@ -67,6 +67,31 @@ class ClassifierBaseline:
     correct: np.ndarray
 
 
+def _n_test(n_rows: int, test_fraction: float) -> int:
+    return max(1, int(round(test_fraction * n_rows)))
+
+
+def check_classifier(
+    schema: Schema, n_rows: int, target: str, test_fraction: float | None
+) -> None:
+    """Raise ``AnalysisError`` unless a classifier of the column ``target``
+    can be trained on ``n_rows`` rows of ``schema``: the target is
+    categorical, another column predicts it, and a ``test_fraction`` lies in
+    (0, 1) and leaves at least one training row."""
+    if not schema.kind(target).is_categorical:
+        raise AnalysisError(f"classification target {target!r} is not categorical")
+    if len(schema) < 2:
+        raise AnalysisError("classification needs at least one predictor column")
+    if test_fraction is None:
+        return
+    if not (0.0 < test_fraction < 1.0):
+        raise AnalysisError("test_fraction must lie in (0, 1)")
+    if _n_test(n_rows, test_fraction) >= n_rows:
+        raise AnalysisError(
+            f"test_fraction {test_fraction!r} leaves no training row of {n_rows}"
+        )
+
+
 def classifier_baseline(
     original: Dataset, target: str, *, test_fraction: float | None = None
 ) -> ClassifierBaseline:
@@ -81,24 +106,15 @@ def classifier_baseline(
     from seed 0: the original-trained tree sees only the training rows, and
     every tree is scored only on the held-out rows.
     """
-    if not original.schema.kind(target).is_categorical:
-        raise AnalysisError(f"target {target!r} is not categorical")
-    if len(original.schema) < 2:
-        raise AnalysisError("classification needs at least one predictor column")
-
+    check_classifier(original.schema, original.n_rows, target, test_fraction)
     if test_fraction is None:
         train_orig = original
         eval_ds = original
     else:
-        if not (0.0 < test_fraction < 1.0):
-            raise AnalysisError("test_fraction must lie in (0, 1)")
-        n = original.n_rows
-        perm = np.random.default_rng(0).permutation(n)
-        n_test = max(1, int(round(test_fraction * n)))
+        perm = np.random.default_rng(0).permutation(original.n_rows)
+        n_test = _n_test(original.n_rows, test_fraction)
         test_rows = np.sort(perm[:n_test])
         train_rows = np.sort(perm[n_test:])
-        if train_rows.size == 0:
-            raise AnalysisError("test_fraction leaves no training rows")
         train_orig = original.take(train_rows)
         eval_ds = original.take(test_rows)
 
@@ -168,32 +184,46 @@ def _adhoc(doc) -> tuple[AdhocPredicate, ...]:
     return tuple(out)
 
 
+def check_predicate(predicate: AdhocPredicate, schema: Schema) -> None:
+    """Raise ``AnalysisError``, naming the predicate, when a condition names
+    a column that ``schema`` lacks, compares a categorical column other than
+    by ``eq`` or with a value that is not one of its levels, or compares a
+    numeric column with a value that is not a number."""
+    where = f"adhoc {predicate.id!r}"
+    for cond in predicate.conditions:
+        if cond.column not in schema.names:
+            raise AnalysisError(f"{where}: unknown column {cond.column!r}")
+        kind = schema.kind(cond.column)
+        if kind.is_categorical:
+            assert kind.levels is not None
+            if cond.op != "eq":
+                raise AnalysisError(
+                    f"{where}: operator {cond.op!r} is not valid for categorical {cond.column!r}"
+                )
+            if cond.value not in kind.levels:
+                raise AnalysisError(
+                    f"{where}: {cond.value!r} is not a level of column {cond.column!r}"
+                )
+        else:
+            try:
+                float(cond.value)  # type: ignore[arg-type]
+            except (TypeError, ValueError):
+                raise AnalysisError(
+                    f"{where}: condition on numeric column {cond.column!r} needs a number"
+                ) from None
+
+
 def adhoc_proportion(ds: Dataset, predicate: AdhocPredicate) -> float:
     """Fraction of rows satisfying the conjunction of the conditions."""
+    check_predicate(predicate, ds.schema)
     keep = np.ones(ds.n_rows, dtype=bool)
     for cond in predicate.conditions:
         kind = ds.schema.kind(cond.column)
         col = ds.column(cond.column)
         if kind.is_categorical:
-            if cond.op != "eq":
-                raise AnalysisError(
-                    f"operator {cond.op!r} is not valid for categorical {cond.column!r}"
-                )
-            levels = kind.levels
-            assert levels is not None
-            if cond.value not in levels:
-                raise AnalysisError(
-                    f"{cond.value!r} is not a level of column {cond.column!r}"
-                )
-            keep &= col == levels.index(cond.value)
+            keep &= col == kind.levels.index(cond.value)  # type: ignore[union-attr]
         else:
-            try:
-                v = float(cond.value)  # type: ignore[arg-type]
-            except (TypeError, ValueError):
-                raise AnalysisError(
-                    f"condition on numeric column {cond.column!r} needs a number"
-                ) from None
-            keep &= _ADHOC_COMPARE[cond.op](col, v)
+            keep &= _ADHOC_COMPARE[cond.op](col, float(cond.value))  # type: ignore[arg-type]
     return float(keep.mean())
 
 

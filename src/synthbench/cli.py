@@ -84,10 +84,10 @@ def _cmd_generate(args) -> int:
 def _cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
     original = load_original(cfg)
+    fits, predicates = load_metric_inputs(cfg, original.schema)
     sset = load_synthetic_set(args.syn, original.schema)
     if cfg.metrics.rule == "Tp" and sset.m < 2:
         raise ConfigError(f"rule Tp needs at least two datasets; {args.syn} holds m = {sset.m}")
-    fits, predicates = load_metric_inputs(cfg)
     rows, errors = metric_rows(original, sset, cfg.metrics, fits, predicates)
     report = UtilityReport()
     for metric, scope, value in rows[sset.m]:

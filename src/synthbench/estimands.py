@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset, JsonFields, read_json
+from .dataset import Dataset, JsonFields, Schema, read_json
 from .errors import EstimandError, FitError
 from .models.design import Predictors
 from .models.linear import fit_ols
@@ -157,6 +157,20 @@ def _fitspecs(doc) -> tuple[FitSpec, ...]:
     return tuple(fits)
 
 
+def check_fit(fit: FitSpec, schema: Schema) -> None:
+    """Raise ``EstimandError``, naming the fit, when it names a column that
+    ``schema`` lacks, or when its family does not suit the target: a linear
+    fit needs a numeric target and a logistic fit a categorical one."""
+    for name in (fit.target, *fit.predictors):
+        if name not in schema.names:
+            raise EstimandError(f"fit {fit.id!r}: unknown column {name!r}")
+    kind = schema.kind(fit.target)
+    if fit.family == "linear" and not kind.is_numeric:
+        raise EstimandError(f"fit {fit.id!r}: target {fit.target!r} is not numeric")
+    if fit.family == "logistic" and not kind.is_categorical:
+        raise EstimandError(f"fit {fit.id!r}: target {fit.target!r} is not categorical")
+
+
 def regression_estimands(ds: Dataset, fit: FitSpec) -> dict[str, tuple[float, float]]:
     """Fit the model on ``ds`` and return {coefficient name: (coefficient,
     variance)} for each encoded coefficient, intercept included, in
@@ -164,21 +178,17 @@ def regression_estimands(ds: Dataset, fit: FitSpec) -> dict[str, tuple[float, fl
     class, named ``<class label>:<coefficient>``. A name that repeats (a
     numeric predictor called ``intercept``, say) is an error, since its
     coefficients could not be told apart."""
+    check_fit(fit, ds.schema)
     X = Predictors.from_dataset(ds, fit.predictors)
-    target_kind = ds.schema.kind(fit.target)
     y = ds.column(fit.target)
     try:
         if fit.family == "linear":
-            if not target_kind.is_numeric:
-                raise FitError(f"target {fit.target!r} is not numeric")
             model = fit_ols(X, y)
             names = model.coef_names
             pairs = [(float(c), float(s) ** 2) for c, s in zip(model.coef, model.se)]
         else:
-            if not target_kind.is_categorical:
-                raise FitError(f"target {fit.target!r} is not categorical")
             lmodel = fit_logistic(X, y)
-            levels = target_kind.levels
+            levels = ds.schema.kind(fit.target).levels
             assert levels is not None
             names = [f"{levels[cls]}:{cname}"
                      for cls in lmodel.classes[1:] for cname in lmodel.coef_names]

@@ -33,6 +33,8 @@ import numpy as np
 from .analysis import (
     AdhocPredicate,
     adhoc_proportion,
+    check_classifier,
+    check_predicate,
     classifier_baseline,
     classify_compare,
     load_adhoc,
@@ -57,6 +59,7 @@ from .errors import ConfigError, DataError, MetricError, SynthbenchError
 from .estimands import (
     RULES,
     FitSpec,
+    check_fit,
     combine,
     load_fitspecs,
     mean_point_estimand,
@@ -335,7 +338,8 @@ def load_original(cfg: ExperimentConfig) -> Dataset:
     missing cells by resampling observed values. Data without rows, or with
     a numeric cell that is nan or infinite, is a ``DataError``; a
     classification target that is not a column of the result is a
-    ``ConfigError``."""
+    ``ConfigError``, and classifier settings that ``check_classifier``
+    refuses on the result are an ``AnalysisError``."""
     ds = load_csv(cfg.dataset, load_schema(cfg.schema), cfg.missing_tokens)
     if ds.n_rows == 0:
         raise DataError(f"{cfg.dataset}: the data has no rows")
@@ -359,13 +363,23 @@ def load_original(cfg: ExperimentConfig) -> Dataset:
         raise ConfigError(
             f"classification target {target!r} is not a column of the preprocessed data"
         )
+    if target is not None:
+        check_classifier(ds.schema, ds.n_rows, target, cfg.metrics.classification_test_fraction)
     return replace_missing(ds, cfg.missing_seed)
 
 
-def load_metric_inputs(cfg: ExperimentConfig) -> tuple[tuple[FitSpec, ...], tuple[AdhocPredicate, ...]]:
-    """The fits and ad-hoc predicates that ``cfg``'s metrics score; none while a metric is off."""
+def load_metric_inputs(
+    cfg: ExperimentConfig, schema: Schema
+) -> tuple[tuple[FitSpec, ...], tuple[AdhocPredicate, ...]]:
+    """The fits and ad-hoc predicates that ``cfg``'s metrics score, each
+    checked against ``schema``, the preprocessed data's; none while a
+    metric is off."""
     fits = load_fitspecs(cfg.fitspecs) if (cfg.metrics.regression and cfg.fitspecs) else ()
     predicates = load_adhoc(cfg.adhoc) if (cfg.metrics.adhoc and cfg.adhoc) else ()
+    for fit in fits:
+        check_fit(fit, schema)
+    for predicate in predicates:
+        check_predicate(predicate, schema)
     return fits, predicates
 
 
@@ -752,7 +766,7 @@ def run_experiment(
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")
     original = load_original(cfg)
-    fits, predicates = load_metric_inputs(cfg)
+    fits, predicates = load_metric_inputs(cfg, original.schema)
     specs = grid_specs(cfg, original.schema, cfg.predictor_modes, m=max(cfg.m_list), seed=0)
     replicates = sorted((label, mode, rep) for label, mode in specs for rep in range(cfg.k))
 

@@ -1287,31 +1287,85 @@ def test_cli_names_a_missing_or_malformed_input(tmp_path, capsys):
 def test_a_classification_target_outside_the_data_fails_every_command_at_load(
     tmp_path, capsys
 ):
-    # evaluate took such a target and failed its classification family
-    # (exit 2, "unknown column 'zz'" in errors.csv); experiment refused it.
+    # evaluate took a target that is not a column and failed its
+    # classification family (exit 2, "unknown column 'zz'" in errors.csv);
+    # experiment refused it. A numeric target, or a test_fraction that
+    # leaves no training row, failed the classification family of every
+    # cell (exit 2) in both.
     grid = {"synthesizers": [{"base": "S"}], "m": [1]}
     cfg_path = write_project(tmp_path, grid=grid, k=1)
     gen = tmp_path / "gen"
     assert main(["generate", "--config", str(cfg_path), "--spec", "S", "--m", "1",
                  "--out", str(gen)]) == 0
-    (tmp_path / "bad").mkdir()
-    bad = write_project(
-        tmp_path / "bad", grid=grid, k=1,
-        metrics={"classification": {"target": "zz"}, "adhoc": True},
-    )
+    for case, (classification, problem) in enumerate((
+        ({"target": "zz"}, "classification target 'zz' is not a column of the preprocessed data"),
+        ({"target": "x"}, "classification target 'x' is not categorical"),
+        ({"target": "c", "test_fraction": 0.9999},
+         "test_fraction 0.9999 leaves no training row of 100"),
+    )):
+        root = tmp_path / f"bad{case}"
+        root.mkdir()
+        bad = write_project(
+            root, grid=grid, k=1, metrics={"classification": classification, "adhoc": True}
+        )
+        capsys.readouterr()
+        for argv, out in (
+            (("experiment", "--config", str(bad)), root / "results"),
+            (("generate", "--config", str(bad), "--spec", "S", "--m", "1", "--out",
+              str(root / "gen")), root / "gen"),
+            (("evaluate", "--config", str(bad), "--syn", str(gen), "--out",
+              str(root / "eval")), root / "eval"),
+        ):
+            assert main(list(argv)) == 1, (argv[0], problem)
+            assert capsys.readouterr().err == f"error: {problem}\n", argv[0]
+            assert not out.exists(), (argv[0], problem)
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        ({"fits": {"predictors": ["zz"]}}, "fit 'f1': unknown column 'zz'"),
+        ({"fits": {"target": "c"}}, "fit 'f1': target 'c' is not numeric"),
+        ({"fits": {"family": "logistic"}}, "fit 'f1': target 'y' is not categorical"),
+        ({"config": {"preprocess": {"drop": ["x"]}}}, "fit 'f1': unknown column 'x'"),
+        ({"adhoc": {"column": "zz"}}, "adhoc 'hi_rate': unknown column 'zz'"),
+        ({"adhoc": {"value": "mid"}}, "adhoc 'hi_rate': 'mid' is not a level of column 'c'"),
+        ({"adhoc": {"op": "le"}},
+         "adhoc 'hi_rate': operator 'le' is not valid for categorical 'c'"),
+        ({"adhoc": {"column": "x", "op": "ge", "value": "abc"}},
+         "adhoc 'hi_rate': condition on numeric column 'x' needs a number"),
+    ],
+    ids=["unknown-predictor", "linear-on-categorical", "logistic-on-numeric",
+         "dropped-predictor", "predicate-unknown-column", "undeclared-level",
+         "le-on-categorical", "text-on-numeric"],
+)
+def test_a_fit_or_predicate_that_does_not_suit_the_data_fails_at_load(
+    tmp_path, capsys, edit, problem
+):
+    # Each ran the whole grid, left one error row per cell and exited 2.
+    cfg_path = write_project(tmp_path, grid={"synthesizers": [{"base": "S"}], "m": [1]}, k=1)
+    gen = tmp_path / "gen"
+    assert main(["generate", "--config", str(cfg_path), "--spec", "S", "--m", "1",
+                 "--out", str(gen)]) == 0
+    for name, change in edit.items():
+        path = tmp_path / f"{name}.json"
+        doc = json.loads(path.read_text())
+        if name == "fits":
+            doc["fits"][0].update(change)
+        elif name == "adhoc":
+            doc["analyses"][0]["conditions"][0].update(change)
+        else:
+            doc.update(change)
+        path.write_text(json.dumps(doc))
     capsys.readouterr()
     for argv, out in (
-        (("experiment", "--config", str(bad)), tmp_path / "bad" / "results"),
-        (("generate", "--config", str(bad), "--spec", "S", "--m", "1", "--out",
-          str(tmp_path / "gen_bad")), tmp_path / "gen_bad"),
-        (("evaluate", "--config", str(bad), "--syn", str(gen), "--out",
+        (("experiment", "--config", str(cfg_path)), tmp_path / "results"),
+        (("evaluate", "--config", str(cfg_path), "--syn", str(gen), "--out",
           str(tmp_path / "eval")), tmp_path / "eval"),
     ):
         assert main(list(argv)) == 1, argv[0]
-        assert capsys.readouterr().err == (
-            "error: classification target 'zz' is not a column of the preprocessed data\n"
-        ), argv[0]
-        assert not (out / "report.csv").exists() and not (out / "ds000.csv").exists(), argv[0]
+        assert capsys.readouterr().err == f"error: {problem}\n", argv[0]
+        assert not out.exists(), argv[0]
 
 
 @pytest.mark.parametrize(
