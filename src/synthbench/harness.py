@@ -22,7 +22,6 @@ import json
 import math
 import os
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
@@ -712,6 +711,10 @@ def _workers(jobs: int, tasks: int):
     if workers < 2:
         yield map
     else:
+        # Imported here: the pool pulls in multiprocessing, socket and
+        # logging, which only a run with workers needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             workers, initializer=_start_experiment, initargs=(_experiment,)
         ) as pool:
