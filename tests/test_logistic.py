@@ -159,8 +159,8 @@ def _stalled_fit_data(fixture_a):
 
 
 def _twelve_class_data():
-    # Twelve observed classes: enough that a sum in class order and numpy's
-    # blocked row sum can round differently.
+    # Twelve observed classes, so each class sum of the softmax adds twelve
+    # rows, as the fits of many-level targets do.
     rng = np.random.default_rng(31)
     n, k = 1500, 12
     x, z = rng.normal(size=n), rng.normal(size=n)
