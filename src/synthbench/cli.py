@@ -25,7 +25,7 @@ from .harness import (
     run_experiment,
     write_report,
 )
-from .metrics import UtilityReport
+from .metrics import ReportError, UtilityReport
 from .synthesis import load_synthetic_set, save_synthetic_set, synthesize
 
 
@@ -92,8 +92,7 @@ def _cmd_evaluate(args) -> int:
     report = UtilityReport()
     for metric, scope, value in rows[sset.m]:
         report.add(sset.label, "simple", sset.m, 0, metric, scope, value)
-    for stage, message in errors:
-        report.add_error(sset.label, "simple", sset.m, 0, stage, message)
+    report.errors += (ReportError(sset.label, "simple", sset.m, 0, *error) for error in errors)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_report(report, out)

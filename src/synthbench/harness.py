@@ -26,6 +26,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -65,7 +66,16 @@ from .estimands import (
     normal_interval,
     regression_estimands,
 )
-from .metrics import KL_DIRECTIONS, UtilityReport, apo, cio, kl_divergence
+from .metrics import (
+    KL_DIRECTIONS,
+    ReportError,
+    ReportRow,
+    SummaryRow,
+    UtilityReport,
+    apo,
+    cio,
+    kl_divergence,
+)
 from .synthesis import (
     BASES,
     ORDER_KINDS,
@@ -382,17 +392,16 @@ def load_metric_inputs(
     return fits, predicates
 
 
-@dataclass(frozen=True)
-class TimingRecord:
+class TimingRow(NamedTuple):
+    """One row of timings.csv: the seconds one dataset of a cell took to
+    fit, draw and write."""
+
     label: str
     mode: str
     m: int
     rep: int
-    seconds: tuple[float, ...]
-
-    @property
-    def total(self) -> float:
-        return math.fsum(self.seconds)
+    dataset: int
+    seconds: float
 
 
 def _replicate_seed(master: int, label: str, mode: str, rep: int) -> int:
@@ -750,7 +759,7 @@ def _run_cells(pending, jobs: int) -> list[dict]:
 
 def run_experiment(
     cfg: ExperimentConfig, *, jobs: int = 1, resume: bool = False
-) -> tuple[UtilityReport, list[TimingRecord]]:
+) -> tuple[UtilityReport, list[TimingRow]]:
     """Execute the full grid and write report.csv, summary.csv, errors.csv,
     timings.csv and the resume manifest under ``cfg.out``.
 
@@ -805,27 +814,20 @@ def run_experiment(
     results = {**done, **{r["key"]: r for r in fresh}}
 
     report = UtilityReport()
-    timings: list[TimingRecord] = []
+    timings: list[TimingRow] = []
     cells = sorted((label, mode, m, rep) for label, mode, rep in replicates for m in cfg.m_list)
     for label, mode, m, rep in cells:
         r = results[_replicate_key(label, mode, rep)]
         for mtr, scope, val in r["rows"].get(str(m), ()):
             report.add(label, mode, m, rep, mtr, scope, val)
-        for stage, msg in r["errors"]:
-            report.add_error(label, mode, m, rep, stage, msg)
-        if r["seconds"]:
-            timings.append(TimingRecord(label, mode, m, rep, tuple(r["seconds"][:m])))
+        report.errors += (ReportError(label, mode, m, rep, *error) for error in r["errors"])
+        timings += (TimingRow(label, mode, m, rep, i, s) for i, s in enumerate(r["seconds"][:m]))
 
     if cfg.metrics.kl and cfg.metrics.kl_normalize:
         _add_normalized_kl(report, cells)
 
     write_report(report, out)
-    _write_table(
-        out / "timings.csv",
-        ["label", "mode", "m", "rep", "dataset", "seconds"],
-        ([t.label, t.mode, t.m, t.rep, i, repr(s)]
-         for t in timings for i, s in enumerate(t.seconds)),
-    )
+    _write_table(out / "timings.csv", TimingRow._fields, timings)
 
     # a replicate generated its datasets exactly when it has their seconds
     generated = {key: len(r["seconds"]) for key, r in sorted(results.items()) if r["seconds"]}
@@ -877,37 +879,22 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _write_table(path: Path, header: list[str], rows) -> None:
-    """Write one CSV file: the header row, then ``rows``."""
+def _write_table(path: Path, header, rows) -> None:
+    """Write one CSV file: the header row, then ``rows``, each float as its
+    repr. A results file's header is its row type's ``_fields``."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows(rows)
+        w.writerows([_fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def write_report(report: UtilityReport, out: Path) -> None:
     """Write report.csv, summary.csv and, when ``report`` holds errors,
-    errors.csv under ``out``."""
-    _write_table(
-        out / "report.csv",
-        ["label", "mode", "m", "k", "metric", "scope", "value"],
-        (
-            [r.label, r.mode, r.m, r.k, r.metric, r.scope, _fmt(r.value)]
-            for r in report.sorted_rows()
-        ),
-    )
-    _write_table(
-        out / "summary.csv",
-        ["label", "mode", "m", "metric", "scope", "value"],
-        ([r.label, r.mode, r.m, r.metric, r.scope, _fmt(r.value)] for r in report.summary()),
-    )
-    errors = sorted(report.errors, key=lambda e: e.key())
-    if errors:
-        _write_table(
-            out / "errors.csv",
-            ["label", "mode", "m", "k", "stage", "message"],
-            ([e.label, e.mode, e.m, e.k, e.stage, e.message] for e in errors),
-        )
+    errors.csv under ``out``, each in sorted row order."""
+    _write_table(out / "report.csv", ReportRow._fields, sorted(report.rows))
+    _write_table(out / "summary.csv", SummaryRow._fields, report.summary())
+    if report.errors:
+        _write_table(out / "errors.csv", ReportError._fields, sorted(report.errors))
 
 
 def read_report(out: Path) -> UtilityReport:
@@ -915,36 +902,27 @@ def read_report(out: Path) -> UtilityReport:
     report_path = out / "report.csv"
     if not report_path.exists():
         raise ConfigError(f"{report_path} does not exist; run an experiment first")
-    report = UtilityReport()
-    key = {"label": str, "mode": str, "m": int, "k": int}
-    for row in _table_rows(report_path, {**key, "metric": str, "scope": str, "value": float}):
-        report.add(*row)
     err_path = out / "errors.csv"
-    if err_path.exists():
-        for row in _table_rows(err_path, {**key, "stage": str, "message": str}):
-            report.add_error(*row)
-    return report
+    return UtilityReport(
+        list(_table_rows(report_path, ReportRow)),
+        list(_table_rows(err_path, ReportError)) if err_path.exists() else [],
+    )
 
 
-def read_timings(out: Path) -> list[TimingRecord]:
-    """Rebuild the timing records from timings.csv in ``out``, in file order;
-    none when the file is absent."""
+def read_timings(out: Path) -> list[TimingRow]:
+    """The rows of timings.csv in ``out``, in file order; none when the file
+    is absent."""
     path = out / "timings.csv"
-    if not path.exists():
-        return []
-    seconds: dict[tuple, list[float]] = {}
-    fields = {"label": str, "mode": str, "m": int, "rep": int, "seconds": float}
-    for *key, secs in _table_rows(path, fields):
-        seconds.setdefault(tuple(key), []).append(secs)
-    return [TimingRecord(*key, tuple(secs)) for key, secs in seconds.items()]
+    return list(_table_rows(path, TimingRow)) if path.exists() else []
 
 
-def _table_rows(path: Path, fields: dict):
-    """Each row of the results table at ``path`` as a tuple of its ``fields``,
-    each parsed by its type (str, int or float). A row that lacks one of
-    them, holds a number that does not parse or has more fields than the
+def _table_rows(path: Path, row_type):
+    """Each row of the results file at ``path`` as a ``row_type``, each field
+    parsed by its annotated type (str, int or float). A row that lacks a
+    field, holds a number that does not parse or has more fields than the
     header is a ``DataError`` naming the file and the row; so is a file
     that does not decode."""
+    fields = get_type_hints(row_type)
     with open(path, newline="") as fh:
         try:
             rows = list(csv.DictReader(fh))
@@ -965,11 +943,11 @@ def _table_rows(path: Path, fields: dict):
                 raise DataError(
                     f"{path}: row {i}, field {name!r}: cannot parse {text!r} as {number}"
                 ) from None
-        yield tuple(values)
+        yield row_type(*values)
 
 
 # A table builder takes the summary values ``{metric: {(label, mode, m,
-# scope): value}}`` and the timing records. It returns its table's files,
+# scope): value}}`` and the timing rows. It returns its table's files,
 # ``{file stem: (header, rows)}``, or what the table needs and lacks.
 
 
@@ -1046,7 +1024,7 @@ def _apo_vs_time_table(by_metric, timings):
     apo_ = by_metric["rf_apo"]
     totals: dict[tuple, list[float]] = {}
     for t in timings:
-        totals.setdefault((t.label, t.mode, t.m), []).append(t.total / max(t.m, 1))
+        totals.setdefault((t.label, t.mode, t.m), []).append(t.seconds)
     rows = [
         [label, mode, m, repr(math.fsum(secs) / len(secs)), _fmt(apo_[(label, mode, m, "")])]
         for (label, mode, m), secs in sorted(totals.items())
@@ -1106,7 +1084,7 @@ TABLES = tuple(_TABLE_BUILDERS)
 def emit_tables(
     report: UtilityReport,
     out: Path,
-    timings: list[TimingRecord] | None = None,
+    timings: list[TimingRow] | None = None,
     requested: tuple[str, ...] | None = None,
 ) -> dict[str, Path]:
     """Write the plot-ready tables under ``out``/tables.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -133,8 +133,9 @@ def kl_divergence(
     return 0.5 * (_kl(p, q) + _kl(q, p))
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
+    """One row of report.csv, whose columns are these fields in order."""
+
     label: str
     mode: str
     m: int
@@ -143,12 +144,21 @@ class ReportRow:
     scope: str
     value: float
 
-    def key(self) -> tuple:
-        return (self.label, self.mode, self.m, self.k, self.metric, self.scope)
+
+class SummaryRow(NamedTuple):
+    """One row of summary.csv: a report value averaged over repetitions."""
+
+    label: str
+    mode: str
+    m: int
+    metric: str
+    scope: str
+    value: float
 
 
-@dataclass(frozen=True)
-class ReportError:
+class ReportError(NamedTuple):
+    """One row of errors.csv."""
+
     label: str
     mode: str
     m: int
@@ -156,13 +166,10 @@ class ReportError:
     stage: str
     message: str
 
-    def key(self) -> tuple:
-        return (self.label, self.mode, self.m, self.k, self.stage, self.message)
-
 
 @dataclass
 class UtilityReport:
-    """Long-format metric rows keyed by (label, mode, m, k, metric, scope),
+    """Long-format metric rows, unique by (label, mode, m, k, metric, scope),
     plus error rows for grid cells that failed."""
 
     rows: list[ReportRow] = field(default_factory=list)
@@ -171,25 +178,15 @@ class UtilityReport:
     def add(self, label: str, mode: str, m: int, k: int, metric: str, scope: str, value: float) -> None:
         self.rows.append(ReportRow(label, mode, m, k, metric, scope, float(value)))
 
-    def add_error(self, label: str, mode: str, m: int, k: int, stage: str, message: str) -> None:
-        self.errors.append(ReportError(label, mode, m, k, stage, message))
-
-    def sorted_rows(self) -> list[ReportRow]:
-        return sorted(self.rows, key=lambda r: r.key())
-
     def values(self, metric: str) -> dict[tuple, float]:
         """Each value of ``metric`` by (label, mode, m, k, scope)."""
         return {
             (r.label, r.mode, r.m, r.k, r.scope): r.value for r in self.rows if r.metric == metric
         }
 
-    def summary(self) -> list[ReportRow]:
-        """Average each (label, mode, m, metric, scope) over its repetitions.
-        The k field of a summary row is -1."""
+    def summary(self) -> list[SummaryRow]:
+        """Average each (label, mode, m, metric, scope) over its repetitions."""
         groups: dict[tuple, list[float]] = {}
         for r in self.rows:
             groups.setdefault((r.label, r.mode, r.m, r.metric, r.scope), []).append(r.value)
-        out = []
-        for (label, mode, m, metric, scope), vals in sorted(groups.items()):
-            out.append(ReportRow(label, mode, m, -1, metric, scope, math.fsum(vals) / len(vals)))
-        return out
+        return sorted(SummaryRow(*key, math.fsum(vals) / len(vals)) for key, vals in groups.items())

@@ -149,4 +149,3 @@ def test_report_summary_and_values():
     assert summary[("S", "rf_apo")] == 0.0
     got = {key: v for key, v in rep.values("rf_apo").items() if key[0] == "D"}
     assert got == {("D", "simple", 3, 0, ""): 0.5, ("D", "simple", 3, 1, ""): 1.0}
-    assert all(r.k == -1 for r in rep.summary())
