@@ -297,12 +297,21 @@ class _Forest:
             return counts - (stats * stats).sum(axis=0) / counts
         return stats[1] - stats[0] ** 2 / counts
 
-    def _gains(self, parent, m, left_count, left_stats, total_stats):
-        """Impurity decrease of each cut; statistics run along the first
-        axis. Padding places may divide by zero; they are masked after."""
-        with np.errstate(divide="ignore", invalid="ignore"):
+    def _best_cut(self, parent, m, left_count, left_stats, total_stats, allowed):
+        """The place of each row's largest impurity decrease among its
+        ``allowed`` cuts, and that decrease (-inf where none is allowed);
+        statistics run along the first axis. Places not allowed may divide
+        by zero and are masked. An allowed decrease that is nan or +inf, as
+        when a running sum squares past the float range, is a ``FitError``."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             right = self._cost(m - left_count, total_stats - left_stats)
-            return parent - self._cost(left_count, left_stats) - right
+            gains = np.where(allowed, parent - self._cost(left_count, left_stats) - right, -np.inf)
+        pick = gains.argmax(axis=1)
+        best = gains[np.arange(pick.size), pick]
+        # argmax finds a row's nan or +inf, if it holds one
+        if np.isnan(best).any() or np.isposinf(best).any():
+            raise FitError("a split gain is not finite")
+        return pick, best
 
     def _impurity(self, nodes: np.ndarray):
         """Node impurity and gain floor of ``nodes``, and their rows."""
@@ -349,13 +358,9 @@ class _Forest:
                 self._score_categorical(nodes, rows, parent, eps, gain, sends)
         # The earliest feature with the largest gain wins, as a loop keeping
         # the first strictly better one would choose it.
-        cand = gain != -np.inf
-        first = cand.argmax(axis=1)
-        nan = np.isnan(gain)
-        best = np.where(nan, -np.inf, gain).argmax(axis=1)
+        pick = gain.argmax(axis=1)
         at = np.arange(nodes.size)
-        pick = np.where(nan[at, first], first, best)
-        split = cand.any(axis=1)
+        split = gain[at, pick] > -np.inf
         nodes, pick, at = nodes[split], pick[split], at[split]
 
         feature = np.full(tree.size, -1, dtype=np.int64)
@@ -402,19 +407,16 @@ class _Forest:
             cum = np.cumsum(self.stats.take(rows, axis=1), axis=2)
             at = np.arange(sel.size)
             # cuts after sorted position p, min_leaf - 1 <= p < m - min_leaf
-            gains = self._gains(
+            lo = self.min_leaf[self.tree[nodes[i]]]
+            p = np.arange(width - 1)
+            cut, best = self._best_cut(
                 parent[i, None],
                 mm[:, None].astype(np.float64),
                 np.arange(1, width, dtype=np.float64),
                 cum[..., :-1],
                 cum[:, at, mm - 1][..., None],
+                (p >= lo[:, None] - 1) & (p < (mm - lo)[:, None]) & (x[:, :-1] < x[:, 1:]),
             )
-            lo = self.min_leaf[self.tree[nodes[i]]]
-            p = np.arange(width - 1)
-            ok = (p >= lo[:, None] - 1) & (p < (mm - lo)[:, None]) & (x[:, :-1] < x[:, 1:])
-            gains = np.where(ok, gains, -np.inf)
-            cut = gains.argmax(axis=1)
-            best = gains[at, cut]
             keep = ~(best <= eps[i])
             f = self.num_feature[self.tree[nodes[i]], j[sel]]
             gain[i[keep], f[keep]] = best[keep]
@@ -453,15 +455,12 @@ class _Forest:
         def score(e, left_count, left_stats, allowed):
             """Record each segment's best candidate; return its index."""
             i = seg_node[e]
-            gains = self._gains(
-                parent[i, None], m_seg[e, None], left_count, left_stats, total[:, e, None]
-            )
             allowed &= (left_count >= min_leaf[e, None]) & (
                 m_seg[e, None] - left_count >= min_leaf[e, None]
             )
-            gains = np.where(allowed, gains, -np.inf)
-            pick = gains.argmax(axis=1)
-            best = gains[np.arange(e.size), pick]
+            pick, best = self._best_cut(
+                parent[i, None], m_seg[e, None], left_count, left_stats, total[:, e, None], allowed
+            )
             keep = ~(best <= eps[i])
             gain[i[keep], feature[e[keep]]] = best[keep]
             return pick

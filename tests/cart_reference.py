@@ -1,9 +1,9 @@
 """The depth-first CART fit as it stood before the presorted, batched split
 search: every node argsorts each numeric predictor and scores one predictor
 at a time. Kept as the reference that ``test_cart.py`` compares the
-package's trees against, digest for digest. Its one later change is the
-package's rule that a node whose sum of squared deviations is not finite
-fails the fit.
+package's trees against, digest for digest. Its later changes are the
+package's rules that a node whose sum of squared deviations is not finite,
+or a candidate split whose gain is nan or +inf, fails the fit.
 
 Its last step, ``_pack``, turns the per-node lists into the package's flat
 ``CartTree`` arrays. It drops the ``right`` list, since the fit makes both
@@ -234,16 +234,19 @@ def _best_split(X: Predictors, y, y_kind, rows, min_leaf) -> _Candidate | None:
 def _best_cut(crit: _Criterion, left_count, left_stats, total_count, total_stats, min_leaf):
     """(index, gain) of the candidate cut with the largest gain, among those
     leaving at least ``min_leaf`` rows on each side; None when no such cut
-    gains more than the floor."""
+    gains more than the floor. A gain that is nan or +inf is a FitError."""
     keep = np.nonzero((left_count >= min_leaf) & (total_count - left_count >= min_leaf))[0]
     if keep.size == 0:
         return None
     left_count, left_stats = left_count[keep], left_stats[keep]
-    gains = (
-        crit.parent
-        - crit.child_cost(left_count, left_stats)
-        - crit.child_cost(total_count - left_count, total_stats - left_stats)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        gains = (
+            crit.parent
+            - crit.child_cost(left_count, left_stats)
+            - crit.child_cost(total_count - left_count, total_stats - left_stats)
+        )
+    if np.isnan(gains).any() or np.isposinf(gains).any():
+        raise FitError("a split gain is not finite")
     i = int(np.argmax(gains))
     gain = float(gains[i])
     return None if gain <= crit.eps else (int(keep[i]), gain)

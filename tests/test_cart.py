@@ -163,6 +163,20 @@ def test_a_target_whose_squares_overflow_is_a_fit_error():
         fit_tree(X, x * 1e160, NUM, min_leaf=5)
 
 
+def test_a_split_gain_that_overflows_is_a_fit_error():
+    # The node's sum of squares, about 8.6e307, is finite, but the running
+    # sum of the rows left of a cut squares past the float range. Unchecked,
+    # that gain reads +inf and the root splits at x <= 0.23, though y flips
+    # sign at x = 0.5.
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.0, 1.0, 60)
+    y = np.where(x > 0.5, 1.2e153, -1.2e153) + rng.normal(0.0, 1e150, 60)
+    X = predictors(["x"], [NUM], [x])
+    for fit in (fit_tree, reference_fit_cart):
+        with pytest.raises(FitError, match="a split gain is not finite"):
+            fit(X, y, NUM, min_leaf=5)
+
+
 def test_unseen_level_routes_without_error():
     # train with levels 0 and 1 only; level 2 is declared but absent
     f = np.asarray([0] * 10 + [1] * 10)
