@@ -91,7 +91,8 @@ def kl_divergence(
 
     Categorical columns compare level frequencies over the declared level
     set. Numeric columns are discretised into ``bins`` equal-width bins
-    spanning the pooled min..max of both samples. Each cell gets a Laplace
+    spanning the pooled min..max of both samples; a pooled range wider than
+    the largest float is a ``MetricError``. Each cell gets a Laplace
     pseudo-count of ``smoothing`` (0 disables smoothing, in which case a cell
     observed only in the original makes the divergence infinite).
 
@@ -116,6 +117,8 @@ def kl_divergence(
             raise MetricError(f"need at least 2 bins, got {bins}")
         lo = float(min(original.min(), synthetic.min()))
         hi = float(max(original.max(), synthetic.max()))
+        if not math.isfinite(hi - lo):
+            raise MetricError(f"the pooled range {lo!r} to {hi!r} overflows")
         if lo == hi:
             c_o = np.asarray([float(original.size)])
             c_s = np.asarray([float(synthetic.size)])

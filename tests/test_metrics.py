@@ -122,6 +122,14 @@ def test_kl_numeric_binning_hand_value():
     assert got == pytest.approx(expect, abs=1e-12)
 
 
+def test_kl_refuses_a_pooled_range_that_overflows():
+    # Unchecked, the bin edges overflow and np.histogram raises a ValueError.
+    orig = np.asarray([-1e308, 0.0, 1.0])
+    synth = np.asarray([0.5, 1e308])
+    with pytest.raises(MetricError, match=r"pooled range -1e\+308 to 1e\+308 overflows"):
+        kl_divergence(orig, synth, NUM)
+
+
 def test_kl_constant_columns_share_single_cell():
     orig = np.full(10, 2.5)
     synth = np.full(8, 2.5)
