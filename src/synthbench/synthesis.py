@@ -221,7 +221,8 @@ def build_spec(
     tree to every column; CP and CC draw all categorical columns jointly from
     their contingency table and handle numeric columns with predictive mean
     matching (CP) or donor trees (CC). A joint categorical block is visited
-    first, each part keeping the order's relative order.
+    first, each part keeping the order's relative order. A ``selective``
+    predictor visited after its target is a ``SpecError`` naming both.
     """
     if base not in BASES:
         raise SpecError(f"unknown base synthesizer {base!r}")
@@ -229,12 +230,21 @@ def build_spec(
     visit = make_order(schema, order, own_order)
     if categorical is Method.JOINT_CATEGORICAL:
         visit = tuple(sorted(visit, key=lambda i: not schema.columns[i].kind.is_categorical))
+    predictors = make_predictors(visit, selective)
+    pos = {c: k for k, c in enumerate(visit)}
+    for target, chosen in (selective or {}).items():
+        for q in chosen:
+            if pos[q] > pos[target]:
+                raise SpecError(
+                    f"predictor {schema.columns[q].name!r} of column "
+                    f"{schema.columns[target].name!r} is visited after it"
+                )
 
     return SynthesizerSpec(
         label=synthesizer_label(base, order, proper),
         methods=tuple(numeric if col.kind.is_numeric else categorical for col in schema.columns),
         visit=visit,
-        predictors=make_predictors(visit, selective),
+        predictors=predictors,
         proper=proper,
         m=m,
         seed=seed,

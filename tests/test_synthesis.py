@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -86,6 +87,18 @@ def test_make_predictors_simple_and_selective():
         build_spec(ds.schema, "D", order="own", own_order=("y", "c1", "c2"), selective={3: (0,)})
     with pytest.raises(SpecError):
         build_spec(ds.schema, "D", selective={1: (1,)})  # self-prediction
+
+
+def test_a_selective_predictor_visited_after_its_target_is_named(fixture_a):
+    # CP visits its categorical block first, so x comes after c3.
+    schema = fixture_a.schema
+    selective = {schema.index("c3"): (schema.index("x"),)}
+    with pytest.raises(SpecError, match="^predictor 'x' of column 'c3' is visited after it$"):
+        build_spec(schema, "CP", selective=selective)
+    # A spec built directly is checked by column index.
+    spec = build_spec(schema, "CP")
+    with pytest.raises(SpecError, match="^predictor 0 of column 4 does not precede it"):
+        replace(spec, predictors=make_predictors(spec.visit, selective))
 
 
 def test_build_spec_methods_by_base():
