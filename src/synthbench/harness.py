@@ -429,10 +429,7 @@ def grid_specs(
                 specs[label, mode] = build_spec(
                     schema, entry.base, order=entry.order, own_order=entry.own_order,
                     proper=proper, m=m, seed=seed, pmm_k=cfg.pmm_k, min_leaf=cfg.min_leaf,
-                    selective={
-                        schema.index(target): tuple(schema.index(p) for p in preds)
-                        for target, preds in cfg.selective.items()
-                    } if mode == "selective" else None,
+                    selective=cfg.selective if mode == "selective" else None,
                 )
             except SynthbenchError as err:
                 raise ConfigError(

@@ -124,28 +124,6 @@ def _check_permutation(visit: tuple[int, ...], p: int) -> None:
         raise SpecError("visit sequence must be a permutation of the columns")
 
 
-def make_predictors(
-    visit: tuple[int, ...],
-    selective: dict[int, tuple[int, ...]] | None = None,
-) -> tuple[tuple[int, ...], ...]:
-    """Each column's predictors, ascending. Simple mode: every
-    earlier-visited column predicts every later one. Selective mode
-    overrides listed targets with exactly the given subsets; unlisted
-    targets keep the simple default. A visit that is not a permutation is
-    refused before the selective map is checked against it."""
-    p = len(visit)
-    _check_permutation(visit, p)
-    preds = [()] * p
-    for k, col in enumerate(visit):
-        preds[col] = tuple(sorted(visit[:k]))
-    for target, chosen in (selective or {}).items():
-        for q in (target, *chosen):
-            if q < 0 or q >= p:
-                raise SpecError(f"selective column {q} out of range")
-        preds[target] = tuple(sorted(set(chosen)))
-    return tuple(preds)
-
-
 @dataclass(frozen=True)
 class SynthesizerSpec:
     """Complete recipe for one synthesizer: per-column methods, visit order,
@@ -210,7 +188,7 @@ def build_spec(
     proper: bool = False,
     m: int = 1,
     seed: int = 0,
-    selective: dict[int, tuple[int, ...]] | None = None,
+    selective: dict[str, tuple[str, ...]] | None = None,
     pmm_k: int = 5,
     min_leaf: int = 5,
 ) -> SynthesizerSpec:
@@ -221,7 +199,11 @@ def build_spec(
     tree to every column; CP and CC draw all categorical columns jointly from
     their contingency table and handle numeric columns with predictive mean
     matching (CP) or donor trees (CC). A joint categorical block is visited
-    first, each part keeping the order's relative order. A ``selective``
+    first, each part keeping the order's relative order.
+
+    Every column is predicted by all columns visited before it, unless
+    ``selective`` maps its name to exactly the names that predict it. An
+    unknown name is a ``SchemaError``; a column that predicts itself or a
     predictor visited after its target is a ``SpecError`` naming both.
     """
     if base not in BASES:
@@ -230,21 +212,23 @@ def build_spec(
     visit = make_order(schema, order, own_order)
     if categorical is Method.JOINT_CATEGORICAL:
         visit = tuple(sorted(visit, key=lambda i: not schema.columns[i].kind.is_categorical))
-    predictors = make_predictors(visit, selective)
     pos = {c: k for k, c in enumerate(visit)}
-    for target, chosen in (selective or {}).items():
-        for q in chosen:
-            if pos[q] > pos[target]:
-                raise SpecError(
-                    f"predictor {schema.columns[q].name!r} of column "
-                    f"{schema.columns[target].name!r} is visited after it"
-                )
+    predictors = [tuple(sorted(visit[:pos[i]])) for i in range(len(visit))]
+    for target, names in (selective or {}).items():
+        t = schema.index(target)
+        chosen = {schema.index(name): name for name in names}
+        for q, name in chosen.items():
+            if q == t:
+                raise SpecError(f"column {target!r} cannot predict itself")
+            if pos[q] > pos[t]:
+                raise SpecError(f"predictor {name!r} of column {target!r} is visited after it")
+        predictors[t] = tuple(sorted(chosen))
 
     return SynthesizerSpec(
         label=synthesizer_label(base, order, proper),
         methods=tuple(numeric if col.kind.is_numeric else categorical for col in schema.columns),
         visit=visit,
-        predictors=predictors,
+        predictors=tuple(predictors),
         proper=proper,
         m=m,
         seed=seed,

@@ -6,7 +6,7 @@ import pytest
 
 import synthbench.synthesis as synthesis
 from synthbench.dataset import Column, ColumnKind, Dataset, Schema
-from synthbench.errors import DataError, SpecError, SynthesisError
+from synthbench.errors import DataError, SchemaError, SpecError, SynthesisError
 from synthbench.models import fit_logistic
 from synthbench.models.design import Predictors
 from synthbench.synthesis import (
@@ -18,7 +18,6 @@ from synthbench.synthesis import (
     fit_step,
     load_synthetic_set,
     make_order,
-    make_predictors,
     save_synthetic_set,
     synthesize,
 )
@@ -71,34 +70,37 @@ def test_largest_cat_picks_widest_level_set():
     assert make_order(schema, "largest_cat_last") == (0, 1, 2)
 
 
-def test_make_predictors_simple_and_selective():
+def test_build_spec_simple_and_selective_predictors():
     ds = small_dataset()
-    visit = make_order(ds.schema, "original")
-    simple = make_predictors(visit)
-    assert simple[0] == ()
-    assert simple[2] == (0, 1)
-    sel = make_predictors(visit, {2: (0,)})
+    simple = build_spec(ds.schema, "D").predictors
+    assert simple == ((), (0,), (0, 1), (0, 1, 2))
+    assert build_spec(ds.schema, "D", order="opposite").predictors == ((1, 2, 3), (2, 3), (3,), ())
+    sel = build_spec(ds.schema, "D", selective={"c1": ("x", "x")}).predictors
     assert sel[2] == (0,)
-    assert sel[3] == (0, 1, 2)  # unlisted targets keep the default
-    with pytest.raises(SpecError):
-        build_spec(ds.schema, "D", selective={0: (1,)})  # predictor visited after target
-    # The visit is checked before the selective map is range-checked against it.
+    assert sel[:2] + sel[3:] == simple[:2] + simple[3:]  # unlisted targets keep the default
+    with pytest.raises(SpecError, match="^predictor 'y' of column 'x' is visited after it$"):
+        build_spec(ds.schema, "D", selective={"x": ("y",)})
+    # The visit is checked before the selective map is checked against it.
     with pytest.raises(SpecError, match="^visit sequence must be a permutation of the columns$"):
-        build_spec(ds.schema, "D", order="own", own_order=("y", "c1", "c2"), selective={3: (0,)})
-    with pytest.raises(SpecError):
-        build_spec(ds.schema, "D", selective={1: (1,)})  # self-prediction
+        build_spec(ds.schema, "D", order="own", own_order=("y", "c1", "c2"), selective={"zz": ("x",)})
+    with pytest.raises(SpecError, match="^column 'y' cannot predict itself$"):
+        build_spec(ds.schema, "D", selective={"y": ("y",)})
+    for selective in ({"zz": ("x",)}, {"y": ("x", "zz")}):
+        with pytest.raises(SchemaError, match="^unknown column 'zz'$"):
+            build_spec(ds.schema, "D", selective=selective)
 
 
 def test_a_selective_predictor_visited_after_its_target_is_named(fixture_a):
     # CP visits its categorical block first, so x comes after c3.
     schema = fixture_a.schema
-    selective = {schema.index("c3"): (schema.index("x"),)}
     with pytest.raises(SpecError, match="^predictor 'x' of column 'c3' is visited after it$"):
-        build_spec(schema, "CP", selective=selective)
+        build_spec(schema, "CP", selective={"c3": ("x",)})
     # A spec built directly is checked by column index.
     spec = build_spec(schema, "CP")
-    with pytest.raises(SpecError, match="^predictor 0 of column 4 does not precede it"):
-        replace(spec, predictors=make_predictors(spec.visit, selective))
+    c3, x = schema.index("c3"), schema.index("x")
+    predictors = tuple((x,) if i == c3 else preds for i, preds in enumerate(spec.predictors))
+    with pytest.raises(SpecError, match=f"^predictor {x} of column {c3} does not precede it"):
+        replace(spec, predictors=predictors)
 
 
 def test_build_spec_methods_by_base():
@@ -233,7 +235,7 @@ def test_joint_base_never_invents_combinations():
 
 def test_selective_empty_predictor_set_falls_back_to_sampling():
     ds = small_dataset()
-    spec = build_spec(ds.schema, "P", m=1, seed=2, selective={1: ()})
+    spec = build_spec(ds.schema, "P", m=1, seed=2, selective={"y": ()})
     out = synthesize(ds, spec).datasets[0]
     assert set(out.column("y")) <= set(ds.column("y"))
 
