@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress
 from pathlib import Path
@@ -307,10 +308,10 @@ def load_csv(
     """Parse an RFC-4180 CSV with a header row against ``schema``.
 
     The file is UTF-8. The header must contain exactly the schema's column
-    names (any order). Blank lines are skipped when there are two or more
-    columns; in a one-column file a blank line is an empty cell. Cells equal
-    to a missing token, and fields a short row lacks, are flagged missing; a
-    row with more fields than the header is an error.
+    names (any order), each once. Blank lines are skipped when there are two
+    or more columns; in a one-column file a blank line is an empty cell.
+    Cells equal to a missing token, and fields a short row lacks, are
+    flagged missing; a row with more fields than the header is an error.
     Categorical columns marked "infer" get their level set from the data in
     first-appearance order, which the dataset's schema records. A cell that
     is not a number or not a declared level is an error naming the first
@@ -335,7 +336,10 @@ def load_csv(
             raise DataError(f"{path}: not UTF-8 text ({err.reason})") from None
     if header is None:
         raise DataError(f"{path}: empty file")
-    if set(header) != set(schema.names) or len(header) != len(schema.names):
+    repeated = sorted(name for name, count in Counter(header).items() if count > 1)
+    if repeated:
+        raise DataError(f"{path}: header repeats {', '.join(map(repr, repeated))}")
+    if set(header) != set(schema.names):
         extra = sorted(set(header) - set(schema.names))
         absent = sorted(set(schema.names) - set(header))
         raise DataError(f"{path}: header mismatch (unexpected {extra}, missing {absent})")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -646,10 +647,10 @@ def _start_experiment(exp: _Experiment) -> None:
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    """Replace ``path`` with ``text`` in one step, so an interrupted run
-    leaves either the old file or the new one, never a truncated file."""
+    """Replace ``path`` with UTF-8 ``text`` in one step, so an interrupted
+    run leaves either the old file or the new one, never a truncated file."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(text)
+    tmp.write_text(text, encoding="utf-8", newline="")
     os.replace(tmp, path)
 
 
@@ -658,7 +659,7 @@ def _finished_cell(path: Path, fingerprint: str) -> dict | None:
     this fingerprint, or None when the file is absent, unreadable, belongs
     to another run or records a replicate that failed as a whole."""
     try:
-        result = json.loads(path.read_text())
+        result = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError):
         return None
     ok = isinstance(result, dict) and result.get("fingerprint") == fingerprint
@@ -786,7 +787,7 @@ def run_experiment(
     done: dict[str, dict] = {}
     if resume:
         try:
-            manifest = json.loads(manifest_path.read_text())
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             manifest = None  # the cell files alone say what is done
         if isinstance(manifest, dict) and manifest.get("fingerprint") != fingerprint:
@@ -877,12 +878,14 @@ def _fmt(v: float) -> str:
 
 
 def _write_table(path: Path, header, rows) -> None:
-    """Write one CSV file: the header row, then ``rows``, each float as its
-    repr. A results file's header is its row type's ``_fields``."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows([_fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
+    """Replace one UTF-8 CSV file whole: the header row, then ``rows``, each
+    float as its repr. A results file's header is its row type's
+    ``_fields``."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows([_fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
+    _write_atomic(path, buf.getvalue())
 
 
 def write_report(report: UtilityReport, out: Path) -> None:
@@ -920,7 +923,7 @@ def _table_rows(path: Path, row_type):
     header is a ``DataError`` naming the file and the row; so is a file
     that does not decode."""
     fields = get_type_hints(row_type)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         try:
             rows = list(csv.DictReader(fh))
         except UnicodeDecodeError as err:

@@ -625,7 +625,7 @@ def save_synthetic_set(
         "m": sset.m,
         "wall_times": combined,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return combined
 
 

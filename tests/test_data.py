@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -87,6 +88,10 @@ def test_load_csv_header_must_match_schema(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("a,b\n1,x\n")
     with pytest.raises(DataError):
+        load_csv(path, small_schema())
+    # A repeated field is named, not reported as a mismatch with nothing unexpected or missing.
+    path.write_text("a,c,a\n1,x,2\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: header repeats 'a'$"):
         load_csv(path, small_schema())
 
 

@@ -754,6 +754,37 @@ def test_resume_of_a_finished_grid_fits_nothing(mini_run, tmp_path, monkeypatch)
     assert output_bytes(cfg.out) == before
 
 
+def test_results_files_are_utf8_under_an_ascii_locale(tmp_path):
+    # Under the C locale without UTF-8 mode, the locale's encoding is ASCII:
+    # experiment ran every replicate, then failed writing report.csv.
+    cfg_path = write_project(tmp_path, grid={"synthesizers": [{"base": "S"}], "m": [1]}, k=1)
+    fits = json.loads((tmp_path / "fits.json").read_text())
+    fits["fits"][0]["id"] = "a\u00f1o"
+    (tmp_path / "fits.json").write_text(json.dumps(fits))
+    out = tmp_path / "results"
+    command, env = _experiment_command(cfg_path, out)
+    env = {k: v for k, v in env.items() if k not in ("PYTHONIOENCODING", "LANG", "LC_CTYPE")}
+    env.update(LC_ALL="C", PYTHONUTF8="0")
+    for argv in (command, command[:3] + ["report", "--out", str(out)]):
+        proc = subprocess.run(argv, env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert "fit:a\u00f1o" in (out / "report.csv").read_bytes().decode("utf-8")
+
+
+def test_a_table_whose_rows_raise_leaves_the_old_file(tmp_path):
+    path = tmp_path / "report.csv"
+    path.write_bytes(b"label,value\r\nS,1.0\r\n")
+
+    def rows():
+        yield ("D", 2.0)
+        raise RuntimeError("boom")
+
+    with pytest.raises(RuntimeError, match="boom"):
+        harness._write_table(path, ("label", "value"), rows())
+    assert path.read_bytes() == b"label,value\r\nS,1.0\r\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_read_report_round_trip(mini_run):
     root, cfg, report, _ = mini_run
     back = read_report(cfg.out)
@@ -1149,31 +1180,46 @@ def test_overflowing_parametric_fits_fail_their_cells_without_nan(tmp_path, capf
 
 
 @pytest.mark.parametrize(
-    "grid, drop, label, mode",
+    "grid, drop, label, mode, reason",
     [
         (
             {"synthesizers": [{"base": "S"}, {"base": "D"}], "m": [1, 2],
              "predictor_modes": ["simple", "selective"], "selective": {"x": ["y"]}},
-            [], "S", "selective",
+            [], "S", "selective", "predictor 'y' of column 'x' is visited after it",
         ),
         (
             {"synthesizers": [{"base": "S"}, {"base": "D", "order": "largest_cat_first"}],
              "m": [1, 2]},
-            ["c"], "DH", "simple",
+            ["c"], "DH", "simple", "order 'largest_cat_first' needs at least one categorical column",
+        ),
+        (
+            {"synthesizers": [{"base": "S"}, {"base": "D"}], "m": [1, 2],
+             "predictor_modes": ["simple", "selective"], "selective": {"x": ["x"]}},
+            [], "S", "selective", "column 'x' cannot predict itself",
         ),
     ],
-    ids=["selective-predictor-after-its-target", "largest-cat-first-without-a-categorical"],
+    ids=[
+        "selective-predictor-after-its-target",
+        "largest-cat-first-without-a-categorical",
+        "selective-column-predicts-itself",
+    ],
 )
-def test_a_spec_that_cannot_be_built_is_a_config_error(tmp_path, grid, drop, label, mode):
+def test_a_spec_that_cannot_be_built_is_a_config_error(
+    tmp_path, capsys, grid, drop, label, mode, reason
+):
     # Each (label, mode) spec is built once, before any replicate runs.
     cfg_path = write_project(tmp_path, grid=grid, metrics={"kl": True})
     doc = json.loads(cfg_path.read_text())
     doc["preprocess"] = {"drop": drop}
     cfg_path.write_text(json.dumps(doc))
     cfg = load_config(cfg_path)
-    with pytest.raises(ConfigError, match=f"synthesizer {label!r} in predictor mode {mode!r}: "):
+    message = f"synthesizer {label!r} in predictor mode {mode!r}: {reason}"
+    with pytest.raises(ConfigError) as err:
         run_experiment(cfg)
-    assert not (cfg.out / "cells").exists()
+    assert str(err.value) == message
+    assert main(["experiment", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not cfg.out.exists()
 
 
 @pytest.mark.parametrize(
