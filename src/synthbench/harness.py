@@ -10,8 +10,8 @@ value, and its differences across m have less noise. The report is built
 from the cell files in sorted key order, so its bytes do not depend on the
 worker count, and a resumed run reuses every finished replicate. Timings
 stay out of the report files. Within one run, replicates share the
-non-proper synthesis fits, across worker processes too, and within one
-process the original-side metric values; no random draw changes either.
+non-proper synthesis fits, each made once and sent with its replicates, and
+within one process the original-side metric values; no draw changes either.
 """
 
 from __future__ import annotations
@@ -422,7 +422,11 @@ def grid_specs(
     for ``m`` datasets under ``seed``, keyed by (label, mode): base, order
     and proper flag from the synthesizer's grid entry, ``pmm_k`` and
     ``min_leaf`` from the config. A spec that cannot be built is a
-    ``ConfigError``."""
+    ``ConfigError``, and so is a ``grid.selective`` name that is not a
+    column of ``schema``, whether or not ``modes`` holds selective."""
+    for target, names in (cfg.selective or {}).items():
+        if unknown := [name for name in (target, *names) if name not in schema.names]:
+            raise ConfigError(f"grid.selective: unknown column {unknown[0]!r}")
     specs = {}
     for entry, proper, label in cfg.labels():
         for mode in modes:
@@ -620,8 +624,8 @@ def metric_rows(
 class _Experiment:
     """What the cells of one ``run_experiment`` call share in a process: the
     inputs, the text of the original's numbers, the spec of each (label,
-    mode), the non-proper synthesis fits and the original-side values of
-    ``metric_rows``."""
+    mode), the non-proper synthesis fits that the process has made or been
+    sent, and the original-side values of ``metric_rows``."""
 
     cfg: ExperimentConfig
     fingerprint: str
@@ -640,8 +644,8 @@ _experiment: _Experiment | None = None
 def _start_experiment(exp: _Experiment) -> None:
     """Make ``exp`` this process's experiment. ``run_experiment`` calls it
     with a new value, so no run reuses another run's fits, and each pool
-    worker calls it as its initializer, with the parent's value as it
-    stands when the pool starts."""
+    worker calls it as its initializer with the parent's value, which holds
+    no shared fit: each replicate brings the fits that it uses."""
     global _experiment
     _experiment = exp
 
@@ -666,14 +670,17 @@ def _finished_cell(path: Path, fingerprint: str) -> dict | None:
     return result if ok and result.get("seconds") else None
 
 
-def _run_cell(replicate: tuple[str, str, int]) -> dict:
-    """Run one replicate of the current experiment: synthesize and write
+def _run_cell(replicate: tuple[str, str, int], fitted=()) -> dict:
+    """Run one replicate of the current experiment: add the (step, fitted
+    value) pairs of ``fitted`` to the shared fits, synthesize and write
     max(m) datasets, score the first m of them for each m of the grid, and
     save the replicate's cell file. Any exception becomes the replicate's
     error row, so one failing replicate never aborts the grid."""
     label, mode, rep = replicate
     exp = _experiment
     cfg = exp.cfg
+    for step, value in fitted:
+        exp.synth_fits.add(step, value)
     key = _replicate_key(label, mode, rep)
     result = {"key": key, "label": label, "mode": mode, "rep": rep, "fingerprint": exp.fingerprint}
     try:
@@ -709,50 +716,72 @@ def _fit_shared(steps):
     return fitted
 
 
+class _Done:
+    """A call already made in this process, read as a pool's future."""
+
+    def __init__(self, fn, *args) -> None:
+        self._result = fn(*args)
+
+    def result(self):
+        return self._result
+
+
 @contextmanager
-def _workers(jobs: int, tasks: int):
-    """``map`` over min(jobs, tasks) pool workers, each started with this
-    process's experiment, or the builtin ``map`` in this process when that
-    is one."""
-    workers = min(jobs, tasks)
-    if workers < 2:
-        yield map
+def _workers(count: int):
+    """``submit`` and ``as_completed`` over ``count`` pool workers, each
+    started with this process's experiment; when ``count`` is below two,
+    over this process, which makes each call as it is submitted."""
+    if count < 2:
+        yield _Done, iter
     else:
         # Imported here: the pool pulls in multiprocessing, socket and
         # logging, which only a run with workers needs.
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor, as_completed
 
         with ProcessPoolExecutor(
-            workers, initializer=_start_experiment, initargs=(_experiment,)
+            count, initializer=_start_experiment, initargs=(_experiment,)
         ) as pool:
-            yield pool.map
+            yield pool.submit, as_completed
 
 
 def _run_cells(pending, jobs: int) -> list[dict]:
-    """Run the ``pending`` replicates over ``jobs`` workers in two phases:
-    first fit each distinct non-proper step of their specs once (no fit
-    depends on the seed) into this process's memo, leaving a fit that
-    raises to the replicates that need it; then run the replicates longest
-    first (proper first).
-
-    The donor trees of the first phase grow as at most ``jobs`` forests,
-    dealt round-robin, so that every worker has one; every other step is a
-    task of its own."""
-    specs, memo = _experiment.specs, _experiment.synth_fits
-    steps = dict.fromkeys(
-        step for label, mode, _ in pending for step in shared_steps(specs[label, mode])
-    )
+    """Run the ``pending`` replicates over ``jobs`` workers. Each distinct
+    non-proper step of their specs is fitted once (no fit depends on the
+    seed), the donor trees dealt round-robin into ``max(1, jobs - 1)``
+    forests when some replicate uses none of them, so that a worker is free
+    for it, else at most ``jobs``. A replicate starts, proper ones first,
+    once none of its steps is still being fitted, and carries their fitted
+    values; a fit that raises is left to the replicates that need it."""
+    specs = _experiment.specs
+    waiting = {
+        replicate: shared_steps(specs[replicate[:2]])
+        for replicate in sorted(pending, key=lambda replicate: not specs[replicate[:2]].proper)
+    }
+    steps = dict.fromkeys(step for needs in waiting.values() for step in needs)
     trees = [step for step in steps if step.grows_tree]
-    tasks = [trees[i::jobs] for i in range(min(jobs, len(trees)))]
+    treeless = any(not any(step.grows_tree for step in needs) for needs in waiting.values())
+    forests = min(max(1, jobs - 1) if treeless else jobs, len(trees))
+    tasks = [trees[i::forests] for i in range(forests)]
     tasks += [[step] for step in steps if not step.grows_tree]
-    with _workers(jobs, len(tasks)) as fit_map:
-        for task, fitted in zip(tasks, fit_map(_fit_shared, tasks)):
-            for step, value in zip(task, fitted):
+    unfitted, fitted, cells = set(steps), {}, []
+    with _workers(min(jobs, len(tasks) + len(waiting))) as (submit, as_completed):
+
+        def release():
+            for replicate in [r for r, needs in waiting.items() if unfitted.isdisjoint(needs)]:
+                needs = waiting.pop(replicate)
+                cells.append(submit(_run_cell, replicate, [
+                    (step, fitted[step]) for step in needs if step in fitted
+                ]))
+
+        fitting = {submit(_fit_shared, task): task for task in tasks}
+        release()
+        for future in as_completed(fitting):
+            for step, value in zip(fitting[future], future.result()):
+                unfitted.discard(step)
                 if value is not None:
-                    memo.add(step, value)
-    order = sorted(pending, key=lambda replicate: not specs[replicate[:2]].proper)
-    with _workers(jobs, len(pending)) as cell_map:
-        return list(cell_map(_run_cell, order))
+                    fitted[step] = value
+            release()
+        return [cell.result() for cell in cells]
 
 
 def run_experiment(
@@ -769,9 +798,9 @@ def run_experiment(
 
     The spec of each (label, mode) is built once, before anything is
     written; one that cannot be built is a ``ConfigError``. Every non-proper
-    synthesis step is fitted once per call, before any replicate, and every
-    original-side estimand once per call and process; a replicate that finds
-    them already computed only draws and scores."""
+    synthesis step is fitted once per call, before any replicate that uses
+    it, and every original-side estimand once per call and process; a
+    replicate that finds them already computed only draws and scores."""
     global _experiment
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")

@@ -1,5 +1,7 @@
+import concurrent.futures
 import csv
 import dataclasses
+import functools
 import importlib
 import importlib.util
 import json
@@ -671,22 +673,46 @@ def test_jobs_do_not_change_report_bytes(mini_run, tmp_path):
 
 
 def _fit_log(monkeypatch, log):
-    """Append a line to ``log`` for each synthesis fit made by this process
-    or by a worker forked from it."""
-    real_fit_step = synthesis.fit_step
+    """Append a line to ``log`` for each synthesis fit, a donor tree grown
+    in a forest included, made by this process or by a worker forked from
+    it: the label of the replicate that made it inside ``_run_cell``,
+    otherwise "shared"."""
+    real_fit_step, real_fit_cart, real_run_cell = (
+        synthesis.fit_step, synthesis.fit_cart, harness._run_cell
+    )
+    inside = ["shared"]
 
-    def counting_fit_step(*args, **kwargs):
+    def note(count):
         with open(log, "a") as fh:
-            fh.write("fit\n")
-        return real_fit_step(*args, **kwargs)
+            fh.write(f"{inside[0]}\n" * count)
+
+    def counting_fit_step(step, fit_ds):
+        if not step.grows_tree:  # a tree counts where it grows
+            note(1)
+        return real_fit_step(step, fit_ds)
+
+    def counting_fit_cart(problems):
+        note(len(problems))
+        return real_fit_cart(problems)
+
+    @functools.wraps(real_run_cell)
+    def marking_run_cell(replicate, *args):
+        inside[0] = replicate[0]
+        try:
+            return real_run_cell(replicate, *args)
+        finally:
+            inside[0] = "shared"
 
     monkeypatch.setattr(synthesis, "fit_step", counting_fit_step)
+    monkeypatch.setattr(synthesis, "fit_cart", counting_fit_cart)
+    monkeypatch.setattr(harness, "_run_cell", marking_run_cell)
 
 
 def _fits_since_last_call(log):
-    count = len(log.read_text().splitlines()) if log.exists() else 0
+    """Where each fit logged since the last call was made."""
+    made = log.read_text().splitlines() if log.exists() else []
     log.unlink(missing_ok=True)
-    return count
+    return made
 
 
 def _start_method():
@@ -727,8 +753,27 @@ def test_the_pool_fits_as_often_as_one_process(tmp_path, monkeypatch, failing):
         assert bool(report.errors) == failing
         fits[jobs] = _fits_since_last_call(log)
         outputs[jobs] = output_bytes(cfg.out)
-    assert fits[1] > 0 and fits[2] == fits[1]
+        # a non-proper replicate draws from the shared fits it was given
+        non_proper = {label for _, proper, label in cfg.labels() if not proper}
+        assert failing or non_proper.isdisjoint(fits[jobs])
+    assert fits[1] and len(fits[2]) == len(fits[1])
     assert outputs[2] == outputs[1]
+
+
+@pytest.mark.parametrize("jobs, pools", [(1, 0), (2, 1)])
+def test_a_run_starts_at_most_one_pool(tmp_path, monkeypatch, jobs, pools):
+    started = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    grid = {"synthesizers": [{"base": "S"}, {"base": "D"}, {"base": "CC"}], "m": [1, 2]}
+    report, _ = run_experiment(load_config(write_project(tmp_path, grid=grid)), jobs=jobs)
+    assert not report.errors
+    assert len(started) == pools
 
 
 def test_a_shared_fit_that_raises_fails_its_cells_alike_at_any_jobs(tmp_path):
@@ -749,7 +794,7 @@ def test_resume_of_a_finished_grid_fits_nothing(mini_run, tmp_path, monkeypatch)
     log = tmp_path / "fits.log"
     _fit_log(monkeypatch, log)
     run_experiment(cfg, jobs=2, resume=True)
-    assert _fits_since_last_call(log) == 0
+    assert _fits_since_last_call(log) == []
     assert json.loads((cfg.out / "manifest.json").read_text())["generated_last_run"] == 0
     assert output_bytes(cfg.out) == before
 
@@ -1219,6 +1264,29 @@ def test_a_spec_that_cannot_be_built_is_a_config_error(
     assert main(["experiment", "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not cfg.out.exists()
+
+
+@pytest.mark.parametrize("modes", [None, ["simple", "selective"]], ids=["default-modes", "both-modes"])
+@pytest.mark.parametrize(
+    "selective", [{"zz": ["x"]}, {"y": ["x", "zz"]}], ids=["unknown-target", "unknown-predictor"]
+)
+def test_a_selective_name_that_is_not_a_column_is_a_config_error_in_any_mode(
+    tmp_path, capsys, selective, modes
+):
+    # Without selective mode, experiment and generate never read the map:
+    # both exited 0 and left it unused.
+    grid = {"synthesizers": [{"base": "S"}, {"base": "D"}], "m": [1], "selective": selective}
+    if modes is not None:
+        grid["predictor_modes"] = modes
+    cfg_path = write_project(tmp_path, grid=grid, k=1)
+    out = tmp_path / "results"
+    for argv in (
+        ["experiment", "--config", str(cfg_path)],
+        ["generate", "--config", str(cfg_path), "--spec", "D", "--m", "1"],
+    ):
+        assert main(argv) == 1, argv[0]
+        assert capsys.readouterr().err == "error: grid.selective: unknown column 'zz'\n", argv[0]
+        assert not out.exists(), argv[0]
 
 
 @pytest.mark.parametrize(
