@@ -670,7 +670,7 @@ def _finished_cell(path: Path, fingerprint: str) -> dict | None:
     return result if ok and result.get("seconds") else None
 
 
-def _run_cell(replicate: tuple[str, str, int], fitted=()) -> dict:
+def _run_cell(replicate: tuple[str, str, int], fitted: list) -> dict:
     """Run one replicate of the current experiment: add the (step, fitted
     value) pairs of ``fitted`` to the shared fits, synthesize and write
     max(m) datasets, score the first m of them for each m of the grid, and
