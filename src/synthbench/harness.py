@@ -56,7 +56,7 @@ from .dataset import (
     read_json,
     replace_missing,
 )
-from .errors import ConfigError, DataError, MetricError, SynthbenchError
+from .errors import ConfigError, DataError, MetricError, SchemaError, SynthbenchError
 from .estimands import (
     RULES,
     FitSpec,
@@ -425,8 +425,11 @@ def grid_specs(
     ``ConfigError``, and so is a ``grid.selective`` name that is not a
     column of ``schema``, whether or not ``modes`` holds selective."""
     for target, names in (cfg.selective or {}).items():
-        if unknown := [name for name in (target, *names) if name not in schema.names]:
-            raise ConfigError(f"grid.selective: unknown column {unknown[0]!r}")
+        for name in (target, *names):
+            try:
+                schema.index(name)
+            except SchemaError as err:
+                raise ConfigError(f"grid.selective: {err}") from err
     specs = {}
     for entry, proper, label in cfg.labels():
         for mode in modes:
@@ -670,17 +673,18 @@ def _finished_cell(path: Path, fingerprint: str) -> dict | None:
     return result if ok and result.get("seconds") else None
 
 
-def _run_cell(replicate: tuple[str, str, int], fitted: list) -> dict:
-    """Run one replicate of the current experiment: add the (step, fitted
-    value) pairs of ``fitted`` to the shared fits, synthesize and write
+def _run_cell(replicate: tuple[str, str, int], fitted: dict) -> dict:
+    """Run one replicate of the current experiment: add the shared fits that
+    ``fitted`` holds by step to this process's, synthesize and write
     max(m) datasets, score the first m of them for each m of the grid, and
     save the replicate's cell file. Any exception becomes the replicate's
     error row, so one failing replicate never aborts the grid."""
     label, mode, rep = replicate
     exp = _experiment
     cfg = exp.cfg
-    for step, value in fitted:
-        exp.synth_fits.add(step, value)
+    for step, value in fitted.items():
+        if value is not None:  # None: the shared fit raised, so fit it here
+            exp.synth_fits.add(step, value)
     key = _replicate_key(label, mode, rep)
     result = {"key": key, "label": label, "mode": mode, "rep": rep, "fingerprint": exp.fingerprint}
     try:
@@ -717,7 +721,7 @@ def _fit_shared(steps):
 
 
 class _Done:
-    """A call already made in this process, read as a pool's future."""
+    """A call made in this process when submitted, read as a pool's future."""
 
     def __init__(self, fn, *args) -> None:
         self._result = fn(*args)
@@ -729,8 +733,8 @@ class _Done:
 @contextmanager
 def _workers(count: int):
     """``submit`` and ``as_completed`` over ``count`` pool workers, each
-    started with this process's experiment; when ``count`` is below two,
-    over this process, which makes each call as it is submitted."""
+    started with this process's experiment, or over this process when
+    ``count`` is below two."""
     if count < 2:
         yield _Done, iter
     else:
@@ -747,40 +751,30 @@ def _workers(count: int):
 def _run_cells(pending, jobs: int) -> list[dict]:
     """Run the ``pending`` replicates over ``jobs`` workers. Each distinct
     non-proper step of their specs is fitted once (no fit depends on the
-    seed), the donor trees dealt round-robin into ``max(1, jobs - 1)``
-    forests when some replicate uses none of them, so that a worker is free
-    for it, else at most ``jobs``. A replicate starts, proper ones first,
-    once none of its steps is still being fitted, and carries their fitted
-    values; a fit that raises is left to the replicates that need it."""
+    seed), in a task of its own, or, for a donor tree, in one of max(1,
+    jobs - 1) forests dealt round-robin, which leaves a worker for the
+    replicates. A replicate starts, proper ones first, once its steps are
+    fitted, and carries their fitted values; a step whose fit raises is left
+    to the replicates that need it."""
     specs = _experiment.specs
-    waiting = {
-        replicate: shared_steps(specs[replicate[:2]])
-        for replicate in sorted(pending, key=lambda replicate: not specs[replicate[:2]].proper)
-    }
-    steps = dict.fromkeys(step for needs in waiting.values() for step in needs)
+    order = sorted(pending, key=lambda replicate: not specs[replicate[:2]].proper)
+    needs = {replicate: shared_steps(specs[replicate[:2]]) for replicate in order}
+    steps = dict.fromkeys(step for wanted in needs.values() for step in wanted)
     trees = [step for step in steps if step.grows_tree]
-    treeless = any(not any(step.grows_tree for step in needs) for needs in waiting.values())
-    forests = min(max(1, jobs - 1) if treeless else jobs, len(trees))
+    forests = min(max(1, jobs - 1), len(trees))
     tasks = [trees[i::forests] for i in range(forests)]
     tasks += [[step] for step in steps if not step.grows_tree]
-    unfitted, fitted, cells = set(steps), {}, []
-    with _workers(min(jobs, len(tasks) + len(waiting))) as (submit, as_completed):
-
-        def release():
-            for replicate in [r for r, needs in waiting.items() if unfitted.isdisjoint(needs)]:
-                needs = waiting.pop(replicate)
-                cells.append(submit(_run_cell, replicate, [
-                    (step, fitted[step]) for step in needs if step in fitted
-                ]))
-
+    fitted, cells = {}, []
+    with _workers(min(jobs, len(tasks) + len(order))) as (submit, as_completed):
         fitting = {submit(_fit_shared, task): task for task in tasks}
-        release()
-        for future in as_completed(fitting):
-            for step, value in zip(fitting[future], future.result()):
-                unfitted.discard(step)
-                if value is not None:
-                    fitted[step] = value
-            release()
+        completed = as_completed(fitting)
+        while needs:
+            for replicate in [r for r, wanted in needs.items() if fitted.keys() >= set(wanted)]:
+                shipped = {step: fitted[step] for step in needs.pop(replicate)}
+                cells.append(submit(_run_cell, replicate, shipped))
+            if needs:
+                future = next(completed)
+                fitted.update(zip(fitting[future], future.result()))
         return [cell.result() for cell in cells]
 
 
