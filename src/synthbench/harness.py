@@ -26,6 +26,7 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
@@ -674,17 +675,16 @@ def _finished_cell(path: Path, fingerprint: str) -> dict | None:
 
 
 def _run_cell(replicate: tuple[str, str, int], fitted: dict) -> dict:
-    """Run one replicate of the current experiment: add the shared fits that
-    ``fitted`` holds by step to this process's, synthesize and write
-    max(m) datasets, score the first m of them for each m of the grid, and
-    save the replicate's cell file. Any exception becomes the replicate's
-    error row, so one failing replicate never aborts the grid."""
+    """Run one replicate of the current experiment: take the shared fits of
+    ``fitted``, synthesize and write max(m) datasets, score the first m of
+    them for each m of the grid, and save the replicate's cell file. Any
+    exception becomes the replicate's error row, so one failing replicate
+    never aborts the grid."""
     label, mode, rep = replicate
     exp = _experiment
     cfg = exp.cfg
     for step, value in fitted.items():
-        if value is not None:  # None: the shared fit raised, so fit it here
-            exp.synth_fits.add(step, value)
+        exp.synth_fits.add(step, value)
     key = _replicate_key(label, mode, rep)
     result = {"key": key, "label": label, "mode": mode, "rep": rep, "fingerprint": exp.fingerprint}
     try:
@@ -720,23 +720,20 @@ def _fit_shared(steps):
     return fitted
 
 
-class _Done:
-    """A call made in this process when submitted, read as a pool's future."""
-
-    def __init__(self, fn, *args) -> None:
-        self._result = fn(*args)
+class _Later(partial):
+    """A call that this process makes when its result is read."""
 
     def result(self):
-        return self._result
+        return self()
 
 
 @contextmanager
 def _workers(count: int):
     """``submit`` and ``as_completed`` over ``count`` pool workers, each
-    started with this process's experiment, or over this process when
-    ``count`` is below two."""
+    started with this process's experiment, or, when ``count`` is below two,
+    over this process, which makes each call when its result is read."""
     if count < 2:
-        yield _Done, iter
+        yield _Later, iter
     else:
         # Imported here: the pool pulls in multiprocessing, socket and
         # logging, which only a run with workers needs.
@@ -751,11 +748,10 @@ def _workers(count: int):
 def _run_cells(pending, jobs: int) -> list[dict]:
     """Run the ``pending`` replicates over ``jobs`` workers. Each distinct
     non-proper step of their specs is fitted once (no fit depends on the
-    seed), in a task of its own, or, for a donor tree, in one of max(1,
-    jobs - 1) forests dealt round-robin, which leaves a worker for the
-    replicates. A replicate starts, proper ones first, once its steps are
-    fitted, and carries their fitted values; a step whose fit raises is left
-    to the replicates that need it."""
+    seed), alone or, for a donor tree, in one of max(1, jobs - 1) forests,
+    which leaves a worker for replicates. A replicate starts, proper ones
+    first, once its steps are fitted, and carries their fitted values; a
+    step whose fit raises is left to the replicates that need it."""
     specs = _experiment.specs
     order = sorted(pending, key=lambda replicate: not specs[replicate[:2]].proper)
     needs = {replicate: shared_steps(specs[replicate[:2]]) for replicate in order}
@@ -767,14 +763,12 @@ def _run_cells(pending, jobs: int) -> list[dict]:
     fitted, cells = {}, []
     with _workers(min(jobs, len(tasks) + len(order))) as (submit, as_completed):
         fitting = {submit(_fit_shared, task): task for task in tasks}
-        completed = as_completed(fitting)
-        while needs:
-            for replicate in [r for r, wanted in needs.items() if fitted.keys() >= set(wanted)]:
-                shipped = {step: fitted[step] for step in needs.pop(replicate)}
-                cells.append(submit(_run_cell, replicate, shipped))
-            if needs:
-                future = next(completed)
+        for future in chain([None], as_completed(fitting)):
+            if future is not None:
                 fitted.update(zip(fitting[future], future.result()))
+            for replicate in [r for r, wanted in needs.items() if fitted.keys() >= set(wanted)]:
+                shipped = {s: fitted[s] for s in needs.pop(replicate) if fitted[s] is not None}
+                cells.append(submit(_run_cell, replicate, shipped))
         return [cell.result() for cell in cells]
 
 
