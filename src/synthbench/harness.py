@@ -9,9 +9,9 @@ share datasets (common random numbers): each m's summary keeps its expected
 value, and its differences across m have less noise. The report is built
 from the cell files in sorted key order, so its bytes do not depend on the
 worker count, and a resumed run reuses every finished replicate. Timings
-stay out of the report files. Within one run, replicates share the
-non-proper synthesis fits, each made once and sent with its replicates, and
-within one process the original-side metric values; no draw changes either.
+stay out of the report files. A run fits each non-proper synthesis step once
+and sends it with each replicate that uses it; a process keeps no fit, only
+the original-side metric values. Neither changes a draw.
 """
 
 from __future__ import annotations
@@ -628,8 +628,8 @@ def metric_rows(
 class _Experiment:
     """What the cells of one ``run_experiment`` call share in a process: the
     inputs, the text of the original's numbers, the spec of each (label,
-    mode), the non-proper synthesis fits that the process has made or been
-    sent, and the original-side values of ``metric_rows``."""
+    mode) and the original-side values of ``metric_rows``. It holds no
+    synthesis fit: each replicate is sent the shared fits that it uses."""
 
     cfg: ExperimentConfig
     fingerprint: str
@@ -638,7 +638,6 @@ class _Experiment:
     fits: tuple[FitSpec, ...]
     predicates: tuple[AdhocPredicate, ...]
     specs: dict[tuple[str, str], SynthesizerSpec]
-    synth_fits: FitMemo
     original_side: dict
 
 
@@ -646,10 +645,9 @@ _experiment: _Experiment | None = None
 
 
 def _start_experiment(exp: _Experiment) -> None:
-    """Make ``exp`` this process's experiment. ``run_experiment`` calls it
-    with a new value, so no run reuses another run's fits, and each pool
-    worker calls it as its initializer with the parent's value, which holds
-    no shared fit: each replicate brings the fits that it uses."""
+    """Make ``exp`` this process's experiment: ``run_experiment`` calls it
+    with a new value for each run, and each pool worker as its initializer
+    with the parent's value."""
     global _experiment
     _experiment = exp
 
@@ -675,21 +673,19 @@ def _finished_cell(path: Path, fingerprint: str) -> dict | None:
 
 
 def _run_cell(replicate: tuple[str, str, int], fitted: dict) -> dict:
-    """Run one replicate of the current experiment: take the shared fits of
-    ``fitted``, synthesize and write max(m) datasets, score the first m of
-    them for each m of the grid, and save the replicate's cell file. Any
-    exception becomes the replicate's error row, so one failing replicate
-    never aborts the grid."""
+    """Run one replicate of the current experiment: synthesize and write
+    max(m) datasets, fitting only the steps that ``fitted`` lacks, score the
+    first m of them for each m of the grid, and save the replicate's cell
+    file. Any exception becomes the replicate's error row, so one failing
+    replicate never aborts the grid."""
     label, mode, rep = replicate
     exp = _experiment
     cfg = exp.cfg
-    for step, value in fitted.items():
-        exp.synth_fits.add(step, value)
     key = _replicate_key(label, mode, rep)
     result = {"key": key, "label": label, "mode": mode, "rep": rep, "fingerprint": exp.fingerprint}
     try:
         spec = replace(exp.specs[label, mode], seed=_replicate_seed(cfg.seed, label, mode, rep))
-        sset = synthesize(exp.original, spec, memo=exp.synth_fits)
+        sset = synthesize(exp.original, spec, memo=FitMemo(exp.original, fitted))
         seconds = save_synthetic_set(sset, cfg.out / "synth" / key, known=exp.known)
         rows, errors = metric_rows(
             exp.original, sset, cfg.metrics, exp.fits, exp.predicates,
@@ -709,7 +705,7 @@ def _run_cell(replicate: tuple[str, str, int], fitted: dict) -> dict:
 def _fit_shared(steps):
     """The fitted value of each shared step, or None where its fit raises.
     The donor trees among the steps grow as one forest."""
-    memo = _experiment.synth_fits
+    memo = FitMemo(_experiment.original)
     fit_trees([(memo, step) for step in steps])
     fitted = []
     for step in steps:
@@ -749,19 +745,18 @@ def _run_cells(pending, jobs: int) -> list[dict]:
     """Run the ``pending`` replicates over ``jobs`` workers. Each distinct
     non-proper step of their specs is fitted once (no fit depends on the
     seed), alone or, for a donor tree, in one of max(1, jobs - 1) forests,
-    which leaves a worker for replicates. A replicate starts, proper ones
-    first, once its steps are fitted, and carries their fitted values; a
+    which leaves a worker for replicates. A replicate starts once its steps
+    are fitted, so proper ones first, and carries their fitted values; a
     step whose fit raises is left to the replicates that need it."""
     specs = _experiment.specs
-    order = sorted(pending, key=lambda replicate: not specs[replicate[:2]].proper)
-    needs = {replicate: shared_steps(specs[replicate[:2]]) for replicate in order}
+    needs = {replicate: shared_steps(specs[replicate[:2]]) for replicate in pending}
     steps = dict.fromkeys(step for wanted in needs.values() for step in wanted)
     trees = [step for step in steps if step.grows_tree]
     forests = min(max(1, jobs - 1), len(trees))
     tasks = [trees[i::forests] for i in range(forests)]
     tasks += [[step] for step in steps if not step.grows_tree]
     fitted, cells = {}, []
-    with _workers(min(jobs, len(tasks) + len(order))) as (submit, as_completed):
+    with _workers(min(jobs, len(tasks) + len(pending))) as (submit, as_completed):
         fitting = {submit(_fit_shared, task): task for task in tasks}
         for future in chain([None], as_completed(fitting)):
             if future is not None:
@@ -787,8 +782,8 @@ def run_experiment(
     The spec of each (label, mode) is built once, before anything is
     written; one that cannot be built is a ``ConfigError``. Every non-proper
     synthesis step is fitted once per call, before any replicate that uses
-    it, and every original-side estimand once per call and process; a
-    replicate that finds them already computed only draws and scores."""
+    it, which is sent the fit and keeps it no longer, and every
+    original-side estimand once per call and process."""
     global _experiment
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")
@@ -819,8 +814,7 @@ def run_experiment(
 
     pending = [r for r in replicates if _replicate_key(*r) not in done]
     _start_experiment(_Experiment(
-        cfg, fingerprint, original, NumberText.of(original), fits, predicates, specs,
-        FitMemo(original), {},
+        cfg, fingerprint, original, NumberText.of(original), fits, predicates, specs, {},
     ))
     try:
         fresh = _run_cells(pending, jobs)

@@ -472,26 +472,22 @@ def visit_steps(spec: SynthesizerSpec) -> Iterator[tuple[int, Step]]:
 
 
 class FitMemo:
-    """The fitted steps of one fitting set, keyed by ``Step``.
+    """The fitted steps of one fitting set, keyed by ``Step``, starting from
+    ``fitted``, which a memo of an equal fitting set made, in any process.
 
     A fitted value is a pure function of its fitting set and its step, and
     its ``draw`` takes every random number, so one value can serve every
     dataset of every spec that fits on the same data, and no draw changes."""
 
-    def __init__(self, fit_ds: Dataset) -> None:
+    def __init__(self, fit_ds: Dataset, fitted: dict[Step, Fitted] | None = None) -> None:
         self.fit_ds = fit_ds
-        self._fitted: dict[Step, Fitted] = {}
+        self._fitted: dict[Step, Fitted] = dict(fitted or {})
 
     def fit(self, step: Step) -> Fitted:
         fitted = self._fitted.get(step)
         if fitted is None:
             fitted = self._fitted[step] = fit_step(step, self.fit_ds)
         return fitted
-
-    def add(self, step: Step, fitted: Fitted) -> None:
-        """Store ``fitted`` for ``step``: a value that ``fit`` made for the
-        same step on an equal fitting set, in this or another process."""
-        self._fitted[step] = fitted
 
     def __contains__(self, step: Step) -> bool:
         return step in self._fitted
@@ -510,7 +506,7 @@ def fit_trees(pairs) -> None:
     except Exception:  # whatever it is, the step that meets it alone reports it
         return
     for (memo, step), donors in zip(todo, fitted):
-        memo.add(step, donors)
+        memo._fitted[step] = donors
 
 
 def shared_steps(spec: SynthesizerSpec) -> list[Step]:
