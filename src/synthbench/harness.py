@@ -338,6 +338,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     ):
         if not ok:
             raise ConfigError(f"{where} must {rule}, got {value!r}")
+    if fraction is not None and met.classification_target is None:
+        raise ConfigError("metrics.classification.test_fraction needs metrics.classification.target")
     if cfg.metrics.regression and cfg.fitspecs is None:
         raise ConfigError("regression metrics need a fitspecs file")
     if cfg.metrics.adhoc and cfg.adhoc is None:
@@ -884,10 +886,6 @@ def _add_normalized_kl(report: UtilityReport, cells) -> None:
             report.add(label, mode, m, rep, "kl_norm_avg", "", avg)
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def _write_table(path: Path, header, rows) -> None:
     """Replace one UTF-8 CSV file whole: the header row, then ``rows``, each
     float as its repr. A results file's header is its row type's
@@ -895,7 +893,7 @@ def _write_table(path: Path, header, rows) -> None:
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(header)
-    w.writerows([_fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
+    w.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
     _write_atomic(path, buf.getvalue())
 
 
@@ -969,7 +967,7 @@ def _mpe_apo_table(by_metric, timings):
     rows = []
     for (label, mode, m, _), v in sorted(by_metric["mpe_apo"].items()):
         a = avg.get((label, mode, m, ""))
-        rows.append([label, mode, m, _fmt(v), "" if a is None else _fmt(a)])
+        rows.append([label, mode, m, v, "" if a is None else a])
     return {"mpe_apo": (["label", "mode", "m", "mpe_apo", "mpe_avg_cio"], rows)}
 
 
@@ -979,7 +977,7 @@ def _series_by_m_table(table: str, metric: str, by_metric, timings):
     if metric not in by_metric:
         return f"metric {metric!r} in the report"
     rows = [
-        [label if mode == "simple" else f"{label}/{mode}", m, _fmt(v)]
+        [label if mode == "simple" else f"{label}/{mode}", m, v]
         for (label, mode, m, _), v in sorted(by_metric[metric].items())
     ]
     return {table: (["series", "m", "value"], rows)}
@@ -989,11 +987,11 @@ def _kl_norm_table(by_metric, timings):
     if "kl_norm" not in by_metric:
         return "metric 'kl_norm' in the report"
     rows = [
-        [label, mode, m, scope.removeprefix("var:"), _fmt(v)]
+        [label, mode, m, scope.removeprefix("var:"), v]
         for (label, mode, m, scope), v in sorted(by_metric["kl_norm"].items())
     ]
     rows += [
-        [label, mode, m, "all", _fmt(v)]
+        [label, mode, m, "all", v]
         for (label, mode, m, _), v in sorted(by_metric.get("kl_norm_avg", {}).items())
     ]
     return {"kl_norm": (["label", "mode", "m", "variable", "value"], rows)}
@@ -1019,8 +1017,8 @@ def _mode_compare_table(by_metric, timings):
                 shares.append(1.0 if simp > sel else 0.0 if sel > simp else 0.5)
         wins = math.fsum(shares)
         rows.append([
-            label, m, _fmt(apo_[(label, "simple", m, "")]), _fmt(apo_[(label, "selective", m, "")]),
-            _fmt(wins), _fmt(len(shares) - wins), len(shares),
+            label, m, apo_[(label, "simple", m, "")], apo_[(label, "selective", m, "")],
+            wins, len(shares) - wins, len(shares),
         ])
     header = [
         "label", "m", "apo_simple", "apo_selective",
@@ -1037,7 +1035,7 @@ def _apo_vs_time_table(by_metric, timings):
     for t in timings:
         totals.setdefault((t.label, t.mode, t.m), []).append(t.seconds)
     rows = [
-        [label, mode, m, repr(math.fsum(secs) / len(secs)), _fmt(apo_[(label, mode, m, "")])]
+        [label, mode, m, math.fsum(secs) / len(secs), apo_[(label, mode, m, "")]]
         for (label, mode, m), secs in sorted(totals.items())
         if (label, mode, m, "") in apo_
     ]
@@ -1071,7 +1069,7 @@ def _correlations_table(by_metric, timings):
             if constant:
                 skipped.append([a, b, f"series {constant[0]!r} is constant"])
             else:
-                rows.append([a, b, repr(pearson(xs, ys)), len(keys)])
+                rows.append([a, b, pearson(xs, ys), len(keys)])
     if not rows and not skipped:
         return "at least two alignable series"
     files = {"correlations": (["series_x", "series_y", "r", "n"], rows)}

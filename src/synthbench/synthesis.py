@@ -89,11 +89,14 @@ def make_order(
     ``largest_cat_first``/``largest_cat_last`` move the categorical column
     with the most levels (ties broken by original column order) to the front
     or back; everything else keeps its original relative order. ``own`` takes
-    an explicit permutation of column names: each column once.
+    an explicit permutation of column names: each column once, and only for
+    the kind ``own``.
     """
     p = len(schema)
     if kind not in ORDER_KINDS:
         raise SpecError(f"unknown order kind {kind!r}")
+    if own is not None and kind != "own":
+        raise SpecError(f"own_order needs order 'own', got {kind!r}")
     if kind == "original":
         return tuple(range(p))
     if kind == "opposite":

@@ -27,7 +27,7 @@ from synthbench.dataset import ColumnKind, Dataset, LevelMapping, write_csv
 from synthbench.analysis import load_adhoc
 from synthbench.errors import (
     AnalysisError, ConfigError, DataError, EstimandError, MetricError, SchemaError,
-    SynthesisError,
+    SpecError, SynthesisError,
 )
 from synthbench.estimands import load_fitspecs
 from synthbench.metrics import UtilityReport, kl_divergence
@@ -1287,6 +1287,37 @@ def test_a_selective_name_that_is_not_a_column_is_a_config_error_in_any_mode(
         assert main(argv) == 1, argv[0]
         assert capsys.readouterr().err == "error: grid.selective: unknown column 'zz'\n", argv[0]
         assert not out.exists(), argv[0]
+
+
+def test_own_order_without_order_own_is_an_input_error(tmp_path, capsys):
+    # The entry ran the original order and left own_order unused.
+    grid = {"synthesizers": [{"base": "S"}, {"base": "D", "own_order": ["y", "x", "c"]}], "m": [1]}
+    cfg_path = write_project(tmp_path, grid=grid, k=1)
+    reason = "own_order needs order 'own', got 'original'"
+    schema = load_original(load_config(cfg_path)).schema
+    with pytest.raises(SpecError, match=reason):
+        build_spec(schema, "D", own_order=("y", "x", "c"))
+    for argv in (
+        ["experiment", "--config", str(cfg_path)],
+        ["generate", "--config", str(cfg_path), "--spec", "D", "--m", "1"],
+    ):
+        assert main(argv) == 1, argv[0]
+        assert capsys.readouterr().err == (
+            f"error: synthesizer 'D' in predictor mode 'simple': {reason}\n"
+        ), argv[0]
+        assert not (tmp_path / "results").exists(), argv[0]
+
+
+def test_a_test_fraction_without_a_target_is_an_input_error(tmp_path, capsys):
+    # The classifier stayed off and the fraction went unused.
+    metrics = {"classification": {"test_fraction": 0.3}, "adhoc": True}
+    cfg_path = write_project(tmp_path, metrics=metrics, k=1)
+    message = "metrics.classification.test_fraction needs metrics.classification.target"
+    with pytest.raises(ConfigError, match=message):
+        load_config(cfg_path)
+    assert main(["experiment", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == f"error: config file {cfg_path}: {message}\n"
+    assert not (tmp_path / "results").exists()
 
 
 @pytest.mark.parametrize(

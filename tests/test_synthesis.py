@@ -200,6 +200,37 @@ def test_a_fit_memo_serves_only_its_own_original():
         synthesize(small_dataset(seed=10), build_spec(ds.schema, "D", m=1, seed=1), memo=memo)
 
 
+def test_a_memo_seeded_with_fitted_values_draws_the_same_bytes_and_fits_nothing(monkeypatch):
+    ds = small_dataset()
+    spec = build_spec(ds.schema, "D", m=3, seed=5)
+    memo = FitMemo(ds)
+    want = synthesize(ds, spec, memo=memo).datasets
+    fitted = {step: memo.fit(step) for _, step in synthesis.visit_steps(spec)}
+    calls = []
+    for name in ("fit_step", "fit_cart"):
+        real = getattr(synthesis, name)
+        monkeypatch.setattr(
+            synthesis, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k)
+        )
+    got = synthesize(ds, spec, memo=FitMemo(ds, fitted)).datasets
+    assert calls == []
+    assert [[c.tobytes() for c in d.columns] for d in got] == [
+        [c.tobytes() for c in d.columns] for d in want
+    ]
+
+
+def test_own_order_needs_order_own():
+    # A grid entry with own_order but another order ran that order and left
+    # own_order unused.
+    schema = small_dataset().schema
+    own = ("y", "x", "c2", "c1")
+    with pytest.raises(SpecError, match="own_order needs order 'own', got 'original'"):
+        build_spec(schema, "D", own_order=own)
+    with pytest.raises(SpecError, match="own_order needs order 'own', got 'opposite'"):
+        make_order(schema, "opposite", own)
+    assert build_spec(schema, "D", order="own", own_order=own).visit == (1, 0, 3, 2)
+
+
 def test_proper_with_identity_bootstrap_equals_nonproper(monkeypatch):
     ds = small_dataset()
     monkeypatch.setattr(
