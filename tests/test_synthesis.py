@@ -53,6 +53,9 @@ def test_make_order_variants():
     # An own order is checked against the schema, so leaving out the last column fails too.
     with pytest.raises(SpecError, match="^visit sequence must be a permutation of the columns$"):
         make_order(ds.schema, "own", ("x", "y", "c1"))
+    # Only the kind "own" reads a permutation; any other kind refuses one.
+    with pytest.raises(SpecError, match="^own_order needs order 'own', got 'opposite'$"):
+        make_order(ds.schema, "opposite", ("c2", "x", "y", "c1"))
     schema_num = Schema((Column("x", ColumnKind.numeric()),))
     with pytest.raises(SpecError):
         make_order(schema_num, "largest_cat_first")
@@ -217,18 +220,6 @@ def test_a_memo_seeded_with_fitted_values_draws_the_same_bytes_and_fits_nothing(
     assert [[c.tobytes() for c in d.columns] for d in got] == [
         [c.tobytes() for c in d.columns] for d in want
     ]
-
-
-def test_own_order_needs_order_own():
-    # A grid entry with own_order but another order ran that order and left
-    # own_order unused.
-    schema = small_dataset().schema
-    own = ("y", "x", "c2", "c1")
-    with pytest.raises(SpecError, match="own_order needs order 'own', got 'original'"):
-        build_spec(schema, "D", own_order=own)
-    with pytest.raises(SpecError, match="own_order needs order 'own', got 'opposite'"):
-        make_order(schema, "opposite", own)
-    assert build_spec(schema, "D", order="own", own_order=own).visit == (1, 0, 3, 2)
 
 
 def test_proper_with_identity_bootstrap_equals_nonproper(monkeypatch):
