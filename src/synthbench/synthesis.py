@@ -492,16 +492,13 @@ class FitMemo:
             fitted = self._fitted[step] = fit_step(step, self.fit_ds)
         return fitted
 
-    def __contains__(self, step: Step) -> bool:
-        return step in self._fitted
-
 
 def fit_trees(pairs) -> None:
     """Grow, as one forest, the donor trees of ``pairs``, each a memo and a
     step that it lacks, and add each tree to its memo. Other steps are left
     alone. A forest that raises adds nothing, so each of its steps is fitted
     alone, and raises alone, where ``FitMemo.fit`` asks for it."""
-    todo = [(memo, step) for memo, step in pairs if step.grows_tree and step not in memo]
+    todo = [(memo, step) for memo, step in pairs if step.grows_tree and step not in memo._fitted]
     if not todo:
         return
     try:
