@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,13 +105,10 @@ def make_order(
         if own is None:
             raise SpecError("own order requires the column permutation")
         visit = tuple(schema.index(name) for name in own)
-        _check_permutation(visit, p)
+        if sorted(visit) != list(range(p)):
+            raise SpecError("visit sequence must be a permutation of the columns")
         return visit
-    cat_sizes = [
-        (c.kind.n_levels, i)
-        for i, c in enumerate(schema.columns)
-        if c.kind.is_categorical
-    ]
+    cat_sizes = [(c.kind.n_levels, i) for i, c in enumerate(schema.columns) if c.kind.is_categorical]
     if not cat_sizes:
         raise SpecError(f"order {kind!r} needs at least one categorical column")
     best = max(cat_sizes, key=lambda t: (t[0], -t[1]))[1]
@@ -121,65 +118,82 @@ def make_order(
     return tuple(rest + [best])
 
 
-def _check_permutation(visit: tuple[int, ...], p: int) -> None:
-    """Refuse a visit that is not a permutation of ``p`` columns."""
-    if sorted(visit) != list(range(p)):
-        raise SpecError("visit sequence must be a permutation of the columns")
+class Step(NamedTuple):
+    """One fit of a synthesizer: the model of ``method`` that draws
+    ``targets`` (one column, or the whole joint-categorical group in column
+    order) from the columns ``preds``. With the fitting set it fixes the
+    fitted value, so it is the ``FitMemo`` key."""
+
+    method: Method
+    targets: tuple[int, ...]
+    preds: tuple[int, ...]
+    min_leaf: int
+    pmm_k: int
+
+    @property
+    def grows_tree(self) -> bool:
+        """Whether the step fits a donor tree; a CART step without
+        predictors resamples its column instead."""
+        return self.method is Method.CART and bool(self.preds)
+
+    def cart_problem(self, fit_ds: Dataset) -> CartProblem:
+        """The donor-tree problem of this CART step on ``fit_ds``."""
+        schema = fit_ds.schema
+        (j,) = self.targets
+        X = Predictors.from_dataset(fit_ds, (schema.columns[q].name for q in self.preds))
+        return CartProblem(X, fit_ds.columns[j], schema.columns[j].kind, self.min_leaf)
 
 
 @dataclass(frozen=True)
 class SynthesizerSpec:
-    """Complete recipe for one synthesizer: per-column methods, visit order,
-    predictor sets (column i's predictors, ascending), proper flag, dataset
-    count and master seed."""
+    """Complete recipe for one synthesizer: its fit steps in visit order,
+    the proper flag, the dataset count and the master seed. Each step is
+    paired with the visited column whose random stream its draws take.
+    ``build_spec`` makes the steps; ``validate_against`` checks them."""
 
     label: str
-    methods: tuple[Method, ...]
-    visit: tuple[int, ...]
-    predictors: tuple[tuple[int, ...], ...]
+    steps: tuple[tuple[int, Step], ...]
     proper: bool
     m: int
     seed: int
-    pmm_k: int = 5
-    min_leaf: int = 5
 
     def __post_init__(self) -> None:
-        _check_permutation(self.visit, len(self.visit))
-        p = len(self.methods)
-        if len(self.visit) != p or len(self.predictors) != p:
-            raise SpecError("methods, visit sequence and predictor sets disagree")
         if self.m < 1:
             raise SpecError(f"m must be >= 1, got {self.m}")
         if self.seed < 0:
             raise SpecError("seed must be non-negative")
-        if self.pmm_k < 1 or self.min_leaf < 1:
-            raise SpecError("pmm_k and min_leaf must be >= 1")
-        pos = {c: k for k, c in enumerate(self.visit)}
-        for i, preds in enumerate(self.predictors):
-            for j in preds:
-                if j == i:
-                    raise SpecError(f"column {i} cannot predict itself")
-                if pos.get(j, p) >= pos[i]:
-                    raise SpecError(
-                        f"predictor {j} of column {i} does not precede it in the visit"
-                    )
-        group_pos = sorted(
-            pos[i] for i, mth in enumerate(self.methods) if mth is Method.JOINT_CATEGORICAL
-        )
-        if group_pos and group_pos != list(range(group_pos[0], group_pos[0] + len(group_pos))):
-            raise SpecError("joint-categorical columns must be contiguous in the visit sequence")
 
     def validate_against(self, schema: Schema) -> None:
-        if len(self.methods) != len(schema):
-            raise SpecError("spec does not match the schema's column count")
-        for i, (col, mth) in enumerate(zip(schema.columns, self.methods)):
-            if mth in (Method.PARAMETRIC_NUMERIC, Method.PMM) and not col.kind.is_numeric:
-                raise SpecError(f"{mth.value} requires a numeric column, got {col.name!r}")
-            if mth in (Method.PARAMETRIC_CATEGORICAL, Method.JOINT_CATEGORICAL):
-                if not col.kind.is_categorical:
-                    raise SpecError(
-                        f"{mth.value} requires a categorical column, got {col.name!r}"
-                    )
+        """Refuse a spec that does not fit ``schema``: each column must be
+        drawn exactly once, by a step visited at one of its targets, after
+        every predictor the step reads; each step's ``pmm_k`` and ``min_leaf``
+        must be at least 1, and its method must suit its targets' kind."""
+        names = schema.names
+        drawn: set[int] = set()
+        for k, (j, step) in enumerate(self.steps):
+            method, targets = step.method, step.targets
+            alone = len(targets) == 1 or method is Method.JOINT_CATEGORICAL
+            known = set(targets + step.preds) <= set(range(len(names)))
+            if not (alone and known and j in targets):
+                raise SpecError(f"step {k} of {self.label!r} does not fit the schema's columns")
+            for q in step.preds:
+                if q not in drawn:
+                    raise SpecError(f"predictor {names[q]!r} of column {names[j]!r} is drawn after it")
+            for t in targets:
+                if t in drawn:
+                    raise SpecError(f"column {names[t]!r} is drawn twice")
+                drawn.add(t)
+            if step.pmm_k < 1 or step.min_leaf < 1:
+                raise SpecError(f"pmm_k and min_leaf of column {names[j]!r} must be >= 1")
+            for t in targets:
+                numeric = schema.columns[t].kind.is_numeric
+                if not numeric and method in (Method.PARAMETRIC_NUMERIC, Method.PMM):
+                    raise SpecError(f"{method.value} requires a numeric column, got {names[t]!r}")
+                if numeric and method in (Method.PARAMETRIC_CATEGORICAL, Method.JOINT_CATEGORICAL):
+                    raise SpecError(f"{method.value} requires a categorical column, got {names[t]!r}")
+        missing = [name for i, name in enumerate(names) if i not in drawn]
+        if missing:
+            raise SpecError(f"column {missing[0]!r} is never drawn")
 
 
 def build_spec(
@@ -212,9 +226,10 @@ def build_spec(
     if base not in BASES:
         raise SpecError(f"unknown base synthesizer {base!r}")
     numeric, categorical = _BASE_METHODS[base]
-    visit = make_order(schema, order, own_order)
-    if categorical is Method.JOINT_CATEGORICAL:
-        visit = tuple(sorted(visit, key=lambda i: not schema.columns[i].kind.is_categorical))
+    cols = schema.columns
+    joint = categorical is Method.JOINT_CATEGORICAL
+    group = tuple(i for i, c in enumerate(cols) if joint and c.kind.is_categorical)
+    visit = tuple(sorted(make_order(schema, order, own_order), key=lambda i: i not in group))
     pos = {c: k for k, c in enumerate(visit)}
     predictors = [tuple(sorted(visit[:pos[i]])) for i in range(len(visit))]
     for target, names in (selective or {}).items():
@@ -226,18 +241,12 @@ def build_spec(
             if pos[q] > pos[t]:
                 raise SpecError(f"predictor {name!r} of column {target!r} is visited after it")
         predictors[t] = tuple(sorted(chosen))
-
-    return SynthesizerSpec(
-        label=synthesizer_label(base, order, proper),
-        methods=tuple(numeric if col.kind.is_numeric else categorical for col in schema.columns),
-        visit=visit,
-        predictors=tuple(predictors),
-        proper=proper,
-        m=m,
-        seed=seed,
-        pmm_k=pmm_k,
-        min_leaf=min_leaf,
-    )
+    steps = [(visit[0], Step(Method.JOINT_CATEGORICAL, group, (), min_leaf, pmm_k))] if group else []
+    for j in visit:
+        if j not in group:
+            method = numeric if cols[j].kind.is_numeric else categorical
+            steps.append((j, Step(method, (j,), predictors[j], min_leaf, pmm_k)))
+    return SynthesizerSpec(synthesizer_label(base, order, proper), tuple(steps), proper, m, seed)
 
 
 @dataclass(frozen=True)
@@ -397,32 +406,6 @@ class Tuples:
 Fitted = Marginal | Donors | Normal | Softmax | MeanMatch | Tuples
 
 
-class Step(NamedTuple):
-    """One fit of a synthesizer: the model of ``method`` that draws
-    ``targets`` (one column, or the whole joint-categorical group in column
-    order) from the columns ``preds``. With the fitting set it fixes the
-    fitted value, so it is the ``FitMemo`` key."""
-
-    method: Method
-    targets: tuple[int, ...]
-    preds: tuple[int, ...]
-    min_leaf: int
-    pmm_k: int
-
-    @property
-    def grows_tree(self) -> bool:
-        """Whether the step fits a donor tree; a CART step without
-        predictors resamples its column instead."""
-        return self.method is Method.CART and bool(self.preds)
-
-    def cart_problem(self, fit_ds: Dataset) -> CartProblem:
-        """The donor-tree problem of this CART step on ``fit_ds``."""
-        schema = fit_ds.schema
-        (j,) = self.targets
-        X = Predictors.from_dataset(fit_ds, (schema.columns[q].name for q in self.preds))
-        return CartProblem(X, fit_ds.columns[j], schema.columns[j].kind, self.min_leaf)
-
-
 def fit_step(step: Step, fit_ds: Dataset) -> Fitted:
     """Fit the model of ``step`` on ``fit_ds``. Uses no randomness: the
     returned value's ``draw`` takes every draw."""
@@ -452,26 +435,11 @@ def fit_step(step: Step, fit_ds: Dataset) -> Fitted:
         preds = lm.predict(X_fit.cols)
         order = np.argsort(preds, kind="stable")
         return MeanMatch(lm, preds[order], y_fit[order].astype(np.float64), step.pmm_k)
-    raise SpecError(f"unhandled method {method}")
 
 
 def _fit_donors(problems: list[CartProblem]) -> list[Donors]:
     """One donor tree per problem, grown together as one forest."""
     return [Donors(tree, p.y) for p, tree in zip(problems, fit_cart(problems).trees)]
-
-
-def visit_steps(spec: SynthesizerSpec) -> Iterator[tuple[int, Step]]:
-    """Every (visited column, step) of ``spec``, in visit order. The column
-    picks the step's random stream; the fit is the step's alone, so specs
-    that visit in other orders can share it. The joint-categorical group is
-    one step, without predictors, at its first visit position."""
-    group = tuple(j for j, mth in enumerate(spec.methods) if mth is Method.JOINT_CATEGORICAL)
-    first = next((j for j in spec.visit if j in group), None)
-    for j in spec.visit:
-        if j == first:
-            yield j, Step(Method.JOINT_CATEGORICAL, group, (), spec.min_leaf, spec.pmm_k)
-        elif j not in group:
-            yield j, Step(spec.methods[j], (j,), spec.predictors[j], spec.min_leaf, spec.pmm_k)
 
 
 class FitMemo:
@@ -512,7 +480,7 @@ def fit_trees(pairs) -> None:
 def shared_steps(spec: SynthesizerSpec) -> list[Step]:
     """The steps that a non-proper ``spec`` fits through a memo; none for a
     proper spec, whose fits no other dataset shares."""
-    return [] if spec.proper else [step for _, step in visit_steps(spec)]
+    return [] if spec.proper else [step for _, step in spec.steps]
 
 
 def _fitting_memos(spec: SynthesizerSpec, indices, memo: FitMemo) -> list[FitMemo]:
@@ -530,7 +498,7 @@ def _fitting_memos(spec: SynthesizerSpec, indices, memo: FitMemo) -> list[FitMem
         ]
     else:
         memos = [memo] * len(indices)
-    fit_trees([(fits, step) for fits in dict.fromkeys(memos) for _, step in visit_steps(spec)])
+    fit_trees([(fits, step) for fits in dict.fromkeys(memos) for _, step in spec.steps])
     return memos
 
 
@@ -541,7 +509,7 @@ def _synthesize_one(spec: SynthesizerSpec, idx: int, memo: FitMemo) -> Dataset:
     n = memo.fit_ds.n_rows
 
     syn: dict[int, np.ndarray] = {}
-    for j, step in visit_steps(spec):
+    for j, step in spec.steps:
         name = schema.columns[j].name
         try:
             fitted = memo.fit(step)

@@ -73,13 +73,20 @@ def test_largest_cat_picks_widest_level_set():
     assert make_order(schema, "largest_cat_last") == (0, 1, 2)
 
 
+def cart_steps(*visit_preds):
+    """The (column, step) pairs of D steps, each a column and its predictors."""
+    return tuple((j, Step(Method.CART, (j,), preds, 5, 5)) for j, preds in visit_preds)
+
+
 def test_build_spec_simple_and_selective_predictors():
     ds = small_dataset()
-    simple = build_spec(ds.schema, "D").predictors
-    assert simple == ((), (0,), (0, 1), (0, 1, 2))
-    assert build_spec(ds.schema, "D", order="opposite").predictors == ((1, 2, 3), (2, 3), (3,), ())
-    sel = build_spec(ds.schema, "D", selective={"c1": ("x", "x")}).predictors
-    assert sel[2] == (0,)
+    simple = build_spec(ds.schema, "D").steps
+    assert simple == cart_steps((0, ()), (1, (0,)), (2, (0, 1)), (3, (0, 1, 2)))
+    assert build_spec(ds.schema, "D", order="opposite").steps == cart_steps(
+        (3, ()), (2, (3,)), (1, (2, 3)), (0, (1, 2, 3))
+    )
+    sel = build_spec(ds.schema, "D", selective={"c1": ("x", "x")}).steps
+    assert sel[2] == cart_steps((2, (0,)))[0]
     assert sel[:2] + sel[3:] == simple[:2] + simple[3:]  # unlisted targets keep the default
     with pytest.raises(SpecError, match="^predictor 'y' of column 'x' is visited after it$"):
         build_spec(ds.schema, "D", selective={"x": ("y",)})
@@ -98,30 +105,53 @@ def test_a_selective_predictor_visited_after_its_target_is_named(fixture_a):
     schema = fixture_a.schema
     with pytest.raises(SpecError, match="^predictor 'x' of column 'c3' is visited after it$"):
         build_spec(schema, "CP", selective={"c3": ("x",)})
-    # A spec built directly is checked by column index.
-    spec = build_spec(schema, "CP")
-    c3, x = schema.index("c3"), schema.index("x")
-    predictors = tuple((x,) if i == c3 else preds for i, preds in enumerate(spec.predictors))
-    with pytest.raises(SpecError, match=f"^predictor {x} of column {c3} does not precede it"):
-        replace(spec, predictors=predictors)
+    # A spec whose steps are edited directly is checked when it is synthesized.
+    spec = build_spec(schema, "D")
+    (x, step), *rest = spec.steps
+    late = replace(spec, steps=((x, step._replace(preds=(schema.index("y"),))), *rest))
+    with pytest.raises(SpecError, match="^predictor 'y' of column 'x' is drawn after it$"):
+        synthesize(fixture_a, late)
+
+
+def test_a_spec_that_does_not_fit_the_data_is_refused(fixture_a):
+    # P on a schema that declares x categorical draws x with a logistic model.
+    x_categorical = Schema(
+        (Column("x", ColumnKind.categorical(("a",))), *fixture_a.schema.columns[1:])
+    )
+    spec = build_spec(x_categorical, "P")
+    with pytest.raises(SpecError, match="^parametric_categorical requires a categorical column, got 'x'$"):
+        synthesize(fixture_a, spec)
+    spec = build_spec(fixture_a.schema, "D")
+    (x, step), *rest = spec.steps
+    for steps, message in (
+        (((x, step._replace(min_leaf=0)), *rest), "^pmm_k and min_leaf of column 'x' must be >= 1$"),
+        (spec.steps[:-1], "^column 'c3' is never drawn$"),
+        (spec.steps + spec.steps[-1:], "^column 'c3' is drawn twice$"),
+        (((x, step._replace(targets=(x, x + 1))), *rest), "^step 0 of 'D' does not fit"),
+    ):
+        with pytest.raises(SpecError, match=message):
+            replace(spec, steps=steps).validate_against(fixture_a.schema)
 
 
 def test_build_spec_methods_by_base():
     ds = small_dataset()
-    spec_p = build_spec(ds.schema, "P")
-    assert spec_p.methods[0] == Method.PARAMETRIC_NUMERIC
-    assert spec_p.methods[2] == Method.PARAMETRIC_CATEGORICAL
-    spec_d = build_spec(ds.schema, "D")
-    assert all(m == Method.CART for m in spec_d.methods)
-    spec_s = build_spec(ds.schema, "S")
-    assert all(m == Method.SAMPLE for m in spec_s.methods)
-    spec_cp = build_spec(ds.schema, "CP")
-    assert spec_cp.methods[2] == Method.JOINT_CATEGORICAL
-    assert spec_cp.methods[0] == Method.PMM
-    spec_cc = build_spec(ds.schema, "CC")
-    assert spec_cc.methods[0] == Method.CART
-    # joint bases visit all categoricals first
-    assert spec_cp.visit == (2, 3, 0, 1)
+
+    def methods(base):
+        return [(j, step.method) for j, step in build_spec(ds.schema, base).steps]
+
+    num, cat = Method.PARAMETRIC_NUMERIC, Method.PARAMETRIC_CATEGORICAL
+    assert methods("P") == [(0, num), (1, num), (2, cat), (3, cat)]
+    assert methods("D") == [(j, Method.CART) for j in range(4)]
+    assert methods("S") == [(j, Method.SAMPLE) for j in range(4)]
+    # Joint bases draw all categoricals first, as one step on the stream of
+    # the first of them, without predictors.
+    joint = (2, Step(Method.JOINT_CATEGORICAL, (2, 3), (), 5, 5))
+    assert build_spec(ds.schema, "CP").steps == (
+        joint,
+        (0, Step(Method.PMM, (0,), (2, 3), 5, 5)),
+        (1, Step(Method.PMM, (1,), (0, 2, 3), 5, 5)),
+    )
+    assert methods("CC") == [(2, Method.JOINT_CATEGORICAL), (0, Method.CART), (1, Method.CART)]
 
 
 def test_label_construction():
@@ -208,7 +238,7 @@ def test_a_memo_seeded_with_fitted_values_draws_the_same_bytes_and_fits_nothing(
     spec = build_spec(ds.schema, "D", m=3, seed=5)
     memo = FitMemo(ds)
     want = synthesize(ds, spec, memo=memo).datasets
-    fitted = {step: memo.fit(step) for _, step in synthesis.visit_steps(spec)}
+    fitted = {step: memo.fit(step) for _, step in spec.steps}
     calls = []
     for name in ("fit_step", "fit_cart"):
         real = getattr(synthesis, name)
@@ -269,7 +299,7 @@ def test_missing_data_is_rejected():
         (np.asarray([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),),
         (np.asarray([True, False, False, False, False, False]),),
     )
-    with pytest.raises(SynthesisError):
+    with pytest.raises(SynthesisError, match="^original data still has missing cells"):
         synthesize(ds, build_spec(schema, "S"))
 
 
@@ -363,11 +393,11 @@ def test_spec_validation():
         build_spec(ds.schema, "D", seed=-1)
     schema_cats_only = Schema((Column("c", ColumnKind.categorical(("a", "b"))),))
     spec = build_spec(schema_cats_only, "CP")  # no numerics is fine
-    assert spec.methods[0] == Method.JOINT_CATEGORICAL
+    assert spec.steps == ((0, Step(Method.JOINT_CATEGORICAL, (0,), (), 5, 5)),)
     schema_num_only = Schema((Column("x", ColumnKind.numeric()),))
     # joint base with no categoricals degrades to donor trees on the numerics
     spec_num = build_spec(schema_num_only, "CC")
-    assert spec_num.methods == (Method.CART,)
+    assert spec_num.steps == cart_steps((0, ()))
 
 
 # Orders the golden grid does not cover. CPO and CCL first visit the joint
