@@ -325,6 +325,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     for where, value, ok, rule in (
         ("k", cfg.k, cfg.k >= 1, "be >= 1"),
         ("seed", cfg.seed, cfg.seed >= 0, "be >= 0"),
+        ("pmm_k", cfg.pmm_k, cfg.pmm_k >= 1, "be >= 1"),
+        ("min_leaf", cfg.min_leaf, cfg.min_leaf >= 1, "be >= 1"),
         ("preprocess.head_n", head, head is None or head >= 1, "be >= 1"),
         ("metrics.classification.test_fraction", fraction,
          fraction is None or 0.0 < fraction < 1.0, "lie in (0, 1)"),
@@ -899,11 +901,14 @@ def _write_table(path: Path, header, rows) -> None:
 
 def write_report(report: UtilityReport, out: Path) -> None:
     """Write report.csv, summary.csv and, when ``report`` holds errors,
-    errors.csv under ``out``, each in sorted row order."""
+    errors.csv under ``out``, each in sorted row order. Without errors, an
+    errors.csv from an earlier run is removed."""
     _write_table(out / "report.csv", ReportRow._fields, sorted(report.rows))
     _write_table(out / "summary.csv", SummaryRow._fields, report.summary())
     if report.errors:
         _write_table(out / "errors.csv", ReportError._fields, sorted(report.errors))
+    else:
+        (out / "errors.csv").unlink(missing_ok=True)
 
 
 def read_report(out: Path) -> UtilityReport:
@@ -957,7 +962,8 @@ def _table_rows(path: Path, row_type):
 
 # A table builder takes the summary values ``{metric: {(label, mode, m,
 # scope): value}}`` and the timing rows. It returns its table's files,
-# ``{file stem: (header, rows)}``, or what the table needs and lacks.
+# ``{file stem: (header, rows)}``, or what the table needs and lacks. A file
+# it maps to None has no rows this time, and an old copy is removed.
 
 
 def _mpe_apo_table(by_metric, timings):
@@ -1072,10 +1078,10 @@ def _correlations_table(by_metric, timings):
                 rows.append([a, b, pearson(xs, ys), len(keys)])
     if not rows and not skipped:
         return "at least two alignable series"
-    files = {"correlations": (["series_x", "series_y", "r", "n"], rows)}
-    if skipped:
-        files["correlations_skipped"] = (["series_x", "series_y", "reason"], skipped)
-    return files
+    return {
+        "correlations": (["series_x", "series_y", "r", "n"], rows),
+        "correlations_skipped": (["series_x", "series_y", "reason"], skipped) if skipped else None,
+    }
 
 
 _TABLE_BUILDERS = {
@@ -1121,7 +1127,11 @@ def emit_tables(
             if requested is not None:
                 raise MetricError(f"table {table!r} needs {files}")
             continue
-        for stem, (header, rows) in files.items():
-            _write_table(tables_dir / f"{stem}.csv", header, rows)
+        for stem, table_file in files.items():
+            path = tables_dir / f"{stem}.csv"
+            if table_file is None:
+                path.unlink(missing_ok=True)
+            else:
+                _write_table(path, *table_file)
         written[table] = tables_dir / f"{table}.csv"
     return written

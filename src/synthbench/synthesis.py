@@ -1,17 +1,19 @@
 """Sequential and joint synthesis of fully synthetic datasets.
 
-A synthesizer walks the columns in a visit sequence. Each visit step has two
-parts. The fit step (``fit_step``) fits the model of a ``Step`` (method,
-targets, preds, min_leaf, pmm_k) on the fitting set: the original data, or a
-with-replacement bootstrap resample of it when the spec is "proper". It uses
-no randomness and returns a plain fitted value (``Marginal``, ``Donors``,
-``Normal``, ``Softmax``, ``MeanMatch`` or ``Tuples``). The draw step, that
-value's ``draw(X_syn, n, rng)``, then draws the whole synthetic column at
-once, conditioning on the predictor columns already synthesized. A variable
-with no predictors is drawn marginally, by resampling the fitting column.
-Columns covered by the joint-categorical method form one step at the first
-visit position the group occupies, and are drawn together as whole level
-tuples from their contingency table.
+A synthesizer spec is its steps in visit order, each a ``Step`` (method,
+targets, preds, min_leaf, pmm_k) paired with the visited column whose random
+stream it draws from. ``build_spec`` makes them and
+``SynthesizerSpec.validate_against`` checks them against the data's schema.
+Each step has two parts. The fit (``fit_step``) fits the step's model on the
+fitting set: the original data, or a with-replacement bootstrap resample of
+it when the spec is "proper". It uses no randomness and returns a plain
+fitted value (``Marginal``, ``Donors``, ``Normal``, ``Softmax``,
+``MeanMatch`` or ``Tuples``). The draw, that value's ``draw(X_syn, n,
+rng)``, then draws the whole synthetic column at once, conditioning on the
+predictor columns already synthesized. A variable with no predictors is
+drawn marginally, by resampling the fitting column. The columns of the
+joint-categorical method form one step, visited first, and are drawn
+together as whole level tuples from their contingency table.
 
 Every (dataset index, visited column) pair consumes its own derived random
 stream, so dataset i is a pure function of (seed, i) no matter how many
@@ -121,8 +123,9 @@ def make_order(
 class Step(NamedTuple):
     """One fit of a synthesizer: the model of ``method`` that draws
     ``targets`` (one column, or the whole joint-categorical group in column
-    order) from the columns ``preds``. With the fitting set it fixes the
-    fitted value, so it is the ``FitMemo`` key."""
+    order) from the columns ``preds``, which earlier steps draw. With the
+    fitting set it fixes the fitted value, so it is the ``FitMemo`` key, and
+    specs with an equal step share its fit."""
 
     method: Method
     targets: tuple[int, ...]

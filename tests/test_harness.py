@@ -30,7 +30,7 @@ from synthbench.errors import (
     SpecError, SynthesisError,
 )
 from synthbench.estimands import load_fitspecs
-from synthbench.metrics import UtilityReport, kl_divergence
+from synthbench.metrics import ReportError, UtilityReport, kl_divergence
 from synthbench.models import CartProblem, Predictors, fit_cart, fit_logistic
 from synthbench.synthesis import build_spec, load_synthetic_set, synthesize
 from synthbench.harness import (
@@ -45,6 +45,7 @@ from synthbench.harness import (
     read_report,
     read_timings,
     run_experiment,
+    write_report,
 )
 
 
@@ -253,6 +254,18 @@ def test_a_setting_out_of_range_is_a_config_error(tmp_path, section, setting, va
     doc.setdefault(section, {})[setting] = value
     cfg_path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match=f"{section}.{message}"):
+        load_config(cfg_path)
+
+
+@pytest.mark.parametrize("setting", ["pmm_k", "min_leaf"])
+def test_a_synthesis_setting_below_1_is_a_config_error(tmp_path, setting):
+    # Unchecked at load, it would fail only when the grid's specs are built,
+    # in the name of the first synthesizer, whether or not that one uses it.
+    cfg_path = write_project(tmp_path)
+    doc = json.loads(cfg_path.read_text())
+    doc[setting] = 0
+    cfg_path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=f": {setting} must be >= 1, got 0$"):
         load_config(cfg_path)
 
 
@@ -953,6 +966,27 @@ def test_correlations_tables_bytes(tmp_path):
         b"mpe_apo,rf_apo,series 'mpe_apo' is constant\r\n"
         b"mpe_apo,rf_avg_cio,series 'mpe_apo' is constant\r\n"
     )
+
+
+def test_a_clean_rewrite_removes_the_files_that_only_failures_write(tmp_path):
+    # errors.csv and correlations_skipped.csv are written only when they have
+    # rows, so results rewritten without any must not keep the old ones.
+    failed, clean = UtilityReport(), UtilityReport()
+    for m, v in zip((1, 2, 3), (0.1, 0.4, 0.2)):
+        for report in (failed, clean):
+            report.add("D", "simple", m, 0, "rf_apo", "", v)
+        failed.add("D", "simple", m, 0, "kl_norm_avg", "", 2.0)  # constant
+        clean.add("D", "simple", m, 0, "kl_norm_avg", "", v * v)
+    failed.errors.append(ReportError("S", "simple", 2, 0, "kl", "ValueError: boom"))
+    tables = tmp_path / "tables"
+    write_report(failed, tmp_path)
+    emit_tables(failed, tmp_path, requested=("correlations",))
+    assert (tmp_path / "errors.csv").exists() and (tables / "correlations_skipped.csv").exists()
+    write_report(clean, tmp_path)
+    emit_tables(clean, tmp_path, requested=("correlations",))
+    assert not (tmp_path / "errors.csv").exists()
+    assert read_report(tmp_path).errors == []
+    assert sorted(p.name for p in tables.iterdir()) == ["correlations.csv"]
 
 
 def test_metric_rows_isolates_failing_fits(mini_run, monkeypatch):
