@@ -20,6 +20,7 @@ from .harness import (
     load_metric_inputs,
     load_original,
     metric_rows,
+    original_side,
     read_report,
     read_timings,
     run_experiment,
@@ -88,7 +89,8 @@ def _cmd_evaluate(args) -> int:
     sset = load_synthetic_set(args.syn, original.schema)
     if cfg.metrics.rule == "Tp" and sset.m < 2:
         raise ConfigError(f"rule Tp needs at least two datasets; {args.syn} holds m = {sset.m}")
-    rows, errors = metric_rows(original, sset, cfg.metrics, fits, predicates)
+    side = original_side(original, cfg.metrics, fits, predicates)
+    rows, errors = metric_rows(original, sset, cfg.metrics, fits, predicates, side=side)
     report = UtilityReport()
     for metric, scope, value in rows[sset.m]:
         report.add(sset.label, "simple", sset.m, 0, metric, scope, value)

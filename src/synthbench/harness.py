@@ -9,9 +9,9 @@ share datasets (common random numbers): each m's summary keeps its expected
 value, and its differences across m have less noise. The report is built
 from the cell files in sorted key order, so its bytes do not depend on the
 worker count, and a resumed run reuses every finished replicate. Timings
-stay out of the report files. A run fits each non-proper synthesis step once
-and sends it with each replicate that uses it; a process keeps no fit, only
-the original-side metric values. Neither changes a draw.
+stay out of the report files. A run computes the original's metric values
+and fits each non-proper synthesis step once, before the replicates that use
+them, which are sent them; a process keeps neither. Neither changes a draw.
 """
 
 from __future__ import annotations
@@ -457,6 +457,34 @@ def _describe_error(err: Exception) -> str:
     return str(err) if isinstance(err, SynthbenchError) else f"{type(err).__name__}: {err}"
 
 
+def original_side(
+    original: Dataset, settings: MetricSettings,
+    fits: tuple[FitSpec, ...], predicates: tuple[AdhocPredicate, ...],
+) -> dict:
+    """The values of the metric families of ``settings`` that depend on
+    ``original`` alone, keyed by family stage (``mean_point`` maps each
+    numeric column to its estimand), each stored as the exception that
+    computing it raised, if it raised."""
+    todo = {}
+    if settings.mean_point:
+        numeric = [c.name for c in original.schema.columns if c.kind.is_numeric]
+        todo["mean_point"] = lambda: {name: mean_point_estimand(original, name) for name in numeric}
+    for fit in fits if settings.regression else ():
+        todo[f"fit:{fit.id}"] = partial(regression_estimands, original, fit)
+    if (target := settings.classification_target) is not None:
+        todo["classification"] = partial(classifier_baseline, original, target,
+                                         test_fraction=settings.classification_test_fraction)
+    for pred in predicates if settings.adhoc else ():
+        todo[f"adhoc:{pred.id}"] = partial(adhoc_proportion, original, pred)
+    side = {}
+    for stage, compute in todo.items():
+        try:
+            side[stage] = compute()
+        except Exception as err:
+            side[stage] = err
+    return side
+
+
 def metric_rows(
     original: Dataset,
     sset: SyntheticSet,
@@ -465,7 +493,7 @@ def metric_rows(
     predicates: tuple[AdhocPredicate, ...],
     *,
     ms: tuple[int, ...] | None = None,
-    memo: dict | None = None,
+    side: dict,
 ) -> tuple[dict[int, list[tuple[str, str, float]]], list[tuple[str, str]]]:
     """Compute every configured metric of the first m datasets of ``sset``,
     for each m of ``ms`` (by default only m = ``sset.m``, the whole set).
@@ -478,11 +506,8 @@ def metric_rows(
     computes its per-dataset values once and combines the first m of them
     for each m, so the rows of m equal those of a set holding only its
     first m datasets. An exception in one family, of whatever type, becomes
-    its error and loses that family's rows for every m.
-
-    ``memo`` keeps the original-side values (estimands and the classifier's
-    original-trained predictions) for later calls with the same
-    ``original`` and ``settings``; without it they are computed afresh.
+    its error and loses that family's rows for every m. ``side`` is the
+    ``original_side`` of the same arguments.
     """
     ms = (sset.m,) if ms is None else ms
     if not all(1 <= m <= sset.m for m in ms):
@@ -492,18 +517,13 @@ def metric_rows(
     thr = settings.apo_threshold
     inc = settings.apo_inclusive
 
-    memo = {} if memo is None else memo
-
-    def once(key, compute):
-        if key not in memo:
-            memo[key] = compute()
-        return memo[key]
-
     def family(stage, compute):
         """Each m's result of ``compute()(m)``: compute() does the
         per-dataset work and returns the roll-up of the first m datasets.
-        None after recording an exception of either."""
+        None after recording an exception of either, or the stage's in ``side``."""
         try:
+            if isinstance(failed := side.get(stage), Exception):
+                raise failed.with_traceback(None)  # without the frames of earlier raises
             roll = compute()
             return {m: roll(m) for m in ms}
         except Exception as err:
@@ -538,10 +558,8 @@ def metric_rows(
 
     def mean_point_rows():
         estimands = [
-            (c.name, once(("mean_point", c.name), lambda: mean_point_estimand(original, c.name)),
-             [mean_point_estimand(ds, c.name) for ds in sset.datasets])
-            for c in original.schema.columns
-            if c.kind.is_numeric
+            (name, orig, [mean_point_estimand(ds, name) for ds in sset.datasets])
+            for name, orig in side["mean_point"].items()
         ]
 
         def roll(m):
@@ -555,7 +573,7 @@ def metric_rows(
 
     def fit_rows(fit):
         """The roll-up of one fit: its rows and its overlaps."""
-        orig = once(("fit", fit), lambda: regression_estimands(original, fit))
+        orig = side[f"fit:{fit.id}"]
         per_ds = [regression_estimands(ds, fit) for ds in sset.datasets]
         if any(coefs.keys() != orig.keys() for coefs in per_ds):
             raise MetricError("synthetic fit produced a different coefficient set")
@@ -580,10 +598,7 @@ def metric_rows(
         return lambda m: [("kl_raw", f"var:{name}", mean(r, m)) for name, r in raws]
 
     def classification_rows():
-        baseline = once(("classification",), lambda: classifier_baseline(
-            original, settings.classification_target,
-            test_fraction=settings.classification_test_fraction,
-        ))
+        baseline = side["classification"]
         accuracies, agreements = classify_compare(baseline, sset)
         acc_orig = float(baseline.correct.mean())
         return lambda m: [
@@ -594,7 +609,7 @@ def metric_rows(
         ]
 
     def adhoc_rows(pred):
-        p_orig = adhoc_proportion(original, pred)
+        p_orig = side[f"adhoc:{pred.id}"]
         p_syn = [adhoc_proportion(ds, pred) for ds in sset.datasets]
         return lambda m: [
             ("adhoc_orig", f"pred:{pred.id}", p_orig),
@@ -630,9 +645,9 @@ def metric_rows(
 
 @dataclass(frozen=True)
 class _Experiment:
-    """What the cells of one ``run_experiment`` call share in a process: the
-    inputs, the text of the original's numbers, the spec of each (label,
-    mode) and the original-side values of ``metric_rows``. It holds no
+    """What the cells of one ``run_experiment`` call share: the inputs, the
+    text of the original's numbers, the spec of each (label, mode) and the
+    ``original_side`` of the metrics, all made by the parent. It holds no
     synthesis fit: each replicate is sent the shared fits that it uses."""
 
     cfg: ExperimentConfig
@@ -642,7 +657,7 @@ class _Experiment:
     fits: tuple[FitSpec, ...]
     predicates: tuple[AdhocPredicate, ...]
     specs: dict[tuple[str, str], SynthesizerSpec]
-    original_side: dict
+    side: dict
 
 
 _experiment: _Experiment | None = None
@@ -693,7 +708,7 @@ def _run_cell(replicate: tuple[str, str, int], fitted: dict) -> dict:
         seconds = save_synthetic_set(sset, cfg.out / "synth" / key, known=exp.known)
         rows, errors = metric_rows(
             exp.original, sset, cfg.metrics, exp.fits, exp.predicates,
-            ms=cfg.m_list, memo=exp.original_side,
+            ms=cfg.m_list, side=exp.side,
         )
         # JSON object keys are strings
         result["rows"] = {str(m): [list(row) for row in rows[m]] for m in cfg.m_list}
@@ -786,8 +801,8 @@ def run_experiment(
     The spec of each (label, mode) is built once, before anything is
     written; one that cannot be built is a ``ConfigError``. Every non-proper
     synthesis step is fitted once per call, before any replicate that uses
-    it, which is sent the fit and keeps it no longer, and every
-    original-side estimand once per call and process."""
+    it, which is sent the fit and keeps it no longer. The ``original_side``
+    is built the same way, once, and only when a replicate is pending."""
     global _experiment
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")
@@ -817,8 +832,9 @@ def run_experiment(
                 done[key] = result
 
     pending = [r for r in replicates if _replicate_key(*r) not in done]
+    side = original_side(original, cfg.metrics, fits, predicates) if pending else {}
     _start_experiment(_Experiment(
-        cfg, fingerprint, original, NumberText.of(original), fits, predicates, specs, {},
+        cfg, fingerprint, original, NumberText.of(original), fits, predicates, specs, side,
     ))
     try:
         fresh = _run_cells(pending, jobs)

@@ -169,8 +169,8 @@ class SynthesizerSpec:
     def validate_against(self, schema: Schema) -> None:
         """Refuse a spec that does not fit ``schema``: each column must be
         drawn exactly once, by a step visited at one of its targets, after
-        every predictor the step reads; each step's ``pmm_k`` and ``min_leaf``
-        must be at least 1, and its method must suit its targets' kind."""
+        every predictor the step reads, and a sample step reads none; each
+        step's ``pmm_k`` and ``min_leaf`` must be >= 1, its method suit its targets' kind."""
         names = schema.names
         drawn: set[int] = set()
         for k, (j, step) in enumerate(self.steps):
@@ -188,6 +188,8 @@ class SynthesizerSpec:
                 drawn.add(t)
             if step.pmm_k < 1 or step.min_leaf < 1:
                 raise SpecError(f"pmm_k and min_leaf of column {names[j]!r} must be >= 1")
+            if method is Method.SAMPLE and step.preds:
+                raise SpecError(f"sample step of column {names[j]!r} lists predictors")
             for t in targets:
                 numeric = schema.columns[t].kind.is_numeric
                 if not numeric and method in (Method.PARAMETRIC_NUMERIC, Method.PMM):
@@ -221,8 +223,8 @@ def build_spec(
     matching (CP) or donor trees (CC). A joint categorical block is visited
     first, each part keeping the order's relative order.
 
-    Every column is predicted by all columns visited before it, unless
-    ``selective`` maps its name to exactly the names that predict it. An
+    A column is predicted by all columns visited before it (under S by none),
+    unless ``selective`` maps its name to exactly the names that predict it. An
     unknown name is a ``SchemaError``; a column that predicts itself or a
     predictor visited after its target is a ``SpecError`` naming both.
     """
@@ -248,7 +250,8 @@ def build_spec(
     for j in visit:
         if j not in group:
             method = numeric if cols[j].kind.is_numeric else categorical
-            steps.append((j, Step(method, (j,), predictors[j], min_leaf, pmm_k)))
+            preds = () if method is Method.SAMPLE else predictors[j]
+            steps.append((j, Step(method, (j,), preds, min_leaf, pmm_k)))
     return SynthesizerSpec(synthesizer_label(base, order, proper), tuple(steps), proper, m, seed)
 
 
@@ -419,9 +422,7 @@ def fit_step(step: Step, fit_ds: Dataset) -> Fitted:
     (j,) = targets
     y_fit = fit_ds.columns[j]
     # A single observed class needs no model: resampling repeats it.
-    if method is Method.SAMPLE or not preds or (
-        method is Method.PARAMETRIC_CATEGORICAL and np.unique(y_fit).size == 1
-    ):
+    if not preds or (method is Method.PARAMETRIC_CATEGORICAL and np.unique(y_fit).size == 1):
         return Marginal(y_fit)
     if method is Method.CART:
         return _fit_donors([step.cart_problem(fit_ds)])[0]

@@ -18,7 +18,7 @@ from synthbench.estimands import (
     normal_interval,
     regression_estimands,
 )
-from synthbench.harness import MetricSettings, metric_rows
+from synthbench.harness import MetricSettings, metric_rows, original_side
 from synthbench.models import fit_ols
 from synthbench.models.design import Predictors
 from synthbench.synthesis import SyntheticSet
@@ -203,7 +203,9 @@ def test_a_repeated_coefficient_name_is_an_error():
     good = FitSpec("good", "linear", "y", ("c=x",))
     sset = SyntheticSet(label="S", seed=0, datasets=(ds, ds), wall_times=(0.0, 0.0))
     settings_ = MetricSettings(mean_point=False, kl=False)
-    rows, errors = metric_rows(ds, sset, settings_, (*repeats, good), ())
+    fits = (*repeats, good)
+    side = original_side(ds, settings_, fits, ())
+    rows, errors = metric_rows(ds, sset, settings_, fits, (), side=side)
     assert [stage for stage, _ in errors] == ["fit:own", "fit:dummy", "fit:class"]
     scopes = [scope for metric, scope, _ in rows[2] if metric == "rf_cio"]
     assert scopes == ["fit:good:coef:intercept", "fit:good:coef:c=x"]

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_fixture_a, output_bytes
+from conftest import make_fixture_a, output_bytes, write_schema
 import synthbench
 import synthbench.harness as harness
 import synthbench.synthesis as synthesis
@@ -32,7 +32,7 @@ from synthbench.errors import (
 from synthbench.estimands import load_fitspecs
 from synthbench.metrics import ReportError, UtilityReport, kl_divergence
 from synthbench.models import CartProblem, Predictors, fit_cart, fit_logistic
-from synthbench.synthesis import build_spec, load_synthetic_set, synthesize
+from synthbench.synthesis import Method, build_spec, load_synthetic_set, synthesize
 from synthbench.harness import (
     ExperimentConfig,
     MetricSettings,
@@ -42,6 +42,7 @@ from synthbench.harness import (
     load_config,
     load_original,
     metric_rows,
+    original_side,
     read_report,
     read_timings,
     run_experiment,
@@ -561,6 +562,39 @@ def test_non_proper_fits_are_made_once_per_experiment(tmp_path, monkeypatch):
         assert per_call == calls
 
 
+def test_s_fits_each_column_once_in_both_modes(tmp_path, monkeypatch):
+    # S's steps carry no predictors, so its selective steps equal its simple
+    # ones whatever the map: one fit per column of fixture-A, not one more
+    # for each column whose predictor set the map changes.
+    sampled = []
+    real_fit_step = synthesis.fit_step
+
+    def counting_fit_step(step, fit_ds):
+        if step.method is Method.SAMPLE:
+            sampled.append(step)
+        return real_fit_step(step, fit_ds)
+
+    monkeypatch.setattr(synthesis, "fit_step", counting_fit_step)
+    ds = make_fixture_a(n=200)
+    write_csv(ds, tmp_path / "data.csv")
+    write_schema(ds.schema, tmp_path / "schema.json")
+    (tmp_path / "config.json").write_text(json.dumps({
+        "dataset": "data.csv",
+        "schema": "schema.json",
+        "grid": {
+            "synthesizers": [{"base": "S"}],
+            "m": [1],
+            "predictor_modes": ["simple", "selective"],
+            "selective": {"y": ["x"], "c2": ["c1"]},
+        },
+        "k": 1,
+        "metrics": {"regression": False},
+    }))
+    report, _ = run_experiment(load_config(tmp_path / "config.json"))
+    assert not report.errors
+    assert len(sampled) == len(ds.schema) == 5
+
+
 @pytest.fixture(scope="module")
 def replicate_run(tmp_path_factory):
     """Proper and non-proper labels at m in {1, 2, 3}, two replicates each."""
@@ -586,6 +620,7 @@ def test_each_cell_scores_the_first_m_datasets_of_its_replicate(replicate_run):
     cfg, report, _ = replicate_run
     original = load_original(cfg)
     fits, predicates = load_fitspecs(cfg.fitspecs), load_adhoc(cfg.adhoc)
+    side = original_side(original, cfg.metrics, fits, predicates)
     sets = _replicate_sets(cfg)
     assert sorted(sets) == [(label, "simple", rep) for label in ("D", "DT", "S", "ST") for rep in (0, 1)]
     for (label, mode, rep), sset in sets.items():
@@ -594,7 +629,7 @@ def test_each_cell_scores_the_first_m_datasets_of_its_replicate(replicate_run):
             first = dataclasses.replace(
                 sset, datasets=sset.datasets[:m], wall_times=sset.wall_times[:m]
             )
-            rows, errors = metric_rows(original, first, cfg.metrics, fits, predicates)
+            rows, errors = metric_rows(original, first, cfg.metrics, fits, predicates, side=side)
             assert not errors and list(rows) == [m]
             cell = {
                 (r.metric, r.scope): r.value
@@ -773,6 +808,67 @@ def test_the_pool_fits_as_often_as_one_process(tmp_path, monkeypatch, failing):
     assert outputs[2] == outputs[1]
 
 
+def _log_baselines(monkeypatch, log):
+    """Append the id of the calling process to ``log`` for each classifier
+    baseline that ``harness`` computes, in this process or a forked one."""
+    real = harness.classifier_baseline
+
+    def logging_baseline(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "classifier_baseline", logging_baseline)
+
+
+@pytest.mark.skipif(
+    _start_method() != "fork", reason="the workers must inherit the logging classifier_baseline"
+)
+def test_no_pool_worker_computes_an_original_side_value(tmp_path, monkeypatch):
+    log = tmp_path / "baselines.log"
+    _log_baselines(monkeypatch, log)
+    report, _ = run_experiment(load_config(write_project(tmp_path)), jobs=2)
+    assert not report.errors
+    assert log.read_text().split() == [str(os.getpid())]
+
+
+def test_a_family_that_fails_on_the_original_fails_alone_in_every_cell(tmp_path):
+    # A numeric column named "intercept" repeats the intercept's coefficient
+    # name in fit "own", so its estimands raise on the original, once, in
+    # the parent. Every cell, in this process or a worker, must still
+    # record that error and keep the rows of every other family: its report
+    # equals that of a run without the fit.
+    cfg_path = write_project(tmp_path)
+    header, *lines = (tmp_path / "data.csv").read_text().splitlines()
+    noise = np.random.default_rng(5).normal(size=len(lines))
+    rows = [f"{header},intercept"] + [f"{ln},{float(v)!r}" for ln, v in zip(lines, noise)]
+    (tmp_path / "data.csv").write_text("\n".join(rows) + "\n")
+    schema = json.loads((tmp_path / "schema.json").read_text())
+    schema["columns"].append({"name": "intercept", "kind": "numeric"})
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    fits_path = tmp_path / "fits.json"
+    good = fits_path.read_text()
+    own = {"id": "own", "family": "linear", "target": "y", "predictors": ["intercept"]}
+    fits_path.write_text(json.dumps({"fits": json.loads(good)["fits"] + [own]}))
+    outputs = {}
+    for jobs in (1, 2):
+        cfg = load_config(cfg_path, out=tmp_path / f"jobs{jobs}")
+        report, _ = run_experiment(cfg, jobs=jobs)
+        cells = sorted({(r.label, r.mode, r.m, r.k) for r in report.rows})
+        assert len(cells) == 8  # S and D, m in {1, 2}, k = 2
+        assert [tuple(e[:4]) for e in sorted(report.errors)] == cells
+        assert {(e.stage, e.message) for e in report.errors} == {
+            ("fit:own", "fit 'own': coefficient name 'intercept' repeats")
+        }
+        outputs[jobs] = output_bytes(cfg.out)
+    assert outputs[2] == outputs[1]
+    fits_path.write_text(good)
+    reference = load_config(cfg_path, out=tmp_path / "without")
+    run_experiment(reference)
+    assert (reference.out / "report.csv").read_bytes() == outputs[1][Path("report.csv")]
+    assert not (reference.out / "errors.csv").exists()
+
+
 @pytest.mark.parametrize("jobs, pools", [(1, 0), (2, 1)])
 def test_a_run_starts_at_most_one_pool(tmp_path, monkeypatch, jobs, pools):
     started = []
@@ -806,8 +902,10 @@ def test_resume_of_a_finished_grid_fits_nothing(mini_run, tmp_path, monkeypatch)
     before = output_bytes(cfg.out)
     log = tmp_path / "fits.log"
     _fit_log(monkeypatch, log)
+    _log_baselines(monkeypatch, tmp_path / "baselines.log")
     run_experiment(cfg, jobs=2, resume=True)
     assert _fits_since_last_call(log) == []
+    assert not (tmp_path / "baselines.log").exists()  # nor an original-side value
     assert json.loads((cfg.out / "manifest.json").read_text())["generated_last_run"] == 0
     assert output_bytes(cfg.out) == before
 
@@ -1002,7 +1100,8 @@ def test_metric_rows_isolates_failing_fits(mini_run, monkeypatch):
         raise MetricError(f"forced failure for {fit.id}")
 
     monkeypatch.setattr(harness, "regression_estimands", broken)
-    rows, errors = metric_rows(original, sset, cfg.metrics, fits, ())
+    side = original_side(original, cfg.metrics, fits, ())
+    rows, errors = metric_rows(original, sset, cfg.metrics, fits, (), side=side)
     assert errors == [("fit:f1", "forced failure for f1")]
     names = {r[0] for r in rows[2]}
     assert "rf_cio" not in names and "mpe_apo" in names  # other metrics intact

@@ -131,6 +131,13 @@ def test_a_spec_that_does_not_fit_the_data_is_refused(fixture_a):
     ):
         with pytest.raises(SpecError, match=message):
             replace(spec, steps=steps).validate_against(fixture_a.schema)
+    # S resamples each column alone, so a sample step may list no predictor.
+    spec = build_spec(fixture_a.schema, "S", selective={"y": ("x",)})
+    assert all(step.preds == () for _, step in spec.steps)
+    x, (y, step), *rest = spec.steps
+    late = (x, (y, step._replace(preds=(x[0],))), *rest)
+    with pytest.raises(SpecError, match="^sample step of column 'y' lists predictors$"):
+        replace(spec, steps=late).validate_against(fixture_a.schema)
 
 
 def test_build_spec_methods_by_base():
