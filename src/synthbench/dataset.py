@@ -156,15 +156,16 @@ _JSON_TYPES = {
 
 
 def read_json(path: str | Path, what: str, error: type[SynthbenchError], parse):
-    """``parse`` of the JSON document in the UTF-8 file at ``path``. A file
-    that cannot be read, decoded or parsed, and any synthbench error that
-    ``parse`` raises, is an ``error`` naming the ``what`` file and its path."""
+    """``parse`` of the JSON document in the UTF-8 file at ``path``, less a
+    leading byte-order mark. A file that cannot be read, decoded or parsed,
+    and any synthbench error that ``parse`` raises, is an ``error`` naming
+    the ``what`` file and its path."""
     try:
         data = Path(path).read_bytes()
     except OSError as err:
         raise error(f"cannot read {what} file {path}: {err.strerror}") from err
     try:
-        doc = json.loads(data.decode("utf-8"))
+        doc = json.loads(data.decode("utf-8-sig"))
     except UnicodeDecodeError as err:
         raise error(f"{what} file {path}: not UTF-8 text ({err.reason})") from None
     except json.JSONDecodeError as err:
@@ -307,7 +308,8 @@ def load_csv(
 ) -> Dataset:
     """Parse an RFC-4180 CSV with a header row against ``schema``.
 
-    The file is UTF-8. The header must contain exactly the schema's column
+    The file is UTF-8, and a byte-order mark at its start, as spreadsheets
+    write, is ignored. The header must contain exactly the schema's column
     names (any order), each once. Blank lines are skipped when there are two
     or more columns; in a one-column file a blank line is an empty cell.
     Cells equal to a missing token, and fields a short row lacks, are
@@ -320,7 +322,7 @@ def load_csv(
     # None stands for a field that a short row lacks.
     missing_set = {None, *missing_tokens}
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as err:
         raise DataError(f"cannot read data file {path}: {err.strerror}") from err
     # The file decodes as it is read, so a byte that is not UTF-8 raises

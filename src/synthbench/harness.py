@@ -9,9 +9,11 @@ share datasets (common random numbers): each m's summary keeps its expected
 value, and its differences across m have less noise. The report is built
 from the cell files in sorted key order, so its bytes do not depend on the
 worker count, and a resumed run reuses every finished replicate. Timings
-stay out of the report files. A run computes the original's metric values
-and fits each non-proper synthesis step once, before the replicates that use
-them, which are sent them; a process keeps neither. Neither changes a draw.
+stay out of the report files. Each metric family scores the original and
+every synthetic dataset alike, and a pure roll-up makes its rows of each m.
+A run computes the original's metric values and fits each non-proper
+synthesis step once, before the replicates that use them, which are sent
+them; a process keeps neither. Neither changes a draw.
 """
 
 from __future__ import annotations
@@ -457,32 +459,111 @@ def _describe_error(err: Exception) -> str:
     return str(err) if isinstance(err, SynthbenchError) else f"{type(err).__name__}: {err}"
 
 
+def _families(original: Dataset, settings: MetricSettings, fits: tuple[FitSpec, ...],
+              predicates: tuple[AdhocPredicate, ...]) -> dict:
+    """Each metric family of ``settings`` by stage, in the order of its rows,
+    as (scorer, comparer, roll-up). The scorer maps the original, and each
+    synthetic dataset when there is no comparer, to the family's value on
+    it; a comparer maps the original's value and a synthetic set to the
+    per-dataset values. ``metric_rows`` describes the roll-ups."""
+    numeric = [c.name for c in original.schema.columns if c.kind.is_numeric]
+    overlaps = partial(_overlap_rows, settings)
+    table = {}
+    if settings.mean_point:
+        table["mean_point"] = (
+            lambda ds: {name: mean_point_estimand(ds, name) for name in numeric},
+            None,
+            partial(overlaps, ("mpe_cio", "var:", "mpe_avg_cio", "mpe_apo", "")),
+        )
+    for fit in fits if settings.regression else ():
+        stage = f"fit:{fit.id}"
+        table[stage] = (
+            lambda ds, fit=fit: regression_estimands(ds, fit),
+            None,
+            partial(overlaps, ("rf_cio", f"{stage}:coef:", "rf_fit_avg_cio", "rf_fit_apo", stage)),
+        )
+    if settings.kl:
+        kl = partial(kl_divergence, bins=settings.kl_bins, smoothing=settings.kl_smoothing,
+                     direction=settings.kl_direction)
+        table["kl"] = (
+            None,
+            lambda _, sset: {
+                c.name: [kl(original.column(c.name), ds.column(c.name), c.kind)
+                         for ds in sset.datasets]
+                for c in original.schema.columns
+            },
+            lambda _, raws, m: [("kl_raw", f"var:{c}", _mean(r[:m])) for c, r in raws.items()],
+        )
+    if (target := settings.classification_target) is not None:
+        fraction = settings.classification_test_fraction
+        table["classification"] = (
+            lambda ds: classifier_baseline(ds, target, test_fraction=fraction),
+            lambda baseline, sset: classify_compare(baseline, sset),
+            # per-dataset values: the accuracies, then the agreements
+            lambda baseline, scores, m: _deviation_rows(
+                "clf_acc", "", float(baseline.correct.mean()), scores[0], m
+            ) + [("clf_agreement", "", _mean(scores[1][:m]))],
+        )
+    for pred in predicates if settings.adhoc else ():
+        table[f"adhoc:{pred.id}"] = (
+            lambda ds, pred=pred: adhoc_proportion(ds, pred),
+            None,
+            partial(_deviation_rows, "adhoc", f"pred:{pred.id}"),
+        )
+    return table
+
+
 def original_side(
     original: Dataset, settings: MetricSettings,
     fits: tuple[FitSpec, ...], predicates: tuple[AdhocPredicate, ...],
 ) -> dict:
     """The values of the metric families of ``settings`` that depend on
-    ``original`` alone, keyed by family stage (``mean_point`` maps each
-    numeric column to its estimand), each stored as the exception that
-    computing it raised, if it raised."""
-    todo = {}
-    if settings.mean_point:
-        numeric = [c.name for c in original.schema.columns if c.kind.is_numeric]
-        todo["mean_point"] = lambda: {name: mean_point_estimand(original, name) for name in numeric}
-    for fit in fits if settings.regression else ():
-        todo[f"fit:{fit.id}"] = partial(regression_estimands, original, fit)
-    if (target := settings.classification_target) is not None:
-        todo["classification"] = partial(classifier_baseline, original, target,
-                                         test_fraction=settings.classification_test_fraction)
-    for pred in predicates if settings.adhoc else ():
-        todo[f"adhoc:{pred.id}"] = partial(adhoc_proportion, original, pred)
+    ``original`` alone, keyed by family stage: the scorer of each family of
+    ``metric_rows`` applied to ``original``, the classifier's baseline among
+    them, each stored as the exception that computing it raised, if it did."""
     side = {}
-    for stage, compute in todo.items():
+    for stage, (score, _, _) in _families(original, settings, fits, predicates).items():
+        if score is None:
+            continue
         try:
-            side[stage] = compute()
+            side[stage] = score(original)
         except Exception as err:
             side[stage] = err
     return side
+
+
+def _mean(values) -> float:
+    return math.fsum(values) / len(values)
+
+
+def _overlap_rows(settings: MetricSettings, names: tuple[str, ...], orig: dict, per_ds, m: int):
+    """The CIO roll-up of the first m datasets: each estimand's overlap of
+    the interval of its (q, v) in ``orig`` with that of its per-dataset
+    (q, v) combined, then their average and APO. ``names`` holds the
+    overlap's metric and scope prefix, the average's metric, the APO's
+    metric and their scope. Other estimands than the original's (a logistic
+    fit on data that lacks a class) are a ``MetricError``."""
+    each, prefix, avg, share, scope = names
+    if any(values.keys() != orig.keys() for values in per_ds):
+        raise MetricError("synthetic fit produced a different coefficient set")
+    overlaps = []
+    for name, qv in orig.items():
+        syn = combine([values[name] for values in per_ds[:m]], settings.rule)
+        syn_ci = normal_interval(syn.q_bar, syn.total_variance, settings.ci_level)
+        overlaps.append(cio(normal_interval(*qv, settings.ci_level), syn_ci, estimand_id=name))
+    if not overlaps:
+        return []
+    return [(each, prefix + name, o) for name, o in zip(orig, overlaps)] + [
+        (avg, scope, _mean(overlaps)),
+        (share, scope, apo(overlaps, settings.apo_threshold, inclusive=settings.apo_inclusive)),
+    ]
+
+
+def _deviation_rows(metric: str, scope: str, orig: float, per_ds, m: int) -> list:
+    """``metric``'s original value, its mean in the first m datasets and their distance."""
+    syn = _mean(per_ds[:m])
+    return [(f"{metric}_orig", scope, orig), (f"{metric}_syn", scope, syn),
+            (f"{metric}_dev", scope, abs(orig - syn))]
 
 
 def metric_rows(
@@ -503,143 +584,44 @@ def metric_rows(
     message). The families are the mean point estimands (``mean_point``),
     each fit (``fit:<id>``), KL (``kl``), the classifier
     (``classification``) and each predicate (``adhoc:<id>``). Each family
-    computes its per-dataset values once and combines the first m of them
-    for each m, so the rows of m equal those of a set holding only its
-    first m datasets. An exception in one family, of whatever type, becomes
-    its error and loses that family's rows for every m. ``side`` is the
+    computes its per-dataset values once, with the scorer that
+    ``original_side`` applies to the original or, for KL and the classifier,
+    against the original. A pure roll-up (original value, per-dataset
+    values, m) -> rows gives each m's rows, so the rows of m equal those of
+    a set holding only its first m datasets; the mean points and the fits
+    share one. An exception in one family, of whatever type, becomes its
+    error and loses that family's rows for every m. ``side`` is the
     ``original_side`` of the same arguments.
     """
     ms = (sset.m,) if ms is None else ms
     if not all(1 <= m <= sset.m for m in ms):
         raise MetricError(f"cannot score the first m of {sset.m} datasets for each m of {ms}")
+    last_fit = f"fit:{fits[-1].id}" if settings.regression and fits else None
     rows: dict[int, list[tuple[str, str, float]]] = {m: [] for m in ms}
     errors: list[tuple[str, str]] = []
-    thr = settings.apo_threshold
-    inc = settings.apo_inclusive
-
-    def family(stage, compute):
-        """Each m's result of ``compute()(m)``: compute() does the
-        per-dataset work and returns the roll-up of the first m datasets.
-        None after recording an exception of either, or the stage's in ``side``."""
+    for stage, (score, compare, roll) in _families(original, settings, fits, predicates).items():
         try:
-            if isinstance(failed := side.get(stage), Exception):
-                raise failed.with_traceback(None)  # without the frames of earlier raises
-            roll = compute()
-            return {m: roll(m) for m in ms}
+            orig = None if score is None else side[stage]
+            if isinstance(orig, Exception):
+                raise orig.with_traceback(None)  # without the frames of earlier raises
+            if compare is None:
+                per_ds = [score(ds) for ds in sset.datasets]
+            else:
+                per_ds = compare(orig, sset)
+            got = {m: roll(orig, per_ds, m) for m in ms}
         except Exception as err:
             errors.append((stage, _describe_error(err)))
-            return None
-
-    def add(stage, compute):
-        """Append each m's rows of a family that does not raise."""
-        got = family(stage, compute)
-        for m in ms if got is not None else ():
-            rows[m] += got[m]
-
-    def mean(values, m=None):
-        """The mean of ``values``, or of the first m per-dataset values."""
-        values = values[:m]
-        return math.fsum(values) / len(values)
-
-    def overlap(name, orig, pairs):
-        """The CIO of one estimand: its original (q, v) against the combined
-        synthetic (q, v) of each dataset."""
-        level = settings.ci_level
-        syn = combine(pairs, settings.rule)
-        syn_ci = normal_interval(syn.q_bar, syn.total_variance, level)
-        return cio(normal_interval(*orig, level), syn_ci, estimand_id=name)
-
-    def roll_up(avg_metric, apo_metric, scope, overlaps):
-        """The average CIO and the APO of ``overlaps``, both under ``scope``."""
-        return [
-            (avg_metric, scope, mean(overlaps)),
-            (apo_metric, scope, apo(overlaps, thr, inclusive=inc)),
-        ]
-
-    def mean_point_rows():
-        estimands = [
-            (name, orig, [mean_point_estimand(ds, name) for ds in sset.datasets])
-            for name, orig in side["mean_point"].items()
-        ]
-
-        def roll(m):
-            overlaps = [overlap(name, orig, pairs[:m]) for name, orig, pairs in estimands]
-            if not overlaps:
-                return []
-            out = [("mpe_cio", f"var:{name}", o) for (name, _, _), o in zip(estimands, overlaps)]
-            return out + roll_up("mpe_avg_cio", "mpe_apo", "", overlaps)
-
-        return roll
-
-    def fit_rows(fit):
-        """The roll-up of one fit: its rows and its overlaps."""
-        orig = side[f"fit:{fit.id}"]
-        per_ds = [regression_estimands(ds, fit) for ds in sset.datasets]
-        if any(coefs.keys() != orig.keys() for coefs in per_ds):
-            raise MetricError("synthetic fit produced a different coefficient set")
-
-        def roll(m):
-            overlaps = [overlap(name, qv, [coefs[name] for coefs in per_ds[:m]])
-                        for name, qv in orig.items()]
-            out = [("rf_cio", f"fit:{fit.id}:coef:{name}", o) for name, o in zip(orig, overlaps)]
-            out += roll_up("rf_fit_avg_cio", "rf_fit_apo", f"fit:{fit.id}", overlaps)
-            return out, overlaps
-
-        return roll
-
-    def kl_rows():
-        kl = partial(kl_divergence, bins=settings.kl_bins, smoothing=settings.kl_smoothing,
-                     direction=settings.kl_direction)
-        raws = [
-            (c.name, [kl(original.column(c.name), ds.column(c.name), c.kind)
-                      for ds in sset.datasets])
-            for c in original.schema.columns
-        ]
-        return lambda m: [("kl_raw", f"var:{name}", mean(r, m)) for name, r in raws]
-
-    def classification_rows():
-        baseline = side["classification"]
-        accuracies, agreements = classify_compare(baseline, sset)
-        acc_orig = float(baseline.correct.mean())
-        return lambda m: [
-            ("clf_acc_orig", "", acc_orig),
-            ("clf_acc_syn", "", mean(accuracies, m)),
-            ("clf_acc_dev", "", abs(acc_orig - mean(accuracies, m))),
-            ("clf_agreement", "", mean(agreements, m)),
-        ]
-
-    def adhoc_rows(pred):
-        p_orig = side[f"adhoc:{pred.id}"]
-        p_syn = [adhoc_proportion(ds, pred) for ds in sset.datasets]
-        return lambda m: [
-            ("adhoc_orig", f"pred:{pred.id}", p_orig),
-            ("adhoc_syn", f"pred:{pred.id}", mean(p_syn, m)),
-            ("adhoc_dev", f"pred:{pred.id}", abs(p_orig - mean(p_syn, m))),
-        ]
-
-    if settings.mean_point:
-        add("mean_point", mean_point_rows)
-
-    if settings.regression and fits:
-        per_fit = [got for fit in fits if (got := family(f"fit:{fit.id}", lambda: fit_rows(fit)))]
-        for m in ms if per_fit else ():
-            overlaps = [got[m][1] for got in per_fit]
-            rows[m] += [row for got in per_fit for row in got[m][0]]
-            # the average of the fits' averages, and the APO of all their overlaps
-            rows[m].append(("rf_avg_cio", "", math.fsum(map(mean, overlaps)) / len(overlaps)))
-            pooled = [o for ov in overlaps for o in ov]
-            rows[m].append(("rf_apo", "", apo(pooled, thr, inclusive=inc)))
-
-    if settings.kl:
-        add("kl", kl_rows)
-
-    if settings.classification_target is not None:
-        add("classification", classification_rows)
-
-    if settings.adhoc and predicates:
-        for pred in predicates:
-            add(f"adhoc:{pred.id}", lambda: adhoc_rows(pred))
-
+        else:
+            for m in ms:
+                rows[m] += got[m]
+        if stage == last_fit:  # then the fits that scored, taken together
+            for m in ms:
+                averages = [v for metric, _, v in rows[m] if metric == "rf_fit_avg_cio"]
+                overlaps = [v for metric, _, v in rows[m] if metric == "rf_cio"]
+                if averages:
+                    rows[m].append(("rf_avg_cio", "", _mean(averages)))
+                    share = apo(overlaps, settings.apo_threshold, inclusive=settings.apo_inclusive)
+                    rows[m].append(("rf_apo", "", share))
     return rows, errors
 
 
@@ -951,9 +933,9 @@ def _table_rows(path: Path, row_type):
     parsed by its annotated type (str, int or float). A row that lacks a
     field, holds a number that does not parse or has more fields than the
     header is a ``DataError`` naming the file and the row; so is a file
-    that does not decode."""
+    that does not decode. A byte-order mark at the start is ignored."""
     fields = get_type_hints(row_type)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             rows = list(csv.DictReader(fh))
         except UnicodeDecodeError as err:

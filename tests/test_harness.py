@@ -29,10 +29,12 @@ from synthbench.errors import (
     AnalysisError, ConfigError, DataError, EstimandError, MetricError, SchemaError,
     SpecError, SynthesisError,
 )
-from synthbench.estimands import load_fitspecs
-from synthbench.metrics import ReportError, UtilityReport, kl_divergence
+from synthbench.estimands import FitSpec, load_fitspecs, normal_interval
+from synthbench.metrics import ReportError, UtilityReport, cio, kl_divergence
 from synthbench.models import CartProblem, Predictors, fit_cart, fit_logistic
-from synthbench.synthesis import Method, build_spec, load_synthetic_set, synthesize
+from synthbench.synthesis import (
+    Method, SyntheticSet, build_spec, load_synthetic_set, synthesize,
+)
 from synthbench.harness import (
     ExperimentConfig,
     MetricSettings,
@@ -40,6 +42,7 @@ from synthbench.harness import (
     _replicate_seed,
     emit_tables,
     load_config,
+    load_metric_inputs,
     load_original,
     metric_rows,
     original_side,
@@ -832,24 +835,31 @@ def test_no_pool_worker_computes_an_original_side_value(tmp_path, monkeypatch):
     assert log.read_text().split() == [str(os.getpid())]
 
 
-def test_a_family_that_fails_on_the_original_fails_alone_in_every_cell(tmp_path):
-    # A numeric column named "intercept" repeats the intercept's coefficient
-    # name in fit "own", so its estimands raise on the original, once, in
-    # the parent. Every cell, in this process or a worker, must still
-    # record that error and keep the rows of every other family: its report
-    # equals that of a run without the fit.
-    cfg_path = write_project(tmp_path)
-    header, *lines = (tmp_path / "data.csv").read_text().splitlines()
+def _add_a_fit_that_fails_on_the_original(root):
+    """Give the project at ``root`` a numeric column named "intercept" and
+    the fit "own" of y on it, which repeats the intercept's coefficient name,
+    so that its estimands raise on the original. Returns the fits document
+    as it was."""
+    header, *lines = (root / "data.csv").read_text().splitlines()
     noise = np.random.default_rng(5).normal(size=len(lines))
     rows = [f"{header},intercept"] + [f"{ln},{float(v)!r}" for ln, v in zip(lines, noise)]
-    (tmp_path / "data.csv").write_text("\n".join(rows) + "\n")
-    schema = json.loads((tmp_path / "schema.json").read_text())
+    (root / "data.csv").write_text("\n".join(rows) + "\n")
+    schema = json.loads((root / "schema.json").read_text())
     schema["columns"].append({"name": "intercept", "kind": "numeric"})
-    (tmp_path / "schema.json").write_text(json.dumps(schema))
-    fits_path = tmp_path / "fits.json"
-    good = fits_path.read_text()
+    (root / "schema.json").write_text(json.dumps(schema))
+    good = (root / "fits.json").read_text()
     own = {"id": "own", "family": "linear", "target": "y", "predictors": ["intercept"]}
-    fits_path.write_text(json.dumps({"fits": json.loads(good)["fits"] + [own]}))
+    (root / "fits.json").write_text(json.dumps({"fits": json.loads(good)["fits"] + [own]}))
+    return good
+
+
+def test_a_family_that_fails_on_the_original_fails_alone_in_every_cell(tmp_path):
+    # Fit "own"'s estimands raise on the original, once, in the parent.
+    # Every cell, in this process or a worker, must still record that error
+    # and keep the rows of every other family: its report equals that of a
+    # run without the fit.
+    cfg_path = write_project(tmp_path)
+    good = _add_a_fit_that_fails_on_the_original(tmp_path)
     outputs = {}
     for jobs in (1, 2):
         cfg = load_config(cfg_path, out=tmp_path / f"jobs{jobs}")
@@ -862,11 +872,40 @@ def test_a_family_that_fails_on_the_original_fails_alone_in_every_cell(tmp_path)
         }
         outputs[jobs] = output_bytes(cfg.out)
     assert outputs[2] == outputs[1]
-    fits_path.write_text(good)
+    (tmp_path / "fits.json").write_text(good)
     reference = load_config(cfg_path, out=tmp_path / "without")
     run_experiment(reference)
     assert (reference.out / "report.csv").read_bytes() == outputs[1][Path("report.csv")]
     assert not (reference.out / "errors.csv").exists()
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_jobs_do_not_change_the_outputs_under_any_start_method(tmp_path, method):
+    # A worker that does not fork gets the experiment, the original-side
+    # values and the exception that fit "own" stored among them, pickled.
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no start method {method!r} on this platform")
+    grid = {
+        "synthesizers": [{"base": b} for b in ("S", "D", "CC", "P")],
+        "proper": [False, True],
+        "m": [1, 2],
+    }
+    cfg_path = write_project(tmp_path, grid=grid, k=1)
+    _add_a_fit_that_fails_on_the_original(tmp_path)
+    serial = load_config(cfg_path, out=tmp_path / "jobs1")
+    report, _ = run_experiment(serial)
+    assert {e.stage for e in report.errors} == {"fit:own"}
+    command, env = _experiment_command(cfg_path, tmp_path / "jobs2")
+    script = (
+        "import multiprocessing, sys\n"
+        "from synthbench.cli import main\n"
+        "multiprocessing.set_start_method(sys.argv[1])\n"
+        "sys.exit(main(sys.argv[2:]))\n"
+    )
+    argv = [sys.executable, "-c", script, method, *command[3:], "--jobs", "2"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 2, done.stderr  # a failed fit, not a crash
+    assert output_bytes(tmp_path / "jobs2") == output_bytes(serial.out)
 
 
 @pytest.mark.parametrize("jobs, pools", [(1, 0), (2, 1)])
@@ -938,6 +977,31 @@ def test_a_table_whose_rows_raise_leaves_the_old_file(tmp_path):
         harness._write_table(path, ("label", "value"), rows())
     assert path.read_bytes() == b"label,value\r\nS,1.0\r\n"
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_byte_order_mark_at_the_start_of_an_input_file_is_ignored(mini_run, tmp_path):
+    # Excel's "CSV UTF-8" starts a file with one; RFC 8259 lets a JSON
+    # parser ignore it.
+    root, cfg, _, _ = mini_run
+    bom = tmp_path / "bom"
+    bom.mkdir()
+    for name in ("data.csv", "schema.json", "config.json", "fits.json", "adhoc.json"):
+        (bom / name).write_bytes(b"\xef\xbb\xbf" + (root / name).read_bytes())
+    marked_cfg = load_config(bom / "config.json")
+    assert marked_cfg == dataclasses.replace(
+        cfg, dataset=bom / "data.csv", schema=bom / "schema.json", fitspecs=bom / "fits.json",
+        adhoc=bom / "adhoc.json", out=bom / "results",
+    )
+    plain, marked = load_original(cfg), load_original(marked_cfg)
+    assert marked.schema == plain.schema
+    assert all(np.array_equal(a, b) for a, b in zip(marked.columns, plain.columns))
+    assert load_metric_inputs(marked_cfg, marked.schema) == load_metric_inputs(cfg, plain.schema)
+    results = tmp_path / "results"
+    results.mkdir()
+    for name in ("report.csv", "timings.csv"):
+        (results / name).write_bytes(b"\xef\xbb\xbf" + (cfg.out / name).read_bytes())
+    assert read_report(results) == read_report(cfg.out)
+    assert read_timings(results) == read_timings(cfg.out)
 
 
 def test_read_report_round_trip(mini_run):
@@ -1105,6 +1169,35 @@ def test_metric_rows_isolates_failing_fits(mini_run, monkeypatch):
     assert errors == [("fit:f1", "forced failure for f1")]
     names = {r[0] for r in rows[2]}
     assert "rf_cio" not in names and "mpe_apo" in names  # other metrics intact
+
+
+def test_both_sides_of_a_family_use_one_scorer(tmp_path):
+    # The original, scored as a synthetic set of two copies of itself,
+    # matches itself exactly in every family.
+    cfg = load_config(write_project(tmp_path))
+    original = load_original(cfg)
+    fits = (*load_fitspecs(cfg.fitspecs), FitSpec("lg", "logistic", "c", ("y",)))
+    predicates = load_adhoc(cfg.adhoc)
+    side = original_side(original, cfg.metrics, fits, predicates)
+    sset = SyntheticSet("S", 0, (original, original), (0.0, 0.0))
+    rows, errors = metric_rows(original, sset, cfg.metrics, fits, predicates, side=side)
+    assert errors == []
+    estimands = {f"var:{name}": qv for name, qv in side["mean_point"].items()}
+    for fit in fits:
+        coefs = side[f"fit:{fit.id}"]
+        estimands.update((f"fit:{fit.id}:coef:{name}", qv) for name, qv in coefs.items())
+    assert any(scope.startswith("fit:lg:coef:") for scope in estimands)
+    scored = {"kl_raw": 0, "adhoc_dev": 0, "clf_acc_dev": 0, "clf_agreement": 0}
+    for metric, scope, value in rows[2]:
+        if metric in ("mpe_cio", "rf_cio"):
+            q, v = estimands.pop(scope)
+            # Ts at m = 2 is (1 + 1/2) v
+            assert value == cio(normal_interval(q, v), normal_interval(q, 1.5 * v)), scope
+        elif metric in scored:
+            scored[metric] += 1
+            assert value == (1.0 if metric == "clf_agreement" else 0.0), (metric, scope)
+    assert estimands == {}
+    assert scored == {"kl_raw": 3, "adhoc_dev": 1, "clf_acc_dev": 1, "clf_agreement": 1}
 
 
 def test_cli_experiment_and_report(tmp_path, capsys):
