@@ -2,16 +2,17 @@
 
 An estimate is a plain (q, v) pair: a point estimate and its within-dataset
 variance. An estimand is computed once per synthetic dataset, giving m pairs
-(q_i, v_i). ``combine`` averages them (q_bar, v_bar) and offers two
-total-variance rules for interval construction:
+(q_i, v_i). ``combine`` makes them one pair again, (q_bar, T): q_bar the
+mean of the q_i and T a total variance built on the mean v_bar of the v_i
+by one of two rules:
 
 * ``Ts`` (the default): (1 + 1/m) * v_bar, defined for any m >= 1.
 * ``Tp``: v_bar + b/m with b the between-dataset variance of the q_i,
   defined only for m >= 2.
 
 An interval is a plain (lower, upper) pair. ``normal_interval`` builds it
-around a center, q_bar for a combined estimate, with half-width
-z * sqrt(T)."""
+around a center with half-width z * sqrt(variance), so the interval of a
+combined estimate is ``normal_interval(*combine(pairs))``."""
 
 from __future__ import annotations
 
@@ -32,31 +33,13 @@ from .models.logistic import fit_logistic
 RULES = ("Ts", "Tp")
 
 
-@dataclass(frozen=True)
-class CombinedEstimate:
-    m: int
-    q_bar: float
-    v_bar: float
-    b: float | None
-    t_p: float | None
-    t_s: float
-    rule: str
-
-    @property
-    def total_variance(self) -> float:
-        if self.rule == "Ts":
-            return self.t_s
-        assert self.t_p is not None
-        return self.t_p
-
-
-def combine(pairs: Sequence[tuple[float, float]], rule: str = "Ts") -> CombinedEstimate:
-    """Average the (q_i, v_i) pairs of m datasets and compute the requested
-    total variance.
+def combine(pairs: Sequence[tuple[float, float]], rule: str = "Ts") -> tuple[float, float]:
+    """Combine the (q_i, v_i) pairs of m datasets into the pair (q_bar, T):
+    the mean point estimate and the total variance of ``rule``.
 
     Exactly-summed (math.fsum), so the result is invariant under permutation
-    of the datasets, and b is exactly zero when all q_i coincide. The final
-    division can round q_bar one ulp outside [min q_i, max q_i] (three
+    of the datasets, and Tp's T is exactly v_bar when all q_i coincide. The
+    final division can round q_bar one ulp outside [min q_i, max q_i] (three
     copies of 699050.9144240941 average one ulp low); it is clamped back.
     """
     if rule not in RULES:
@@ -71,17 +54,12 @@ def combine(pairs: Sequence[tuple[float, float]], rule: str = "Ts") -> CombinedE
         raise EstimandError("rule Tp needs at least two datasets")
     q_bar = min(max(math.fsum(q) / m, min(q)), max(q))
     v_bar = math.fsum(v) / m
-    if m == 1:
-        b = None
-        t_p = None
-    elif all(x == q[0] for x in q):
-        b = 0.0
-        t_p = v_bar
-    else:
-        b = math.fsum((x - q_bar) ** 2 for x in q) / (m - 1)
-        t_p = v_bar + b / m
-    t_s = (1.0 + 1.0 / m) * v_bar
-    return CombinedEstimate(m=m, q_bar=q_bar, v_bar=v_bar, b=b, t_p=t_p, t_s=t_s, rule=rule)
+    if rule == "Ts":
+        return q_bar, (1.0 + 1.0 / m) * v_bar
+    if all(x == q[0] for x in q):
+        return q_bar, v_bar
+    b = math.fsum((x - q_bar) ** 2 for x in q) / (m - 1)
+    return q_bar, v_bar + b / m
 
 
 def normal_interval(center: float, variance: float, level: float = 0.95) -> tuple[float, float]:

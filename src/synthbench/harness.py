@@ -542,14 +542,18 @@ def _overlap_rows(settings: MetricSettings, names: tuple[str, ...], orig: dict, 
     (q, v) combined, then their average and APO. ``names`` holds the
     overlap's metric and scope prefix, the average's metric, the APO's
     metric and their scope. Other estimands than the original's (a logistic
-    fit on data that lacks a class) are a ``MetricError``."""
+    fit on data that lacks a class) are a ``MetricError`` that names the
+    first such dataset's index in the set and the estimands it lacks or adds."""
     each, prefix, avg, share, scope = names
-    if any(values.keys() != orig.keys() for values in per_ds):
-        raise MetricError("synthetic fit produced a different coefficient set")
+    for i, values in enumerate(per_ds):
+        if values.keys() != orig.keys():
+            lacks, adds = [n for n in orig if n not in values], [n for n in values if n not in orig]
+            raise MetricError(f"synthetic dataset {i} fit a different coefficient set: it lacks "
+                              f"{lacks}" + (f" and has the extra {adds}" if adds else ""))
     overlaps = []
     for name, qv in orig.items():
-        syn = combine([values[name] for values in per_ds[:m]], settings.rule)
-        syn_ci = normal_interval(syn.q_bar, syn.total_variance, settings.ci_level)
+        syn_ci = normal_interval(
+            *combine([values[name] for values in per_ds[:m]], settings.rule), settings.ci_level)
         overlaps.append(cio(normal_interval(*qv, settings.ci_level), syn_ci, estimand_id=name))
     if not overlaps:
         return []

@@ -23,7 +23,7 @@ import synthbench
 import synthbench.harness as harness
 import synthbench.synthesis as synthesis
 from synthbench.cli import main
-from synthbench.dataset import ColumnKind, Dataset, LevelMapping, write_csv
+from synthbench.dataset import Column, ColumnKind, Dataset, LevelMapping, Schema, write_csv
 from synthbench.analysis import load_adhoc
 from synthbench.errors import (
     AnalysisError, ConfigError, DataError, EstimandError, MetricError, SchemaError,
@@ -304,6 +304,53 @@ def test_coarsen_column_and_mapping_must_be_strings(tmp_path):
     doc["preprocess"] = {"coarsen": [{"column": "c", "mapping": {"lo": "any", "hi": "any"}}]}
     cfg_path.write_text(json.dumps(doc))
     assert load_config(cfg_path).coarsen == (LevelMapping("c", {"lo": "any", "hi": "any"}),)
+
+
+def test_a_coarsened_column_loads_merged_and_runs_a_grid(tmp_path):
+    # Every third row of c reads "mid", a level that the config merges into "lo".
+    cfg_path = write_project(tmp_path, grid={"synthesizers": [{"base": "S"}], "m": [1]}, k=1)
+    header, *lines = (tmp_path / "data.csv").read_text().splitlines()
+    lines = [line.rsplit(",", 1)[0] + ",mid" if i % 3 == 0 else line
+             for i, line in enumerate(lines)]
+    (tmp_path / "data.csv").write_text("\n".join([header, *lines]) + "\n")
+    schema = json.loads((tmp_path / "schema.json").read_text())
+    schema["columns"][2]["levels"] = ["lo", "mid", "hi"]
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    merge = {"lo": "lo", "mid": "lo", "hi": "hi"}
+    doc = json.loads(cfg_path.read_text())
+    doc["preprocess"] = {"coarsen": [{"column": "c", "mapping": merge}]}
+    cfg_path.write_text(json.dumps(doc))
+    cfg = load_config(cfg_path)
+    assert cfg.coarsen == (LevelMapping("c", merge),)
+    original = load_original(cfg)
+    assert original.schema.kind("c").levels == ("lo", "hi")
+    raw = [line.rsplit(",", 1)[1] for line in lines]
+    assert raw.count("mid") == 34 and raw.count("hi") > 0
+    assert original.column("c").tolist() == [int(label == "hi") for label in raw]
+    report, _ = run_experiment(cfg)
+    assert report.errors == []
+    assert {row.metric for row in report.rows} >= {"mpe_apo", "rf_apo", "clf_acc_dev", "adhoc_dev"}
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d["grid"]["synthesizers"].append({"base": "D", "order": "sideways"}),
+         "unknown synthesis order 'sideways'"),
+        (lambda d: d["grid"].update(proper=[]), "grid.proper is empty"),
+        (lambda d: d["grid"].update(predictor_modes=["clever"]), "unknown predictor mode 'clever'"),
+        (lambda d: d["metrics"].update(rule="Tq"), "unknown combining rule 'Tq'"),
+        (lambda d: d.pop("fitspecs"), "regression metrics need a fitspecs file"),
+        (lambda d: d.pop("adhoc"), "adhoc metrics need an adhoc file"),
+    ],
+)
+def test_a_config_that_the_grid_cannot_run_is_refused_at_load(tmp_path, mutate, message):
+    cfg_path = write_project(tmp_path)
+    doc = json.loads(cfg_path.read_text())
+    mutate(doc)
+    cfg_path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=f"config.json: {message}$"):
+        load_config(cfg_path)
 
 
 def test_every_setting_but_out_enters_the_fingerprint(tmp_path):
@@ -1198,6 +1245,36 @@ def test_both_sides_of_a_family_use_one_scorer(tmp_path):
             assert value == (1.0 if metric == "clf_agreement" else 0.0), (metric, scope)
     assert estimands == {}
     assert scored == {"kl_raw": 3, "adhoc_dev": 1, "clf_acc_dev": 1, "clf_agreement": 1}
+
+
+def test_a_dataset_whose_fit_has_other_classes_is_named_with_its_coefficients():
+    rng = np.random.default_rng(5)
+    schema = Schema((Column("x", ColumnKind.numeric()),
+                     Column("z", ColumnKind.categorical(("a", "b", "c")))))
+    original = Dataset(schema, (rng.uniform(0, 1, 60), np.arange(60) % 3))
+    two_classes = Dataset(schema, (rng.uniform(0, 1, 60), np.arange(60) % 2))
+    sset = SyntheticSet("S", 0, (original, two_classes), (0.0, 0.0))
+    settings = MetricSettings(kl=False)
+    fits = (FitSpec("lg", "logistic", "z", ("x",)),)
+    side = original_side(original, settings, fits, ())
+    assert list(side["fit:lg"]) == ["b:intercept", "b:x", "c:intercept", "c:x"]
+    rows, errors = metric_rows(original, sset, settings, fits, (), ms=(1, 2), side=side)
+    assert errors == [(
+        "fit:lg",
+        "synthetic dataset 1 fit a different coefficient set: it lacks ['c:intercept', 'c:x']",
+    )]
+    # the fit is dropped at every m, while the mean points are kept
+    for m in (1, 2):
+        assert {metric for metric, _, _ in rows[m]} == {"mpe_cio", "mpe_avg_cio", "mpe_apo"}
+    # the other way round, dataset 1 has the coefficients of a class the original lacks
+    sset = SyntheticSet("S", 0, (two_classes, original), (0.0, 0.0))
+    side = original_side(two_classes, settings, fits, ())
+    _, errors = metric_rows(two_classes, sset, settings, fits, (), side=side)
+    assert errors == [(
+        "fit:lg",
+        "synthetic dataset 1 fit a different coefficient set: "
+        "it lacks [] and has the extra ['c:intercept', 'c:x']",
+    )]
 
 
 def test_cli_experiment_and_report(tmp_path, capsys):

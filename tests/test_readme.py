@@ -1,8 +1,12 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and every public name resolves."""
 
 import re
 from pathlib import Path
 
+import pytest
+
+import synthbench
+import synthbench.models
 from conftest import write_schema
 from synthbench.dataset import write_csv
 from synthbench.harness import load_config
@@ -36,3 +40,17 @@ def test_config_example_loads(tmp_path):
         "S", "ST", "D", "DT", "PO", "POT", "CCV", "CCVT",
     ]
     assert cfg.predictor_modes == ("simple", "selective") and cfg.head == 2000
+
+
+@pytest.mark.parametrize("module", [synthbench, synthbench.models], ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(module):
+    assert len(set(module.__all__)) == len(module.__all__)
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_star_import_binds_exactly_the_exports():
+    namespace: dict = {}
+    exec("from synthbench import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(synthbench.__all__)
+    assert all(namespace[name] is getattr(synthbench, name) for name in namespace)
