@@ -83,11 +83,10 @@ from .metrics import (
 from .synthesis import (
     BASES,
     ORDER_KINDS,
-    FitMemo,
     SynthesizerSpec,
     SyntheticSet,
     build_spec,
-    fit_trees,
+    fit_steps,
     save_synthetic_set,
     shared_steps,
     synthesize,
@@ -690,7 +689,7 @@ def _run_cell(replicate: tuple[str, str, int], fitted: dict) -> dict:
     result = {"key": key, "label": label, "mode": mode, "rep": rep, "fingerprint": exp.fingerprint}
     try:
         spec = replace(exp.specs[label, mode], seed=_replicate_seed(cfg.seed, label, mode, rep))
-        sset = synthesize(exp.original, spec, memo=FitMemo(exp.original, fitted))
+        sset = synthesize(exp.original, spec, fitted=fitted)
         seconds = save_synthetic_set(sset, cfg.out / "synth" / key, known=exp.known)
         rows, errors = metric_rows(
             exp.original, sset, cfg.metrics, exp.fits, exp.predicates,
@@ -710,15 +709,8 @@ def _run_cell(replicate: tuple[str, str, int], fitted: dict) -> dict:
 def _fit_shared(steps):
     """The fitted value of each shared step, or None where its fit raises.
     The donor trees among the steps grow as one forest."""
-    memo = FitMemo(_experiment.original)
-    fit_trees([(memo, step) for step in steps])
-    fitted = []
-    for step in steps:
-        try:
-            fitted.append(memo.fit(step))
-        except Exception:
-            fitted.append(None)
-    return fitted
+    fitted = fit_steps((step, _experiment.original) for step in steps)
+    return [None if isinstance(value, Exception) else value for value in fitted]
 
 
 class _Later(partial):

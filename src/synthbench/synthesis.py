@@ -19,11 +19,11 @@ Every (dataset index, visited column) pair consumes its own derived random
 stream, so dataset i is a pure function of (seed, i) no matter how many
 datasets are generated or in what order. For the same reason a fitted value
 can be drawn from any number of times: a non-proper spec fits each step once
-(``FitMemo``, keyed by the ``Step``) and draws all m datasets from those
-fits, and specs that visit in other orders share the steps they have in
-common. No fit uses randomness, so the donor trees of many steps, and of many
-datasets' bootstrap resamples, can grow together as one forest before any
-draw.
+and draws all m datasets from those fits, and specs that visit in other
+orders share the steps they have in common (a fit is keyed by its ``Step``).
+No fit uses randomness, so ``fit_steps`` fits all the steps of a batch of
+datasets, their bootstrap resamples included, in one call before any draw,
+growing the donor trees together as one forest.
 """
 
 from __future__ import annotations
@@ -124,8 +124,8 @@ class Step(NamedTuple):
     """One fit of a synthesizer: the model of ``method`` that draws
     ``targets`` (one column, or the whole joint-categorical group in column
     order) from the columns ``preds``, which earlier steps draw. With the
-    fitting set it fixes the fitted value, so it is the ``FitMemo`` key, and
-    specs with an equal step share its fit."""
+    fitting set it fixes the fitted value, so it keys a fit, and specs
+    with an equal step share its fit."""
 
     method: Method
     targets: tuple[int, ...]
@@ -446,77 +446,49 @@ def _fit_donors(problems: list[CartProblem]) -> list[Donors]:
     return [Donors(tree, p.y) for p, tree in zip(problems, fit_cart(problems).trees)]
 
 
-class FitMemo:
-    """The fitted steps of one fitting set, keyed by ``Step``, starting from
-    ``fitted``, which a memo of an equal fitting set made, in any process.
-
-    A fitted value is a pure function of its fitting set and its step, and
-    its ``draw`` takes every random number, so one value can serve every
-    dataset of every spec that fits on the same data, and no draw changes."""
-
-    def __init__(self, fit_ds: Dataset, fitted: dict[Step, Fitted] | None = None) -> None:
-        self.fit_ds = fit_ds
-        self._fitted: dict[Step, Fitted] = dict(fitted or {})
-
-    def fit(self, step: Step) -> Fitted:
-        fitted = self._fitted.get(step)
-        if fitted is None:
-            fitted = self._fitted[step] = fit_step(step, self.fit_ds)
-        return fitted
-
-
-def fit_trees(pairs) -> None:
-    """Grow, as one forest, the donor trees of ``pairs``, each a memo and a
-    step that it lacks, and add each tree to its memo. Other steps are left
-    alone. A forest that raises adds nothing, so each of its steps is fitted
-    alone, and raises alone, where ``FitMemo.fit`` asks for it."""
-    todo = [(memo, step) for memo, step in pairs if step.grows_tree and step not in memo._fitted]
-    if not todo:
-        return
-    try:
-        fitted = _fit_donors([step.cart_problem(memo.fit_ds) for memo, step in todo])
-    except Exception:  # whatever it is, the step that meets it alone reports it
-        return
-    for (memo, step), donors in zip(todo, fitted):
-        memo._fitted[step] = donors
+def fit_steps(pairs) -> list[Fitted | Exception]:
+    """The fitted value of each (step, fitting set) pair, or the exception
+    its fit raised. The donor trees grow as one forest; if that forest
+    raises, each tree is fitted alone, so each keeps its own error."""
+    pairs = list(pairs)
+    fits: list[Fitted | Exception | None] = [None] * len(pairs)
+    trees = [k for k, (step, _) in enumerate(pairs) if step.grows_tree]
+    if trees:
+        try:
+            grown = _fit_donors([pairs[k][0].cart_problem(pairs[k][1]) for k in trees])
+        except Exception:  # whatever it is, the tree that meets it alone reports it
+            grown = [None] * len(trees)
+        for k, donors in zip(trees, grown):
+            fits[k] = donors
+    for k, (step, fit_ds) in enumerate(pairs):
+        if fits[k] is None:
+            try:
+                fits[k] = fit_step(step, fit_ds)
+            except Exception as err:
+                fits[k] = err
+    return fits
 
 
 def shared_steps(spec: SynthesizerSpec) -> list[Step]:
-    """The steps that a non-proper ``spec`` fits through a memo; none for a
-    proper spec, whose fits no other dataset shares."""
+    """The steps that a non-proper ``spec`` fits on the original data, and
+    so shares with every dataset; none for a proper spec, whose fits no
+    other dataset shares."""
     return [] if spec.proper else [step for _, step in spec.steps]
 
 
-def _fitting_memos(spec: SynthesizerSpec, indices, memo: FitMemo) -> list[FitMemo]:
-    """The memo that each dataset of ``indices`` fits through, with the
-    donor trees of all of them grown as one forest. A non-proper spec fits
-    through ``memo``, whose fitting set is the original data; a proper one
-    fits each dataset's own bootstrap resample of it, drawn from the
-    dataset's stream 0, which no other dataset shares."""
-    if spec.proper:
-        original = memo.fit_ds
-        n = original.n_rows
-        memos = [
-            FitMemo(original.take(_bootstrap_indices(_stream(spec.seed, idx, 0), n)))
-            for idx in indices
-        ]
-    else:
-        memos = [memo] * len(indices)
-    fit_trees([(fits, step) for fits in dict.fromkeys(memos) for _, step in spec.steps])
-    return memos
-
-
-def _synthesize_one(spec: SynthesizerSpec, idx: int, memo: FitMemo) -> Dataset:
-    """Dataset ``idx``, fitting each step through ``memo`` (see
-    ``_fitting_memos``) and drawing it from the dataset's own streams."""
-    schema = memo.fit_ds.schema
-    n = memo.fit_ds.n_rows
-
+def _synthesize_one(
+    spec: SynthesizerSpec, idx: int, fits: dict[Step, Fitted | Exception], schema: Schema, n: int
+) -> Dataset:
+    """Dataset ``idx`` of ``n`` rows, each step drawn from its value in
+    ``fits`` with the dataset's own streams. A step whose value is the
+    exception its fit raised raises it here."""
     syn: dict[int, np.ndarray] = {}
     for j, step in spec.steps:
         name = schema.columns[j].name
         try:
-            fitted = memo.fit(step)
+            fitted = fits[step]
+            if isinstance(fitted, Exception):
+                raise fitted
             drawn = fitted.draw([syn[q] for q in step.preds], n, _stream(spec.seed, idx, 1 + j))
         except Exception as err:
             raise SynthesisError(f"variable {name!r}, dataset {idx}: {err}") from err
@@ -531,43 +503,53 @@ def synthesize(
     original: Dataset,
     spec: SynthesizerSpec,
     *,
-    memo: FitMemo | None = None,
+    fitted: dict[Step, Fitted] | None = None,
 ) -> SyntheticSet:
     """Generate ``spec.m`` synthetic datasets from ``original``.
 
-    A non-proper spec fits each step once and draws every dataset from that
-    fit. ``memo`` carries those fits across calls on the same ``original``;
-    by default they are shared within this call only. A proper spec fits
-    each dataset's bootstrap resample, in batches of at most ``_BATCH_ROWS``
-    bootstrap rows; a non-proper spec's datasets form one batch. The donor
-    trees that a batch lacks grow together as one forest before its first
-    draw.
+    A non-proper spec fits each step once, on ``original``, and draws every
+    dataset from that fit; ``fitted`` holds fits of ``original`` made
+    earlier (see ``fit_steps``), which it reads and does not refit. A
+    proper spec fits every step on each dataset's bootstrap resample, in
+    batches of at most ``_BATCH_ROWS`` bootstrap rows; a non-proper spec's
+    datasets form one batch. Each batch's steps are fitted in one
+    ``fit_steps`` call, its donor trees as one forest, before its first
+    draw, so a dataset fits every step, then raises at the first failing
+    step in visit order.
 
-    A dataset's seconds are an equal share of its batch's forest, plus the
-    other fits it made and its draws. A dataset that finds all its fits in
-    the memo costs only its draws.
+    A dataset's seconds are an equal share of its batch's fits, plus its
+    draws.
 
-    Results are identical for any memo and batch: every tree depends only
-    on its own fitting set, and every dataset only touches its own derived
-    random streams.
+    Results are identical for any ``fitted`` and batch: every fit depends
+    only on its own fitting set, and every dataset only touches its own
+    derived random streams.
     """
     spec.validate_against(original.schema)
     if original.has_missing:
         raise SynthesisError("original data still has missing cells; preprocess first")
-    if memo is None:
-        memo = FitMemo(original)
-    elif memo.fit_ds is not original:
-        raise SynthesisError("the fit memo belongs to a different original dataset")
+    fitted = fitted or {}
+    schema, n = original.schema, original.n_rows
+    steps = [step for _, step in spec.steps]
     datasets, seconds = [], []
-    per_batch = max(1, _BATCH_ROWS // max(1, original.n_rows)) if spec.proper else spec.m
+    per_batch = max(1, _BATCH_ROWS // max(1, n)) if spec.proper else spec.m
     for first in range(0, spec.m, per_batch):
         batch = range(first, min(spec.m, first + per_batch))
         t0 = time.perf_counter()
-        memos = _fitting_memos(spec, batch, memo)
+        if spec.proper:
+            # Each dataset's bootstrap is drawn from its stream 0, which no
+            # other dataset shares.
+            boots = [original.take(_bootstrap_indices(_stream(spec.seed, idx, 0), n)) for idx in batch]
+            values = iter(fit_steps((step, boot) for boot in boots for step in steps))
+            fits = [{step: next(values) for step in steps} for _ in batch]
+        else:
+            missing = [step for step in steps if step not in fitted]
+            shared = dict(fitted)
+            shared.update(zip(missing, fit_steps((step, original) for step in missing)))
+            fits = [shared] * len(batch)
         share = (time.perf_counter() - t0) / len(batch)
-        for idx, fits in zip(batch, memos):
+        for idx, fit in zip(batch, fits):
             t0 = time.perf_counter()
-            datasets.append(_synthesize_one(spec, idx, fits))
+            datasets.append(_synthesize_one(spec, idx, fit, schema, n))
             seconds.append(share + time.perf_counter() - t0)
     return SyntheticSet(
         label=spec.label, seed=spec.seed, datasets=tuple(datasets), wall_times=tuple(seconds)

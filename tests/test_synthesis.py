@@ -6,16 +6,16 @@ import pytest
 
 import synthbench.synthesis as synthesis
 from synthbench.dataset import Column, ColumnKind, Dataset, Schema
-from synthbench.errors import DataError, SchemaError, SpecError, SynthesisError
+from synthbench.errors import DataError, FitError, SchemaError, SpecError, SynthesisError
 from synthbench.models import fit_logistic
 from synthbench.models.design import Predictors
 from synthbench.synthesis import (
-    FitMemo,
     Method,
     Step,
     SyntheticSet,
     build_spec,
     fit_step,
+    fit_steps,
     load_synthetic_set,
     make_order,
     save_synthetic_set,
@@ -211,13 +211,18 @@ def test_dataset_streams_are_independent_of_m():
         assert np.array_equal(first.column(name), both[0].column(name))
 
 
+def _separate_fits(spec, fit_ds):
+    """Each step of ``spec`` fitted alone on ``fit_ds``."""
+    return {step: fit_step(step, fit_ds) for _, step in spec.steps}
+
+
 @pytest.mark.parametrize("base", synthesis.BASES)
 def test_shared_fits_draw_the_bytes_of_separate_fits(base):
     ds = small_dataset()
     shared = synthesize(ds, build_spec(ds.schema, base, m=3, seed=23)).datasets
     alone = build_spec(ds.schema, base, m=1, seed=23)
     for i, got in enumerate(shared):
-        want = synthesis._synthesize_one(alone, i, FitMemo(ds))
+        want = synthesis._synthesize_one(alone, i, _separate_fits(alone, ds), ds.schema, ds.n_rows)
         assert [c.tobytes() for c in got.columns] == [c.tobytes() for c in want.columns]
 
 
@@ -227,36 +232,77 @@ def test_proper_forests_draw_the_bytes_of_separate_fits(base):
     ds = small_dataset()
     spec = build_spec(ds.schema, base, proper=True, m=3, seed=23)
     for i, got in enumerate(synthesize(ds, spec).datasets):
-        (fits,) = synthesis._fitting_memos(spec, [i], FitMemo(ds))
-        want = synthesis._synthesize_one(spec, i, fits)
+        boot = ds.take(synthesis._bootstrap_indices(synthesis._stream(spec.seed, i, 0), ds.n_rows))
+        want = synthesis._synthesize_one(spec, i, _separate_fits(spec, boot), ds.schema, ds.n_rows)
         assert [c.tobytes() for c in got.columns] == [c.tobytes() for c in want.columns]
 
 
-def test_a_fit_memo_serves_only_its_own_original():
-    ds = small_dataset()
-    memo = FitMemo(ds)
-    synthesize(ds, build_spec(ds.schema, "D", m=1, seed=1), memo=memo)
-    with pytest.raises(SynthesisError, match="different original"):
-        synthesize(small_dataset(seed=10), build_spec(ds.schema, "D", m=1, seed=1), memo=memo)
-
-
-def test_a_memo_seeded_with_fitted_values_draws_the_same_bytes_and_fits_nothing(monkeypatch):
+def test_passed_fits_draw_the_same_bytes_and_fit_nothing(monkeypatch):
     ds = small_dataset()
     spec = build_spec(ds.schema, "D", m=3, seed=5)
-    memo = FitMemo(ds)
-    want = synthesize(ds, spec, memo=memo).datasets
-    fitted = {step: memo.fit(step) for _, step in spec.steps}
+    want = synthesize(ds, spec).datasets
+    steps = [step for _, step in spec.steps]
+    fitted = dict(zip(steps, fit_steps((step, ds) for step in steps)))
     calls = []
     for name in ("fit_step", "fit_cart"):
         real = getattr(synthesis, name)
         monkeypatch.setattr(
             synthesis, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k)
         )
-    got = synthesize(ds, spec, memo=FitMemo(ds, fitted)).datasets
+    got = synthesize(ds, spec, fitted=fitted).datasets
     assert calls == []
     assert [[c.tobytes() for c in d.columns] for d in got] == [
         [c.tobytes() for c in d.columns] for d in want
     ]
+
+
+def test_a_forest_that_raises_fits_each_tree_alone(monkeypatch):
+    # y's tree on 250 rows fits; the same step on 4 rows is short of
+    # min_leaf=5, which sinks the forest, so each tree is refitted alone
+    ds = small_dataset()
+    short = ds.take(np.arange(4))
+    step = Step(Method.CART, (1,), (0,), min_leaf=5, pmm_k=5)
+    calls = []
+    real = synthesis.fit_cart
+    monkeypatch.setattr(
+        synthesis, "fit_cart", lambda problems: calls.append(len(problems)) or real(problems)
+    )
+    got, failed = fit_steps([(step, ds), (step, short)])
+    assert calls == [2, 1, 1]
+    want = fit_step(step, ds)
+    fields = ("feature", "threshold", "left", "sends_left", "donor_start", "donor_rows")
+    assert [getattr(got.tree, f).tobytes() for f in fields] == [
+        getattr(want.tree, f).tobytes() for f in fields
+    ]
+    assert got.y.tobytes() == want.y.tobytes()
+    with pytest.raises(FitError) as alone:
+        fit_step(step, short)
+    assert type(failed) is FitError
+    assert str(failed) == str(alone.value) == "need at least min_leaf=5 rows, got 4"
+
+
+@pytest.mark.parametrize("proper", [False, True])
+def test_every_fit_comes_before_the_first_draw(monkeypatch, proper):
+    # P fits no donor tree, so at m = 3 one batch fits its four steps once
+    # (non-proper) or on each of three bootstraps (proper), then draws
+    ds = small_dataset()
+    log = []
+    real_fit_step, real_stream = synthesis.fit_step, synthesis._stream
+
+    def logging_fit_step(step, fit_ds):
+        log.append("fit")
+        return real_fit_step(step, fit_ds)
+
+    def logging_stream(seed, idx, tag):
+        if tag >= 1:
+            log.append("draw")
+        return real_stream(seed, idx, tag)
+
+    monkeypatch.setattr(synthesis, "fit_step", logging_fit_step)
+    monkeypatch.setattr(synthesis, "_stream", logging_stream)
+    synthesize(ds, build_spec(ds.schema, "P", proper=proper, m=3, seed=3))
+    fits = 4 * (3 if proper else 1)
+    assert log == ["fit"] * fits + ["draw"] * 12
 
 
 def test_proper_with_identity_bootstrap_equals_nonproper(monkeypatch):
@@ -449,7 +495,7 @@ def test_order_digests_are_golden(fixture_a):
 
 def test_cp_and_cpo_share_one_joint_table(fixture_a, monkeypatch):
     # CP visits c1 first and CPO visits c3 first, but the joint group is the
-    # same fit, and each spec draws the bytes that a fresh memo gives it.
+    # same fit, and each spec draws the bytes that it draws alone.
     fits = []
     real = synthesis.fit_joint_table
     monkeypatch.setattr(
@@ -457,8 +503,9 @@ def test_cp_and_cpo_share_one_joint_table(fixture_a, monkeypatch):
     )
     cp = build_spec(fixture_a.schema, "CP", m=2, seed=31)
     cpo = _order_spec(fixture_a.schema, "CPO")
-    memo = FitMemo(fixture_a)
-    shared = [synthesize(fixture_a, spec, memo=memo).datasets for spec in (cp, cpo)]
+    steps = list(dict.fromkeys(step for spec in (cp, cpo) for _, step in spec.steps))
+    fitted = dict(zip(steps, fit_steps((step, fixture_a) for step in steps)))
+    shared = [synthesize(fixture_a, spec, fitted=fitted).datasets for spec in (cp, cpo)]
     assert fits == [("c1", "c2", "c3")]
     for spec, got in zip((cp, cpo), shared):
         want = synthesize(fixture_a, spec).datasets
