@@ -88,7 +88,6 @@ from .synthesis import (
     build_spec,
     fit_steps,
     save_synthetic_set,
-    shared_steps,
     synthesize,
     synthesizer_label,
 )
@@ -599,7 +598,6 @@ def metric_rows(
     ms = (sset.m,) if ms is None else ms
     if not all(1 <= m <= sset.m for m in ms):
         raise MetricError(f"cannot score the first m of {sset.m} datasets for each m of {ms}")
-    last_fit = f"fit:{fits[-1].id}" if settings.regression and fits else None
     rows: dict[int, list[tuple[str, str, float]]] = {m: [] for m in ms}
     errors: list[tuple[str, str]] = []
     for stage, (score, compare, roll) in _families(original, settings, fits, predicates).items():
@@ -617,14 +615,12 @@ def metric_rows(
         else:
             for m in ms:
                 rows[m] += got[m]
-        if stage == last_fit:  # then the fits that scored, taken together
-            for m in ms:
-                averages = [v for metric, _, v in rows[m] if metric == "rf_fit_avg_cio"]
-                overlaps = [v for metric, _, v in rows[m] if metric == "rf_cio"]
-                if averages:
-                    rows[m].append(("rf_avg_cio", "", _mean(averages)))
-                    share = apo(overlaps, settings.apo_threshold, inclusive=settings.apo_inclusive)
-                    rows[m].append(("rf_apo", "", share))
+    for m in ms:  # the fits that scored, taken together
+        averages = [v for metric, _, v in rows[m] if metric == "rf_fit_avg_cio"]
+        if averages:
+            overlaps = [v for metric, _, v in rows[m] if metric == "rf_cio"]
+            share = apo(overlaps, settings.apo_threshold, inclusive=settings.apo_inclusive)
+            rows[m] += [("rf_avg_cio", "", _mean(averages)), ("rf_apo", "", share)]
     return rows, errors
 
 
@@ -678,10 +674,11 @@ def _finished_cell(path: Path, fingerprint: str) -> dict | None:
 
 def _run_cell(replicate: tuple[str, str, int], fitted: dict) -> dict:
     """Run one replicate of the current experiment: synthesize and write
-    max(m) datasets, fitting only the steps that ``fitted`` lacks, score the
-    first m of them for each m of the grid, and save the replicate's cell
-    file. Any exception becomes the replicate's error row, so one failing
-    replicate never aborts the grid."""
+    max(m) datasets, fitting only the steps that ``fitted`` lacks (a proper
+    replicate's), score the first m of them for each m of the grid, and
+    save the replicate's cell file. A step whose value in ``fitted`` is an
+    exception raises it. Any exception becomes the replicate's error row,
+    so one failing replicate never aborts the grid."""
     label, mode, rep = replicate
     exp = _experiment
     cfg = exp.cfg
@@ -707,10 +704,10 @@ def _run_cell(replicate: tuple[str, str, int], fitted: dict) -> dict:
 
 
 def _fit_shared(steps):
-    """The fitted value of each shared step, or None where its fit raises.
-    The donor trees among the steps grow as one forest."""
-    fitted = fit_steps((step, _experiment.original) for step in steps)
-    return [None if isinstance(value, Exception) else value for value in fitted]
+    """What ``fit_steps`` returns for each shared step on the original: its
+    fitted value, or the exception that its fit raised. The donor trees
+    among the steps grow as one forest."""
+    return fit_steps((step, _experiment.original) for step in steps)
 
 
 class _Later(partial):
@@ -743,10 +740,11 @@ def _run_cells(pending, jobs: int) -> list[dict]:
     non-proper step of their specs is fitted once (no fit depends on the
     seed), alone or, for a donor tree, in one of max(1, jobs - 1) forests,
     which leaves a worker for replicates. A replicate starts once its steps
-    are fitted, so proper ones first, and carries their fitted values; a
-    step whose fit raises is left to the replicates that need it."""
+    are fitted, so proper ones first, and carries what ``fit_steps``
+    returned for each, a step whose fit raised as that exception, so a
+    non-proper replicate fits nothing."""
     specs = _experiment.specs
-    needs = {replicate: shared_steps(specs[replicate[:2]]) for replicate in pending}
+    needs = {r: () if specs[r[:2]].proper else [s for _, s in specs[r[:2]].steps] for r in pending}
     steps = dict.fromkeys(step for wanted in needs.values() for step in wanted)
     trees = [step for step in steps if step.grows_tree]
     forests = min(max(1, jobs - 1), len(trees))
@@ -759,7 +757,7 @@ def _run_cells(pending, jobs: int) -> list[dict]:
             if future is not None:
                 fitted.update(zip(fitting[future], future.result()))
             for replicate in [r for r, wanted in needs.items() if fitted.keys() >= set(wanted)]:
-                shipped = {s: fitted[s] for s in needs.pop(replicate) if fitted[s] is not None}
+                shipped = {s: fitted[s] for s in needs.pop(replicate)}
                 cells.append(submit(_run_cell, replicate, shipped))
         return [cell.result() for cell in cells]
 

@@ -469,13 +469,6 @@ def fit_steps(pairs) -> list[Fitted | Exception]:
     return fits
 
 
-def shared_steps(spec: SynthesizerSpec) -> list[Step]:
-    """The steps that a non-proper ``spec`` fits on the original data, and
-    so shares with every dataset; none for a proper spec, whose fits no
-    other dataset shares."""
-    return [] if spec.proper else [step for _, step in spec.steps]
-
-
 def _synthesize_one(
     spec: SynthesizerSpec, idx: int, fits: dict[Step, Fitted | Exception], schema: Schema, n: int
 ) -> Dataset:
@@ -488,7 +481,7 @@ def _synthesize_one(
         try:
             fitted = fits[step]
             if isinstance(fitted, Exception):
-                raise fitted
+                raise fitted.with_traceback(None)  # without the frames of earlier raises
             drawn = fitted.draw([syn[q] for q in step.preds], n, _stream(spec.seed, idx, 1 + j))
         except Exception as err:
             raise SynthesisError(f"variable {name!r}, dataset {idx}: {err}") from err
@@ -503,19 +496,20 @@ def synthesize(
     original: Dataset,
     spec: SynthesizerSpec,
     *,
-    fitted: dict[Step, Fitted] | None = None,
+    fitted: dict[Step, Fitted | Exception] | None = None,
 ) -> SyntheticSet:
     """Generate ``spec.m`` synthetic datasets from ``original``.
 
     A non-proper spec fits each step once, on ``original``, and draws every
-    dataset from that fit; ``fitted`` holds fits of ``original`` made
-    earlier (see ``fit_steps``), which it reads and does not refit. A
-    proper spec fits every step on each dataset's bootstrap resample, in
-    batches of at most ``_BATCH_ROWS`` bootstrap rows; a non-proper spec's
-    datasets form one batch. Each batch's steps are fitted in one
-    ``fit_steps`` call, its donor trees as one forest, before its first
-    draw, so a dataset fits every step, then raises at the first failing
-    step in visit order.
+    dataset from that fit; ``fitted`` holds what ``fit_steps`` returned for
+    steps on ``original`` earlier, which it reads and does not refit: a
+    fitted value, or the exception that its fit raised, which a dataset
+    raises at that step as it raises its own fits' errors. A proper spec
+    fits every step on each dataset's bootstrap resample, in batches of at
+    most ``_BATCH_ROWS`` bootstrap rows; a non-proper spec's datasets form
+    one batch. Each batch's steps are fitted in one ``fit_steps`` call, its
+    donor trees as one forest, before its first draw, so a dataset fits
+    every step, then raises at the first failing step in visit order.
 
     A dataset's seconds are an equal share of its batch's fits, plus its
     draws.

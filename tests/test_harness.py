@@ -822,7 +822,8 @@ def _start_method():
 
 def _failing_cp_project(tmp_path):
     """20 rows cannot serve 25 predictive-mean-matching donors: the shared
-    CP fit of y raises, in the fit phase and again in every CP cell."""
+    CP fits of x and y raise, each once, in the fit phase only; every CP
+    cell is sent their errors and raises x's."""
     grid = {"synthesizers": [{"base": "S"}, {"base": "CP"}], "m": [1, 2]}
     cfg_path = write_project(tmp_path, grid=grid)
     doc = json.loads(cfg_path.read_text())
@@ -853,7 +854,7 @@ def test_the_pool_fits_as_often_as_one_process(tmp_path, monkeypatch, failing):
         outputs[jobs] = output_bytes(cfg.out)
         # a non-proper replicate draws from the shared fits it was given
         non_proper = {label for _, proper, label in cfg.labels() if not proper}
-        assert failing or non_proper.isdisjoint(fits[jobs])
+        assert non_proper.isdisjoint(fits[jobs])
     assert fits[1] and len(fits[2]) == len(fits[1])
     assert outputs[2] == outputs[1]
 
@@ -930,6 +931,8 @@ def test_a_family_that_fails_on_the_original_fails_alone_in_every_cell(tmp_path)
 def test_jobs_do_not_change_the_outputs_under_any_start_method(tmp_path, method):
     # A worker that does not fork gets the experiment, the original-side
     # values and the exception that fit "own" stored among them, pickled.
+    # On the failing CP project a worker sends back the errors of the shared
+    # PMM fits, and each CP replicate's worker gets them, pickled again.
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"no start method {method!r} on this platform")
     grid = {
@@ -937,22 +940,26 @@ def test_jobs_do_not_change_the_outputs_under_any_start_method(tmp_path, method)
         "proper": [False, True],
         "m": [1, 2],
     }
-    cfg_path = write_project(tmp_path, grid=grid, k=1)
-    _add_a_fit_that_fails_on_the_original(tmp_path)
-    serial = load_config(cfg_path, out=tmp_path / "jobs1")
-    report, _ = run_experiment(serial)
-    assert {e.stage for e in report.errors} == {"fit:own"}
-    command, env = _experiment_command(cfg_path, tmp_path / "jobs2")
+    for name in ("fit-own", "failing-cp"):
+        (tmp_path / name).mkdir()
+    fit_own = write_project(tmp_path / "fit-own", grid=grid, k=1)
+    _add_a_fit_that_fails_on_the_original(tmp_path / "fit-own")
     script = (
         "import multiprocessing, sys\n"
         "from synthbench.cli import main\n"
         "multiprocessing.set_start_method(sys.argv[1])\n"
         "sys.exit(main(sys.argv[2:]))\n"
     )
-    argv = [sys.executable, "-c", script, method, *command[3:], "--jobs", "2"]
-    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
-    assert done.returncode == 2, done.stderr  # a failed fit, not a crash
-    assert output_bytes(tmp_path / "jobs2") == output_bytes(serial.out)
+    failing_cp = _failing_cp_project(tmp_path / "failing-cp")
+    for cfg_path, stage in [(fit_own, "fit:own"), (failing_cp, "cell")]:
+        serial = load_config(cfg_path, out=cfg_path.parent / "jobs1")
+        report, _ = run_experiment(serial)
+        assert {e.stage for e in report.errors} == {stage}
+        command, env = _experiment_command(cfg_path, cfg_path.parent / "jobs2")
+        argv = [sys.executable, "-c", script, method, *command[3:], "--jobs", "2"]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 2, done.stderr  # a failed fit, not a crash
+        assert output_bytes(cfg_path.parent / "jobs2") == output_bytes(serial.out)
 
 
 @pytest.mark.parametrize("jobs, pools", [(1, 0), (2, 1)])

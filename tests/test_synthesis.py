@@ -1,4 +1,5 @@
 import hashlib
+import traceback
 from dataclasses import replace
 
 import numpy as np
@@ -254,6 +255,23 @@ def test_passed_fits_draw_the_same_bytes_and_fit_nothing(monkeypatch):
     assert [[c.tobytes() for c in d.columns] for d in got] == [
         [c.tobytes() for c in d.columns] for d in want
     ]
+
+
+def test_a_passed_fit_error_raises_without_the_frames_of_earlier_raises():
+    # 250 rows cannot serve 251 donors, so x's PMM fit fails. Every call
+    # raises that one stored error; each raise starts a new traceback.
+    ds = small_dataset()
+    spec = build_spec(ds.schema, "CP", m=2, seed=5, pmm_k=ds.n_rows + 1)
+    steps = [step for _, step in spec.steps]
+    fitted = dict(zip(steps, fit_steps((step, ds) for step in steps)))
+    depths = []
+    for _ in range(4):
+        with pytest.raises(SynthesisError, match=r"^variable 'x', .*pmm_k=251") as raised:
+            synthesize(ds, spec, fitted=fitted)
+        err = raised.value.__cause__
+        assert any(err is value for value in fitted.values())
+        depths.append(len(traceback.extract_tb(err.__traceback__)))
+    assert depths == [1] * 4
 
 
 def test_a_forest_that_raises_fits_each_tree_alone(monkeypatch):
