@@ -11,23 +11,20 @@ import math
 import sys
 from pathlib import Path
 
+from .config import load_config
 from .dataset import NumberText
 from .errors import ConfigError, SynthbenchError
 from .harness import (
-    emit_tables,
     grid_specs,
-    load_config,
     load_metric_inputs,
     load_original,
     metric_rows,
     original_side,
-    read_report,
-    read_timings,
     run_experiment,
-    write_report,
 )
 from .metrics import ReportError, UtilityReport
 from .synthesis import load_synthetic_set, save_synthetic_set, synthesize
+from .tables import emit_tables, read_report, read_timings, write_report
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -1,4 +1,4 @@
-"""Experiment harness: run a synthesizer grid, persist results, emit tables.
+"""Experiment harness: run a synthesizer grid.
 
 A grid cell is one (synthesizer label, predictor mode, m, repetition); a
 replicate is one (label, mode, repetition) and the unit of work. It draws
@@ -13,339 +13,44 @@ stay out of the report files. Each metric family scores the original and
 every synthetic dataset alike, and a pure roll-up makes its rows of each m.
 A run computes the original's metric values and fits each non-proper
 synthesis step once, before the replicates that use them, which are sent
-them; a process keeps neither. Neither changes a draw.
+them; a process keeps neither. Neither changes a draw. ``config`` reads the
+grid's settings, and ``tables`` writes the results files and plot tables.
 """
 
 from __future__ import annotations
 
-import csv
-import hashlib
-import io
 import json
 import math
-import os
 import zlib
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
 from .analysis import (
-    AdhocPredicate,
-    adhoc_proportion,
-    check_classifier,
-    check_predicate,
-    classifier_baseline,
-    classify_compare,
-    load_adhoc,
-    pearson,
+    AdhocPredicate, adhoc_proportion, check_classifier, check_predicate, classifier_baseline,
+    classify_compare, load_adhoc,
 )
+from .config import ExperimentConfig, MetricSettings
 from .dataset import (
-    DEFAULT_MISSING_TOKENS,
-    Dataset,
-    JsonFields,
-    LevelMapping,
-    NumberText,
-    Schema,
-    coarsen_levels,
-    drop_column,
-    head_n,
-    load_csv,
-    load_schema,
-    read_json,
+    Dataset, NumberText, Schema, coarsen_levels, drop_column, head_n, load_csv, load_schema,
     replace_missing,
 )
 from .errors import ConfigError, DataError, MetricError, SchemaError, SynthbenchError
 from .estimands import (
-    RULES,
-    FitSpec,
-    check_fit,
-    combine,
-    load_fitspecs,
-    mean_point_estimand,
-    normal_interval,
+    FitSpec, check_fit, combine, load_fitspecs, mean_point_estimand, normal_interval,
     regression_estimands,
 )
-from .metrics import (
-    KL_DIRECTIONS,
-    ReportError,
-    ReportRow,
-    SummaryRow,
-    UtilityReport,
-    apo,
-    cio,
-    kl_divergence,
-)
-from .synthesis import (
-    BASES,
-    ORDER_KINDS,
-    SynthesizerSpec,
-    SyntheticSet,
-    build_spec,
-    fit_steps,
-    save_synthetic_set,
-    synthesize,
-    synthesizer_label,
-)
+from .metrics import ReportError, UtilityReport, apo, cio, kl_divergence
+from .synthesis import SynthesizerSpec, SyntheticSet, build_spec, fit_steps, save_synthetic_set, synthesize
+from .tables import TimingRow, _write_atomic, _write_table, write_report
 
-PREDICTOR_MODES = ("simple", "selective")
-
-
-@dataclass(frozen=True)
-class SynthesizerEntry:
-    base: str
-    order: str = "original"
-    own_order: tuple[str, ...] | None = None
-
-
-@dataclass(frozen=True)
-class MetricSettings:
-    mean_point: bool = True
-    regression: bool = True
-    kl: bool = True
-    kl_normalize: bool = True
-    classification_target: str | None = None
-    classification_test_fraction: float | None = None
-    adhoc: bool = False
-    rule: str = "Ts"
-    ci_level: float = 0.95
-    apo_threshold: float = 0.9
-    apo_inclusive: bool = False
-    kl_bins: int = 20
-    kl_smoothing: float = 0.5
-    kl_direction: str = "pq"
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    dataset: Path
-    schema: Path
-    synthesizers: tuple[SynthesizerEntry, ...]
-    m_list: tuple[int, ...]
-    proper_variants: tuple[bool, ...]
-    predictor_modes: tuple[str, ...]
-    selective: dict[str, tuple[str, ...]] | None
-    k: int
-    seed: int
-    out: Path
-    fitspecs: Path | None = None
-    adhoc: Path | None = None
-    metrics: MetricSettings = field(default_factory=MetricSettings)
-    missing_tokens: tuple[str, ...] = DEFAULT_MISSING_TOKENS
-    drop: tuple[str, ...] = ()
-    coarsen: tuple[LevelMapping, ...] = ()
-    head: int | None = None
-    missing_seed: int = 0
-    pmm_k: int = 5
-    min_leaf: int = 5
-
-    def labels(self) -> list[tuple[SynthesizerEntry, bool, str]]:
-        """Expanded (entry, proper, label) triples; labels must be unique."""
-        out = []
-        seen = set()
-        for entry in self.synthesizers:
-            for proper in self.proper_variants:
-                label = synthesizer_label(entry.base, entry.order, proper)
-                if label in seen:
-                    raise ConfigError(f"duplicate synthesizer label {label!r} in grid")
-                seen.add(label)
-                out.append((entry, proper, label))
-        return out
-
-    def fingerprint(self) -> str:
-        """sha256 over every setting except ``out``, the bytes of every input
-        file and the package version, so a resumed run never mixes two
-        inputs."""
-        from . import __version__
-
-        settings = asdict(self)
-        del settings["out"]
-        doc = {
-            "version": __version__,
-            "contents": {
-                name: _file_sha256(path)
-                for name in ("dataset", "schema", "fitspecs", "adhoc")
-                if (path := getattr(self, name)) is not None
-            },
-            "settings": settings,
-        }
-        blob = json.dumps(doc, sort_keys=True, default=os.fspath).encode()
-        return hashlib.sha256(blob).hexdigest()
-
-
-def _file_sha256(path: Path) -> str:
-    try:
-        return hashlib.sha256(path.read_bytes()).hexdigest()
-    except OSError as err:
-        raise ConfigError(f"cannot read input file {path}: {err}") from err
-
-
-# The keys of each object of a config document (README shows them all): the
-# ones it must have, then the others. Each flat metrics key is the
-# MetricSettings field of the same name.
-_TOP_KEYS = ("dataset", "schema", "grid"), (
-    "fitspecs", "adhoc", "k", "seed", "out", "metrics", "preprocess", "missing_tokens", "pmm_k",
-    "min_leaf",
-)
-_GRID_KEYS = ("synthesizers", "m"), ("proper", "predictor_modes", "selective")
-_ENTRY_KEYS = ("base",), ("order", "own_order")
-_METRICS_KEYS = (), ("classification", *(
-    f.name for f in fields(MetricSettings) if not f.name.startswith("classification_")
-))
-_CLF_KEYS = (), ("target", "test_fraction")
-_PREPROCESS_KEYS = (), ("drop", "coarsen", "head_n", "missing_seed")
-_COARSEN_KEYS = ("column", "mapping"), ()
-
-
-def load_config(path: str | Path, *, seed: int | None = None, out: str | Path | None = None) -> ExperimentConfig:
-    """Read an experiment configuration (JSON; grammar in the README).
-
-    Relative paths inside the file resolve against the file's directory.
-    ``seed``/``out`` override the file's values.
-    """
-    path, check = Path(path), JsonFields(ConfigError)
-
-    def resolve(p, where: str) -> Path:
-        p = Path(check.typed(p, str, where))
-        return p if p.is_absolute() else path.parent / p
-
-    def parse(doc) -> ExperimentConfig:
-        doc = check.object(doc, "the config", *_TOP_KEYS)
-        grid = check.object(doc["grid"], "grid", *_GRID_KEYS)
-        met = check.object(doc.get("metrics", {}), "metrics", *_METRICS_KEYS)
-        clf = check.object(met.get("classification", {}), "metrics.classification", *_CLF_KEYS)
-        target, fraction = clf.get("target"), clf.get("test_fraction")
-        pre = check.object(doc.get("preprocess", {}), "preprocess", *_PREPROCESS_KEYS)
-        sel = check.typed(grid.get("selective", {}), dict, "grid.selective")
-        synths = check.objects(grid["synthesizers"], "grid.synthesizers", *_ENTRY_KEYS)
-        coarsen = check.objects(pre.get("coarsen", []), "preprocess.coarsen", *_COARSEN_KEYS)
-        cfg = ExperimentConfig(
-            dataset=resolve(doc["dataset"], "dataset"),
-            schema=resolve(doc["schema"], "schema"),
-            synthesizers=tuple(
-                SynthesizerEntry(
-                    check.typed(s["base"], str, f"{at}.base"),
-                    check.typed(s.get("order", "original"), str, f"{at}.order"),
-                    None if "own_order" not in s
-                    else check.strings(s["own_order"], f"{at}.own_order"),
-                )
-                for at, s in synths
-            ),
-            m_list=tuple(
-                check.typed(m, int, "grid.m") for m in check.typed(grid["m"], list, "grid.m")
-            ),
-            proper_variants=tuple(
-                check.typed(b, bool, "grid.proper")
-                for b in check.typed(grid.get("proper", [False]), list, "grid.proper")
-            ),
-            predictor_modes=check.strings(
-                grid.get("predictor_modes", ["simple"]), "grid.predictor_modes"
-            ),
-            selective={k: check.strings(v, f"grid.selective.{k}") for k, v in sel.items()} or None,
-            k=check.typed(doc.get("k", 5), int, "k"),
-            seed=int(seed) if seed is not None else check.typed(doc.get("seed", 0), int, "seed"),
-            out=Path(out) if out is not None else resolve(doc.get("out", "results"), "out"),
-            fitspecs=resolve(doc["fitspecs"], "fitspecs") if "fitspecs" in doc else None,
-            adhoc=resolve(doc["adhoc"], "adhoc") if "adhoc" in doc else None,
-            metrics=MetricSettings(
-                classification_target=None if target is None
-                else check.typed(target, str, "metrics.classification.target"),
-                classification_test_fraction=None if fraction is None
-                else check.typed(fraction, float, "metrics.classification.test_fraction"),
-                **{
-                    f.name: check.typed(met[f.name], type(f.default), f"metrics.{f.name}")
-                    for f in fields(MetricSettings)
-                    if f.name in met and not f.name.startswith("classification_")
-                },
-            ),
-            missing_tokens=check.strings(
-                doc.get("missing_tokens", list(DEFAULT_MISSING_TOKENS)), "missing_tokens"
-            ),
-            drop=check.strings(pre.get("drop", []), "preprocess.drop"),
-            coarsen=tuple(
-                LevelMapping(
-                    check.typed(c["column"], str, "preprocess.coarsen.column"),
-                    check.string_map(c["mapping"], "preprocess.coarsen.mapping"),
-                )
-                for _, c in coarsen
-            ),
-            head=None if pre.get("head_n") is None
-            else check.typed(pre["head_n"], int, "preprocess.head_n"),
-            missing_seed=check.typed(pre.get("missing_seed", 0), int, "preprocess.missing_seed"),
-            pmm_k=check.typed(doc.get("pmm_k", 5), int, "pmm_k"),
-            min_leaf=check.typed(doc.get("min_leaf", 5), int, "min_leaf"),
-        )
-        _validate_config(cfg)
-        return cfg
-
-    return read_json(path, "config", ConfigError, parse)
-
-
-def _validate_config(cfg: ExperimentConfig) -> None:
-    for e in cfg.synthesizers:
-        if e.base not in BASES:
-            raise ConfigError(f"unknown synthesizer base {e.base!r}")
-        if e.order not in ORDER_KINDS:
-            raise ConfigError(f"unknown synthesis order {e.order!r}")
-        if e.order == "own" and not e.own_order:
-            raise ConfigError("order 'own' needs own_order")
-    if not cfg.m_list or any(m < 1 for m in cfg.m_list):
-        raise ConfigError("grid.m must be a non-empty list of integers >= 1")
-    if len(set(cfg.m_list)) != len(cfg.m_list):
-        raise ConfigError("grid.m has duplicates")
-    if not cfg.synthesizers:
-        raise ConfigError("grid.synthesizers is empty")
-    if not cfg.proper_variants:
-        raise ConfigError("grid.proper is empty")
-    if not cfg.predictor_modes:
-        raise ConfigError("grid.predictor_modes is empty")
-    if len(set(cfg.predictor_modes)) != len(cfg.predictor_modes):
-        raise ConfigError("grid.predictor_modes has duplicates")
-    for mode in cfg.predictor_modes:
-        if mode not in PREDICTOR_MODES:
-            raise ConfigError(f"unknown predictor mode {mode!r}")
-    if "selective" in cfg.predictor_modes and not cfg.selective:
-        raise ConfigError("predictor mode 'selective' needs grid.selective")
-    if cfg.metrics.rule not in RULES:
-        raise ConfigError(f"unknown combining rule {cfg.metrics.rule!r}")
-    if cfg.metrics.rule == "Tp" and any(m < 2 for m in cfg.m_list):
-        raise ConfigError("rule Tp needs every m >= 2")
-    labels = [lbl for _, _, lbl in cfg.labels()]
-    if cfg.metrics.kl and cfg.metrics.kl_normalize and "S" not in labels:
-        raise ConfigError(
-            "kl_normalize needs the independent-sampling baseline: add base 'S' "
-            "(non-proper) to the grid"
-        )
-    met, head = cfg.metrics, cfg.head
-    fraction = met.classification_test_fraction
-    for where, value, ok, rule in (
-        ("k", cfg.k, cfg.k >= 1, "be >= 1"),
-        ("seed", cfg.seed, cfg.seed >= 0, "be >= 0"),
-        ("pmm_k", cfg.pmm_k, cfg.pmm_k >= 1, "be >= 1"),
-        ("min_leaf", cfg.min_leaf, cfg.min_leaf >= 1, "be >= 1"),
-        ("preprocess.head_n", head, head is None or head >= 1, "be >= 1"),
-        ("metrics.classification.test_fraction", fraction,
-         fraction is None or 0.0 < fraction < 1.0, "lie in (0, 1)"),
-        ("metrics.ci_level", met.ci_level, 0.0 < met.ci_level < 1.0, "lie in (0, 1)"),
-        ("metrics.apo_threshold", met.apo_threshold, 0.0 <= met.apo_threshold <= 1.0, "lie in [0, 1]"),
-        ("metrics.kl_bins", met.kl_bins, met.kl_bins >= 2, "be >= 2"),
-        ("metrics.kl_smoothing", met.kl_smoothing, met.kl_smoothing >= 0.0, "be >= 0"),
-        ("metrics.kl_direction", met.kl_direction, met.kl_direction in KL_DIRECTIONS,
-         f"be one of {', '.join(KL_DIRECTIONS)}"),
-        ("preprocess.missing_seed", cfg.missing_seed, cfg.missing_seed >= 0, "be >= 0"),
-    ):
-        if not ok:
-            raise ConfigError(f"{where} must {rule}, got {value!r}")
-    if fraction is not None and met.classification_target is None:
-        raise ConfigError("metrics.classification.test_fraction needs metrics.classification.target")
-    if cfg.metrics.regression and cfg.fitspecs is None:
-        raise ConfigError("regression metrics need a fitspecs file")
-    if cfg.metrics.adhoc and cfg.adhoc is None:
-        raise ConfigError("adhoc metrics need an adhoc file")
+# benchmarks/grid.py calls these two through this module, and its tracer wraps emit_tables here.
+from .config import load_config
+from .tables import emit_tables
 
 
 def load_original(cfg: ExperimentConfig) -> Dataset:
@@ -396,18 +101,6 @@ def load_metric_inputs(
     for predicate in predicates:
         check_predicate(predicate, schema)
     return fits, predicates
-
-
-class TimingRow(NamedTuple):
-    """One row of timings.csv: the seconds one dataset of a cell took to
-    fit, draw and write."""
-
-    label: str
-    mode: str
-    m: int
-    rep: int
-    dataset: int
-    seconds: float
 
 
 def _replicate_seed(master: int, label: str, mode: str, rep: int) -> int:
@@ -652,13 +345,6 @@ def _start_experiment(exp: _Experiment) -> None:
     _experiment = exp
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Replace ``path`` with UTF-8 ``text`` in one step, so an interrupted
-    run leaves either the old file or the new one, never a truncated file."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(text, encoding="utf-8", newline="")
-    os.replace(tmp, path)
-
 
 def _finished_cell(path: Path, fingerprint: str) -> dict | None:
     """The saved result of a replicate that generated its datasets under
@@ -879,251 +565,3 @@ def _add_normalized_kl(report: UtilityReport, cells) -> None:
             avg = math.fsum(v for _, v in norms) / len(norms)
             report.add(label, mode, m, rep, "kl_norm_avg", "", avg)
 
-
-def _write_table(path: Path, header, rows) -> None:
-    """Replace one UTF-8 CSV file whole: the header row, then ``rows``, each
-    float as its repr. A results file's header is its row type's
-    ``_fields``."""
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(header)
-    w.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
-    _write_atomic(path, buf.getvalue())
-
-
-def write_report(report: UtilityReport, out: Path) -> None:
-    """Write report.csv, summary.csv and, when ``report`` holds errors,
-    errors.csv under ``out``, each in sorted row order. Without errors, an
-    errors.csv from an earlier run is removed."""
-    _write_table(out / "report.csv", ReportRow._fields, sorted(report.rows))
-    _write_table(out / "summary.csv", SummaryRow._fields, report.summary())
-    if report.errors:
-        _write_table(out / "errors.csv", ReportError._fields, sorted(report.errors))
-    else:
-        (out / "errors.csv").unlink(missing_ok=True)
-
-
-def read_report(out: Path) -> UtilityReport:
-    """Rebuild a UtilityReport from report.csv (+ errors.csv) in ``out``."""
-    report_path = out / "report.csv"
-    if not report_path.exists():
-        raise ConfigError(f"{report_path} does not exist; run an experiment first")
-    err_path = out / "errors.csv"
-    return UtilityReport(
-        list(_table_rows(report_path, ReportRow)),
-        list(_table_rows(err_path, ReportError)) if err_path.exists() else [],
-    )
-
-
-def read_timings(out: Path) -> list[TimingRow]:
-    """The rows of timings.csv in ``out``, in file order; none when the file
-    is absent."""
-    path = out / "timings.csv"
-    return list(_table_rows(path, TimingRow)) if path.exists() else []
-
-
-def _table_rows(path: Path, row_type):
-    """Each row of the results file at ``path`` as a ``row_type``, each field
-    parsed by its annotated type (str, int or float). A row that lacks a
-    field, holds a number that does not parse or has more fields than the
-    header is a ``DataError`` naming the file and the row; so is a file
-    that does not decode. A byte-order mark at the start is ignored."""
-    fields = get_type_hints(row_type)
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        try:
-            rows = list(csv.DictReader(fh))
-        except UnicodeDecodeError as err:
-            raise DataError(f"{path}: not {err.encoding} text ({err.reason})") from None
-    for i, row in enumerate(rows, start=2):
-        if None in row:
-            raise DataError(f"{path}: row {i} has more fields than the header")
-        values = []
-        for name, kind in fields.items():
-            text = row.get(name)
-            if text is None:
-                raise DataError(f"{path}: row {i} lacks the field {name!r}")
-            try:
-                values.append(kind(text))
-            except ValueError:
-                number = "an integer" if kind is int else "a number"
-                raise DataError(
-                    f"{path}: row {i}, field {name!r}: cannot parse {text!r} as {number}"
-                ) from None
-        yield row_type(*values)
-
-
-# A table builder takes the summary values ``{metric: {(label, mode, m,
-# scope): value}}`` and the timing rows. It returns its table's files,
-# ``{file stem: (header, rows)}``, or what the table needs and lacks. A file
-# it maps to None has no rows this time, and an old copy is removed.
-
-
-def _mpe_apo_table(by_metric, timings):
-    if "mpe_apo" not in by_metric:
-        return "metric 'mpe_apo' in the report"
-    avg = by_metric.get("mpe_avg_cio", {})
-    rows = []
-    for (label, mode, m, _), v in sorted(by_metric["mpe_apo"].items()):
-        a = avg.get((label, mode, m, ""))
-        rows.append([label, mode, m, v, "" if a is None else a])
-    return {"mpe_apo": (["label", "mode", "m", "mpe_apo", "mpe_avg_cio"], rows)}
-
-
-def _series_by_m_table(table: str, metric: str, by_metric, timings):
-    """A ``series, m, value`` table of ``metric``; a series is a label, with
-    its predictor mode appended unless that is simple."""
-    if metric not in by_metric:
-        return f"metric {metric!r} in the report"
-    rows = [
-        [label if mode == "simple" else f"{label}/{mode}", m, v]
-        for (label, mode, m, _), v in sorted(by_metric[metric].items())
-    ]
-    return {table: (["series", "m", "value"], rows)}
-
-
-def _kl_norm_table(by_metric, timings):
-    if "kl_norm" not in by_metric:
-        return "metric 'kl_norm' in the report"
-    rows = [
-        [label, mode, m, scope.removeprefix("var:"), v]
-        for (label, mode, m, scope), v in sorted(by_metric["kl_norm"].items())
-    ]
-    rows += [
-        [label, mode, m, "all", v]
-        for (label, mode, m, _), v in sorted(by_metric.get("kl_norm_avg", {}).items())
-    ]
-    return {"kl_norm": (["label", "mode", "m", "variable", "value"], rows)}
-
-
-def _mode_compare_table(by_metric, timings):
-    """Per label and m: rf_apo in each predictor mode, and how many fits each
-    mode wins on rf_fit_apo (a tie gives each half a win)."""
-    apo_ = by_metric.get("rf_apo", {})
-    fit_apo = by_metric.get("rf_fit_apo")
-    if fit_apo is None or not {"simple", "selective"} <= {mode for _, mode, _, _ in apo_}:
-        return "both predictor modes in the report"
-    rows = []
-    for label, m in sorted({(label, m) for label, mode, m, _ in apo_ if mode == "simple"}):
-        if (label, "selective", m, "") not in apo_:
-            continue
-        shares = []  # the simple mode's share of each fit's win
-        for (lbl, mode, mm, scope), simp in fit_apo.items():
-            if (lbl, mode, mm) != (label, "simple", m):
-                continue
-            sel = fit_apo.get((label, "selective", m, scope))
-            if sel is not None:
-                shares.append(1.0 if simp > sel else 0.0 if sel > simp else 0.5)
-        wins = math.fsum(shares)
-        rows.append([
-            label, m, apo_[(label, "simple", m, "")], apo_[(label, "selective", m, "")],
-            wins, len(shares) - wins, len(shares),
-        ])
-    header = [
-        "label", "m", "apo_simple", "apo_selective",
-        "fit_wins_simple", "fit_wins_selective", "n_fits",
-    ]
-    return {"mode_compare": (header, rows)}
-
-
-def _apo_vs_time_table(by_metric, timings):
-    if not timings or "rf_apo" not in by_metric:
-        return "timing records and rf_apo values"
-    apo_ = by_metric["rf_apo"]
-    totals: dict[tuple, list[float]] = {}
-    for t in timings:
-        totals.setdefault((t.label, t.mode, t.m), []).append(t.seconds)
-    rows = [
-        [label, mode, m, math.fsum(secs) / len(secs), apo_[(label, mode, m, "")]]
-        for (label, mode, m), secs in sorted(totals.items())
-        if (label, mode, m, "") in apo_
-    ]
-    return {"apo_vs_time": (["label", "mode", "m", "seconds_per_dataset", "apo"], rows)}
-
-
-def _correlations_table(by_metric, timings):
-    """Pearson r between every two series that share at least three
-    (label, mode, m) cells, on the cells they share, and the pairs skipped
-    because a series is constant on those cells."""
-    series: dict[str, dict[tuple, float]] = {}
-    for metric in ("rf_avg_cio", "rf_apo", "kl_norm_avg", "clf_acc_dev", "mpe_apo"):
-        if metric in by_metric:
-            series[metric] = {
-                (label, mode, m): v
-                for (label, mode, m, scope), v in by_metric[metric].items()
-                if scope == ""
-            }
-    for (label, mode, m, scope), v in by_metric.get("adhoc_dev", {}).items():
-        series.setdefault(f"adhoc_dev:{scope.removeprefix('pred:')}", {})[(label, mode, m)] = v
-    names = sorted(series)
-    rows, skipped = [], []
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            keys = sorted(series[a].keys() & series[b].keys())
-            if len(keys) < 3:
-                continue
-            xs = [series[a][k] for k in keys]
-            ys = [series[b][k] for k in keys]
-            constant = [name for name, vs in ((a, xs), (b, ys)) if max(vs) == min(vs)]
-            if constant:
-                skipped.append([a, b, f"series {constant[0]!r} is constant"])
-            else:
-                rows.append([a, b, pearson(xs, ys), len(keys)])
-    if not rows and not skipped:
-        return "at least two alignable series"
-    return {
-        "correlations": (["series_x", "series_y", "r", "n"], rows),
-        "correlations_skipped": (["series_x", "series_y", "reason"], skipped) if skipped else None,
-    }
-
-
-_TABLE_BUILDERS = {
-    "mpe_apo": _mpe_apo_table,
-    "cio_vs_m": partial(_series_by_m_table, "cio_vs_m", "rf_avg_cio"),
-    "apo_vs_m": partial(_series_by_m_table, "apo_vs_m", "rf_apo"),
-    "kl_norm": _kl_norm_table,
-    "mode_compare": _mode_compare_table,
-    "apo_vs_time": _apo_vs_time_table,
-    "correlations": _correlations_table,
-}
-TABLES = tuple(_TABLE_BUILDERS)
-
-
-def emit_tables(
-    report: UtilityReport,
-    out: Path,
-    timings: list[TimingRow] | None = None,
-    requested: tuple[str, ...] | None = None,
-) -> dict[str, Path]:
-    """Write the plot-ready tables under ``out``/tables.
-
-    With ``requested=None`` every table whose inputs are present is emitted;
-    explicitly requesting a table whose inputs are missing is an error.
-    Returns the path of each table written, by table name.
-    """
-    tables_dir = out / "tables"
-    tables_dir.mkdir(parents=True, exist_ok=True)
-    want = TABLES if requested is None else tuple(requested)
-    for t in want:
-        if t not in TABLES:
-            raise ConfigError(f"unknown table {t!r}")
-    by_metric: dict[str, dict[tuple, float]] = {}
-    for r in report.summary():
-        by_metric.setdefault(r.metric, {})[(r.label, r.mode, r.m, r.scope)] = r.value
-
-    written: dict[str, Path] = {}
-    for table in TABLES:
-        if table not in want:
-            continue
-        files = _TABLE_BUILDERS[table](by_metric, timings)
-        if isinstance(files, str):
-            if requested is not None:
-                raise MetricError(f"table {table!r} needs {files}")
-            continue
-        for stem, table_file in files.items():
-            path = tables_dir / f"{stem}.csv"
-            if table_file is None:
-                path.unlink(missing_ok=True)
-            else:
-                _write_table(path, *table_file)
-        written[table] = tables_dir / f"{table}.csv"
-    return written

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from synthbench.config import MetricSettings
 from synthbench.dataset import Column, ColumnKind, Dataset, Schema
 from synthbench.errors import EstimandError
 from synthbench.estimands import (
@@ -18,7 +19,7 @@ from synthbench.estimands import (
     normal_interval,
     regression_estimands,
 )
-from synthbench.harness import MetricSettings, metric_rows, original_side
+from synthbench.harness import metric_rows, original_side
 from synthbench.models import fit_ols
 from synthbench.models.design import Predictors
 from synthbench.synthesis import SyntheticSet

@@ -24,8 +24,10 @@ import json
 import pytest
 
 from conftest import make_fixture_a
+from synthbench.config import load_config
 from synthbench.dataset import write_csv
-from synthbench.harness import emit_tables, load_config, run_experiment
+from synthbench.harness import run_experiment
+from synthbench.tables import emit_tables
 
 GOLDEN = {
     "report.csv": "5b9d65c4dc126610b68cd0088b09480a9ca6884fcd333552443dbb080dcc2c43",

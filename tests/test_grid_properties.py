@@ -25,8 +25,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import output_bytes
+from synthbench.config import load_config
 from synthbench.dataset import write_csv
-from synthbench.harness import load_config, load_original, run_experiment
+from synthbench.harness import load_original, run_experiment
 from synthbench.synthesis import BASES, load_synthetic_set
 
 NUMERIC_STYLES = ("normal", "integers", "constant", "huge")

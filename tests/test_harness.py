@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import csv
 import dataclasses
@@ -23,6 +24,7 @@ import synthbench
 import synthbench.harness as harness
 import synthbench.synthesis as synthesis
 from synthbench.cli import main
+from synthbench.config import ExperimentConfig, MetricSettings, SynthesizerEntry, load_config
 from synthbench.dataset import Column, ColumnKind, Dataset, LevelMapping, Schema, write_csv
 from synthbench.analysis import load_adhoc
 from synthbench.errors import (
@@ -31,26 +33,18 @@ from synthbench.errors import (
 )
 from synthbench.estimands import FitSpec, load_fitspecs, normal_interval
 from synthbench.metrics import ReportError, UtilityReport, cio, kl_divergence
-from synthbench.models import CartProblem, Predictors, fit_cart, fit_logistic
 from synthbench.synthesis import (
     Method, SyntheticSet, build_spec, load_synthetic_set, synthesize,
 )
 from synthbench.harness import (
-    ExperimentConfig,
-    MetricSettings,
-    SynthesizerEntry,
     _replicate_seed,
-    emit_tables,
-    load_config,
     load_metric_inputs,
     load_original,
     metric_rows,
     original_side,
-    read_report,
-    read_timings,
     run_experiment,
-    write_report,
 )
+from synthbench.tables import emit_tables, read_report, read_timings, write_report
 
 
 def write_project(root, *, seed_value=3, grid=None, metrics=None, k=2):
@@ -411,24 +405,45 @@ def test_every_setting_but_out_enters_the_fingerprint(tmp_path):
     assert dataclasses.replace(cfg, out=tmp_path / "elsewhere").fingerprint() == base
 
 
-def test_every_traced_name_resolves():
+def test_every_traced_name_resolves(tmp_path, monkeypatch):
     """The benchmark's tracer replaces each name in WRAPS in the module that
-    looks it up; a moved or renamed name must fail here, not in a traced run."""
+    looks it up; a moved or renamed name, or one that the run no longer
+    calls through that module, must fail here, not in a traced run."""
     path = Path(__file__).parents[1] / "benchmarks" / "tracing.py"
     spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
     for module_name, attr, span, _ in tracing.WRAPS:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr} ({span})"
-    # what the tracer's _after reads off a traced fit's result
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=40)
-    X = Predictors(("x",), (ColumnKind.numeric(),), (x,))
-    problem = CartProblem(X, x + rng.normal(size=40), ColumnKind.numeric())
-    assert fit_cart([problem]).n_leaves >= 1
-    model = fit_logistic(X, (x + rng.normal(size=40) > 0).astype(np.int64))
-    assert model.n_iter >= 1 and model.converged in (True, False)
+        monkeypatch.setattr(module, attr, tracer.wrap(getattr(module, attr), span))
+    # every base, proper and not, as the benchmark's grids run them
+    grid = {"synthesizers": [{"base": b} for b in ("P", "D", "CP", "CC", "S")],
+            "proper": [False, True], "m": [1]}
+    cfg_path = write_project(tmp_path, grid=grid, k=1)
+    fits = json.loads((tmp_path / "fits.json").read_text())
+    fits["fits"].append({"id": "l1", "family": "logistic", "target": "c", "predictors": ["x"]})
+    (tmp_path / "fits.json").write_text(json.dumps(fits))
+    cfg = load_config(cfg_path)
+    report, timings = harness.run_experiment(cfg)
+    harness.emit_tables(report, cfg.out, timings)
+    assert report.errors == []
+    for workload in ("grid-2k-all", "eval-2k-m20"):
+        tracer.check_hits(workload)
+    # the tracer's _after read each traced fit's leaves, iterations and convergence
+    assert tracer.cart_leaves >= 1 and tracer.newton_iters >= 1
+
+
+@pytest.mark.parametrize("name", ["config", "tables"])
+def test_config_and_tables_never_import_the_harness(name):
+    # harness imports them; the other way round would tie them to the run
+    tree = ast.parse(Path(synthbench.__file__).with_name(f"{name}.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [f"{node.module or ''}.{alias.name}" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert [n for n in imported if "harness" in n.split(".")] == []
 
 
 def test_cell_seed_streams_are_distinct_and_stable():
@@ -1028,7 +1043,7 @@ def test_a_table_whose_rows_raise_leaves_the_old_file(tmp_path):
         raise RuntimeError("boom")
 
     with pytest.raises(RuntimeError, match="boom"):
-        harness._write_table(path, ("label", "value"), rows())
+        synthbench.tables._write_table(path, ("label", "value"), rows())
     assert path.read_bytes() == b"label,value\r\nS,1.0\r\n"
     assert list(tmp_path.iterdir()) == [path]
 
@@ -1203,6 +1218,28 @@ def test_a_clean_rewrite_removes_the_files_that_only_failures_write(tmp_path):
     assert not (tmp_path / "errors.csv").exists()
     assert read_report(tmp_path).errors == []
     assert sorted(p.name for p in tables.iterdir()) == ["correlations.csv"]
+
+
+def test_a_table_without_inputs_removes_its_files_of_an_earlier_run(tmp_path):
+    # A simple-only rerun into the same out kept the first run's mode_compare
+    # and correlations tables, which no longer matched report.csv.
+    grid = {"synthesizers": [{"base": "S"}, {"base": "P"}], "m": [2],
+            "predictor_modes": ["simple", "selective"], "selective": {"y": ["x"]}}
+    both = load_config(write_project(tmp_path, grid=grid, k=1))
+    tables = both.out / "tables"
+    report, timings = run_experiment(both)
+    assert {"mode_compare", "correlations"} <= set(emit_tables(report, both.out, timings))
+    before = {p.name: p.read_bytes() for p in tables.iterdir()}
+    simple = dataclasses.replace(both, predictor_modes=("simple",))
+    report, timings = run_experiment(simple)
+    # a table asked for by name that lacks its inputs is an error that removes nothing
+    with pytest.raises(MetricError, match="mode_compare"):
+        emit_tables(report, both.out, timings, requested=("mode_compare",))
+    assert {p.name: p.read_bytes() for p in tables.iterdir()} == before
+    written = emit_tables(report, both.out, timings)
+    assert not {"mode_compare", "correlations"} & set(written)
+    assert sorted(p.name for p in tables.iterdir()) == sorted(f"{t}.csv" for t in written)
+    assert {r.mode for r in read_report(both.out).rows} == {"simple"}
 
 
 def test_metric_rows_isolates_failing_fits(mini_run, monkeypatch):

@@ -9,7 +9,7 @@ import synthbench
 import synthbench.models
 from conftest import write_schema
 from synthbench.dataset import write_csv
-from synthbench.harness import load_config
+from synthbench.config import load_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
