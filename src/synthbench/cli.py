@@ -65,11 +65,10 @@ def _cmd_generate(args) -> int:
     cfg = load_config(args.config, seed=args.seed)
     original = load_original(cfg)
     # simple mode is built whatever modes the grid lists
-    specs = grid_specs(cfg, original.schema, ("simple",), m=args.m, seed=cfg.seed)
-    spec = specs.get((args.spec, "simple"))
+    spec = grid_specs(cfg, original.schema, ("simple",)).get((args.spec, "simple"))
     if spec is None:
         raise ConfigError(f"label {args.spec!r} is not in the configured grid")
-    sset = synthesize(original, spec)
+    sset = synthesize(original, spec, m=args.m, seed=cfg.seed)
     out = Path(args.out) if args.out else cfg.out / "synth" / f"{args.spec}_m{args.m}"
     total = math.fsum(save_synthetic_set(sset, out, known=NumberText.of(original)))
     print(

@@ -23,7 +23,7 @@ import json
 import math
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -114,12 +114,11 @@ def _replicate_key(label: str, mode: str, rep: int) -> str:
 
 
 def grid_specs(
-    cfg: ExperimentConfig, schema: Schema, modes: tuple[str, ...], *, m: int, seed: int
+    cfg: ExperimentConfig, schema: Schema, modes: tuple[str, ...]
 ) -> dict[tuple[str, str], SynthesizerSpec]:
-    """The spec of each grid synthesizer in each predictor mode of ``modes``
-    for ``m`` datasets under ``seed``, keyed by (label, mode): base, order
-    and proper flag from the synthesizer's grid entry, ``pmm_k`` and
-    ``min_leaf`` from the config. A spec that cannot be built is a
+    """The spec of each grid synthesizer in each predictor mode of
+    ``modes``, keyed by (label, mode): base, order and proper flag from the
+    synthesizer's grid entry, ``pmm_k`` and ``min_leaf`` from the config. A spec that cannot be built is a
     ``ConfigError``, and so is a ``grid.selective`` name that is not a
     column of ``schema``, whether or not ``modes`` holds selective."""
     for target, names in (cfg.selective or {}).items():
@@ -134,7 +133,7 @@ def grid_specs(
             try:
                 specs[label, mode] = build_spec(
                     schema, entry.base, order=entry.order, own_order=entry.own_order,
-                    proper=proper, m=m, seed=seed, pmm_k=cfg.pmm_k, min_leaf=cfg.min_leaf,
+                    proper=proper, pmm_k=cfg.pmm_k, min_leaf=cfg.min_leaf,
                     selective=cfg.selective if mode == "selective" else None,
                 )
             except SynthbenchError as err:
@@ -371,8 +370,9 @@ def _run_cell(replicate: tuple[str, str, int], fitted: dict) -> dict:
     key = _replicate_key(label, mode, rep)
     result = {"key": key, "label": label, "mode": mode, "rep": rep, "fingerprint": exp.fingerprint}
     try:
-        spec = replace(exp.specs[label, mode], seed=_replicate_seed(cfg.seed, label, mode, rep))
-        sset = synthesize(exp.original, spec, fitted=fitted)
+        seed = _replicate_seed(cfg.seed, label, mode, rep)
+        sset = synthesize(exp.original, exp.specs[label, mode], m=max(cfg.m_list), seed=seed,
+                          fitted=fitted)
         seconds = save_synthetic_set(sset, cfg.out / "synth" / key, known=exp.known)
         rows, errors = metric_rows(
             exp.original, sset, cfg.metrics, exp.fits, exp.predicates,
@@ -470,7 +470,7 @@ def run_experiment(
         raise ConfigError("jobs must be >= 1")
     original = load_original(cfg)
     fits, predicates = load_metric_inputs(cfg, original.schema)
-    specs = grid_specs(cfg, original.schema, cfg.predictor_modes, m=max(cfg.m_list), seed=0)
+    specs = grid_specs(cfg, original.schema, cfg.predictor_modes)
     replicates = sorted((label, mode, rep) for label, mode in specs for rep in range(cfg.k))
 
     out = cfg.out

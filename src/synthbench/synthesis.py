@@ -149,22 +149,15 @@ class Step(NamedTuple):
 
 @dataclass(frozen=True)
 class SynthesizerSpec:
-    """Complete recipe for one synthesizer: its fit steps in visit order,
-    the proper flag, the dataset count and the master seed. Each step is
-    paired with the visited column whose random stream its draws take.
-    ``build_spec`` makes the steps; ``validate_against`` checks them."""
+    """Complete recipe for one synthesizer: its fit steps in visit order
+    and the proper flag. Each step is paired with the visited column whose
+    random stream its draws take. ``build_spec`` makes the steps;
+    ``validate_against`` checks them. How many datasets to draw, and from
+    which seed, is a ``synthesize`` call's."""
 
     label: str
     steps: tuple[tuple[int, Step], ...]
     proper: bool
-    m: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise SpecError(f"m must be >= 1, got {self.m}")
-        if self.seed < 0:
-            raise SpecError("seed must be non-negative")
 
     def validate_against(self, schema: Schema) -> None:
         """Refuse a spec that does not fit ``schema``: each column must be
@@ -208,8 +201,6 @@ def build_spec(
     order: str = "original",
     own_order: tuple[str, ...] | None = None,
     proper: bool = False,
-    m: int = 1,
-    seed: int = 0,
     selective: dict[str, tuple[str, ...]] | None = None,
     pmm_k: int = 5,
     min_leaf: int = 5,
@@ -252,7 +243,7 @@ def build_spec(
             method = numeric if cols[j].kind.is_numeric else categorical
             preds = () if method is Method.SAMPLE else predictors[j]
             steps.append((j, Step(method, (j,), preds, min_leaf, pmm_k)))
-    return SynthesizerSpec(synthesizer_label(base, order, proper), tuple(steps), proper, m, seed)
+    return SynthesizerSpec(synthesizer_label(base, order, proper), tuple(steps), proper)
 
 
 @dataclass(frozen=True)
@@ -470,10 +461,11 @@ def fit_steps(pairs) -> list[Fitted | Exception]:
 
 
 def _synthesize_one(
-    spec: SynthesizerSpec, idx: int, fits: dict[Step, Fitted | Exception], schema: Schema, n: int
+    spec: SynthesizerSpec, seed: int, idx: int, fits: dict[Step, Fitted | Exception],
+    schema: Schema, n: int,
 ) -> Dataset:
     """Dataset ``idx`` of ``n`` rows, each step drawn from its value in
-    ``fits`` with the dataset's own streams. A step whose value is the
+    ``fits`` with the dataset's own streams under ``seed``. A step whose value is the
     exception its fit raised raises it here."""
     syn: dict[int, np.ndarray] = {}
     for j, step in spec.steps:
@@ -482,7 +474,7 @@ def _synthesize_one(
             fitted = fits[step]
             if isinstance(fitted, Exception):
                 raise fitted.with_traceback(None)  # without the frames of earlier raises
-            drawn = fitted.draw([syn[q] for q in step.preds], n, _stream(spec.seed, idx, 1 + j))
+            drawn = fitted.draw([syn[q] for q in step.preds], n, _stream(seed, idx, 1 + j))
         except Exception as err:
             raise SynthesisError(f"variable {name!r}, dataset {idx}: {err}") from err
         if drawn.ndim == 2:  # the joint group's tuples
@@ -496,9 +488,12 @@ def synthesize(
     original: Dataset,
     spec: SynthesizerSpec,
     *,
+    m: int,
+    seed: int,
     fitted: dict[Step, Fitted | Exception] | None = None,
 ) -> SyntheticSet:
-    """Generate ``spec.m`` synthetic datasets from ``original``.
+    """Generate ``m`` synthetic datasets from ``original`` under ``seed``;
+    ``m`` below 1 or a negative ``seed`` is a ``SpecError``.
 
     A non-proper spec fits each step once, on ``original``, and draws every
     dataset from that fit; ``fitted`` holds what ``fit_steps`` returned for
@@ -518,6 +513,10 @@ def synthesize(
     only on its own fitting set, and every dataset only touches its own
     derived random streams.
     """
+    if m < 1:
+        raise SpecError(f"m must be >= 1, got {m}")
+    if seed < 0:
+        raise SpecError("seed must be non-negative")
     spec.validate_against(original.schema)
     if original.has_missing:
         raise SynthesisError("original data still has missing cells; preprocess first")
@@ -525,14 +524,14 @@ def synthesize(
     schema, n = original.schema, original.n_rows
     steps = [step for _, step in spec.steps]
     datasets, seconds = [], []
-    per_batch = max(1, _BATCH_ROWS // max(1, n)) if spec.proper else spec.m
-    for first in range(0, spec.m, per_batch):
-        batch = range(first, min(spec.m, first + per_batch))
+    per_batch = max(1, _BATCH_ROWS // max(1, n)) if spec.proper else m
+    for first in range(0, m, per_batch):
+        batch = range(first, min(m, first + per_batch))
         t0 = time.perf_counter()
         if spec.proper:
             # Each dataset's bootstrap is drawn from its stream 0, which no
             # other dataset shares.
-            boots = [original.take(_bootstrap_indices(_stream(spec.seed, idx, 0), n)) for idx in batch]
+            boots = [original.take(_bootstrap_indices(_stream(seed, idx, 0), n)) for idx in batch]
             values = iter(fit_steps((step, boot) for boot in boots for step in steps))
             fits = [{step: next(values) for step in steps} for _ in batch]
         else:
@@ -543,11 +542,9 @@ def synthesize(
         share = (time.perf_counter() - t0) / len(batch)
         for idx, fit in zip(batch, fits):
             t0 = time.perf_counter()
-            datasets.append(_synthesize_one(spec, idx, fit, schema, n))
+            datasets.append(_synthesize_one(spec, seed, idx, fit, schema, n))
             seconds.append(share + time.perf_counter() - t0)
-    return SyntheticSet(
-        label=spec.label, seed=spec.seed, datasets=tuple(datasets), wall_times=tuple(seconds)
-    )
+    return SyntheticSet(spec.label, seed, tuple(datasets), tuple(seconds))
 
 
 def save_synthetic_set(

@@ -98,7 +98,7 @@ def test_criterion_3_synthesizer_correctness(fixture_a):
     r_orig = float(np.corrcoef(x0, y0)[0, 1])
 
     def corr_of(base):
-        sset = synthesize(fixture_a, build_spec(fixture_a.schema, base, m=1, seed=7))
+        sset = synthesize(fixture_a, build_spec(fixture_a.schema, base), m=1, seed=7)
         ds = sset.datasets[0]
         return float(np.corrcoef(ds.column("x"), ds.column("y"))[0, 1])
 
@@ -111,7 +111,7 @@ def test_criterion_3_synthesizer_correctness(fixture_a):
     observed_triples = {
         t for t in zip(fixture_a.column("c1"), fixture_a.column("c2"), fixture_a.column("c3"))
     }
-    cc = synthesize(fixture_a, build_spec(fixture_a.schema, "CC", m=10, seed=7))
+    cc = synthesize(fixture_a, build_spec(fixture_a.schema, "CC"), m=10, seed=7)
     violations = 0
     for ds in cc.datasets:
         triples = set(zip(ds.column("c1"), ds.column("c2"), ds.column("c3")))
@@ -119,7 +119,7 @@ def test_criterion_3_synthesizer_correctness(fixture_a):
     assert violations == 0
 
     for base in ("S", "P", "D", "CP", "CC"):
-        sset = synthesize(fixture_a, build_spec(fixture_a.schema, base, m=1, seed=7))
+        sset = synthesize(fixture_a, build_spec(fixture_a.schema, base), m=1, seed=7)
         ds = sset.datasets[0]
         for name in ("c1", "c2", "c3"):
             observed = set(fixture_a.column(name).tolist())
@@ -129,7 +129,7 @@ def test_criterion_3_synthesizer_correctness(fixture_a):
 
 def _crit4_synthesize(original, m, rep):
     seed = _stream(4, m, rep)
-    return synthesize(original, build_spec(original.schema, "D", m=m, seed=seed))
+    return synthesize(original, build_spec(original.schema, "D"), m=m, seed=seed)
 
 
 def battery_apo(original, fits, sset, threshold=0.9):
@@ -160,7 +160,7 @@ def mean_point_apo_at(original, m, reps=5, master=MASTER_SEED):
         seed = int(
             np.random.SeedSequence((master, 4, m, rep)).generate_state(1, dtype=np.uint64)[0]
         )
-        sset = synthesize(original, build_spec(original.schema, "D", m=m, seed=seed))
+        sset = synthesize(original, build_spec(original.schema, "D"), m=m, seed=seed)
         vals.append(mean_point_apo(original, sset))
     return math.fsum(vals) / reps
 
@@ -204,8 +204,8 @@ def test_criterion_5_proper_vs_nonproper(fixture_a, battery):
         values = []
         for rep in range(10):
             seed = _stream(5, rep)  # shared by both variants: paired comparison
-            spec = build_spec(fixture_a.schema, "D", proper=proper, m=1, seed=seed)
-            sset = synthesize(fixture_a, spec)
+            spec = build_spec(fixture_a.schema, "D", proper=proper)
+            sset = synthesize(fixture_a, spec, m=1, seed=seed)
             for fit in battery:
                 orig = regression_estimands(fixture_a, fit)
                 per = [regression_estimands(ds, fit) for ds in sset.datasets]
@@ -329,7 +329,7 @@ def test_criterion_9_classification(fixture_a):
 
     c3 = fixture_a.column("c3")
     majority = max(float((c3 == code).mean()) for code in np.unique(c3))
-    sset = synthesize(fixture_a, build_spec(fixture_a.schema, "S", m=5, seed=_stream(9)))
+    sset = synthesize(fixture_a, build_spec(fixture_a.schema, "S"), m=5, seed=_stream(9))
     accuracies_s, _ = classify_compare(baseline, sset)
     assert abs(mean(accuracies_s) - majority) <= 0.05, (
         f"sampled-data classifier accuracy {mean(accuracies_s):.3f} "

@@ -1249,7 +1249,7 @@ def test_metric_rows_isolates_failing_fits(mini_run, monkeypatch):
     from synthbench.synthesis import build_spec, synthesize
 
     fits = load_fitspecs(cfg.fitspecs)
-    sset = synthesize(original, build_spec(original.schema, "S", m=2, seed=1))
+    sset = synthesize(original, build_spec(original.schema, "S"), m=2, seed=1)
 
     def broken(ds, fit):
         raise MetricError(f"forced failure for {fit.id}")
@@ -1378,10 +1378,10 @@ def test_cli_generate_with_an_ordered_label(tmp_path, capsys):
     cfg = load_config(cfg_path)
     original = load_original(cfg)
     spec = build_spec(
-        original.schema, "D", order="opposite", proper=True, m=2, seed=cfg.seed,
+        original.schema, "D", order="opposite", proper=True,
         pmm_k=cfg.pmm_k, min_leaf=cfg.min_leaf,
     )
-    expected = synthesize(original, spec)
+    expected = synthesize(original, spec, m=2, seed=cfg.seed)
     written = load_synthetic_set(gen_dir, original.schema)
     assert written.label == "DOT"
     for got, want in zip(written.datasets, expected.datasets, strict=True):
@@ -1409,10 +1409,10 @@ def test_cli_generate_builds_the_simple_spec_of_a_selective_only_grid(tmp_path, 
     cfg = load_config(cfg_path)
     original = load_original(cfg)
     spec = build_spec(
-        original.schema, "D", m=2, seed=cfg.seed, pmm_k=cfg.pmm_k, min_leaf=cfg.min_leaf,
+        original.schema, "D", pmm_k=cfg.pmm_k, min_leaf=cfg.min_leaf,
         selective=None,
     )
-    expected = synthesize(original, spec)
+    expected = synthesize(original, spec, m=2, seed=cfg.seed)
     written = load_synthetic_set(gen_dir, original.schema)
     for got, want in zip(written.datasets, expected.datasets, strict=True):
         for a, b in zip(got.columns, want.columns, strict=True):
@@ -1989,7 +1989,7 @@ def test_a_json_field_of_any_type_loads_or_is_the_readers_error(tmp_path, name):
     cfg_path = write_project(tmp_path, grid={"synthesizers": [{"base": "S"}], "m": [1]}, k=1)
     original = make_fixture_a(20, seed=1)
     synthesis.save_synthetic_set(
-        synthesize(original, build_spec(original.schema, "S", m=1, seed=1)), tmp_path / "gen"
+        synthesize(original, build_spec(original.schema, "S"), m=1, seed=1), tmp_path / "gen"
     )
     path, load, error = {
         "config": (cfg_path, load_config, ConfigError),

@@ -116,5 +116,5 @@ def test_ties_are_broken_at_random():
 def test_cp_on_fixture_a_keeps_most_values_of_x(fixture_a):
     # x is CP's first numeric column, predicted from the categoricals
     # alone, so its predictions take a few dozen distinct values.
-    syn = synthesize(fixture_a, build_spec(fixture_a.schema, "CP", m=1, seed=7)).datasets[0]
+    syn = synthesize(fixture_a, build_spec(fixture_a.schema, "CP"), m=1, seed=7).datasets[0]
     assert np.unique(syn.column("x")).size > 1000

@@ -111,7 +111,7 @@ def test_a_selective_predictor_visited_after_its_target_is_named(fixture_a):
     (x, step), *rest = spec.steps
     late = replace(spec, steps=((x, step._replace(preds=(schema.index("y"),))), *rest))
     with pytest.raises(SpecError, match="^predictor 'y' of column 'x' is drawn after it$"):
-        synthesize(fixture_a, late)
+        synthesize(fixture_a, late, m=1, seed=0)
 
 
 def test_a_spec_that_does_not_fit_the_data_is_refused(fixture_a):
@@ -121,7 +121,7 @@ def test_a_spec_that_does_not_fit_the_data_is_refused(fixture_a):
     )
     spec = build_spec(x_categorical, "P")
     with pytest.raises(SpecError, match="^parametric_categorical requires a categorical column, got 'x'$"):
-        synthesize(fixture_a, spec)
+        synthesize(fixture_a, spec, m=1, seed=0)
     spec = build_spec(fixture_a.schema, "D")
     (x, step), *rest = spec.steps
     for steps, message in (
@@ -175,7 +175,7 @@ def test_label_construction():
 
 def test_sample_base_resamples_observed_values():
     ds = small_dataset()
-    sset = synthesize(ds, build_spec(ds.schema, "S", m=2, seed=3))
+    sset = synthesize(ds, build_spec(ds.schema, "S"), m=2, seed=3)
     for out in sset.datasets:
         assert out.n_rows == ds.n_rows
         for name in ("x", "y"):
@@ -187,7 +187,7 @@ def test_sample_base_resamples_observed_values():
 
 def test_every_base_emits_observed_levels(fixture_a):
     for base in ("S", "P", "D", "CP", "CC"):
-        sset = synthesize(fixture_a, build_spec(fixture_a.schema, base, m=1, seed=8))
+        sset = synthesize(fixture_a, build_spec(fixture_a.schema, base), m=1, seed=8)
         out = sset.datasets[0]
         for name in ("c1", "c2", "c3"):
             observed = set(fixture_a.column(name).tolist())
@@ -196,9 +196,9 @@ def test_every_base_emits_observed_levels(fixture_a):
 
 def test_synthesis_is_deterministic():
     ds = small_dataset()
-    spec = build_spec(ds.schema, "D", m=2, seed=42)
-    a = synthesize(ds, spec)
-    b = synthesize(ds, spec)
+    spec = build_spec(ds.schema, "D")
+    a = synthesize(ds, spec, m=2, seed=42)
+    b = synthesize(ds, spec, m=2, seed=42)
     for da, db in zip(a.datasets, b.datasets):
         for name in ds.schema.names:
             assert np.array_equal(da.column(name), db.column(name))
@@ -206,8 +206,8 @@ def test_synthesis_is_deterministic():
 
 def test_dataset_streams_are_independent_of_m():
     ds = small_dataset()
-    first = synthesize(ds, build_spec(ds.schema, "D", m=1, seed=11)).datasets[0]
-    both = synthesize(ds, build_spec(ds.schema, "D", m=3, seed=11)).datasets
+    first = synthesize(ds, build_spec(ds.schema, "D"), m=1, seed=11).datasets[0]
+    both = synthesize(ds, build_spec(ds.schema, "D"), m=3, seed=11).datasets
     for name in ds.schema.names:
         assert np.array_equal(first.column(name), both[0].column(name))
 
@@ -220,10 +220,10 @@ def _separate_fits(spec, fit_ds):
 @pytest.mark.parametrize("base", synthesis.BASES)
 def test_shared_fits_draw_the_bytes_of_separate_fits(base):
     ds = small_dataset()
-    shared = synthesize(ds, build_spec(ds.schema, base, m=3, seed=23)).datasets
-    alone = build_spec(ds.schema, base, m=1, seed=23)
+    spec = build_spec(ds.schema, base)
+    shared = synthesize(ds, spec, m=3, seed=23).datasets
     for i, got in enumerate(shared):
-        want = synthesis._synthesize_one(alone, i, _separate_fits(alone, ds), ds.schema, ds.n_rows)
+        want = synthesis._synthesize_one(spec, 23, i, _separate_fits(spec, ds), ds.schema, ds.n_rows)
         assert [c.tobytes() for c in got.columns] == [c.tobytes() for c in want.columns]
 
 
@@ -231,17 +231,17 @@ def test_shared_fits_draw_the_bytes_of_separate_fits(base):
 def test_proper_forests_draw_the_bytes_of_separate_fits(base):
     # synthesize grows the trees of all three bootstraps as one forest
     ds = small_dataset()
-    spec = build_spec(ds.schema, base, proper=True, m=3, seed=23)
-    for i, got in enumerate(synthesize(ds, spec).datasets):
-        boot = ds.take(synthesis._bootstrap_indices(synthesis._stream(spec.seed, i, 0), ds.n_rows))
-        want = synthesis._synthesize_one(spec, i, _separate_fits(spec, boot), ds.schema, ds.n_rows)
+    spec = build_spec(ds.schema, base, proper=True)
+    for i, got in enumerate(synthesize(ds, spec, m=3, seed=23).datasets):
+        boot = ds.take(synthesis._bootstrap_indices(synthesis._stream(23, i, 0), ds.n_rows))
+        want = synthesis._synthesize_one(spec, 23, i, _separate_fits(spec, boot), ds.schema, ds.n_rows)
         assert [c.tobytes() for c in got.columns] == [c.tobytes() for c in want.columns]
 
 
 def test_passed_fits_draw_the_same_bytes_and_fit_nothing(monkeypatch):
     ds = small_dataset()
-    spec = build_spec(ds.schema, "D", m=3, seed=5)
-    want = synthesize(ds, spec).datasets
+    spec = build_spec(ds.schema, "D")
+    want = synthesize(ds, spec, m=3, seed=5).datasets
     steps = [step for _, step in spec.steps]
     fitted = dict(zip(steps, fit_steps((step, ds) for step in steps)))
     calls = []
@@ -250,7 +250,7 @@ def test_passed_fits_draw_the_same_bytes_and_fit_nothing(monkeypatch):
         monkeypatch.setattr(
             synthesis, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k)
         )
-    got = synthesize(ds, spec, fitted=fitted).datasets
+    got = synthesize(ds, spec, m=3, seed=5, fitted=fitted).datasets
     assert calls == []
     assert [[c.tobytes() for c in d.columns] for d in got] == [
         [c.tobytes() for c in d.columns] for d in want
@@ -261,13 +261,13 @@ def test_a_passed_fit_error_raises_without_the_frames_of_earlier_raises():
     # 250 rows cannot serve 251 donors, so x's PMM fit fails. Every call
     # raises that one stored error; each raise starts a new traceback.
     ds = small_dataset()
-    spec = build_spec(ds.schema, "CP", m=2, seed=5, pmm_k=ds.n_rows + 1)
+    spec = build_spec(ds.schema, "CP", pmm_k=ds.n_rows + 1)
     steps = [step for _, step in spec.steps]
     fitted = dict(zip(steps, fit_steps((step, ds) for step in steps)))
     depths = []
     for _ in range(4):
         with pytest.raises(SynthesisError, match=r"^variable 'x', .*pmm_k=251") as raised:
-            synthesize(ds, spec, fitted=fitted)
+            synthesize(ds, spec, m=2, seed=5, fitted=fitted)
         err = raised.value.__cause__
         assert any(err is value for value in fitted.values())
         depths.append(len(traceback.extract_tb(err.__traceback__)))
@@ -318,7 +318,7 @@ def test_every_fit_comes_before_the_first_draw(monkeypatch, proper):
 
     monkeypatch.setattr(synthesis, "fit_step", logging_fit_step)
     monkeypatch.setattr(synthesis, "_stream", logging_stream)
-    synthesize(ds, build_spec(ds.schema, "P", proper=proper, m=3, seed=3))
+    synthesize(ds, build_spec(ds.schema, "P", proper=proper), m=3, seed=3)
     fits = 4 * (3 if proper else 1)
     assert log == ["fit"] * fits + ["draw"] * 12
 
@@ -328,8 +328,8 @@ def test_proper_with_identity_bootstrap_equals_nonproper(monkeypatch):
     monkeypatch.setattr(
         synthesis, "_bootstrap_indices", lambda rng, n: np.arange(n, dtype=np.int64)
     )
-    plain = synthesize(ds, build_spec(ds.schema, "D", m=2, seed=13))
-    proper = synthesize(ds, build_spec(ds.schema, "D", proper=True, m=2, seed=13))
+    plain = synthesize(ds, build_spec(ds.schema, "D"), m=2, seed=13)
+    proper = synthesize(ds, build_spec(ds.schema, "D", proper=True), m=2, seed=13)
     for da, db in zip(plain.datasets, proper.datasets):
         for name in ds.schema.names:
             assert np.array_equal(da.column(name), db.column(name))
@@ -337,8 +337,8 @@ def test_proper_with_identity_bootstrap_equals_nonproper(monkeypatch):
 
 def test_proper_bootstrap_changes_fits():
     ds = small_dataset()
-    plain = synthesize(ds, build_spec(ds.schema, "D", m=1, seed=13))
-    proper = synthesize(ds, build_spec(ds.schema, "D", proper=True, m=1, seed=13))
+    plain = synthesize(ds, build_spec(ds.schema, "D"), m=1, seed=13)
+    proper = synthesize(ds, build_spec(ds.schema, "D", proper=True), m=1, seed=13)
     assert proper.label == "DT"
     diff = any(
         not np.array_equal(plain.datasets[0].column(n), proper.datasets[0].column(n))
@@ -349,7 +349,7 @@ def test_proper_bootstrap_changes_fits():
 
 def test_joint_base_never_invents_combinations():
     ds = small_dataset()
-    sset = synthesize(ds, build_spec(ds.schema, "CC", m=2, seed=21))
+    sset = synthesize(ds, build_spec(ds.schema, "CC"), m=2, seed=21)
     observed = {(a, b) for a, b in zip(ds.column("c1"), ds.column("c2"))}
     for out in sset.datasets:
         got = {(a, b) for a, b in zip(out.column("c1"), out.column("c2"))}
@@ -358,8 +358,8 @@ def test_joint_base_never_invents_combinations():
 
 def test_selective_empty_predictor_set_falls_back_to_sampling():
     ds = small_dataset()
-    spec = build_spec(ds.schema, "P", m=1, seed=2, selective={"y": ()})
-    out = synthesize(ds, spec).datasets[0]
+    spec = build_spec(ds.schema, "P", selective={"y": ()})
+    out = synthesize(ds, spec, m=1, seed=2).datasets[0]
     assert set(out.column("y")) <= set(ds.column("y"))
 
 
@@ -371,7 +371,7 @@ def test_missing_data_is_rejected():
         (np.asarray([True, False, False, False, False, False]),),
     )
     with pytest.raises(SynthesisError, match="^original data still has missing cells"):
-        synthesize(ds, build_spec(schema, "S"))
+        synthesize(ds, build_spec(schema, "S"), m=1, seed=0)
 
 
 def test_fit_errors_carry_variable_and_dataset_context(monkeypatch):
@@ -382,7 +382,7 @@ def test_fit_errors_carry_variable_and_dataset_context(monkeypatch):
 
     monkeypatch.setattr(synthesis, "fit_cart", boom)
     with pytest.raises(SynthesisError) as err:
-        synthesize(ds, build_spec(ds.schema, "D", m=1, seed=1))
+        synthesize(ds, build_spec(ds.schema, "D"), m=1, seed=1)
     msg = str(err.value)
     # x has no predictors and is sampled marginally, so the first fit is at y
     assert "'y'" in msg and "dataset 0" in msg
@@ -394,9 +394,9 @@ def test_unfittable_proper_tree_names_its_variable_and_dataset(base, variable):
     # tree of dataset 0 fails (D draws x marginally; CC draws c1 and c2
     # jointly before x)
     ds = small_dataset()
-    spec = build_spec(ds.schema, base, proper=True, m=3, seed=5, min_leaf=251)
+    spec = build_spec(ds.schema, base, proper=True, min_leaf=251)
     with pytest.raises(SynthesisError) as err:
-        synthesize(ds, spec)
+        synthesize(ds, spec, m=3, seed=5)
     assert str(err.value) == (
         f"variable {variable!r}, dataset 0: need at least min_leaf=251 rows, got 250"
     )
@@ -422,12 +422,12 @@ def test_pmm_with_fewer_rows_than_donors_is_an_error(seed):
     # 4 fitting rows cannot supply 5 donors to any synthetic row.
     ds = numeric_pair(np.asarray([0.0, 1.0, 2.0, 3.0]), np.asarray([0.5, 1.5, 1.0, 3.5]))
     with pytest.raises(SynthesisError, match=r"variable 'y'.*pmm_k=5"):
-        synthesize(ds, build_spec(ds.schema, "CP", m=1, seed=seed, pmm_k=5))
+        synthesize(ds, build_spec(ds.schema, "CP", pmm_k=5), m=1, seed=seed)
 
 
 def test_save_and_load_round_trip(tmp_path):
     ds = small_dataset()
-    sset = synthesize(ds, build_spec(ds.schema, "D", m=2, seed=4))
+    sset = synthesize(ds, build_spec(ds.schema, "D"), m=2, seed=4)
     save_synthetic_set(sset, tmp_path / "out")
     back = load_synthetic_set(tmp_path / "out", ds.schema)
     assert back.label == sset.label and back.m == 2
@@ -458,10 +458,10 @@ def test_spec_validation():
     ds = small_dataset()
     with pytest.raises(SpecError):
         build_spec(ds.schema, "Q")
-    with pytest.raises(SpecError):
-        build_spec(ds.schema, "D", m=0)
-    with pytest.raises(SpecError):
-        build_spec(ds.schema, "D", seed=-1)
+    with pytest.raises(SpecError, match="^m must be >= 1, got 0$"):
+        synthesize(ds, build_spec(ds.schema, "D"), m=0, seed=0)
+    with pytest.raises(SpecError, match="^seed must be non-negative$"):
+        synthesize(ds, build_spec(ds.schema, "D"), m=1, seed=-1)
     schema_cats_only = Schema((Column("c", ColumnKind.categorical(("a", "b"))),))
     spec = build_spec(schema_cats_only, "CP")  # no numerics is fine
     assert spec.steps == ((0, Step(Method.JOINT_CATEGORICAL, (0,), (), 5, 5)),)
@@ -492,7 +492,7 @@ _ORDER_SPECS = {
 
 def _order_spec(schema, label):
     kwargs = dict(_ORDER_SPECS[label])
-    return build_spec(schema, kwargs.pop("base"), m=2, seed=31, **kwargs)
+    return build_spec(schema, kwargs.pop("base"), **kwargs)
 
 
 def _datasets_digest(datasets):
@@ -506,7 +506,7 @@ def _datasets_digest(datasets):
 def test_order_digests_are_golden(fixture_a):
     digests = {}
     for label in ORDER_DIGESTS:
-        sset = synthesize(fixture_a, _order_spec(fixture_a.schema, label))
+        sset = synthesize(fixture_a, _order_spec(fixture_a.schema, label), m=2, seed=31)
         digests[label] = _datasets_digest(sset.datasets)
     assert digests == ORDER_DIGESTS
 
@@ -519,14 +519,14 @@ def test_cp_and_cpo_share_one_joint_table(fixture_a, monkeypatch):
     monkeypatch.setattr(
         synthesis, "fit_joint_table", lambda *a, **k: fits.append(a[1]) or real(*a, **k)
     )
-    cp = build_spec(fixture_a.schema, "CP", m=2, seed=31)
+    cp = build_spec(fixture_a.schema, "CP")
     cpo = _order_spec(fixture_a.schema, "CPO")
     steps = list(dict.fromkeys(step for spec in (cp, cpo) for _, step in spec.steps))
     fitted = dict(zip(steps, fit_steps((step, fixture_a) for step in steps)))
-    shared = [synthesize(fixture_a, spec, fitted=fitted).datasets for spec in (cp, cpo)]
+    shared = [synthesize(fixture_a, spec, m=2, seed=31, fitted=fitted).datasets for spec in (cp, cpo)]
     assert fits == [("c1", "c2", "c3")]
     for spec, got in zip((cp, cpo), shared):
-        want = synthesize(fixture_a, spec).datasets
+        want = synthesize(fixture_a, spec, m=2, seed=31).datasets
         assert _datasets_digest(got) == _datasets_digest(want)
 
 
