@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import shutil
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -34,7 +36,7 @@ from .analysis import (
     AdhocPredicate, adhoc_proportion, check_classifier, check_predicate, classifier_baseline,
     classify_compare, load_adhoc,
 )
-from .config import ExperimentConfig, MetricSettings
+from .config import PREDICTOR_MODES, ExperimentConfig, MetricSettings
 from .dataset import (
     Dataset, NumberText, Schema, coarsen_levels, drop_column, head_n, load_csv, load_schema,
     replace_missing,
@@ -55,20 +57,20 @@ from .tables import emit_tables
 
 def load_original(cfg: ExperimentConfig) -> Dataset:
     """Load and preprocess the original data: drop, coarsen, head, then fill
-    missing cells by resampling observed values. Data without rows, or with
-    a numeric cell that is nan or infinite, is a ``DataError``; a
-    classification target that is not a column of the result is a
-    ``ConfigError``, and classifier settings that ``check_classifier``
-    refuses on the result are an ``AnalysisError``."""
+    missing cells by resampling observed values, each error naming its setting
+    or the data file. Data without rows or with a nan or infinite numeric cell
+    is a ``DataError``; a classification target that is not a column of the
+    result is a ``ConfigError``, and classifier settings that
+    ``check_classifier`` refuses on the result are an ``AnalysisError``."""
     ds = load_csv(cfg.dataset, load_schema(cfg.schema), cfg.missing_tokens)
     if ds.n_rows == 0:
         raise DataError(f"{cfg.dataset}: the data has no rows")
     for name in cfg.drop:
-        ds = drop_column(ds, name)
+        ds = _in_setting("preprocess.drop", drop_column, ds, name)
     for mapping in cfg.coarsen:
-        ds = coarsen_levels(ds, mapping)
+        ds = _in_setting(f"preprocess.coarsen of {mapping.column!r}", coarsen_levels, ds, mapping)
     if cfg.head is not None:
-        ds = head_n(ds, cfg.head)
+        ds = _in_setting("preprocess.head_n", head_n, ds, cfg.head)
     for col, values, missing in zip(ds.schema.columns, ds.columns, ds.missing):
         if col.kind.is_numeric:
             bad = ~np.isfinite(values) if missing is None else ~(np.isfinite(values) | missing)
@@ -85,7 +87,15 @@ def load_original(cfg: ExperimentConfig) -> Dataset:
         )
     if target is not None:
         check_classifier(ds.schema, ds.n_rows, target, cfg.metrics.classification_test_fraction)
-    return replace_missing(ds, cfg.missing_seed)
+    return _in_setting(str(cfg.dataset), replace_missing, ds, cfg.missing_seed)
+
+
+def _in_setting(setting: str, step, ds: Dataset, arg) -> Dataset:
+    """``step(ds, arg)``, its error prefixed with the setting or file it comes from."""
+    try:
+        return step(ds, arg)
+    except SynthbenchError as err:
+        raise type(err)(f"{setting}: {err}") from err
 
 
 def load_metric_inputs(
@@ -111,6 +121,15 @@ def _replicate_seed(master: int, label: str, mode: str, rep: int) -> int:
 
 def _replicate_key(label: str, mode: str, rep: int) -> str:
     return f"{label}_{mode}_r{rep}"
+
+
+def _remove_stale_replicates(out: Path, keys: set[str]) -> None:
+    """Remove the cell file and synthetic set under ``out`` of each replicate that ``keys`` lacks."""
+    form = re.compile(rf"[A-Z]+_({'|'.join(PREDICTOR_MODES)})_r[0-9]+")
+    for path in chain(out.glob("cells/*.json"), filter(Path.is_dir, out.glob("synth/*"))):
+        key = path.name.removesuffix(".json")
+        if form.fullmatch(key) and key not in keys:
+            shutil.rmtree(path) if path.is_dir() else path.unlink()
 
 
 def grid_specs(
@@ -370,9 +389,8 @@ def _run_cell(replicate: tuple[str, str, int], fitted: dict) -> dict:
     key = _replicate_key(label, mode, rep)
     result = {"key": key, "label": label, "mode": mode, "rep": rep, "fingerprint": exp.fingerprint}
     try:
-        seed = _replicate_seed(cfg.seed, label, mode, rep)
-        sset = synthesize(exp.original, exp.specs[label, mode], m=max(cfg.m_list), seed=seed,
-                          fitted=fitted)
+        seed, spec = _replicate_seed(cfg.seed, label, mode, rep), exp.specs[label, mode]
+        sset = synthesize(exp.original, spec, m=max(cfg.m_list), seed=seed, fitted=fitted)
         seconds = save_synthetic_set(sset, cfg.out / "synth" / key, known=exp.known)
         rows, errors = metric_rows(
             exp.original, sset, cfg.metrics, exp.fits, exp.predicates,
@@ -458,7 +476,8 @@ def run_experiment(
     atomically. With ``resume`` every replicate of this grid whose file
     parses, carries the same fingerprint and generated its datasets is
     reused, whether or not the manifest lists it; every other replicate runs
-    again. A manifest with another fingerprint refuses the resume.
+    again. A manifest with another fingerprint refuses the resume. Then the
+    cell files and synthetic sets of replicates this grid lacks are removed.
 
     The spec of each (label, mode) is built once, before anything is
     written; one that cannot be built is a ``ConfigError``. Every non-proper
@@ -492,6 +511,7 @@ def run_experiment(
             key = _replicate_key(*replicate)
             if (result := _finished_cell(out / "cells" / f"{key}.json", fingerprint)) is not None:
                 done[key] = result
+    _remove_stale_replicates(out, {_replicate_key(*r) for r in replicates})
 
     pending = [r for r in replicates if _replicate_key(*r) not in done]
     side = original_side(original, cfg.metrics, fits, predicates) if pending else {}

@@ -152,8 +152,8 @@ class SynthesizerSpec:
     """Complete recipe for one synthesizer: its fit steps in visit order
     and the proper flag. Each step is paired with the visited column whose
     random stream its draws take. ``build_spec`` makes the steps;
-    ``validate_against`` checks them. How many datasets to draw, and from
-    which seed, is a ``synthesize`` call's."""
+    ``validate_against`` checks them. The dataset count and the seed are
+    arguments of ``synthesize``, not parts of the recipe."""
 
     label: str
     steps: tuple[tuple[int, Step], ...]
@@ -465,8 +465,8 @@ def _synthesize_one(
     schema: Schema, n: int,
 ) -> Dataset:
     """Dataset ``idx`` of ``n`` rows, each step drawn from its value in
-    ``fits`` with the dataset's own streams under ``seed``. A step whose value is the
-    exception its fit raised raises it here."""
+    ``fits`` with the dataset's own streams under ``seed``. A step whose
+    value is the exception its fit raised raises it here."""
     syn: dict[int, np.ndarray] = {}
     for j, step in spec.steps:
         name = schema.columns[j].name

@@ -262,11 +262,9 @@ def emit_tables(
     With ``requested=None`` every table whose inputs are present is emitted,
     and every other one removes its files of an earlier run, which would
     outlive the report they came from; explicitly requesting a table whose
-    inputs are missing is an error that removes nothing. Returns the path
+    inputs are missing is an error that touches no file. Returns the path
     of each table written, by table name.
     """
-    tables_dir = out / "tables"
-    tables_dir.mkdir(parents=True, exist_ok=True)
     want = TABLES if requested is None else tuple(requested)
     for t in want:
         if t not in TABLES:
@@ -274,14 +272,15 @@ def emit_tables(
     by_metric: dict[str, dict[tuple, float]] = {}
     for r in report.summary():
         by_metric.setdefault(r.metric, {})[(r.label, r.mode, r.m, r.scope)] = r.value
-
-    written: dict[str, Path] = {}
-    for table in TABLES:
-        if table not in want:
-            continue
-        files = _TABLE_BUILDERS[table](by_metric, timings)
+    built = {table: _TABLE_BUILDERS[table](by_metric, timings) for table in TABLES if table in want}
+    for table, files in built.items():
         if isinstance(files, str) and requested is not None:
             raise MetricError(f"table {table!r} needs {files}")
+
+    tables_dir = out / "tables"
+    tables_dir.mkdir(parents=True, exist_ok=True)
+    written: dict[str, Path] = {}
+    for table, files in built.items():
         if isinstance(files, str):
             files = dict.fromkeys(_TABLE_FILES.get(table, (table,)))
         else:

@@ -1242,6 +1242,76 @@ def test_a_table_without_inputs_removes_its_files_of_an_earlier_run(tmp_path):
     assert {r.mode for r in read_report(both.out).rows} == {"simple"}
 
 
+def test_a_refused_report_tables_touches_no_table(tmp_path, capsys):
+    # report --tables wrote mpe_apo.csv before it found that mode_compare
+    # lacked its inputs, and then exited 1.
+    grid = {"synthesizers": [{"base": "S"}, {"base": "P"}], "m": [2]}
+    cfg = load_config(write_project(tmp_path, grid=grid, k=1))
+    run_experiment(cfg)
+    tables = cfg.out / "tables"
+    argv = ["report", "--out", str(cfg.out), "--tables", "mpe_apo", "mode_compare"]
+    message = "error: table 'mode_compare' needs both predictor modes in the report\n"
+    assert main(argv) == 1
+    assert capsys.readouterr().err == message
+    assert not tables.exists()
+    tables.mkdir()
+    (tables / "mpe_apo.csv").write_text("sentinel\n")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == message
+    assert [p.name for p in tables.iterdir()] == ["mpe_apo.csv"]
+    assert (tables / "mpe_apo.csv").read_text() == "sentinel\n"
+
+
+def test_a_rerun_removes_the_replicates_of_an_earlier_grid(tmp_path, capsys):
+    # A simple-only rerun kept the selective replicates' cell files and
+    # datasets, which its manifest did not list and no resume could use.
+    grid = {"synthesizers": [{"base": "S"}, {"base": "P"}], "m": [2],
+            "predictor_modes": ["simple", "selective"], "selective": {"y": ["x"]}}
+    cfg_path = write_project(tmp_path, grid=grid, k=1)
+    both = load_config(cfg_path)
+    run_experiment(both)
+    assert main(["generate", "--config", str(cfg_path), "--spec", "S", "--m", "2"]) == 0
+    capsys.readouterr()
+    simple = dataclasses.replace(both, predictor_modes=("simple",))
+    run_experiment(simple)
+    keys = ["P_simple_r0", "S_simple_r0"]
+    assert sorted(p.stem for p in (both.out / "cells").iterdir()) == keys
+    assert sorted(p.name for p in (both.out / "synth").iterdir()) == sorted(["S_m2", *keys])
+    assert (both.out / "synth" / "S_m2" / "ds001.csv").exists()
+    manifest = json.loads((both.out / "manifest.json").read_text())
+    assert sorted(manifest["replicates"]) == keys
+    fresh = dataclasses.replace(simple, out=tmp_path / "fresh")
+    run_experiment(fresh)
+    assert (both.out / "report.csv").read_bytes() == (fresh.out / "report.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "preprocess, data, message",
+    [
+        ({"drop": ["zz"]}, None, "preprocess.drop: unknown column 'zz'"),
+        ({"coarsen": [{"column": "c", "mapping": {"lo": "a", "hi": "a", "zz": "b"}}]}, None,
+         "preprocess.coarsen of 'c': mapping mentions unknown levels ['zz']"),
+        ({"coarsen": [{"column": "x", "mapping": {"lo": "a"}}]}, None,
+         "preprocess.coarsen of 'x': column 'x' is not categorical"),
+        ({"head_n": 5000}, None, "preprocess.head_n: cannot take 5000 rows from a dataset of 100"),
+        ({}, "x,y,c\n,1.0,lo\nNA,2.0,hi\n", "{data}: column 'x' has no observed values to sample from"),
+    ],
+    ids=["drop", "coarsen-levels", "coarsen-numeric", "head-n", "no-observed-values"],
+)
+def test_a_preprocessing_error_names_its_setting(tmp_path, capsys, preprocess, data, message):
+    # Each error read only as its dataset function's text.
+    cfg_path = write_project(tmp_path, k=1)
+    doc = json.loads(cfg_path.read_text())
+    doc["preprocess"] = preprocess
+    cfg_path.write_text(json.dumps(doc))
+    if data is not None:
+        (tmp_path / "data.csv").write_text(data)
+    message = message.format(data=load_config(cfg_path).dataset)
+    assert main(["experiment", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "results").exists()
+
+
 def test_metric_rows_isolates_failing_fits(mini_run, monkeypatch):
     root, cfg, _, _ = mini_run
     original = load_original(cfg)
